@@ -33,6 +33,17 @@ returned ``dmmse``/``pwf`` solutions satisfy their structural identities
 (diagonal error covariances, self-consistent covariance equations) to tight
 tolerance.  All solvers are deterministic given problem, config and seed.
 
+The ``dmmse``, ``emmseia`` and ``pwf`` loops run batched over users on the
+zero-padded :attr:`InterferenceProblem.arrays`, whatever the users' serving
+sets and stream counts.  Padding adds nothing on the real coordinates: the
+matrices that are inverted over the transmit space (``dmmse``'s pricing
+matrix F_k, ``pwf``'s reversed-link covariance, ``emmseia``'s linear system)
+get 1 on their padded diagonal, padded streams get zero weight in ``dmmse``
+and no power in ``pwf``, and each user's block is cut out only where a result
+leaves the solver (:class:`BeamformerSolution`, :class:`DualNetworkState`,
+and the error-covariance diagonality test).  ``min_leakage`` works on the
+physical per-BS form.
+
 Every sum-rate (``srm``) solution, from ``dmmse``/``emmseia`` in the
 reweighting loop and from ``pwf``, meets each budget by construction: when
 the last iterate is over a budget by more than ``constraint_tol`` (possible
@@ -49,36 +60,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, NumericalFailureError, SingularMatrixError
-from .linalg import (
-    adjoint,
-    hermitian_part,
-    hermitian_top_eigs,
-    hermitian_top_eigs_batch,
-    psd_inv_sqrt,
-    psd_inv_sqrt_batch,
-    waterfill_eval,
-)
+from .linalg import adjoint, hermitian_part, hermitian_top_eigs_batch, psd_inv_sqrt, psd_inv_sqrt_batch
 from .model import (
     BeamformerSolution,
     InterferenceProblem,
     PartialCooperationSystem,
     build_interference_problem,
     constraint_usage,
-    interference_covariance,
+    cut_padding,
     interference_covariances,
     mmse_equalizers,
     mse_matrices_mmse,
+    pad_stack,
+    set_padded_diagonal,
     srm_weight_update,
     sum_over_sources,
     sum_rate,
     wsmse_objective,
 )
+from .single_user import LAMBDA_CAP, LAMBDA_FLOOR, active_residual
 
 ALGORITHMS = ("dmmse", "emmseia", "pwf", "min_leakage")
 OBJECTIVES = ("wsmmse", "srm")
 
-LAMBDA_FLOOR = 1e-9
-LAMBDA_CAP = 1e12
+# Most fixed-multiplier polish runs a dmmse or pwf solve makes; each run
+# that drifts off the budgets re-enters pricing.
+MAX_POLISH_ROUNDS = 5
 # Relative off-diagonal mass below which an error covariance counts as diagonal.
 OFFDIAG_TOL = 1e-8
 # Complementary slackness target: |mu_m (P_m - usage_m)| <= SLACKNESS_TOL * P_m.
@@ -94,6 +101,15 @@ class AlgorithmConfig:
     ``initialization`` is "scaled_identity" (first d_k identity columns,
     scaled to spend a 0.9/K budget fraction per user) or
     "random_orthonormal" (seeded by ``init_seed``).
+
+    ``max_outer`` caps the pricing passes of a solve (multiplier updates
+    interleaved with the alternation), summed over all its rounds;
+    ``dmmse`` and ``pwf`` then run up to ``MAX_POLISH_ROUNDS``
+    fixed-multiplier polish runs of at most ``max_inner`` passes each.  So
+    the ``iterations`` a solve returns obey
+    iterations <= max_outer + MAX_POLISH_ROUNDS * max_inner
+    (``emmseia``: iterations <= max_outer; ``min_leakage`` counts rounds,
+    at most ``max_outer``).
     """
 
     algorithm: str = "dmmse"
@@ -165,27 +181,28 @@ def offdiag_mass(mat: np.ndarray) -> float:
 
 
 def _norms(mats) -> np.ndarray:
-    """np.linalg.norm of each matrix in ``mats``, batched when the shapes
-    agree; the batched dot products are the ones np.linalg.norm takes."""
-    if len({m.shape for m in mats}) != 1:
-        return np.array([float(np.linalg.norm(m)) for m in mats])
+    """np.linalg.norm of each matrix in a (K, ., .) stack; the batched dot
+    products are the ones np.linalg.norm takes."""
     flat = np.asarray(mats).reshape(len(mats), 1, -1)
     re, im = flat.real, flat.imag
     return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[:, 0, 0])
 
 
 def _max_offdiag_mass(mats) -> float:
-    """The largest :func:`offdiag_mass` over ``mats``."""
-    if len({m.shape for m in mats}) != 1:
-        return max(offdiag_mass(m) for m in mats)
+    """The largest :func:`offdiag_mass` over a (K, n, n) stack."""
     off = np.array(mats)
     idx = np.arange(off.shape[-1])
     off[:, idx, idx] = 0.0
     return float(np.max(_norms(off) / np.maximum(_norms(mats), 1e-300)))
 
 
-def _change_norms(new, old) -> np.ndarray:
-    return _norms([n - o for n, o in zip(new, old)])
+def _mse_offdiag(problem: InterferenceProblem, precoders, omegas) -> float:
+    """The largest :func:`offdiag_mass` of the users' MMSE error covariances
+    E_k, each over its own d_k x d_k block: the padded diagonal (identity in
+    :func:`mse_matrices_mmse`) is cleared, which leaves exactly the block's
+    entries nonzero."""
+    mses = mse_matrices_mmse(problem, precoders, omegas)
+    return _max_offdiag_mass(set_padded_diagonal(mses, problem.arrays.stream_pad, 0.0))
 
 
 def initialize_precoders(problem: InterferenceProblem, config: AlgorithmConfig) -> list:
@@ -223,24 +240,22 @@ def _max_violation(usage: np.ndarray, budgets: np.ndarray) -> float:
 
 
 def _constraint_row_supports(problem: InterferenceProblem):
-    """Per user, the (M, m_t) 0/1 matrix whose row m marks the precoder rows
-    that constraint m weighs, or None unless every constraint weight is
-    diagonal and no precoder row is weighed by two constraints."""
-    supports = []
-    for phis in problem.constraints:
-        diags = np.array([np.diag(phi) for phi in phis])
-        if any(np.count_nonzero(phi - np.diag(d)) for phi, d in zip(phis, diags)):
-            return None
-        support = diags != 0
-        if np.any(support.sum(axis=0) > 1):
-            return None
-        supports.append(support.astype(float))
-    return supports
+    """The (K, M, m_t) 0/1 array whose [k, m] row marks the precoder rows
+    that constraint m weighs on user k, or None unless every constraint
+    weight is diagonal and no precoder row is weighed by two constraints."""
+    constraints = problem.arrays.constraints
+    diags = np.diagonal(constraints, axis1=-2, axis2=-1)
+    if np.count_nonzero(constraints - diags[..., None] * np.eye(constraints.shape[-1])):
+        return None
+    support = diags != 0
+    if np.any(support.sum(axis=1) > 1):
+        return None
+    return support.astype(float)
 
 
 def fit_to_budgets(problem: InterferenceProblem, precoders) -> tuple:
     """Scale ``precoders`` so that every constraint meets its budget; returns
-    (scaled precoders, their usage).
+    (scaled precoders as the padded stack, their usage).
 
     When the constraint weights are diagonal with disjoint supports (the
     block masks of :func:`build_interference_problem`), the rows weighed by
@@ -252,42 +267,38 @@ def fit_to_budgets(problem: InterferenceProblem, precoders) -> tuple:
     then meets its budget.
     """
     budgets = problem.budgets
+    precoders = problem.arrays.precoders(precoders)
     usage = constraint_usage(problem, precoders)
     over = usage > budgets
     if not np.any(over):
-        return list(precoders), usage
+        return precoders, usage
     factors = np.ones(problem.num_constraints)
     factors[over] = np.sqrt(budgets[over] / usage[over])
     supports = _constraint_row_supports(problem)
     if supports is None:
-        scaled = [float(np.min(factors)) * b for b in precoders]
+        scaled = float(np.min(factors)) * precoders
     else:
-        scaled = [(factors @ support)[:, None] * b for support, b in zip(supports, precoders)]
+        scaled = (factors @ supports)[..., None] * precoders
     return scaled, constraint_usage(problem, scaled)
 
 
-def _active_residual(usage: np.ndarray, budgets: np.ndarray, lam: np.ndarray) -> float:
-    """Dual residual over active coordinates: constraints that are violated
-    or carry a meaningfully positive multiplier.  Slack constraints whose
-    multiplier sits at the floor are complementary and contribute nothing."""
-    active = (lam > 10 * LAMBDA_FLOOR) | (usage > budgets)
-    if not np.any(active):
-        return 0.0
-    rel = np.abs(usage - budgets) / np.maximum(budgets, 1e-300)
-    return float(np.max(rel[active]))
+def _stream_weights(problem: InterferenceProblem, mats) -> np.ndarray:
+    """The diagonals of a padded (K, d, d) weight stack as the per-stream
+    weights of the diagonalizing solver, (K, d), zero on padded streams."""
+    weights = np.maximum(np.diagonal(mats, axis1=-2, axis2=-1).real, 0.0)
+    weights[problem.arrays.stream_pad] = 0.0
+    return weights
 
 
-def _diagonal_weights(problem: InterferenceProblem) -> list:
-    """Per-stream weight vectors; the diagonalizing solver requires diagonal
-    weight matrices."""
-    diags = []
+def _diagonal_weights(problem: InterferenceProblem) -> np.ndarray:
+    """:func:`_stream_weights` of the problem's MSE weights, which the
+    diagonalizing solver requires to be diagonal."""
     for k, w in enumerate(problem.mse_weights):
         if offdiag_mass(w) > 1e-10:
             raise ContractViolationError(
                 f"user {k}: the diagonalizing solver requires diagonal MSE weights"
             )
-        diags.append(np.maximum(np.diag(w).real, 0.0))
-    return diags
+    return _stream_weights(problem, problem.arrays.mse_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +306,7 @@ def _diagonal_weights(problem: InterferenceProblem) -> list:
 # ---------------------------------------------------------------------------
 
 def _priced_weights(problem, lam):
-    """(K, m_t, m_t) stack of sum_m lam_m Phi_{k,m}; uniform dimensions only."""
+    """(K, m_t, m_t) stack of sum_m lam_m Phi_{k,m}."""
     constraints = problem.arrays.constraints
     priced = 0
     for m in range(problem.num_constraints):
@@ -303,30 +314,37 @@ def _priced_weights(problem, lam):
     return priced
 
 
-def _pricing_inv_sqrt(problem, ups, lam, k):
-    """Inverse square root of the interference-pricing matrix of user k."""
-    priced = sum(lam[m] * problem.constraints[k][m] for m in range(problem.num_constraints))
-    f = 0.5 * ((ups + priced) + (ups + priced).conj().T)
-    try:
-        return psd_inv_sqrt(f)
-    except SingularMatrixError:
-        # one retry with the price floor lifted to the interference scale
-        guard = max(LAMBDA_FLOOR, 1e-9 * max(1.0, float(np.linalg.norm(ups))))
-        priced = sum(max(lam[m], guard) * problem.constraints[k][m]
-                     for m in range(problem.num_constraints))
-        f = 0.5 * ((ups + priced) + (ups + priced).conj().T)
+def _pricing_matrices(problem, ups, lam):
+    """Interference-pricing matrices F_k = ups_k + sum_m lam_m Phi_{k,m},
+    with 1 on the padded diagonal."""
+    f = hermitian_part(ups + _priced_weights(problem, lam))
+    return set_padded_diagonal(f, problem.arrays.tx_pad, 1.0)
+
+
+def _pricing_inv_sqrt(problem, ups, lam):
+    """Inverse square roots of the interference-pricing matrices."""
+    f = _pricing_matrices(problem, ups, lam)
+    s, ok = psd_inv_sqrt_batch(f)
+    for k in np.flatnonzero(~ok):
         try:
-            return psd_inv_sqrt(f)
-        except SingularMatrixError as exc:
-            raise NumericalFailureError(
-                f"user {k}: interference-pricing matrix stayed singular after the floor retry"
-            ) from exc
+            s[k] = psd_inv_sqrt(f[k])
+        except SingularMatrixError:
+            # one retry with the price floor lifted to the interference scale
+            guard = max(LAMBDA_FLOOR, 1e-9 * max(1.0, float(np.linalg.norm(ups[k]))))
+            lifted = _pricing_matrices(problem, ups, np.maximum(lam, guard))[k]
+            try:
+                s[k] = psd_inv_sqrt(lifted)
+            except SingularMatrixError as exc:
+                raise NumericalFailureError(
+                    f"user {k}: interference-pricing matrix stayed singular after the floor retry"
+                ) from exc
+    return s
 
 
 def _dmmse_precoder_step(problem, precoders, equalizers, weight_diags, lam, omegas=None):
-    """Simultaneous per-user precoder update at multipliers ``lam``."""
-    if problem.arrays is None:
-        return _dmmse_precoder_step_per_user(problem, precoders, equalizers, weight_diags, lam, omegas)
+    """Simultaneous per-user precoder update at multipliers ``lam``, as the
+    padded (K, m_t, d) stack; padded streams carry zero weight and so get
+    zero columns."""
     cross, direct = problem.arrays.cross, problem.arrays.direct
     if omegas is None:
         omegas = interference_covariances(problem, precoders)
@@ -337,13 +355,10 @@ def _dmmse_precoder_step(problem, precoders, equalizers, weight_diags, lam, omeg
     ups = np.zeros(cross.shape[:1] + cross.shape[-1:] * 2, dtype=complex)
     for l in range(problem.num_users):
         ups += adjoint(cross[l]) @ awa[l] @ cross[l]
-    priced = _priced_weights(problem, lam)
-    s, ok = psd_inv_sqrt_batch(hermitian_part(ups + priced))
-    for k in np.flatnonzero(~ok):
-        s[k] = _pricing_inv_sqrt(problem, ups[k], lam, k)
+    s = _pricing_inv_sqrt(problem, ups, lam)
     r = adjoint(direct) @ np.linalg.solve(np.asarray(omegas), direct)
     m_w = s @ hermitian_part(r) @ s
-    gains, basis = hermitian_top_eigs_batch(hermitian_part(m_w), problem.streams[0])
+    gains, basis = hermitian_top_eigs_batch(hermitian_part(m_w), w.shape[-1])
     # largest weight rides the strongest whitened direction
     order = np.argsort(-w, axis=-1, kind="stable")
     paired_w = np.take_along_axis(w, order, -1)
@@ -352,39 +367,7 @@ def _dmmse_precoder_step(problem, precoders, equalizers, weight_diags, lam, omeg
         levels = np.maximum(np.sqrt(paired_w / gains) - 1.0 / gains, 0.0)
     powers = np.where(active, levels, 0.0)
     columns = s @ (basis * np.sqrt(powers)[:, None, :])
-    return list(np.take_along_axis(columns, np.argsort(order, axis=-1)[:, None, :], -1))
-
-
-def _dmmse_precoder_step_per_user(problem, precoders, equalizers, weight_diags, lam, omegas):
-    k_users = problem.num_users
-    awa = [(equalizers[l] * weight_diags[l]) @ equalizers[l].conj().T for l in range(k_users)]
-    new = []
-    for k in range(k_users):
-        mt = problem.tx_dims[k]
-        ups = np.zeros((mt, mt), dtype=complex)
-        for l in range(k_users):
-            if l == k:
-                continue
-            h = problem.channels[l][k]
-            ups += h.conj().T @ awa[l] @ h
-        s = _pricing_inv_sqrt(problem, ups, lam, k)
-        omega = omegas[k] if omegas is not None else interference_covariance(problem, precoders, k)
-        h_kk = problem.direct_channel(k)
-        r = h_kk.conj().T @ np.linalg.solve(omega, h_kk)
-        m_w = s @ (0.5 * (r + r.conj().T)) @ s
-        spec = hermitian_top_eigs(0.5 * (m_w + m_w.conj().T), problem.streams[k])
-        gains = spec.values
-        # largest weight rides the strongest whitened direction
-        order = np.argsort(-weight_diags[k], kind="stable")
-        paired_w = weight_diags[k][order]
-        powers = np.zeros_like(gains)
-        active = gains > 1e-12 * max(1.0, float(np.max(gains, initial=0.0)))
-        if np.any(active):
-            powers[active] = waterfill_eval(paired_w[active], gains[active], 1.0).levels
-        b = np.zeros((mt, problem.streams[k]), dtype=complex)
-        b[:, order] = s @ (spec.basis * np.sqrt(powers))
-        new.append(b)
-    return new
+    return np.take_along_axis(columns, np.argsort(order, axis=-1)[:, None, :], -1)
 
 
 # ---------------------------------------------------------------------------
@@ -393,66 +376,39 @@ def _dmmse_precoder_step_per_user(problem, precoders, equalizers, weight_diags, 
 
 def _emmseia_factors(problem, equalizers, weights):
     """Multiplier-independent parts of the precoder linear systems: the
-    received-weight grams sum_l H_{l,k}^H A_l W_l A_l^H H_{l,k} and the
-    right-hand sides H_{k,k}^H A_k W_k."""
-    k_users = problem.num_users
-    if problem.arrays is not None:
-        channels = problem.arrays.channels
-        a = np.asarray(equalizers)
-        awa = a @ np.asarray(weights) @ adjoint(a)
-        # gram[k] = sum_l H_{l,k}^H A_l W_l A_l^H H_{l,k}, accumulated in ascending l
-        gram = np.zeros(channels.shape[:1] + channels.shape[-1:] * 2, dtype=complex)
-        for l in range(k_users):
-            gram += adjoint(channels[l]) @ awa[l] @ channels[l]
-        rhs = adjoint(problem.arrays.direct) @ a @ np.asarray(weights)
-        return hermitian_part(gram), rhs
-    awa = [equalizers[l] @ weights[l] @ equalizers[l].conj().T for l in range(k_users)]
-    grams = []
-    rhs = []
-    for k in range(k_users):
-        mt = problem.tx_dims[k]
-        gram = np.zeros((mt, mt), dtype=complex)
-        for l in range(k_users):
-            h = problem.channels[l][k]
-            gram += h.conj().T @ awa[l] @ h
-        grams.append(0.5 * (gram + gram.conj().T))
-        rhs.append(problem.direct_channel(k).conj().T @ equalizers[k] @ weights[k])
-    return grams, rhs
+    received-weight grams sum_l H_{l,k}^H A_l W_l A_l^H H_{l,k}, with 1 on
+    the padded diagonal, and the right-hand sides H_{k,k}^H A_k W_k."""
+    arrays = problem.arrays
+    channels = arrays.channels
+    a = arrays.equalizers(equalizers)
+    w = np.asarray(weights)
+    awa = a @ w @ adjoint(a)
+    # gram[k] = sum_l H_{l,k}^H A_l W_l A_l^H H_{l,k}, accumulated in ascending l
+    gram = np.zeros(channels.shape[:1] + channels.shape[-1:] * 2, dtype=complex)
+    for l in range(problem.num_users):
+        gram += adjoint(channels[l]) @ awa[l] @ channels[l]
+    rhs = adjoint(arrays.direct) @ a @ w
+    return set_padded_diagonal(hermitian_part(gram), arrays.tx_pad, 1.0), rhs
 
 
 def _emmseia_solve_at(problem, grams, rhs, mu):
-    if problem.arrays is not None:
-        constraints = problem.arrays.constraints
-        systems = grams
-        for m in range(problem.num_constraints):
-            if mu[m] != 0.0:
-                systems = systems + mu[m] * constraints[:, m]
-        try:
-            return list(np.linalg.solve(systems, rhs))
-        except np.linalg.LinAlgError:
-            pass
-    systems = []
+    constraints = problem.arrays.constraints
+    systems = grams
+    for m in range(problem.num_constraints):
+        if mu[m] != 0.0:
+            systems = systems + mu[m] * constraints[:, m]
+    try:
+        return np.linalg.solve(systems, rhs)
+    except np.linalg.LinAlgError:
+        pass
+    # a singular system (zero multipliers on a rank-deficient gram): solve
+    # user by user, least squares where singular
+    precoders = np.empty_like(rhs)
     for k in range(problem.num_users):
-        gram = grams[k]
-        for m in range(problem.num_constraints):
-            if mu[m] != 0.0:
-                gram = gram + mu[m] * problem.constraints[k][m]
-        systems.append(gram)
-    k_users = problem.num_users
-    shapes = {(systems[k].shape[0], rhs[k].shape[1]) for k in range(k_users)}
-    if len(shapes) == 1:
-        # uniform dimensions: one batched solve
         try:
-            stacked = np.linalg.solve(np.stack(systems), np.stack(rhs))
-            return [stacked[k] for k in range(k_users)]
+            precoders[k] = np.linalg.solve(systems[k], rhs[k])
         except np.linalg.LinAlgError:
-            pass
-    precoders = []
-    for k in range(k_users):
-        try:
-            precoders.append(np.linalg.solve(systems[k], rhs[k]))
-        except np.linalg.LinAlgError:
-            precoders.append(np.linalg.pinv(systems[k], hermitian=True) @ rhs[k])
+            precoders[k] = np.linalg.pinv(systems[k], hermitian=True) @ rhs[k]
     return precoders
 
 
@@ -506,12 +462,12 @@ def _emmseia_multiplier_search(problem, equalizers, weights, mu, constraint_tol,
 
 def _iterate_mse_family(problem, config, inner: str, objective: str, initial=None) -> BeamformerSolution:
     budgets = problem.budgets
-    precoders = [np.asarray(b, dtype=complex) for b in initial] if initial is not None \
-        else initialize_precoders(problem, config)
+    arrays = problem.arrays
+    precoders = arrays.precoders(initialize_precoders(problem, config) if initial is None else initial)
     omegas = interference_covariances(problem, precoders)
     equalizers = mmse_equalizers(problem, precoders, omegas)
     lam = np.full(problem.num_constraints, config.lambda_init)
-    fixed_weights = _diagonal_weights(problem) if inner == "dmmse" else list(problem.mse_weights)
+    fixed_weights = _diagonal_weights(problem) if inner == "dmmse" else arrays.mse_weights
 
     trace: list = []
     usage = constraint_usage(problem, precoders)
@@ -526,11 +482,7 @@ def _iterate_mse_family(problem, config, inner: str, objective: str, initial=Non
         if objective != "srm":
             return fixed_weights
         mats = srm_weight_update(problem, precoders, omegas)
-        if inner != "dmmse":
-            return mats
-        if problem.arrays is not None:
-            return np.maximum(np.diagonal(np.asarray(mats), axis1=-2, axis2=-1).real, 0.0)
-        return [np.maximum(np.diag(w).real, 0.0) for w in mats]
+        return _stream_weights(problem, mats) if inner == "dmmse" else mats
 
     def one_pass(weights, lam_now, mu_now):
         nonlocal precoders, equalizers, usage, slack_ok, omegas
@@ -570,13 +522,13 @@ def _iterate_mse_family(problem, config, inner: str, objective: str, initial=Non
     def pricing_exit_ok():
         if _max_violation(usage, budgets) > config.constraint_tol or not slack_ok:
             return False
-        if inner == "dmmse" and _active_residual(usage, budgets, lam) > config.constraint_tol:
+        if inner == "dmmse" and active_residual(usage, budgets, lam) > config.constraint_tol:
             return False
         return _objective_stable(trace, config.inner_tol)
 
     mu = lam.copy()  # emmseia carries its KKT multipliers across rounds
     pricing_budget = config.max_outer
-    for _ in range(5):
+    for _ in range(MAX_POLISH_ROUNDS):
         # pricing phase: multiplier updates interleaved with the alternation
         while pricing_budget > 0:
             pricing_budget -= 1
@@ -587,7 +539,7 @@ def _iterate_mse_family(problem, config, inner: str, objective: str, initial=Non
             if pricing_exit_ok():
                 break
             if inner == "dmmse" and config.subgradient_step > 0:
-                residual = _active_residual(usage, budgets, lam)
+                residual = active_residual(usage, budgets, lam)
                 if residual < best_residual - 1e-12:
                     best_residual = residual
                     stall = 0
@@ -612,13 +564,12 @@ def _iterate_mse_family(problem, config, inner: str, objective: str, initial=Non
         polish_start = len(trace)
         for _ in range(config.max_inner):
             weights = current_weights()
-            previous = precoders  # one_pass binds a new list
+            previous = precoders  # one_pass binds a new stack
             one_pass(weights, lam, mu)
             iterations += 1
             record_objective(lam)
-            offdiag = _max_offdiag_mass(mse_matrices_mmse(problem, precoders, omegas))
-            drift = float(np.max(_change_norms(precoders, previous)
-                                 / np.maximum(_norms(precoders), 1e-300)))
+            offdiag = _mse_offdiag(problem, precoders, omegas)
+            drift = float(np.max(_norms(precoders - previous) / np.maximum(_norms(precoders), 1e-300)))
             if offdiag <= OFFDIAG_TOL and drift <= 1e-9:
                 break
         if _max_violation(usage, budgets) <= config.constraint_tol or pricing_budget <= 0:
@@ -630,8 +581,7 @@ def _iterate_mse_family(problem, config, inner: str, objective: str, initial=Non
         # a budget; return the iterate scaled back into every budget
         precoders, usage = fit_to_budgets(problem, precoders)
         omegas = interference_covariances(problem, precoders)
-    offdiag = _max_offdiag_mass(mse_matrices_mmse(problem, precoders, omegas)) \
-        if inner == "dmmse" else None
+    offdiag = _mse_offdiag(problem, precoders, omegas) if inner == "dmmse" else None
     converged = violation <= config.constraint_tol and slack_ok and _objective_stable(trace, config.inner_tol)
     if inner == "dmmse":
         converged = converged and offdiag is not None and offdiag <= OFFDIAG_TOL
@@ -650,8 +600,8 @@ def _iterate_mse_family(problem, config, inner: str, objective: str, initial=Non
             diagnostics["priced_trace"] = priced_trace
     multipliers = lam if inner == "dmmse" else mu
     return BeamformerSolution(
-        precoders=precoders,
-        equalizers=mmse_equalizers(problem, precoders),
+        precoders=cut_padding(precoders, problem.tx_dims, problem.streams),
+        equalizers=cut_padding(mmse_equalizers(problem, precoders), problem.rx_dims, problem.streams),
         multipliers=np.asarray(multipliers, dtype=float),
         trace=trace,
         iterations=iterations,
@@ -701,44 +651,26 @@ def srm_outer_loop(problem: InterferenceProblem, config: AlgorithmConfig,
 # pwf
 # ---------------------------------------------------------------------------
 
-def _cov_interference(problem, covariances, k):
-    omega = np.eye(problem.rx_dims[k], dtype=complex)
-    for l in range(problem.num_users):
-        if l == k:
-            continue
-        h = problem.channels[k][l]
-        omega += h @ covariances[l] @ h.conj().T
-    return 0.5 * (omega + omega.conj().T)
-
-
 def _cov_interferences(problem, covariances):
-    """Omega_k of :func:`_cov_interference` for every receiver k."""
-    if problem.arrays is None:
-        return [_cov_interference(problem, covariances, k) for k in range(problem.num_users)]
+    """Omega_k = I + sum_{l != k} H_{k,l} Sigma_l H_{k,l}^H for every
+    receiver k, as the padded (K, m_r, m_r) stack."""
     cross = problem.arrays.cross
     # received[k, l] = H_{k,l} Sigma_l H_{k,l}^H, l != k
     received = cross @ np.asarray(covariances) @ adjoint(cross)
-    eye = np.eye(problem.rx_dims[0], dtype=complex)
+    eye = np.eye(cross.shape[-2], dtype=complex)
     return hermitian_part(sum_over_sources(eye, received))
 
 
 def _cov_totals(problem, covariances):
     """Per user, Omega_k and Omega_k + H_kk Sigma_k H_kk^H."""
     omegas = _cov_interferences(problem, covariances)
-    if problem.arrays is not None:
-        h = problem.arrays.direct
-        return omegas, omegas + h @ np.asarray(covariances) @ adjoint(h)
-    directs = [problem.direct_channel(k) for k in range(problem.num_users)]
-    return omegas, [omega + h @ c @ h.conj().T for omega, h, c in zip(omegas, directs, covariances)]
+    h = problem.arrays.direct
+    return omegas, omegas + h @ np.asarray(covariances) @ adjoint(h)
 
 
 def _cov_rate(problem, covariances, totals=None) -> float:
     omegas, totals = _cov_totals(problem, covariances) if totals is None else totals
-    if problem.arrays is not None:
-        ld1, ld0 = np.linalg.slogdet(totals)[1], np.linalg.slogdet(omegas)[1]
-    else:
-        ld1 = [np.linalg.slogdet(t)[1] for t in totals]
-        ld0 = [np.linalg.slogdet(o)[1] for o in omegas]
+    ld1, ld0 = np.linalg.slogdet(totals)[1], np.linalg.slogdet(omegas)[1]
     rate = 0.0
     for a, b in zip(ld1, ld0):
         rate += (a - b) / np.log(2.0)
@@ -749,10 +681,7 @@ def _dual_covariances(problem, covariances, water_level, totals=None):
     """Reversed-link transmit covariances from their defining identity:
     (1/mu) (Omega_k^{-1} - (Omega_k + H_kk Sigma_k H_kk^H)^{-1})."""
     omegas, totals = _cov_totals(problem, covariances) if totals is None else totals
-    if problem.arrays is not None:
-        return list(hermitian_part((np.linalg.inv(omegas) - np.linalg.inv(totals)) / water_level))
-    return [hermitian_part((np.linalg.inv(o) - np.linalg.inv(t)) / water_level)
-            for o, t in zip(omegas, totals)]
+    return hermitian_part((np.linalg.inv(omegas) - np.linalg.inv(totals)) / water_level)
 
 
 def _pwf_forward(problem, covariances, dual_covariances, lam, omegas=None):
@@ -761,82 +690,39 @@ def _pwf_forward(problem, covariances, dual_covariances, lam, omegas=None):
     p_i = [1/mu - 1/g_i]^+ on the leading singular directions, and bisect the
     shared water level so the multiplier-weighted usage meets the
     multiplier-weighted budget.  ``omegas`` are the forward interference
-    covariances of ``covariances`` when the caller has them."""
+    covariances of ``covariances`` when the caller has them.  Returns the
+    new covariances as the padded (K, m_t, m_t) stack and the water level;
+    padded streams get no power."""
+    arrays = problem.arrays
     if omegas is None:
         omegas = _cov_interferences(problem, covariances)
-    k_users = problem.num_users
     target = float(np.dot(lam, problem.budgets))
-    if problem.arrays is not None:
-        return _pwf_forward_arrays(problem, omegas, dual_covariances, lam, target)
-    per_user = []
-    gains_all = []
-    coefs_all = []
-    for k in range(k_users):
-        omega = omegas[k]
-        omega_hat = sum(lam[m] * problem.constraints[k][m] for m in range(problem.num_constraints))
-        for j in range(k_users):
-            if j == k:
-                continue
-            h_jk = problem.channels[j][k]
-            omega_hat = omega_hat + h_jk.conj().T @ dual_covariances[j] @ h_jk
-        omega_hat = 0.5 * (omega_hat + omega_hat.conj().T)
-        s_fwd = psd_inv_sqrt(omega)
-        s_hat = psd_inv_sqrt(omega_hat)
-        whitened = s_fwd @ problem.direct_channel(k) @ s_hat
-        d = problem.streams[k]
-        _, sing, right = np.linalg.svd(whitened, full_matrices=False)
-        right = right.conj().T[:, :d]
-        sing = sing[:d]
-        gains = sing ** 2
-        priced = sum(lam[m] * problem.constraints[k][m] for m in range(problem.num_constraints))
-        cmat = right.conj().T @ s_hat @ priced @ s_hat @ right
-        coefs = np.maximum(np.diag(cmat).real, 0.0)
-        keep = gains > 1e-12 * max(1.0, float(np.max(gains, initial=0.0)))
-        per_user.append((s_hat, right, gains, keep))
-        gains_all.append(gains[keep])
-        coefs_all.append(coefs[keep])
-    gains_flat = np.concatenate(gains_all) if gains_all else np.array([])
-    coefs_flat = np.concatenate(coefs_all) if coefs_all else np.array([])
-    mu = _water_level(gains_flat, coefs_flat, target)
-
-    new_cov = []
-    for k in range(k_users):
-        s_hat, right, gains, keep = per_user[k]
-        powers = np.zeros_like(gains)
-        powers[keep] = np.maximum(1.0 / mu - 1.0 / gains[keep], 0.0)
-        factor = s_hat @ (right * np.sqrt(powers))
-        sigma = factor @ factor.conj().T
-        new_cov.append(0.5 * (sigma + sigma.conj().T))
-    return new_cov, float(mu)
-
-
-def _pwf_forward_arrays(problem, omegas, dual_covariances, lam, target):
-    """:func:`_pwf_forward` on :attr:`InterferenceProblem.arrays`, same arithmetic."""
-    cross, direct = problem.arrays.cross, problem.arrays.direct
+    cross, direct = arrays.cross, arrays.direct
     priced = _priced_weights(problem, lam)
     # omega_hat[k] = priced[k] + sum_{j != k} H_{j,k}^H Sigma_hat_j H_{j,k}, ascending j
     omega_hat = priced.copy()
     for j, dual in enumerate(dual_covariances):
         omega_hat += adjoint(cross[j]) @ dual @ cross[j]
-    omega_hat = hermitian_part(omega_hat)
+    omega_hat = set_padded_diagonal(hermitian_part(omega_hat), arrays.tx_pad, 1.0)
     s_fwd, ok_fwd = psd_inv_sqrt_batch(omegas)
     s_hat, ok_hat = psd_inv_sqrt_batch(omega_hat)
     for k in np.flatnonzero(~(ok_fwd & ok_hat)):
         psd_inv_sqrt(omegas[k])  # raises the per-user error
         psd_inv_sqrt(omega_hat[k])
     whitened = s_fwd @ direct @ s_hat
-    d = problem.streams[0]
+    d = arrays.mse_weights.shape[-1]
     _, sing, right = np.linalg.svd(whitened, full_matrices=False)
     right = adjoint(right)[..., :d]
     gains = sing[:, :d] ** 2
     cmat = adjoint(right) @ s_hat @ priced @ s_hat @ right
     coefs = np.maximum(np.diagonal(cmat, axis1=-2, axis2=-1).real, 0.0)
     keep = gains > 1e-12 * np.maximum(1.0, np.max(gains, axis=-1, initial=0.0))[:, None]
+    keep[arrays.stream_pad] = False
     mu = _water_level(gains[keep], coefs[keep], target)
     powers = np.zeros_like(gains)
     powers[keep] = np.maximum(1.0 / mu - 1.0 / gains[keep], 0.0)
     factor = s_hat @ (right * np.sqrt(powers)[:, None, :])
-    return list(hermitian_part(factor @ adjoint(factor))), float(mu)
+    return hermitian_part(factor @ adjoint(factor)), float(mu)
 
 
 def _water_level(gains_flat, coefs_flat, target):
@@ -882,29 +768,21 @@ def _water_level(gains_flat, coefs_flat, target):
 
 def _cov_usage(problem, covariances) -> np.ndarray:
     usage = np.zeros(problem.num_constraints)
-    if problem.arrays is not None:
-        constraints = problem.arrays.constraints
-        traces = np.trace(constraints @ np.asarray(covariances)[:, None], axis1=-2, axis2=-1)
-        for row in traces.real:
-            usage += row
-        return usage
-    for k in range(problem.num_users):
-        for m in range(problem.num_constraints):
-            usage[m] += float(np.trace(problem.constraints[k][m] @ covariances[k]).real)
+    traces = np.trace(problem.arrays.constraints @ np.asarray(covariances)[:, None], axis1=-2, axis2=-1)
+    for row in traces.real:
+        usage += row
     return usage
 
 
 def pwf_fixed_point_residual(problem: InterferenceProblem, state: DualNetworkState) -> float:
     """Re-evaluate the coupled covariance equations at ``state`` and return
     the worst relative deviation of the reproduced transmit covariances."""
-    duals = _dual_covariances(problem, state.covariances, state.water_level)
-    reproduced, _ = _pwf_forward(problem, state.covariances, duals, state.multipliers)
-    scale = max(max(float(np.linalg.norm(c)) for c in state.covariances), 1e-300)
-    worst = 0.0
-    for old, new in zip(state.covariances, reproduced):
-        denom = max(float(np.linalg.norm(old)), 1e-12 * scale)
-        worst = max(worst, float(np.linalg.norm(new - old)) / denom)
-    return worst
+    covariances = pad_stack(state.covariances, problem.arrays.constraints.shape[-2:])
+    duals = _dual_covariances(problem, covariances, state.water_level)
+    reproduced, _ = _pwf_forward(problem, covariances, duals, state.multipliers)
+    old_norms = _norms(covariances)
+    scale = max(float(np.max(old_norms)), 1e-300)
+    return float(np.max(_norms(reproduced - covariances) / np.maximum(old_norms, 1e-12 * scale)))
 
 
 def pwf_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = None,
@@ -915,9 +793,9 @@ def pwf_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = Non
     and reported as unconverged.  The diagnostics carry the last iterate's
     :class:`DualNetworkState` for structural verification."""
     config = (config or AlgorithmConfig(algorithm="pwf", objective="srm")).validate()
-    precoders = [np.asarray(b, dtype=complex) for b in initial] if initial is not None \
-        else initialize_precoders(problem, config)
-    covariances = [b @ b.conj().T for b in precoders]
+    arrays = problem.arrays
+    precoders = arrays.precoders(initialize_precoders(problem, config) if initial is None else initial)
+    covariances = precoders @ adjoint(precoders)
     lam = np.full(problem.num_constraints, config.lambda_init)
     mu = 1.0
     totals = _cov_totals(problem, covariances)
@@ -931,7 +809,7 @@ def pwf_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = Non
     diminish_from = None
     pricing_budget = config.max_outer
     usage = _cov_usage(problem, covariances)
-    for _ in range(5):
+    for _ in range(MAX_POLISH_ROUNDS):
         # pricing phase: damped multiplicative multiplier ascent.  The
         # undamped ratio update limit-cycles on strongly coupled instances;
         # the damping exponent diminishes once the active residual stalls,
@@ -946,7 +824,7 @@ def pwf_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = Non
             iterations += 1
             trace.append(_cov_rate(problem, covariances, totals))
             violation = _max_violation(usage, budgets)
-            residual = _active_residual(usage, budgets, lam)
+            residual = active_residual(usage, budgets, lam)
             if violation <= config.constraint_tol and residual <= config.constraint_tol \
                     and _objective_stable(trace, config.inner_tol):
                 priced_converged = True
@@ -979,8 +857,7 @@ def pwf_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = Non
             trace.append(_cov_rate(problem, new_cov, totals))
             old_norms = _norms(covariances)
             scale = max(float(np.max(old_norms)), 1e-300)
-            delta = float(np.max(_change_norms(new_cov, covariances)
-                                 / np.maximum(old_norms, 1e-12 * scale)))
+            delta = float(np.max(_norms(new_cov - covariances) / np.maximum(old_norms, 1e-12 * scale)))
             covariances = new_cov
             if delta <= PWF_POLISH_TOL:
                 break
@@ -994,23 +871,24 @@ def pwf_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = Non
     usage = _cov_usage(problem, covariances)
     violation = _max_violation(usage, budgets)
 
-    precoders = []
-    for k in range(problem.num_users):
-        vals, vecs = np.linalg.eigh(covariances[k])
-        order = np.argsort(-vals, kind="stable")[: problem.streams[k]]
-        precoders.append(vecs[:, order] * np.sqrt(np.maximum(vals[order], 0.0)))
     state = DualNetworkState(
-        covariances=tuple(covariances),
-        dual_covariances=tuple(duals),
+        covariances=tuple(cut_padding(covariances, problem.tx_dims, problem.tx_dims)),
+        dual_covariances=tuple(cut_padding(duals, problem.rx_dims, problem.rx_dims)),
         multipliers=lam.copy(),
         water_level=mu,
     )
+    precoders = []
+    for cov, d in zip(state.covariances, problem.streams):
+        vals, vecs = np.linalg.eigh(cov)
+        order = np.argsort(-vals, kind="stable")[:d]
+        precoders.append(vecs[:, order] * np.sqrt(np.maximum(vals[order], 0.0)))
+    precoders = arrays.precoders(precoders)
     converged = violation <= config.constraint_tol and _objective_stable(trace, config.inner_tol)
     if violation > config.constraint_tol:
         precoders, usage = fit_to_budgets(problem, precoders)
     return BeamformerSolution(
-        precoders=precoders,
-        equalizers=mmse_equalizers(problem, precoders),
+        precoders=cut_padding(precoders, problem.tx_dims, problem.streams),
+        equalizers=cut_padding(mmse_equalizers(problem, precoders), problem.rx_dims, problem.streams),
         multipliers=lam.copy(),
         trace=trace,
         iterations=iterations,
@@ -1040,7 +918,10 @@ def min_leakage_solve(system: PartialCooperationSystem, config: AlgorithmConfig 
     d_k smallest eigenvalues of the leakage quadratic form (receive side:
     interference covariance at user k; transmit side: its exact conjugate
     over all victim receivers), so the leakage is non-increasing per
-    half-step.  The stacked solution meets every per-BS budget exactly.
+    half-step.  The stacked solution meets every per-BS budget exactly; the
+    diagnostics carry the per-BS ``usage``, sum_k (P_m / (K_m d_k))
+    ||Bbar_{k,m}||_F^2 over the users k that BS m serves, and its
+    ``max_violation``.
     """
     config = (config or AlgorithmConfig(algorithm="min_leakage")).validate()
     k_users = system.num_users
@@ -1118,9 +999,12 @@ def min_leakage_solve(system: PartialCooperationSystem, config: AlgorithmConfig 
         prev_round = trace[-1]
 
     precoders = []
+    usage = np.zeros(system.num_bs)
     for k in range(k_users):
         blocks = [np.sqrt(coef[k][m]) * factors[k][pos] for pos, m in enumerate(system.serving_sets[k])]
         precoders.append(np.vstack(blocks))
+        for pos, m in enumerate(system.serving_sets[k]):
+            usage[m] += coef[k][m] * float(np.linalg.norm(factors[k][pos])) ** 2
     state = LeakageState(
         factors=tuple(tuple(user_factors) for user_factors in factors),
         equalizers=tuple(np.asarray(a) for a in equalizers),
@@ -1133,7 +1017,8 @@ def min_leakage_solve(system: PartialCooperationSystem, config: AlgorithmConfig 
         trace=trace,
         iterations=iterations,
         converged=bool(converged),
-        diagnostics={"state": state, "objective": "leakage"},
+        diagnostics={"usage": usage, "max_violation": max(_max_violation(usage, system.bs_power), 0.0),
+                     "state": state, "objective": "leakage"},
     )
 
 

@@ -6,12 +6,18 @@ stations.  Stacking every user's serving channels turns the system into an
 equivalent K-pair interference channel whose per-BS power budgets become
 trace-weighted transmit constraints (:class:`InterferenceProblem`); the
 constraint weight of BS m on user k is a block mask selecting the precoder
-rows driven by BS m, and the masks of one user sum to the identity.  All
-solvers operate on the stacked form; when every user has the same
-dimensions (as every drawn scenario does), :attr:`InterferenceProblem.arrays`
-holds it as arrays, and :func:`interference_covariances`,
-:func:`mmse_equalizers`, :func:`mse_matrices_mmse` and the batched paths of
-the other functions below work on all users at once.
+rows driven by BS m, and the masks of one user sum to the identity.
+
+Users may differ in transmit size (serving-set size), receive size and
+stream count d_k.  :attr:`InterferenceProblem.arrays` holds every problem
+as zero-padded arrays (:class:`ProblemArrays`), and the batched kernels
+below (:func:`interference_covariances`, :func:`mmse_equalizers`,
+:func:`mse_matrices_mmse`, :func:`wsmse_objective`, :func:`sum_rate`,
+:func:`constraint_usage`, :func:`srm_weight_update`) work on all users at
+once.  They accept per-user matrices or their padded stack and return
+padded stacks; each user's block of a result is what the per-user
+functions (:func:`interference_covariance`, :func:`mmse_equalizer`,
+:func:`mse_matrix`, :func:`mse_matrix_mmse`) give for that user.
 
 Noise is identity by convention; colored noise must be whitened upstream
 (see :mod:`netmimo.scenario`).
@@ -187,36 +193,91 @@ class InterferenceProblem:
         return self.channels[k][k]
 
     @cached_property
-    def arrays(self) -> "ProblemArrays | None":
-        """The problem as :class:`ProblemArrays` when every user has the same
-        transmit, receive and stream dimensions, else None."""
-        if len({*self.tx_dims}) != 1 or len({*self.rx_dims}) != 1 or len({*self.streams}) != 1:
-            return None
-        channels = np.array(self.channels)
-        idx = np.arange(self.num_users)
+    def arrays(self) -> "ProblemArrays":
+        """The problem as :class:`ProblemArrays`, zero-padded to the largest
+        transmit, receive and stream sizes."""
+        k_users = self.num_users
+        mt, mr, d = max(self.tx_dims), max(self.rx_dims), max(self.streams)
+        channels = pad_stack([h for row in self.channels for h in row], (mr, mt))
+        channels = channels.reshape(k_users, k_users, mr, mt)
+        constraints = pad_stack([p for row in self.constraints for p in row], (mt, mt))
+        idx = np.arange(k_users)
         cross = channels.copy()
         cross[idx, idx] = 0.0
-        return ProblemArrays(channels=channels, cross=cross, direct=channels[idx, idx],
-                             constraints=np.array(self.constraints))
+        return ProblemArrays(
+            channels=channels, cross=cross, direct=channels[idx, idx],
+            constraints=constraints.reshape(k_users, self.num_constraints, mt, mt),
+            mse_weights=pad_stack(self.mse_weights, (d, d)),
+            tx_pad=np.nonzero(np.arange(mt) >= np.array(self.tx_dims)[:, None]),
+            stream_pad=np.nonzero(np.arange(d) >= np.array(self.streams)[:, None]),
+        )
 
 
 @dataclass(frozen=True)
 class ProblemArrays:
-    """Array form of an :class:`InterferenceProblem` whose users share their
-    dimensions, for the batched kernels.  Each batched kernel performs the
-    per-user arithmetic of its single-user counterpart in the same order, so
-    both give the same numbers.
+    """An :class:`InterferenceProblem` as arrays for the batched kernels.
+
+    Every user's matrices are zero-padded at the bottom and right to the
+    largest transmit size m_t, receive size m_r and stream count d, so the
+    padded coordinates carry no signal, no interference and no budget use.
+    Each batched kernel performs the per-user arithmetic of its per-user
+    counterpart, in the same order, on each user's leading block.  When the
+    users share their sizes (every drawn scenario) nothing is padded and both
+    give the same numbers bit for bit; otherwise the extra terms are exact
+    zeros and the blocks agree to rounding.
 
     channels    -- (K, K, m_r, m_t): channels[k, l] = H_{k,l}
     cross       -- channels with the direct blocks H_{k,k} set to zero
     direct      -- (K, m_r, m_t): H_{k,k}
     constraints -- (K, M, m_t, m_t): constraints[k, m] = Phi_{k,m}
+    mse_weights -- (K, d, d): W_k
+    tx_pad      -- (users, coordinates) index arrays of the padded transmit
+                   coordinates; matrices that must be inverted over the
+                   transmit space get 1 on these diagonal entries
+    stream_pad  -- (users, streams) index arrays of the padded streams;
+                   solvers give them zero weight and zero power
     """
 
     channels: np.ndarray
     cross: np.ndarray
     direct: np.ndarray
     constraints: np.ndarray
+    mse_weights: np.ndarray
+    tx_pad: tuple
+    stream_pad: tuple
+
+    def precoders(self, mats) -> np.ndarray:
+        """Per-user precoders (m_t,k x d_k) as the padded (K, m_t, d) stack."""
+        return pad_stack(mats, (self.direct.shape[-1], self.mse_weights.shape[-1]))
+
+    def equalizers(self, mats) -> np.ndarray:
+        """Per-user equalizers (m_r,k x d_k) as the padded (K, m_r, d) stack."""
+        return pad_stack(mats, (self.direct.shape[-2], self.mse_weights.shape[-1]))
+
+
+def pad_stack(mats, shape: tuple) -> np.ndarray:
+    """Per-user matrices as one (K, *shape) stack, each zero-padded at the
+    bottom and right; a stack already of that shape is returned as is."""
+    if isinstance(mats, np.ndarray) and mats.shape[1:] == shape:
+        return mats
+    out = np.zeros((len(mats),) + shape, dtype=complex)
+    for k, mat in enumerate(mats):
+        mat = np.asarray(mat)
+        out[k, :mat.shape[0], :mat.shape[1]] = mat
+    return out
+
+
+def cut_padding(stack, rows, cols) -> list:
+    """Each user's leading (rows[k], cols[k]) block of a padded stack."""
+    return [mat[:r, :c] for mat, r, c in zip(stack, rows, cols)]
+
+
+def set_padded_diagonal(stack: np.ndarray, pad: tuple, value: float) -> np.ndarray:
+    """Write ``value`` in place on the diagonal entries of ``stack`` at the
+    padded (users, coordinates) index arrays ``pad``; returns ``stack``."""
+    users, coords = pad
+    stack[users, coords, coords] = value
+    return stack
 
 
 def build_interference_problem(system: PartialCooperationSystem, mse_weights=None) -> InterferenceProblem:
@@ -295,13 +356,13 @@ def sum_over_sources(base: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return out
 
 
-def interference_covariances(problem: InterferenceProblem, precoders) -> list:
-    """Omega_k of :func:`interference_covariance` for every receiver k."""
-    if problem.arrays is None:
-        return [interference_covariance(problem, precoders, k) for k in range(problem.num_users)]
-    hb = problem.arrays.cross @ np.asarray(precoders)  # hb[k, l] = H_{k,l} B_l, l != k
-    eye = np.eye(problem.rx_dims[0], dtype=complex)
-    return list(hermitian_part(sum_over_sources(eye, hb @ adjoint(hb))))
+def interference_covariances(problem: InterferenceProblem, precoders) -> np.ndarray:
+    """Omega_k of :func:`interference_covariance` for every receiver k, as
+    the padded (K, m_r, m_r) stack (identity on the padded coordinates)."""
+    arrays = problem.arrays
+    hb = arrays.cross @ arrays.precoders(precoders)  # hb[k, l] = H_{k,l} B_l, l != k
+    eye = np.eye(arrays.cross.shape[-2], dtype=complex)
+    return hermitian_part(sum_over_sources(eye, hb @ adjoint(hb)))
 
 
 def mmse_equalizer(problem: InterferenceProblem, precoders, k: int, omega=None) -> np.ndarray:
@@ -319,17 +380,26 @@ def mmse_equalizer(problem: InterferenceProblem, precoders, k: int, omega=None) 
         ) from exc
 
 
-def mmse_equalizers(problem: InterferenceProblem, precoders, omegas=None) -> list:
-    """:func:`mmse_equalizer` for every user."""
+def mmse_equalizers(problem: InterferenceProblem, precoders, omegas=None) -> np.ndarray:
+    """:func:`mmse_equalizer` for every user, as the padded (K, m_r, d)
+    stack; ``omegas`` as returned by :func:`interference_covariances`."""
+    arrays = problem.arrays
+    b = arrays.precoders(precoders)
     if omegas is None:
-        omegas = interference_covariances(problem, precoders)
-    if problem.arrays is not None:
-        hb = problem.arrays.direct @ np.asarray(precoders)
-        try:
-            return list(np.linalg.solve(np.asarray(omegas) + hb @ adjoint(hb), hb))
-        except np.linalg.LinAlgError:
-            pass  # the per-user loop names the singular user
-    return [mmse_equalizer(problem, precoders, k, omega=omegas[k]) for k in range(problem.num_users)]
+        omegas = interference_covariances(problem, b)
+    hb = arrays.direct @ b
+    total = np.asarray(omegas) + hb @ adjoint(hb)
+    try:
+        return np.linalg.solve(total, hb)
+    except np.linalg.LinAlgError:
+        for k in range(problem.num_users):
+            try:
+                np.linalg.solve(total[k], hb[k])
+            except np.linalg.LinAlgError as exc:
+                raise NumericalFailureError(
+                    f"total receive covariance of user {k} is singular"
+                ) from exc
+        raise
 
 
 def mse_matrix(problem: InterferenceProblem, precoders, equalizers, k: int, omega=None) -> np.ndarray:
@@ -355,93 +425,71 @@ def mse_matrix_mmse(problem: InterferenceProblem, precoders, k: int, omega=None)
     return 0.5 * (e + e.conj().T)
 
 
-def mse_matrices_mmse(problem: InterferenceProblem, precoders, omegas=None) -> list:
-    """:func:`mse_matrix_mmse` for every user."""
+def mse_matrices_mmse(problem: InterferenceProblem, precoders, omegas=None) -> np.ndarray:
+    """:func:`mse_matrix_mmse` for every user, as the padded (K, d, d) stack
+    (identity on the padded streams)."""
+    arrays = problem.arrays
+    b = arrays.precoders(precoders)
     if omegas is None:
-        omegas = interference_covariances(problem, precoders)
-    if problem.arrays is None:
-        return [mse_matrix_mmse(problem, precoders, k, omega=omegas[k]) for k in range(problem.num_users)]
-    hb = problem.arrays.direct @ np.asarray(precoders)
+        omegas = interference_covariances(problem, b)
+    hb = arrays.direct @ b
     g = adjoint(hb) @ np.linalg.solve(np.asarray(omegas), hb)
-    e = np.linalg.inv(np.eye(problem.streams[0]) + 0.5 * (g + adjoint(g)))
-    return list(hermitian_part(e))
+    e = np.linalg.inv(np.eye(hb.shape[-1]) + 0.5 * (g + adjoint(g)))
+    return hermitian_part(e)
 
 
 def wsmse_objective(problem: InterferenceProblem, precoders, equalizers, omegas=None) -> float:
     """Weighted sum of stream error covariances sum_k tr{W_k E_k}."""
+    arrays = problem.arrays
+    b = arrays.precoders(precoders)
+    if omegas is None:
+        omegas = interference_covariances(problem, b)
+    a = arrays.equalizers(equalizers)
+    ahb = adjoint(a) @ (arrays.direct @ b)
+    e = ahb @ adjoint(ahb) - ahb - adjoint(ahb) + adjoint(a) @ np.asarray(omegas) @ a \
+        + np.eye(b.shape[-1])
+    weighted = arrays.mse_weights @ hermitian_part(e)
     total = 0.0
-    if problem.arrays is not None:
-        if omegas is None:
-            omegas = interference_covariances(problem, precoders)
-        a = np.asarray(equalizers)
-        ahb = adjoint(a) @ (problem.arrays.direct @ np.asarray(precoders))
-        e = ahb @ adjoint(ahb) - ahb - adjoint(ahb) + adjoint(a) @ np.asarray(omegas) @ a \
-            + np.eye(problem.streams[0])
-        weighted = np.asarray(problem.mse_weights) @ hermitian_part(e)
-        for value in np.trace(weighted, axis1=-2, axis2=-1).real:
-            total += float(value)
-        return total
-    for k in range(problem.num_users):
-        omega = None if omegas is None else omegas[k]
-        e = mse_matrix(problem, precoders, equalizers, k, omega=omega)
-        total += float(np.trace(problem.mse_weights[k] @ e).real)
+    for value in np.trace(weighted, axis1=-2, axis2=-1).real:
+        total += float(value)
     return total
 
 
 def sum_rate(problem: InterferenceProblem, precoders, omegas=None) -> float:
     """Achievable sum rate in bits per channel use with MMSE receivers,
     treating other users' signals as noise: sum_k log2 det(E_k^{-1})."""
+    arrays = problem.arrays
+    b = arrays.precoders(precoders)
+    if omegas is None:
+        omegas = interference_covariances(problem, b)
+    hb = arrays.direct @ b
+    g = hermitian_part(adjoint(hb) @ np.linalg.solve(np.asarray(omegas), hb))
+    sign, logdet = np.linalg.slogdet(np.eye(hb.shape[-1]) + g)
+    bad = np.flatnonzero(sign.real <= 0)
+    if bad.size:
+        raise NumericalFailureError(f"error covariance of user {bad[0]} is not positive definite")
     rate = 0.0
-    if problem.arrays is not None:
-        if omegas is None:
-            omegas = interference_covariances(problem, precoders)
-        hb = problem.arrays.direct @ np.asarray(precoders)
-        g = hermitian_part(adjoint(hb) @ np.linalg.solve(np.asarray(omegas), hb))
-        sign, logdet = np.linalg.slogdet(np.eye(problem.streams[0]) + g)
-        bad = np.flatnonzero(sign.real <= 0)
-        if bad.size:
-            raise NumericalFailureError(f"error covariance of user {bad[0]} is not positive definite")
-        for value in logdet:
-            rate += value / LOG2
-        return float(rate)
-    for k in range(problem.num_users):
-        omega = omegas[k] if omegas is not None else interference_covariance(problem, precoders, k)
-        hb = problem.direct_channel(k) @ precoders[k]
-        g = hb.conj().T @ np.linalg.solve(omega, hb)
-        g = 0.5 * (g + g.conj().T)
-        sign, logdet = np.linalg.slogdet(np.eye(problem.streams[k]) + g)
-        if sign.real <= 0:
-            raise NumericalFailureError(f"error covariance of user {k} is not positive definite")
-        rate += logdet / LOG2
+    for value in logdet:
+        rate += value / LOG2
     return float(rate)
 
 
 def constraint_usage(problem: InterferenceProblem, precoders) -> np.ndarray:
     """Per-constraint usage: usage_m = sum_k tr{Phi_{k,m} B_k B_k^H}."""
+    arrays = problem.arrays
+    b = arrays.precoders(precoders)
+    bbh_t = (b @ adjoint(b)).swapaxes(-1, -2)  # tr{Phi X} as an elementwise contraction
     usage = np.zeros(problem.num_constraints)
-    if problem.arrays is not None:
-        constraints = problem.arrays.constraints
-        b = np.asarray(precoders)
-        bbh_t = (b @ adjoint(b)).swapaxes(-1, -2)
-        for row in np.sum(constraints * bbh_t[:, None], axis=(-2, -1)).real:
-            usage += row
-        return usage
-    for k in range(problem.num_users):
-        bbh = precoders[k] @ precoders[k].conj().T
-        bbh_t = bbh.T
-        for m in range(problem.num_constraints):
-            # tr{Phi X} as an elementwise contraction
-            usage[m] += float(np.sum(problem.constraints[k][m] * bbh_t).real)
+    for row in np.sum(arrays.constraints * bbh_t[:, None], axis=(-2, -1)).real:
+        usage += row
     return usage
 
 
-def srm_weight_update(problem: InterferenceProblem, precoders, omegas=None) -> list:
+def srm_weight_update(problem: InterferenceProblem, precoders, omegas=None) -> np.ndarray:
     """Inverse-MSE weights W_k = E_k^{-1} used by the rate-maximizing
-    reweighting loop (E_k evaluated with MMSE receivers)."""
-    mses = mse_matrices_mmse(problem, precoders, omegas)
-    if problem.arrays is not None:
-        return list(hermitian_part(np.linalg.inv(np.asarray(mses))))
-    return [hermitian_part(np.linalg.inv(e)) for e in mses]
+    reweighting loop (E_k evaluated with MMSE receivers), as the padded
+    (K, d, d) stack (identity on the padded streams)."""
+    return hermitian_part(np.linalg.inv(mse_matrices_mmse(problem, precoders, omegas)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ContractViolationError, NumericalFailureError
 from .linalg import hermitian_top_eigs, psd_inv_sqrt, waterfill_budget, waterfill_eval
 
+# Bounds of the power-price multipliers of every dual loop in netmimo.
 LAMBDA_FLOOR = 1e-9
 LAMBDA_CAP = 1e12
 # Gains below GAIN_RTOL * max(1, gain_max) carry no usable signal; their
@@ -119,6 +120,17 @@ def _assemble(s: np.ndarray, basis: np.ndarray, powers: np.ndarray) -> np.ndarra
 
 def _active_gains(gains: np.ndarray) -> np.ndarray:
     return gains > GAIN_RTOL * max(1.0, float(np.max(gains, initial=0.0)))
+
+
+def active_residual(usage: np.ndarray, budgets: np.ndarray, lam: np.ndarray) -> float:
+    """Dual residual over active coordinates: constraints that are violated
+    or carry a meaningfully positive multiplier.  Slack constraints whose
+    multiplier sits at the floor are complementary and contribute nothing."""
+    active = (lam > 10 * LAMBDA_FLOOR) | (usage > budgets)
+    if not np.any(active):
+        return 0.0
+    rel = np.abs(usage - budgets) / np.maximum(budgets, 1e-300)
+    return float(np.max(rel[active]))
 
 
 def weight_rank_order(weights: np.ndarray) -> np.ndarray:
@@ -255,11 +267,7 @@ def solve_multi_constraint(
             result.converged = True
             break
 
-        # Residual over active coordinates only: slack constraints whose
-        # multiplier rests at the floor are already complementary.
-        active = (lam > 10 * LAMBDA_FLOOR) | (usage > budgets)
-        residual = float(np.max(np.abs(usage - budgets)[active] / np.maximum(budgets, 1e-300)[active])) \
-            if np.any(active) else 0.0
+        residual = active_residual(usage, budgets, lam)
         if residual < best_violation - 1e-12:
             best_violation = residual
             stall = 0

@@ -1,0 +1,43 @@
+"""Problems shared by the model and solver tests."""
+
+import numpy as np
+import pytest
+
+from netmimo import InterferenceProblem, PartialCooperationSystem, build_interference_problem
+
+
+def mixed_serving_problem():
+    """Four users of a three-BS system with serving-set sizes 1/2/2/1 and
+    stream counts 1/2/3/2: transmit sizes 2/4/4/2, three receive antennas."""
+    rng = np.random.default_rng(12)
+    chans = rng.standard_normal((4, 3, 3, 2)) + 1j * rng.standard_normal((4, 3, 3, 2))
+    system = PartialCooperationSystem(nt=2, nr=3, bs_power=[1.0, 2.0, 1.5], channels=chans,
+                                      serving_sets=((0,), (0, 1), (1, 2), (2,)),
+                                      streams=(1, 2, 3, 2))
+    return build_interference_problem(system)
+
+
+def mixed_size_problem():
+    """Three users that differ in transmit (2/4/3), receive (3/2/2) and
+    stream (1/2/2) sizes, with two diagonal constraints and unequal MSE
+    weights."""
+    rng = np.random.default_rng(13)
+    tx, rx, d = (2, 4, 3), (3, 2, 2), (1, 2, 2)
+    chans = tuple(
+        tuple(rng.standard_normal((rx[k], tx[l])) + 1j * rng.standard_normal((rx[k], tx[l]))
+              for l in range(3))
+        for k in range(3)
+    )
+    constraints = []
+    for k in range(3):
+        first = (np.arange(tx[k]) < tx[k] // 2).astype(float)
+        constraints.append((np.diag(first).astype(complex), np.diag(1.0 - first).astype(complex)))
+    return InterferenceProblem(channels=chans, constraints=tuple(constraints), budgets=[1.0, 1.5],
+                               streams=d, mse_weights=(np.eye(1), np.diag([1.0, 0.5]),
+                                                       np.diag([2.0, 1.0])))
+
+
+@pytest.fixture(scope="session")
+def mixed_problems():
+    """Problems whose users differ in size, keyed by what differs."""
+    return {"serving_sets": mixed_serving_problem(), "sizes": mixed_size_problem()}

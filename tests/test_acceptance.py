@@ -253,6 +253,7 @@ def test_criterion_7_snr_trend():
     report(7, "; ".join(lines) + f"; {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_8_cooperation_trend():
     # common channel draws per trial across kappa values sharpen the
     # increment comparison

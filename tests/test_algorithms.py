@@ -408,6 +408,7 @@ def criterion_8_over_budget_problem():
     return build_interference_problem(realize(scenario, rng))
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("algorithm", ["dmmse", "pwf"])
 def test_srm_unconverged_stop_is_scaled_into_every_budget(algorithm, monkeypatch):
     from netmimo import algorithms
@@ -476,20 +477,101 @@ def test_fit_to_budgets_leaves_feasible_precoders_alone():
     assert np.array_equal(usage, constraint_usage(problem, precoders))
 
 
+# Sum rate and converged flag of each solve on the mixed-dimension problems
+# (default AlgorithmConfig), recorded from the per-user solver loops that the
+# padded array form replaced.
+PER_USER_RESULTS = {
+    ("serving_sets", "dmmse", "wsmmse"): (10.717402075965998, True),
+    ("serving_sets", "emmseia", "wsmmse"): (10.716029917566807, True),
+    ("serving_sets", "dmmse", "srm"): (12.18010712637931, True),
+    ("serving_sets", "emmseia", "srm"): (12.181082065143816, True),
+    ("serving_sets", "pwf", "srm"): (12.180116917402984, True),
+    ("sizes", "dmmse", "wsmmse"): (8.035104029928837, True),
+    ("sizes", "emmseia", "wsmmse"): (8.039182567453398, True),
+    ("sizes", "dmmse", "srm"): (9.215071612263147, True),
+    ("sizes", "emmseia", "srm"): (9.216439962515707, True),
+    ("sizes", "pwf", "srm"): (9.215122151352023, True),
+}
+
+
 @pytest.mark.parametrize("algorithm, objective", [("dmmse", "wsmmse"), ("emmseia", "wsmmse"),
                                                   ("dmmse", "srm"), ("emmseia", "srm"),
                                                   ("pwf", "srm")])
-def test_array_and_per_user_paths_give_identical_solutions(algorithm, objective):
-    _, problem = cellular_problem(4)
-    assert problem.arrays is not None
-    loop = InterferenceProblem(channels=problem.channels, constraints=problem.constraints,
-                               budgets=problem.budgets, streams=problem.streams,
-                               mse_weights=problem.mse_weights)
-    loop.__dict__["arrays"] = None  # force the per-user kernels
+def test_array_and_per_user_paths_give_identical_solutions(algorithm, objective, mixed_problems):
+    # users that differ in size run on the padded array form and reach the
+    # rate and convergence the per-user loops reached
     solver = {"dmmse": dmmse_solve, "emmseia": emmseia_solve, "pwf": pwf_solve}[algorithm]
-    cfg = AlgorithmConfig(algorithm=algorithm, objective=objective, max_outer=150)
-    a, b = solver(problem, cfg), solver(loop, cfg)
-    assert a.trace == b.trace
-    assert (a.iterations, a.converged) == (b.iterations, b.converged)
-    assert all(np.array_equal(x, y) for x, y in zip(a.precoders, b.precoders))
-    assert all(np.array_equal(x, y) for x, y in zip(a.equalizers, b.equalizers))
+    cfg = AlgorithmConfig(algorithm=algorithm, objective=objective)
+    for name, problem in mixed_problems.items():
+        sol = solver(problem, cfg)
+        assert [b.shape for b in sol.precoders] == list(zip(problem.tx_dims, problem.streams))
+        assert [a.shape for a in sol.equalizers] == list(zip(problem.rx_dims, problem.streams))
+        usage = constraint_usage(problem, sol.precoders)
+        assert np.all(usage <= problem.budgets * (1.0 + cfg.constraint_tol))
+        rate, converged = PER_USER_RESULTS[(name, algorithm, objective)]
+        assert sol.converged == converged
+        assert sum_rate(problem, sol.precoders) == pytest.approx(rate, rel=1e-6)
+
+
+def test_solver_steps_leave_the_padding_alone(mixed_problems):
+    from netmimo.algorithms import (_dmmse_precoder_step, _dual_covariances, _mse_offdiag,
+                                    _pwf_forward, _stream_weights)
+    from netmimo.model import cut_padding, interference_covariances, mmse_equalizers, srm_weight_update
+
+    def padding(stack, rows, cols):
+        """The entries of ``stack`` outside each user's leading block."""
+        out = np.array(stack)
+        for mat, r, c in zip(out, rows, cols):
+            mat[:r, :c] = 0.0
+        return out
+
+    for problem in mixed_problems.values():
+        tx, d = problem.tx_dims, problem.streams
+        cut = initialize_precoders(problem, AlgorithmConfig(initialization="random_orthonormal",
+                                                            init_seed=2))
+        precoders = problem.arrays.precoders(cut)
+        omegas = interference_covariances(problem, precoders)
+        equalizers = mmse_equalizers(problem, precoders, omegas)
+        lam = np.ones(problem.num_constraints)
+
+        # dmmse: srm's E^{-1} is 1 on the padded streams, their weight is 0
+        weights = _stream_weights(problem, srm_weight_update(problem, precoders, omegas))
+        for k, w in enumerate(weights):
+            inverse = np.linalg.inv(mse_matrix_mmse(problem, cut, k))
+            assert np.allclose(w[:d[k]], np.diag(inverse).real, rtol=1e-12, atol=0.0)
+            assert not np.any(w[d[k]:])
+        step = _dmmse_precoder_step(problem, precoders, equalizers, weights, lam, omegas)
+        assert not np.any(padding(step, tx, d))
+        # the diagonality test measures each user's own block; users without
+        # padded streams are switched off, so a padded one sets the maximum
+        padded_only = [b if streams < max(d) else 0 * b for b, streams in zip(cut, d)]
+        worst = max(offdiag_mass(mse_matrix_mmse(problem, padded_only, k))
+                    for k in range(problem.num_users))
+        offdiag = _mse_offdiag(problem, problem.arrays.precoders(padded_only), None)
+        assert offdiag == pytest.approx(worst, rel=1e-12, abs=1e-300)
+
+        mu = np.zeros(problem.num_constraints)
+        mu[0] = 0.3  # one multiplier at zero
+        update = emmseia_precoder_update(problem, equalizers, problem.arrays.mse_weights, mu)
+        assert not np.any(padding(update, tx, d))
+
+        # pwf: no power on padded transmit coordinates or padded streams
+        covariances = precoders @ precoders.conj().swapaxes(-1, -2)
+        duals = _dual_covariances(problem, covariances, 1.0)
+        forward, _ = _pwf_forward(problem, covariances, duals, lam)
+        assert not np.any(padding(forward, tx, tx))
+        for c, streams in zip(cut_padding(forward, tx, tx), d):
+            assert np.linalg.matrix_rank(c, tol=1e-9 * np.linalg.norm(c)) <= streams
+
+
+@pytest.mark.parametrize("algorithm, max_outer, max_inner", [("dmmse", 5, 2), ("pwf", 12, 3)])
+def test_iterations_obey_the_documented_bound(algorithm, max_outer, max_inner):
+    # max_outer caps the pricing passes; each of at most MAX_POLISH_ROUNDS
+    # polish runs adds up to max_inner more
+    from netmimo.algorithms import MAX_POLISH_ROUNDS
+
+    _, problem = cellular_problem(0)
+    solver = dmmse_solve if algorithm == "dmmse" else pwf_solve
+    sol = solver(problem, AlgorithmConfig(algorithm=algorithm, objective="srm",
+                                          max_outer=max_outer, max_inner=max_inner))
+    assert max_outer < sol.iterations <= max_outer + MAX_POLISH_ROUNDS * max_inner

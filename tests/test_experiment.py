@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from netmimo import ConfigurationError
+from netmimo import ConfigurationError, solve_system
 from netmimo.cli import main
 from netmimo.experiment import (
     SweepSpec,
@@ -140,6 +140,27 @@ def test_run_trial_deterministic():
     assert not a.failed
     assert a.per_cell_sum_rate > 0.0
     assert a.max_constraint_violation <= 1e-2
+
+
+def test_min_leakage_records_its_budget_use(monkeypatch):
+    from netmimo import experiment
+
+    solved = []
+
+    def spy(system, config):
+        problem, solution = solve_system(system, config)
+        solved.append((system, solution))
+        return problem, solution
+
+    monkeypatch.setattr(experiment, "solve_system", spy)
+    record = run_trial(_spec(), 1, 0, "min_leakage")
+    system, solution = solved[0]
+    usage = solution.diagnostics["usage"]
+    # the equal power split spends every per-BS budget exactly
+    assert np.allclose(usage, system.bs_power, rtol=1e-12, atol=0.0)
+    violation = float(np.max((usage - system.bs_power) / system.bs_power))
+    assert solution.diagnostics["max_violation"] == max(violation, 0.0)
+    assert record.max_constraint_violation == solution.diagnostics["max_violation"]
 
 
 def test_run_sweep_cardinality_and_order():

@@ -182,16 +182,16 @@ def test_interference_covariance_matches_naive_sum():
         assert np.linalg.norm(omega - naive) <= 1e-12 * np.linalg.norm(naive)
 
 
-def per_user_copy(problem):
-    """The same problem, forced onto the per-user kernels."""
-    copy = InterferenceProblem(channels=problem.channels, constraints=problem.constraints,
-                               budgets=problem.budgets, streams=problem.streams,
-                               mse_weights=problem.mse_weights)
-    copy.__dict__["arrays"] = None
-    return copy
+def padded(mat, shape, diagonal=0.0):
+    """``mat`` in the top-left corner of a ``shape`` matrix, ``diagonal`` on
+    the rest of the diagonal and zero elsewhere."""
+    out = np.zeros(shape, dtype=complex)
+    np.fill_diagonal(out, diagonal)
+    out[:mat.shape[0], :mat.shape[1]] = mat
+    return out
 
 
-def test_array_form_only_for_uniform_dimensions():
+def test_array_form_pads_mixed_dimensions(mixed_problems):
     rng = np.random.default_rng(6)
     uniform = build_interference_problem(random_system(rng, m=3, k=4, kappa=2, d=2))
     arrays = uniform.arrays
@@ -201,18 +201,38 @@ def test_array_form_only_for_uniform_dimensions():
     assert not np.any(arrays.cross[3, 3])
     assert np.array_equal(arrays.direct[3], uniform.direct_channel(3))
     assert np.array_equal(arrays.constraints[1, 2], uniform.constraints[1][2])
-    system = PartialCooperationSystem(
-        nt=2, nr=2, bs_power=[1.0, 1.0], channels=np.ones((2, 2, 2, 2), dtype=complex),
-        serving_sets=((0,), (0, 1)), streams=(1, 1),
-    )
-    assert build_interference_problem(system).arrays is None
+    assert arrays.tx_pad[0].size == 0 and arrays.stream_pad[0].size == 0
+
+    # transmit sizes 2/4/4/2, stream counts 1/2/3/2, three receive antennas
+    problem = mixed_problems["serving_sets"]
+    arrays = problem.arrays
+    assert arrays.channels.shape == (4, 4, 3, 4) and arrays.constraints.shape == (4, 3, 4, 4)
+    assert arrays.mse_weights.shape == (4, 3, 3)
+    for k in range(4):
+        for l in range(4):
+            expected = padded(problem.channels[k][l], (3, 4))
+            assert np.array_equal(arrays.channels[k, l], expected)
+            assert np.array_equal(arrays.cross[k, l], 0 * expected if k == l else expected)
+        assert np.array_equal(arrays.direct[k], padded(problem.direct_channel(k), (3, 4)))
+        for m in range(3):
+            assert np.array_equal(arrays.constraints[k, m], padded(problem.constraints[k][m], (4, 4)))
+        assert np.array_equal(arrays.mse_weights[k], padded(problem.mse_weights[k], (3, 3)))
+    assert list(zip(*arrays.tx_pad)) == [(0, 2), (0, 3), (3, 2), (3, 3)]
+    assert list(zip(*arrays.stream_pad)) == [(0, 1), (0, 2), (1, 2), (3, 2)]
+
+    # receive sizes 3/2/2 are padded too
+    problem = mixed_problems["sizes"]
+    arrays = problem.arrays
+    assert arrays.channels.shape == (3, 3, 3, 4)
+    assert np.array_equal(arrays.channels[1, 2], padded(problem.channels[1][2], (3, 4)))
+    assert list(zip(*arrays.tx_pad)) == [(0, 2), (0, 3), (2, 3)]
+    assert list(zip(*arrays.stream_pad)) == [(0, 1)]
 
 
 def test_batched_kernels_match_per_user_kernels_bit_for_bit():
-    # solver results must not depend on which path a problem takes
+    # on users of one size the batched kernels do the per-user arithmetic
     rng = np.random.default_rng(7)
     problem = build_interference_problem(random_system(rng, m=3, k=4, kappa=2, d=2))
-    loop = per_user_copy(problem)
     precoders = random_precoders(rng, problem, scale=0.6)
     omegas = interference_covariances(problem, precoders)
     for k in range(problem.num_users):
@@ -220,12 +240,47 @@ def test_batched_kernels_match_per_user_kernels_bit_for_bit():
     for batched, single in ((mmse_equalizers, mmse_equalizer), (mse_matrices_mmse, mse_matrix_mmse)):
         for k, x in enumerate(batched(problem, precoders, omegas)):
             assert np.array_equal(x, single(problem, precoders, k, omega=omegas[k]))
-    assert sum_rate(problem, precoders) == sum_rate(loop, precoders)
-    equalizers = mmse_equalizers(problem, precoders)
-    assert wsmse_objective(problem, precoders, equalizers) == wsmse_objective(loop, precoders, equalizers)
-    assert np.array_equal(constraint_usage(problem, precoders), constraint_usage(loop, precoders))
-    for a, b in zip(srm_weight_update(problem, precoders), srm_weight_update(loop, precoders)):
-        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", ["uniform", "serving_sets", "sizes"])
+def test_padded_kernels_match_per_user_references(name, mixed_problems):
+    rng = np.random.default_rng(8)
+    problem = mixed_problems.get(name) or build_interference_problem(random_system(rng, m=3, k=4, d=2))
+    tx, rx, d = problem.tx_dims, problem.rx_dims, problem.streams
+    precoders = random_precoders(rng, problem, scale=0.6)
+    equalizers = [rng.standard_normal((r, s)) + 1j * rng.standard_normal((r, s)) for r, s in zip(rx, d)]
+
+    def close(got, want):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    # each user's block matches the per-user function; the padding is the
+    # identity where the kernel inverts and zero elsewhere
+    omegas = interference_covariances(problem, precoders)
+    equalizers_mmse = mmse_equalizers(problem, precoders, omegas)
+    mses = mse_matrices_mmse(problem, precoders, omegas)
+    weights = srm_weight_update(problem, precoders, omegas)
+    for k in range(problem.num_users):
+        omega = interference_covariance(problem, precoders, k)
+        close(omegas[k][:rx[k], :rx[k]], omega)
+        assert np.array_equal(omegas[k], padded(omegas[k][:rx[k], :rx[k]], omegas[k].shape, 1.0))
+        close(equalizers_mmse[k][:rx[k], :d[k]], mmse_equalizer(problem, precoders, k))
+        a = equalizers_mmse[k]
+        assert np.array_equal(a, padded(a[:rx[k], :d[k]], a.shape))
+        e = mse_matrix_mmse(problem, precoders, k)
+        close(mses[k][:d[k], :d[k]], e)
+        assert np.array_equal(mses[k], padded(mses[k][:d[k], :d[k]], mses[k].shape, 1.0))
+        close(weights[k][:d[k], :d[k]], np.linalg.inv(e))
+        assert np.array_equal(weights[k], padded(weights[k][:d[k], :d[k]], weights[k].shape, 1.0))
+
+    rate = -sum(np.linalg.slogdet(mse_matrix_mmse(problem, precoders, k))[1]
+                for k in range(problem.num_users)) / np.log(2.0)
+    assert sum_rate(problem, precoders) == pytest.approx(rate, rel=1e-12)
+    wsmse = sum(np.trace(problem.mse_weights[k] @ mse_matrix(problem, precoders, equalizers, k)).real
+                for k in range(problem.num_users))
+    assert wsmse_objective(problem, precoders, equalizers) == pytest.approx(wsmse, rel=1e-12)
+    usage = [sum(np.trace(problem.constraints[k][m] @ b @ b.conj().T).real
+                 for k, b in enumerate(precoders)) for m in range(problem.num_constraints)]
+    close(constraint_usage(problem, precoders), np.array(usage))
 
 
 def test_mmse_equalizer_scalar_values():
