@@ -903,11 +903,6 @@ def pwf_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = Non
 # min_leakage
 # ---------------------------------------------------------------------------
 
-def _smallest_eigvecs(mat: np.ndarray, d: int) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(0.5 * (mat + mat.conj().T))
-    return vecs[:, :d]
-
-
 def min_leakage_solve(system: PartialCooperationSystem, config: AlgorithmConfig | None = None,
                       initial=None) -> BeamformerSolution:
     """Interference-leakage minimization on the physical (per-BS) form.
@@ -922,74 +917,97 @@ def min_leakage_solve(system: PartialCooperationSystem, config: AlgorithmConfig 
     diagnostics carry the per-BS ``usage``, sum_k (P_m / (K_m d_k))
     ||Bbar_{k,m}||_F^2 over the users k that BS m serves, and its
     ``max_violation``.
+
+    The solve runs batched over the (user, serving-BS) pairs: the factors
+    are one (K, c, nt, d) stack for the largest serving-set size c and
+    stream count d, zero on the padded streams, with power share 0 on the
+    padded slots, and each half-step is one stacked ``eigh``.  The quadratic forms are summed over the other
+    users (and their serving BSs) in ascending order, with exact zeros in
+    place of the skipped terms, so a problem without padding gets the
+    per-pair loop's numbers bit for bit.  The receive-side forms built for a
+    round's leakage value serve the next round's receive update.
+    ``initial`` gives per user the list of its (nt, d_k) factors.
     """
     config = (config or AlgorithmConfig(algorithm="min_leakage")).validate()
     k_users = system.num_users
     nt, nr = system.nt, system.nr
+    streams = system.streams
+    if max(streams) > nt:
+        raise ContractViolationError(
+            f"min_leakage needs d_k <= nt per serving BS; got streams {streams} with nt={nt}"
+        )
+    width = max(len(sset) for sset in system.serving_sets)
+    d_max = max(streams)
     served_count = [len(system.served_users(m)) for m in range(system.num_bs)]
-    coef = []
-    for k in range(k_users):
-        row = {}
-        for m in system.serving_sets[k]:
-            row[m] = float(system.bs_power[m]) / (served_count[m] * system.streams[k])
-        coef.append(row)
+    # (K, c) tables of each pair's BS and power share; padded slots get BS 0
+    # and share 0
+    bs_of = np.zeros((k_users, width), dtype=int)
+    coef = np.zeros((k_users, width))
+    for k, sset in enumerate(system.serving_sets):
+        for pos, m in enumerate(sset):
+            bs_of[k, pos] = m
+            coef[k, pos] = float(system.bs_power[m]) / (served_count[m] * streams[k])
+    pairs = [(k, pos) for k, sset in enumerate(system.serving_sets) for pos in range(len(sset))]
+    # (K, 1, d): 1 on each user's own streams
+    stream_mask = (np.arange(d_max) < np.array(streams)[:, None])[:, None, :]
 
     rng = np.random.default_rng(config.init_seed)
-    if initial is not None:
-        factors = [[np.asarray(b, dtype=complex) for b in user_factors] for user_factors in initial]
-    else:
-        factors = []
-        for k in range(k_users):
-            user_factors = []
-            for _ in system.serving_sets[k]:
-                if config.initialization == "scaled_identity":
-                    b = np.zeros((nt, system.streams[k]), dtype=complex)
-                    b[: system.streams[k], :] = np.eye(system.streams[k])
-                else:
-                    z = rng.standard_normal((nt, system.streams[k])) + 1j * rng.standard_normal(
-                        (nt, system.streams[k])
-                    )
-                    b, _ = np.linalg.qr(z)
-                user_factors.append(b)
-            factors.append(user_factors)
+    factors = np.zeros((k_users, width, nt, d_max), dtype=complex)
+    for k, pos in pairs:
+        d = streams[k]
+        if initial is not None:
+            factors[k, pos, :, :d] = np.asarray(initial[k][pos], dtype=complex)
+        elif config.initialization == "scaled_identity":
+            factors[k, pos, :d, :d] = np.eye(d)
+        else:
+            z = rng.standard_normal((nt, d)) + 1j * rng.standard_normal((nt, d))
+            factors[k, pos, :, :d], _ = np.linalg.qr(z)
 
-    def interference_form(k):
-        q = np.zeros((nr, nr), dtype=complex)
-        for j in range(k_users):
-            if j == k:
-                continue
-            for pos, m in enumerate(system.serving_sets[j]):
-                hb = system.channels[k, m] @ factors[j][pos]
-                q += coef[j][m] * (hb @ hb.conj().T)
-        return 0.5 * (q + q.conj().T)
+    users = np.arange(k_users)
+    serving_channels = system.channels[:, bs_of]  # (K, K, c, nr, nt): H_{k, m(j, pos)}
+    channels_h = adjoint(system.channels)  # (K, M, nt, nr)
+    zero_rx = np.zeros((nr, nr), dtype=complex)
+    zero_tx = np.zeros((nt, nt), dtype=complex)
 
-    def leakage(equalizers):
+    def interference_forms(factors):
+        # hb[k, j, pos] = H_{k, m(j, pos)} Bbar_{j, pos}; user k's own pairs drop out
+        hb = serving_channels @ factors
+        terms = coef[:, :, None, None] * (hb @ adjoint(hb))
+        terms[users, users] = 0.0
+        forms = sum_over_sources(zero_rx, terms.reshape(k_users, k_users * width, nr, nr))
+        return hermitian_part(forms)
+
+    def leakage(forms, equalizers):
         total = 0.0
-        for k in range(k_users):
-            q = interference_form(k)
-            total += float(np.trace(equalizers[k].conj().T @ q @ equalizers[k]).real)
+        for value in np.trace(adjoint(equalizers) @ forms @ equalizers, axis1=-2, axis2=-1).real:
+            total += float(value)
         return total
 
-    equalizers = [np.zeros((nr, system.streams[k]), dtype=complex) for k in range(k_users)]
+    def smallest_eigvecs(forms, mask):
+        vecs = np.linalg.eigh(hermitian_part(forms))[1][..., :d_max]
+        vecs *= mask
+        return vecs
+
+    forms = interference_forms(factors)
+    equalizers = np.zeros((k_users, nr, d_max), dtype=complex)
     trace: list = []
     iterations = 0
     converged = False
     prev_round = None
     for j in range(1, config.max_outer + 1):
         iterations = j
-        for k in range(k_users):
-            equalizers[k] = _smallest_eigvecs(interference_form(k), system.streams[k])
-        trace.append(leakage(equalizers))
-        for k in range(k_users):
-            for pos, m in enumerate(system.serving_sets[k]):
-                qhat = np.zeros((nt, nt), dtype=complex)
-                for i in range(k_users):
-                    if i == k:
-                        continue
-                    ha = system.channels[i, m].conj().T @ equalizers[i]
-                    qhat += coef[k][m] * (ha @ ha.conj().T)
-                factors[k][pos] = _smallest_eigvecs(qhat, system.streams[k])
-        trace.append(leakage(equalizers))
+        equalizers = smallest_eigvecs(forms, stream_mask)
+        trace.append(leakage(forms, equalizers))
+        # ha[i, m] = H_{i,m}^H A_i; the form of pair (k, pos) sums
+        # P_m/(K_m d_k) ha ha^H over the victims i != k at its BS m
+        ha = channels_h @ equalizers[:, None]
+        victims = (ha @ adjoint(ha))[:, bs_of]  # (K_i, K, c, nt, nt)
+        terms = coef[:, :, None, None, None] * np.moveaxis(victims, 0, 2)
+        terms[users, :, users] = 0.0
+        qhat = sum_over_sources(zero_tx, terms.reshape(k_users * width, k_users, nt, nt))
+        factors = smallest_eigvecs(qhat.reshape(k_users, width, nt, nt), stream_mask[:, None])
+        forms = interference_forms(factors)
+        trace.append(leakage(forms, equalizers))
         if prev_round is not None and abs(trace[-1] - prev_round) <= config.inner_tol * max(1.0, trace[-1]):
             converged = True
             break
@@ -998,21 +1016,24 @@ def min_leakage_solve(system: PartialCooperationSystem, config: AlgorithmConfig 
             break
         prev_round = trace[-1]
 
-    precoders = []
+    pair_factors = [[factors[k, pos, :, :streams[k]] for pos in range(len(sset))]
+                    for k, sset in enumerate(system.serving_sets)]
+    scaled = np.sqrt(coef)[:, :, None, None] * factors
+    precoders = [scaled[k, :len(sset), :, :streams[k]].reshape(len(sset) * nt, streams[k])
+                 for k, sset in enumerate(system.serving_sets)]
+    norms = _norms(factors.reshape(k_users * width, nt, d_max)).reshape(k_users, width)
     usage = np.zeros(system.num_bs)
-    for k in range(k_users):
-        blocks = [np.sqrt(coef[k][m]) * factors[k][pos] for pos, m in enumerate(system.serving_sets[k])]
-        precoders.append(np.vstack(blocks))
-        for pos, m in enumerate(system.serving_sets[k]):
-            usage[m] += coef[k][m] * float(np.linalg.norm(factors[k][pos])) ** 2
+    for k, pos in pairs:
+        usage[bs_of[k, pos]] += coef[k, pos] * float(norms[k, pos]) ** 2
+    cut_equalizers = [equalizers[k, :, :streams[k]] for k in range(k_users)]
     state = LeakageState(
-        factors=tuple(tuple(user_factors) for user_factors in factors),
-        equalizers=tuple(np.asarray(a) for a in equalizers),
+        factors=tuple(tuple(user_factors) for user_factors in pair_factors),
+        equalizers=tuple(cut_equalizers),
         leakage=trace[-1] if trace else 0.0,
     )
     return BeamformerSolution(
         precoders=precoders,
-        equalizers=[a.copy() for a in equalizers],
+        equalizers=[a.copy() for a in cut_equalizers],
         multipliers=np.zeros(system.num_bs),
         trace=trace,
         iterations=iterations,

@@ -36,7 +36,7 @@ import numpy as np
 
 from .algorithms import ALGORITHMS, AlgorithmConfig, solve_system
 from .errors import ConfigurationError, NumericalFailureError
-from .model import mse_matrix_mmse, sum_rate
+from .model import interference_covariances, mse_matrices_mmse, sum_rate
 from .scenario import CLUSTER_SHAPES, SECTOR_PATTERNS, ScenarioConfig, realize
 
 SWEEP_VARIABLES = ("snr_db", "kappa", "cluster_size", "sectors")
@@ -266,11 +266,11 @@ def run_trial(spec: SweepSpec, value_index: int, trial_index: int, algorithm: st
     started = time.perf_counter()
     try:
         problem, solution = solve_system(system, config)
-        rate = sum_rate(problem, solution.precoders) / scenario_cfg.cluster_size
-        wsmse = sum(
-            float(np.trace(mse_matrix_mmse(problem, solution.precoders, k)).real)
-            for k in range(problem.num_users)
-        )
+        omegas = interference_covariances(problem, solution.precoders)
+        rate = sum_rate(problem, solution.precoders, omegas) / scenario_cfg.cluster_size
+        # each user's own d_k streams: the padded ones are identity in the stack
+        mses = mse_matrices_mmse(problem, solution.precoders, omegas)
+        wsmse = sum(float(np.trace(e[:d, :d]).real) for e, d in zip(mses, problem.streams))
         violation = float(solution.diagnostics.get("max_violation", 0.0))
         record = TrialRecord(
             variable=spec.variable,

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolationError
-from .linalg import psd_inv_sqrt
-from .model import PartialCooperationSystem
+from .errors import ConfigurationError, ContractViolationError, SingularMatrixError
+from .linalg import adjoint, psd_inv_sqrt_batch
+from .model import PartialCooperationSystem, sum_over_sources
 
 log = logging.getLogger(__name__)
 
@@ -141,6 +142,21 @@ def _hex_distance(a: tuple[int, int], b: tuple[int, int]) -> int:
     return int((abs(dq) + abs(dr) + abs(dq + dr)) // 2)
 
 
+@lru_cache(maxsize=None)
+def _tier_axial(cluster_size: int) -> tuple:
+    """Axial coordinates of the cells within INTERFERENCE_TIERS hops of the
+    cluster ``CLUSTER_SHAPES[cluster_size]``, outside it, in scan order."""
+    cluster_axial = CLUSTER_SHAPES[cluster_size]
+    span = INTERFERENCE_TIERS + 1  # cluster cells are within distance 1 of the center
+    return tuple(
+        (q, r)
+        for q in range(-span - 1, span + 2)
+        for r in range(-span - 1, span + 2)
+        if (q, r) not in cluster_axial
+        and min(_hex_distance((q, r), c) for c in cluster_axial) <= INTERFERENCE_TIERS
+    )
+
+
 def build_geometry(config: ScenarioConfig, rng: np.random.Generator) -> GeometryRealization:
     """Lay out the coordinated cluster, its two interference tiers, and the
     user drops.
@@ -151,20 +167,8 @@ def build_geometry(config: ScenarioConfig, rng: np.random.Generator) -> Geometry
     """
     config.validate()
     radius = config.cell_radius_km
-    cluster_axial = CLUSTER_SHAPES[config.cluster_size]
-
-    tier_axial = []
-    span = INTERFERENCE_TIERS + 1  # cluster cells are within distance 1 of the center
-    for q in range(-span - 1, span + 2):
-        for r in range(-span - 1, span + 2):
-            cell = (q, r)
-            if cell in cluster_axial:
-                continue
-            if min(_hex_distance(cell, c) for c in cluster_axial) <= INTERFERENCE_TIERS:
-                tier_axial.append(cell)
-
-    cluster_xy = np.array([_axial_to_xy(q, r, radius) for q, r in cluster_axial])
-    tier_xy = np.array([_axial_to_xy(q, r, radius) for q, r in tier_axial])
+    cluster_xy = np.array([_axial_to_xy(q, r, radius) for q, r in CLUSTER_SHAPES[config.cluster_size]])
+    tier_xy = np.array([_axial_to_xy(q, r, radius) for q, r in _tier_axial(config.cluster_size)])
     all_centers = np.vstack([cluster_xy, tier_xy])
 
     user_positions = []
@@ -223,40 +227,47 @@ def draw_channels(config: ScenarioConfig, geometry: GeometryRealization,
     """Draw the raw channels between every user and every BS (cluster and
     tiers): entry (r, t) is alpha * sqrt(snr0 * shadow * pattern * (d/d0)^-beta)
     with alpha ~ CN(0,1) per antenna pair and one shadowing draw per
-    (user, BS) pair shared across antennas."""
+    (user, BS) pair shared across antennas.
+
+    RNG stream contract: one ``rng.standard_normal((K, B, 1 + 2 nr nt))``
+    call, users outer and BSs inner (cluster BSs first, then tier BSs).  Per
+    (user, BS) pair it holds the shadowing draw (times sigma, in dB), then
+    the nr*nt real and then the nr*nt imaginary fading parts, each row-major
+    over (nr, nt).  This is the stream of one ``normal(0, sigma)`` and two
+    ``standard_normal((nr, nt))`` calls per pair.  The linear shadowing and
+    path-loss factors are Python float powers per pair: numpy's array power
+    may differ from them in the last bit.
+    """
     config.validate()
     centers = np.vstack([geometry.cluster_positions, geometry.tier_positions])
     n_bs = centers.shape[0]
     n_users = geometry.user_positions.shape[0]
     nt, nr = config.nt, config.nr
     snr0 = 10.0 ** (config.boundary_snr_db / 10.0)
-    per_sector = nt // config.sectors
+    size = nr * nt
 
-    gains = np.zeros((n_users, n_bs, nr, nt), dtype=complex)
-    shadowing = np.zeros((n_users, n_bs))
-    fading = np.zeros((n_users, n_bs, nr, nt), dtype=complex)
+    draws = rng.standard_normal((n_users, n_bs, 1 + 2 * size))
+    shadowing = 0.0 + config.shadowing_sigma_db * draws[:, :, 0]  # normal(0, sigma)
+    fading = ((draws[:, :, 1:1 + size] + 1j * draws[:, :, 1 + size:]) / np.sqrt(2.0)).reshape(
+        n_users, n_bs, nr, nt)
 
-    for k in range(n_users):
-        for b in range(n_bs):
-            shadow_db = rng.normal(0.0, config.shadowing_sigma_db)
-            alpha = (rng.standard_normal((nr, nt)) + 1j * rng.standard_normal((nr, nt))) / np.sqrt(2.0)
-            shadowing[k, b] = shadow_db
-            fading[k, b] = alpha
+    delta = geometry.user_positions[:, np.newaxis, :] - centers[np.newaxis, :, :]
+    dist = np.hypot(delta[..., 0], delta[..., 1])
+    for k, b in np.argwhere(dist < MIN_DISTANCE_KM):
+        log.warning("user %d colocated with BS %d; clamping distance to 1 m", k, b)
+        dist[k, b] = MIN_DISTANCE_KM
+    bearing = np.arctan2(delta[..., 1], delta[..., 0])
 
-            delta = geometry.user_positions[k] - centers[b]
-            dist = float(np.hypot(*delta))
-            if dist < MIN_DISTANCE_KM:
-                log.warning("user %d colocated with BS %d; clamping distance to 1 m", k, b)
-                dist = MIN_DISTANCE_KM
-            bearing = float(np.arctan2(delta[1], delta[0]))
-            path = (dist / config.cell_radius_km) ** (-config.pathloss_exponent)
-            shadow_lin = 10.0 ** (shadow_db / 10.0)
-
-            theta = _wrap_angle(bearing - geometry.sector_orientations)
-            pattern_lin = 10.0 ** (np.asarray(antenna_gain_db(theta, config.sectors), dtype=float) / 10.0)
-            sector_of_antenna = np.arange(nt) // per_sector
-            scale = np.sqrt(snr0 * shadow_lin * path * pattern_lin[sector_of_antenna])
-            gains[k, b] = alpha * scale[np.newaxis, :]
+    radius, beta = config.cell_radius_km, config.pathloss_exponent
+    power = np.array([
+        snr0 * 10.0 ** (shadow_db / 10.0) * (d / radius) ** (-beta)
+        for shadow_db, d in zip(shadowing.ravel().tolist(), dist.ravel().tolist())
+    ]).reshape(n_users, n_bs, 1)
+    theta = _wrap_angle(bearing[..., np.newaxis] - geometry.sector_orientations)
+    pattern_lin = 10.0 ** (antenna_gain_db(theta, config.sectors) / 10.0)
+    sector_of_antenna = np.arange(nt) // (nt // config.sectors)
+    scale = np.sqrt(power * pattern_lin[..., sector_of_antenna])
+    gains = fading * scale[:, :, np.newaxis, :]
 
     return ChannelRealization(
         gains=gains, shadowing_db=shadowing, fading=fading,
@@ -269,24 +280,22 @@ def whiten_out_of_cluster(config: ScenarioConfig, geometry: GeometryRealization,
     """Whiten every user against worst-case tier interference.
 
     R_k = I + (P/nt) * sum_{b in tiers} H_kb H_kb^H (tier BSs at full power
-    with isotropic signal covariance); in-cluster channels are
-    left-multiplied by R_k^{-1/2} so the effective noise-plus-out-of-cluster
-    covariance becomes the identity.
+    with isotropic signal covariance, summed in ascending b); in-cluster
+    channels are left-multiplied by R_k^{-1/2} so the effective
+    noise-plus-out-of-cluster covariance becomes the identity.  Batched over
+    users; raises :class:`SingularMatrixError` when some R_k fails the
+    :func:`~netmimo.linalg.psd_inv_sqrt` eigenvalue test.
     """
     m = channels.num_cluster_bs
-    n_users = channels.gains.shape[0]
-    nr = config.nr
-    whiteners = np.zeros((n_users, nr, nr), dtype=complex)
-    whitened = np.zeros((n_users, m, nr, config.nt), dtype=complex)
-    for k in range(n_users):
-        cov = np.eye(nr, dtype=complex)
-        for b in range(m, channels.gains.shape[1]):
-            h = channels.gains[k, b]
-            cov += (config.per_bs_power / config.nt) * (h @ h.conj().T)
-        w = psd_inv_sqrt(cov)
-        whiteners[k] = w
-        for b in range(m):
-            whitened[k, b] = w @ channels.gains[k, b]
+    tiers = channels.gains[:, m:]
+    terms = (config.per_bs_power / config.nt) * (tiers @ adjoint(tiers))
+    covs = sum_over_sources(np.eye(config.nr, dtype=complex), terms)
+    whiteners, ok = psd_inv_sqrt_batch(covs)
+    if not ok.all():
+        raise SingularMatrixError(
+            f"out-of-cluster covariance of user {int(np.flatnonzero(~ok)[0])} is singular or indefinite"
+        )
+    whitened = whiteners[:, np.newaxis] @ channels.gains[:, :m]
     return replace(channels, whiteners=whiteners, whitened=whitened)
 
 

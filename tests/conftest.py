@@ -1,20 +1,36 @@
 """Problems shared by the model and solver tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from netmimo import InterferenceProblem, PartialCooperationSystem, build_interference_problem
 
 
-def mixed_serving_problem():
+def mixed_serving_system():
     """Four users of a three-BS system with serving-set sizes 1/2/2/1 and
-    stream counts 1/2/3/2: transmit sizes 2/4/4/2, three receive antennas."""
+    stream counts 1/2/3/2, two transmit and three receive antennas."""
     rng = np.random.default_rng(12)
     chans = rng.standard_normal((4, 3, 3, 2)) + 1j * rng.standard_normal((4, 3, 3, 2))
-    system = PartialCooperationSystem(nt=2, nr=3, bs_power=[1.0, 2.0, 1.5], channels=chans,
-                                      serving_sets=((0,), (0, 1), (1, 2), (2,)),
-                                      streams=(1, 2, 3, 2))
-    return build_interference_problem(system)
+    return PartialCooperationSystem(nt=2, nr=3, bs_power=[1.0, 2.0, 1.5], channels=chans,
+                                    serving_sets=((0,), (0, 1), (1, 2), (2,)),
+                                    streams=(1, 2, 3, 2))
+
+
+def mixed_stream_system():
+    """Three users, each served by two of three BSs, with stream counts
+    1/3/2, three transmit and three receive antennas."""
+    rng = np.random.default_rng(14)
+    chans = rng.standard_normal((3, 3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3, 3))
+    return PartialCooperationSystem(nt=3, nr=3, bs_power=[1.0, 1.0, 2.0], channels=chans,
+                                    serving_sets=((0, 1), (1, 2), (0, 2)), streams=(1, 3, 2))
+
+
+def mixed_serving_problem():
+    """The stacked problem of :func:`mixed_serving_system`: transmit sizes
+    2/4/4/2, three receive antennas."""
+    return build_interference_problem(mixed_serving_system())
 
 
 def mixed_size_problem():
@@ -35,6 +51,15 @@ def mixed_size_problem():
     return InterferenceProblem(channels=chans, constraints=tuple(constraints), budgets=[1.0, 1.5],
                                streams=d, mse_weights=(np.eye(1), np.diag([1.0, 0.5]),
                                                        np.diag([2.0, 1.0])))
+
+
+@pytest.fixture(scope="session")
+def mixed_systems():
+    """Physical systems whose users differ in serving-set size or stream
+    count, keyed by what differs; every d_k is at most nt, so each
+    (user, BS) pair can carry its own d_k orthonormal columns."""
+    return {"serving_sets": replace(mixed_serving_system(), streams=(1, 2, 2, 1)),
+            "streams": mixed_stream_system()}
 
 
 @pytest.fixture(scope="session")

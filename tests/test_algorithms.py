@@ -346,6 +346,172 @@ def test_min_leakage_transmit_receive_conjugacy():
     assert recv == pytest.approx(tran, rel=1e-10)
 
 
+def reference_min_leakage(system, config, initial=None):
+    """The per-pair loop min_leakage_solve replaced, kept as its oracle:
+    returns (trace, iterations, converged, factors, equalizers, precoders,
+    usage) built one (user, BS) pair at a time."""
+    k_users, nt, nr = system.num_users, system.nt, system.nr
+    served_count = [len(system.served_users(m)) for m in range(system.num_bs)]
+    coef = [{m: float(system.bs_power[m]) / (served_count[m] * system.streams[k])
+             for m in system.serving_sets[k]} for k in range(k_users)]
+
+    def smallest_eigvecs(mat, d):
+        return np.linalg.eigh(0.5 * (mat + mat.conj().T))[1][:, :d]
+
+    rng = np.random.default_rng(config.init_seed)
+    if initial is not None:
+        factors = [[np.asarray(b, dtype=complex) for b in user_factors] for user_factors in initial]
+    else:
+        factors = []
+        for k in range(k_users):
+            d = system.streams[k]
+            user_factors = []
+            for _ in system.serving_sets[k]:
+                if config.initialization == "scaled_identity":
+                    b = np.zeros((nt, d), dtype=complex)
+                    b[:d, :] = np.eye(d)
+                else:
+                    z = rng.standard_normal((nt, d)) + 1j * rng.standard_normal((nt, d))
+                    b, _ = np.linalg.qr(z)
+                user_factors.append(b)
+            factors.append(user_factors)
+
+    def interference_form(k):
+        q = np.zeros((nr, nr), dtype=complex)
+        for j in range(k_users):
+            if j == k:
+                continue
+            for pos, m in enumerate(system.serving_sets[j]):
+                hb = system.channels[k, m] @ factors[j][pos]
+                q += coef[j][m] * (hb @ hb.conj().T)
+        return 0.5 * (q + q.conj().T)
+
+    def leakage(equalizers):
+        total = 0.0
+        for k in range(k_users):
+            q = interference_form(k)
+            total += float(np.trace(equalizers[k].conj().T @ q @ equalizers[k]).real)
+        return total
+
+    equalizers = [None] * k_users
+    trace, iterations, converged, prev_round = [], 0, False, None
+    for j in range(1, config.max_outer + 1):
+        iterations = j
+        for k in range(k_users):
+            equalizers[k] = smallest_eigvecs(interference_form(k), system.streams[k])
+        trace.append(leakage(equalizers))
+        for k in range(k_users):
+            for pos, m in enumerate(system.serving_sets[k]):
+                qhat = np.zeros((nt, nt), dtype=complex)
+                for i in range(k_users):
+                    if i == k:
+                        continue
+                    ha = system.channels[i, m].conj().T @ equalizers[i]
+                    qhat += coef[k][m] * (ha @ ha.conj().T)
+                factors[k][pos] = smallest_eigvecs(qhat, system.streams[k])
+        trace.append(leakage(equalizers))
+        if prev_round is not None and abs(trace[-1] - prev_round) <= config.inner_tol * max(1.0, trace[-1]):
+            converged = True
+            break
+        if trace[-1] <= 1e-15:
+            converged = True
+            break
+        prev_round = trace[-1]
+
+    precoders = []
+    usage = np.zeros(system.num_bs)
+    for k in range(k_users):
+        sset = system.serving_sets[k]
+        precoders.append(np.vstack([np.sqrt(coef[k][m]) * factors[k][pos] for pos, m in enumerate(sset)]))
+        for pos, m in enumerate(sset):
+            usage[m] += coef[k][m] * float(np.linalg.norm(factors[k][pos])) ** 2
+    return trace, iterations, converged, factors, equalizers, precoders, usage
+
+
+def _leakage_outputs(sol):
+    state = sol.diagnostics["state"]
+    return (sol.trace, sol.iterations, sol.converged, state.factors, state.equalizers,
+            sol.precoders, sol.diagnostics["usage"])
+
+
+def _flat(field):
+    """The arrays of a (nested) list of arrays, in order."""
+    if isinstance(field, np.ndarray):
+        return [field]
+    return [a for item in field for a in _flat(item)]
+
+
+def _assert_identical(got, expected):
+    """Same trace, iterations and convergence, and every factor, equalizer,
+    precoder and usage array equal bit for bit."""
+    assert got[:3] == expected[:3]
+    for got_field, want_field in zip(got[3:], expected[3:]):
+        pairs = list(zip(_flat(got_field), _flat(want_field)))
+        assert len(pairs) == len(_flat(want_field))
+        assert all(np.array_equal(g, w) and g.shape == w.shape for g, w in pairs)
+
+
+LEAKAGE_CONFIGS = {
+    "default": AlgorithmConfig(algorithm="min_leakage"),
+    "long": AlgorithmConfig(algorithm="min_leakage", max_outer=6, inner_tol=1e-12),
+    "random_init": AlgorithmConfig(algorithm="min_leakage", initialization="random_orthonormal",
+                                   init_seed=3),
+}
+
+
+@pytest.mark.parametrize("sectors", [1, 3, 6])
+@pytest.mark.parametrize("name", sorted(LEAKAGE_CONFIGS))
+def test_min_leakage_matches_per_pair_reference_bit_for_bit(name, sectors):
+    # uniform drops (the sector_drops shape): the batched solve reproduces
+    # the per-pair loop exactly
+    config = LEAKAGE_CONFIGS[name]
+    for seed in range(3):
+        system = realize(ScenarioConfig(cluster_size=7, nt=6, nr=2, streams=2, cooperation_factor=2,
+                                        sectors=sectors, seed=seed))
+        sol = min_leakage_solve(system, config)
+        _assert_identical(_leakage_outputs(sol), reference_min_leakage(system, config))
+        assert all(b <= a + 1e-12 * max(1.0, a) for a, b in zip(sol.trace, sol.trace[1:]))
+
+
+def test_min_leakage_initial_factors_match_reference():
+    system, _ = cellular_problem(5)
+    rng = np.random.default_rng(8)
+    initial = [[np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))[0]
+                for _ in sset] for sset in system.serving_sets]
+    config = LEAKAGE_CONFIGS["long"]
+    _assert_identical(_leakage_outputs(min_leakage_solve(system, config, initial=initial)),
+                      reference_min_leakage(system, config, initial=initial))
+
+
+@pytest.mark.parametrize("name", sorted(LEAKAGE_CONFIGS))
+def test_min_leakage_padded_pairs_match_reference(name, mixed_systems):
+    # users that differ in serving-set size and stream count run on the
+    # padded stack and agree with the per-pair loop to rounding
+    config = LEAKAGE_CONFIGS[name]
+    for system in mixed_systems.values():
+        sol = min_leakage_solve(system, config)
+        got = _leakage_outputs(sol)
+        expected = reference_min_leakage(system, config)
+        assert got[1:3] == expected[1:3]
+        assert np.allclose(got[0], expected[0], rtol=1e-12, atol=1e-12)
+        for got_field, want_field in zip(got[3:], expected[3:]):
+            pairs = list(zip(_flat(got_field), _flat(want_field)))
+            assert all(g.shape == w.shape for g, w in pairs)
+            assert max(float(np.max(np.abs(g - w))) for g, w in pairs) <= 1e-12
+        assert all(b <= a + 1e-12 * max(1.0, a) for a, b in zip(sol.trace, sol.trace[1:]))
+        assert np.allclose(sol.diagnostics["usage"], system.bs_power, rtol=1e-12)
+
+
+def test_min_leakage_rejects_more_streams_than_antennas(mixed_systems):
+    # 3 streams from 2-antenna BSs: no pair factor has 3 orthonormal columns
+    from dataclasses import replace
+
+    from netmimo.errors import ContractViolationError
+    system = replace(mixed_systems["serving_sets"], streams=(1, 2, 3, 2))
+    with pytest.raises(ContractViolationError):
+        min_leakage_solve(system, AlgorithmConfig(algorithm="min_leakage"))
+
+
 # ---------------------------------------------------------------------------
 # rate-maximizing outer loop
 # ---------------------------------------------------------------------------

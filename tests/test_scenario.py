@@ -1,6 +1,10 @@
 """Cellular scenario tests: geometry, antenna pattern, channel statistics,
 whitening, and cooperation assignment."""
 
+import hashlib
+import logging
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,7 @@ from netmimo import (
     ConfigurationError,
     ContractViolationError,
     ScenarioConfig,
+    SingularMatrixError,
     antenna_gain_db,
     assign_cooperation,
     build_geometry,
@@ -15,6 +20,7 @@ from netmimo import (
     realize,
     whiten_out_of_cluster,
 )
+from netmimo.scenario import MIN_DISTANCE_KM
 
 
 def base_config(**kwargs):
@@ -152,6 +158,19 @@ def test_whitening_trivial_and_scalar():
     assert out2.whiteners[0][0, 0].real == pytest.approx(expected, rel=1e-10)
 
 
+def test_whitening_rejects_ill_conditioned_covariance():
+    # one rank-one tier channel of norm 1e7: R_1 has eigenvalues 1 and ~5e13,
+    # below the psd_inv_sqrt floor of 1e-12 relative
+    cfg = base_config()
+    geom = build_geometry(cfg, np.random.default_rng(6))
+    chan = draw_channels(cfg, geom, np.random.default_rng(6))
+    gains = chan.gains.copy()
+    gains[:, chan.num_cluster_bs:] = 0.0
+    gains[1, chan.num_cluster_bs, 0, :] = 1e7
+    with pytest.raises(SingularMatrixError, match="user 1"):
+        whiten_out_of_cluster(cfg, geom, replace(chan, gains=gains))
+
+
 def test_whitening_normalizes_out_of_cluster_covariance():
     cfg = base_config()
     geom = build_geometry(cfg, np.random.default_rng(6))
@@ -230,3 +249,59 @@ def test_sectorized_realize_runs():
                       user_placement="fixed_radius", placement_fraction=2.0 / 3.0)
     system = realize(cfg, np.random.default_rng(12))
     assert system.channels.shape == (6, 3, 2, 6)
+
+
+def realize_digest(config, seeds):
+    """SHA-256 over realize()'s channel and power arrays, serving sets and
+    stream counts for each seed in turn."""
+    digest = hashlib.sha256()
+    for seed in seeds:
+        system = realize(config, np.random.default_rng(seed))
+        digest.update(np.ascontiguousarray(system.channels).tobytes())
+        digest.update(np.ascontiguousarray(system.bs_power).tobytes())
+        digest.update(repr((system.serving_sets, system.streams)).encode())
+    return digest.hexdigest()
+
+
+# Digests of the draws before realize() was vectorized (per-pair and per-user
+# loops); the batched scenario layer must reproduce them bit for bit.  They
+# depend on the numpy/LAPACK build's floating-point results.
+GOLDEN_CASES = {
+    "sectors1": (dict(cluster_size=7, nt=6, sectors=1),
+                 "c23642d755c2714bf1735060fbef73cf9fe0510f28f446efba7043297a9b064f"),
+    "sectors3": (dict(cluster_size=7, nt=6, sectors=3),
+                 "35d7d244580e2fe33cbbb8a3d02b31f6207a1c51b4ee9e5254517362ce8378fc"),
+    "sectors6": (dict(cluster_size=7, nt=6, sectors=6),
+                 "51551fa694f717602fd9b294b442c0fafbf6f7f17f34de212838b1fe3af7ee2a"),
+    "two_users_per_cell": (dict(cluster_size=5, users_per_cell=2),
+                           "fd1d41e3c5a300c88afda994316bf76f0cdea636e5a83e5416ca3d853bcc7a97"),
+    "fixed_radius": (dict(nt=6, sectors=3, users_per_cell=2, user_placement="fixed_radius"),
+                     "47451ec42127d10c8b6902c12265d9682d9c6d518c1e7719e25241bb2e4725be"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_realize_matches_golden_digest(case):
+    overrides, expected = GOLDEN_CASES[case]
+    assert realize_digest(base_config(**overrides), seeds=range(4)) == expected
+
+
+def test_colocated_user_is_clamped_to_one_metre(caplog):
+    cfg = base_config(nt=6, sectors=3)
+    geom = build_geometry(cfg, np.random.default_rng(1))
+    moved = geom.user_positions.copy()
+    moved[1] = geom.cluster_positions[1]
+    geom = type(geom)(cluster_positions=geom.cluster_positions, tier_positions=geom.tier_positions,
+                      user_positions=moved, user_cells=geom.user_cells,
+                      sector_orientations=geom.sector_orientations)
+    with caplog.at_level(logging.WARNING, logger="netmimo.scenario"):
+        chan = draw_channels(cfg, geom, np.random.default_rng(2))
+    assert [r.getMessage() for r in caplog.records] == [
+        "user 1 colocated with BS 1; clamping distance to 1 m"]
+    # the gain is that of a user 1 m away: snr0 * shadow * (d/R)^-beta per entry
+    snr0 = 10.0 ** (cfg.boundary_snr_db / 10.0)
+    expected = snr0 * 10.0 ** (chan.shadowing_db[1, 1] / 10.0) \
+        * (MIN_DISTANCE_KM / cfg.cell_radius_km) ** (-cfg.pathloss_exponent)
+    # the bearing of a zero offset is 0 rad, the boresight of sector 0
+    power = np.abs(chan.gains[1, 1, :, :2]) ** 2 / np.abs(chan.fading[1, 1, :, :2]) ** 2
+    assert np.allclose(power, expected, rtol=1e-12)
