@@ -4,53 +4,55 @@ Four families are implemented:
 
 ``dmmse``
     Per-user eigenbasis precoders that diagonalize every user's error
-    covariance: each precoder whitens the interference-pricing matrix
-    F_k = Upsilon_k + sum_m lam_m Phi_{k,m}, keeps the leading
-    eigendirections of the whitened direct-channel quadratic form, and
-    waterfills at unit level; multipliers ascend on the power residuals.
+    covariance: :func:`single_user.priced_minimizer` with the
+    interference-pricing matrices F_k = Upsilon_k + sum_m lam_m Phi_{k,m}
+    (whiten F_k, keep the leading eigendirections of the whitened
+    direct-channel quadratic form, waterfill at unit level).
 ``emmseia``
     Joint linear-system precoder update from fixed MMSE equalizers,
     B_k = (sum_l H_{l,k}^H A_l W_l A_l^H H_{l,k} + sum_m mu_m Phi_{k,m})^{-1}
-    H_{k,k}^H A_k W_k, with the multipliers searched each round until the
+    H_{k,k}^H A_k W_k, with the multipliers searched each pass until the
     complementary-slackness conditions hold.
 ``pwf``
     Transmit-covariance fixed point coupling the forward network with its
     reversed-link counterpart through pre/post-whitened channels; a single
-    water level is bisected against the multiplier-weighted power budget and
-    the multipliers update multiplicatively.  Sum-rate objective only.
+    water level is bisected against the multiplier-weighted power budget.
+    Sum-rate objective only.
 ``min_leakage``
     Alternating smallest-eigenvector updates of orthonormal transmit factors
     and receive filters minimizing the total interference power leaked into
     the intended receive subspaces, with the per-BS budget split equally
     over served streams.
 
-The ``dmmse``/``emmseia`` solvers run either on a fixed weighted-MSE
-objective or inside the rate-maximizing reweighting loop
-(:func:`srm_outer_loop`, weights refreshed to E_k^{-1} each round).  After
-the multiplier loop meets the feasibility tolerance, the multipliers are
-frozen and the inner alternation is iterated to its fixed point, so the
-returned ``dmmse``/``pwf`` solutions satisfy their structural identities
-(diagonal error covariances, self-consistent covariance equations) to tight
-tolerance.  All solvers are deterministic given problem, config and seed.
+``dmmse``, ``emmseia`` and ``pwf`` run on :func:`single_user.dual_loop`:
+pricing passes at fixed multipliers, each followed by an exit test and a
+multiplier step, then fixed-multiplier polish runs.  The multiplier rules:
+``dmmse`` ascends additively on the power residuals
+(:func:`single_user.additive_rule`), ``pwf`` takes damped multiplicative
+steps (:func:`_pwf_rule`), and ``emmseia`` has no outer rule, its KKT search
+runs inside each pass.  ``dmmse`` polishes after every pricing phase, until
+its error covariances are diagonal; ``pwf`` polishes to the covariance fixed
+point only from a pricing phase that met its exit test; ``emmseia`` does
+not polish.  The ``dmmse``/``emmseia`` solvers run either on a fixed
+weighted-MSE objective or inside the rate-maximizing reweighting loop
+(:func:`srm_outer_loop`, weights refreshed to E_k^{-1} every pass).  All
+solvers are deterministic given problem, config and seed.
 
-The ``dmmse``, ``emmseia`` and ``pwf`` loops run batched over users on the
-zero-padded :attr:`InterferenceProblem.arrays`, whatever the users' serving
-sets and stream counts.  Padding adds nothing on the real coordinates: the
-matrices that are inverted over the transmit space (``dmmse``'s pricing
-matrix F_k, ``pwf``'s reversed-link covariance, ``emmseia``'s linear system)
-get 1 on their padded diagonal, padded streams get zero weight in ``dmmse``
-and no power in ``pwf``, and each user's block is cut out only where a result
-leaves the solver (:class:`BeamformerSolution`, :class:`DualNetworkState`,
-and the error-covariance diagonality test).  ``min_leakage`` works on the
-physical per-BS form.
+The dual-loop solvers run batched over users on the zero-padded
+:attr:`InterferenceProblem.arrays`, whatever the users' serving sets and
+stream counts.  Padding adds nothing on the real coordinates: the matrices
+inverted over the transmit space (``dmmse``'s F_k, ``pwf``'s reversed-link
+covariance, ``emmseia``'s linear system) get 1 on their padded diagonal,
+padded streams get zero weight in ``dmmse`` and no power in ``pwf``, and
+each user's block is cut out only where a result leaves the solver.
+``min_leakage`` works on the physical per-BS form.
 
-Every sum-rate (``srm``) solution, from ``dmmse``/``emmseia`` in the
-reweighting loop and from ``pwf``, meets each budget by construction: when
-the last iterate is over a budget by more than ``constraint_tol`` (possible
-only on an unconverged stop), it is scaled back with :func:`fit_to_budgets`,
-the equalizers are recomputed from the scaled precoders, ``converged`` stays
-False, and the diagnostics keep the miss as ``unscaled_max_violation``.
-The fixed-weight ``wsmmse`` path returns its last iterate unscaled.
+Every sum-rate (``srm``) solution meets each budget by construction: a last
+iterate more than ``constraint_tol`` over a budget (possible only on an
+unconverged stop) is scaled back with :func:`fit_to_budgets`, ``converged``
+stays False, and the diagnostics keep the miss as
+``unscaled_max_violation``.  The fixed-weight ``wsmmse`` path returns its
+last iterate unscaled.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, NumericalFailureError, SingularMatrixError
-from .linalg import adjoint, hermitian_part, hermitian_top_eigs_batch, psd_inv_sqrt, psd_inv_sqrt_batch
+from .linalg import adjoint, bisect_level, hermitian_part, psd_inv_sqrt, psd_inv_sqrt_batch
 from .model import (
     BeamformerSolution,
     InterferenceProblem,
@@ -78,20 +80,20 @@ from .model import (
     sum_rate,
     wsmse_objective,
 )
-from .single_user import LAMBDA_CAP, LAMBDA_FLOOR, active_residual
+from .single_user import (GAIN_RTOL, LAMBDA_CAP, LAMBDA_FLOOR, MAX_POLISH_ROUNDS, active_residual, additive_rule,
+                          dual_loop, max_violation, objective_stable, priced_minimizer)
 
 ALGORITHMS = ("dmmse", "emmseia", "pwf", "min_leakage")
 OBJECTIVES = ("wsmmse", "srm")
 
-# Most fixed-multiplier polish runs a dmmse or pwf solve makes; each run
-# that drifts off the budgets re-enters pricing.
-MAX_POLISH_ROUNDS = 5
 # Relative off-diagonal mass below which an error covariance counts as diagonal.
 OFFDIAG_TOL = 1e-8
 # Complementary slackness target: |mu_m (P_m - usage_m)| <= SLACKNESS_TOL * P_m.
 SLACKNESS_TOL = 1e-3
 # Fixed-point tolerance (max relative covariance change) of the pwf polish.
 PWF_POLISH_TOL = 1e-9
+# Stall window of pwf's damped ratio rule (see dual_loop).
+PWF_STALL_WINDOW = 30
 
 
 @dataclass(frozen=True)
@@ -196,7 +198,7 @@ def _max_offdiag_mass(mats) -> float:
     return float(np.max(_norms(off) / np.maximum(_norms(mats), 1e-300)))
 
 
-def _mse_offdiag(problem: InterferenceProblem, precoders, omegas) -> float:
+def _mse_offdiag(problem: InterferenceProblem, precoders, omegas=None) -> float:
     """The largest :func:`offdiag_mass` of the users' MMSE error covariances
     E_k, each over its own d_k x d_k block: the padded diagonal (identity in
     :func:`mse_matrices_mmse`) is cleared, which leaves exactly the block's
@@ -223,20 +225,6 @@ def initialize_precoders(problem: InterferenceProblem, config: AlgorithmConfig) 
             b, _ = np.linalg.qr(z)
         precoders.append(scale * b)
     return precoders
-
-
-def _objective_stable(trace, tol: float, window: int = 5) -> bool:
-    """Every per-round objective change over the last ``window`` rounds is
-    within ``tol`` relative."""
-    if len(trace) < window + 1:
-        return False
-    ref = max(1.0, abs(trace[-1]))
-    tail = trace[-window - 1:]
-    return all(abs(b - a) <= tol * ref for a, b in zip(tail, tail[1:]))
-
-
-def _max_violation(usage: np.ndarray, budgets: np.ndarray) -> float:
-    return float(np.max((usage - budgets) / np.maximum(budgets, 1e-300)))
 
 
 def _constraint_row_supports(problem: InterferenceProblem):
@@ -282,6 +270,32 @@ def fit_to_budgets(problem: InterferenceProblem, precoders) -> tuple:
     return scaled, constraint_usage(problem, scaled)
 
 
+def _budget_guard(problem: InterferenceProblem, config: AlgorithmConfig, precoders, usage) -> tuple:
+    """The returned form of a sum-rate iterate: (precoders, usage) as they
+    are, or scaled with :func:`fit_to_budgets` when more than
+    ``constraint_tol`` over a budget (possible only on an unconverged stop,
+    since the weights move every pass)."""
+    if max_violation(usage, problem.budgets) > config.constraint_tol:
+        return fit_to_budgets(problem, precoders)
+    return precoders, usage
+
+
+def _solution(problem: InterferenceProblem, precoders, usage, multipliers, run, converged,
+              diagnostics: dict) -> BeamformerSolution:
+    """The :class:`BeamformerSolution` of a dual-loop solve from the padded
+    precoder stack it returns, their usage, and the :class:`DualRun`."""
+    return BeamformerSolution(
+        precoders=cut_padding(precoders, problem.tx_dims, problem.streams),
+        equalizers=cut_padding(mmse_equalizers(problem, precoders), problem.rx_dims, problem.streams),
+        multipliers=np.asarray(multipliers, dtype=float),
+        trace=run.trace,
+        iterations=run.iterations,
+        converged=bool(converged),
+        diagnostics={"usage": usage, "max_violation": max(max_violation(usage, problem.budgets), 0.0),
+                     **diagnostics},
+    )
+
+
 def _stream_weights(problem: InterferenceProblem, mats) -> np.ndarray:
     """The diagonals of a padded (K, d, d) weight stack as the per-stream
     weights of the diagonalizing solver, (K, d), zero on padded streams."""
@@ -321,30 +335,12 @@ def _pricing_matrices(problem, ups, lam):
     return set_padded_diagonal(f, problem.arrays.tx_pad, 1.0)
 
 
-def _pricing_inv_sqrt(problem, ups, lam):
-    """Inverse square roots of the interference-pricing matrices."""
-    f = _pricing_matrices(problem, ups, lam)
-    s, ok = psd_inv_sqrt_batch(f)
-    for k in np.flatnonzero(~ok):
-        try:
-            s[k] = psd_inv_sqrt(f[k])
-        except SingularMatrixError:
-            # one retry with the price floor lifted to the interference scale
-            guard = max(LAMBDA_FLOOR, 1e-9 * max(1.0, float(np.linalg.norm(ups[k]))))
-            lifted = _pricing_matrices(problem, ups, np.maximum(lam, guard))[k]
-            try:
-                s[k] = psd_inv_sqrt(lifted)
-            except SingularMatrixError as exc:
-                raise NumericalFailureError(
-                    f"user {k}: interference-pricing matrix stayed singular after the floor retry"
-                ) from exc
-    return s
-
-
 def _dmmse_precoder_step(problem, precoders, equalizers, weight_diags, lam, omegas=None):
-    """Simultaneous per-user precoder update at multipliers ``lam``, as the
-    padded (K, m_t, d) stack; padded streams carry zero weight and so get
-    zero columns."""
+    """Simultaneous per-user precoder update at multipliers ``lam``:
+    :func:`priced_minimizer` with the interference-pricing matrices F_k and
+    R_k = H_kk^H Omega_k^{-1} H_kk, as the padded (K, m_t, d) stack; padded
+    streams carry zero weight and so get zero columns.  A singular F_k is
+    retried once with the price floor lifted to the interference scale."""
     cross, direct = problem.arrays.cross, problem.arrays.direct
     if omegas is None:
         omegas = interference_covariances(problem, precoders)
@@ -355,19 +351,18 @@ def _dmmse_precoder_step(problem, precoders, equalizers, weight_diags, lam, omeg
     ups = np.zeros(cross.shape[:1] + cross.shape[-1:] * 2, dtype=complex)
     for l in range(problem.num_users):
         ups += adjoint(cross[l]) @ awa[l] @ cross[l]
-    s = _pricing_inv_sqrt(problem, ups, lam)
-    r = adjoint(direct) @ np.linalg.solve(np.asarray(omegas), direct)
-    m_w = s @ hermitian_part(r) @ s
-    gains, basis = hermitian_top_eigs_batch(hermitian_part(m_w), w.shape[-1])
-    # largest weight rides the strongest whitened direction
-    order = np.argsort(-w, axis=-1, kind="stable")
-    paired_w = np.take_along_axis(w, order, -1)
-    active = gains > 1e-12 * np.maximum(1.0, np.max(gains, axis=-1, initial=0.0))[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):  # waterfill_eval at mu = 1
-        levels = np.maximum(np.sqrt(paired_w / gains) - 1.0 / gains, 0.0)
-    powers = np.where(active, levels, 0.0)
-    columns = s @ (basis * np.sqrt(powers)[:, None, :])
-    return np.take_along_axis(columns, np.argsort(order, axis=-1)[:, None, :], -1)
+    r = hermitian_part(adjoint(direct) @ np.linalg.solve(np.asarray(omegas), direct))
+
+    def lift(k):
+        guard = max(LAMBDA_FLOOR, 1e-9 * max(1.0, float(np.linalg.norm(ups[k]))))
+        try:
+            return psd_inv_sqrt(_pricing_matrices(problem, ups, np.maximum(lam, guard))[k])
+        except SingularMatrixError as exc:
+            raise NumericalFailureError(
+                f"user {k}: interference-pricing matrix stayed singular after the floor retry"
+            ) from exc
+
+    return priced_minimizer(_pricing_matrices(problem, ups, lam), r, w, lift)
 
 
 # ---------------------------------------------------------------------------
@@ -457,157 +452,95 @@ def _emmseia_multiplier_search(problem, equalizers, weights, mu, constraint_tol,
 
 
 # ---------------------------------------------------------------------------
-# shared driver for dmmse / emmseia in both objectives
+# dmmse / emmseia in both objectives
 # ---------------------------------------------------------------------------
 
 def _iterate_mse_family(problem, config, inner: str, objective: str, initial=None) -> BeamformerSolution:
+    """``dmmse`` or ``emmseia`` on :func:`dual_loop`.  ``dmmse`` steps its
+    multipliers with the :func:`additive_rule` (frozen at
+    ``subgradient_step=0``) and polishes at fixed multipliers until the error
+    covariances are diagonal; ``emmseia`` carries the KKT multipliers of its
+    per-pass search across passes and does not polish."""
     budgets = problem.budgets
     arrays = problem.arrays
     precoders = arrays.precoders(initialize_precoders(problem, config) if initial is None else initial)
     omegas = interference_covariances(problem, precoders)
     equalizers = mmse_equalizers(problem, precoders, omegas)
-    lam = np.full(problem.num_constraints, config.lambda_init)
-    fixed_weights = _diagonal_weights(problem) if inner == "dmmse" else arrays.mse_weights
-
-    trace: list = []
-    usage = constraint_usage(problem, precoders)
-    best_residual = np.inf
-    stall = 0
-    diminish_from = None
+    usage = None
+    mu = np.full(problem.num_constraints, config.lambda_init)  # emmseia's KKT multipliers
+    dmmse = inner == "dmmse"
+    fixed_weights = _diagonal_weights(problem) if dmmse else arrays.mse_weights
     slack_ok = True
-    iterations = 0
-    polish_start = None
+    # The inner subproblem at fixed multipliers minimizes the priced
+    # objective wsmse + lam.(usage - P); its per-pass values are the
+    # provably non-increasing descent quantity, recorded for diagnostics.
+    priced_trace: list = []
 
     def current_weights():
         if objective != "srm":
             return fixed_weights
         mats = srm_weight_update(problem, precoders, omegas)
-        return _stream_weights(problem, mats) if inner == "dmmse" else mats
+        return _stream_weights(problem, mats) if dmmse else mats
 
-    def one_pass(weights, lam_now, mu_now):
-        nonlocal precoders, equalizers, usage, slack_ok, omegas
-        if inner == "dmmse":
-            precoders = _dmmse_precoder_step(problem, precoders, equalizers, weights, lam_now,
-                                             omegas=omegas)
+    def run_pass(lam):
+        nonlocal precoders, equalizers, usage, slack_ok, omegas, mu
+        weights = current_weights()
+        if dmmse:
+            precoders = _dmmse_precoder_step(problem, precoders, equalizers, weights, lam, omegas=omegas)
             omegas = interference_covariances(problem, precoders)
             equalizers = mmse_equalizers(problem, precoders, omegas)
             usage = constraint_usage(problem, precoders)
-            return mu_now
-        equalizers = mmse_equalizers(problem, precoders, omegas)
-        # search to half the tolerance so the returned point clears it with margin
-        mu_now, precoders_new, usage_new = _emmseia_multiplier_search(
-            problem, equalizers, weights, mu_now, 0.5 * config.constraint_tol
-        )
-        precoders = precoders_new
-        omegas = interference_covariances(problem, precoders)
-        usage = usage_new
-        slack_ok = bool(np.all(np.abs(mu_now * (budgets - usage)) <= SLACKNESS_TOL * budgets))
-        return mu_now
-
-    def objective_value():
+        else:
+            equalizers = mmse_equalizers(problem, precoders, omegas)
+            # search to half the tolerance so the returned point clears it with margin
+            mu, precoders, usage = _emmseia_multiplier_search(
+                problem, equalizers, weights, mu, 0.5 * config.constraint_tol
+            )
+            omegas = interference_covariances(problem, precoders)
+            slack_ok = bool(np.all(np.abs(mu * (budgets - usage)) <= SLACKNESS_TOL * budgets))
         if objective == "srm":
             return sum_rate(problem, precoders, omegas=omegas)
-        return wsmse_objective(problem, precoders, equalizers, omegas=omegas)
+        value = wsmse_objective(problem, precoders, equalizers, omegas=omegas)
+        if dmmse:
+            priced_trace.append(value + float(np.dot(lam, usage - budgets)))
+        return value
 
-    # The inner subproblem at fixed multipliers minimizes the priced
-    # objective wsmse + lam.(usage - P); its per-iteration values are the
-    # provably non-increasing descent quantity, recorded for diagnostics.
-    priced_trace: list = []
-
-    def record_objective(lam_now):
-        trace.append(objective_value())
-        if inner == "dmmse" and objective == "wsmmse":
-            priced_trace.append(trace[-1] + float(np.dot(lam_now, usage - budgets)))
-
-    def pricing_exit_ok():
-        if _max_violation(usage, budgets) > config.constraint_tol or not slack_ok:
+    def exit_test(trace, usage, lam):
+        if max_violation(usage, budgets) > config.constraint_tol or not slack_ok:
             return False
-        if inner == "dmmse" and active_residual(usage, budgets, lam) > config.constraint_tol:
+        if dmmse and active_residual(usage, budgets, lam) > config.constraint_tol:
             return False
-        return _objective_stable(trace, config.inner_tol)
+        return objective_stable(trace, config.inner_tol)
 
-    mu = lam.copy()  # emmseia carries its KKT multipliers across rounds
-    pricing_budget = config.max_outer
-    for _ in range(MAX_POLISH_ROUNDS):
-        # pricing phase: multiplier updates interleaved with the alternation
-        while pricing_budget > 0:
-            pricing_budget -= 1
-            weights = current_weights()
-            mu = one_pass(weights, lam, mu)
-            iterations += 1
-            record_objective(lam)
-            if pricing_exit_ok():
-                break
-            if inner == "dmmse" and config.subgradient_step > 0:
-                residual = active_residual(usage, budgets, lam)
-                if residual < best_residual - 1e-12:
-                    best_residual = residual
-                    stall = 0
-                else:
-                    stall += 1
-                    if stall >= 50 and diminish_from is None:
-                        diminish_from = iterations
-                step = config.subgradient_step if diminish_from is None \
-                    else config.subgradient_step / np.sqrt(1 + iterations - diminish_from)
-                lam = np.maximum(LAMBDA_FLOOR, lam + step * (usage - budgets))
-                if np.max(lam) > LAMBDA_CAP:
-                    raise NumericalFailureError(
-                        f"power-price multipliers diverged (max {np.max(lam):.3e}, "
-                        f"violation {_max_violation(usage, budgets):.3e})"
-                    )
-        if inner != "dmmse":
-            break
-        # Fixed-multiplier polish: run the inner alternation to its fixed
-        # point so the error covariances become diagonal to tolerance.  The
-        # inner fixed point can drift usage off the budgets when the
-        # multipliers were not fully settled; re-enter pricing if so.
-        polish_start = len(trace)
-        for _ in range(config.max_inner):
-            weights = current_weights()
-            previous = precoders  # one_pass binds a new stack
-            one_pass(weights, lam, mu)
-            iterations += 1
-            record_objective(lam)
-            offdiag = _mse_offdiag(problem, precoders, omegas)
-            drift = float(np.max(_norms(precoders - previous) / np.maximum(_norms(precoders), 1e-300)))
-            if offdiag <= OFFDIAG_TOL and drift <= 1e-9:
-                break
-        if _max_violation(usage, budgets) <= config.constraint_tol or pricing_budget <= 0:
-            break
+    def polish_step(lam):
+        # fixed-multiplier pass toward the inner fixed point, where the
+        # error covariances are diagonal to tolerance
+        previous = precoders  # run_pass binds a new stack
+        value = run_pass(lam)
+        offdiag = _mse_offdiag(problem, precoders, omegas)
+        drift = float(np.max(_norms(precoders - previous) / np.maximum(_norms(precoders), 1e-300)))
+        return value, offdiag <= OFFDIAG_TOL and drift <= 1e-9
 
-    violation = _max_violation(usage, budgets)
-    if objective == "srm" and violation > config.constraint_tol:
-        # the weights move every pass, so an unconverged stop can sit over
-        # a budget; return the iterate scaled back into every budget
-        precoders, usage = fit_to_budgets(problem, precoders)
-        omegas = interference_covariances(problem, precoders)
-    offdiag = _mse_offdiag(problem, precoders, omegas) if inner == "dmmse" else None
-    converged = violation <= config.constraint_tol and slack_ok and _objective_stable(trace, config.inner_tol)
-    if inner == "dmmse":
-        converged = converged and offdiag is not None and offdiag <= OFFDIAG_TOL
+    rule = additive_rule(config.subgradient_step) if dmmse and config.subgradient_step > 0 else None
+    run = dual_loop(run_pass, lambda: usage, exit_test, np.full(problem.num_constraints, config.lambda_init),
+                    budgets, config.max_outer, rule=rule, polish=(lambda: polish_step) if dmmse else None,
+                    max_inner=config.max_inner, polish_unconverged=True, constraint_tol=config.constraint_tol)
 
-    diagnostics = {
-        "usage": usage,
-        "max_violation": max(_max_violation(usage, budgets), 0.0),
-        "objective": objective,
-    }
+    violation = max_violation(run.usage, budgets)
+    returned, usage = precoders, run.usage
+    if objective == "srm":
+        returned, usage = _budget_guard(problem, config, precoders, usage)
+    converged = violation <= config.constraint_tol and slack_ok and objective_stable(run.trace, config.inner_tol)
+    diagnostics = {"objective": objective}
     if objective == "srm":
         diagnostics["unscaled_max_violation"] = max(violation, 0.0)
-    if inner == "dmmse":
-        diagnostics["offdiag"] = offdiag
-        diagnostics["polish_start"] = polish_start
-        if priced_trace:
+    if dmmse:
+        offdiag = _mse_offdiag(problem, returned, omegas if returned is precoders else None)
+        converged = converged and offdiag <= OFFDIAG_TOL
+        diagnostics.update(offdiag=offdiag, polish_start=run.polish_start)
+        if objective == "wsmmse":
             diagnostics["priced_trace"] = priced_trace
-    multipliers = lam if inner == "dmmse" else mu
-    return BeamformerSolution(
-        precoders=cut_padding(precoders, problem.tx_dims, problem.streams),
-        equalizers=cut_padding(mmse_equalizers(problem, precoders), problem.rx_dims, problem.streams),
-        multipliers=np.asarray(multipliers, dtype=float),
-        trace=trace,
-        iterations=iterations,
-        converged=bool(converged),
-        diagnostics=diagnostics,
-    )
+    return _solution(problem, returned, usage, run.lam if dmmse else mu, run, converged, diagnostics)
 
 
 def dmmse_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = None,
@@ -716,54 +649,19 @@ def _pwf_forward(problem, covariances, dual_covariances, lam, omegas=None):
     gains = sing[:, :d] ** 2
     cmat = adjoint(right) @ s_hat @ priced @ s_hat @ right
     coefs = np.maximum(np.diagonal(cmat, axis1=-2, axis2=-1).real, 0.0)
-    keep = gains > 1e-12 * np.maximum(1.0, np.max(gains, axis=-1, initial=0.0))[:, None]
+    keep = gains > GAIN_RTOL * np.maximum(1.0, np.max(gains, axis=-1, initial=0.0))[:, None]
     keep[arrays.stream_pad] = False
-    mu = _water_level(gains[keep], coefs[keep], target)
+    gains_flat, coefs_flat = gains[keep], coefs[keep]
+    inv_gains = 1.0 / gains_flat
+    if gains_flat.size == 0 or np.sum(coefs_flat) <= 0 or target <= 0:
+        raise NumericalFailureError("waterfilling cannot meet the multiplier-weighted budget")
+    # the water level at which the usage sum_i c_i [1/mu - 1/g_i]^+ meets the target
+    mu = bisect_level(lambda level: float(np.add.reduce(coefs_flat * np.maximum(1.0 / level - inv_gains, 0.0))),
+                      target, "water-level")
     powers = np.zeros_like(gains)
     powers[keep] = np.maximum(1.0 / mu - 1.0 / gains[keep], 0.0)
     factor = s_hat @ (right * np.sqrt(powers)[:, None, :])
     return hermitian_part(factor @ adjoint(factor)), float(mu)
-
-
-def _water_level(gains_flat, coefs_flat, target):
-    """Bisect the shared water level mu so that the multiplier-weighted usage
-    sum_i c_i [1/mu - 1/g_i]^+ meets ``target``."""
-
-    inv_gains = 1.0 / gains_flat
-
-    def weighted_usage(mu):
-        return float(np.add.reduce(coefs_flat * np.maximum(1.0 / mu - inv_gains, 0.0)))
-
-    if gains_flat.size == 0 or np.sum(coefs_flat) <= 0 or target <= 0:
-        raise NumericalFailureError("waterfilling cannot meet the multiplier-weighted budget")
-    lo = 1e-12
-    guard = 0
-    while weighted_usage(lo) < target:
-        lo *= 1e-2
-        guard += 1
-        if guard > 100:
-            raise NumericalFailureError("water-level bisection could not bracket the budget from below")
-    hi = max(1.0, 2.0 * lo)
-    guard = 0
-    while weighted_usage(hi) > target:
-        hi *= 2.0
-        guard += 1
-        if guard > 200:
-            raise NumericalFailureError("water-level bisection could not bracket the budget from above")
-    mu = 0.5 * (lo + hi)
-    tol = 1e-9 * max(1.0, target)
-    for _ in range(200):
-        mu = 0.5 * (lo + hi)
-        u = weighted_usage(mu)
-        if abs(u - target) <= tol:
-            break
-        if u > target:
-            lo = mu
-        else:
-            hi = mu
-    else:
-        raise NumericalFailureError("water-level bisection did not converge")
-    return mu
 
 
 def _cov_usage(problem, covariances) -> np.ndarray:
@@ -785,96 +683,79 @@ def pwf_fixed_point_residual(problem: InterferenceProblem, state: DualNetworkSta
     return float(np.max(_norms(reproduced - covariances) / np.maximum(old_norms, 1e-12 * scale)))
 
 
+def _pwf_rule(lam, usage, budgets, since):
+    """Damped multiplicative multiplier step lam <- lam * ratio^eta on the
+    clipped usage ratios.  The undamped ratio update limit-cycles on
+    strongly coupled instances; eta diminishes once the stall clock runs
+    out, averaging any remaining cycle out."""
+    eta = 0.5 if since is None else 0.5 / np.sqrt(1 + since / 10.0)
+    ratio = np.clip(usage / np.maximum(budgets, 1e-300), 0.25, 4.0)
+    return np.clip(lam * np.maximum(ratio, LAMBDA_FLOOR) ** eta, LAMBDA_FLOOR, LAMBDA_CAP)
+
+
 def pwf_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = None,
               initial=None) -> BeamformerSolution:
     """Covariance fixed-point solver for the sum-rate objective (see module
-    docstring).  The returned precoders meet every budget by construction:
+    docstring), on :func:`dual_loop` with :func:`_pwf_rule`.  The polish
+    iterates the covariance map at fixed multipliers, and only from a
+    pricing state that met its exit test: the map can diverge at far-off
+    multipliers.  The returned precoders meet every budget by construction:
     an over-budget last iterate is scaled back with :func:`fit_to_budgets`
     and reported as unconverged.  The diagnostics carry the last iterate's
     :class:`DualNetworkState` for structural verification."""
     config = (config or AlgorithmConfig(algorithm="pwf", objective="srm")).validate()
     arrays = problem.arrays
+    budgets = problem.budgets
     precoders = arrays.precoders(initialize_precoders(problem, config) if initial is None else initial)
     covariances = precoders @ adjoint(precoders)
-    lam = np.full(problem.num_constraints, config.lambda_init)
     mu = 1.0
     totals = _cov_totals(problem, covariances)
     duals = _dual_covariances(problem, covariances, mu, totals)
-    budgets = problem.budgets
 
-    trace: list = []
-    iterations = 0
-    best_residual = np.inf
-    stall = 0
-    diminish_from = None
-    pricing_budget = config.max_outer
-    usage = _cov_usage(problem, covariances)
-    for _ in range(MAX_POLISH_ROUNDS):
-        # pricing phase: damped multiplicative multiplier ascent.  The
-        # undamped ratio update limit-cycles on strongly coupled instances;
-        # the damping exponent diminishes once the active residual stalls,
-        # averaging any remaining cycle out.
-        priced_converged = False
-        while pricing_budget > 0:
-            pricing_budget -= 1
-            covariances, mu = _pwf_forward(problem, covariances, duals, lam, totals[0])
-            totals = _cov_totals(problem, covariances)
-            duals = _dual_covariances(problem, covariances, mu, totals)
-            usage = _cov_usage(problem, covariances)
-            iterations += 1
-            trace.append(_cov_rate(problem, covariances, totals))
-            violation = _max_violation(usage, budgets)
-            residual = active_residual(usage, budgets, lam)
-            if violation <= config.constraint_tol and residual <= config.constraint_tol \
-                    and _objective_stable(trace, config.inner_tol):
-                priced_converged = True
-                break
-            if residual < best_residual - 1e-12:
-                best_residual = residual
-                stall = 0
-            else:
-                stall += 1
-                if stall >= 30 and diminish_from is None:
-                    diminish_from = iterations
-            eta = 0.5 if diminish_from is None \
-                else 0.5 / np.sqrt(1 + (iterations - diminish_from) / 10.0)
-            ratio = np.clip(usage / np.maximum(budgets, 1e-300), 0.25, 4.0)
-            lam = np.clip(lam * np.maximum(ratio, LAMBDA_FLOOR) ** eta, LAMBDA_FLOOR, LAMBDA_CAP)
+    def run_pass(lam):
+        nonlocal covariances, mu, totals, duals
+        covariances, mu = _pwf_forward(problem, covariances, duals, lam, totals[0])
+        totals = _cov_totals(problem, covariances)
+        duals = _dual_covariances(problem, covariances, mu, totals)
+        return _cov_rate(problem, covariances, totals)
 
-        if not priced_converged:
-            break
-        # Fixed-multiplier polish to the covariance fixed point (only from a
-        # feasible pricing state; the map can diverge at far-off multipliers).
-        # The fixed point can drift usage off the budgets when the
-        # multipliers were not fully settled; re-enter pricing if so.
-        prev_delta = np.inf
-        growth = 0
-        for _ in range(config.max_inner):
-            new_cov, mu = _pwf_forward(problem, covariances, duals, lam, totals[0])
-            totals = _cov_totals(problem, new_cov)
-            duals = _dual_covariances(problem, new_cov, mu, totals)
-            iterations += 1
-            trace.append(_cov_rate(problem, new_cov, totals))
-            old_norms = _norms(covariances)
+    def exit_test(trace, usage, lam):
+        return max_violation(usage, budgets) <= config.constraint_tol \
+            and active_residual(usage, budgets, lam) <= config.constraint_tol \
+            and objective_stable(trace, config.inner_tol)
+
+    def polish():
+        prev_delta, growth = np.inf, 0
+
+        def step(lam):
+            # stops at the fixed point, or when the change grew more than
+            # twofold in two passes running
+            nonlocal prev_delta, growth
+            previous = covariances  # run_pass binds a new stack
+            value = run_pass(lam)
+            old_norms = _norms(previous)
             scale = max(float(np.max(old_norms)), 1e-300)
-            delta = float(np.max(_norms(new_cov - covariances) / np.maximum(old_norms, 1e-12 * scale)))
-            covariances = new_cov
+            delta = float(np.max(_norms(covariances - previous) / np.maximum(old_norms, 1e-12 * scale)))
             if delta <= PWF_POLISH_TOL:
-                break
+                return value, True
             growth = growth + 1 if delta > 2.0 * prev_delta else 0
-            if growth >= 2:
-                break
             prev_delta = delta
-        usage = _cov_usage(problem, covariances)
-        if _max_violation(usage, budgets) <= config.constraint_tol or pricing_budget <= 0:
-            break
-    usage = _cov_usage(problem, covariances)
-    violation = _max_violation(usage, budgets)
+            return value, growth >= 2
 
+        return step
+
+    run = dual_loop(
+        run_pass, lambda: _cov_usage(problem, covariances), exit_test,
+        np.full(problem.num_constraints, config.lambda_init), budgets, config.max_outer,
+        rule=_pwf_rule, stall_window=PWF_STALL_WINDOW, polish=polish, max_inner=config.max_inner,
+        constraint_tol=config.constraint_tol,
+    )
+    usage = run.usage
+    violation = max_violation(usage, budgets)
     state = DualNetworkState(
         covariances=tuple(cut_padding(covariances, problem.tx_dims, problem.tx_dims)),
         dual_covariances=tuple(cut_padding(duals, problem.rx_dims, problem.rx_dims)),
-        multipliers=lam.copy(),
+        multipliers=run.lam.copy(),
         water_level=mu,
     )
     precoders = []
@@ -882,21 +763,10 @@ def pwf_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = Non
         vals, vecs = np.linalg.eigh(cov)
         order = np.argsort(-vals, kind="stable")[:d]
         precoders.append(vecs[:, order] * np.sqrt(np.maximum(vals[order], 0.0)))
-    precoders = arrays.precoders(precoders)
-    converged = violation <= config.constraint_tol and _objective_stable(trace, config.inner_tol)
-    if violation > config.constraint_tol:
-        precoders, usage = fit_to_budgets(problem, precoders)
-    return BeamformerSolution(
-        precoders=cut_padding(precoders, problem.tx_dims, problem.streams),
-        equalizers=cut_padding(mmse_equalizers(problem, precoders), problem.rx_dims, problem.streams),
-        multipliers=lam.copy(),
-        trace=trace,
-        iterations=iterations,
-        converged=bool(converged),
-        diagnostics={"usage": usage, "max_violation": max(_max_violation(usage, budgets), 0.0),
-                     "unscaled_max_violation": max(violation, 0.0), "state": state,
-                     "objective": "srm"},
-    )
+    converged = violation <= config.constraint_tol and objective_stable(run.trace, config.inner_tol)
+    precoders, usage = _budget_guard(problem, config, arrays.precoders(precoders), usage)
+    return _solution(problem, precoders, usage, run.lam.copy(), run, converged,
+                     {"unscaled_max_violation": max(violation, 0.0), "state": state, "objective": "srm"})
 
 
 # ---------------------------------------------------------------------------
@@ -1038,7 +908,7 @@ def min_leakage_solve(system: PartialCooperationSystem, config: AlgorithmConfig 
         trace=trace,
         iterations=iterations,
         converged=bool(converged),
-        diagnostics={"usage": usage, "max_violation": max(_max_violation(usage, system.bs_power), 0.0),
+        diagnostics={"usage": usage, "max_violation": max(max_violation(usage, system.bs_power), 0.0),
                      "state": state, "objective": "leakage"},
     )
 

@@ -191,10 +191,43 @@ def waterfill_eval(weights, gains, mu: float) -> PowerAllocation:
     return PowerAllocation(levels=np.maximum(p, 0.0), multiplier=float(mu))
 
 
+def bisect_level(total, target: float, label: str) -> float:
+    """Water level mu at which the non-increasing map ``total`` meets
+    ``target`` within ``BUDGET_RTOL * max(1, target)``: the bracket
+    [1e-12, 1] is widened (x1e-2 down at most 100 times, x2 up at most 200
+    times), then halved at most 200 times.  Failures raise
+    :class:`NumericalFailureError` naming the ``label`` bisection."""
+    lo = 1e-12
+    guard = 0
+    while total(lo) < target:
+        lo *= 1e-2
+        guard += 1
+        if guard > 100:
+            raise NumericalFailureError(f"{label} bisection could not bracket the budget from below")
+    hi = max(1.0, 2.0 * lo)
+    guard = 0
+    while total(hi) > target:
+        hi *= 2.0
+        guard += 1
+        if guard > 200:
+            raise NumericalFailureError(f"{label} bisection could not bracket the budget from above")
+    tol = BUDGET_RTOL * max(1.0, target)
+    for _ in range(200):
+        mu = 0.5 * (lo + hi)
+        t = total(mu)
+        if abs(t - target) <= tol:
+            return mu
+        if t > target:
+            lo = mu
+        else:
+            hi = mu
+    raise NumericalFailureError(f"{label} bisection did not reach the budget tolerance")
+
+
 def waterfill_budget(weights, gains, budget: float) -> PowerAllocation:
     """Waterfilling powers meeting a total budget: sum_i p_i(mu) = budget
-    within ``1e-9 * max(1, budget)``, with mu found by bisection on the
-    monotone (non-increasing) map mu -> sum_i p_i(mu).
+    within ``1e-9 * max(1, budget)``, with mu found by :func:`bisect_level`
+    on the monotone (non-increasing) map mu -> sum_i p_i(mu).
 
     A zero budget returns the all-zero allocation with mu = inf.
     """
@@ -204,33 +237,7 @@ def waterfill_budget(weights, gains, budget: float) -> PowerAllocation:
     if budget == 0:
         return PowerAllocation(levels=np.zeros_like(w), multiplier=float("inf"))
 
-    tol = BUDGET_RTOL * max(1.0, budget)
-
     def total(mu: float) -> float:
         return float(np.sum(np.maximum(np.sqrt(w / (mu * g)) - 1.0 / g, 0.0)))
 
-    lo = 1e-12
-    guard = 0
-    while total(lo) < budget:
-        lo *= 1e-2
-        guard += 1
-        if guard > 100:
-            raise NumericalFailureError("waterfilling bisection could not bracket the budget from below")
-    hi = max(2.0 * lo, 1.0)
-    guard = 0
-    while total(hi) > budget:
-        hi *= 2.0
-        guard += 1
-        if guard > 200:
-            raise NumericalFailureError("waterfilling bisection could not bracket the budget from above")
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        t = total(mid)
-        if abs(t - budget) <= tol:
-            return waterfill_eval(w, g, mid)
-        if t > budget:
-            lo = mid
-        else:
-            hi = mid
-    raise NumericalFailureError("waterfilling bisection did not reach the budget tolerance")
+    return waterfill_eval(w, g, bisect_level(total, budget, "waterfilling"))

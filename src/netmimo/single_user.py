@@ -1,12 +1,22 @@
-"""Single-user weighted-MMSE precoder design under trace constraints.
+"""Single-user weighted-MMSE precoder design under trace constraints, and
+the dual loop and priced minimizer that every netmimo dual method runs on.
 
 With one constraint the optimum is closed form: whiten the constraint,
 keep the leading eigendirections of the whitened channel quadratic form
 R = H^H Omega^{-1} H, and waterfill the per-stream powers against the
-budget.  With several constraints the same machinery drives a dual
-subgradient method: for multipliers lam, the Lagrangian minimizer is the
-closed form with aggregate weight sum_m lam_m Phi_m at unit water level,
-and lam ascends on the constraint residuals.
+budget.  With several, :func:`solve_multi_constraint` prices them with
+multipliers lam: the Lagrangian minimizer is the closed form with
+aggregate weight sum_m lam_m Phi_m at unit water level, and lam ascends on
+the constraint residuals.
+
+Shared with ``algorithms``: :func:`priced_minimizer` is that minimizer
+batched over users (``dmmse`` calls it with its interference-pricing
+matrices; :func:`lagrangian_minimizer` is its K=1 case), and
+:func:`dual_loop` is the pricing/polish loop of ``dmmse``, ``emmseia``,
+``pwf`` and :func:`solve_multi_constraint`.  Each passes in its own pass,
+exit test and multiplier rule: :func:`additive_rule` for ``dmmse`` and
+:func:`solve_multi_constraint`, a damped ratio rule for ``pwf``, and none
+for ``emmseia``, whose KKT search runs inside its pass.
 """
 
 from __future__ import annotations
@@ -15,8 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolationError, NumericalFailureError
-from .linalg import hermitian_top_eigs, psd_inv_sqrt, waterfill_budget, waterfill_eval
+from .errors import ContractViolationError, NumericalFailureError, SingularMatrixError
+from .linalg import (hermitian_part, hermitian_top_eigs, hermitian_top_eigs_batch, psd_inv_sqrt,
+                     psd_inv_sqrt_batch, require_hermitian, waterfill_budget)
 
 # Bounds of the power-price multipliers of every dual loop in netmimo.
 LAMBDA_FLOOR = 1e-9
@@ -24,6 +35,12 @@ LAMBDA_CAP = 1e12
 # Gains below GAIN_RTOL * max(1, gain_max) carry no usable signal; their
 # streams keep zero precoder columns so d is preserved.
 GAIN_RTOL = 1e-12
+# Most fixed-multiplier polish runs of a dual loop; each run that drifts off
+# the budgets re-enters pricing.
+MAX_POLISH_ROUNDS = 5
+# Pricing passes without a new best active residual after which a
+# multiplier rule's step starts to diminish (the additive rule's window).
+STALL_WINDOW = 50
 
 
 @dataclass(frozen=True)
@@ -105,23 +122,6 @@ class DualIterationResult:
     binding: bool = False
 
 
-def _whitened_spectrum(problem: SingleUserProblem, phi: np.ndarray):
-    """Eigen-structure of S R S for S = phi^{-1/2}; returns (S, gains, basis)."""
-    s = psd_inv_sqrt(phi)
-    r = problem.quadratic_form()
-    m = s @ r @ s
-    spec = hermitian_top_eigs(0.5 * (m + m.conj().T), problem.streams)
-    return s, spec.values, spec.basis
-
-
-def _assemble(s: np.ndarray, basis: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    return s @ (basis * np.sqrt(np.maximum(powers, 0.0)))
-
-
-def _active_gains(gains: np.ndarray) -> np.ndarray:
-    return gains > GAIN_RTOL * max(1.0, float(np.max(gains, initial=0.0)))
-
-
 def active_residual(usage: np.ndarray, budgets: np.ndarray, lam: np.ndarray) -> float:
     """Dual residual over active coordinates: constraints that are violated
     or carry a meaningfully positive multiplier.  Slack constraints whose
@@ -133,11 +133,136 @@ def active_residual(usage: np.ndarray, budgets: np.ndarray, lam: np.ndarray) -> 
     return float(np.max(rel[active]))
 
 
-def weight_rank_order(weights: np.ndarray) -> np.ndarray:
-    """Stream indices by descending weight.  The optimal stream-to-direction
-    assignment rides the largest weight on the strongest eigendirection
-    (rearrangement: the active-stream cost sums sqrt(w_i / g_i))."""
-    return np.argsort(-np.asarray(weights), kind="stable")
+def max_violation(usage: np.ndarray, budgets: np.ndarray) -> float:
+    """Largest relative budget excess max_m (usage_m - P_m) / P_m."""
+    return float(np.max((usage - budgets) / np.maximum(budgets, 1e-300)))
+
+
+def objective_stable(trace, tol: float, window: int = 5) -> bool:
+    """Every per-pass objective change over the last ``window`` passes is
+    within ``tol`` relative."""
+    if len(trace) < window + 1:
+        return False
+    ref = max(1.0, abs(trace[-1]))
+    tail = trace[-window - 1:]
+    return all(abs(b - a) <= tol * ref for a, b in zip(tail, tail[1:]))
+
+
+def priced_minimizer(f, r, weights, lift=None) -> np.ndarray:
+    """Minimizers B_k of tr{W_k (I + B^H R_k B)^{-1}} + tr{F_k B B^H} for
+    (K, n, n) Hermitian stacks ``f`` and ``r`` and (K, d) stream
+    ``weights``, as the (K, n, d) stack: B_k = S_k U_k diag(sqrt p) with
+    S_k = F_k^{-1/2}, U_k the top-d eigenvectors of S_k R_k S_k, and the
+    unit-level waterfill p_i = [sqrt(w_i / g_i) - 1/g_i]^+ on the gains
+    above ``GAIN_RTOL``.  A singular F_k raises :class:`SingularMatrixError`
+    unless ``lift(k)`` supplies a replacement S_k."""
+    s, ok = psd_inv_sqrt_batch(f)
+    for k in np.flatnonzero(~ok):
+        try:
+            s[k] = psd_inv_sqrt(f[k])
+        except SingularMatrixError:
+            if lift is None:
+                raise
+            s[k] = lift(k)
+    gains, basis = hermitian_top_eigs_batch(hermitian_part(s @ r @ s), weights.shape[-1])
+    # largest weight rides the strongest whitened direction (rearrangement:
+    # the active-stream cost sums sqrt(w_i / g_i))
+    order = np.argsort(-weights, axis=-1, kind="stable")
+    paired_w = np.take_along_axis(weights, order, -1)
+    active = gains > GAIN_RTOL * np.maximum(1.0, np.max(gains, axis=-1, initial=0.0))[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # waterfill_eval at mu = 1
+        levels = np.maximum(np.sqrt(paired_w / gains) - 1.0 / gains, 0.0)
+    powers = np.where(active, levels, 0.0)
+    columns = s @ (basis * np.sqrt(powers)[:, None, :])
+    return np.take_along_axis(columns, np.argsort(order, axis=-1)[:, None, :], -1)
+
+
+def additive_rule(step: float):
+    """The subgradient multiplier rule lam <- max(floor, lam + t (usage - P))
+    with t = ``step``, or step / sqrt(1 + n) n passes after the stall clock
+    ran out."""
+
+    def update(lam, usage, budgets, since):
+        t = step if since is None else step / np.sqrt(1 + since)
+        return np.maximum(LAMBDA_FLOOR, lam + t * (usage - budgets))
+
+    return update
+
+
+@dataclass
+class DualRun:
+    """Where a :func:`dual_loop` stopped; ``priced_exit``: the last pricing
+    phase met its exit test."""
+
+    lam: np.ndarray
+    usage: np.ndarray
+    trace: list
+    iterations: int
+    polish_start: int | None
+    priced_exit: bool
+
+
+def dual_loop(run_pass, usage_of, exit_test, lam, budgets, max_outer: int, *, rule=None,
+              stall_window: int = STALL_WINDOW, polish=None, max_inner: int = 0,
+              polish_unconverged: bool = False, constraint_tol: float = 0.0) -> DualRun:
+    """The pricing/polish loop of every dual method.
+
+    A pricing pass ``run_pass(lam)`` returns the objective value;
+    ``usage_of()`` gives the usage after it.  Unless ``exit_test(trace,
+    usage, lam)`` holds, ``rule(lam, usage, budgets, since)`` steps lam
+    (``rule=None``: fixed); ``since`` is None until ``stall_window`` passes
+    in a row bring no new best :func:`active_residual`, then the passes
+    since.  ``max_outer`` pricing passes serve all rounds.  Then
+    ``polish()`` (pricing that ran out of passes only with
+    ``polish_unconverged``) returns a pass ``step(lam) -> (value, done)``,
+    run at most ``max_inner`` times; a polish run ending more than
+    ``constraint_tol`` over a budget re-enters pricing, for at most
+    ``MAX_POLISH_ROUNDS`` rounds."""
+    trace: list = []
+    iterations = 0
+    polish_start = None
+    best_residual, stall, diminish_from = np.inf, 0, None
+    usage = None
+    pricing_budget = max_outer
+    for _ in range(MAX_POLISH_ROUNDS):
+        exited = False
+        while pricing_budget > 0:
+            pricing_budget -= 1
+            trace.append(run_pass(lam))
+            iterations += 1
+            usage = usage_of()
+            if exit_test(trace, usage, lam):
+                exited = True
+                break
+            if rule is None:
+                continue
+            residual = active_residual(usage, budgets, lam)
+            if residual < best_residual - 1e-12:
+                best_residual, stall = residual, 0
+            else:
+                stall += 1
+                if stall >= stall_window and diminish_from is None:
+                    diminish_from = iterations
+            lam = rule(lam, usage, budgets, None if diminish_from is None else iterations - diminish_from)
+            if np.max(lam) > LAMBDA_CAP:
+                raise NumericalFailureError(
+                    f"power-price multipliers diverged (max {np.max(lam):.3e} after {iterations} "
+                    f"passes, violation {max_violation(usage, budgets):.3e})"
+                )
+        if polish is None or not (exited or polish_unconverged):
+            break
+        polish_start = len(trace)
+        step = polish()
+        for _ in range(max_inner):
+            value, done = step(lam)
+            trace.append(value)
+            iterations += 1
+            if done:
+                break
+        usage = usage_of()
+        if max_violation(usage, budgets) <= constraint_tol or pricing_budget <= 0:
+            break
+    return DualRun(lam, usage, trace, iterations, polish_start, exited)
 
 
 def solve_single_constraint(problem: SingleUserProblem) -> SingleUserSolution:
@@ -153,10 +278,14 @@ def solve_single_constraint(problem: SingleUserProblem) -> SingleUserSolution:
     budget = float(problem.budgets[0])
     if budget <= 0:
         raise ContractViolationError("the budget must be positive")
-    s, gains, basis = _whitened_spectrum(problem, problem.constraints[0])
-    order = weight_rank_order(problem.weights)
+    s = psd_inv_sqrt(problem.constraints[0])
+    m = s @ problem.quadratic_form() @ s
+    spec = hermitian_top_eigs(0.5 * (m + m.conj().T), problem.streams)
+    gains = spec.values
+    # largest weight rides the strongest whitened direction
+    order = np.argsort(-problem.weights, kind="stable")
     paired_w = problem.weights[order]         # descending, aligned with gains
-    active = _active_gains(gains)
+    active = gains > GAIN_RTOL * max(1.0, float(np.max(gains, initial=0.0)))
     ranked_powers = np.zeros_like(gains)
     level = float("inf")
     if np.any(active):
@@ -164,7 +293,7 @@ def solve_single_constraint(problem: SingleUserProblem) -> SingleUserSolution:
         ranked_powers[active] = alloc.levels
         level = alloc.multiplier
     precoder = np.zeros((problem.channel.shape[1], problem.streams), dtype=complex)
-    precoder[:, order] = _assemble(s, basis, ranked_powers)
+    precoder[:, order] = s @ (spec.basis * np.sqrt(np.maximum(ranked_powers, 0.0)))
     stream_gains = np.zeros_like(gains)
     stream_powers = np.zeros_like(gains)
     stream_gains[order] = gains
@@ -176,26 +305,22 @@ def solve_single_constraint(problem: SingleUserProblem) -> SingleUserSolution:
 
 def lagrangian_minimizer(problem: SingleUserProblem, phi_agg: np.ndarray) -> np.ndarray:
     """Minimizer of the power-priced objective
-    tr{W (I + B^H R B)^{-1}} + tr{phi_agg B B^H}: the single-constraint form
-    with aggregate weight ``phi_agg`` and unit water level."""
-    s, gains, basis = _whitened_spectrum(problem, phi_agg)
-    order = weight_rank_order(problem.weights)
-    paired_w = problem.weights[order]
-    active = _active_gains(gains)
-    powers = np.zeros_like(gains)
-    if np.any(active):
-        powers[active] = waterfill_eval(paired_w[active], gains[active], 1.0).levels
-    precoder = np.zeros((problem.channel.shape[1], problem.streams), dtype=complex)
-    precoder[:, order] = _assemble(s, basis, powers)
-    return precoder
+    tr{W (I + B^H R B)^{-1}} + tr{phi_agg B B^H}: :func:`priced_minimizer`
+    for the one user with F = ``phi_agg``."""
+    f = require_hermitian(phi_agg)[None]
+    return priced_minimizer(f, problem.quadratic_form()[None], problem.weights[None])[0]
+
+
+def _wsmse(problem: SingleUserProblem, r: np.ndarray, precoder: np.ndarray) -> float:
+    """:func:`precoder_wsmse` with the quadratic form R given."""
+    g = precoder.conj().T @ r @ precoder
+    e = np.linalg.inv(np.eye(problem.streams) + 0.5 * (g + g.conj().T))
+    return float(np.trace(np.diag(problem.weights) @ e).real)
 
 
 def precoder_wsmse(problem: SingleUserProblem, precoder: np.ndarray) -> float:
     """tr{W (I + B^H R B)^{-1}}: the objective with the MMSE receiver substituted."""
-    r = problem.quadratic_form()
-    g = precoder.conj().T @ r @ precoder
-    e = np.linalg.inv(np.eye(problem.streams) + 0.5 * (g + g.conj().T))
-    return float(np.trace(np.diag(problem.weights) @ e).real)
+    return _wsmse(problem, problem.quadratic_form(), precoder)
 
 
 def constraint_usage_single(problem: SingleUserProblem, precoder: np.ndarray) -> np.ndarray:
@@ -216,72 +341,44 @@ def solve_multi_constraint(
     constraint_tol: float = 1e-2,
     objective_tol: float = 1e-6,
     multiplier_init: float = 1.0,
-    stall_window: int = 50,
 ) -> DualIterationResult:
-    """Dual subgradient method for multiple constraints.
+    """Dual subgradient method for multiple constraints, on :func:`dual_loop`.
 
-    Each iteration minimizes the Lagrangian at the current multipliers
-    (closed form via :func:`lagrangian_minimizer` with sum_m lam_m Phi_m) and
-    ascends lam on the constraint residuals,
+    Each pass minimizes the Lagrangian at the current multipliers
+    (:func:`priced_minimizer` with F = sum_m lam_m Phi_m) and the
+    :func:`additive_rule` ascends lam on the constraint residuals,
     lam_m <- max(floor, lam_m + step * (tr{Phi_m B B^H} - P_m)),
-    falling back to a diminishing step once the worst violation stalls.
-    Exits when all constraints hold within ``constraint_tol`` (relative) and
-    the objective is stable over five iterations.
+    diminishing the step once the active residual stalls for
+    ``STALL_WINDOW`` passes.  Exits when all constraints hold within
+    ``constraint_tol`` (relative) and the objective is stable over five
+    passes.
     """
-    lam = np.full(problem.num_constraints, float(multiplier_init))
+    budgets = problem.budgets
+    r = problem.quadratic_form()
+    r_stack, weights = r[None], problem.weights[None]
     result = DualIterationResult(
         precoder=np.zeros((problem.channel.shape[1], problem.streams), dtype=complex),
-        multipliers=lam,
+        multipliers=np.full(problem.num_constraints, float(multiplier_init)),
         wsmse=float(np.sum(problem.weights)),
         usage=np.zeros(problem.num_constraints),
     )
-    budgets = problem.budgets
-    best_violation = np.inf
-    stall = 0
-    diminish_from = None
-    for j in range(1, max_outer + 1):
+
+    def run_pass(lam):
         phi = sum(l * p for l, p in zip(lam, problem.constraints))
-        precoder = lagrangian_minimizer(problem, phi)
+        precoder = priced_minimizer(phi[None], r_stack, weights)[0]
         usage = constraint_usage_single(problem, precoder)
-        wsmse = precoder_wsmse(problem, precoder)
-        dual = wsmse + float(np.dot(lam, usage - budgets))
-        violation = float(np.max((usage - budgets) / np.maximum(budgets, 1e-300)))
+        wsmse = _wsmse(problem, r, precoder)
         result.residuals.append(usage - budgets)
-        result.dual_values.append(dual)
-        result.wsmse_trace.append(wsmse)
-        result.precoder = precoder
-        result.multipliers = lam.copy()
-        result.wsmse = wsmse
-        result.usage = usage
-        result.iterations = j
+        result.dual_values.append(wsmse + float(np.dot(lam, usage - budgets)))
+        result.precoder, result.multipliers, result.wsmse, result.usage = precoder, lam.copy(), wsmse, usage
+        return wsmse
 
-        stable = (
-            len(result.wsmse_trace) >= 6
-            and max(
-                abs(b - a) / max(1.0, abs(result.wsmse_trace[-1]))
-                for a, b in zip(result.wsmse_trace[-6:], result.wsmse_trace[-5:])
-            )
-            <= objective_tol
-        )
-        if violation <= constraint_tol and stable:
-            result.converged = True
-            break
+    def exit_test(trace, usage, lam):
+        return max_violation(usage, budgets) <= constraint_tol and objective_stable(trace, objective_tol)
 
-        residual = active_residual(usage, budgets, lam)
-        if residual < best_violation - 1e-12:
-            best_violation = residual
-            stall = 0
-        else:
-            stall += 1
-            if stall >= stall_window and diminish_from is None:
-                diminish_from = j
-        step_j = step if diminish_from is None else step / np.sqrt(1 + j - diminish_from)
-        lam = np.maximum(LAMBDA_FLOOR, lam + step_j * (usage - budgets))
-        if np.max(lam) > LAMBDA_CAP:
-            raise NumericalFailureError(
-                f"dual multipliers diverged (max {np.max(lam):.3e} after {j} iterations; "
-                f"worst violation {violation:.3e})"
-            )
+    run = dual_loop(run_pass, lambda: result.usage, exit_test, result.multipliers, budgets, max_outer,
+                    rule=additive_rule(step))
+    result.wsmse_trace, result.iterations, result.converged = run.trace, run.iterations, run.priced_exit
 
     # Zero duality gap needs every constraint active with a meaningfully
     # positive multiplier; report whether the returned point satisfies that.

@@ -1,6 +1,8 @@
 """Multiuser algorithm tests: structural identities, descent, feasibility,
 and degenerate cases for all four solver families."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from netmimo import (
     pwf_fixed_point_residual,
     pwf_solve,
     realize,
+    solve_multi_constraint,
     srm_outer_loop,
     sum_rate,
     wsmse_objective,
@@ -107,7 +110,7 @@ def test_dmmse_single_user_step_matches_power_priced_minimizer():
                            constraints=(np.eye(3, dtype=complex),), budgets=[1.0],
                            weights=np.ones(2), streams=2)
     direct = lagrangian_minimizer(su, lam * np.eye(3, dtype=complex))
-    assert np.linalg.norm(stepped[0] @ stepped[0].conj().T - direct @ direct.conj().T) <= 1e-8
+    assert np.array_equal(stepped[0], direct)
 
 
 def test_dmmse_symmetric_instance():
@@ -741,3 +744,144 @@ def test_iterations_obey_the_documented_bound(algorithm, max_outer, max_inner):
     sol = solver(problem, AlgorithmConfig(algorithm=algorithm, objective="srm",
                                           max_outer=max_outer, max_inner=max_inner))
     assert max_outer < sol.iterations <= max_outer + MAX_POLISH_ROUNDS * max_inner
+
+
+# ---------------------------------------------------------------------------
+# golden digests of the dual-loop solvers
+# ---------------------------------------------------------------------------
+
+def _digest(*parts) -> str:
+    """SHA-256 over the bytes of arrays and the text of everything else."""
+    sha = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, (list, tuple)):
+            sha.update(_digest(*part).encode())
+        elif isinstance(part, np.ndarray):
+            sha.update(str((part.dtype, part.shape)).encode())
+            sha.update(np.ascontiguousarray(part).tobytes())
+        else:
+            sha.update(repr(part).encode())
+    return sha.hexdigest()
+
+
+def _link(rng):
+    """A 4x2 link at 10 dB with one power budget per transmit antenna."""
+    scale = np.sqrt(10.0 / 2.0)
+    h = scale * (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)))
+    return SingleUserProblem(
+        channel=h, noise_cov=np.eye(2, dtype=complex),
+        constraints=tuple(np.diag(np.eye(4)[i]).astype(complex) for i in range(4)),
+        budgets=np.full(4, 0.25), weights=np.ones(2), streams=2,
+    )
+
+
+# Recorded with numpy 2.4's bundled OpenBLAS on x86-64; another BLAS may round
+# differently and needs its own recording.
+GOLDEN_DIGESTS = {
+    "cell0/dmmse/wsmmse":
+        "34f107d7edf4064d4b2d71ca4f0ef3be5d82ac4faf08626d118726366506574b",
+    "cell0/dmmse/srm":
+        "6643e0c3c4af02eeda8d46db81cfc774fd928c7df91403348f88c60ab3de7a2d",
+    "cell0/emmseia/wsmmse":
+        "f8567843b6083198338ad691328d37eda5c0b19d67f8b5396ec853fa4c479328",
+    "cell0/emmseia/srm":
+        "78aee1af3a453e63bb4feaeb0a0616dbd85ae327299dbe3533df33d908b4a43d",
+    "cell0/pwf/srm":
+        "55cc25338b1dbbd3468a8390c4d5130e335749807461887c32d5fc19d6ecc637",
+    "cell1/dmmse/wsmmse":
+        "4ca9879127182dece5ee43cf618f68089b6856dc83809ce2d8846d9683552b26",
+    "cell1/dmmse/srm":
+        "a2f67e7294362d320c56d9dca7ecc1e1086d5bdf3773048ef681661ee826707c",
+    "cell1/emmseia/wsmmse":
+        "e3ef0a3a1399ac0772d1d2c4b6ba610fded287aa2a3deb6126be3d57e4a5865d",
+    "cell1/emmseia/srm":
+        "cb4f9404fad5df5052c7a58cd70fba5248133d395b09c75338d46ac49056a745",
+    "cell1/pwf/srm":
+        "e4ebc1a7ef0b841e6e3357e23a840615b688745bd9758e22508add4feb2d75d0",
+    "serving_sets/dmmse/wsmmse":
+        "f202538b8f4dd91966c5c81dadfd11228923a67c44d572936673dceccd9dfaea",
+    "serving_sets/dmmse/srm":
+        "84a711f6b7b68bce0db84737bfbb283f7638c9109a0772549f92a54ce632c201",
+    "serving_sets/emmseia/wsmmse":
+        "3e209a14cb8ab7b55ef60e5ef0718d2efe7ca1d188fc75f52babf5181a5ed499",
+    "serving_sets/emmseia/srm":
+        "6de36243c76f2a60e8092cec8a57f55a53d1a8895368c43fb2892bc316ff4767",
+    "serving_sets/pwf/srm":
+        "67928f943287b1b44dcc0b4f68a161f58e290a891fa2335f0882efe1bf7f18a9",
+    "sizes/dmmse/wsmmse":
+        "4753789a1d6eaa350e1f61f926125126f5c8a95a37d845340a677194149a4616",
+    "sizes/dmmse/srm":
+        "05ac04c9618c6dd6bd9eafd441b40f5e07fed457996b510d0e54d7bf6be4145f",
+    "sizes/emmseia/wsmmse":
+        "8b4ff9432ee251bf62d803787e71aa16e4f3e3828e11d8cda837545350aaa452",
+    "sizes/emmseia/srm":
+        "f3b0dface8bf188f85595398ded7e633bc3cad7b058a537c0e4d96cdf31ffa69",
+    "sizes/pwf/srm":
+        "77a2c59efee6b16f7f01b1bc8a56e17827236982b17150ae4b664cb75fd5bdae",
+    "link0":
+        "506753a19552d1f5882242c9a7fde463551059322804c9fe96fb082ff149820e",
+    "link1":
+        "53d8144a10d0c4d10ea3cf9a75d977d67b16fd92959d08276c523a437332f441",
+    "link2":
+        "3416bafdc49dd11bbf9cadf5eb11cf6dd19d4f93be4d829d7dd56591d6e41c65",
+    "link3":
+        "f01f2769ab18437f0cfee866f83e7291fe92b6c214da1ed5f91048cfc3d14b2f",
+    "link4":
+        "c627c97c3a9c302af84dc86dc17ebd09c5cfb9b8ded0f124599217073d295ea6",
+    "link5":
+        "b31dbe6239bae020e034656a9c3b205cbb271eb867dceca1d2fb2641d592ce6f",
+    "link6":
+        "4c587d81e87426f6de1470c137ac805df685f5415c8a557c11024b0d17475905",
+    "link7":
+        "cfc3246e2034fd0d4ce07526281e3d82f70b4eeabcf56833fdda25d8f574471a",
+    "link8":
+        "9163a045ca923d9e84de7126c7f01680c722a92191814c4dbdda6a91d3232db8",
+    "link9":
+        "c281af1318646a4bb90a9580c674ee58cd56574341e4e2d4351ada4d7a8c9602",
+    "link10":
+        "85cf4f4c82c66f82c3d4655b37a684a933eb71b8cc531d90f6393247f536d0af",
+    "link11":
+        "15e6ab1f3ea86e9b7a9f8823fba59294da345ba0e3bc3a037aca01472834dd5c",
+    "link12":
+        "a50c13c8b2f603981b477be6707ddfe6aee10a1af1c3b55bbbb9bb0310bd9cff",
+    "link13":
+        "e27405456f62c093399d31d61d622c61ba4000938987129b047603a6ded25c7b",
+    "link14":
+        "e0587ecd584c55338e9964820228cf507846cc04182a17985789409a5f922624",
+    "link15":
+        "a97bd56a5b64195c8c4a183356bbd8eab85e6daba402c5bb8458de381bf30e6d",
+    "link16":
+        "8092b4d5263da0eb1aed300cec60a064079f1509778eec721a498c2ce4faeeb1",
+    "link17":
+        "6fe6adafb060a6ef6860bff0dd8790284655278a2e56c960982f4b63ac4cf9d6",
+    "link18":
+        "70e5f965f46b20bcffc0187ec4eca2baaeb062d9c60450400b313aca02ec0903",
+    "link19":
+        "f5dc57733ad8bd71190d94579000b544f89d80fb1f747700249c549a5787c36f",
+}
+
+
+def golden_cases(mixed_problems):
+    """(name, digest) of every solve the golden digests cover."""
+    problems = {"cell0": cellular_problem(0)[1], "cell1": cellular_problem(1)[1], **mixed_problems}
+    runs = [("dmmse", "wsmmse", dmmse_solve), ("dmmse", "srm", dmmse_solve),
+            ("emmseia", "wsmmse", emmseia_solve), ("emmseia", "srm", emmseia_solve),
+            ("pwf", "srm", pwf_solve)]
+    for pname, problem in problems.items():
+        for algorithm, objective, solver in runs:
+            sol = solver(problem, AlgorithmConfig(algorithm=algorithm, objective=objective, max_outer=300))
+            yield (f"{pname}/{algorithm}/{objective}",
+                   _digest(sol.precoders, np.asarray(sol.trace), sol.iterations, sol.converged,
+                           sol.multipliers))
+    rng = np.random.default_rng(8)
+    for i in range(20):
+        result = solve_multi_constraint(_link(rng))
+        yield (f"link{i}", _digest(result.precoder, np.asarray(result.wsmse_trace), result.iterations,
+                                   result.converged, result.multipliers))
+
+
+def test_solvers_match_golden_digest(mixed_problems):
+    # the dual-loop solvers reproduce the recorded precoders, traces,
+    # iteration counts, stop flags and multipliers bit for bit
+    got = dict(golden_cases(mixed_problems))
+    assert got == GOLDEN_DIGESTS
