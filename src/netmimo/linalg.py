@@ -110,14 +110,12 @@ def psd_inv_sqrt(a) -> np.ndarray:
     above ``SINGULARITY_RTOL`` times the largest.
     """
     vals, vecs = hermitian_eig(a)
-    vmax = float(vals[-1])
-    vmin = float(vals[0])
+    vmin, vmax = float(vals[0]), float(vals[-1])
     if vmax <= 0.0 or vmin <= SINGULARITY_RTOL * vmax:
         raise SingularMatrixError(
             f"matrix is singular or indefinite (min eigenvalue {vmin:.3e}, max {vmax:.3e})"
         )
-    inv_sqrt = (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
-    return 0.5 * (inv_sqrt + inv_sqrt.conj().T)
+    return hermitian_part((vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T)
 
 
 def psd_inv_sqrt_batch(a) -> tuple[np.ndarray, np.ndarray]:
@@ -138,18 +136,19 @@ def psd_inv_sqrt_batch(a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def hermitian_top_eigs_batch(a, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`hermitian_top_eigs` of every matrix in a (K, n, n) stack of
-    Hermitian matrices, without the Hermitian check: (K, d) values and
-    (K, n, d) bases."""
-    a = hermitian_part(a)
+    """:func:`hermitian_top_eigs` of every matrix in an exactly Hermitian
+    (K, n, n) stack (a :func:`hermitian_part`, say; it is neither checked nor
+    symmetrized again): (K, d) values, descending, and (K, n, d) bases.  The
+    top ``d`` are ``eigh``'s ascending output reversed, so exactly tied
+    eigenvalues come out in the reverse of ``eigh``'s order, unlike in
+    :func:`hermitian_top_eigs`; both span the tied eigenspace."""
     try:
         vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(
             f"eigendecomposition of a {a.shape[-1]}x{a.shape[-1]} matrix did not converge"
         ) from exc
-    order = np.argsort(-vals, axis=-1, kind="stable")[:, :d]
-    return np.take_along_axis(vals, order, -1), np.take_along_axis(vecs, order[:, None, :], -1)
+    return vals[:, ::-1][:, :d], vecs[:, :, ::-1][:, :, :d]
 
 
 def thin_svd(a, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -89,8 +89,7 @@ class SingleUserProblem:
 
     def quadratic_form(self) -> np.ndarray:
         """R = H^H Omega^{-1} H."""
-        r = self.channel.conj().T @ np.linalg.solve(self.noise_cov, self.channel)
-        return 0.5 * (r + r.conj().T)
+        return hermitian_part(self.channel.conj().T @ np.linalg.solve(self.noise_cov, self.channel))
 
 
 @dataclass(frozen=True)
@@ -127,15 +126,13 @@ def active_residual(usage: np.ndarray, budgets: np.ndarray, lam: np.ndarray) -> 
     or carry a meaningfully positive multiplier.  Slack constraints whose
     multiplier sits at the floor are complementary and contribute nothing."""
     active = (lam > 10 * LAMBDA_FLOOR) | (usage > budgets)
-    if not np.any(active):
-        return 0.0
     rel = np.abs(usage - budgets) / np.maximum(budgets, 1e-300)
-    return float(np.max(rel[active]))
+    return float(rel.max(where=active, initial=0.0))
 
 
 def max_violation(usage: np.ndarray, budgets: np.ndarray) -> float:
     """Largest relative budget excess max_m (usage_m - P_m) / P_m."""
-    return float(np.max((usage - budgets) / np.maximum(budgets, 1e-300)))
+    return float(((usage - budgets) / np.maximum(budgets, 1e-300)).max())
 
 
 def objective_stable(trace, tol: float, window: int = 5) -> bool:
@@ -165,16 +162,15 @@ def priced_minimizer(f, r, weights, lift=None) -> np.ndarray:
                 raise
             s[k] = lift(k)
     gains, basis = hermitian_top_eigs_batch(hermitian_part(s @ r @ s), weights.shape[-1])
-    # largest weight rides the strongest whitened direction (rearrangement:
-    # the active-stream cost sums sqrt(w_i / g_i))
-    order = np.argsort(-weights, axis=-1, kind="stable")
-    paired_w = np.take_along_axis(weights, order, -1)
-    active = gains > GAIN_RTOL * np.maximum(1.0, np.max(gains, axis=-1, initial=0.0))[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):  # waterfill_eval at mu = 1
-        levels = np.maximum(np.sqrt(paired_w / gains) - 1.0 / gains, 0.0)
-    powers = np.where(active, levels, 0.0)
+    # largest weight rides the strongest whitened direction (rearrangement: the
+    # active-stream cost sums sqrt(w_i / g_i)); non-increasing weights stay put
+    order = None if (weights[:, :-1] >= weights[:, 1:]).all() else np.argsort(-weights, axis=-1, kind="stable")
+    paired_w = weights if order is None else np.take_along_axis(weights, order, -1)
+    active = gains > GAIN_RTOL * np.maximum(1.0, gains[:, :1])  # gains descend
+    g = np.where(active, gains, 1.0)  # waterfill_eval at mu = 1 on the active gains
+    powers = np.where(active, np.maximum(np.sqrt(paired_w / g) - 1.0 / g, 0.0), 0.0)
     columns = s @ (basis * np.sqrt(powers)[:, None, :])
-    return np.take_along_axis(columns, np.argsort(order, axis=-1)[:, None, :], -1)
+    return columns if order is None else np.take_along_axis(columns, np.argsort(order, axis=-1)[:, None, :], -1)
 
 
 def additive_rule(step: float):
@@ -218,8 +214,7 @@ def dual_loop(run_pass, usage_of, exit_test, lam, budgets, max_outer: int, *, ru
     run at most ``max_inner`` times; a polish run ending more than
     ``constraint_tol`` over a budget re-enters pricing, for at most
     ``MAX_POLISH_ROUNDS`` rounds."""
-    trace: list = []
-    iterations = 0
+    trace: list = []  # one value per pass, so its length counts the passes
     polish_start = None
     best_residual, stall, diminish_from = np.inf, 0, None
     usage = None
@@ -229,7 +224,6 @@ def dual_loop(run_pass, usage_of, exit_test, lam, budgets, max_outer: int, *, ru
         while pricing_budget > 0:
             pricing_budget -= 1
             trace.append(run_pass(lam))
-            iterations += 1
             usage = usage_of()
             if exit_test(trace, usage, lam):
                 exited = True
@@ -242,11 +236,11 @@ def dual_loop(run_pass, usage_of, exit_test, lam, budgets, max_outer: int, *, ru
             else:
                 stall += 1
                 if stall >= stall_window and diminish_from is None:
-                    diminish_from = iterations
-            lam = rule(lam, usage, budgets, None if diminish_from is None else iterations - diminish_from)
-            if np.max(lam) > LAMBDA_CAP:
+                    diminish_from = len(trace)
+            lam = rule(lam, usage, budgets, None if diminish_from is None else len(trace) - diminish_from)
+            if lam.max() > LAMBDA_CAP:
                 raise NumericalFailureError(
-                    f"power-price multipliers diverged (max {np.max(lam):.3e} after {iterations} "
+                    f"power-price multipliers diverged (max {lam.max():.3e} after {len(trace)} "
                     f"passes, violation {max_violation(usage, budgets):.3e})"
                 )
         if polish is None or not (exited or polish_unconverged):
@@ -256,13 +250,12 @@ def dual_loop(run_pass, usage_of, exit_test, lam, budgets, max_outer: int, *, ru
         for _ in range(max_inner):
             value, done = step(lam)
             trace.append(value)
-            iterations += 1
             if done:
                 break
         usage = usage_of()
         if max_violation(usage, budgets) <= constraint_tol or pricing_budget <= 0:
             break
-    return DualRun(lam, usage, trace, iterations, polish_start, exited)
+    return DualRun(lam, usage, trace, len(trace), polish_start, exited)
 
 
 def solve_single_constraint(problem: SingleUserProblem) -> SingleUserSolution:
@@ -279,8 +272,7 @@ def solve_single_constraint(problem: SingleUserProblem) -> SingleUserSolution:
     if budget <= 0:
         raise ContractViolationError("the budget must be positive")
     s = psd_inv_sqrt(problem.constraints[0])
-    m = s @ problem.quadratic_form() @ s
-    spec = hermitian_top_eigs(0.5 * (m + m.conj().T), problem.streams)
+    spec = hermitian_top_eigs(hermitian_part(s @ problem.quadratic_form() @ s), problem.streams)
     gains = spec.values
     # largest weight rides the strongest whitened direction
     order = np.argsort(-problem.weights, kind="stable")
@@ -311,21 +303,24 @@ def lagrangian_minimizer(problem: SingleUserProblem, phi_agg: np.ndarray) -> np.
     return priced_minimizer(f, problem.quadratic_form()[None], problem.weights[None])[0]
 
 
-def _wsmse(problem: SingleUserProblem, r: np.ndarray, precoder: np.ndarray) -> float:
-    """:func:`precoder_wsmse` with the quadratic form R given."""
+def _wsmse(weight_matrix: np.ndarray, eye: np.ndarray, r: np.ndarray, precoder: np.ndarray) -> float:
+    """:func:`precoder_wsmse` with W, the identity and R given."""
     g = precoder.conj().T @ r @ precoder
-    e = np.linalg.inv(np.eye(problem.streams) + 0.5 * (g + g.conj().T))
-    return float(np.trace(np.diag(problem.weights) @ e).real)
+    return float(np.trace(weight_matrix @ np.linalg.inv(eye + hermitian_part(g))).real)
 
 
 def precoder_wsmse(problem: SingleUserProblem, precoder: np.ndarray) -> float:
     """tr{W (I + B^H R B)^{-1}}: the objective with the MMSE receiver substituted."""
-    return _wsmse(problem, problem.quadratic_form(), precoder)
+    return _wsmse(np.diag(problem.weights), np.eye(problem.streams), problem.quadratic_form(), precoder)
+
+
+def _usage(phis: np.ndarray, precoder: np.ndarray) -> np.ndarray:
+    """tr{Phi_m B B^H} for the (M, n, n) constraint stack ``phis``."""
+    return np.trace(phis @ (precoder @ precoder.conj().T), axis1=1, axis2=2).real
 
 
 def constraint_usage_single(problem: SingleUserProblem, precoder: np.ndarray) -> np.ndarray:
-    bbh = precoder @ precoder.conj().T
-    return np.array([float(np.trace(phi @ bbh).real) for phi in problem.constraints])
+    return _usage(np.stack(problem.constraints), precoder)
 
 
 def lagrangian_value(problem: SingleUserProblem, precoder: np.ndarray, multipliers) -> float:
@@ -355,7 +350,8 @@ def solve_multi_constraint(
     """
     budgets = problem.budgets
     r = problem.quadratic_form()
-    r_stack, weights = r[None], problem.weights[None]
+    r_stack, weights, phis = r[None], problem.weights[None], np.stack(problem.constraints)
+    weight_matrix, eye = np.diag(problem.weights), np.eye(problem.streams)
     result = DualIterationResult(
         precoder=np.zeros((problem.channel.shape[1], problem.streams), dtype=complex),
         multipliers=np.full(problem.num_constraints, float(multiplier_init)),
@@ -364,13 +360,16 @@ def solve_multi_constraint(
     )
 
     def run_pass(lam):
-        phi = sum(l * p for l, p in zip(lam, problem.constraints))
-        precoder = priced_minimizer(phi[None], r_stack, weights)[0]
-        usage = constraint_usage_single(problem, precoder)
-        wsmse = _wsmse(problem, r, precoder)
-        result.residuals.append(usage - budgets)
-        result.dual_values.append(wsmse + float(np.dot(lam, usage - budgets)))
-        result.precoder, result.multipliers, result.wsmse, result.usage = precoder, lam.copy(), wsmse, usage
+        # sum_m lam_m Phi_m, added from 0 in constraint order
+        phi = np.add.reduce(lam[:, None, None] * phis, axis=0, keepdims=True, initial=0)
+        precoder = priced_minimizer(phi, r_stack, weights)[0]
+        usage = _usage(phis, precoder)
+        wsmse = _wsmse(weight_matrix, eye, r, precoder)
+        excess = usage - budgets
+        result.residuals.append(excess)
+        result.dual_values.append(wsmse + float(np.dot(lam, excess)))
+        # the rule binds a new lam, so lam needs no copy
+        result.precoder, result.multipliers, result.wsmse, result.usage = precoder, lam, wsmse, usage
         return wsmse
 
     def exit_test(trace, usage, lam):

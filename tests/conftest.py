@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from netmimo import InterferenceProblem, PartialCooperationSystem, build_interference_problem
+from netmimo.single_user import SingleUserProblem
 
 
 def mixed_serving_system():
@@ -51,6 +52,30 @@ def mixed_size_problem():
     return InterferenceProblem(channels=chans, constraints=tuple(constraints), budgets=[1.0, 1.5],
                                streams=d, mse_weights=(np.eye(1), np.diag([1.0, 0.5]),
                                                        np.diag([2.0, 1.0])))
+
+
+def antenna_link(rng, weights=(1.0, 1.0)):
+    """A 4x2 link at 10 dB with one power budget per transmit antenna."""
+    scale = np.sqrt(10.0 / 2.0)
+    h = scale * (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)))
+    return SingleUserProblem(
+        channel=h, noise_cov=np.eye(2, dtype=complex),
+        constraints=tuple(np.diag(np.eye(4)[i]).astype(complex) for i in range(4)),
+        budgets=np.full(4, 0.25), weights=np.asarray(weights), streams=2,
+    )
+
+
+def dense_link(rng, weights=(1.0, 1.0)):
+    """A 4x2 link at 10 dB with three rank-2 Hermitian PSD constraints that
+    have off-diagonal entries (their sum is PD)."""
+    scale = np.sqrt(10.0 / 2.0)
+    h = scale * (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)))
+    factors = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
+    return SingleUserProblem(
+        channel=h, noise_cov=np.eye(2, dtype=complex),
+        constraints=tuple(0.25 * f @ f.conj().T for f in factors),
+        budgets=np.array([0.5, 0.3, 0.4]), weights=np.asarray(weights), streams=2,
+    )
 
 
 @pytest.fixture(scope="session")

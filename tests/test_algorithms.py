@@ -36,6 +36,8 @@ from netmimo.algorithms import (
 )
 from netmimo.single_user import SingleUserProblem
 
+from conftest import antenna_link, dense_link
+
 
 def cellular_problem(seed, **kwargs):
     defaults = dict(cluster_size=3, users_per_cell=1, nt=4, nr=2, streams=2,
@@ -764,15 +766,13 @@ def _digest(*parts) -> str:
     return sha.hexdigest()
 
 
-def _link(rng):
-    """A 4x2 link at 10 dB with one power budget per transmit antenna."""
-    scale = np.sqrt(10.0 / 2.0)
-    h = scale * (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)))
-    return SingleUserProblem(
-        channel=h, noise_cov=np.eye(2, dtype=complex),
-        constraints=tuple(np.diag(np.eye(4)[i]).astype(complex) for i in range(4)),
-        budgets=np.full(4, 0.25), weights=np.ones(2), streams=2,
-    )
+# links whose stream weights are not sorted, or whose constraints are not
+# diagonal, by digest name
+OFF_AXIS_LINKS = {
+    **{f"link_w{i}": (antenna_link, (0.5, 2.0)) for i in range(4)},
+    **{f"dense{i}": (dense_link, (1.0, 1.0)) for i in range(4)},
+    **{f"dense_w{i}": (dense_link, (0.5, 2.0)) for i in range(4)},
+}
 
 
 # Recorded with numpy 2.4's bundled OpenBLAS on x86-64; another BLAS may round
@@ -858,6 +858,30 @@ GOLDEN_DIGESTS = {
         "70e5f965f46b20bcffc0187ec4eca2baaeb062d9c60450400b313aca02ec0903",
     "link19":
         "f5dc57733ad8bd71190d94579000b544f89d80fb1f747700249c549a5787c36f",
+    "link_w0":
+        "6e28966a8df1819761ba8ffb04640f826d64a0f00a7c7cb79348f90db1f1a46a",
+    "link_w1":
+        "53f11a63cba02687176af6c17d9de24312d4522f134ce729d313e52d204afb5d",
+    "link_w2":
+        "8f6588f7bcc61e0321b9b0610edcf8ff5223172db59e1580d78b8e548eac5ef7",
+    "link_w3":
+        "e52f151694d27fcff0029276a0d8a52528bcb68d56edbf4ba4ff927cb5e88e03",
+    "dense0":
+        "19d9996d43649f339a6f1f79e2613a70d86f272e05535fd8468fe8b420873d5d",
+    "dense1":
+        "57147d55521bb711a8e6e170b6c540010b15e64ca676b355fcae3dd0830f73a2",
+    "dense2":
+        "d7f07f8ab025c48bcb6868785cfcdbca093fb2a73d85d65648c9a16ecd9b0257",
+    "dense3":
+        "c8a2ade10d54125bc4d68acade07d70a42e387c2bad3601286ecea6b7c41fe95",
+    "dense_w0":
+        "bc2095b7c0952ba4cbd0fbc1d12e7a883d190d16b6162ce2c685e929cc243c8e",
+    "dense_w1":
+        "5597e65c66b2c60c27705adc8a54efd787cb2fba2c7417ef1965566f38d027cd",
+    "dense_w2":
+        "c204f75236f1534053a944a951392b16f6b293d27f965f5930913197b8a314cd",
+    "dense_w3":
+        "ff07755ef343e3e194c8e213fbcb95e3b2e93de444bc8de2cbe42df4bb275351",
 }
 
 
@@ -875,9 +899,14 @@ def golden_cases(mixed_problems):
                            sol.multipliers))
     rng = np.random.default_rng(8)
     for i in range(20):
-        result = solve_multi_constraint(_link(rng))
+        result = solve_multi_constraint(antenna_link(rng))
         yield (f"link{i}", _digest(result.precoder, np.asarray(result.wsmse_trace), result.iterations,
                                    result.converged, result.multipliers))
+    rng = np.random.default_rng(9)
+    for name, (make, weights) in OFF_AXIS_LINKS.items():
+        result = solve_multi_constraint(make(rng, weights))
+        yield (name, _digest(result.precoder, np.asarray(result.wsmse_trace), result.iterations,
+                             result.converged, result.multipliers))
 
 
 def test_solvers_match_golden_digest(mixed_problems):

@@ -12,6 +12,7 @@ from netmimo import (
     waterfill_budget,
     waterfill_eval,
 )
+from netmimo.linalg import adjoint, hermitian_top_eigs_batch, psd_inv_sqrt_batch
 
 
 def random_hermitian(rng, n):
@@ -124,6 +125,63 @@ def test_psd_inv_sqrt_rejects_singular():
         psd_inv_sqrt(np.diag([1.0, 0.0]))
     with pytest.raises(SingularMatrixError):
         psd_inv_sqrt(np.diag([1.0, -0.5]))
+
+
+def test_top_eigs_batch_matches_per_matrix():
+    rng = np.random.default_rng(30)
+    stack = np.stack([random_hermitian(rng, 4) for _ in range(6)])
+    vals, bases = hermitian_top_eigs_batch(stack, 3)
+    assert vals.shape == (6, 3) and bases.shape == (6, 4, 3)
+    for k, a in enumerate(stack):
+        spec = hermitian_top_eigs(a, 3)
+        assert np.allclose(vals[k], spec.values, rtol=0, atol=1e-12)
+        # distinct eigenvalues: the same columns up to phase
+        overlaps = np.abs(np.sum(bases[k].conj() * spec.basis, axis=0))
+        assert np.allclose(overlaps, 1.0, rtol=0, atol=1e-12)
+
+
+def test_top_eigs_batch_repeated_eigenvalues():
+    # an identity block with zero-padded coordinates, and a doubled
+    # eigenvalue beside a dense Hermitian block: exact ties at 2, 1 and 0
+    a = np.zeros((2, 5, 5), dtype=complex)
+    a[0, :3, :3] = np.eye(3)
+    a[1, :2, :2] = 2.0 * np.eye(2)
+    a[1, 2:4, 2:4] = [[1.0, 0.5j], [-0.5j, 1.0]]
+    vals, bases = hermitian_top_eigs_batch(a, 5)
+    assert np.all(np.diff(vals, axis=-1) <= 0.0)
+    assert np.allclose(vals, [[1, 1, 1, 0, 0], [2, 2, 1.5, 0.5, 0]], rtol=0, atol=1e-12)
+    for k in range(2):
+        assert np.allclose(adjoint(bases[k]) @ bases[k], np.eye(5), atol=1e-12)
+        assert np.allclose(a[k] @ bases[k], bases[k] * vals[k], atol=1e-12)
+    # the tied leading columns span exactly the tied eigenspace
+    for k, width, proj in ((0, 3, np.diag([1, 1, 1, 0, 0])), (1, 2, np.diag([1, 1, 0, 0, 0]))):
+        top = bases[k][:, :width]
+        assert np.allclose(top @ adjoint(top), proj, atol=1e-12)
+    # cut inside a tie: every column is still an eigenvector of the tied value
+    vals2, bases2 = hermitian_top_eigs_batch(a, 2)
+    assert np.array_equal(vals2, vals[:, :2])
+    assert np.allclose(a[0] @ bases2[0], bases2[0], atol=1e-12)
+
+
+def test_psd_inv_sqrt_batch_matches_per_matrix():
+    rng = np.random.default_rng(31)
+    stack = np.stack([random_pd(rng, 4) for _ in range(5)])
+    roots, ok = psd_inv_sqrt_batch(stack)
+    assert ok.all()
+    for k, a in enumerate(stack):
+        assert np.allclose(roots[k], psd_inv_sqrt(a), rtol=0, atol=1e-12)
+        assert np.allclose(roots[k] @ a @ roots[k], np.eye(4), atol=1e-10)
+
+
+def test_psd_inv_sqrt_batch_flags_singular_member():
+    rng = np.random.default_rng(32)
+    v = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
+    stack = np.stack([random_pd(rng, 4), v @ v.conj().T, random_pd(rng, 4), np.zeros((4, 4))])
+    roots, ok = psd_inv_sqrt_batch(stack)
+    assert ok.tolist() == [True, False, True, False]
+    assert np.allclose(roots[2], psd_inv_sqrt(stack[2]), rtol=0, atol=1e-12)
+    with pytest.raises(SingularMatrixError):
+        psd_inv_sqrt(stack[1])
 
 
 def test_thin_svd_identity():

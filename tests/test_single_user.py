@@ -13,10 +13,15 @@ from netmimo import (
     solve_single_constraint,
 )
 from netmimo.single_user import (
+    GAIN_RTOL,
+    LAMBDA_FLOOR,
+    STALL_WINDOW,
     constraint_usage_single,
     lagrangian_value,
     precoder_wsmse,
 )
+
+from conftest import antenna_link, dense_link
 
 
 def make_problem(h, omega=None, phis=None, budgets=(1.0,), weights=None, d=None):
@@ -212,3 +217,94 @@ def test_kkt_residual_detects_non_stationary_points():
     sol = solve_single_constraint(problem)
     b = sol.precoder + 0.1 * (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
     assert kkt_residual(problem, b, [sol.water_level]) > 1e-3
+
+
+def reference_multi_constraint(problem, step=0.1, max_outer=2000, constraint_tol=1e-2,
+                               objective_tol=1e-6):
+    """The dual subgradient solve as its pass was first written, kept as the
+    oracle of solve_multi_constraint: per pass, the priced constraints are
+    summed one by one, the priced minimizer symmetrizes twice and orders
+    eigenvalues and stream weights by stable argsort, the usage is one trace
+    per constraint and the weighted MSE is taken with a fresh diag(w) and
+    identity.  Returns (precoder, multipliers, usage, trace, iterations,
+    converged)."""
+    def herm(a):
+        return 0.5 * (a + a.conj().T)
+
+    r = problem.quadratic_form()
+    w, d, budgets = problem.weights, problem.streams, problem.budgets
+    scale = np.maximum(budgets, 1e-300)
+
+    def minimizer(phi):
+        vals, vecs = np.linalg.eigh(herm(phi))
+        s = herm((vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T)
+        vals, vecs = np.linalg.eigh(herm(herm(s @ r @ s)))
+        order = np.argsort(-vals, kind="stable")[:d]
+        gains, basis = vals[order], vecs[:, order]
+        rank = np.argsort(-w, kind="stable")
+        active = gains > GAIN_RTOL * max(1.0, np.max(gains, initial=0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            levels = np.maximum(np.sqrt(w[rank] / gains) - 1.0 / gains, 0.0)
+        columns = s @ (basis * np.sqrt(np.where(active, levels, 0.0)))
+        return columns[:, np.argsort(rank)]
+
+    def stable(trace, window=5):
+        if len(trace) < window + 1:
+            return False
+        tail = trace[-window - 1:]
+        return all(abs(b - a) <= objective_tol * max(1.0, abs(trace[-1])) for a, b in zip(tail, tail[1:]))
+
+    lam = np.ones(problem.num_constraints)
+    trace, best, stall, diminish_from = [], np.inf, 0, None
+    for iterations in range(1, max_outer + 1):
+        precoder = minimizer(sum(l * p for l, p in zip(lam, problem.constraints)))
+        bbh = precoder @ precoder.conj().T
+        usage = np.array([float(np.trace(p @ bbh).real) for p in problem.constraints])
+        g = precoder.conj().T @ r @ precoder
+        trace.append(float(np.trace(np.diag(w) @ np.linalg.inv(np.eye(d) + herm(g))).real))
+        multipliers = lam
+        if float(np.max((usage - budgets) / scale)) <= constraint_tol and stable(trace):
+            return precoder, multipliers, usage, trace, iterations, True
+        active = (lam > 10 * LAMBDA_FLOOR) | (usage > budgets)
+        residual = float(np.max((np.abs(usage - budgets) / scale)[active])) if np.any(active) else 0.0
+        if residual < best - 1e-12:
+            best, stall = residual, 0
+        else:
+            stall += 1
+            if stall >= STALL_WINDOW and diminish_from is None:
+                diminish_from = iterations
+        t = step if diminish_from is None else step / np.sqrt(1 + iterations - diminish_from)
+        lam = np.maximum(LAMBDA_FLOOR, lam + t * (usage - budgets))
+    return precoder, multipliers, usage, trace, max_outer, False
+
+
+def test_multi_constraint_matches_reference_pass():
+    # per-antenna links with sorted and unsorted stream weights, and links
+    # whose constraints are not diagonal: bit for bit
+    rng = np.random.default_rng(21)
+    problems = ([antenna_link(rng) for _ in range(50)]
+                + [antenna_link(rng, (0.5, 2.0)) for _ in range(5)]
+                + [dense_link(rng, w) for w in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.5)) for _ in range(2)])
+    for problem in problems:
+        result = solve_multi_constraint(problem)
+        precoder, multipliers, usage, trace, iterations, converged = reference_multi_constraint(problem)
+        assert np.array_equal(result.precoder, precoder)
+        assert np.array_equal(result.multipliers, multipliers)
+        assert np.array_equal(result.usage, usage)
+        assert np.array_equal(np.asarray(result.wsmse_trace), np.asarray(trace))
+        assert (result.iterations, result.converged) == (iterations, converged)
+
+
+def test_multi_constraint_pass_makes_two_eigendecompositions(monkeypatch):
+    # one eigh whitens the priced constraint, one finds the top eigenvectors
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    result = solve_multi_constraint(antenna_link(np.random.default_rng(3)))
+    assert result.iterations > 10
+    assert len(calls) == 2 * result.iterations
