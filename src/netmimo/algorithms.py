@@ -38,8 +38,8 @@ weighted-MSE objective or inside the rate-maximizing reweighting loop
 (:func:`srm_outer_loop`, weights refreshed to E_k^{-1} every pass).  All
 solvers are deterministic given problem, config and seed.
 
-The dual-loop solvers run batched over users on the zero-padded
-:attr:`InterferenceProblem.arrays`, whatever the users' serving sets and
+The dual-loop solvers run batched over users on the zero-padded arrays
+of :class:`InterferenceProblem`, whatever the users' serving sets and
 stream counts.  Padding adds nothing on the real coordinates: the matrices
 inverted over the transmit space (``dmmse``'s F_k, ``pwf``'s reversed-link
 covariance, ``emmseia``'s linear system) get 1 on their padded diagonal,
@@ -74,6 +74,7 @@ from .model import (
     mmse_equalizers,
     mse_matrices_mmse,
     pad_stack,
+    reverse_link_sums,
     set_padded_diagonal,
     srm_weight_update,
     sum_over_sources,
@@ -204,7 +205,7 @@ def _mse_offdiag(problem: InterferenceProblem, precoders, omegas=None) -> float:
     :func:`mse_matrices_mmse`) is cleared, which leaves exactly the block's
     entries nonzero."""
     mses = mse_matrices_mmse(problem, precoders, omegas)
-    return _max_offdiag_mass(set_padded_diagonal(mses, problem.arrays.stream_pad, 0.0))
+    return _max_offdiag_mass(set_padded_diagonal(mses, problem.stream_pad, 0.0))
 
 
 def initialize_precoders(problem: InterferenceProblem, config: AlgorithmConfig) -> list:
@@ -231,7 +232,7 @@ def _constraint_row_supports(problem: InterferenceProblem):
     """The (K, M, m_t) 0/1 array whose [k, m] row marks the precoder rows
     that constraint m weighs on user k, or None unless every constraint
     weight is diagonal and no precoder row is weighed by two constraints."""
-    constraints = problem.arrays.constraints
+    constraints = problem.constraints
     diags = np.diagonal(constraints, axis1=-2, axis2=-1)
     if np.count_nonzero(constraints - diags[..., None] * np.eye(constraints.shape[-1])):
         return None
@@ -255,7 +256,7 @@ def fit_to_budgets(problem: InterferenceProblem, precoders) -> tuple:
     then meets its budget.
     """
     budgets = problem.budgets
-    precoders = problem.arrays.precoders(precoders)
+    precoders = problem.precoders(precoders)
     usage = constraint_usage(problem, precoders)
     over = usage > budgets
     if not np.any(over):
@@ -300,19 +301,19 @@ def _stream_weights(problem: InterferenceProblem, mats) -> np.ndarray:
     """The diagonals of a padded (K, d, d) weight stack as the per-stream
     weights of the diagonalizing solver, (K, d), zero on padded streams."""
     weights = np.maximum(np.diagonal(mats, axis1=-2, axis2=-1).real, 0.0)
-    weights[problem.arrays.stream_pad] = 0.0
+    weights[problem.stream_pad] = 0.0
     return weights
 
 
 def _diagonal_weights(problem: InterferenceProblem) -> np.ndarray:
     """:func:`_stream_weights` of the problem's MSE weights, which the
     diagonalizing solver requires to be diagonal."""
-    for k, w in enumerate(problem.mse_weights):
+    for k, w in enumerate(cut_padding(problem.mse_weights, problem.streams, problem.streams)):
         if offdiag_mass(w) > 1e-10:
             raise ContractViolationError(
                 f"user {k}: the diagonalizing solver requires diagonal MSE weights"
             )
-    return _stream_weights(problem, problem.arrays.mse_weights)
+    return _stream_weights(problem, problem.mse_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +322,7 @@ def _diagonal_weights(problem: InterferenceProblem) -> np.ndarray:
 
 def _priced_weights(problem, lam):
     """(K, m_t, m_t) stack of sum_m lam_m Phi_{k,m}."""
-    constraints = problem.arrays.constraints
+    constraints = problem.constraints
     priced = 0
     for m in range(problem.num_constraints):
         priced = priced + lam[m] * constraints[:, m]
@@ -332,7 +333,7 @@ def _pricing_matrices(problem, ups, lam):
     """Interference-pricing matrices F_k = ups_k + sum_m lam_m Phi_{k,m},
     with 1 on the padded diagonal."""
     f = hermitian_part(ups + _priced_weights(problem, lam))
-    return set_padded_diagonal(f, problem.arrays.tx_pad, 1.0)
+    return set_padded_diagonal(f, problem.tx_pad, 1.0)
 
 
 def _dmmse_precoder_step(problem, precoders, equalizers, weight_diags, lam, omegas=None):
@@ -341,17 +342,13 @@ def _dmmse_precoder_step(problem, precoders, equalizers, weight_diags, lam, omeg
     R_k = H_kk^H Omega_k^{-1} H_kk, as the padded (K, m_t, d) stack; padded
     streams carry zero weight and so get zero columns.  A singular F_k is
     retried once with the price floor lifted to the interference scale."""
-    cross, direct = problem.arrays.cross, problem.arrays.direct
     if omegas is None:
         omegas = interference_covariances(problem, precoders)
     a = np.asarray(equalizers)
     w = np.asarray(weight_diags)
-    awa = (a * w[:, None, :]) @ adjoint(a)
-    # ups[k] = sum_{l != k} H_{l,k}^H A_l W_l A_l^H H_{l,k}, accumulated in ascending l
-    ups = np.zeros(cross.shape[:1] + cross.shape[-1:] * 2, dtype=complex)
-    for l in range(problem.num_users):
-        ups += adjoint(cross[l]) @ awa[l] @ cross[l]
-    r = hermitian_part(adjoint(direct) @ np.linalg.solve(np.asarray(omegas), direct))
+    # ups[k] = sum_{l != k} H_{l,k}^H A_l W_l A_l^H H_{l,k}
+    ups = reverse_link_sums(0.0, problem.cross, (a * w[:, None, :]) @ adjoint(a))
+    r = hermitian_part(adjoint(problem.direct) @ np.linalg.solve(np.asarray(omegas), problem.direct))
 
     def lift(k):
         guard = max(LAMBDA_FLOOR, 1e-9 * max(1.0, float(np.linalg.norm(ups[k]))))
@@ -373,21 +370,15 @@ def _emmseia_factors(problem, equalizers, weights):
     """Multiplier-independent parts of the precoder linear systems: the
     received-weight grams sum_l H_{l,k}^H A_l W_l A_l^H H_{l,k}, with 1 on
     the padded diagonal, and the right-hand sides H_{k,k}^H A_k W_k."""
-    arrays = problem.arrays
-    channels = arrays.channels
-    a = arrays.equalizers(equalizers)
+    a = problem.equalizers(equalizers)
     w = np.asarray(weights)
-    awa = a @ w @ adjoint(a)
-    # gram[k] = sum_l H_{l,k}^H A_l W_l A_l^H H_{l,k}, accumulated in ascending l
-    gram = np.zeros(channels.shape[:1] + channels.shape[-1:] * 2, dtype=complex)
-    for l in range(problem.num_users):
-        gram += adjoint(channels[l]) @ awa[l] @ channels[l]
-    rhs = adjoint(arrays.direct) @ a @ w
-    return set_padded_diagonal(hermitian_part(gram), arrays.tx_pad, 1.0), rhs
+    gram = reverse_link_sums(0.0, problem.channels, a @ w @ adjoint(a))
+    rhs = adjoint(problem.direct) @ a @ w
+    return set_padded_diagonal(hermitian_part(gram), problem.tx_pad, 1.0), rhs
 
 
 def _emmseia_solve_at(problem, grams, rhs, mu):
-    constraints = problem.arrays.constraints
+    constraints = problem.constraints
     systems = grams
     for m in range(problem.num_constraints):
         if mu[m] != 0.0:
@@ -462,14 +453,13 @@ def _iterate_mse_family(problem, config, inner: str, objective: str, initial=Non
     covariances are diagonal; ``emmseia`` carries the KKT multipliers of its
     per-pass search across passes and does not polish."""
     budgets = problem.budgets
-    arrays = problem.arrays
-    precoders = arrays.precoders(initialize_precoders(problem, config) if initial is None else initial)
+    precoders = problem.precoders(initialize_precoders(problem, config) if initial is None else initial)
     omegas = interference_covariances(problem, precoders)
     equalizers = mmse_equalizers(problem, precoders, omegas)
     usage = None
     mu = np.full(problem.num_constraints, config.lambda_init)  # emmseia's KKT multipliers
     dmmse = inner == "dmmse"
-    fixed_weights = _diagonal_weights(problem) if dmmse else arrays.mse_weights
+    fixed_weights = _diagonal_weights(problem) if dmmse else problem.mse_weights
     slack_ok = True
     # The inner subproblem at fixed multipliers minimizes the priced
     # objective wsmse + lam.(usage - P); its per-pass values are the
@@ -587,7 +577,7 @@ def srm_outer_loop(problem: InterferenceProblem, config: AlgorithmConfig,
 def _cov_interferences(problem, covariances):
     """Omega_k = I + sum_{l != k} H_{k,l} Sigma_l H_{k,l}^H for every
     receiver k, as the padded (K, m_r, m_r) stack."""
-    cross = problem.arrays.cross
+    cross = problem.cross
     # received[k, l] = H_{k,l} Sigma_l H_{k,l}^H, l != k
     received = cross @ np.asarray(covariances) @ adjoint(cross)
     eye = np.eye(cross.shape[-2], dtype=complex)
@@ -597,7 +587,7 @@ def _cov_interferences(problem, covariances):
 def _cov_totals(problem, covariances):
     """Per user, Omega_k and Omega_k + H_kk Sigma_k H_kk^H."""
     omegas = _cov_interferences(problem, covariances)
-    h = problem.arrays.direct
+    h = problem.direct
     return omegas, omegas + h @ np.asarray(covariances) @ adjoint(h)
 
 
@@ -626,31 +616,27 @@ def _pwf_forward(problem, covariances, dual_covariances, lam, omegas=None):
     covariances of ``covariances`` when the caller has them.  Returns the
     new covariances as the padded (K, m_t, m_t) stack and the water level;
     padded streams get no power."""
-    arrays = problem.arrays
     if omegas is None:
         omegas = _cov_interferences(problem, covariances)
     target = float(np.dot(lam, problem.budgets))
-    cross, direct = arrays.cross, arrays.direct
     priced = _priced_weights(problem, lam)
-    # omega_hat[k] = priced[k] + sum_{j != k} H_{j,k}^H Sigma_hat_j H_{j,k}, ascending j
-    omega_hat = priced.copy()
-    for j, dual in enumerate(dual_covariances):
-        omega_hat += adjoint(cross[j]) @ dual @ cross[j]
-    omega_hat = set_padded_diagonal(hermitian_part(omega_hat), arrays.tx_pad, 1.0)
+    # omega_hat[k] = priced[k] + sum_{j != k} H_{j,k}^H Sigma_hat_j H_{j,k}
+    omega_hat = reverse_link_sums(priced, problem.cross, dual_covariances)
+    omega_hat = set_padded_diagonal(hermitian_part(omega_hat), problem.tx_pad, 1.0)
     s_fwd, ok_fwd = psd_inv_sqrt_batch(omegas)
     s_hat, ok_hat = psd_inv_sqrt_batch(omega_hat)
     for k in np.flatnonzero(~(ok_fwd & ok_hat)):
         psd_inv_sqrt(omegas[k])  # raises the per-user error
         psd_inv_sqrt(omega_hat[k])
-    whitened = s_fwd @ direct @ s_hat
-    d = arrays.mse_weights.shape[-1]
+    whitened = s_fwd @ problem.direct @ s_hat
+    d = problem.mse_weights.shape[-1]
     _, sing, right = np.linalg.svd(whitened, full_matrices=False)
     right = adjoint(right)[..., :d]
     gains = sing[:, :d] ** 2
     cmat = adjoint(right) @ s_hat @ priced @ s_hat @ right
     coefs = np.maximum(np.diagonal(cmat, axis1=-2, axis2=-1).real, 0.0)
     keep = gains > GAIN_RTOL * np.maximum(1.0, np.max(gains, axis=-1, initial=0.0))[:, None]
-    keep[arrays.stream_pad] = False
+    keep[problem.stream_pad] = False
     gains_flat, coefs_flat = gains[keep], coefs[keep]
     inv_gains = 1.0 / gains_flat
     if gains_flat.size == 0 or np.sum(coefs_flat) <= 0 or target <= 0:
@@ -666,7 +652,7 @@ def _pwf_forward(problem, covariances, dual_covariances, lam, omegas=None):
 
 def _cov_usage(problem, covariances) -> np.ndarray:
     usage = np.zeros(problem.num_constraints)
-    traces = np.trace(problem.arrays.constraints @ np.asarray(covariances)[:, None], axis1=-2, axis2=-1)
+    traces = np.trace(problem.constraints @ np.asarray(covariances)[:, None], axis1=-2, axis2=-1)
     for row in traces.real:
         usage += row
     return usage
@@ -675,12 +661,18 @@ def _cov_usage(problem, covariances) -> np.ndarray:
 def pwf_fixed_point_residual(problem: InterferenceProblem, state: DualNetworkState) -> float:
     """Re-evaluate the coupled covariance equations at ``state`` and return
     the worst relative deviation of the reproduced transmit covariances."""
-    covariances = pad_stack(state.covariances, problem.arrays.constraints.shape[-2:])
+    covariances = pad_stack(state.covariances, problem.constraints.shape[-2:])
     duals = _dual_covariances(problem, covariances, state.water_level)
     reproduced, _ = _pwf_forward(problem, covariances, duals, state.multipliers)
-    old_norms = _norms(covariances)
+    return _relative_change(reproduced, covariances)
+
+
+def _relative_change(new, old) -> float:
+    """max_k ||new_k - old_k|| / max(||old_k||, 1e-12 max_j ||old_j||) over
+    two (K, ., .) stacks."""
+    old_norms = _norms(old)
     scale = max(float(np.max(old_norms)), 1e-300)
-    return float(np.max(_norms(reproduced - covariances) / np.maximum(old_norms, 1e-12 * scale)))
+    return float(np.max(_norms(new - old) / np.maximum(old_norms, 1e-12 * scale)))
 
 
 def _pwf_rule(lam, usage, budgets, since):
@@ -704,9 +696,8 @@ def pwf_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = Non
     and reported as unconverged.  The diagnostics carry the last iterate's
     :class:`DualNetworkState` for structural verification."""
     config = (config or AlgorithmConfig(algorithm="pwf", objective="srm")).validate()
-    arrays = problem.arrays
     budgets = problem.budgets
-    precoders = arrays.precoders(initialize_precoders(problem, config) if initial is None else initial)
+    precoders = problem.precoders(initialize_precoders(problem, config) if initial is None else initial)
     covariances = precoders @ adjoint(precoders)
     mu = 1.0
     totals = _cov_totals(problem, covariances)
@@ -733,9 +724,7 @@ def pwf_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = Non
             nonlocal prev_delta, growth
             previous = covariances  # run_pass binds a new stack
             value = run_pass(lam)
-            old_norms = _norms(previous)
-            scale = max(float(np.max(old_norms)), 1e-300)
-            delta = float(np.max(_norms(covariances - previous) / np.maximum(old_norms, 1e-12 * scale)))
+            delta = _relative_change(covariances, previous)
             if delta <= PWF_POLISH_TOL:
                 return value, True
             growth = growth + 1 if delta > 2.0 * prev_delta else 0
@@ -764,7 +753,7 @@ def pwf_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = Non
         order = np.argsort(-vals, kind="stable")[:d]
         precoders.append(vecs[:, order] * np.sqrt(np.maximum(vals[order], 0.0)))
     converged = violation <= config.constraint_tol and objective_stable(run.trace, config.inner_tol)
-    precoders, usage = _budget_guard(problem, config, arrays.precoders(precoders), usage)
+    precoders, usage = _budget_guard(problem, config, problem.precoders(precoders), usage)
     return _solution(problem, precoders, usage, run.lam.copy(), run, converged,
                      {"unscaled_max_violation": max(violation, 0.0), "state": state, "objective": "srm"})
 
@@ -806,18 +795,17 @@ def min_leakage_solve(system: PartialCooperationSystem, config: AlgorithmConfig 
         raise ContractViolationError(
             f"min_leakage needs d_k <= nt per serving BS; got streams {streams} with nt={nt}"
         )
-    width = max(len(sset) for sset in system.serving_sets)
     d_max = max(streams)
-    served_count = [len(system.served_users(m)) for m in range(system.num_bs)]
-    # (K, c) tables of each pair's BS and power share; padded slots get BS 0
-    # and share 0
-    bs_of = np.zeros((k_users, width), dtype=int)
+    # (K, c) tables of each pair's BS and power share P_m / (K_m d_k);
+    # padded slots get BS 0 and share 0
+    bs_of, valid = system.serving_table
+    width = bs_of.shape[1]
+    pair_users, pair_slots = np.nonzero(valid)
+    pairs = list(zip(pair_users, pair_slots))
+    pair_bs = bs_of[valid]
+    served_count = np.bincount(pair_bs, minlength=system.num_bs)
     coef = np.zeros((k_users, width))
-    for k, sset in enumerate(system.serving_sets):
-        for pos, m in enumerate(sset):
-            bs_of[k, pos] = m
-            coef[k, pos] = float(system.bs_power[m]) / (served_count[m] * streams[k])
-    pairs = [(k, pos) for k, sset in enumerate(system.serving_sets) for pos in range(len(sset))]
+    coef[valid] = system.bs_power[pair_bs] / (served_count[pair_bs] * np.array(streams)[pair_users])
     # (K, 1, d): 1 on each user's own streams
     stream_mask = (np.arange(d_max) < np.array(streams)[:, None])[:, None, :]
 

@@ -9,15 +9,18 @@ constraint weight of BS m on user k is a block mask selecting the precoder
 rows driven by BS m, and the masks of one user sum to the identity.
 
 Users may differ in transmit size (serving-set size), receive size and
-stream count d_k.  :attr:`InterferenceProblem.arrays` holds every problem
-as zero-padded arrays (:class:`ProblemArrays`), and the batched kernels
-below (:func:`interference_covariances`, :func:`mmse_equalizers`,
-:func:`mse_matrices_mmse`, :func:`wsmse_objective`, :func:`sum_rate`,
-:func:`constraint_usage`, :func:`srm_weight_update`) work on all users at
-once.  They accept per-user matrices or their padded stack and return
-padded stacks; each user's block of a result is what the per-user
-functions (:func:`interference_covariance`, :func:`mmse_equalizer`,
-:func:`mse_matrix`, :func:`mse_matrix_mmse`) give for that user.
+stream count d_k.  An :class:`InterferenceProblem` stores one form: arrays
+zero-padded to the largest sizes, with the per-user sizes alongside, which
+:func:`build_interference_problem` fills in one gather and
+:meth:`InterferenceProblem.from_blocks` from per-user blocks.  The batched
+kernels below (:func:`interference_covariances`, :func:`reverse_link_sums`,
+:func:`mmse_equalizers`, :func:`mse_matrices_mmse`, :func:`wsmse_objective`,
+:func:`sum_rate`, :func:`constraint_usage`, :func:`srm_weight_update`) work
+on all users at once.  They accept per-user matrices or their padded stack
+and return padded stacks; each user's block of a result is what the
+per-user reference functions (:func:`interference_covariance`,
+:func:`mmse_equalizer`, :func:`mse_matrix`, :func:`mse_matrix_mmse`) give
+for that user from the blocks cut out of the arrays.
 
 Noise is identity by convention; colored noise must be whitened upstream
 (see :mod:`netmimo.scenario`).
@@ -94,6 +97,16 @@ class PartialCooperationSystem:
         """Users whose serving set contains BS ``m``."""
         return tuple(k for k, sset in enumerate(self.serving_sets) if m in sset)
 
+    @cached_property
+    def serving_table(self) -> tuple:
+        """(bs_of, valid): (K, c) table of each user's serving BSs, padded with
+        BS 0 to the largest serving-set size c, and the mask of its real slots."""
+        sizes = np.array([len(sset) for sset in self.serving_sets])
+        valid = np.arange(sizes.max()) < sizes[:, None]
+        bs_of = np.zeros(valid.shape, dtype=int)
+        bs_of[valid] = np.concatenate(self.serving_sets)
+        return bs_of, valid
+
 
 @dataclass
 class BeamformerSolution:
@@ -111,148 +124,142 @@ class BeamformerSolution:
 
 @dataclass(frozen=True)
 class InterferenceProblem:
-    """K transmitter/receiver pairs with M shared trace constraints.
+    """K transmitter/receiver pairs with M shared trace constraints, stored
+    once: as arrays zero-padded at the bottom and right to the largest
+    transmit size m_t, receive size m_r and stream count d, with each user's
+    sizes alongside (:meth:`from_blocks` pads per-user blocks).
 
-    channels    -- channels[k][l]: (rx_dims[k], tx_dims[l]), receiver k from transmitter l
-    constraints -- constraints[k][m]: PSD weight of constraint m on transmitter k
+    channels    -- (K, K, m_r, m_t): channels[k, l] = H_{k,l}, receiver k from
+                   transmitter l, in its leading (rx_dims[k], tx_dims[l]) block
+    constraints -- (K, M, m_t, m_t): constraints[k, m] = Phi_{k,m}, the PSD
+                   weight of constraint m on transmitter k
     budgets     -- (M,) constraint budgets
-    streams     -- per-user stream counts d_k
-    mse_weights -- per-user Hermitian PSD d_k x d_k error weights (diagonal in the
-                   basic problem; full matrices appear in rate-driven reweighting)
+    mse_weights -- (K, d, d): W_k, Hermitian PSD d_k x d_k error weights (diagonal
+                   in the basic problem; full in rate-driven reweighting)
+    tx_dims, rx_dims, streams -- per-user sizes m_t,k, m_r,k and d_k
+
+    The padding carries no signal, interference or budget use.  Each batched
+    kernel does its per-user counterpart's arithmetic, in the same order, on
+    each user's leading block: bit for bit when the users share their sizes
+    (every drawn scenario), to rounding otherwise (the extra terms are 0).
     """
 
-    channels: tuple
-    constraints: tuple
+    channels: np.ndarray
+    constraints: np.ndarray
     budgets: np.ndarray
+    mse_weights: np.ndarray
+    tx_dims: tuple
+    rx_dims: tuple
     streams: tuple
-    mse_weights: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "budgets", np.asarray(self.budgets, dtype=float))
-        object.__setattr__(self, "channels", tuple(tuple(np.asarray(h, dtype=complex) for h in row) for row in self.channels))
-        object.__setattr__(self, "constraints", tuple(tuple(np.asarray(p, dtype=complex) for p in row) for row in self.constraints))
-        object.__setattr__(self, "streams", tuple(int(d) for d in self.streams))
-        object.__setattr__(self, "mse_weights", tuple(np.asarray(w, dtype=complex) for w in self.mse_weights))
-        self._validate()
-
-    def _validate(self):
-        k = len(self.channels)
-        m = int(self.budgets.size)
-        if len(self.constraints) != k or len(self.streams) != k or len(self.mse_weights) != k:
-            raise ContractViolationError("channels, constraints, streams and mse_weights must all have K entries")
+        for name, dtype in (("channels", complex), ("constraints", complex), ("budgets", float),
+                            ("mse_weights", complex)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        for name in ("tx_dims", "rx_dims", "streams"):
+            object.__setattr__(self, name, tuple(int(n) for n in getattr(self, name)))
+        k, m = len(self.streams), self.num_constraints
+        if not k or len(self.tx_dims) != k or len(self.rx_dims) != k:
+            raise ContractViolationError("tx_dims, rx_dims and streams must all have K > 0 entries")
+        mt, mr, d = max(self.tx_dims), max(self.rx_dims), max(self.streams)
+        for name, shape in (("channels", (k, k, mr, mt)), ("constraints", (k, m, mt, mt)),
+                            ("mse_weights", (k, d, d))):
+            if getattr(self, name).shape != shape:
+                raise ContractViolationError(f"{name} has shape {getattr(self, name).shape}, expected {shape}")
         if np.any(self.budgets <= 0):
             raise ContractViolationError("constraint budgets must be positive")
-        rx = self.rx_dims
-        tx = self.tx_dims
-        for i in range(k):
-            if len(self.channels[i]) != k:
-                raise ContractViolationError("channel table must be K x K")
-            for l in range(k):
-                if self.channels[i][l].shape != (rx[i], tx[l]):
-                    raise ContractViolationError(
-                        f"channel ({i},{l}) has shape {self.channels[i][l].shape}, expected {(rx[i], tx[l])}"
-                    )
-            if len(self.constraints[i]) != m:
-                raise ContractViolationError("constraint table must be K x M")
-            total = np.zeros((tx[i], tx[i]), dtype=complex)
-            for phi in self.constraints[i]:
-                if phi.shape != (tx[i], tx[i]):
-                    raise ContractViolationError("constraint weights must be square with the transmit dimension")
-                total += phi
-            evals = np.linalg.eigvalsh(0.5 * (total + total.conj().T))
-            if evals[0] <= 1e-12 * max(1.0, evals[-1]):
+        for i, (tx, rx, dk) in enumerate(zip(self.tx_dims, self.rx_dims, self.streams)):
+            if not 1 <= dk <= min(tx, rx):
+                raise ContractViolationError(f"user {i}: streams d={dk} outside [1, min(m_t, m_r)]")
+        # 1 on the padded diagonal leaves each user's block to decide
+        total = set_padded_diagonal(hermitian_part(np.sum(self.constraints, axis=1)), self.tx_pad, 1.0)
+        evals = np.linalg.eigvalsh(total)
+        bad = np.flatnonzero(evals[:, 0] <= 1e-12 * np.maximum(1.0, evals[:, -1]))
+        if bad.size:
+            raise ContractViolationError(f"summed constraint weights of user {bad[0]} must be positive definite")
+        w = self.mse_weights
+        skew = np.linalg.norm(w - adjoint(w), axis=(-2, -1))
+        bad = np.flatnonzero(skew > 1e-10 * np.maximum(1.0, np.linalg.norm(w, axis=(-2, -1))))
+        if bad.size:
+            raise ContractViolationError(f"user {bad[0]}: MSE weight must be Hermitian")
+
+    @classmethod
+    def from_blocks(cls, channels, constraints, budgets, streams, mse_weights) -> "InterferenceProblem":
+        """The problem from per-user blocks, checked block by block and padded
+        once: channels[k][l] is H_{k,l} (m_r,k x m_t,l), constraints[k][m] is
+        Phi_{k,m} (m_t,k x m_t,k) and mse_weights[k] is W_k (d_k x d_k)."""
+        k, m = len(channels), int(np.size(budgets))
+        if not k or len(constraints) != k or len(streams) != k or len(mse_weights) != k:
+            raise ContractViolationError("channels, constraints, streams and mse_weights must all have K entries")
+        if any(len(row) != k for row in channels):
+            raise ContractViolationError("channel table must be K x K")
+        if any(len(row) != m for row in constraints):
+            raise ContractViolationError("constraint table must be K x M")
+        rx = tuple(np.shape(row[0])[0] for row in channels)
+        tx = tuple(np.shape(h)[1] for h in channels[0])
+        for i, l in np.ndindex(k, k):
+            if np.shape(channels[i][l]) != (rx[i], tx[l]):
                 raise ContractViolationError(
-                    f"summed constraint weights of user {i} must be positive definite"
+                    f"channel ({i},{l}) has shape {np.shape(channels[i][l])}, expected {(rx[i], tx[l])}"
                 )
-            d = self.streams[i]
-            if not 1 <= d <= min(tx[i], rx[i]):
-                raise ContractViolationError(f"user {i}: streams d={d} outside [1, min(m_t, m_r)]")
-            w = self.mse_weights[i]
-            if w.shape != (d, d):
-                raise ContractViolationError(f"user {i}: MSE weight must be {d}x{d}")
-            if np.linalg.norm(w - w.conj().T) > 1e-10 * max(1.0, np.linalg.norm(w)):
-                raise ContractViolationError(f"user {i}: MSE weight must be Hermitian")
+        for i in range(k):
+            if any(np.shape(phi) != (tx[i], tx[i]) for phi in constraints[i]):
+                raise ContractViolationError("constraint weights must be square with the transmit dimension")
+            if np.shape(mse_weights[i]) != (streams[i], streams[i]):
+                raise ContractViolationError(f"user {i}: MSE weight must be {streams[i]}x{streams[i]}")
+        mt, mr, d = max(tx), max(rx), max(streams)
+        return cls(
+            channels=pad_stack([h for row in channels for h in row], (mr, mt)).reshape(k, k, mr, mt),
+            constraints=pad_stack([p for row in constraints for p in row], (mt, mt)).reshape(k, m, mt, mt),
+            budgets=budgets, mse_weights=pad_stack(mse_weights, (d, d)), tx_dims=tx, rx_dims=rx,
+            streams=streams,
+        )
 
     @property
     def num_users(self) -> int:
-        return len(self.channels)
+        return len(self.streams)
 
     @property
     def num_constraints(self) -> int:
         return int(self.budgets.size)
 
-    @property
-    def tx_dims(self) -> tuple:
-        return tuple(self.channels[0][l].shape[1] for l in range(len(self.channels)))
-
-    @property
-    def rx_dims(self) -> tuple:
-        return tuple(self.channels[k][0].shape[0] for k in range(len(self.channels)))
+    def channel(self, k: int, l: int) -> np.ndarray:
+        """H_{k,l} without its padding."""
+        return self.channels[k, l, :self.rx_dims[k], :self.tx_dims[l]]
 
     def direct_channel(self, k: int) -> np.ndarray:
-        return self.channels[k][k]
+        return self.channel(k, k)
 
     @cached_property
-    def arrays(self) -> "ProblemArrays":
-        """The problem as :class:`ProblemArrays`, zero-padded to the largest
-        transmit, receive and stream sizes."""
-        k_users = self.num_users
-        mt, mr, d = max(self.tx_dims), max(self.rx_dims), max(self.streams)
-        channels = pad_stack([h for row in self.channels for h in row], (mr, mt))
-        channels = channels.reshape(k_users, k_users, mr, mt)
-        constraints = pad_stack([p for row in self.constraints for p in row], (mt, mt))
-        idx = np.arange(k_users)
-        cross = channels.copy()
-        cross[idx, idx] = 0.0
-        return ProblemArrays(
-            channels=channels, cross=cross, direct=channels[idx, idx],
-            constraints=constraints.reshape(k_users, self.num_constraints, mt, mt),
-            mse_weights=pad_stack(self.mse_weights, (d, d)),
-            tx_pad=np.nonzero(np.arange(mt) >= np.array(self.tx_dims)[:, None]),
-            stream_pad=np.nonzero(np.arange(d) >= np.array(self.streams)[:, None]),
-        )
+    def cross(self) -> np.ndarray:
+        """channels with the direct blocks H_{k,k} set to zero."""
+        return np.where(np.eye(self.num_users, dtype=bool)[:, :, None, None], 0.0, self.channels)
 
+    @cached_property
+    def direct(self) -> np.ndarray:
+        """(K, m_r, m_t): H_{k,k}."""
+        return self.channels[np.arange(self.num_users), np.arange(self.num_users)]
 
-@dataclass(frozen=True)
-class ProblemArrays:
-    """An :class:`InterferenceProblem` as arrays for the batched kernels.
+    @cached_property
+    def tx_pad(self) -> tuple:
+        """(users, coordinates) index arrays of the padded transmit
+        coordinates; matrices that must be inverted over the transmit space
+        get 1 on these diagonal entries."""
+        return np.nonzero(np.arange(self.channels.shape[-1]) >= np.array(self.tx_dims)[:, None])
 
-    Every user's matrices are zero-padded at the bottom and right to the
-    largest transmit size m_t, receive size m_r and stream count d, so the
-    padded coordinates carry no signal, no interference and no budget use.
-    Each batched kernel performs the per-user arithmetic of its per-user
-    counterpart, in the same order, on each user's leading block.  When the
-    users share their sizes (every drawn scenario) nothing is padded and both
-    give the same numbers bit for bit; otherwise the extra terms are exact
-    zeros and the blocks agree to rounding.
-
-    channels    -- (K, K, m_r, m_t): channels[k, l] = H_{k,l}
-    cross       -- channels with the direct blocks H_{k,k} set to zero
-    direct      -- (K, m_r, m_t): H_{k,k}
-    constraints -- (K, M, m_t, m_t): constraints[k, m] = Phi_{k,m}
-    mse_weights -- (K, d, d): W_k
-    tx_pad      -- (users, coordinates) index arrays of the padded transmit
-                   coordinates; matrices that must be inverted over the
-                   transmit space get 1 on these diagonal entries
-    stream_pad  -- (users, streams) index arrays of the padded streams;
-                   solvers give them zero weight and zero power
-    """
-
-    channels: np.ndarray
-    cross: np.ndarray
-    direct: np.ndarray
-    constraints: np.ndarray
-    mse_weights: np.ndarray
-    tx_pad: tuple
-    stream_pad: tuple
+    @cached_property
+    def stream_pad(self) -> tuple:
+        """(users, streams) index arrays of the padded streams; solvers give
+        them zero weight and zero power."""
+        return np.nonzero(np.arange(self.mse_weights.shape[-1]) >= np.array(self.streams)[:, None])
 
     def precoders(self, mats) -> np.ndarray:
         """Per-user precoders (m_t,k x d_k) as the padded (K, m_t, d) stack."""
-        return pad_stack(mats, (self.direct.shape[-1], self.mse_weights.shape[-1]))
+        return pad_stack(mats, (self.channels.shape[-1], self.mse_weights.shape[-1]))
 
     def equalizers(self, mats) -> np.ndarray:
         """Per-user equalizers (m_r,k x d_k) as the padded (K, m_r, d) stack."""
-        return pad_stack(mats, (self.direct.shape[-2], self.mse_weights.shape[-1]))
+        return pad_stack(mats, (self.channels.shape[-2], self.mse_weights.shape[-1]))
 
 
 def pad_stack(mats, shape: tuple) -> np.ndarray:
@@ -288,43 +295,30 @@ def build_interference_problem(system: PartialCooperationSystem, mse_weights=Non
     the channel from transmitter l to receiver k horizontally stacks the
     physical channels from user l's serving BSs to user k; the constraint
     weight of BS m on user k is zero except for an identity in the diagonal
-    block matching m's position in user k's serving set.  MSE weights default
-    to identities.
+    block matching m's position in user k's serving set.  MSE weights
+    (per-user or padded) default to identities.  The arrays are filled in
+    one gather over :attr:`PartialCooperationSystem.serving_table`; users
+    with fewer serving BSs get exact zeros in the slots they lack.
     """
-    k_users = system.num_users
-    m_bs = system.num_bs
-    nt, nr = system.nt, system.nr
-
-    channels = []
-    for k in range(k_users):
-        row = []
-        for l in range(k_users):
-            row.append(np.hstack([system.channels[k, m] for m in system.serving_sets[l]]))
-        channels.append(tuple(row))
-
-    constraints = []
-    for k in range(k_users):
-        sset = system.serving_sets[k]
-        mt = len(sset) * nt
-        row = []
-        for m in range(m_bs):
-            phi = np.zeros((mt, mt), dtype=complex)
-            if m in sset:
-                pos = sset.index(m)
-                sl = slice(pos * nt, (pos + 1) * nt)
-                phi[sl, sl] = np.eye(nt)
-            row.append(phi)
-        constraints.append(tuple(row))
-
+    k_users, nt = system.num_users, system.nt
+    bs_of, valid = system.serving_table
+    width = bs_of.shape[1]
+    # system.channels[k, bs_of[l, pos]] is the pos-th column block of channels[k, l]
+    channels = system.channels[:, bs_of].transpose(0, 1, 3, 2, 4)
+    channels = channels.reshape(k_users, k_users, system.nr, width * nt)
+    if not valid.all():  # padded slots hold BS 0
+        channels = np.where(np.repeat(valid, nt, axis=1)[:, None], channels, 0.0)
+    users, slots = np.nonzero(valid)
+    coords = (slots[:, None] * nt + np.arange(nt)).ravel()
+    constraints = np.zeros((k_users, system.num_bs, width * nt, width * nt), dtype=complex)
+    constraints[np.repeat(users, nt), np.repeat(bs_of[users, slots], nt), coords, coords] = 1.0
+    d = max(system.streams)
     if mse_weights is None:
-        mse_weights = tuple(np.eye(d, dtype=complex) for d in system.streams)
-
+        mse_weights = [np.eye(n) for n in system.streams]
     return InterferenceProblem(
-        channels=tuple(channels),
-        constraints=tuple(constraints),
-        budgets=system.bs_power.copy(),
-        streams=system.streams,
-        mse_weights=tuple(mse_weights),
+        channels=channels, constraints=constraints, budgets=system.bs_power.copy(),
+        mse_weights=pad_stack(mse_weights, (d, d)), streams=system.streams,
+        tx_dims=tuple(len(sset) * nt for sset in system.serving_sets), rx_dims=(system.nr,) * k_users,
     )
 
 
@@ -339,7 +333,7 @@ def interference_covariance(problem: InterferenceProblem, precoders, k: int) -> 
     for l in range(problem.num_users):
         if l == k:
             continue
-        hb = problem.channels[k][l] @ precoders[l]
+        hb = problem.channel(k, l) @ precoders[l]
         omega += hb @ hb.conj().T
     return 0.5 * (omega + omega.conj().T)
 
@@ -347,9 +341,9 @@ def interference_covariance(problem: InterferenceProblem, precoders, k: int) -> 
 def sum_over_sources(base: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """out[k] = base[k] + sum_l terms[k, l], accumulated in ascending l (the
     order of the per-user loops); ``base`` is one matrix for every k or a
-    stack of K.  Terms built from :attr:`ProblemArrays.cross` are exact zeros
-    at l = k, and adding a zero leaves every sum unchanged, so the result is
-    bit for bit the per-user sum over l != k."""
+    stack of K.  Terms built from :attr:`InterferenceProblem.cross` are
+    exact zeros at l = k, and adding a zero leaves every sum unchanged, so
+    the result is bit for bit the per-user sum over l != k."""
     out = np.array(np.broadcast_to(base, terms.shape[:1] + terms.shape[2:]))
     for l in range(terms.shape[1]):
         out += terms[:, l]
@@ -359,10 +353,20 @@ def sum_over_sources(base: np.ndarray, terms: np.ndarray) -> np.ndarray:
 def interference_covariances(problem: InterferenceProblem, precoders) -> np.ndarray:
     """Omega_k of :func:`interference_covariance` for every receiver k, as
     the padded (K, m_r, m_r) stack (identity on the padded coordinates)."""
-    arrays = problem.arrays
-    hb = arrays.cross @ arrays.precoders(precoders)  # hb[k, l] = H_{k,l} B_l, l != k
-    eye = np.eye(arrays.cross.shape[-2], dtype=complex)
+    hb = problem.cross @ problem.precoders(precoders)  # hb[k, l] = H_{k,l} B_l, l != k
+    eye = np.eye(problem.cross.shape[-2], dtype=complex)
     return hermitian_part(sum_over_sources(eye, hb @ adjoint(hb)))
+
+
+def reverse_link_sums(base, channels: np.ndarray, mats) -> np.ndarray:
+    """out[k] = base[k] + sum_l H_{l,k}^H X_l H_{l,k} for a (K, K, m_r, m_t)
+    channel stack (channels[l, k] = H_{l,k}) and a (K, m_r, m_r) stack X,
+    accumulated in ascending l; ``base`` is one matrix for every k or a
+    stack of K."""
+    out = np.array(np.broadcast_to(base, channels.shape[1:2] + channels.shape[-1:] * 2), dtype=complex)
+    for l, x in enumerate(mats):
+        out += adjoint(channels[l]) @ x @ channels[l]
+    return out
 
 
 def mmse_equalizer(problem: InterferenceProblem, precoders, k: int, omega=None) -> np.ndarray:
@@ -383,11 +387,10 @@ def mmse_equalizer(problem: InterferenceProblem, precoders, k: int, omega=None) 
 def mmse_equalizers(problem: InterferenceProblem, precoders, omegas=None) -> np.ndarray:
     """:func:`mmse_equalizer` for every user, as the padded (K, m_r, d)
     stack; ``omegas`` as returned by :func:`interference_covariances`."""
-    arrays = problem.arrays
-    b = arrays.precoders(precoders)
+    b = problem.precoders(precoders)
     if omegas is None:
         omegas = interference_covariances(problem, b)
-    hb = arrays.direct @ b
+    hb = problem.direct @ b
     total = np.asarray(omegas) + hb @ adjoint(hb)
     try:
         return np.linalg.solve(total, hb)
@@ -428,11 +431,10 @@ def mse_matrix_mmse(problem: InterferenceProblem, precoders, k: int, omega=None)
 def mse_matrices_mmse(problem: InterferenceProblem, precoders, omegas=None) -> np.ndarray:
     """:func:`mse_matrix_mmse` for every user, as the padded (K, d, d) stack
     (identity on the padded streams)."""
-    arrays = problem.arrays
-    b = arrays.precoders(precoders)
+    b = problem.precoders(precoders)
     if omegas is None:
         omegas = interference_covariances(problem, b)
-    hb = arrays.direct @ b
+    hb = problem.direct @ b
     g = adjoint(hb) @ np.linalg.solve(np.asarray(omegas), hb)
     e = np.linalg.inv(np.eye(hb.shape[-1]) + 0.5 * (g + adjoint(g)))
     return hermitian_part(e)
@@ -440,15 +442,14 @@ def mse_matrices_mmse(problem: InterferenceProblem, precoders, omegas=None) -> n
 
 def wsmse_objective(problem: InterferenceProblem, precoders, equalizers, omegas=None) -> float:
     """Weighted sum of stream error covariances sum_k tr{W_k E_k}."""
-    arrays = problem.arrays
-    b = arrays.precoders(precoders)
+    b = problem.precoders(precoders)
     if omegas is None:
         omegas = interference_covariances(problem, b)
-    a = arrays.equalizers(equalizers)
-    ahb = adjoint(a) @ (arrays.direct @ b)
+    a = problem.equalizers(equalizers)
+    ahb = adjoint(a) @ (problem.direct @ b)
     e = ahb @ adjoint(ahb) - ahb - adjoint(ahb) + adjoint(a) @ np.asarray(omegas) @ a \
         + np.eye(b.shape[-1])
-    weighted = arrays.mse_weights @ hermitian_part(e)
+    weighted = problem.mse_weights @ hermitian_part(e)
     total = 0.0
     for value in np.trace(weighted, axis1=-2, axis2=-1).real:
         total += float(value)
@@ -458,11 +459,10 @@ def wsmse_objective(problem: InterferenceProblem, precoders, equalizers, omegas=
 def sum_rate(problem: InterferenceProblem, precoders, omegas=None) -> float:
     """Achievable sum rate in bits per channel use with MMSE receivers,
     treating other users' signals as noise: sum_k log2 det(E_k^{-1})."""
-    arrays = problem.arrays
-    b = arrays.precoders(precoders)
+    b = problem.precoders(precoders)
     if omegas is None:
         omegas = interference_covariances(problem, b)
-    hb = arrays.direct @ b
+    hb = problem.direct @ b
     g = hermitian_part(adjoint(hb) @ np.linalg.solve(np.asarray(omegas), hb))
     sign, logdet = np.linalg.slogdet(np.eye(hb.shape[-1]) + g)
     bad = np.flatnonzero(sign.real <= 0)
@@ -476,11 +476,10 @@ def sum_rate(problem: InterferenceProblem, precoders, omegas=None) -> float:
 
 def constraint_usage(problem: InterferenceProblem, precoders) -> np.ndarray:
     """Per-constraint usage: usage_m = sum_k tr{Phi_{k,m} B_k B_k^H}."""
-    arrays = problem.arrays
-    b = arrays.precoders(precoders)
+    b = problem.precoders(precoders)
     bbh_t = (b @ adjoint(b)).swapaxes(-1, -2)  # tr{Phi X} as an elementwise contraction
     usage = np.zeros(problem.num_constraints)
-    for row in np.sum(arrays.constraints * bbh_t[:, None], axis=(-2, -1)).real:
+    for row in np.sum(problem.constraints * bbh_t[:, None], axis=(-2, -1)).real:
         usage += row
     return usage
 
@@ -511,22 +510,31 @@ def _pairs_to_matrix(rows) -> np.ndarray:
 
 
 def problem_to_json(problem: InterferenceProblem) -> str:
+    users = range(problem.num_users)
     payload = {
         "budgets": [float(p) for p in problem.budgets],
         "streams": list(problem.streams),
-        "channels": [[_matrix_to_pairs(h) for h in row] for row in problem.channels],
-        "constraints": [[_matrix_to_pairs(p) for p in row] for row in problem.constraints],
-        "mse_weights": [_matrix_to_pairs(w) for w in problem.mse_weights],
+        "channels": [[_matrix_to_pairs(problem.channel(k, l)) for l in users] for k in users],
+        "constraints": [[_matrix_to_pairs(p[:t, :t]) for p in row]
+                        for row, t in zip(problem.constraints, problem.tx_dims)],
+        "mse_weights": [_matrix_to_pairs(w) for w in cut_padding(problem.mse_weights, problem.streams,
+                                                                 problem.streams)],
     }
     return json.dumps(payload, sort_keys=True)
 
 
 def problem_from_json(text: str) -> InterferenceProblem:
-    payload = json.loads(text)
-    return InterferenceProblem(
-        channels=tuple(tuple(_pairs_to_matrix(h) for h in row) for row in payload["channels"]),
-        constraints=tuple(tuple(_pairs_to_matrix(p) for p in row) for row in payload["constraints"]),
-        budgets=np.asarray(payload["budgets"], dtype=float),
-        streams=tuple(payload["streams"]),
-        mse_weights=tuple(_pairs_to_matrix(w) for w in payload["mse_weights"]),
-    )
+    """The problem of a :func:`problem_to_json` text; malformed input raises
+    :class:`ContractViolationError`."""
+    try:
+        payload = json.loads(text)
+        blocks = dict(
+            channels=[[_pairs_to_matrix(h) for h in row] for row in payload["channels"]],
+            constraints=[[_pairs_to_matrix(p) for p in row] for row in payload["constraints"]],
+            budgets=np.asarray(payload["budgets"], dtype=float),
+            streams=tuple(payload["streams"]),
+            mse_weights=[_pairs_to_matrix(w) for w in payload["mse_weights"]],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ContractViolationError(f"malformed interference problem JSON: {exc!r}") from exc
+    return InterferenceProblem.from_blocks(**blocks)

@@ -41,6 +41,12 @@ MAX_POLISH_ROUNDS = 5
 # Pricing passes without a new best active residual after which a
 # multiplier rule's step starts to diminish (the additive rule's window).
 STALL_WINDOW = 50
+# solve_multi_constraint's step, pass cap, tolerances and initial multipliers.
+MULTI_STEP = 0.1
+MULTI_MAX_OUTER = 2000
+MULTI_CONSTRAINT_TOL = 1e-2
+MULTI_OBJECTIVE_TOL = 1e-6
+MULTI_LAMBDA_INIT = 1.0
 
 
 @dataclass(frozen=True)
@@ -329,14 +335,7 @@ def lagrangian_value(problem: SingleUserProblem, precoder: np.ndarray, multiplie
     return precoder_wsmse(problem, precoder) + float(np.dot(multipliers, usage - problem.budgets))
 
 
-def solve_multi_constraint(
-    problem: SingleUserProblem,
-    step: float = 0.1,
-    max_outer: int = 2000,
-    constraint_tol: float = 1e-2,
-    objective_tol: float = 1e-6,
-    multiplier_init: float = 1.0,
-) -> DualIterationResult:
+def solve_multi_constraint(problem: SingleUserProblem) -> DualIterationResult:
     """Dual subgradient method for multiple constraints, on :func:`dual_loop`.
 
     Each pass minimizes the Lagrangian at the current multipliers
@@ -345,8 +344,8 @@ def solve_multi_constraint(
     lam_m <- max(floor, lam_m + step * (tr{Phi_m B B^H} - P_m)),
     diminishing the step once the active residual stalls for
     ``STALL_WINDOW`` passes.  Exits when all constraints hold within
-    ``constraint_tol`` (relative) and the objective is stable over five
-    passes.
+    ``MULTI_CONSTRAINT_TOL`` (relative) and the objective is stable over
+    five passes.
     """
     budgets = problem.budgets
     r = problem.quadratic_form()
@@ -354,7 +353,7 @@ def solve_multi_constraint(
     weight_matrix, eye = np.diag(problem.weights), np.eye(problem.streams)
     result = DualIterationResult(
         precoder=np.zeros((problem.channel.shape[1], problem.streams), dtype=complex),
-        multipliers=np.full(problem.num_constraints, float(multiplier_init)),
+        multipliers=np.full(problem.num_constraints, MULTI_LAMBDA_INIT),
         wsmse=float(np.sum(problem.weights)),
         usage=np.zeros(problem.num_constraints),
     )
@@ -373,16 +372,18 @@ def solve_multi_constraint(
         return wsmse
 
     def exit_test(trace, usage, lam):
-        return max_violation(usage, budgets) <= constraint_tol and objective_stable(trace, objective_tol)
+        return max_violation(usage, budgets) <= MULTI_CONSTRAINT_TOL \
+            and objective_stable(trace, MULTI_OBJECTIVE_TOL)
 
-    run = dual_loop(run_pass, lambda: result.usage, exit_test, result.multipliers, budgets, max_outer,
-                    rule=additive_rule(step))
+    run = dual_loop(run_pass, lambda: result.usage, exit_test, result.multipliers, budgets, MULTI_MAX_OUTER,
+                    rule=additive_rule(MULTI_STEP))
     result.wsmse_trace, result.iterations, result.converged = run.trace, run.iterations, run.priced_exit
 
     # Zero duality gap needs every constraint active with a meaningfully
     # positive multiplier; report whether the returned point satisfies that.
     rel_slack = np.abs(result.usage - budgets) / np.maximum(budgets, 1e-300)
-    result.binding = bool(np.all(rel_slack <= constraint_tol) and np.all(result.multipliers > 10 * LAMBDA_FLOOR))
+    result.binding = bool(np.all(rel_slack <= MULTI_CONSTRAINT_TOL)
+                          and np.all(result.multipliers > 10 * LAMBDA_FLOOR))
     return result
 
 

@@ -49,9 +49,9 @@ def mixed_size_problem():
     for k in range(3):
         first = (np.arange(tx[k]) < tx[k] // 2).astype(float)
         constraints.append((np.diag(first).astype(complex), np.diag(1.0 - first).astype(complex)))
-    return InterferenceProblem(channels=chans, constraints=tuple(constraints), budgets=[1.0, 1.5],
-                               streams=d, mse_weights=(np.eye(1), np.diag([1.0, 0.5]),
-                                                       np.diag([2.0, 1.0])))
+    return InterferenceProblem.from_blocks(
+        channels=chans, constraints=tuple(constraints), budgets=[1.0, 1.5], streams=d,
+        mse_weights=(np.eye(1), np.diag([1.0, 0.5]), np.diag([2.0, 1.0])))
 
 
 def antenna_link(rng, weights=(1.0, 1.0)):

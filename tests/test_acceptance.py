@@ -140,7 +140,7 @@ def test_criterion_3_mse_algebra_identity():
             for _ in range(k)
         )
         from netmimo import InterferenceProblem
-        problem = InterferenceProblem(
+        problem = InterferenceProblem.from_blocks(
             channels=chans,
             constraints=tuple(
                 tuple(np.eye(nt, dtype=complex) if m == i else np.zeros((nt, nt), dtype=complex)

@@ -2,6 +2,7 @@
 and degenerate cases for all four solver families."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ def cellular_problem(seed, **kwargs):
 def single_pair_problem(h, budget=1.0):
     h = np.asarray(h, dtype=complex)
     mr, mt = h.shape
-    return InterferenceProblem(
+    return InterferenceProblem.from_blocks(
         channels=((h,),),
         constraints=((np.eye(mt, dtype=complex),),),
         budgets=[budget], streams=[min(mr, mt)],
@@ -62,7 +63,7 @@ def zero_problem():
     z = np.zeros((2, 3), dtype=complex)
     eye = np.eye(3, dtype=complex)
     zero = np.zeros((3, 3), dtype=complex)
-    return InterferenceProblem(
+    return InterferenceProblem.from_blocks(
         channels=((z, z), (z, z)),
         constraints=((eye, zero), (zero, eye)),
         budgets=[1.0, 1.0], streams=[2, 2],
@@ -120,7 +121,7 @@ def test_dmmse_symmetric_instance():
     h = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
     g = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
     eye, zero = np.eye(4, dtype=complex), np.zeros((4, 4), dtype=complex)
-    problem = InterferenceProblem(
+    problem = InterferenceProblem.from_blocks(
         channels=((h, g), (g, h)),
         constraints=((eye, zero), (zero, eye)),
         budgets=[1.0, 1.0], streams=[2, 2], mse_weights=(np.eye(2), np.eye(2)),
@@ -158,11 +159,9 @@ def test_dmmse_priced_descent_at_fixed_multipliers():
 def test_dmmse_rejects_non_diagonal_weights():
     _, problem = cellular_problem(0)
     w = np.full((2, 2), 0.5) + np.eye(2)
-    bad = InterferenceProblem(
-        channels=problem.channels, constraints=problem.constraints,
-        budgets=problem.budgets, streams=problem.streams,
-        mse_weights=(w,) + tuple(problem.mse_weights[1:]),
-    )
+    weights = problem.mse_weights.copy()
+    weights[0] = w
+    bad = replace(problem, mse_weights=weights)
     from netmimo.errors import ContractViolationError
     with pytest.raises(ContractViolationError):
         dmmse_solve(bad, AlgorithmConfig(algorithm="dmmse"))
@@ -625,7 +624,7 @@ def test_fit_to_budgets_common_factor_for_overlapping_constraints():
     rng = np.random.default_rng(10)
     h = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     first = np.diag([1.0, 0.0, 0.0]).astype(complex)
-    problem = InterferenceProblem(
+    problem = InterferenceProblem.from_blocks(
         channels=((h,),), constraints=((np.eye(3, dtype=complex), first),),
         budgets=[1.0, 0.2], streams=[2], mse_weights=(np.eye(2),),
     )
@@ -700,7 +699,7 @@ def test_solver_steps_leave_the_padding_alone(mixed_problems):
         tx, d = problem.tx_dims, problem.streams
         cut = initialize_precoders(problem, AlgorithmConfig(initialization="random_orthonormal",
                                                             init_seed=2))
-        precoders = problem.arrays.precoders(cut)
+        precoders = problem.precoders(cut)
         omegas = interference_covariances(problem, precoders)
         equalizers = mmse_equalizers(problem, precoders, omegas)
         lam = np.ones(problem.num_constraints)
@@ -718,12 +717,12 @@ def test_solver_steps_leave_the_padding_alone(mixed_problems):
         padded_only = [b if streams < max(d) else 0 * b for b, streams in zip(cut, d)]
         worst = max(offdiag_mass(mse_matrix_mmse(problem, padded_only, k))
                     for k in range(problem.num_users))
-        offdiag = _mse_offdiag(problem, problem.arrays.precoders(padded_only), None)
+        offdiag = _mse_offdiag(problem, problem.precoders(padded_only), None)
         assert offdiag == pytest.approx(worst, rel=1e-12, abs=1e-300)
 
         mu = np.zeros(problem.num_constraints)
         mu[0] = 0.3  # one multiplier at zero
-        update = emmseia_precoder_update(problem, equalizers, problem.arrays.mse_weights, mu)
+        update = emmseia_precoder_update(problem, equalizers, problem.mse_weights, mu)
         assert not np.any(padding(update, tx, d))
 
         # pwf: no power on padded transmit coordinates or padded streams

@@ -1,0 +1,30 @@
+"""The benchmark's interface to netmimo: the functions ``perfbench`` traces
+by name and the module global it replaces inside ``run_trial``."""
+
+import importlib
+
+from netmimo import AlgorithmConfig, ScenarioConfig, experiment
+from netmimo.experiment import SweepSpec
+from perfbench.tracing import LAYERS, PACKAGE
+
+
+def test_every_traced_name_resolves():
+    for layer, names in LAYERS.items():
+        module = importlib.import_module(f"{PACKAGE}.{layer}")
+        for name in names:
+            assert callable(getattr(module, name))
+
+
+def test_run_trial_calls_solve_system_through_the_module_global(monkeypatch):
+    calls = []
+    solve_system = experiment.solve_system
+
+    def spy(system, config, *args, **kwargs):
+        calls.append(config.algorithm)
+        return solve_system(system, config, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "solve_system", spy)
+    spec = SweepSpec(variable="snr_db", values=(20.0,), trials=1, algorithms=("min_leakage",),
+                     scenario=ScenarioConfig(), algorithm_config=AlgorithmConfig(), master_seed=0)
+    record = experiment.run_trial(spec.validate(), 0, 0, "min_leakage")
+    assert calls == ["min_leakage"] and not record.failed

@@ -7,6 +7,7 @@ from netmimo import (
     ContractViolationError,
     InterferenceProblem,
     PartialCooperationSystem,
+    ScenarioConfig,
     build_interference_problem,
     constraint_usage,
     interference_covariance,
@@ -15,6 +16,7 @@ from netmimo import (
     mse_matrix_mmse,
     problem_from_json,
     problem_to_json,
+    realize,
     srm_weight_update,
     sum_rate,
     wsmse_objective,
@@ -32,7 +34,7 @@ def scalar_problem(h=1.0, g=1.0, k_users=2):
         tuple(np.array([[1.0 + 0j]]) if m == i else np.array([[0.0 + 0j]]) for m in range(k_users))
         for i in range(k_users)
     )
-    return InterferenceProblem(
+    return InterferenceProblem.from_blocks(
         channels=chans,
         constraints=constraints,
         budgets=np.ones(k_users),
@@ -143,7 +145,7 @@ def test_invalid_system_rejected():
 def test_non_positive_budget_rejected():
     for budget in (0.0, -1.0):
         with pytest.raises(ContractViolationError):
-            InterferenceProblem(
+            InterferenceProblem.from_blocks(
                 channels=((np.eye(2, dtype=complex),),),
                 constraints=((np.eye(2, dtype=complex),),),
                 budgets=[budget], streams=[2], mse_weights=(np.eye(2),),
@@ -193,40 +195,94 @@ def padded(mat, shape, diagonal=0.0):
 
 def test_array_form_pads_mixed_dimensions(mixed_problems):
     rng = np.random.default_rng(6)
-    uniform = build_interference_problem(random_system(rng, m=3, k=4, kappa=2, d=2))
-    arrays = uniform.arrays
-    assert arrays.channels.shape == (4, 4, 2, 4) and arrays.constraints.shape == (4, 3, 4, 4)
-    assert np.array_equal(arrays.channels[2, 1], uniform.channels[2][1])
-    assert np.array_equal(arrays.cross[2, 1], uniform.channels[2][1])
-    assert not np.any(arrays.cross[3, 3])
-    assert np.array_equal(arrays.direct[3], uniform.direct_channel(3))
-    assert np.array_equal(arrays.constraints[1, 2], uniform.constraints[1][2])
-    assert arrays.tx_pad[0].size == 0 and arrays.stream_pad[0].size == 0
+    system = random_system(rng, m=3, k=4, kappa=2, d=2)
+    uniform = build_interference_problem(system)
+    channels, constraints, _ = oracle_blocks(system)
+    assert uniform.channels.shape == (4, 4, 2, 4) and uniform.constraints.shape == (4, 3, 4, 4)
+    assert np.array_equal(uniform.channels[2, 1], channels[2][1])
+    assert np.array_equal(uniform.cross[2, 1], channels[2][1])
+    assert not np.any(uniform.cross[3, 3])
+    assert np.array_equal(uniform.direct[3], channels[3][3])
+    assert np.array_equal(uniform.direct_channel(3), channels[3][3])
+    assert np.array_equal(uniform.constraints[1, 2], constraints[1][2])
+    assert uniform.tx_pad[0].size == 0 and uniform.stream_pad[0].size == 0
 
     # transmit sizes 2/4/4/2, stream counts 1/2/3/2, three receive antennas
     problem = mixed_problems["serving_sets"]
-    arrays = problem.arrays
-    assert arrays.channels.shape == (4, 4, 3, 4) and arrays.constraints.shape == (4, 3, 4, 4)
-    assert arrays.mse_weights.shape == (4, 3, 3)
+    tx, d = problem.tx_dims, problem.streams
+    assert problem.channels.shape == (4, 4, 3, 4) and problem.constraints.shape == (4, 3, 4, 4)
+    assert problem.mse_weights.shape == (4, 3, 3)
     for k in range(4):
         for l in range(4):
-            expected = padded(problem.channels[k][l], (3, 4))
-            assert np.array_equal(arrays.channels[k, l], expected)
-            assert np.array_equal(arrays.cross[k, l], 0 * expected if k == l else expected)
-        assert np.array_equal(arrays.direct[k], padded(problem.direct_channel(k), (3, 4)))
+            expected = padded(problem.channel(k, l), (3, 4))
+            assert np.array_equal(problem.channels[k, l], expected)
+            assert np.array_equal(problem.cross[k, l], 0 * expected if k == l else expected)
+        assert np.array_equal(problem.direct[k], padded(problem.direct_channel(k), (3, 4)))
         for m in range(3):
-            assert np.array_equal(arrays.constraints[k, m], padded(problem.constraints[k][m], (4, 4)))
-        assert np.array_equal(arrays.mse_weights[k], padded(problem.mse_weights[k], (3, 3)))
-    assert list(zip(*arrays.tx_pad)) == [(0, 2), (0, 3), (3, 2), (3, 3)]
-    assert list(zip(*arrays.stream_pad)) == [(0, 1), (0, 2), (1, 2), (3, 2)]
+            expected = padded(problem.constraints[k, m, :tx[k], :tx[k]], (4, 4))
+            assert np.array_equal(problem.constraints[k, m], expected)
+        assert np.array_equal(problem.mse_weights[k], padded(problem.mse_weights[k, :d[k], :d[k]], (3, 3)))
+    assert list(zip(*problem.tx_pad)) == [(0, 2), (0, 3), (3, 2), (3, 3)]
+    assert list(zip(*problem.stream_pad)) == [(0, 1), (0, 2), (1, 2), (3, 2)]
 
     # receive sizes 3/2/2 are padded too
     problem = mixed_problems["sizes"]
-    arrays = problem.arrays
-    assert arrays.channels.shape == (3, 3, 3, 4)
-    assert np.array_equal(arrays.channels[1, 2], padded(problem.channels[1][2], (3, 4)))
-    assert list(zip(*arrays.tx_pad)) == [(0, 2), (0, 3), (2, 3)]
-    assert list(zip(*arrays.stream_pad)) == [(0, 1)]
+    assert problem.channels.shape == (3, 3, 3, 4)
+    assert np.array_equal(problem.channels[1, 2], padded(problem.channel(1, 2), (3, 4)))
+    assert list(zip(*problem.tx_pad)) == [(0, 2), (0, 3), (2, 3)]
+    assert list(zip(*problem.stream_pad)) == [(0, 1)]
+
+
+def oracle_blocks(system):
+    """The stacked problem of ``system`` as per-user blocks, built the way
+    the block-tuple form of build_interference_problem did: np.hstack rows
+    of the serving channels, dense block-mask constraint weights and
+    identity MSE weights."""
+    nt, k_users = system.nt, system.num_users
+    channels = tuple(tuple(np.hstack([system.channels[k, m] for m in system.serving_sets[l]])
+                           for l in range(k_users)) for k in range(k_users))
+    constraints = []
+    for sset in system.serving_sets:
+        row = []
+        for m in range(system.num_bs):
+            phi = np.zeros((len(sset) * nt, len(sset) * nt), dtype=complex)
+            if m in sset:
+                sl = slice(sset.index(m) * nt, (sset.index(m) + 1) * nt)
+                phi[sl, sl] = np.eye(nt)
+            row.append(phi)
+        constraints.append(tuple(row))
+    return channels, tuple(constraints), tuple(np.eye(d, dtype=complex) for d in system.streams)
+
+
+def oracle_systems():
+    """Drawn systems over sector counts 1/3/6, K = 3/7/10 and every
+    cooperation factor up to 5."""
+    for sectors in (1, 3, 6):
+        for cluster, users in ((3, 1), (7, 1), (5, 2)):
+            for kappa in range(1, min(cluster, 5) + 1):
+                yield realize(ScenarioConfig(cluster_size=cluster, users_per_cell=users, nt=6, nr=2,
+                                             streams=2, cooperation_factor=kappa, sectors=sectors,
+                                             seed=100 * sectors + 10 * cluster + kappa))
+
+
+def test_build_matches_block_oracle(mixed_systems):
+    # the stored arrays are the oracle's blocks, zero-padded to the largest sizes
+    systems = list(oracle_systems()) + list(mixed_systems.values())
+    assert len(systems) == 41
+    for system in systems:
+        problem = build_interference_problem(system)
+        channels, constraints, weights = oracle_blocks(system)
+        tx = tuple(row.shape[1] for row in channels[0])
+        mt, mr, d = max(tx), system.nr, max(system.streams)
+        assert problem.tx_dims == tx and problem.rx_dims == (system.nr,) * system.num_users
+        assert problem.streams == system.streams
+        assert np.array_equal(problem.channels, [[padded(h, (mr, mt)) for h in row] for row in channels])
+        assert np.array_equal(problem.constraints, [[padded(p, (mt, mt)) for p in row] for row in constraints])
+        assert np.array_equal(problem.mse_weights, [padded(w, (d, d)) for w in weights])
+        assert problem.channels.dtype == problem.constraints.dtype == problem.mse_weights.dtype == complex
+        # the block input, padded once, is the same problem
+        blocks = InterferenceProblem.from_blocks(channels, constraints, system.bs_power, system.streams, weights)
+        assert problem_to_json(blocks) == problem_to_json(problem)
 
 
 def test_batched_kernels_match_per_user_kernels_bit_for_bit():
@@ -275,10 +331,10 @@ def test_padded_kernels_match_per_user_references(name, mixed_problems):
     rate = -sum(np.linalg.slogdet(mse_matrix_mmse(problem, precoders, k))[1]
                 for k in range(problem.num_users)) / np.log(2.0)
     assert sum_rate(problem, precoders) == pytest.approx(rate, rel=1e-12)
-    wsmse = sum(np.trace(problem.mse_weights[k] @ mse_matrix(problem, precoders, equalizers, k)).real
+    wsmse = sum(np.trace(problem.mse_weights[k, :d[k], :d[k]] @ mse_matrix(problem, precoders, equalizers, k)).real
                 for k in range(problem.num_users))
     assert wsmse_objective(problem, precoders, equalizers) == pytest.approx(wsmse, rel=1e-12)
-    usage = [sum(np.trace(problem.constraints[k][m] @ b @ b.conj().T).real
+    usage = [sum(np.trace(problem.constraints[k, m, :tx[k], :tx[k]] @ b @ b.conj().T).real
                  for k, b in enumerate(precoders)) for m in range(problem.num_constraints)]
     close(constraint_usage(problem, precoders), np.array(usage))
 
@@ -318,7 +374,7 @@ def test_mse_matrix_mmse_values():
 
 
 def test_mse_matrix_mmse_diagonal_case():
-    problem = InterferenceProblem(
+    problem = InterferenceProblem.from_blocks(
         channels=((np.diag([2.0, 1.0]).astype(complex),),),
         constraints=((np.eye(2, dtype=complex),),),
         budgets=[1.0], streams=[2], mse_weights=(np.eye(2),),
@@ -392,14 +448,14 @@ def test_sum_rate_values():
     zero_b = [np.zeros((1, 1), dtype=complex)] * 2
     assert sum_rate(problem, zero_b) == pytest.approx(0.0)
     # scalar: E = 0.5 -> one bit
-    single = InterferenceProblem(
+    single = InterferenceProblem.from_blocks(
         channels=((np.array([[1.0 + 0j]]),),),
         constraints=((np.array([[1.0 + 0j]]),),),
         budgets=[1.0], streams=[1], mse_weights=(np.eye(1),),
     )
     assert sum_rate(single, [np.array([[1.0 + 0j]])]) == pytest.approx(1.0)
     # diagonal MSE matrix diag(0.5, 0.25) -> 3 bits
-    diag = InterferenceProblem(
+    diag = InterferenceProblem.from_blocks(
         channels=((np.diag([1.0, np.sqrt(3.0)]).astype(complex),),),
         constraints=((np.eye(2, dtype=complex),),),
         budgets=[2.0], streams=[2], mse_weights=(np.eye(2),),
@@ -434,7 +490,7 @@ def test_srm_weight_update_values():
     problem = scalar_problem(h=1.0, g=0.0)
     w = srm_weight_update(problem, [np.zeros((1, 1), dtype=complex)] * 2)
     assert np.allclose(w[0], np.eye(1))
-    diag = InterferenceProblem(
+    diag = InterferenceProblem.from_blocks(
         channels=((np.diag([1.0, np.sqrt(3.0)]).astype(complex),),),
         constraints=((np.eye(2, dtype=complex),),),
         budgets=[2.0], streams=[2], mse_weights=(np.eye(2),),
@@ -456,3 +512,10 @@ def test_problem_serialization_round_trip():
         for m in range(2):
             assert np.array_equal(problem.constraints[k][m], again.constraints[k][m])
     assert np.array_equal(problem.budgets, again.budgets)
+
+
+@pytest.mark.parametrize("text", ["{}", "[1]", '{"budgets": [1.0], "streams": [1], "channels": [[[[[1.0, 0.0]]]]], '
+                                  '"constraints": [[[[[1.0, 0.0]]]]]}'])
+def test_malformed_problem_json_is_a_contract_violation(text):
+    with pytest.raises(ContractViolationError, match="interference problem JSON"):
+        problem_from_json(text)
