@@ -62,7 +62,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, NumericalFailureError, SingularMatrixError
-from .linalg import adjoint, bisect_level, hermitian_part, psd_inv_sqrt, psd_inv_sqrt_batch
+from .linalg import (adjoint, bisect_level, hermitian_part, hermitian_top_eigs, psd_inv_sqrt,
+                     psd_inv_sqrt_batch)
 from .model import (
     BeamformerSolution,
     InterferenceProblem,
@@ -541,9 +542,7 @@ def dmmse_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = N
     reweighting loop supplies them as diag(E_k^{-1}).
     """
     config = (config or AlgorithmConfig(algorithm="dmmse")).validate()
-    if config.objective == "srm":
-        return srm_outer_loop(problem, config, inner="dmmse", initial=initial)
-    return _iterate_mse_family(problem, config, "dmmse", "wsmmse", initial=initial)
+    return _iterate_mse_family(problem, config, "dmmse", config.objective, initial)
 
 
 def emmseia_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = None,
@@ -551,9 +550,7 @@ def emmseia_solve(problem: InterferenceProblem, config: AlgorithmConfig | None =
     """Interference-aligning MMSE design with joint precoder updates and a
     KKT multiplier search per round (see module docstring)."""
     config = (config or AlgorithmConfig(algorithm="emmseia")).validate()
-    if config.objective == "srm":
-        return srm_outer_loop(problem, config, inner="emmseia", initial=initial)
-    return _iterate_mse_family(problem, config, "emmseia", "wsmmse", initial=initial)
+    return _iterate_mse_family(problem, config, "emmseia", config.objective, initial)
 
 
 def srm_outer_loop(problem: InterferenceProblem, config: AlgorithmConfig,
@@ -749,9 +746,8 @@ def pwf_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = Non
     )
     precoders = []
     for cov, d in zip(state.covariances, problem.streams):
-        vals, vecs = np.linalg.eigh(cov)
-        order = np.argsort(-vals, kind="stable")[:d]
-        precoders.append(vecs[:, order] * np.sqrt(np.maximum(vals[order], 0.0)))
+        spec = hermitian_top_eigs(cov, d)
+        precoders.append(spec.basis * np.sqrt(np.maximum(spec.values, 0.0)))
     converged = violation <= config.constraint_tol and objective_stable(run.trace, config.inner_tol)
     precoders, usage = _budget_guard(problem, config, problem.precoders(precoders), usage)
     return _solution(problem, precoders, usage, run.lam.copy(), run, converged,
@@ -905,18 +901,19 @@ def min_leakage_solve(system: PartialCooperationSystem, config: AlgorithmConfig 
 # dispatch
 # ---------------------------------------------------------------------------
 
-def solve_system(system: PartialCooperationSystem, config: AlgorithmConfig,
-                 mse_weights=None) -> tuple:
+# each design's entry; the lambdas look the solver up in the module globals
+# at call time, so a rebound name (a tracing wrapper, say) is the one run
+_SOLVERS = {
+    "dmmse": lambda system, problem, config: dmmse_solve(problem, config),
+    "emmseia": lambda system, problem, config: emmseia_solve(problem, config),
+    "pwf": lambda system, problem, config: pwf_solve(problem, config),
+    "min_leakage": lambda system, problem, config: min_leakage_solve(system, config),
+}
+
+
+def solve_system(system: PartialCooperationSystem, config: AlgorithmConfig) -> tuple:
     """Build the stacked interference problem for ``system`` and run the
     configured algorithm; returns (problem, solution)."""
     config = config.validate()
-    problem = build_interference_problem(system, mse_weights=mse_weights)
-    if config.algorithm == "dmmse":
-        solution = dmmse_solve(problem, config)
-    elif config.algorithm == "emmseia":
-        solution = emmseia_solve(problem, config)
-    elif config.algorithm == "pwf":
-        solution = pwf_solve(problem, config)
-    else:
-        solution = min_leakage_solve(system, config)
-    return problem, solution
+    problem = build_interference_problem(system)
+    return problem, _SOLVERS[config.algorithm](system, problem, config)

@@ -9,10 +9,14 @@ streams derive from (master_seed, value index, trial index), so results are
 reproducible under value reordering and parallel execution; the same
 (config, seed) pair yields byte-identical CSV files.
 
-CSV schemas (floats rendered with 12 significant digits):
+Each file format is declared once, by the dataclass that holds it: config
+sections are parsed from the fields of :class:`SweepSpec`,
+``ScenarioConfig`` and ``AlgorithmConfig``, and the records.csv columns are
+the fields of :class:`TrialRecord`.
 
-records.csv  variable, sweep_value, trial, algorithm, per_cell_sum_rate,
-             wsmse, iterations, max_constraint_violation, converged, failed
+CSV schemas (floats rendered with 12 significant digits, flags as 1/0):
+
+records.csv  the TrialRecord fields in order, without wall_time
 summary.csv  variable, sweep_value, algorithm, trials, failures,
              mean_per_cell_rate, std_per_cell_rate, mean_wsmse,
              mean_iterations
@@ -28,23 +32,21 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
 from .algorithms import ALGORITHMS, AlgorithmConfig, solve_system
 from .errors import ConfigurationError, NumericalFailureError
 from .model import interference_covariances, mse_matrices_mmse, sum_rate
-from .scenario import CLUSTER_SHAPES, SECTOR_PATTERNS, ScenarioConfig, realize
+from .scenario import ScenarioConfig, realize
 
 SWEEP_VARIABLES = ("snr_db", "kappa", "cluster_size", "sectors")
 
-RECORD_COLUMNS = (
-    "variable", "sweep_value", "trial", "algorithm", "per_cell_sum_rate",
-    "wsmse", "iterations", "max_constraint_violation", "converged", "failed",
-)
 SUMMARY_COLUMNS = (
     "variable", "sweep_value", "algorithm", "trials", "failures",
     "mean_per_cell_rate", "std_per_cell_rate", "mean_wsmse", "mean_iterations",
@@ -54,6 +56,9 @@ CDF_COLUMNS = ("variable", "sweep_value", "algorithm", "rate", "cum_fraction", "
 
 @dataclass(frozen=True)
 class TrialRecord:
+    """One trial's result; every field but ``wall_time`` is a records.csv
+    column, in this order."""
+
     variable: str
     sweep_value: float
     trial: int
@@ -67,6 +72,9 @@ class TrialRecord:
     wall_time: float  # informational only; never emitted
 
 
+RECORD_COLUMNS = tuple(f.name for f in fields(TrialRecord) if f.name != "wall_time")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     variable: str
@@ -75,13 +83,16 @@ class SweepSpec:
     algorithms: tuple
     scenario: ScenarioConfig
     algorithm_config: AlgorithmConfig
-    master_seed: int
+    master_seed: int = 0
 
     def validate(self) -> "SweepSpec":
         if self.variable not in SWEEP_VARIABLES:
             raise ConfigurationError(f"sweep variable must be one of {SWEEP_VARIABLES}")
         if not self.values:
             raise ConfigurationError("sweep values must be non-empty")
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v)
+               for v in self.values):
+            raise ConfigurationError("sweep values must be finite numbers")
         if self.trials < 1:
             raise ConfigurationError("trials must be at least 1")
         if not self.algorithms:
@@ -136,53 +147,54 @@ def _reject_duplicates(pairs):
 
 def _parse_angle(value, key: str) -> float:
     """Angles are radians; strings may carry an explicit 'deg' or 'rad' suffix."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
     if isinstance(value, str):
         text = value.strip().lower()
         for suffix, factor in (("deg", np.pi / 180.0), ("rad", 1.0)):
             if text.endswith(suffix):
                 try:
-                    return float(text[: -len(suffix)]) * factor
+                    return _coerce(float(text[: -len(suffix)]), "float", key) * factor
                 except ValueError:
                     break
-    raise ConfigurationError(f"key '{key}' must be a number in radians or a string like '30deg'")
+        raise ConfigurationError(f"key '{key}' must be a number in radians or a string like '30deg'")
+    return _coerce(value, "float", key)
 
 
-def _coerce(value, target_type, key: str):
-    if target_type is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigurationError(f"key '{key}' must be a number")
-        return float(value)
-    if target_type is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigurationError(f"key '{key}' must be an integer")
-        return int(value)
-    if target_type is str:
-        if not isinstance(value, str):
-            raise ConfigurationError(f"key '{key}' must be a string")
-        return value
-    return value
+# per field annotation: the JSON types a config value may have (never a
+# bool, NaN or infinity), its conversion, and what the error message asks for
+_CONFIG_TYPES = {
+    "float": ((int, float), float, "a finite number"),
+    "int": (int, int, "an integer"),
+    "str": (str, str, "a string"),
+    "tuple": (list, tuple, "a non-empty list"),
+}
 
 
-def _build_dataclass(cls, data: dict, section: str):
-    spec_fields = {f.name: f for f in fields(cls)}
-    kwargs = {}
+def _coerce(value, type_name: str, key: str):
+    accepted, convert, what = _CONFIG_TYPES[type_name]
+    if isinstance(value, bool) or not isinstance(value, accepted) or value == [] \
+            or (isinstance(value, float) and not math.isfinite(value)):
+        raise ConfigurationError(f"key '{key}' must be {what}")
+    return convert(value)
+
+
+def _build_dataclass(cls, data, section: str, **given):
+    """Config section ``section`` as a ``cls``, with the fields in ``given``
+    set by the caller: every key must name another field, and a field
+    without a default is a required key."""
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"section '{section}' must be a JSON object")
+    spec_fields = {f.name: f for f in fields(cls) if f.name not in given}
+    kwargs = dict(given)
     for key, raw in data.items():
         if key not in spec_fields:
             raise ConfigurationError(f"unknown key '{key}' in section '{section}'")
         if cls is ScenarioConfig and key == "sector_offset":
             kwargs[key] = _parse_angle(raw, key)
-            continue
-        ftype = spec_fields[key].type
-        if ftype in ("int",):
-            kwargs[key] = _coerce(raw, int, key)
-        elif ftype in ("float",):
-            kwargs[key] = _coerce(raw, float, key)
-        elif ftype in ("str",):
-            kwargs[key] = _coerce(raw, str, key)
         else:
-            kwargs[key] = raw
+            kwargs[key] = _coerce(raw, spec_fields[key].type, key)
+    for name, f in spec_fields.items():
+        if name not in kwargs and f.default is MISSING:
+            raise ConfigurationError(f"missing required key '{name}' in section '{section}'")
     return cls(**kwargs)
 
 
@@ -195,7 +207,7 @@ def parse_config(path) -> SweepSpec:
             raw = json.load(handle, object_pairs_hook=_reject_duplicates)
     except FileNotFoundError as exc:
         raise ConfigurationError(f"configuration file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError("the configuration root must be an object")
@@ -204,41 +216,13 @@ def parse_config(path) -> SweepSpec:
             raise ConfigurationError(f"unknown section '{key}' (expected sweep/scenario/algorithm)")
     if "sweep" not in raw or "scenario" not in raw:
         raise ConfigurationError("sections 'sweep' and 'scenario' are required")
-
-    sweep = dict(raw["sweep"])
-    known = {"variable", "values", "trials", "algorithms", "master_seed"}
-    for key in sweep:
-        if key not in known:
-            raise ConfigurationError(f"unknown key '{key}' in section 'sweep'")
-    for key in ("variable", "values", "trials", "algorithms"):
-        if key not in sweep:
-            raise ConfigurationError(f"missing required key '{key}' in section 'sweep'")
-    variable = _coerce(sweep["variable"], str, "variable")
-    values = sweep["values"]
-    if not isinstance(values, list) or not values:
-        raise ConfigurationError("key 'values' must be a non-empty list")
-    trials = _coerce(sweep["trials"], int, "trials")
-    algorithms = sweep["algorithms"]
-    if not isinstance(algorithms, list) or not all(isinstance(a, str) for a in algorithms):
-        raise ConfigurationError("key 'algorithms' must be a list of algorithm names")
-    master_seed = _coerce(sweep.get("master_seed", 0), int, "master_seed")
-
-    scenario = _build_dataclass(ScenarioConfig, dict(raw["scenario"]), "scenario")
-    algo_section = dict(raw.get("algorithm", {}))
-    if "algorithm" in algo_section:
-        raise ConfigurationError(
-            "set the algorithm list under sweep.algorithms, not section 'algorithm'"
-        )
-    algorithm_config = _build_dataclass(AlgorithmConfig, algo_section, "algorithm")
-
-    spec = SweepSpec(
-        variable=variable,
-        values=tuple(values),
-        trials=trials,
-        algorithms=tuple(algorithms),
-        scenario=scenario,
-        algorithm_config=algorithm_config,
-        master_seed=master_seed,
+    algorithm = raw.get("algorithm", {})
+    if isinstance(algorithm, dict) and "algorithm" in algorithm:
+        raise ConfigurationError("set the algorithm list under sweep.algorithms, not section 'algorithm'")
+    spec = _build_dataclass(
+        SweepSpec, raw["sweep"], "sweep",
+        scenario=_build_dataclass(ScenarioConfig, raw["scenario"], "scenario"),
+        algorithm_config=_build_dataclass(AlgorithmConfig, algorithm, "algorithm"),
     )
     return spec.validate()
 
@@ -264,6 +248,7 @@ def run_trial(spec: SweepSpec, value_index: int, trial_index: int, algorithm: st
     rng = trial_rng(spec.master_seed, value_index, trial_index)
     system = realize(scenario_cfg, rng)
     started = time.perf_counter()
+    failed = False
     try:
         problem, solution = solve_system(system, config)
         omegas = interference_covariances(problem, solution.precoders)
@@ -272,34 +257,23 @@ def run_trial(spec: SweepSpec, value_index: int, trial_index: int, algorithm: st
         mses = mse_matrices_mmse(problem, solution.precoders, omegas)
         wsmse = sum(float(np.trace(e[:d, :d]).real) for e, d in zip(mses, problem.streams))
         violation = float(solution.diagnostics.get("max_violation", 0.0))
-        record = TrialRecord(
-            variable=spec.variable,
-            sweep_value=float(value),
-            trial=trial_index,
-            algorithm=algorithm,
-            per_cell_sum_rate=rate,
-            wsmse=wsmse,
-            iterations=solution.iterations,
-            max_constraint_violation=violation,
-            converged=bool(solution.converged),
-            failed=False,
-            wall_time=time.perf_counter() - started,
-        )
+        iterations, converged = solution.iterations, bool(solution.converged)
     except NumericalFailureError:
-        record = TrialRecord(
-            variable=spec.variable,
-            sweep_value=float(value),
-            trial=trial_index,
-            algorithm=algorithm,
-            per_cell_sum_rate=float("nan"),
-            wsmse=float("nan"),
-            iterations=0,
-            max_constraint_violation=float("nan"),
-            converged=False,
-            failed=True,
-            wall_time=time.perf_counter() - started,
-        )
-    return record
+        rate = wsmse = violation = float("nan")
+        iterations, converged, failed = 0, False, True
+    return TrialRecord(
+        variable=spec.variable,
+        sweep_value=float(value),
+        trial=trial_index,
+        algorithm=algorithm,
+        per_cell_sum_rate=rate,
+        wsmse=wsmse,
+        iterations=iterations,
+        max_constraint_violation=violation,
+        converged=converged,
+        failed=failed,
+        wall_time=time.perf_counter() - started,
+    )
 
 
 def _run_trial_args(args) -> TrialRecord:
@@ -342,6 +316,10 @@ def compute_cdf(records) -> tuple:
 
 
 def format_number(x) -> str:
+    """CSV text of a value: strings as they are, flags as 1/0, integers
+    exactly, floats with 12 significant digits."""
+    if isinstance(x, str):
+        return x
     if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
@@ -350,30 +328,16 @@ def format_number(x) -> str:
 
 
 def _write_rows(path, header, rows):
+    """A CSV file of ``header`` and ``rows``, every value through
+    :func:`format_number`."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows([format_number(x) for x in row] for row in rows)
 
 
 def emit_records_csv(records, path):
-    rows = [
-        (
-            r.variable,
-            format_number(r.sweep_value),
-            format_number(r.trial),
-            r.algorithm,
-            format_number(r.per_cell_sum_rate),
-            format_number(r.wsmse),
-            format_number(r.iterations),
-            format_number(r.max_constraint_violation),
-            format_number(r.converged),
-            format_number(r.failed),
-        )
-        for r in records
-    ]
-    _write_rows(path, RECORD_COLUMNS, rows)
+    _write_rows(path, RECORD_COLUMNS, ([getattr(r, name) for name in RECORD_COLUMNS] for r in records))
 
 
 def _groups(records):
@@ -391,19 +355,13 @@ def emit_summary_csv(records, path):
     for (variable, value, algorithm), group in _groups(records):
         ok = [r for r in group if not r.failed]
         rates = np.array([r.per_cell_sum_rate for r in ok])
-        rows.append(
-            (
-                variable,
-                format_number(value),
-                algorithm,
-                format_number(len(group)),
-                format_number(len(group) - len(ok)),
-                format_number(float(np.mean(rates)) if rates.size else float("nan")),
-                format_number(float(np.std(rates, ddof=1)) if rates.size > 1 else 0.0),
-                format_number(float(np.mean([r.wsmse for r in ok])) if ok else float("nan")),
-                format_number(float(np.mean([r.iterations for r in ok])) if ok else float("nan")),
-            )
-        )
+        rows.append((
+            variable, value, algorithm, len(group), len(group) - len(ok),
+            float(np.mean(rates)) if rates.size else float("nan"),
+            float(np.std(rates, ddof=1)) if rates.size > 1 else 0.0,
+            float(np.mean([r.wsmse for r in ok])) if ok else float("nan"),
+            float(np.mean([r.iterations for r in ok])) if ok else float("nan"),
+        ))
     _write_rows(path, SUMMARY_COLUMNS, rows)
 
 
@@ -411,22 +369,25 @@ def emit_cdf_csv(records, path):
     rows = []
     for (variable, value, algorithm), group in _groups(records):
         points, mean = compute_cdf(group)
-        for rate, fraction in points:
-            rows.append(
-                (
-                    variable,
-                    format_number(value),
-                    algorithm,
-                    format_number(rate),
-                    format_number(fraction),
-                    format_number(mean),
-                )
-            )
+        rows.extend((variable, value, algorithm, rate, fraction, mean) for rate, fraction in points)
     _write_rows(path, CDF_COLUMNS, rows)
 
 
+def _parse_flag(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"flag {text!r} is not 0 or 1")
+    return text == "1"
+
+
+# the records.csv parser of each column, from its TrialRecord field type
+_RECORD_PARSERS = tuple({"str": str, "float": float, "int": int, "bool": _parse_flag}[f.type]
+                        for f in fields(TrialRecord) if f.name in RECORD_COLUMNS)
+
+
 def read_records_csv(path) -> list:
-    """Parse a records.csv emitted by :func:`emit_records_csv`."""
+    """Parse a records.csv emitted by :func:`emit_records_csv`.  A row with
+    the wrong number of fields, or a field that does not parse as its
+    column's type, raises :class:`ConfigurationError` naming the line."""
     records = []
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -435,21 +396,15 @@ def read_records_csv(path) -> list:
             if header is None or tuple(header) != RECORD_COLUMNS:
                 raise ConfigurationError(f"{path} does not look like a records.csv file")
             for row in reader:
-                records.append(
-                    TrialRecord(
-                        variable=row[0],
-                        sweep_value=float(row[1]),
-                        trial=int(row[2]),
-                        algorithm=row[3],
-                        per_cell_sum_rate=float(row[4]),
-                        wsmse=float(row[5]),
-                        iterations=int(row[6]),
-                        max_constraint_violation=float(row[7]),
-                        converged=row[8] == "1",
-                        failed=row[9] == "1",
-                        wall_time=0.0,
-                    )
-                )
+                try:
+                    if len(row) != len(RECORD_COLUMNS):
+                        raise ValueError(f"{len(row)} fields, expected {len(RECORD_COLUMNS)}")
+                    values = [parse(text) for parse, text in zip(_RECORD_PARSERS, row)]
+                except ValueError as exc:
+                    raise ConfigurationError(f"{path}, line {reader.line_num}: {exc}") from exc
+                records.append(TrialRecord(*values, wall_time=0.0))
     except FileNotFoundError as exc:
         raise ConfigurationError(f"records file not found: {path}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigurationError(f"{path} is not a readable CSV file: {exc}") from exc
     return records

@@ -88,34 +88,34 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
 
 def hermitian_top_eigs(a, d: int) -> SpectrumDecomposition:
     """The ``d`` largest eigenvalues (descending) of a Hermitian matrix with
-    the corresponding orthonormal eigenvectors.
+    the corresponding orthonormal eigenvectors: :func:`hermitian_top_eigs_batch`
+    of the validated matrix.
 
     For repeated eigenvalues any orthonormal basis of the eigenspace may be
     returned; compare subspaces or derived scalars downstream, never raw
     eigenvectors.
     """
-    vals, vecs = hermitian_eig(a)
-    n = vals.size
+    a = require_hermitian(a)
+    n = a.shape[0]
     if not 1 <= d <= n:
         raise ContractViolationError(f"d={d} outside [1, {n}]")
-    order = np.argsort(-vals, kind="stable")[:d]
-    return SpectrumDecomposition(values=vals[order].copy(), basis=vecs[:, order].copy())
+    vals, vecs = hermitian_top_eigs_batch(a[None], d)
+    return SpectrumDecomposition(values=vals[0].copy(), basis=vecs[0].copy())
 
 
 def psd_inv_sqrt(a) -> np.ndarray:
     """Inverse square root S of a Hermitian positive definite matrix:
-    S Hermitian PSD with S a S = I.
+    S Hermitian PSD with S a S = I, by :func:`psd_inv_sqrt_batch` of the
+    validated matrix.
 
     Raises :class:`SingularMatrixError` when the smallest eigenvalue is not
-    above ``SINGULARITY_RTOL`` times the largest.
+    above ``SINGULARITY_RTOL`` times the largest, or the eigendecomposition
+    fails.
     """
-    vals, vecs = hermitian_eig(a)
-    vmin, vmax = float(vals[0]), float(vals[-1])
-    if vmax <= 0.0 or vmin <= SINGULARITY_RTOL * vmax:
-        raise SingularMatrixError(
-            f"matrix is singular or indefinite (min eigenvalue {vmin:.3e}, max {vmax:.3e})"
-        )
-    return hermitian_part((vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T)
+    roots, ok = psd_inv_sqrt_batch(require_hermitian(a)[None])
+    if not ok[0]:
+        raise SingularMatrixError(f"matrix is singular or indefinite (eigenvalue ratio below {SINGULARITY_RTOL:g})")
+    return roots[0]
 
 
 def psd_inv_sqrt_batch(a) -> tuple[np.ndarray, np.ndarray]:
@@ -138,10 +138,8 @@ def psd_inv_sqrt_batch(a) -> tuple[np.ndarray, np.ndarray]:
 def hermitian_top_eigs_batch(a, d: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`hermitian_top_eigs` of every matrix in an exactly Hermitian
     (K, n, n) stack (a :func:`hermitian_part`, say; it is neither checked nor
-    symmetrized again): (K, d) values, descending, and (K, n, d) bases.  The
-    top ``d`` are ``eigh``'s ascending output reversed, so exactly tied
-    eigenvalues come out in the reverse of ``eigh``'s order, unlike in
-    :func:`hermitian_top_eigs`; both span the tied eigenspace."""
+    symmetrized again): (K, d) values, descending, and (K, n, d) bases, the
+    top ``d`` of ``eigh``'s ascending output reversed."""
     try:
         vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:

@@ -1,11 +1,15 @@
 """The benchmark's interface to netmimo: the functions ``perfbench`` traces
-by name and the module global it replaces inside ``run_trial``."""
+by name, the module global it replaces inside ``run_trial``, and its exact
+canary gate."""
 
 import importlib
+
+import pytest
 
 from netmimo import AlgorithmConfig, ScenarioConfig, experiment
 from netmimo.experiment import SweepSpec
 from perfbench.tracing import LAYERS, PACKAGE
+from perfbench.workloads import WORKLOADS, Checks, TrialChecker, load_reference
 
 
 def test_every_traced_name_resolves():
@@ -28,3 +32,14 @@ def test_run_trial_calls_solve_system_through_the_module_global(monkeypatch):
                      scenario=ScenarioConfig(), algorithm_config=AlgorithmConfig(), master_seed=0)
     record = experiment.run_trial(spec.validate(), 0, 0, "min_leakage")
     assert calls == ["min_leakage"] and not record.failed
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_canary_matches_the_benchmark_reference(name, tmp_path):
+    # the warm-up item the benchmark runs before timing: its rate and exact
+    # iteration count must equal perfbench/reference.json
+    workload, checks = WORKLOADS[name], Checks()
+    state = workload.setup(1, tmp_path)
+    with TrialChecker().installed():
+        workload.warm_up(state, load_reference()[name], checks)
+    assert checks.ok, checks.problems

@@ -9,6 +9,7 @@ import pytest
 from netmimo import ConfigurationError, solve_system
 from netmimo.cli import main
 from netmimo.experiment import (
+    RECORD_COLUMNS,
     SweepSpec,
     TrialRecord,
     compute_cdf,
@@ -257,3 +258,49 @@ def test_cli_configuration_error_exit_code(tmp_path):
     assert main(["run", str(config)]) == 1
     assert main(["run", str(tmp_path / "missing.json")]) == 1
     assert main(["cdf", str(tmp_path / "missing.csv")]) == 1
+
+
+def _records_text(row: str) -> str:
+    good = "snr_db,5,0,dmmse,1.5,0.25,10,0,1,0"
+    return ",".join(RECORD_COLUMNS) + "\n" + good + "\n" + row + "\n"
+
+
+@pytest.mark.parametrize("row", [
+    "snr_db,5,1,dmmse,1.5",                  # five of the ten fields
+    "snr_db,abc,1,dmmse,1.5,0.25,10,0,1,0",  # a sweep value that is no number
+], ids=["short_row", "bad_sweep_value"])
+def test_cli_cdf_rejects_malformed_records(tmp_path, capsys, row):
+    path = tmp_path / "records.csv"
+    path.write_text(_records_text(row))
+    assert main(["cdf", str(path), "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert str(path) in err and "line 3" in err
+    assert not (tmp_path / "cdf.csv").exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    (None, "sweep", [1]),
+    (None, "scenario", 5),
+    ("sweep", "values", ["x"]),
+    ("sweep", "values", [True]),
+    ("sweep", "values", [float("inf")]),
+    ("scenario", "boundary_snr_db", float("nan")),
+    ("scenario", "sector_offset", "nan deg"),
+], ids=["sweep_not_object", "scenario_not_object", "sweep_value_not_number", "sweep_value_bool",
+        "sweep_value_infinite", "scenario_value_nan", "angle_nan"])
+def test_cli_run_rejects_malformed_config(tmp_path, capsys, section, key, value):
+    bad = json.loads(json.dumps(BASE_CONFIG))
+    (bad if section is None else bad[section])[key] = value
+    out = tmp_path / "out"
+    assert main(["run", str(write_config(tmp_path, bad)), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not out.exists()
+
+
+def test_cli_rejects_input_that_is_not_utf8(tmp_path, capsys):
+    for command, name in (("run", "sweep.json"), ("cdf", "records.csv")):
+        path = tmp_path / name
+        path.write_bytes(b"\xff\xfe" + json.dumps(BASE_CONFIG).encode())
+        assert main([command, str(path), "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("configuration error:")
