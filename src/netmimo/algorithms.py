@@ -82,8 +82,8 @@ from .model import (
     sum_rate,
     wsmse_objective,
 )
-from .single_user import (GAIN_RTOL, LAMBDA_CAP, LAMBDA_FLOOR, MAX_POLISH_ROUNDS, active_residual, additive_rule,
-                          dual_loop, max_violation, objective_stable, priced_minimizer)
+from .single_user import (GAIN_RTOL, LAMBDA_CAP, LAMBDA_FLOOR, MAX_POLISH_ROUNDS, additive_rule, dual_loop,
+                          max_violation, objective_stable, priced_minimizer)
 
 ALGORITHMS = ("dmmse", "emmseia", "pwf", "min_leakage")
 OBJECTIVES = ("wsmmse", "srm")
@@ -229,26 +229,12 @@ def initialize_precoders(problem: InterferenceProblem, config: AlgorithmConfig) 
     return precoders
 
 
-def _constraint_row_supports(problem: InterferenceProblem):
-    """The (K, M, m_t) 0/1 array whose [k, m] row marks the precoder rows
-    that constraint m weighs on user k, or None unless every constraint
-    weight is diagonal and no precoder row is weighed by two constraints."""
-    constraints = problem.constraints
-    diags = np.diagonal(constraints, axis1=-2, axis2=-1)
-    if np.count_nonzero(constraints - diags[..., None] * np.eye(constraints.shape[-1])):
-        return None
-    support = diags != 0
-    if np.any(support.sum(axis=1) > 1):
-        return None
-    return support.astype(float)
-
-
 def fit_to_budgets(problem: InterferenceProblem, precoders) -> tuple:
     """Scale ``precoders`` so that every constraint meets its budget; returns
     (scaled precoders as the padded stack, their usage).
 
-    When the constraint weights are diagonal with disjoint supports (the
-    block masks of :func:`build_interference_problem`), the rows weighed by
+    When the constraint weights are diagonal with disjoint supports
+    (:attr:`InterferenceProblem.constraint_supports`), the rows weighed by
     each over-budget constraint m are scaled by sqrt(P_m / usage_m) in every
     precoder, which sets usage_m to P_m and leaves every other constraint
     and every other row unchanged.  For any other constraint weights all
@@ -264,11 +250,11 @@ def fit_to_budgets(problem: InterferenceProblem, precoders) -> tuple:
         return precoders, usage
     factors = np.ones(problem.num_constraints)
     factors[over] = np.sqrt(budgets[over] / usage[over])
-    supports = _constraint_row_supports(problem)
+    supports = problem.constraint_supports
     if supports is None:
         scaled = float(np.min(factors)) * precoders
     else:
-        scaled = (factors @ supports)[..., None] * precoders
+        scaled = (factors @ (supports != 0))[..., None] * precoders
     return scaled, constraint_usage(problem, scaled)
 
 
@@ -321,12 +307,20 @@ def _diagonal_weights(problem: InterferenceProblem) -> np.ndarray:
 # dmmse
 # ---------------------------------------------------------------------------
 
-def _priced_weights(problem, lam):
-    """(K, m_t, m_t) stack of sum_m lam_m Phi_{k,m}."""
-    constraints = problem.constraints
-    priced = 0
-    for m in range(problem.num_constraints):
-        priced = priced + lam[m] * constraints[:, m]
+def _priced_weights(problem, lam, base=None):
+    """(K, m_t, m_t) stack of base_k + sum_m lam_m Phi_{k,m} (``base``: 0),
+    the nonzero terms added in constraint order.  With
+    :attr:`InterferenceProblem.constraint_supports` each entry has at most
+    one nonzero term, so adding lam @ supports to the diagonal gives the
+    bits of that sum (the bases here hold no -0)."""
+    constraints, supports = problem.constraints, problem.constraint_supports
+    priced = np.zeros(constraints.shape[:1] + constraints.shape[2:], dtype=complex) if base is None else base.copy()
+    if supports is None:
+        for m in np.flatnonzero(lam):
+            priced += lam[m] * constraints[:, m]
+    else:
+        diag = np.arange(priced.shape[-1])
+        priced[:, diag, diag] += lam @ supports
     return priced
 
 
@@ -348,8 +342,8 @@ def _dmmse_precoder_step(problem, precoders, equalizers, weight_diags, lam, omeg
     a = np.asarray(equalizers)
     w = np.asarray(weight_diags)
     # ups[k] = sum_{l != k} H_{l,k}^H A_l W_l A_l^H H_{l,k}
-    ups = reverse_link_sums(0.0, problem.cross, (a * w[:, None, :]) @ adjoint(a))
-    r = hermitian_part(adjoint(problem.direct) @ np.linalg.solve(np.asarray(omegas), problem.direct))
+    ups = reverse_link_sums(0.0, problem.cross, problem.cross_h, (a * w[:, None, :]) @ adjoint(a))
+    r = hermitian_part(problem.direct_h @ np.linalg.solve(np.asarray(omegas), problem.direct))
 
     def lift(k):
         guard = max(LAMBDA_FLOOR, 1e-9 * max(1.0, float(np.linalg.norm(ups[k]))))
@@ -373,17 +367,14 @@ def _emmseia_factors(problem, equalizers, weights):
     the padded diagonal, and the right-hand sides H_{k,k}^H A_k W_k."""
     a = problem.equalizers(equalizers)
     w = np.asarray(weights)
-    gram = reverse_link_sums(0.0, problem.channels, a @ w @ adjoint(a))
-    rhs = adjoint(problem.direct) @ a @ w
+    gram = reverse_link_sums(0.0, problem.channels, problem.channels_h, a @ w @ adjoint(a))
+    rhs = problem.direct_h @ a @ w
     return set_padded_diagonal(hermitian_part(gram), problem.tx_pad, 1.0), rhs
 
 
 def _emmseia_solve_at(problem, grams, rhs, mu):
-    constraints = problem.constraints
-    systems = grams
-    for m in range(problem.num_constraints):
-        if mu[m] != 0.0:
-            systems = systems + mu[m] * constraints[:, m]
+    """Solve (grams_k + sum_m mu_m Phi_{k,m}) B_k = rhs_k for every user."""
+    systems = _priced_weights(problem, mu, grams)
     try:
         return np.linalg.solve(systems, rhs)
     except np.linalg.LinAlgError:
@@ -418,29 +409,31 @@ def _emmseia_multiplier_search(problem, equalizers, weights, mu, constraint_tol,
     a factor clip(1 + (usage_m/P_m - 1)/2, 1/2, 2), which matches the local
     usage ~ mu^-2 curvature, decays geometrically on slack constraints, and
     keeps exact zeros; zero multipliers restart from a small seed when their
-    constraint becomes violated.
+    constraint becomes violated.  Returns (mu, precoders, usage, whether
+    the slackness conditions hold there).
     """
     budgets = problem.budgets
     mu = np.asarray(mu, dtype=float).copy()
     grams, rhs = _emmseia_factors(problem, equalizers, weights)
     precoders = _emmseia_solve_at(problem, grams, rhs, mu)
     usage = constraint_usage(problem, precoders)
-    for _ in range(max_iters):
-        viol_ok = usage <= budgets * (1.0 + constraint_tol)
-        slack_ok = np.abs(mu * (budgets - usage)) <= SLACKNESS_TOL * budgets
-        if np.all(viol_ok) and np.all(slack_ok):
+    for step in range(max_iters + 1):
+        slack_ok = bool(np.all(np.abs(mu * (budgets - usage)) <= SLACKNESS_TOL * budgets))
+        if step == max_iters or (slack_ok and np.all(usage <= budgets * (1.0 + constraint_tol))):
             break
         ratio = usage / np.maximum(budgets, 1e-300)
-        factor = np.clip(1.0 + 0.5 * (ratio - 1.0), 0.5, 2.0)
-        mu = mu * factor
-        seed = 1e-6 * max(1.0, float(np.max(mu, initial=0.0)))
-        mu[(mu == 0.0) & (ratio > 1.0)] = seed
-        mu[mu < 1e-14 * max(1.0, float(np.max(mu, initial=0.0)))] = 0.0
-        if np.max(mu, initial=0.0) > LAMBDA_CAP:
+        mu = mu * np.minimum(np.maximum(1.0 + 0.5 * (ratio - 1.0), 0.5), 2.0)
+        top = float(np.max(mu, initial=0.0))
+        seeded = (mu == 0.0) & (ratio > 1.0)
+        if seeded.any():
+            mu[seeded] = seed = 1e-6 * max(1.0, top)
+            top = max(top, seed)
+        mu[mu < 1e-14 * max(1.0, top)] = 0.0  # lowers the maximum only below 1e-14
+        if top > LAMBDA_CAP:
             raise NumericalFailureError("multiplier search diverged")
         precoders = _emmseia_solve_at(problem, grams, rhs, mu)
         usage = constraint_usage(problem, precoders)
-    return mu, precoders, usage
+    return mu, precoders, usage, slack_ok
 
 
 # ---------------------------------------------------------------------------
@@ -476,30 +469,31 @@ def _iterate_mse_family(problem, config, inner: str, objective: str, initial=Non
     def run_pass(lam):
         nonlocal precoders, equalizers, usage, slack_ok, omegas, mu
         weights = current_weights()
+        signals = None  # H_kk B_k of the new precoders, where the pass forms it
         if dmmse:
             precoders = _dmmse_precoder_step(problem, precoders, equalizers, weights, lam, omegas=omegas)
             omegas = interference_covariances(problem, precoders)
-            equalizers = mmse_equalizers(problem, precoders, omegas)
+            signals = problem.direct @ precoders
+            equalizers = mmse_equalizers(problem, precoders, omegas, signals)
             usage = constraint_usage(problem, precoders)
         else:
             equalizers = mmse_equalizers(problem, precoders, omegas)
             # search to half the tolerance so the returned point clears it with margin
-            mu, precoders, usage = _emmseia_multiplier_search(
+            mu, precoders, usage, slack_ok = _emmseia_multiplier_search(
                 problem, equalizers, weights, mu, 0.5 * config.constraint_tol
             )
             omegas = interference_covariances(problem, precoders)
-            slack_ok = bool(np.all(np.abs(mu * (budgets - usage)) <= SLACKNESS_TOL * budgets))
         if objective == "srm":
             return sum_rate(problem, precoders, omegas=omegas)
-        value = wsmse_objective(problem, precoders, equalizers, omegas=omegas)
+        value = wsmse_objective(problem, precoders, equalizers, omegas=omegas, signals=signals)
         if dmmse:
             priced_trace.append(value + float(np.dot(lam, usage - budgets)))
         return value
 
-    def exit_test(trace, usage, lam):
-        if max_violation(usage, budgets) > config.constraint_tol or not slack_ok:
+    def exit_test(trace, violation, residual):
+        if violation > config.constraint_tol or not slack_ok:
             return False
-        if dmmse and active_residual(usage, budgets, lam) > config.constraint_tol:
+        if dmmse and residual > config.constraint_tol:
             return False
         return objective_stable(trace, config.inner_tol)
 
@@ -574,18 +568,15 @@ def srm_outer_loop(problem: InterferenceProblem, config: AlgorithmConfig,
 def _cov_interferences(problem, covariances):
     """Omega_k = I + sum_{l != k} H_{k,l} Sigma_l H_{k,l}^H for every
     receiver k, as the padded (K, m_r, m_r) stack."""
-    cross = problem.cross
     # received[k, l] = H_{k,l} Sigma_l H_{k,l}^H, l != k
-    received = cross @ np.asarray(covariances) @ adjoint(cross)
-    eye = np.eye(cross.shape[-2], dtype=complex)
-    return hermitian_part(sum_over_sources(eye, received))
+    received = problem.cross @ np.asarray(covariances) @ problem.cross_h
+    return hermitian_part(sum_over_sources(problem.rx_eye, received))
 
 
 def _cov_totals(problem, covariances):
     """Per user, Omega_k and Omega_k + H_kk Sigma_k H_kk^H."""
     omegas = _cov_interferences(problem, covariances)
-    h = problem.direct
-    return omegas, omegas + h @ np.asarray(covariances) @ adjoint(h)
+    return omegas, omegas + problem.direct @ np.asarray(covariances) @ problem.direct_h
 
 
 def _cov_rate(problem, covariances, totals=None) -> float:
@@ -618,7 +609,7 @@ def _pwf_forward(problem, covariances, dual_covariances, lam, omegas=None):
     target = float(np.dot(lam, problem.budgets))
     priced = _priced_weights(problem, lam)
     # omega_hat[k] = priced[k] + sum_{j != k} H_{j,k}^H Sigma_hat_j H_{j,k}
-    omega_hat = reverse_link_sums(priced, problem.cross, dual_covariances)
+    omega_hat = reverse_link_sums(priced, problem.cross, problem.cross_h, dual_covariances)
     omega_hat = set_padded_diagonal(hermitian_part(omega_hat), problem.tx_pad, 1.0)
     s_fwd, ok_fwd = psd_inv_sqrt_batch(omegas)
     s_hat, ok_hat = psd_inv_sqrt_batch(omega_hat)
@@ -707,9 +698,9 @@ def pwf_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = Non
         duals = _dual_covariances(problem, covariances, mu, totals)
         return _cov_rate(problem, covariances, totals)
 
-    def exit_test(trace, usage, lam):
-        return max_violation(usage, budgets) <= config.constraint_tol \
-            and active_residual(usage, budgets, lam) <= config.constraint_tol \
+    def exit_test(trace, violation, residual):
+        return violation <= config.constraint_tol \
+            and residual <= config.constraint_tol \
             and objective_stable(trace, config.inner_tol)
 
     def polish():

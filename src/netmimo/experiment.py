@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import numbers
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
@@ -90,7 +90,8 @@ class SweepSpec:
             raise ConfigurationError(f"sweep variable must be one of {SWEEP_VARIABLES}")
         if not self.values:
             raise ConfigurationError("sweep values must be non-empty")
-        if any(isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v)
+        # unlike math.isfinite, abs(v) <= max does not overflow on an int beyond a float
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Real) or not abs(v) <= sys.float_info.max
                for v in self.values):
             raise ConfigurationError("sweep values must be finite numbers")
         if self.trials < 1:
@@ -172,7 +173,7 @@ _CONFIG_TYPES = {
 def _coerce(value, type_name: str, key: str):
     accepted, convert, what = _CONFIG_TYPES[type_name]
     if isinstance(value, bool) or not isinstance(value, accepted) or value == [] \
-            or (isinstance(value, float) and not math.isfinite(value)):
+            or (type_name == "float" and not abs(value) <= sys.float_info.max):
         raise ConfigurationError(f"key '{key}' must be {what}")
     return convert(value)
 

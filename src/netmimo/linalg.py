@@ -1,8 +1,8 @@
 """Dense complex-matrix primitives shared by all beamforming solvers.
 
 Everything operates on ``complex128`` numpy arrays.  Hermitian inputs are
-validated against a relative tolerance and symmetrized before factorization,
-so results do not depend on round-off asymmetry of the caller's products.
+validated and symmetrized before factorization (the ``_batch`` kernels take
+exactly Hermitian stacks), so round-off asymmetry never reaches LAPACK.
 """
 
 from __future__ import annotations
@@ -58,8 +58,10 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(a + a^H) / 2 over the last two axes."""
-    return 0.5 * (a + adjoint(a))
+    """(a + a^H) / 2 over the last two axes; exactly Hermitian and idempotent."""
+    out = a + adjoint(a)
+    out *= 0.5
+    return out
 
 
 def require_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
@@ -119,15 +121,14 @@ def psd_inv_sqrt(a) -> np.ndarray:
 
 
 def psd_inv_sqrt_batch(a) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`psd_inv_sqrt` of every matrix in a (K, n, n) stack of Hermitian
-    matrices, without the Hermitian check.  Returns the inverse roots and a
-    (K,) mask of the matrices :func:`psd_inv_sqrt` accepts; the roots of the
-    others are meaningless."""
-    a = hermitian_part(a)
+    """:func:`psd_inv_sqrt` of every matrix in an exactly Hermitian (K, n, n)
+    stack (a :func:`hermitian_part`, say; it is neither checked nor
+    symmetrized again): the inverse roots and a (K,) mask of the matrices
+    :func:`psd_inv_sqrt` accepts; the roots of the others are meaningless."""
     try:
         vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError:
-        return a, np.zeros(a.shape[0], dtype=bool)
+        return np.array(a), np.zeros(a.shape[0], dtype=bool)
     vmax = vals[:, -1]
     ok = (vmax > 0.0) & (vals[:, 0] > SINGULARITY_RTOL * vmax)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -20,7 +20,9 @@ on all users at once.  They accept per-user matrices or their padded stack
 and return padded stacks; each user's block of a result is what the
 per-user reference functions (:func:`interference_covariance`,
 :func:`mmse_equalizer`, :func:`mse_matrix`, :func:`mse_matrix_mmse`) give
-for that user from the blocks cut out of the arrays.
+for that user from the blocks cut out of the arrays.  The problem caches
+what every solver pass reuses: the adjoints ``channels_h``, ``cross_h`` and
+``direct_h``, the identity ``rx_eye`` and the ``constraint_supports``.
 
 Noise is identity by convention; colored noise must be whitened upstream
 (see :mod:`netmimo.scenario`).
@@ -241,6 +243,37 @@ class InterferenceProblem:
         return self.channels[np.arange(self.num_users), np.arange(self.num_users)]
 
     @cached_property
+    def channels_h(self) -> np.ndarray:
+        """adjoint(channels): channels_h[l, k] = H_{l,k}^H."""
+        return adjoint(self.channels)
+
+    @cached_property
+    def cross_h(self) -> np.ndarray:
+        """adjoint(cross)."""
+        return adjoint(self.cross)
+
+    @cached_property
+    def direct_h(self) -> np.ndarray:
+        """adjoint(direct): H_{k,k}^H."""
+        return adjoint(self.direct)
+
+    @cached_property
+    def rx_eye(self) -> np.ndarray:
+        """The (m_r, m_r) identity, the noise covariance of every receiver."""
+        return np.eye(self.channels.shape[-2], dtype=complex)
+
+    @cached_property
+    def constraint_supports(self):
+        """(K, M, m_t) diagonals of the constraint weights when all are real
+        diagonals with disjoint supports per user (the 0/1 block masks of
+        :func:`build_interference_problem`), else None."""
+        diags = np.diagonal(self.constraints, axis1=-2, axis2=-1)
+        if np.count_nonzero(self.constraints - diags[..., None] * np.eye(diags.shape[-1])) \
+                or np.count_nonzero(diags.imag) or np.any(np.count_nonzero(diags, axis=1) > 1):
+            return None
+        return diags.real.copy()
+
+    @cached_property
     def tx_pad(self) -> tuple:
         """(users, coordinates) index arrays of the padded transmit
         coordinates; matrices that must be inverted over the transmit space
@@ -283,7 +316,8 @@ def set_padded_diagonal(stack: np.ndarray, pad: tuple, value: float) -> np.ndarr
     """Write ``value`` in place on the diagonal entries of ``stack`` at the
     padded (users, coordinates) index arrays ``pad``; returns ``stack``."""
     users, coords = pad
-    stack[users, coords, coords] = value
+    if users.size:
+        stack[users, coords, coords] = value
     return stack
 
 
@@ -344,7 +378,8 @@ def sum_over_sources(base: np.ndarray, terms: np.ndarray) -> np.ndarray:
     stack of K.  Terms built from :attr:`InterferenceProblem.cross` are
     exact zeros at l = k, and adding a zero leaves every sum unchanged, so
     the result is bit for bit the per-user sum over l != k."""
-    out = np.array(np.broadcast_to(base, terms.shape[:1] + terms.shape[2:]))
+    out = np.empty(terms.shape[:1] + terms.shape[2:], dtype=terms.dtype)
+    out[...] = base
     for l in range(terms.shape[1]):
         out += terms[:, l]
     return out
@@ -354,19 +389,16 @@ def interference_covariances(problem: InterferenceProblem, precoders) -> np.ndar
     """Omega_k of :func:`interference_covariance` for every receiver k, as
     the padded (K, m_r, m_r) stack (identity on the padded coordinates)."""
     hb = problem.cross @ problem.precoders(precoders)  # hb[k, l] = H_{k,l} B_l, l != k
-    eye = np.eye(problem.cross.shape[-2], dtype=complex)
-    return hermitian_part(sum_over_sources(eye, hb @ adjoint(hb)))
+    return hermitian_part(sum_over_sources(problem.rx_eye, hb @ adjoint(hb)))
 
 
-def reverse_link_sums(base, channels: np.ndarray, mats) -> np.ndarray:
+def reverse_link_sums(base, channels: np.ndarray, adjoints: np.ndarray, mats) -> np.ndarray:
     """out[k] = base[k] + sum_l H_{l,k}^H X_l H_{l,k} for a (K, K, m_r, m_t)
-    channel stack (channels[l, k] = H_{l,k}) and a (K, m_r, m_r) stack X,
-    accumulated in ascending l; ``base`` is one matrix for every k or a
-    stack of K."""
-    out = np.array(np.broadcast_to(base, channels.shape[1:2] + channels.shape[-1:] * 2), dtype=complex)
-    for l, x in enumerate(mats):
-        out += adjoint(channels[l]) @ x @ channels[l]
-    return out
+    channel stack (channels[l, k] = H_{l,k}), its cached ``adjoints`` and a
+    (K, m_r, m_r) stack X, accumulated in ascending l from one batched
+    product; ``base`` is one matrix for every k or a stack of K."""
+    terms = adjoints @ np.asarray(mats)[:, None] @ channels  # terms[l, k]
+    return sum_over_sources(base, terms.swapaxes(0, 1))
 
 
 def mmse_equalizer(problem: InterferenceProblem, precoders, k: int, omega=None) -> np.ndarray:
@@ -384,13 +416,14 @@ def mmse_equalizer(problem: InterferenceProblem, precoders, k: int, omega=None) 
         ) from exc
 
 
-def mmse_equalizers(problem: InterferenceProblem, precoders, omegas=None) -> np.ndarray:
+def mmse_equalizers(problem: InterferenceProblem, precoders, omegas=None, signals=None) -> np.ndarray:
     """:func:`mmse_equalizer` for every user, as the padded (K, m_r, d)
-    stack; ``omegas`` as returned by :func:`interference_covariances`."""
+    stack; ``omegas`` (:func:`interference_covariances`) and ``signals``
+    (H_{k,k} B_k) when the caller has them."""
     b = problem.precoders(precoders)
     if omegas is None:
         omegas = interference_covariances(problem, b)
-    hb = problem.direct @ b
+    hb = problem.direct @ b if signals is None else signals
     total = np.asarray(omegas) + hb @ adjoint(hb)
     try:
         return np.linalg.solve(total, hb)
@@ -440,15 +473,17 @@ def mse_matrices_mmse(problem: InterferenceProblem, precoders, omegas=None) -> n
     return hermitian_part(e)
 
 
-def wsmse_objective(problem: InterferenceProblem, precoders, equalizers, omegas=None) -> float:
-    """Weighted sum of stream error covariances sum_k tr{W_k E_k}."""
+def wsmse_objective(problem: InterferenceProblem, precoders, equalizers, omegas=None, signals=None) -> float:
+    """Weighted sum of stream error covariances sum_k tr{W_k E_k};
+    ``omegas`` and ``signals`` as in :func:`mmse_equalizers`."""
     b = problem.precoders(precoders)
     if omegas is None:
         omegas = interference_covariances(problem, b)
     a = problem.equalizers(equalizers)
-    ahb = adjoint(a) @ (problem.direct @ b)
-    e = ahb @ adjoint(ahb) - ahb - adjoint(ahb) + adjoint(a) @ np.asarray(omegas) @ a \
-        + np.eye(b.shape[-1])
+    a_h = adjoint(a)
+    ahb = a_h @ (problem.direct @ b if signals is None else signals)
+    ahb_h = adjoint(ahb)
+    e = ahb @ ahb_h - ahb - ahb_h + a_h @ np.asarray(omegas) @ a + np.eye(b.shape[-1])
     weighted = problem.mse_weights @ hermitian_part(e)
     total = 0.0
     for value in np.trace(weighted, axis1=-2, axis2=-1).real:
@@ -479,7 +514,7 @@ def constraint_usage(problem: InterferenceProblem, precoders) -> np.ndarray:
     b = problem.precoders(precoders)
     bbh_t = (b @ adjoint(b)).swapaxes(-1, -2)  # tr{Phi X} as an elementwise contraction
     usage = np.zeros(problem.num_constraints)
-    for row in np.sum(problem.constraints * bbh_t[:, None], axis=(-2, -1)).real:
+    for row in (problem.constraints * bbh_t[:, None]).sum(axis=(-2, -1)).real:
         usage += row
     return usage
 

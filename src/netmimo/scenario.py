@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, SingularMatrixError
-from .linalg import adjoint, psd_inv_sqrt_batch
+from .linalg import adjoint, hermitian_part, psd_inv_sqrt_batch
 from .model import PartialCooperationSystem, sum_over_sources
 
 log = logging.getLogger(__name__)
@@ -290,7 +290,7 @@ def whiten_out_of_cluster(config: ScenarioConfig, geometry: GeometryRealization,
     tiers = channels.gains[:, m:]
     terms = (config.per_bs_power / config.nt) * (tiers @ adjoint(tiers))
     covs = sum_over_sources(np.eye(config.nr, dtype=complex), terms)
-    whiteners, ok = psd_inv_sqrt_batch(covs)
+    whiteners, ok = psd_inv_sqrt_batch(hermitian_part(covs))
     if not ok.all():
         raise SingularMatrixError(
             f"out-of-cluster covariance of user {int(np.flatnonzero(~ok)[0])} is singular or indefinite"

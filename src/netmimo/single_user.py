@@ -127,13 +127,14 @@ class DualIterationResult:
     binding: bool = False
 
 
-def active_residual(usage: np.ndarray, budgets: np.ndarray, lam: np.ndarray) -> float:
-    """Dual residual over active coordinates: constraints that are violated
-    or carry a meaningfully positive multiplier.  Slack constraints whose
-    multiplier sits at the floor are complementary and contribute nothing."""
+def budget_residuals(usage: np.ndarray, budgets: np.ndarray, lam: np.ndarray) -> tuple:
+    """(:func:`max_violation`, dual residual over active coordinates):
+    constraints that are violated or carry a meaningfully positive
+    multiplier.  Slack constraints whose multiplier sits at the floor are
+    complementary and contribute nothing."""
+    excess = (usage - budgets) / np.maximum(budgets, 1e-300)
     active = (lam > 10 * LAMBDA_FLOOR) | (usage > budgets)
-    rel = np.abs(usage - budgets) / np.maximum(budgets, 1e-300)
-    return float(rel.max(where=active, initial=0.0))
+    return float(excess.max()), float(np.abs(excess).max(where=active, initial=0.0))
 
 
 def max_violation(usage: np.ndarray, budgets: np.ndarray) -> float:
@@ -160,7 +161,7 @@ def priced_minimizer(f, r, weights, lift=None) -> np.ndarray:
     above ``GAIN_RTOL``.  A singular F_k raises :class:`SingularMatrixError`
     unless ``lift(k)`` supplies a replacement S_k."""
     s, ok = psd_inv_sqrt_batch(f)
-    for k in np.flatnonzero(~ok):
+    for k in () if ok.all() else np.flatnonzero(~ok):
         try:
             s[k] = psd_inv_sqrt(f[k])
         except SingularMatrixError:
@@ -211,13 +212,13 @@ def dual_loop(run_pass, usage_of, exit_test, lam, budgets, max_outer: int, *, ru
 
     A pricing pass ``run_pass(lam)`` returns the objective value;
     ``usage_of()`` gives the usage after it.  Unless ``exit_test(trace,
-    usage, lam)`` holds, ``rule(lam, usage, budgets, since)`` steps lam
-    (``rule=None``: fixed); ``since`` is None until ``stall_window`` passes
-    in a row bring no new best :func:`active_residual`, then the passes
-    since.  ``max_outer`` pricing passes serve all rounds.  Then
-    ``polish()`` (pricing that ran out of passes only with
-    ``polish_unconverged``) returns a pass ``step(lam) -> (value, done)``,
-    run at most ``max_inner`` times; a polish run ending more than
+    *budget_residuals(usage, budgets, lam))`` holds, ``rule(lam, usage,
+    budgets, since)`` steps lam (``rule=None``: fixed); ``since`` is None
+    until ``stall_window`` passes in a row bring no new best active
+    residual, then the passes since.  ``max_outer`` pricing passes serve
+    all rounds.  Then ``polish()`` (pricing that ran out of passes only
+    with ``polish_unconverged``) returns a pass ``step(lam) -> (value,
+    done)``, run at most ``max_inner`` times; a polish run ending more than
     ``constraint_tol`` over a budget re-enters pricing, for at most
     ``MAX_POLISH_ROUNDS`` rounds."""
     trace: list = []  # one value per pass, so its length counts the passes
@@ -231,12 +232,12 @@ def dual_loop(run_pass, usage_of, exit_test, lam, budgets, max_outer: int, *, ru
             pricing_budget -= 1
             trace.append(run_pass(lam))
             usage = usage_of()
-            if exit_test(trace, usage, lam):
+            violation, residual = budget_residuals(usage, budgets, lam)
+            if exit_test(trace, violation, residual):
                 exited = True
                 break
             if rule is None:
                 continue
-            residual = active_residual(usage, budgets, lam)
             if residual < best_residual - 1e-12:
                 best_residual, stall = residual, 0
             else:
@@ -244,10 +245,11 @@ def dual_loop(run_pass, usage_of, exit_test, lam, budgets, max_outer: int, *, ru
                 if stall >= stall_window and diminish_from is None:
                     diminish_from = len(trace)
             lam = rule(lam, usage, budgets, None if diminish_from is None else len(trace) - diminish_from)
-            if lam.max() > LAMBDA_CAP:
+            top = lam.max()
+            if top > LAMBDA_CAP:
                 raise NumericalFailureError(
-                    f"power-price multipliers diverged (max {lam.max():.3e} after {len(trace)} "
-                    f"passes, violation {max_violation(usage, budgets):.3e})"
+                    f"power-price multipliers diverged (max {top:.3e} after {len(trace)} "
+                    f"passes, violation {violation:.3e})"
                 )
         if polish is None or not (exited or polish_unconverged):
             break
@@ -360,7 +362,7 @@ def solve_multi_constraint(problem: SingleUserProblem) -> DualIterationResult:
 
     def run_pass(lam):
         # sum_m lam_m Phi_m, added from 0 in constraint order
-        phi = np.add.reduce(lam[:, None, None] * phis, axis=0, keepdims=True, initial=0)
+        phi = hermitian_part(np.add.reduce(lam[:, None, None] * phis, axis=0, keepdims=True, initial=0))
         precoder = priced_minimizer(phi, r_stack, weights)[0]
         usage = _usage(phis, precoder)
         wsmse = _wsmse(weight_matrix, eye, r, precoder)
@@ -371,8 +373,8 @@ def solve_multi_constraint(problem: SingleUserProblem) -> DualIterationResult:
         result.precoder, result.multipliers, result.wsmse, result.usage = precoder, lam, wsmse, usage
         return wsmse
 
-    def exit_test(trace, usage, lam):
-        return max_violation(usage, budgets) <= MULTI_CONSTRAINT_TOL \
+    def exit_test(trace, violation, residual):
+        return violation <= MULTI_CONSTRAINT_TOL \
             and objective_stable(trace, MULTI_OBJECTIVE_TOL)
 
     run = dual_loop(run_pass, lambda: result.usage, exit_test, result.multipliers, budgets, MULTI_MAX_OUTER,

@@ -647,6 +647,130 @@ def test_fit_to_budgets_leaves_feasible_precoders_alone():
     assert np.array_equal(usage, constraint_usage(problem, precoders))
 
 
+# ---------------------------------------------------------------------------
+# block-mask pricing and batched reverse-link sums against the dense loops
+# ---------------------------------------------------------------------------
+
+def dense_priced_weights(problem, lam):
+    """sum_m lam_m Phi_{k,m} over the dense constraint stack, from 0 in
+    constraint order."""
+    priced = 0
+    for m in range(problem.num_constraints):
+        priced = priced + lam[m] * problem.constraints[:, m]
+    return priced
+
+
+def dense_emmseia_solve_at(problem, grams, rhs, mu):
+    """The emmseia linear solves with the dense multiplier sum, zero
+    multipliers skipped, least squares for a singular user."""
+    systems = grams
+    for m in range(problem.num_constraints):
+        if mu[m] != 0.0:
+            systems = systems + mu[m] * problem.constraints[:, m]
+    try:
+        return np.linalg.solve(systems, rhs)
+    except np.linalg.LinAlgError:
+        pass
+    precoders = np.empty_like(rhs)
+    for k in range(problem.num_users):
+        try:
+            precoders[k] = np.linalg.solve(systems[k], rhs[k])
+        except np.linalg.LinAlgError:
+            precoders[k] = np.linalg.pinv(systems[k], hermitian=True) @ rhs[k]
+    return precoders
+
+
+def loop_reverse_link_sums(base, channels, mats):
+    """base + sum_l H_{l,k}^H X_l H_{l,k}, one transmitter l at a time."""
+    out = np.array(np.broadcast_to(base, channels.shape[1:2] + channels.shape[-1:] * 2), dtype=complex)
+    for l, x in enumerate(mats):
+        out += channels[l].conj().swapaxes(-1, -2) @ x @ channels[l]
+    return out
+
+
+def pricing_problems(mixed_problems):
+    return [cellular_problem(seed)[1] for seed in range(3)] + \
+        [cellular_problem(4, cluster_size=5, users_per_cell=2, cooperation_factor=3)[1]] + \
+        list(mixed_problems.values())
+
+
+def random_multipliers(rng, m):
+    """Positive multipliers spread over decades, about a third of them 0."""
+    lam = 10.0 ** rng.uniform(-9, 3, m)
+    lam[rng.random(m) < 0.35] = 0.0
+    return lam
+
+
+def test_block_mask_pricing_matches_the_dense_sums(mixed_problems):
+    from netmimo.algorithms import _emmseia_factors, _emmseia_solve_at, _priced_weights
+    from netmimo.model import interference_covariances, mmse_equalizers, reverse_link_sums
+
+    rng = np.random.default_rng(41)
+    for problem in pricing_problems(mixed_problems):
+        supports = problem.constraint_supports
+        assert supports is not None
+        assert np.array_equal(supports != 0, np.diagonal(problem.constraints, axis1=-2, axis2=-1) != 0)
+        precoders = problem.precoders(initialize_precoders(
+            problem, AlgorithmConfig(initialization="random_orthonormal", init_seed=3)))
+        equalizers = mmse_equalizers(problem, precoders, interference_covariances(problem, precoders))
+        grams, rhs = _emmseia_factors(problem, equalizers, problem.mse_weights)
+        for _ in range(20):
+            lam = random_multipliers(rng, problem.num_constraints)
+            assert np.array_equal(_priced_weights(problem, lam), dense_priced_weights(problem, lam))
+            assert np.array_equal(_emmseia_solve_at(problem, grams, rhs, lam),
+                                  dense_emmseia_solve_at(problem, grams, rhs, lam))
+        k, mr = problem.num_users, problem.channels.shape[-2]
+        x = rng.standard_normal((k, mr, mr)) + 1j * rng.standard_normal((k, mr, mr))
+        base = dense_priced_weights(problem, random_multipliers(rng, problem.num_constraints))
+        for channels, adjoints in ((problem.channels, problem.channels_h), (problem.cross, problem.cross_h)):
+            for b in (0.0, base):
+                assert np.array_equal(reverse_link_sums(b, channels, adjoints, x),
+                                      loop_reverse_link_sums(b, channels, x))
+
+
+def test_general_constraint_weights_take_the_dense_path():
+    from netmimo.algorithms import _emmseia_solve_at, _priced_weights
+
+    rng = np.random.default_rng(42)
+    h = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    factors = rng.standard_normal((2, 3, 2)) + 1j * rng.standard_normal((2, 3, 2))
+    first = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    weights = {
+        "non_diagonal": tuple(f @ f.conj().T for f in factors),
+        "overlapping": (np.eye(3, dtype=complex), first),
+        "complex_diagonal": (np.diag([1.0, 2.0 + 1j, 0.0]), np.diag([0.0, 0.0, 1.0]).astype(complex)),
+    }
+    for constraints in weights.values():
+        problem = InterferenceProblem.from_blocks(
+            channels=((h,),), constraints=(constraints,), budgets=[1.0, 0.5], streams=[2],
+            mse_weights=(np.eye(2),))
+        assert problem.constraint_supports is None
+        grams = np.eye(3, dtype=complex)[None] + 0.5
+        rhs = rng.standard_normal((1, 3, 2)) + 1j * rng.standard_normal((1, 3, 2))
+        for lam in ([0.3, 2.0], [0.0, 1.5]):
+            lam = np.asarray(lam)
+            assert np.array_equal(_priced_weights(problem, lam), dense_priced_weights(problem, lam))
+            assert np.array_equal(_emmseia_solve_at(problem, grams, rhs, lam),
+                                  dense_emmseia_solve_at(problem, grams, rhs, lam))
+
+
+def test_dmmse_pass_makes_two_eigendecompositions(monkeypatch):
+    # one eigh whitens the pricing matrices, one finds the top eigenvectors;
+    # nothing else in a dmmse solve decomposes
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    _, problem = cellular_problem(0)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    sol = dmmse_solve(problem, AlgorithmConfig(algorithm="dmmse"))
+    assert sol.iterations > 10
+    assert len(calls) == 2 * sol.iterations
+
+
 # Sum rate and converged flag of each solve on the mixed-dimension problems
 # (default AlgorithmConfig), recorded from the per-user solver loops that the
 # padded array form replaced.

@@ -1,6 +1,6 @@
 """The benchmark's interface to netmimo: the functions ``perfbench`` traces
-by name, the module global it replaces inside ``run_trial``, and its exact
-canary gate."""
+by name, the module global it replaces inside ``run_trial``, its exact
+canary gate, and one whole ``snr_wsmmse`` panel against its reference."""
 
 import importlib
 
@@ -32,6 +32,19 @@ def test_run_trial_calls_solve_system_through_the_module_global(monkeypatch):
                      scenario=ScenarioConfig(), algorithm_config=AlgorithmConfig(), master_seed=0)
     record = experiment.run_trial(spec.validate(), 0, 0, "min_leakage")
     assert calls == ["min_leakage"] and not record.failed
+
+
+@pytest.mark.slow
+def test_snr_wsmmse_panel_matches_the_benchmark_reference(tmp_path):
+    # every item fails and converges as recorded, and every group mean rate
+    # matches: the benchmark's own panel checks, outside the benchmark
+    workload, checks = WORKLOADS["snr_wsmmse"], Checks()
+    state = workload.setup(1, tmp_path)
+    with TrialChecker().installed():
+        outcomes = [o for key in state.order for o in workload.run_step(state, key, 1, checks, None)]
+    workload.finish(state, outcomes, load_reference()["snr_wsmmse"], checks)
+    assert len(outcomes) == 64 and len(workload.group_means(state, outcomes)) == 8
+    assert checks.ok, checks.problems
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))

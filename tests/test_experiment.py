@@ -287,8 +287,11 @@ def test_cli_cdf_rejects_malformed_records(tmp_path, capsys, row):
     ("sweep", "values", [float("inf")]),
     ("scenario", "boundary_snr_db", float("nan")),
     ("scenario", "sector_offset", "nan deg"),
+    ("sweep", "values", [10**400]),
+    ("scenario", "boundary_snr_db", 10**400),
 ], ids=["sweep_not_object", "scenario_not_object", "sweep_value_not_number", "sweep_value_bool",
-        "sweep_value_infinite", "scenario_value_nan", "angle_nan"])
+        "sweep_value_infinite", "scenario_value_nan", "angle_nan", "sweep_value_beyond_float",
+        "scenario_value_beyond_float"])
 def test_cli_run_rejects_malformed_config(tmp_path, capsys, section, key, value):
     bad = json.loads(json.dumps(BASE_CONFIG))
     (bad if section is None else bad[section])[key] = value
