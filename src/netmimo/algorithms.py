@@ -6,8 +6,9 @@ Four families are implemented:
     Per-user eigenbasis precoders that diagonalize every user's error
     covariance: :func:`single_user.priced_minimizer` with the
     interference-pricing matrices F_k = Upsilon_k + sum_m lam_m Phi_{k,m}
-    (whiten F_k, keep the leading eigendirections of the whitened
-    direct-channel quadratic form, waterfill at unit level).
+    (whiten F_k with the adjoint inverse of its Cholesky factor, keep the
+    leading left singular vectors of the whitened direct-channel factor
+    T_k^H H_kk^H Omega_k^{-1/2}, waterfill at unit level).
 ``emmseia``
     Joint linear-system precoder update from fixed MMSE equalizers,
     B_k = (sum_l H_{l,k}^H A_l W_l A_l^H H_{l,k} + sum_m mu_m Phi_{k,m})^{-1}
@@ -15,9 +16,11 @@ Four families are implemented:
     complementary-slackness conditions hold.
 ``pwf``
     Transmit-covariance fixed point coupling the forward network with its
-    reversed-link counterpart through pre/post-whitened channels; a single
-    water level is bisected against the multiplier-weighted power budget.
-    Sum-rate objective only.
+    reversed-link counterpart through pre/post-whitened channels (the
+    forward covariance whitened by its inverse root, the reversed-link one
+    by the adjoint inverse of its Cholesky factor); a single water level is
+    bisected against the multiplier-weighted power budget.  Sum-rate
+    objective only.
 ``min_leakage``
     Alternating smallest-eigenvector updates of orthonormal transmit factors
     and receive filters minimizing the total interference power leaked into
@@ -63,7 +66,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, NumericalFailureError, SingularMatrixError
 from .linalg import (adjoint, bisect_level, hermitian_part, hermitian_top_eigs, psd_inv_sqrt,
-                     psd_inv_sqrt_batch)
+                     psd_inv_sqrt_batch, whitening_factors)
 from .model import (
     BeamformerSolution,
     InterferenceProblem,
@@ -334,16 +337,17 @@ def _pricing_matrices(problem, ups, lam):
 def _dmmse_precoder_step(problem, precoders, equalizers, weight_diags, lam, omegas=None):
     """Simultaneous per-user precoder update at multipliers ``lam``:
     :func:`priced_minimizer` with the interference-pricing matrices F_k and
-    R_k = H_kk^H Omega_k^{-1} H_kk, as the padded (K, m_t, d) stack; padded
-    streams carry zero weight and so get zero columns.  A singular F_k is
-    retried once with the price floor lifted to the interference scale."""
+    the factors C_k = H_kk^H L_k^{-H} of R_k = H_kk^H Omega_k^{-1} H_kk
+    (Omega_k = L_k L_k^H), as the padded (K, m_t, d) stack; padded streams
+    carry zero weight and so get zero columns.  A singular F_k is retried
+    once with the price floor lifted to the interference scale."""
     if omegas is None:
         omegas = interference_covariances(problem, precoders)
     a = np.asarray(equalizers)
     w = np.asarray(weight_diags)
     # ups[k] = sum_{l != k} H_{l,k}^H A_l W_l A_l^H H_{l,k}
     ups = reverse_link_sums(0.0, problem.cross, problem.cross_h, (a * w[:, None, :]) @ adjoint(a))
-    r = hermitian_part(problem.direct_h @ np.linalg.solve(np.asarray(omegas), problem.direct))
+    c = problem.direct_h @ whitening_factors(np.asarray(omegas))  # C_k C_k^H = H_kk^H Omega_k^{-1} H_kk
 
     def lift(k):
         guard = max(LAMBDA_FLOOR, 1e-9 * max(1.0, float(np.linalg.norm(ups[k]))))
@@ -354,7 +358,7 @@ def _dmmse_precoder_step(problem, precoders, equalizers, weight_diags, lam, omeg
                 f"user {k}: interference-pricing matrix stayed singular after the floor retry"
             ) from exc
 
-    return priced_minimizer(_pricing_matrices(problem, ups, lam), r, w, lift)
+    return priced_minimizer(_pricing_matrices(problem, ups, lam), c, w, lift)
 
 
 # ---------------------------------------------------------------------------
@@ -596,14 +600,16 @@ def _dual_covariances(problem, covariances, water_level, totals=None):
 
 
 def _pwf_forward(problem, covariances, dual_covariances, lam, omegas=None):
-    """One forward waterfilling pass: whiten each direct channel by the
-    forward and reversed-link interference covariances, allocate
-    p_i = [1/mu - 1/g_i]^+ on the leading singular directions, and bisect the
-    shared water level so the multiplier-weighted usage meets the
-    multiplier-weighted budget.  ``omegas`` are the forward interference
-    covariances of ``covariances`` when the caller has them.  Returns the
-    new covariances as the padded (K, m_t, m_t) stack and the water level;
-    padded streams get no power."""
+    """One forward waterfilling pass: whiten each direct channel as
+    Omega_k^{-1/2} H_kk T_k, with T_k T_k^H = Omega_hat_k^{-1} for the
+    reversed-link covariance (:func:`whitening_factors`), allocate
+    p_i = [1/mu - 1/g_i]^+ on the leading right singular directions V
+    (usage coefficients from V^H T_k^H priced_k T_k V, covariances
+    T_k V diag(p) V^H T_k^H), and bisect the shared water level so the
+    multiplier-weighted usage meets the multiplier-weighted budget.
+    ``omegas`` are the forward interference covariances of ``covariances``
+    when the caller has them.  Returns the new covariances as the padded
+    (K, m_t, m_t) stack and the water level; padded streams get no power."""
     if omegas is None:
         omegas = _cov_interferences(problem, covariances)
     target = float(np.dot(lam, problem.budgets))
@@ -612,16 +618,15 @@ def _pwf_forward(problem, covariances, dual_covariances, lam, omegas=None):
     omega_hat = reverse_link_sums(priced, problem.cross, problem.cross_h, dual_covariances)
     omega_hat = set_padded_diagonal(hermitian_part(omega_hat), problem.tx_pad, 1.0)
     s_fwd, ok_fwd = psd_inv_sqrt_batch(omegas)
-    s_hat, ok_hat = psd_inv_sqrt_batch(omega_hat)
-    for k in np.flatnonzero(~(ok_fwd & ok_hat)):
+    for k in np.flatnonzero(~ok_fwd):
         psd_inv_sqrt(omegas[k])  # raises the per-user error
-        psd_inv_sqrt(omega_hat[k])
-    whitened = s_fwd @ problem.direct @ s_hat
+    t_hat = whitening_factors(omega_hat)
+    whitened = s_fwd @ problem.direct @ t_hat
     d = problem.mse_weights.shape[-1]
     _, sing, right = np.linalg.svd(whitened, full_matrices=False)
     right = adjoint(right)[..., :d]
     gains = sing[:, :d] ** 2
-    cmat = adjoint(right) @ s_hat @ priced @ s_hat @ right
+    cmat = adjoint(right) @ adjoint(t_hat) @ priced @ t_hat @ right
     coefs = np.maximum(np.diagonal(cmat, axis1=-2, axis2=-1).real, 0.0)
     keep = gains > GAIN_RTOL * np.maximum(1.0, np.max(gains, axis=-1, initial=0.0))[:, None]
     keep[problem.stream_pad] = False
@@ -634,7 +639,7 @@ def _pwf_forward(problem, covariances, dual_covariances, lam, omegas=None):
                       target, "water-level")
     powers = np.zeros_like(gains)
     powers[keep] = np.maximum(1.0 / mu - 1.0 / gains[keep], 0.0)
-    factor = s_hat @ (right * np.sqrt(powers)[:, None, :])
+    factor = t_hat @ (right * np.sqrt(powers)[:, None, :])
     return hermitian_part(factor @ adjoint(factor)), float(mu)
 
 
@@ -742,7 +747,8 @@ def pwf_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = Non
     converged = violation <= config.constraint_tol and objective_stable(run.trace, config.inner_tol)
     precoders, usage = _budget_guard(problem, config, problem.precoders(precoders), usage)
     return _solution(problem, precoders, usage, run.lam.copy(), run, converged,
-                     {"unscaled_max_violation": max(violation, 0.0), "state": state, "objective": "srm"})
+                     {"unscaled_max_violation": max(violation, 0.0), "state": state, "objective": "srm",
+                      "polish_start": run.polish_start})
 
 
 # ---------------------------------------------------------------------------

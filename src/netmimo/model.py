@@ -510,11 +510,18 @@ def sum_rate(problem: InterferenceProblem, precoders, omegas=None) -> float:
 
 
 def constraint_usage(problem: InterferenceProblem, precoders) -> np.ndarray:
-    """Per-constraint usage: usage_m = sum_k tr{Phi_{k,m} B_k B_k^H}."""
+    """Per-constraint usage: usage_m = sum_k tr{Phi_{k,m} B_k B_k^H}, added
+    in ascending k.  With :attr:`InterferenceProblem.constraint_supports`
+    the trace is sum_i supports[k, m, i] ||row_i(B_k)||^2."""
     b = problem.precoders(precoders)
-    bbh_t = (b @ adjoint(b)).swapaxes(-1, -2)  # tr{Phi X} as an elementwise contraction
+    supports = problem.constraint_supports
+    if supports is None:
+        bbh_t = (b @ adjoint(b)).swapaxes(-1, -2)  # tr{Phi X} as an elementwise contraction
+        rows = (problem.constraints * bbh_t[:, None]).sum(axis=(-2, -1)).real
+    else:
+        rows = (supports @ (b.real ** 2 + b.imag ** 2).sum(axis=-1)[..., None])[..., 0]
     usage = np.zeros(problem.num_constraints)
-    for row in (problem.constraints * bbh_t[:, None]).sum(axis=(-2, -1)).real:
+    for row in rows:
         usage += row
     return usage
 

@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolationError, NumericalFailureError, SingularMatrixError
-from .linalg import (hermitian_part, hermitian_top_eigs, hermitian_top_eigs_batch, psd_inv_sqrt,
-                     psd_inv_sqrt_batch, require_hermitian, waterfill_budget)
+from .errors import ContractViolationError, NumericalFailureError
+from .linalg import (adjoint, hermitian_part, hermitian_top_eigs, psd_inv_sqrt, require_hermitian,
+                     waterfill_budget, whitening_factors)
 
 # Bounds of the power-price multipliers of every dual loop in netmimo.
 LAMBDA_FLOOR = 1e-9
@@ -97,6 +97,10 @@ class SingleUserProblem:
         """R = H^H Omega^{-1} H."""
         return hermitian_part(self.channel.conj().T @ np.linalg.solve(self.noise_cov, self.channel))
 
+    def quadratic_factor(self) -> np.ndarray:
+        """C = H^H Omega^{-1/2}, (m_t, m_r), so that R = C C^H."""
+        return self.channel.conj().T @ psd_inv_sqrt(self.noise_cov)
+
 
 @dataclass(frozen=True)
 class SingleUserSolution:
@@ -152,23 +156,26 @@ def objective_stable(trace, tol: float, window: int = 5) -> bool:
     return all(abs(b - a) <= tol * ref for a, b in zip(tail, tail[1:]))
 
 
-def priced_minimizer(f, r, weights, lift=None) -> np.ndarray:
-    """Minimizers B_k of tr{W_k (I + B^H R_k B)^{-1}} + tr{F_k B B^H} for
-    (K, n, n) Hermitian stacks ``f`` and ``r`` and (K, d) stream
-    ``weights``, as the (K, n, d) stack: B_k = S_k U_k diag(sqrt p) with
-    S_k = F_k^{-1/2}, U_k the top-d eigenvectors of S_k R_k S_k, and the
+def priced_minimizer(f, c, weights, lift=None) -> np.ndarray:
+    """Minimizers B_k of tr{W_k (I + B^H R_k B)^{-1}} + tr{F_k B B^H} for a
+    (K, n, n) Hermitian stack ``f``, (K, n, m) factors ``c`` of the
+    quadratic forms, R_k = C_k C_k^H, and (K, d) stream ``weights``
+    (d <= min(n, m)), as the (K, n, d) stack: B_k = T_k U_k diag(sqrt p)
+    with a whitening factor T_k T_k^H = F_k^{-1} (:func:`whitening_factors`:
+    L_k^{-H} from the Cholesky factor, or F_k^{-1/2}), U_k the top-d left
+    singular vectors of T_k^H C_k (the top-d eigenvectors of
+    T_k^H R_k T_k, with the squared singular values as gains), and the
     unit-level waterfill p_i = [sqrt(w_i / g_i) - 1/g_i]^+ on the gains
-    above ``GAIN_RTOL``.  A singular F_k raises :class:`SingularMatrixError`
-    unless ``lift(k)`` supplies a replacement S_k."""
-    s, ok = psd_inv_sqrt_batch(f)
-    for k in () if ok.all() else np.flatnonzero(~ok):
-        try:
-            s[k] = psd_inv_sqrt(f[k])
-        except SingularMatrixError:
-            if lift is None:
-                raise
-            s[k] = lift(k)
-    gains, basis = hermitian_top_eigs_batch(hermitian_part(s @ r @ s), weights.shape[-1])
+    above ``GAIN_RTOL``.  An F_k that :func:`psd_inv_sqrt` rejects raises
+    :class:`SingularMatrixError` unless ``lift(k)`` supplies a replacement
+    factor."""
+    t = whitening_factors(f, lift)
+    d = weights.shape[-1]
+    try:
+        left, sing, _ = np.linalg.svd(adjoint(t) @ c, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError("SVD of the whitened channel factors did not converge") from exc
+    basis, gains = left[..., :d], sing[:, :d] ** 2
     # largest weight rides the strongest whitened direction (rearrangement: the
     # active-stream cost sums sqrt(w_i / g_i)); non-increasing weights stay put
     order = None if (weights[:, :-1] >= weights[:, 1:]).all() else np.argsort(-weights, axis=-1, kind="stable")
@@ -176,7 +183,7 @@ def priced_minimizer(f, r, weights, lift=None) -> np.ndarray:
     active = gains > GAIN_RTOL * np.maximum(1.0, gains[:, :1])  # gains descend
     g = np.where(active, gains, 1.0)  # waterfill_eval at mu = 1 on the active gains
     powers = np.where(active, np.maximum(np.sqrt(paired_w / g) - 1.0 / g, 0.0), 0.0)
-    columns = s @ (basis * np.sqrt(powers)[:, None, :])
+    columns = t @ (basis * np.sqrt(powers)[:, None, :])
     return columns if order is None else np.take_along_axis(columns, np.argsort(order, axis=-1)[:, None, :], -1)
 
 
@@ -308,7 +315,7 @@ def lagrangian_minimizer(problem: SingleUserProblem, phi_agg: np.ndarray) -> np.
     tr{W (I + B^H R B)^{-1}} + tr{phi_agg B B^H}: :func:`priced_minimizer`
     for the one user with F = ``phi_agg``."""
     f = require_hermitian(phi_agg)[None]
-    return priced_minimizer(f, problem.quadratic_form()[None], problem.weights[None])[0]
+    return priced_minimizer(f, problem.quadratic_factor()[None], problem.weights[None])[0]
 
 
 def _wsmse(weight_matrix: np.ndarray, eye: np.ndarray, r: np.ndarray, precoder: np.ndarray) -> float:
@@ -350,8 +357,8 @@ def solve_multi_constraint(problem: SingleUserProblem) -> DualIterationResult:
     five passes.
     """
     budgets = problem.budgets
-    r = problem.quadratic_form()
-    r_stack, weights, phis = r[None], problem.weights[None], np.stack(problem.constraints)
+    r, c = problem.quadratic_form(), problem.quadratic_factor()[None]
+    weights, phis = problem.weights[None], np.stack(problem.constraints)
     weight_matrix, eye = np.diag(problem.weights), np.eye(problem.streams)
     result = DualIterationResult(
         precoder=np.zeros((problem.channel.shape[1], problem.streams), dtype=complex),
@@ -363,7 +370,7 @@ def solve_multi_constraint(problem: SingleUserProblem) -> DualIterationResult:
     def run_pass(lam):
         # sum_m lam_m Phi_m, added from 0 in constraint order
         phi = hermitian_part(np.add.reduce(lam[:, None, None] * phis, axis=0, keepdims=True, initial=0))
-        precoder = priced_minimizer(phi, r_stack, weights)[0]
+        precoder = priced_minimizer(phi, c, weights)[0]
         usage = _usage(phis, precoder)
         wsmse = _wsmse(weight_matrix, eye, r, precoder)
         excess = usage - budgets

@@ -78,6 +78,19 @@ def dense_link(rng, weights=(1.0, 1.0)):
     )
 
 
+def count_decompositions(monkeypatch) -> list:
+    """Record (name, shape) of every np.linalg eigh, svd and cholesky call
+    made after this, in call order."""
+    calls = []
+    for name in ("eigh", "svd", "cholesky"):
+        def counting(a, *args, _name=name, _wrapped=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _wrapped(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def mixed_systems():
     """Physical systems whose users differ in serving-set size or stream

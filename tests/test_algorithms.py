@@ -35,9 +35,9 @@ from netmimo.algorithms import (
     initialize_precoders,
     offdiag_mass,
 )
-from netmimo.single_user import SingleUserProblem
+from netmimo.single_user import LAMBDA_FLOOR, SingleUserProblem
 
-from conftest import antenna_link, dense_link
+from conftest import antenna_link, count_decompositions, dense_link
 
 
 def cellular_problem(seed, **kwargs):
@@ -256,6 +256,22 @@ def test_pwf_fixed_point_structure():
         assert sol.converged
         residual = pwf_fixed_point_residual(problem, sol.diagnostics["state"])
         assert residual <= 1e-6
+
+
+def test_pwf_reports_where_its_polish_started():
+    _, problem = cellular_problem(0)
+    config = AlgorithmConfig(algorithm="pwf", objective="srm")
+    sol = pwf_solve(problem, config)
+    start = sol.diagnostics["polish_start"]
+    assert 0 < start < sol.iterations
+    # with one polish pass the solve stops one pass after its polish starts,
+    # on the same pricing trace
+    short = pwf_solve(problem, replace(config, max_inner=1))
+    assert short.diagnostics["polish_start"] == start == short.iterations - 1
+    assert np.array_equal(short.trace[:start], sol.trace[:start])
+    # pricing that never meets its exit test starts no polish
+    capped = pwf_solve(problem, replace(config, max_outer=3))
+    assert capped.iterations == 3 and capped.diagnostics["polish_start"] is None
 
 
 def test_pwf_stream_truncation():
@@ -680,6 +696,17 @@ def dense_emmseia_solve_at(problem, grams, rhs, mu):
     return precoders
 
 
+def dense_constraint_usage(problem, precoders):
+    """sum_k tr{Phi_{k,m} B_k B_k^H} as the elementwise contraction over the
+    dense constraint stack, added in ascending k."""
+    b = problem.precoders(precoders)
+    bbh_t = (b @ b.conj().swapaxes(-1, -2)).swapaxes(-1, -2)
+    usage = np.zeros(problem.num_constraints)
+    for row in (problem.constraints * bbh_t[:, None]).sum(axis=(-2, -1)).real:
+        usage += row
+    return usage
+
+
 def loop_reverse_link_sums(base, channels, mats):
     """base + sum_l H_{l,k}^H X_l H_{l,k}, one transmitter l at a time."""
     out = np.array(np.broadcast_to(base, channels.shape[1:2] + channels.shape[-1:] * 2), dtype=complex)
@@ -728,6 +755,20 @@ def test_block_mask_pricing_matches_the_dense_sums(mixed_problems):
                                       loop_reverse_link_sums(b, channels, x))
 
 
+def test_block_mask_usage_matches_the_dense_contraction(mixed_problems):
+    # supports times the precoder row norms: the dense contraction up to
+    # the rounding of the reordered sums
+    rng = np.random.default_rng(43)
+    for problem in pricing_problems(mixed_problems):
+        assert problem.constraint_supports is not None
+        for scale in (1e-6, 1.0, 1e4):
+            precoders = problem.precoders(initialize_precoders(
+                problem, AlgorithmConfig(initialization="random_orthonormal", init_seed=int(rng.integers(99)))))
+            precoders = scale * precoders * rng.uniform(0.1, 2.0, precoders.shape[:-1])[..., None]
+            want = dense_constraint_usage(problem, precoders)
+            assert np.allclose(constraint_usage(problem, precoders), want, rtol=1e-14, atol=0.0)
+
+
 def test_general_constraint_weights_take_the_dense_path():
     from netmimo.algorithms import _emmseia_solve_at, _priced_weights
 
@@ -752,23 +793,60 @@ def test_general_constraint_weights_take_the_dense_path():
             assert np.array_equal(_priced_weights(problem, lam), dense_priced_weights(problem, lam))
             assert np.array_equal(_emmseia_solve_at(problem, grams, rhs, lam),
                                   dense_emmseia_solve_at(problem, grams, rhs, lam))
+        precoders = rng.standard_normal((1, 3, 2)) + 1j * rng.standard_normal((1, 3, 2))
+        assert np.array_equal(constraint_usage(problem, precoders), dense_constraint_usage(problem, precoders))
 
 
-def test_dmmse_pass_makes_two_eigendecompositions(monkeypatch):
-    # one eigh whitens the pricing matrices, one finds the top eigenvectors;
-    # nothing else in a dmmse solve decomposes
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counting_eigh(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
-
+def test_dmmse_pass_makes_one_decomposition(monkeypatch):
+    # per pass the pricing matrices F_k and the interference covariances are
+    # Cholesky-factored and the whitened (m_t x m_r) channel factors
+    # decomposed by one SVD; nothing in a dmmse solve runs eigh
     _, problem = cellular_problem(0)
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    k, mr, mt = problem.num_users, problem.channels.shape[-2], problem.channels.shape[-1]
+    calls = count_decompositions(monkeypatch)
     sol = dmmse_solve(problem, AlgorithmConfig(algorithm="dmmse"))
     assert sol.iterations > 10
-    assert len(calls) == 2 * sol.iterations
+    assert calls == [("cholesky", (k, mr, mr)), ("cholesky", (k, mt, mt)), ("svd", (k, mt, mr))] * sol.iterations
+
+
+def test_dmmse_step_lifts_a_singular_pricing_floor():
+    # at zero multipliers F_k = Upsilon_k has rank at most (K-1) m_r < m_t:
+    # psd_inv_sqrt rejects every F_k, and each user is priced at the lifted
+    # floor max(LAMBDA_FLOOR, 1e-9 max(1, ||Upsilon_k||)) instead
+    from netmimo.algorithms import _dmmse_precoder_step, _pricing_matrices
+    from netmimo.linalg import psd_inv_sqrt_batch
+    from netmimo.model import interference_covariances, mmse_equalizers, reverse_link_sums
+
+    _, problem = cellular_problem(0)
+    precoders = problem.precoders(initialize_precoders(problem, AlgorithmConfig()))
+    omegas = interference_covariances(problem, precoders)
+    equalizers = mmse_equalizers(problem, precoders, omegas)
+    weights = np.ones(problem.mse_weights.shape[:2])
+    ups = reverse_link_sums(0.0, problem.cross, problem.cross_h, equalizers @ equalizers.conj().swapaxes(-1, -2))
+    zero = np.zeros(problem.num_constraints)
+    assert not psd_inv_sqrt_batch(_pricing_matrices(problem, ups, zero))[1].any()
+    step = _dmmse_precoder_step(problem, precoders, equalizers, weights, zero, omegas)
+    for k in range(problem.num_users):
+        guard = max(LAMBDA_FLOOR, 1e-9 * max(1.0, float(np.linalg.norm(ups[k]))))
+        lifted = _dmmse_precoder_step(problem, precoders, equalizers, weights,
+                                      np.full(problem.num_constraints, guard), omegas)[k]
+        want = lifted @ lifted.conj().T
+        assert np.allclose(step[k] @ step[k].conj().T, want, rtol=0, atol=1e-8 * np.linalg.norm(want))
+
+
+def test_pwf_pass_makes_no_transmit_eigendecomposition(monkeypatch):
+    # per pass one eigh whitens the (m_r x m_r) forward covariances, a
+    # Cholesky factorization the reversed-link ones and one SVD decomposes
+    # the whitened channels; only the K precoders cut from the returned
+    # covariances meet an (m_t x m_t) eigh
+    _, problem = cellular_problem(0)
+    k, mr, mt = problem.num_users, problem.channels.shape[-2], problem.channels.shape[-1]
+    calls = count_decompositions(monkeypatch)
+    sol = pwf_solve(problem, AlgorithmConfig(algorithm="pwf", objective="srm"))
+    assert sol.iterations > 10
+    per_pass = [("eigh", (k, mr, mr)), ("cholesky", (k, mt, mt)), ("svd", (k, mr, mt))]
+    assert calls[:3 * sol.iterations] == per_pass * sol.iterations
+    assert calls[3 * sol.iterations:] == [("eigh", (1, mt, mt))] * k
 
 
 # Sum rate and converged flag of each solve on the mixed-dimension problems
@@ -902,109 +980,109 @@ OFF_AXIS_LINKS = {
 # differently and needs its own recording.
 GOLDEN_DIGESTS = {
     "cell0/dmmse/wsmmse":
-        "34f107d7edf4064d4b2d71ca4f0ef3be5d82ac4faf08626d118726366506574b",
+        "25a304d27f1500ce237a47a1767c7dbe7b219085d0cb755a947acfad607fa3ef",
     "cell0/dmmse/srm":
-        "6643e0c3c4af02eeda8d46db81cfc774fd928c7df91403348f88c60ab3de7a2d",
+        "2389740a3f965d42ce1e2267091c53903078e80d66461cc3079b83ed0cc658f2",
     "cell0/emmseia/wsmmse":
-        "f8567843b6083198338ad691328d37eda5c0b19d67f8b5396ec853fa4c479328",
+        "87d994756c472b8a349c787288ffeda1ac6d2c28b51fbfb27f6383331baa8e31",
     "cell0/emmseia/srm":
-        "78aee1af3a453e63bb4feaeb0a0616dbd85ae327299dbe3533df33d908b4a43d",
+        "76b09b8cc527d5ba97da907c6f189631310066d40d39da145f5ff057a49be6d1",
     "cell0/pwf/srm":
-        "55cc25338b1dbbd3468a8390c4d5130e335749807461887c32d5fc19d6ecc637",
+        "a2def773d50d0463c18ede65fa6b0c502954b8a545f14c592d7ba1b7760413d8",
     "cell1/dmmse/wsmmse":
-        "4ca9879127182dece5ee43cf618f68089b6856dc83809ce2d8846d9683552b26",
+        "ab58ab21a64765fd973e8267d61d3433c6f3f56defbcaf75eed254f6ea890518",
     "cell1/dmmse/srm":
-        "a2f67e7294362d320c56d9dca7ecc1e1086d5bdf3773048ef681661ee826707c",
+        "a23e7dd53b89f7d5427509790c824bfb26e4166114fa60b33f2a82ad430ded21",
     "cell1/emmseia/wsmmse":
-        "e3ef0a3a1399ac0772d1d2c4b6ba610fded287aa2a3deb6126be3d57e4a5865d",
+        "35afe0aa7f630cf9b339fef4da2257fc5412e16d83706dcf242d99c92add6919",
     "cell1/emmseia/srm":
-        "cb4f9404fad5df5052c7a58cd70fba5248133d395b09c75338d46ac49056a745",
+        "b283b7cca23d241037e941d2d898cc8bf903bb5a602a56a1c3f5ca5bcb861478",
     "cell1/pwf/srm":
-        "e4ebc1a7ef0b841e6e3357e23a840615b688745bd9758e22508add4feb2d75d0",
+        "50b9fd6e79a49854ce22ba7fcb226b382b65fc83216e53b57d39ee8a87f25a09",
     "serving_sets/dmmse/wsmmse":
-        "f202538b8f4dd91966c5c81dadfd11228923a67c44d572936673dceccd9dfaea",
+        "e34ce2153e6853bbc174823d1cf0b0adca4c49fce8628ba9fbe96dd976e5781f",
     "serving_sets/dmmse/srm":
-        "84a711f6b7b68bce0db84737bfbb283f7638c9109a0772549f92a54ce632c201",
+        "6ea89f8e096883976dfca7ed674c49a05a88fd736e976c03bbddf0c1a38df59f",
     "serving_sets/emmseia/wsmmse":
-        "3e209a14cb8ab7b55ef60e5ef0718d2efe7ca1d188fc75f52babf5181a5ed499",
+        "512598064ba41d928410898bf9181546faafc1cbb2b6fcdf786e495f7d2f7ee1",
     "serving_sets/emmseia/srm":
-        "6de36243c76f2a60e8092cec8a57f55a53d1a8895368c43fb2892bc316ff4767",
+        "badfc1422ca9020bbb2ea1a7196c90ac78c35508e5532a05d2b59c14aea23e2d",
     "serving_sets/pwf/srm":
-        "67928f943287b1b44dcc0b4f68a161f58e290a891fa2335f0882efe1bf7f18a9",
+        "71a983d83e0483c1d293158833c1d461beae00c0c47edcca3cf9964b7962c352",
     "sizes/dmmse/wsmmse":
-        "4753789a1d6eaa350e1f61f926125126f5c8a95a37d845340a677194149a4616",
+        "81d528d413bf1baecc7afb298cb5e65f02a167692b4f10ba1ddac17299309a76",
     "sizes/dmmse/srm":
-        "05ac04c9618c6dd6bd9eafd441b40f5e07fed457996b510d0e54d7bf6be4145f",
+        "f7c65ca8113ebcb94cef20a5221f9376dac006f7516c056df81edcce05e62e82",
     "sizes/emmseia/wsmmse":
-        "8b4ff9432ee251bf62d803787e71aa16e4f3e3828e11d8cda837545350aaa452",
+        "1433cb9f461a74d07fa979c3edc52c68daa0b56a16a7802f5648751ff4893ddd",
     "sizes/emmseia/srm":
-        "f3b0dface8bf188f85595398ded7e633bc3cad7b058a537c0e4d96cdf31ffa69",
+        "0971810f43b3f8ec0d581ef9d08722b7d592e235b3722bea1020795b4fcbdeb9",
     "sizes/pwf/srm":
-        "77a2c59efee6b16f7f01b1bc8a56e17827236982b17150ae4b664cb75fd5bdae",
+        "29c96a04cdacfd4e1089bb188b7dd9b17eab2bc2ee968d1fd31f125913374822",
     "link0":
-        "506753a19552d1f5882242c9a7fde463551059322804c9fe96fb082ff149820e",
+        "87e557da62094502f9a7956e71f21b70a82d18dea3186e9100463352831b39a0",
     "link1":
-        "53d8144a10d0c4d10ea3cf9a75d977d67b16fd92959d08276c523a437332f441",
+        "0811406d30603c9bc1381e8c7c2a0bbfe1d6ae8632a41d5a9f710b7dd6253822",
     "link2":
-        "3416bafdc49dd11bbf9cadf5eb11cf6dd19d4f93be4d829d7dd56591d6e41c65",
+        "0e77c64fdfe2210ddafbd4af8aaefae96c24150b7bd4d5978e94e160d5d58d3c",
     "link3":
-        "f01f2769ab18437f0cfee866f83e7291fe92b6c214da1ed5f91048cfc3d14b2f",
+        "aecf944aa8e6e30b3ecde697327aeafe2abed8e5a73e09c4f8214e51063546fb",
     "link4":
-        "c627c97c3a9c302af84dc86dc17ebd09c5cfb9b8ded0f124599217073d295ea6",
+        "8f83e294ce3348515815cda6112c62ea666fcf04c4d8c2489f1317bab09711da",
     "link5":
-        "b31dbe6239bae020e034656a9c3b205cbb271eb867dceca1d2fb2641d592ce6f",
+        "d406dcb2842b08a1844ed9eeac135ca1fedd265954c8901a25dc25b0f69154b2",
     "link6":
-        "4c587d81e87426f6de1470c137ac805df685f5415c8a557c11024b0d17475905",
+        "3889780d73f0acdc17d67b014a8f2117a2d52f34300df328c568b099583b6236",
     "link7":
-        "cfc3246e2034fd0d4ce07526281e3d82f70b4eeabcf56833fdda25d8f574471a",
+        "524b02ff18b7c99fbb0d224ac6e96d69888122e96c2781e0bc6e9c3cd94288cb",
     "link8":
-        "9163a045ca923d9e84de7126c7f01680c722a92191814c4dbdda6a91d3232db8",
+        "22f338d227d7be442734b357363eec3dbc9461a2633d36c0b159c4b9dfb6eb44",
     "link9":
-        "c281af1318646a4bb90a9580c674ee58cd56574341e4e2d4351ada4d7a8c9602",
+        "bcdfaca53d28a9778bea68d2eebdbc2988b237d0116345dfc76678704c3ffc19",
     "link10":
-        "85cf4f4c82c66f82c3d4655b37a684a933eb71b8cc531d90f6393247f536d0af",
+        "e3eb7c6b1e4dc3a40415bd3960a07ab9a70188cce0e9b62ab917196d8d5eb26a",
     "link11":
-        "15e6ab1f3ea86e9b7a9f8823fba59294da345ba0e3bc3a037aca01472834dd5c",
+        "642260ff20dfc1193fe832b5c7f3525986e5b2025549afb1a41486f9c2b5967d",
     "link12":
-        "a50c13c8b2f603981b477be6707ddfe6aee10a1af1c3b55bbbb9bb0310bd9cff",
+        "5cd487b7df1c54fc601d0c91bdf25ca459971b2cdb65c3c0e2d4979079d43a95",
     "link13":
-        "e27405456f62c093399d31d61d622c61ba4000938987129b047603a6ded25c7b",
+        "2b0c6d633dd30bb3c696a6efed05da87da5cc57dab18098909ae36af6ae9f705",
     "link14":
-        "e0587ecd584c55338e9964820228cf507846cc04182a17985789409a5f922624",
+        "230290e46da830b7d69009e040da631764f72e97993a509ada93073f5e0b4116",
     "link15":
-        "a97bd56a5b64195c8c4a183356bbd8eab85e6daba402c5bb8458de381bf30e6d",
+        "3f9711c4cea8a24d463409e7c6b40e9545bdd525fa939ac957535a3dcf978bff",
     "link16":
-        "8092b4d5263da0eb1aed300cec60a064079f1509778eec721a498c2ce4faeeb1",
+        "d36f28a863e1d55964281b8d7af5a0797db21637b51d0df4540034e48334f296",
     "link17":
-        "6fe6adafb060a6ef6860bff0dd8790284655278a2e56c960982f4b63ac4cf9d6",
+        "e462b9d5be0c9769d722300d044e369691e78c0b80fb5dc97fabe5589c19ab34",
     "link18":
-        "70e5f965f46b20bcffc0187ec4eca2baaeb062d9c60450400b313aca02ec0903",
+        "935d2daa86078b3684274736479b1937f85792a875a8019d1d0ddb7f9f44798d",
     "link19":
-        "f5dc57733ad8bd71190d94579000b544f89d80fb1f747700249c549a5787c36f",
+        "a42360f3cce64d8c66a93878e80631f415e0e3db4182938a6d5b9f56f0a3bb50",
     "link_w0":
-        "6e28966a8df1819761ba8ffb04640f826d64a0f00a7c7cb79348f90db1f1a46a",
+        "1e74221f3556287d3899b4510a642f3aaa1174eab18396cff6999242dbbbd3de",
     "link_w1":
-        "53f11a63cba02687176af6c17d9de24312d4522f134ce729d313e52d204afb5d",
+        "524fe1731c7a356c06957db85640c477c053d034b9c14fdd92dd95b0de2b3e0c",
     "link_w2":
-        "8f6588f7bcc61e0321b9b0610edcf8ff5223172db59e1580d78b8e548eac5ef7",
+        "68b95748ef559b068a6adfbc9a7d151d40175633a86e98fa068be81fca453f00",
     "link_w3":
-        "e52f151694d27fcff0029276a0d8a52528bcb68d56edbf4ba4ff927cb5e88e03",
+        "29fa17279d19b40008ee9ae387b11a977cca2befea94645643162b99067f603c",
     "dense0":
-        "19d9996d43649f339a6f1f79e2613a70d86f272e05535fd8468fe8b420873d5d",
+        "71e68f11ce31e5c7b3bf2984fbbfc44dcbc69752cc919bf0b0f1036d08ee66b9",
     "dense1":
-        "57147d55521bb711a8e6e170b6c540010b15e64ca676b355fcae3dd0830f73a2",
+        "c1a33b1d4be86d6b1121f847b7a04b63cc279a65580c557b7daf38a2bf5dae3d",
     "dense2":
-        "d7f07f8ab025c48bcb6868785cfcdbca093fb2a73d85d65648c9a16ecd9b0257",
+        "02fa9411564e7c9e466c3de4241ceda6eb1ede1814bcbd7c53793dce8287e4da",
     "dense3":
-        "c8a2ade10d54125bc4d68acade07d70a42e387c2bad3601286ecea6b7c41fe95",
+        "419632c13675bf53c4d64db8edf5e2bcd53a7cef550928551e2e8477c646b0b4",
     "dense_w0":
-        "bc2095b7c0952ba4cbd0fbc1d12e7a883d190d16b6162ce2c685e929cc243c8e",
+        "e4a7b736b1282ec7ecd0f1fff87ef9d2e70994592e82abfb73ae46d93bf2c436",
     "dense_w1":
-        "5597e65c66b2c60c27705adc8a54efd787cb2fba2c7417ef1965566f38d027cd",
+        "5c642748437b406893a7395f9733ea88983511620a665badedd0c1772642d009",
     "dense_w2":
-        "c204f75236f1534053a944a951392b16f6b293d27f965f5930913197b8a314cd",
+        "4654282a0c9cee2e07d2ed8606b1445464a2214eb3ddaeb9154935e24aef2f09",
     "dense_w3":
-        "ff07755ef343e3e194c8e213fbcb95e3b2e93de444bc8de2cbe42df4bb275351",
+        "a064622ca7d28118178e719a45c18fd6df94e12144d4429c2a4eb4c03b4bc7f4",
 }
 
 

@@ -12,7 +12,8 @@ from netmimo import (
     waterfill_budget,
     waterfill_eval,
 )
-from netmimo.linalg import adjoint, hermitian_top_eigs_batch, psd_inv_sqrt_batch
+from netmimo.linalg import (SINGULARITY_RTOL, adjoint, cholesky_whiteners, hermitian_part, hermitian_top_eigs_batch,
+                            psd_inv_sqrt_batch, whitening_factors)
 
 
 def random_hermitian(rng, n):
@@ -165,7 +166,7 @@ def test_top_eigs_batch_repeated_eigenvalues():
 
 def test_psd_inv_sqrt_batch_matches_per_matrix():
     rng = np.random.default_rng(31)
-    stack = np.stack([random_pd(rng, 4) for _ in range(5)])
+    stack = hermitian_part(np.stack([random_pd(rng, 4) for _ in range(5)]))
     roots, ok = psd_inv_sqrt_batch(stack)
     assert ok.all()
     for k, a in enumerate(stack):
@@ -176,12 +177,78 @@ def test_psd_inv_sqrt_batch_matches_per_matrix():
 def test_psd_inv_sqrt_batch_flags_singular_member():
     rng = np.random.default_rng(32)
     v = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
-    stack = np.stack([random_pd(rng, 4), v @ v.conj().T, random_pd(rng, 4), np.zeros((4, 4))])
+    stack = hermitian_part(np.stack([random_pd(rng, 4), v @ v.conj().T, random_pd(rng, 4), np.zeros((4, 4))]))
     roots, ok = psd_inv_sqrt_batch(stack)
     assert ok.tolist() == [True, False, True, False]
     assert np.allclose(roots[2], psd_inv_sqrt(stack[2]), rtol=0, atol=1e-12)
     with pytest.raises(SingularMatrixError):
         psd_inv_sqrt(stack[1])
+
+
+def with_spectrum(rng, values):
+    """Exactly Hermitian matrix with the given eigenvalues in a random basis."""
+    n = len(values)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return hermitian_part((q * np.asarray(values, dtype=float)) @ q.conj().T)
+
+
+def test_cholesky_whiteners_whiten():
+    rng = np.random.default_rng(33)
+    stack = hermitian_part(np.stack([random_pd(rng, 5) for _ in range(4)]))
+    t, ok = cholesky_whiteners(stack)
+    assert ok.all()
+    for k, a in enumerate(stack):
+        assert np.allclose(t[k] @ adjoint(t[k]) @ a, np.eye(5), atol=1e-12)
+        assert np.allclose(adjoint(t[k]) @ a @ t[k], np.eye(5), atol=1e-12)
+        # the adjoint inverse of the lower Cholesky factor
+        assert np.allclose(adjoint(np.linalg.inv(t[k])), np.linalg.cholesky(a), atol=1e-12)
+
+
+def test_cholesky_certificate_implies_the_eigenvalue_test():
+    # condition numbers from 1 to 1e15 over several sizes and spectrum
+    # shapes: every matrix the certificate clears passes psd_inv_sqrt, and
+    # every well-conditioned one is cleared
+    rng = np.random.default_rng(34)
+    for n in (2, 4, 8, 20):
+        for cond in np.logspace(0, 15, 61):
+            for values in (np.logspace(0, -np.log10(cond), n),
+                           np.r_[np.ones(n - 1), 1.0 / cond],
+                           np.r_[1.0, np.full(n - 1, 1.0 / cond)]):
+                stack = np.stack([with_spectrum(rng, values * scale) for scale in (1e-6, 1.0, 1e6)])
+                _, cleared = cholesky_whiteners(stack)
+                _, accepted = psd_inv_sqrt_batch(stack)
+                assert not np.any(cleared & ~accepted), (n, cond)
+                if cond * n <= 1e10:
+                    assert cleared.all(), (n, cond)
+
+
+def test_cholesky_whiteners_leave_doubtful_members_to_the_exact_path():
+    # condition 1e11 on 20 coordinates: the certificate cannot clear it
+    # (1/tr F^{-1} < 1e-12 tr F), psd_inv_sqrt accepts it; condition 1e13,
+    # rank one and zero: psd_inv_sqrt rejects them
+    rng = np.random.default_rng(35)
+    v = rng.standard_normal((20, 1)) + 1j * rng.standard_normal((20, 1))
+    stack = hermitian_part(np.stack([random_pd(rng, 20), with_spectrum(rng, np.r_[np.ones(19), 1e-11]),
+                                     with_spectrum(rng, np.r_[np.ones(19), 1e-13]), v @ v.conj().T,
+                                     np.zeros((20, 20))]))
+    assert psd_inv_sqrt_batch(stack)[1].tolist() == [True, True, False, False, False]
+    assert 1.0 / np.trace(np.linalg.inv(stack[1])).real < SINGULARITY_RTOL * np.trace(stack[1]).real
+    assert cholesky_whiteners(stack[:3])[1].tolist() == [True, False, False]
+    # the rank-one and zero members fail the factorization, so none is certified
+    assert not cholesky_whiteners(stack)[1].any()
+    with pytest.raises(SingularMatrixError):
+        whitening_factors(stack)
+    lifted = []
+
+    def lift(k):
+        lifted.append(k)
+        return np.eye(20)
+
+    t = whitening_factors(stack, lift)
+    assert lifted == [2, 3, 4]
+    for k in range(2):
+        assert np.allclose(adjoint(t[k]) @ stack[k] @ t[k], np.eye(20), atol=1e-4)
+    assert np.array_equal(t[2:], np.broadcast_to(np.eye(20), (3, 20, 20)))
 
 
 def test_thin_svd_identity():

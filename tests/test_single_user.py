@@ -6,12 +6,16 @@ import pytest
 
 from netmimo import (
     ContractViolationError,
+    NumericalFailureError,
     SingleUserProblem,
+    SingularMatrixError,
     kkt_residual,
     lagrangian_minimizer,
+    psd_inv_sqrt,
     solve_multi_constraint,
     solve_single_constraint,
 )
+from netmimo.linalg import cholesky_whiteners
 from netmimo.single_user import (
     GAIN_RTOL,
     LAMBDA_FLOOR,
@@ -19,9 +23,10 @@ from netmimo.single_user import (
     constraint_usage_single,
     lagrangian_value,
     precoder_wsmse,
+    priced_minimizer,
 )
 
-from conftest import antenna_link, dense_link
+from conftest import antenna_link, count_decompositions, dense_link
 
 
 def make_problem(h, omega=None, phis=None, budgets=(1.0,), weights=None, d=None):
@@ -150,6 +155,50 @@ def test_lagrangian_minimizer_local_probe():
         assert value >= base - 1e-12
 
 
+def whitened_minimizer(t, c, weights):
+    """The unit-level priced minimizer with the whitening factor ``t`` given:
+    t U diag(sqrt p), U the top-d eigenvectors of t^H C C^H t."""
+    d = weights.size
+    gains, basis = np.linalg.eigh(t.conj().T @ c @ c.conj().T @ t)
+    gains, basis = gains[::-1][:d], basis[:, ::-1][:, :d]
+    return t @ (basis * np.sqrt(np.maximum(np.sqrt(weights / gains) - 1.0 / gains, 0.0)))
+
+
+def test_priced_minimizer_sends_doubtful_pricing_to_the_exact_path():
+    # pricing matrices the Cholesky certificate does not clear take
+    # psd_inv_sqrt: condition 1e11 is whitened by its inverse root; condition
+    # 1e13, rank one and zero raise, or take the factor lift(k) supplies
+    rng = np.random.default_rng(37)
+    q, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    v = rng.standard_normal((8, 1)) + 1j * rng.standard_normal((8, 1))
+    f = np.stack([np.eye(8) + 0.3 * (q * np.arange(8.0)) @ q.conj().T,
+                  (q * np.r_[np.ones(7), 1e-11]) @ q.conj().T, (q * np.r_[np.ones(7), 1e-13]) @ q.conj().T,
+                  v @ v.conj().T, np.zeros((8, 8))])
+    f = 0.5 * (f + f.conj().swapaxes(-1, -2))
+    c = rng.standard_normal((5, 8, 2)) + 1j * rng.standard_normal((5, 8, 2))
+    weights = np.ones((5, 2))
+    assert cholesky_whiteners(f[:3])[1].tolist() == [True, False, False]
+    with pytest.raises(SingularMatrixError):
+        priced_minimizer(f, c, weights)
+    lifted = []
+
+    def lift(k):
+        lifted.append(k)
+        return 2.0 * np.eye(8)
+
+    b = priced_minimizer(f, c, weights, lift)
+    assert lifted == [2, 3, 4]
+    for k in range(5):
+        t = psd_inv_sqrt(f[k]) if k < 2 else 2.0 * np.eye(8)
+        want = whitened_minimizer(t, c[k], weights[k])
+        # the columns are unique up to phase: compare B B^H
+        assert np.allclose(b[k] @ b[k].conj().T, want @ want.conj().T, rtol=0,
+                           atol=1e-6 * np.linalg.norm(want) ** 2), k
+    # a factor that does not decompose fails as a numerical failure
+    with pytest.raises(NumericalFailureError):
+        priced_minimizer(f[:1], np.full((1, 8, 2), np.nan), weights[:1])
+
+
 def test_multi_constraint_single_matches_closed_form():
     rng = np.random.default_rng(5)
     for _ in range(5):
@@ -223,29 +272,30 @@ def reference_multi_constraint(problem, step=0.1, max_outer=2000, constraint_tol
                                objective_tol=1e-6):
     """The dual subgradient solve as its pass was first written, kept as the
     oracle of solve_multi_constraint: per pass, the priced constraints are
-    summed one by one, the priced minimizer symmetrizes twice and orders
-    eigenvalues and stream weights by stable argsort, the usage is one trace
-    per constraint and the weighted MSE is taken with a fresh diag(w) and
-    identity.  Returns (precoder, multipliers, usage, trace, iterations,
-    converged)."""
+    summed one by one, the priced minimizer whitens them with the adjoint
+    inverse of their Cholesky factor, takes the leading left singular
+    vectors of the whitened channel factor H^H Omega^{-1/2} and orders
+    stream weights by stable argsort, the usage is one trace per constraint
+    and the weighted MSE is taken with a fresh diag(w) and identity.
+    Returns (precoder, multipliers, usage, trace, iterations, converged)."""
     def herm(a):
         return 0.5 * (a + a.conj().T)
 
     r = problem.quadratic_form()
     w, d, budgets = problem.weights, problem.streams, problem.budgets
     scale = np.maximum(budgets, 1e-300)
+    vals, vecs = np.linalg.eigh(herm(problem.noise_cov))
+    factor = problem.channel.conj().T @ herm((vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T)
 
     def minimizer(phi):
-        vals, vecs = np.linalg.eigh(herm(phi))
-        s = herm((vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T)
-        vals, vecs = np.linalg.eigh(herm(herm(s @ r @ s)))
-        order = np.argsort(-vals, kind="stable")[:d]
-        gains, basis = vals[order], vecs[:, order]
+        inv_low = np.linalg.inv(np.linalg.cholesky(herm(phi)))
+        left, sing, _ = np.linalg.svd(inv_low @ factor, full_matrices=False)
+        gains, basis = sing[:d] ** 2, left[:, :d]
         rank = np.argsort(-w, kind="stable")
         active = gains > GAIN_RTOL * max(1.0, np.max(gains, initial=0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
             levels = np.maximum(np.sqrt(w[rank] / gains) - 1.0 / gains, 0.0)
-        columns = s @ (basis * np.sqrt(np.where(active, levels, 0.0)))
+        columns = inv_low.conj().T @ (basis * np.sqrt(np.where(active, levels, 0.0)))
         return columns[:, np.argsort(rank)]
 
     def stable(trace, window=5):
@@ -295,16 +345,12 @@ def test_multi_constraint_matches_reference_pass():
         assert (result.iterations, result.converged) == (iterations, converged)
 
 
-def test_multi_constraint_pass_makes_two_eigendecompositions(monkeypatch):
-    # one eigh whitens the priced constraint, one finds the top eigenvectors
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counting_eigh(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+def test_multi_constraint_pass_makes_one_decomposition(monkeypatch):
+    # per pass the priced constraint is Cholesky-factored and the whitened
+    # 4x2 channel factor decomposed by one SVD; the noise covariance is
+    # whitened once per solve, and no 4x4 matrix meets eigh
+    calls = count_decompositions(monkeypatch)
     result = solve_multi_constraint(antenna_link(np.random.default_rng(3)))
     assert result.iterations > 10
-    assert len(calls) == 2 * result.iterations
+    assert calls[0] == ("eigh", (1, 2, 2))
+    assert calls[1:] == [("cholesky", (1, 4, 4)), ("svd", (1, 4, 2))] * result.iterations
