@@ -66,7 +66,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, NumericalFailureError, SingularMatrixError
 from .linalg import (adjoint, bisect_level, hermitian_part, hermitian_top_eigs, psd_inv_sqrt,
-                     psd_inv_sqrt_batch, whitening_factors)
+                     psd_inv_sqrt_batch, support_usage, whitening_factors)
 from .model import (
     BeamformerSolution,
     InterferenceProblem,
@@ -339,15 +339,27 @@ def _dmmse_precoder_step(problem, precoders, equalizers, weight_diags, lam, omeg
     :func:`priced_minimizer` with the interference-pricing matrices F_k and
     the factors C_k = H_kk^H L_k^{-H} of R_k = H_kk^H Omega_k^{-1} H_kk
     (Omega_k = L_k L_k^H), as the padded (K, m_t, d) stack; padded streams
-    carry zero weight and so get zero columns.  A singular F_k is retried
-    once with the price floor lifted to the interference scale."""
+    carry zero weight and so get zero columns.  Omega_k = I + sum (HB)(HB)^H
+    is at least I, so its Cholesky factor needs no regularity certificate;
+    one that fails anyway (non-finite input) raises
+    :class:`NumericalFailureError`.  A singular F_k is retried once with
+    the price floor lifted to the interference scale."""
     if omegas is None:
         omegas = interference_covariances(problem, precoders)
     a = np.asarray(equalizers)
     w = np.asarray(weight_diags)
     # ups[k] = sum_{l != k} H_{l,k}^H A_l W_l A_l^H H_{l,k}
     ups = reverse_link_sums(0.0, problem.cross, problem.cross_h, (a * w[:, None, :]) @ adjoint(a))
-    c = problem.direct_h @ whitening_factors(np.asarray(omegas))  # C_k C_k^H = H_kk^H Omega_k^{-1} H_kk
+    try:
+        low = np.linalg.cholesky(omegas)
+        # a non-finite entry in the lower triangle of Omega_k, all that is
+        # read, leaves a non-finite diagonal in L_k
+        finite = np.isfinite(np.diagonal(low, axis1=-2, axis2=-1)).all()
+    except np.linalg.LinAlgError:
+        finite = False
+    if not finite:
+        raise NumericalFailureError("interference-plus-noise covariance has no Cholesky factor")
+    c = problem.direct_h @ adjoint(np.linalg.inv(low))  # C_k C_k^H = H_kk^H Omega_k^{-1} H_kk
 
     def lift(k):
         guard = max(LAMBDA_FLOOR, 1e-9 * max(1.0, float(np.linalg.norm(ups[k]))))
@@ -644,9 +656,18 @@ def _pwf_forward(problem, covariances, dual_covariances, lam, omegas=None):
 
 
 def _cov_usage(problem, covariances) -> np.ndarray:
+    """Per-constraint usage sum_k tr{Phi_{k,m} Sigma_k} of the transmit
+    covariances, added in ascending k.  With
+    :attr:`InterferenceProblem.constraint_supports` the trace is
+    sum_i supports[k, m, i] Re Sigma_k[i, i] (:func:`constraint_usage`'s
+    kernel)."""
+    supports = problem.constraint_supports
+    if supports is None:
+        rows = np.trace(problem.constraints @ covariances[:, None], axis1=-2, axis2=-1).real
+    else:
+        rows = support_usage(supports, np.diagonal(covariances, axis1=-2, axis2=-1).real)
     usage = np.zeros(problem.num_constraints)
-    traces = np.trace(problem.constraints @ np.asarray(covariances)[:, None], axis1=-2, axis2=-1)
-    for row in traces.real:
+    for row in rows:
         usage += row
     return usage
 

@@ -18,6 +18,8 @@ from .errors import ContractViolationError, NumericalFailureError, SingularMatri
 HERMITIAN_TOL = 1e-10
 # Relative eigenvalue floor below which a matrix is treated as singular.
 SINGULARITY_RTOL = 1e-12
+# What psd_inv_sqrt and diagonal_whiteners raise for a matrix below that floor.
+SINGULAR_MESSAGE = f"matrix is singular or indefinite (eigenvalue ratio below {SINGULARITY_RTOL:g})"
 # Budget matching tolerance of the waterfilling bisection: 1e-9 * max(1, budget).
 BUDGET_RTOL = 1e-9
 
@@ -117,7 +119,7 @@ def psd_inv_sqrt(a) -> np.ndarray:
     """
     roots, ok = psd_inv_sqrt_batch(require_hermitian(a)[None])
     if not ok[0]:
-        raise SingularMatrixError(f"matrix is singular or indefinite (eigenvalue ratio below {SINGULARITY_RTOL:g})")
+        raise SingularMatrixError(SINGULAR_MESSAGE)
     return roots[0]
 
 
@@ -183,6 +185,47 @@ def whitening_factors(a, lift=None) -> np.ndarray:
                 raise
             t[k] = lift(k)
     return t
+
+
+def diagonal_whiteners(f, lift=None) -> np.ndarray:
+    """:func:`whitening_factors` of real diagonal matrices given by their
+    (K, n) diagonals ``f``: the row scalings f_k^{-1/2}, (K, n), so that
+    diag(f_k^{-1/2}) whitens diag(f_k).  Each diagonal faces
+    :func:`psd_inv_sqrt`'s eigenvalue test, min f_k > SINGULARITY_RTOL
+    max f_k > 0, exactly.  One that fails it raises
+    :class:`SingularMatrixError` unless ``lift(k)`` supplies a replacement
+    factor; the factors are then returned as the (K, n, n) matrices."""
+    # false for a NaN, and for max f_k <= 0, where min f_k <= SINGULARITY_RTOL max f_k
+    ok = f.min(axis=-1) > SINGULARITY_RTOL * f.max(axis=-1)
+    if ok.all():
+        return 1.0 / np.sqrt(f)
+    if lift is None:
+        raise SingularMatrixError(SINGULAR_MESSAGE)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (1.0 / np.sqrt(f))[..., None] * np.eye(f.shape[-1], dtype=complex)
+    for k in np.flatnonzero(~ok):
+        t[k] = lift(k)
+    return t
+
+
+def disjoint_diagonals(weights):
+    """The (..., M, n) diagonals of a (..., M, n, n) stack of constraint
+    weights when every weight is a real diagonal and no two of the M weights
+    share a nonzero coordinate (per-antenna or per-BS block masks), else
+    None.  Then tr{Phi_m X} = sum_i diagonals[m, i] X_ii, and
+    sum_m lam_m Phi_m is diag(lam @ diagonals) with one term per entry."""
+    diags = np.diagonal(weights, axis1=-2, axis2=-1)
+    if np.count_nonzero(weights - diags[..., None] * np.eye(diags.shape[-1])) \
+            or np.count_nonzero(diags.imag) or np.any(np.count_nonzero(diags, axis=-2) > 1):
+        return None
+    return diags.real.copy()
+
+
+def support_usage(supports, powers) -> np.ndarray:
+    """sum_i supports[..., m, i] powers[..., i]: the usage tr{Phi_m X} of
+    :func:`disjoint_diagonals` weights from the diagonal ``powers`` of X
+    (the squared row norms of B for X = B B^H)."""
+    return (supports @ powers[..., None])[..., 0]
 
 
 def hermitian_top_eigs_batch(a, d: int) -> tuple[np.ndarray, np.ndarray]:

@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractViolationError, NumericalFailureError
-from .linalg import adjoint, hermitian_part
+from .linalg import adjoint, disjoint_diagonals, hermitian_part, support_usage
 
 LOG2 = float(np.log(2.0))
 
@@ -266,12 +266,9 @@ class InterferenceProblem:
     def constraint_supports(self):
         """(K, M, m_t) diagonals of the constraint weights when all are real
         diagonals with disjoint supports per user (the 0/1 block masks of
-        :func:`build_interference_problem`), else None."""
-        diags = np.diagonal(self.constraints, axis1=-2, axis2=-1)
-        if np.count_nonzero(self.constraints - diags[..., None] * np.eye(diags.shape[-1])) \
-                or np.count_nonzero(diags.imag) or np.any(np.count_nonzero(diags, axis=1) > 1):
-            return None
-        return diags.real.copy()
+        :func:`build_interference_problem`), else None
+        (:func:`disjoint_diagonals`)."""
+        return disjoint_diagonals(self.constraints)
 
     @cached_property
     def tx_pad(self) -> tuple:
@@ -519,7 +516,7 @@ def constraint_usage(problem: InterferenceProblem, precoders) -> np.ndarray:
         bbh_t = (b @ adjoint(b)).swapaxes(-1, -2)  # tr{Phi X} as an elementwise contraction
         rows = (problem.constraints * bbh_t[:, None]).sum(axis=(-2, -1)).real
     else:
-        rows = (supports @ (b.real ** 2 + b.imag ** 2).sum(axis=-1)[..., None])[..., 0]
+        rows = support_usage(supports, (b.real ** 2 + b.imag ** 2).sum(axis=-1))
     usage = np.zeros(problem.num_constraints)
     for row in rows:
         usage += row

@@ -7,7 +7,15 @@ R = H^H Omega^{-1} H, and waterfill the per-stream powers against the
 budget.  With several, :func:`solve_multi_constraint` prices them with
 multipliers lam: the Lagrangian minimizer is the closed form with
 aggregate weight sum_m lam_m Phi_m at unit water level, and lam ascends on
-the constraint residuals.
+the constraint residuals.  Its weighted MSE is sum_i w_i / (1 + p_i g_i)
+from the minimizer's own gains and powers, as in the single-constraint
+closed form.  The commonest weights, one budget per antenna or per BS
+block, are real diagonals with disjoint supports
+(:attr:`SingleUserProblem.constraint_supports`); on them the aggregate
+weight is the vector lam @ supports, whitening is the row scaling
+diag((lam @ supports)^{-1/2}) and the usage is supports times the squared
+precoder row norms, so a pass factors nothing but one thin SVD.  General
+weights keep the dense sum, its Cholesky whitening and the trace usage.
 
 Shared with ``algorithms``: :func:`priced_minimizer` is that minimizer
 batched over users (``dmmse`` calls it with its interference-pricing
@@ -22,12 +30,13 @@ for ``emmseia``, whose KKT search runs inside its pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ContractViolationError, NumericalFailureError
-from .linalg import (adjoint, hermitian_part, hermitian_top_eigs, psd_inv_sqrt, require_hermitian,
-                     waterfill_budget, whitening_factors)
+from .linalg import (adjoint, diagonal_whiteners, disjoint_diagonals, hermitian_part, hermitian_top_eigs,
+                     psd_inv_sqrt, require_hermitian, support_usage, waterfill_budget, whitening_factors)
 
 # Bounds of the power-price multipliers of every dual loop in netmimo.
 LAMBDA_FLOOR = 1e-9
@@ -93,6 +102,14 @@ class SingleUserProblem:
     def num_constraints(self) -> int:
         return int(self.budgets.size)
 
+    @cached_property
+    def constraint_supports(self):
+        """(M, m_t) diagonals of the constraint weights when all are real
+        diagonals with disjoint supports (one budget per antenna or per
+        antenna block), else None (:func:`disjoint_diagonals`); found on
+        first use, so building a problem does not pay for it."""
+        return disjoint_diagonals(np.stack(self.constraints))
+
     def quadratic_form(self) -> np.ndarray:
         """R = H^H Omega^{-1} H."""
         return hermitian_part(self.channel.conj().T @ np.linalg.solve(self.noise_cov, self.channel))
@@ -156,23 +173,30 @@ def objective_stable(trace, tol: float, window: int = 5) -> bool:
     return all(abs(b - a) <= tol * ref for a, b in zip(tail, tail[1:]))
 
 
-def priced_minimizer(f, c, weights, lift=None) -> np.ndarray:
-    """Minimizers B_k of tr{W_k (I + B^H R_k B)^{-1}} + tr{F_k B B^H} for a
-    (K, n, n) Hermitian stack ``f``, (K, n, m) factors ``c`` of the
-    quadratic forms, R_k = C_k C_k^H, and (K, d) stream ``weights``
-    (d <= min(n, m)), as the (K, n, d) stack: B_k = T_k U_k diag(sqrt p)
-    with a whitening factor T_k T_k^H = F_k^{-1} (:func:`whitening_factors`:
-    L_k^{-H} from the Cholesky factor, or F_k^{-1/2}), U_k the top-d left
-    singular vectors of T_k^H C_k (the top-d eigenvectors of
-    T_k^H R_k T_k, with the squared singular values as gains), and the
-    unit-level waterfill p_i = [sqrt(w_i / g_i) - 1/g_i]^+ on the gains
-    above ``GAIN_RTOL``.  An F_k that :func:`psd_inv_sqrt` rejects raises
+def priced_minimizer(f, c, weights, lift=None, values: bool = False):
+    """Minimizers B_k of tr{W_k (I + B^H R_k B)^{-1}} + tr{F_k B B^H} for
+    pricing matrices F_k, (K, n, m) factors ``c`` of the quadratic forms,
+    R_k = C_k C_k^H, and (K, d) stream ``weights`` (d <= min(n, m)), as the
+    (K, n, d) stack: B_k = T_k U_k diag(sqrt p) with a whitening factor
+    T_k T_k^H = F_k^{-1}, U_k the top-d left singular vectors of T_k^H C_k
+    (the top-d eigenvectors of T_k^H R_k T_k, with the squared singular
+    values as gains), and the unit-level waterfill
+    p_i = [sqrt(w_i / g_i) - 1/g_i]^+ on the gains above ``GAIN_RTOL``.
+
+    ``f`` is either the (K, n, n) Hermitian stack of the F_k, whitened by
+    :func:`whitening_factors` (L_k^{-H} from the Cholesky factor, or
+    F_k^{-1/2}), or, for real diagonal F_k, their (K, n) diagonals, whitened
+    by the row scaling T_k = diag(f_k^{-1/2}) (:func:`diagonal_whiteners`).
+    On both, an F_k that :func:`psd_inv_sqrt` rejects raises
     :class:`SingularMatrixError` unless ``lift(k)`` supplies a replacement
-    factor."""
-    t = whitening_factors(f, lift)
+    factor.  With ``values`` the (K,) objective values
+    tr{W_k (I + B_k^H R_k B_k)^{-1}} = sum_i w_i / (1 + p_i g_i) come
+    along, as ``(columns, values)``: B_k^H R_k B_k = diag(p_i g_i)."""
+    t = whitening_factors(f, lift) if f.ndim == 3 else diagonal_whiteners(f, lift)
+    scaling = t.ndim == 2  # T_k = diag(t_k), real
     d = weights.shape[-1]
     try:
-        left, sing, _ = np.linalg.svd(adjoint(t) @ c, full_matrices=False)
+        left, sing, _ = np.linalg.svd(t[..., None] * c if scaling else adjoint(t) @ c, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError("SVD of the whitened channel factors did not converge") from exc
     basis, gains = left[..., :d], sing[:, :d] ** 2
@@ -183,8 +207,11 @@ def priced_minimizer(f, c, weights, lift=None) -> np.ndarray:
     active = gains > GAIN_RTOL * np.maximum(1.0, gains[:, :1])  # gains descend
     g = np.where(active, gains, 1.0)  # waterfill_eval at mu = 1 on the active gains
     powers = np.where(active, np.maximum(np.sqrt(paired_w / g) - 1.0 / g, 0.0), 0.0)
-    columns = t @ (basis * np.sqrt(powers)[:, None, :])
-    return columns if order is None else np.take_along_axis(columns, np.argsort(order, axis=-1)[:, None, :], -1)
+    scaled = basis * np.sqrt(powers)[:, None, :]
+    columns = t[..., None] * scaled if scaling else t @ scaled
+    if order is not None:
+        columns = np.take_along_axis(columns, np.argsort(order, axis=-1)[:, None, :], -1)
+    return (columns, np.sum(paired_w / (1.0 + powers * gains), axis=-1)) if values else columns
 
 
 def additive_rule(step: float):
@@ -318,15 +345,10 @@ def lagrangian_minimizer(problem: SingleUserProblem, phi_agg: np.ndarray) -> np.
     return priced_minimizer(f, problem.quadratic_factor()[None], problem.weights[None])[0]
 
 
-def _wsmse(weight_matrix: np.ndarray, eye: np.ndarray, r: np.ndarray, precoder: np.ndarray) -> float:
-    """:func:`precoder_wsmse` with W, the identity and R given."""
-    g = precoder.conj().T @ r @ precoder
-    return float(np.trace(weight_matrix @ np.linalg.inv(eye + hermitian_part(g))).real)
-
-
 def precoder_wsmse(problem: SingleUserProblem, precoder: np.ndarray) -> float:
     """tr{W (I + B^H R B)^{-1}}: the objective with the MMSE receiver substituted."""
-    return _wsmse(np.diag(problem.weights), np.eye(problem.streams), problem.quadratic_form(), precoder)
+    g = hermitian_part(precoder.conj().T @ problem.quadratic_form() @ precoder)
+    return float(np.trace(np.diag(problem.weights) @ np.linalg.inv(np.eye(problem.streams) + g)).real)
 
 
 def _usage(phis: np.ndarray, precoder: np.ndarray) -> np.ndarray:
@@ -348,18 +370,36 @@ def solve_multi_constraint(problem: SingleUserProblem) -> DualIterationResult:
     """Dual subgradient method for multiple constraints, on :func:`dual_loop`.
 
     Each pass minimizes the Lagrangian at the current multipliers
-    (:func:`priced_minimizer` with F = sum_m lam_m Phi_m) and the
+    (:func:`priced_minimizer` with F = sum_m lam_m Phi_m, which also gives
+    the pass's weighted MSE sum_i w_i / (1 + p_i g_i)) and the
     :func:`additive_rule` ascends lam on the constraint residuals,
     lam_m <- max(floor, lam_m + step * (tr{Phi_m B B^H} - P_m)),
     diminishing the step once the active residual stalls for
-    ``STALL_WINDOW`` passes.  Exits when all constraints hold within
-    ``MULTI_CONSTRAINT_TOL`` (relative) and the objective is stable over
-    five passes.
+    ``STALL_WINDOW`` passes.  On
+    :attr:`SingleUserProblem.constraint_supports` F is the diagonal
+    lam @ supports, whitened as a row scaling, and tr{Phi_m B B^H} is
+    supports times the squared row norms of B; other weights are summed,
+    Cholesky-whitened and traced densely.  Exits when all constraints hold
+    within ``MULTI_CONSTRAINT_TOL`` (relative) and the objective is stable
+    over five passes.
     """
-    budgets = problem.budgets
-    r, c = problem.quadratic_form(), problem.quadratic_factor()[None]
-    weights, phis = problem.weights[None], np.stack(problem.constraints)
-    weight_matrix, eye = np.diag(problem.weights), np.eye(problem.streams)
+    budgets, supports = problem.budgets, problem.constraint_supports
+    c, weights = problem.quadratic_factor()[None], problem.weights[None]
+    if supports is None:
+        phis = np.stack(problem.constraints)
+
+        def priced(lam):  # sum_m lam_m Phi_m, added from 0 in constraint order
+            return hermitian_part(np.add.reduce(lam[:, None, None] * phis, axis=0, keepdims=True, initial=0))
+
+        def usage_of(precoder):
+            return _usage(phis, precoder)
+    else:
+        def priced(lam):
+            return (lam @ supports)[None]
+
+        def usage_of(precoder):
+            return support_usage(supports, (precoder.real ** 2 + precoder.imag ** 2).sum(axis=-1))
+
     result = DualIterationResult(
         precoder=np.zeros((problem.channel.shape[1], problem.streams), dtype=complex),
         multipliers=np.full(problem.num_constraints, MULTI_LAMBDA_INIT),
@@ -368,11 +408,9 @@ def solve_multi_constraint(problem: SingleUserProblem) -> DualIterationResult:
     )
 
     def run_pass(lam):
-        # sum_m lam_m Phi_m, added from 0 in constraint order
-        phi = hermitian_part(np.add.reduce(lam[:, None, None] * phis, axis=0, keepdims=True, initial=0))
-        precoder = priced_minimizer(phi, c, weights)[0]
-        usage = _usage(phis, precoder)
-        wsmse = _wsmse(weight_matrix, eye, r, precoder)
+        precoders, values = priced_minimizer(priced(lam), c, weights, values=True)
+        precoder, wsmse = precoders[0], float(values[0])
+        usage = usage_of(precoder)
         excess = usage - budgets
         result.residuals.append(excess)
         result.dual_values.append(wsmse + float(np.dot(lam, excess)))

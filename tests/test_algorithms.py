@@ -11,6 +11,7 @@ from netmimo import (
     AlgorithmConfig,
     ConfigurationError,
     InterferenceProblem,
+    NumericalFailureError,
     PartialCooperationSystem,
     ScenarioConfig,
     build_interference_problem,
@@ -756,8 +757,11 @@ def test_block_mask_pricing_matches_the_dense_sums(mixed_problems):
 
 
 def test_block_mask_usage_matches_the_dense_contraction(mixed_problems):
-    # supports times the precoder row norms: the dense contraction up to
-    # the rounding of the reordered sums
+    # supports times the precoder row norms, or times the covariance
+    # diagonals for pwf: the dense contraction up to the rounding of the
+    # reordered sums
+    from netmimo.algorithms import _cov_usage
+
     rng = np.random.default_rng(43)
     for problem in pricing_problems(mixed_problems):
         assert problem.constraint_supports is not None
@@ -767,10 +771,12 @@ def test_block_mask_usage_matches_the_dense_contraction(mixed_problems):
             precoders = scale * precoders * rng.uniform(0.1, 2.0, precoders.shape[:-1])[..., None]
             want = dense_constraint_usage(problem, precoders)
             assert np.allclose(constraint_usage(problem, precoders), want, rtol=1e-14, atol=0.0)
+            covariances = precoders @ precoders.conj().swapaxes(-1, -2)
+            assert np.allclose(_cov_usage(problem, covariances), want, rtol=1e-14, atol=0.0)
 
 
 def test_general_constraint_weights_take_the_dense_path():
-    from netmimo.algorithms import _emmseia_solve_at, _priced_weights
+    from netmimo.algorithms import _cov_usage, _emmseia_solve_at, _priced_weights
 
     rng = np.random.default_rng(42)
     h = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
@@ -795,6 +801,9 @@ def test_general_constraint_weights_take_the_dense_path():
                                   dense_emmseia_solve_at(problem, grams, rhs, lam))
         precoders = rng.standard_normal((1, 3, 2)) + 1j * rng.standard_normal((1, 3, 2))
         assert np.array_equal(constraint_usage(problem, precoders), dense_constraint_usage(problem, precoders))
+        covariances = precoders @ precoders.conj().swapaxes(-1, -2)
+        assert np.array_equal(_cov_usage(problem, covariances),
+                              np.trace(problem.constraints @ covariances[:, None], axis1=-2, axis2=-1).real[0])
 
 
 def test_dmmse_pass_makes_one_decomposition(monkeypatch):
@@ -832,6 +841,25 @@ def test_dmmse_step_lifts_a_singular_pricing_floor():
                                       np.full(problem.num_constraints, guard), omegas)[k]
         want = lifted @ lifted.conj().T
         assert np.allclose(step[k] @ step[k].conj().T, want, rtol=0, atol=1e-8 * np.linalg.norm(want))
+
+
+def test_dmmse_step_rejects_a_non_finite_covariance():
+    # Omega_k >= I always has a Cholesky factor; a NaN in it is a clear
+    # numerical failure, not a silent NaN precoder
+    from netmimo.algorithms import _dmmse_precoder_step
+    from netmimo.model import interference_covariances, mmse_equalizers
+
+    _, problem = cellular_problem(0)
+    precoders = problem.precoders(initialize_precoders(problem, AlgorithmConfig()))
+    omegas = interference_covariances(problem, precoders)
+    equalizers = mmse_equalizers(problem, precoders, omegas)
+    weights = np.ones(problem.mse_weights.shape[:2])
+    lam = np.ones(problem.num_constraints)
+    for where in ((1, 0, 0), (2, 1, 0)):
+        bad = omegas.copy()
+        bad[where] = np.nan
+        with pytest.raises(NumericalFailureError, match="Cholesky"):
+            _dmmse_precoder_step(problem, precoders, equalizers, weights, lam, bad)
 
 
 def test_pwf_pass_makes_no_transmit_eigendecomposition(monkeypatch):
@@ -988,7 +1016,7 @@ GOLDEN_DIGESTS = {
     "cell0/emmseia/srm":
         "76b09b8cc527d5ba97da907c6f189631310066d40d39da145f5ff057a49be6d1",
     "cell0/pwf/srm":
-        "a2def773d50d0463c18ede65fa6b0c502954b8a545f14c592d7ba1b7760413d8",
+        "5d83218a17bf616e21c791a7fbe8ec8bec1ecba91509fa1416d1c775d8b881f6",
     "cell1/dmmse/wsmmse":
         "ab58ab21a64765fd973e8267d61d3433c6f3f56defbcaf75eed254f6ea890518",
     "cell1/dmmse/srm":
@@ -998,7 +1026,7 @@ GOLDEN_DIGESTS = {
     "cell1/emmseia/srm":
         "b283b7cca23d241037e941d2d898cc8bf903bb5a602a56a1c3f5ca5bcb861478",
     "cell1/pwf/srm":
-        "50b9fd6e79a49854ce22ba7fcb226b382b65fc83216e53b57d39ee8a87f25a09",
+        "9fc359262a0d376e1cbe3012a47b10fff520f8d7e126dbc676decadae7b61b79",
     "serving_sets/dmmse/wsmmse":
         "e34ce2153e6853bbc174823d1cf0b0adca4c49fce8628ba9fbe96dd976e5781f",
     "serving_sets/dmmse/srm":
@@ -1020,69 +1048,69 @@ GOLDEN_DIGESTS = {
     "sizes/pwf/srm":
         "29c96a04cdacfd4e1089bb188b7dd9b17eab2bc2ee968d1fd31f125913374822",
     "link0":
-        "87e557da62094502f9a7956e71f21b70a82d18dea3186e9100463352831b39a0",
+        "b15edb391935312c3bc8c59fb2da1915acaccc6d6409bcb92d219ee16dd68065",
     "link1":
-        "0811406d30603c9bc1381e8c7c2a0bbfe1d6ae8632a41d5a9f710b7dd6253822",
+        "453d592ffd379aa5a608ad24997e63e42194121cf960fd6f74216094c7b39c9f",
     "link2":
-        "0e77c64fdfe2210ddafbd4af8aaefae96c24150b7bd4d5978e94e160d5d58d3c",
+        "438fa160ab0423f85511f385c114edc14e734cd50e8f0bfef9bdea52b984ad7a",
     "link3":
-        "aecf944aa8e6e30b3ecde697327aeafe2abed8e5a73e09c4f8214e51063546fb",
+        "6b633db3276fa4b9ca2e71abf738a43cb2530a3be52eca3578b201fcec0dbaf3",
     "link4":
-        "8f83e294ce3348515815cda6112c62ea666fcf04c4d8c2489f1317bab09711da",
+        "cee061b851461a01af94fdb7539ac09fa53df2da3f378c269406bdbb2e8fff22",
     "link5":
-        "d406dcb2842b08a1844ed9eeac135ca1fedd265954c8901a25dc25b0f69154b2",
+        "1c739818e6865a4d814711bf856753177e513df542b8e3449099315ed6e6ba61",
     "link6":
-        "3889780d73f0acdc17d67b014a8f2117a2d52f34300df328c568b099583b6236",
+        "12e1637b89a8d40953f0196e8ce562772c60b2ce2fadaddc70eae855ea74e2d8",
     "link7":
-        "524b02ff18b7c99fbb0d224ac6e96d69888122e96c2781e0bc6e9c3cd94288cb",
+        "7cd132fc6c15da24fab70326ac7c78bc1370681cc53eff62f5d79bf199cd7e44",
     "link8":
-        "22f338d227d7be442734b357363eec3dbc9461a2633d36c0b159c4b9dfb6eb44",
+        "7b2deca88a6e80537080e2ebabb07bf6fa81680646ebcf56029a97c1ed286ccc",
     "link9":
-        "bcdfaca53d28a9778bea68d2eebdbc2988b237d0116345dfc76678704c3ffc19",
+        "901ecf879fe4aee624791be658967fedf64fc6e27dd429fb1f2c80562f76b89d",
     "link10":
-        "e3eb7c6b1e4dc3a40415bd3960a07ab9a70188cce0e9b62ab917196d8d5eb26a",
+        "35b1f3024ef4ca9ba6beec1f5b658931632df62fe47b02b075cce1aa61b4a182",
     "link11":
-        "642260ff20dfc1193fe832b5c7f3525986e5b2025549afb1a41486f9c2b5967d",
+        "b57816c4c548824accee1b4ad7a993cba8645770d845815b5d24fd7b922ad556",
     "link12":
-        "5cd487b7df1c54fc601d0c91bdf25ca459971b2cdb65c3c0e2d4979079d43a95",
+        "f213f0b9b91ac58dded26ee27c41af103513dc77998ca3ad85fbe43a67fcd77b",
     "link13":
-        "2b0c6d633dd30bb3c696a6efed05da87da5cc57dab18098909ae36af6ae9f705",
+        "65b37a8d95202292ae30f4acda7a7ffbbdd9503b29e66952fad38227837e33e8",
     "link14":
-        "230290e46da830b7d69009e040da631764f72e97993a509ada93073f5e0b4116",
+        "3e309eadcfac711afb48bcf0b463eca1599a0fef308048ab16c8f1391e4c52ae",
     "link15":
-        "3f9711c4cea8a24d463409e7c6b40e9545bdd525fa939ac957535a3dcf978bff",
+        "c4671bbbc8237b58d01901be863e6382ef3f738ac73246cf6d33903de78d0cb3",
     "link16":
-        "d36f28a863e1d55964281b8d7af5a0797db21637b51d0df4540034e48334f296",
+        "07f837ba307573f1d0e821b5e12f52df88313d8a57e25cef977cac7c7fbcb46e",
     "link17":
-        "e462b9d5be0c9769d722300d044e369691e78c0b80fb5dc97fabe5589c19ab34",
+        "4226481141b0c673a7fafc848e2c931a7ba78c5341a93fbde6ac273f571faecc",
     "link18":
-        "935d2daa86078b3684274736479b1937f85792a875a8019d1d0ddb7f9f44798d",
+        "9d53511a00751661fb216f63114964329e8fbe16a95483101558d89512cd6423",
     "link19":
-        "a42360f3cce64d8c66a93878e80631f415e0e3db4182938a6d5b9f56f0a3bb50",
+        "c5788cac8b3a337789c222f31cf3ab5bdf3361fab8b6ce188cbac558b5c7d389",
     "link_w0":
-        "1e74221f3556287d3899b4510a642f3aaa1174eab18396cff6999242dbbbd3de",
+        "76ff37221426282bfd1e0f0b4910d75e6beee888fc516bf9e8389ed5a7e6c726",
     "link_w1":
-        "524fe1731c7a356c06957db85640c477c053d034b9c14fdd92dd95b0de2b3e0c",
+        "20498cb3b3d01424862900fda1bcb52627ba9286bf4249a66494ecc30f3f37f9",
     "link_w2":
-        "68b95748ef559b068a6adfbc9a7d151d40175633a86e98fa068be81fca453f00",
+        "2a0a0fac6b0adfeb0151ca28cb2c3e1a8a0722de7c491482e35d58ab21d4b989",
     "link_w3":
-        "29fa17279d19b40008ee9ae387b11a977cca2befea94645643162b99067f603c",
+        "c46e8d29744b0bc13e69618bd0357899cac7e387f8f30bad426c117303cc0633",
     "dense0":
-        "71e68f11ce31e5c7b3bf2984fbbfc44dcbc69752cc919bf0b0f1036d08ee66b9",
+        "9a339385959f47b5adc70b34aa4ddeff9aa9a5bf60276b37cd3fa226c1f436cb",
     "dense1":
-        "c1a33b1d4be86d6b1121f847b7a04b63cc279a65580c557b7daf38a2bf5dae3d",
+        "b608dbc1c50599fed59da3cc8ecc468483beca5355b16fec36c09fe7795f5da8",
     "dense2":
-        "02fa9411564e7c9e466c3de4241ceda6eb1ede1814bcbd7c53793dce8287e4da",
+        "8e24fcf4c6d5f06fbb5e4ea0f98aaf6d83406a4b767749bb583047b026c8660c",
     "dense3":
-        "419632c13675bf53c4d64db8edf5e2bcd53a7cef550928551e2e8477c646b0b4",
+        "5ab35dc127125a9b66f39affcf4b36924425129746e28e29b25537ab32483432",
     "dense_w0":
-        "e4a7b736b1282ec7ecd0f1fff87ef9d2e70994592e82abfb73ae46d93bf2c436",
+        "f3afb53bed4ad9905763a64ff29d4a8fc2f5aab7ad5729d1d33391b69972aa47",
     "dense_w1":
-        "5c642748437b406893a7395f9733ea88983511620a665badedd0c1772642d009",
+        "976b90276432abb78522c4156890f8bddbc7ca1facb28d4bcb0794399f68dcd0",
     "dense_w2":
-        "4654282a0c9cee2e07d2ed8606b1445464a2214eb3ddaeb9154935e24aef2f09",
+        "6506bae04829e58f0894e72702dd6c9eef1b6a90105c13139f6c52620af2263c",
     "dense_w3":
-        "a064622ca7d28118178e719a45c18fd6df94e12144d4429c2a4eb4c03b4bc7f4",
+        "bf4a865864aa71e2af65bca3b2dc8921544deee5b9d61aafb057cdb01a2433ff",
 }
 
 

@@ -12,8 +12,9 @@ from netmimo import (
     waterfill_budget,
     waterfill_eval,
 )
-from netmimo.linalg import (SINGULARITY_RTOL, adjoint, cholesky_whiteners, hermitian_part, hermitian_top_eigs_batch,
-                            psd_inv_sqrt_batch, whitening_factors)
+from netmimo.linalg import (SINGULARITY_RTOL, adjoint, cholesky_whiteners, diagonal_whiteners, disjoint_diagonals,
+                            hermitian_part, hermitian_top_eigs_batch, psd_inv_sqrt_batch, support_usage,
+                            whitening_factors)
 
 
 def random_hermitian(rng, n):
@@ -249,6 +250,48 @@ def test_cholesky_whiteners_leave_doubtful_members_to_the_exact_path():
     for k in range(2):
         assert np.allclose(adjoint(t[k]) @ stack[k] @ t[k], np.eye(20), atol=1e-4)
     assert np.array_equal(t[2:], np.broadcast_to(np.eye(20), (3, 20, 20)))
+
+
+def test_diagonal_whiteners_take_the_exact_eigenvalue_test():
+    # diagonals on either side of the SINGULARITY_RTOL floor, a zero, a
+    # negative and a NaN entry: psd_inv_sqrt's verdict on diag(f), row by row
+    f = np.array([[1.0, 2.0, 3.0, 4.0], [4.0, 1e-6, 1e3, 1.0], [1.0, 3e-12, 1.0, 1.0],
+                  [1.0, 0.5e-12, 1.0, 1.0], [1.0, 0.0, 2.0, 1.0], [1.0, -1.0, 1.0, 1.0],
+                  [1.0, np.nan, 1.0, 1.0]])
+    dense = f[:, :, None] * np.eye(4)
+    accepted = psd_inv_sqrt_batch(dense)[1]
+    assert accepted.tolist() == [True, True, True, False, False, False, False]
+    scale = diagonal_whiteners(f[:3])
+    assert scale.shape == (3, 4)
+    assert np.array_equal(scale, 1.0 / np.sqrt(f[:3]))
+    for k in range(3, len(f)):
+        with pytest.raises(SingularMatrixError):
+            diagonal_whiteners(f[[0, k]])
+    lifted = []
+
+    def lift(k):
+        lifted.append(k)
+        return 2.0 * np.eye(4)
+
+    t = diagonal_whiteners(f, lift)
+    assert lifted == [3, 4, 5, 6]
+    assert np.array_equal(t[:3], (1.0 / np.sqrt(f[:3]))[:, :, None] * np.eye(4))
+    assert np.array_equal(t[3:], np.broadcast_to(2.0 * np.eye(4), (4, 4, 4)))
+
+
+def test_disjoint_diagonals_find_block_masks_only():
+    masks = np.stack([np.diag(m).astype(complex) for m in ([1.0, 1.0, 0.0], [0.0, 0.0, 0.5])])
+    assert np.array_equal(disjoint_diagonals(masks), [[1.0, 1.0, 0.0], [0.0, 0.0, 0.5]])
+    assert disjoint_diagonals(np.stack([masks, masks[::-1]])).shape == (2, 2, 3)
+    rng = np.random.default_rng(36)
+    factor = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    for weights in (np.stack([np.eye(3), masks[1]]),                        # overlapping
+                    np.stack([np.diag([1.0, 1j, 0.0]), masks[1]]),          # complex
+                    np.stack([factor @ factor.conj().T, masks[1]])):        # off-diagonal
+        assert disjoint_diagonals(weights.astype(complex)) is None
+    b = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    usage = support_usage(disjoint_diagonals(masks), (b.real ** 2 + b.imag ** 2).sum(axis=-1))
+    assert np.allclose(usage, [np.trace(p @ b @ b.conj().T).real for p in masks], rtol=1e-15, atol=0)
 
 
 def test_thin_svd_identity():

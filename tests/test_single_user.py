@@ -1,6 +1,8 @@
 """Single-user solver tests: closed form, power-priced minimizer, dual
 subgradient method, and the stationarity residual."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,59 @@ def test_priced_minimizer_sends_doubtful_pricing_to_the_exact_path():
         priced_minimizer(f[:1], np.full((1, 8, 2), np.nan), weights[:1])
 
 
+def test_priced_minimizer_diagonal_prices_match_their_dense_matrices():
+    # row-scaling whitening against the Cholesky path on diag(prices), with
+    # sorted and unsorted weights, a zero-weight stream and a rank-one
+    # channel factor whose second stream is inactive
+    rng = np.random.default_rng(38)
+    c = rng.standard_normal((5, 4, 2)) + 1j * rng.standard_normal((5, 4, 2))
+    c[4] = c[4, :, :1] * np.array([1.0, 0.5j])
+    prices = 10.0 ** rng.uniform(-3, 3, (5, 4))
+    for weights in ([1.0, 1.0], [2.0, 0.5], [0.5, 2.0], [0.0, 1.0]):
+        weights = np.tile(weights, (5, 1))
+        b, values = priced_minimizer(prices, c, weights, values=True)
+        want = priced_minimizer(prices[:, :, None] * np.eye(4, dtype=complex), c, weights)
+        for k in range(5):
+            bbh = b[k] @ b[k].conj().T
+            assert np.allclose(bbh, want[k] @ want[k].conj().T, rtol=0, atol=1e-12 * max(1.0, np.linalg.norm(bbh)))
+            r = c[k] @ c[k].conj().T
+            objective = np.trace(np.diag(weights[k]) @ np.linalg.inv(np.eye(2) + b[k].conj().T @ r @ b[k])).real
+            assert values[k] == pytest.approx(objective, rel=1e-12)
+        # the rank-one user drives one stream; the other gets a zero column
+        assert np.count_nonzero(np.linalg.norm(b[4], axis=0)) == 1
+
+
+def test_singular_prices_raise_on_both_paths():
+    # a coordinate without a constraint or with a zero price: the diagonal
+    # and the dense path both raise
+    rng = np.random.default_rng(39)
+    c = rng.standard_normal((1, 4, 2)) + 1j * rng.standard_normal((1, 4, 2))
+    for prices in ([1.0, 2.0, 0.0, 1.0], [1.0, 2.0, -0.5, 1.0], [1.0, 1e-13, 1.0, 1.0]):
+        prices = np.array([prices])
+        for f in (prices, prices[:, :, None] * np.eye(4, dtype=complex)):
+            with pytest.raises(SingularMatrixError):
+                priced_minimizer(f, c, np.ones((1, 2)))
+    link = antenna_link(rng)
+    uncovered = replace(link, constraints=link.constraints[:3], budgets=link.budgets[:3])
+    assert uncovered.constraint_supports is not None
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    rotated = replace(uncovered, channel=uncovered.channel @ q,
+                      constraints=tuple(q.conj().T @ p @ q for p in uncovered.constraints))
+    assert rotated.constraint_supports is None
+    for problem in (uncovered, rotated):
+        with pytest.raises(SingularMatrixError):
+            solve_multi_constraint(problem)
+
+
+def test_constraint_supports_are_found_on_first_use():
+    rng = np.random.default_rng(40)
+    link = antenna_link(rng)
+    assert "constraint_supports" not in vars(link)
+    assert np.array_equal(link.constraint_supports, np.eye(4))
+    assert "constraint_supports" in vars(link)
+    assert dense_link(rng).constraint_supports is None
+
+
 def test_multi_constraint_single_matches_closed_form():
     rng = np.random.default_rng(5)
     for _ in range(5):
@@ -270,33 +325,46 @@ def test_kkt_residual_detects_non_stationary_points():
 
 def reference_multi_constraint(problem, step=0.1, max_outer=2000, constraint_tol=1e-2,
                                objective_tol=1e-6):
-    """The dual subgradient solve as its pass was first written, kept as the
+    """The dual subgradient solve written out pass by pass, kept as the
     oracle of solve_multi_constraint: per pass, the priced constraints are
-    summed one by one, the priced minimizer whitens them with the adjoint
-    inverse of their Cholesky factor, takes the leading left singular
-    vectors of the whitened channel factor H^H Omega^{-1/2} and orders
-    stream weights by stable argsort, the usage is one trace per constraint
-    and the weighted MSE is taken with a fresh diag(w) and identity.
+    summed one by one; the priced minimizer whitens the sum by the row
+    scaling diag(phi)^{-1/2} when every constraint is a real diagonal and
+    no two share a coordinate (per-antenna budgets), else by the adjoint
+    inverse of its Cholesky factor; it takes the leading left singular
+    vectors of the whitened channel factor H^H Omega^{-1/2}, orders stream
+    weights by stable argsort and gives the weighted MSE
+    sum_i w_i / (1 + p_i g_i) of its powers and gains; the usage is the
+    squared precoder row norms weighted by each diagonal for per-antenna
+    budgets, else one trace per constraint.
     Returns (precoder, multipliers, usage, trace, iterations, converged)."""
     def herm(a):
         return 0.5 * (a + a.conj().T)
 
-    r = problem.quadratic_form()
     w, d, budgets = problem.weights, problem.streams, problem.budgets
     scale = np.maximum(budgets, 1e-300)
     vals, vecs = np.linalg.eigh(herm(problem.noise_cov))
     factor = problem.channel.conj().T @ herm((vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T)
+    diagonals = [np.diag(p) for p in problem.constraints]
+    per_antenna = all(np.array_equal(p, np.diag(q.real)) for p, q in zip(problem.constraints, diagonals)) \
+        and np.count_nonzero(diagonals, axis=0).max() <= 1
 
     def minimizer(phi):
-        inv_low = np.linalg.inv(np.linalg.cholesky(herm(phi)))
-        left, sing, _ = np.linalg.svd(inv_low @ factor, full_matrices=False)
+        if per_antenna:
+            rows = 1.0 / np.sqrt(np.diag(phi).real)[:, None]
+            whitened = rows * factor
+        else:
+            inv_low = np.linalg.inv(np.linalg.cholesky(herm(phi)))
+            whitened = inv_low @ factor
+        left, sing, _ = np.linalg.svd(whitened, full_matrices=False)
         gains, basis = sing[:d] ** 2, left[:, :d]
         rank = np.argsort(-w, kind="stable")
         active = gains > GAIN_RTOL * max(1.0, np.max(gains, initial=0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
             levels = np.maximum(np.sqrt(w[rank] / gains) - 1.0 / gains, 0.0)
-        columns = inv_low.conj().T @ (basis * np.sqrt(np.where(active, levels, 0.0)))
-        return columns[:, np.argsort(rank)]
+        powers = np.where(active, levels, 0.0)
+        scaled = basis * np.sqrt(powers)
+        columns = rows * scaled if per_antenna else inv_low.conj().T @ scaled
+        return columns[:, np.argsort(rank)], float(np.sum(w[rank] / (1.0 + powers * gains)))
 
     def stable(trace, window=5):
         if len(trace) < window + 1:
@@ -307,11 +375,14 @@ def reference_multi_constraint(problem, step=0.1, max_outer=2000, constraint_tol
     lam = np.ones(problem.num_constraints)
     trace, best, stall, diminish_from = [], np.inf, 0, None
     for iterations in range(1, max_outer + 1):
-        precoder = minimizer(sum(l * p for l, p in zip(lam, problem.constraints)))
-        bbh = precoder @ precoder.conj().T
-        usage = np.array([float(np.trace(p @ bbh).real) for p in problem.constraints])
-        g = precoder.conj().T @ r @ precoder
-        trace.append(float(np.trace(np.diag(w) @ np.linalg.inv(np.eye(d) + herm(g))).real))
+        precoder, value = minimizer(sum(l * p for l, p in zip(lam, problem.constraints)))
+        if per_antenna:
+            row_powers = (precoder.real ** 2 + precoder.imag ** 2).sum(axis=1)
+            usage = np.array([float(q.real @ row_powers) for q in diagonals])
+        else:
+            bbh = precoder @ precoder.conj().T
+            usage = np.array([float(np.trace(p @ bbh).real) for p in problem.constraints])
+        trace.append(value)
         multipliers = lam
         if float(np.max((usage - budgets) / scale)) <= constraint_tol and stable(trace):
             return precoder, multipliers, usage, trace, iterations, True
@@ -346,11 +417,23 @@ def test_multi_constraint_matches_reference_pass():
 
 
 def test_multi_constraint_pass_makes_one_decomposition(monkeypatch):
-    # per pass the priced constraint is Cholesky-factored and the whitened
-    # 4x2 channel factor decomposed by one SVD; the noise covariance is
-    # whitened once per solve, and no 4x4 matrix meets eigh
+    # per pass the per-antenna price is whitened by a row scaling, with no
+    # factorization, and the whitened 4x2 channel factor decomposed by one
+    # SVD; the noise covariance is whitened once per solve, and no 4x4
+    # matrix meets eigh
     calls = count_decompositions(monkeypatch)
     result = solve_multi_constraint(antenna_link(np.random.default_rng(3)))
+    assert result.iterations > 10
+    assert calls[0] == ("eigh", (1, 2, 2))
+    assert calls[1:] == [("svd", (1, 4, 2))] * result.iterations
+
+
+def test_dense_multi_constraint_pass_factors_its_price(monkeypatch):
+    # constraints with off-diagonal entries: per pass the priced constraint
+    # is Cholesky-factored and the whitened channel factor decomposed by one
+    # SVD
+    calls = count_decompositions(monkeypatch)
+    result = solve_multi_constraint(dense_link(np.random.default_rng(3)))
     assert result.iterations > 10
     assert calls[0] == ("eigh", (1, 2, 2))
     assert calls[1:] == [("cholesky", (1, 4, 4)), ("svd", (1, 4, 2))] * result.iterations
