@@ -48,6 +48,9 @@ inverted over the transmit space (``dmmse``'s F_k, ``pwf``'s reversed-link
 covariance, ``emmseia``'s linear system) get 1 on their padded diagonal,
 padded streams get zero weight in ``dmmse`` and no power in ``pwf``, and
 each user's block is cut out only where a result leaves the solver.
+The priced constraint weights and their usage come from
+:func:`linalg.priced_weights` and :func:`linalg.weight_usage`;
+:func:`fit_to_budgets` reads the supports only to choose its scaling.
 ``min_leakage`` works on the physical per-BS form.
 
 Every sum-rate (``srm``) solution meets each budget by construction: a last
@@ -65,8 +68,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, NumericalFailureError, SingularMatrixError
-from .linalg import (adjoint, bisect_level, hermitian_part, hermitian_top_eigs, psd_inv_sqrt,
-                     psd_inv_sqrt_batch, support_usage, whitening_factors)
+from .linalg import (adjoint, bisect_level, hermitian_part, hermitian_top_eigs, priced_weights, psd_inv_sqrt,
+                     psd_inv_sqrt_batch, weight_usage, whitening_factors)
 from .model import (
     BeamformerSolution,
     InterferenceProblem,
@@ -310,27 +313,10 @@ def _diagonal_weights(problem: InterferenceProblem) -> np.ndarray:
 # dmmse
 # ---------------------------------------------------------------------------
 
-def _priced_weights(problem, lam, base=None):
-    """(K, m_t, m_t) stack of base_k + sum_m lam_m Phi_{k,m} (``base``: 0),
-    the nonzero terms added in constraint order.  With
-    :attr:`InterferenceProblem.constraint_supports` each entry has at most
-    one nonzero term, so adding lam @ supports to the diagonal gives the
-    bits of that sum (the bases here hold no -0)."""
-    constraints, supports = problem.constraints, problem.constraint_supports
-    priced = np.zeros(constraints.shape[:1] + constraints.shape[2:], dtype=complex) if base is None else base.copy()
-    if supports is None:
-        for m in np.flatnonzero(lam):
-            priced += lam[m] * constraints[:, m]
-    else:
-        diag = np.arange(priced.shape[-1])
-        priced[:, diag, diag] += lam @ supports
-    return priced
-
-
 def _pricing_matrices(problem, ups, lam):
     """Interference-pricing matrices F_k = ups_k + sum_m lam_m Phi_{k,m},
     with 1 on the padded diagonal."""
-    f = hermitian_part(ups + _priced_weights(problem, lam))
+    f = hermitian_part(ups + priced_weights(problem.constraints, problem.constraint_supports, lam))
     return set_padded_diagonal(f, problem.tx_pad, 1.0)
 
 
@@ -390,7 +376,7 @@ def _emmseia_factors(problem, equalizers, weights):
 
 def _emmseia_solve_at(problem, grams, rhs, mu):
     """Solve (grams_k + sum_m mu_m Phi_{k,m}) B_k = rhs_k for every user."""
-    systems = _priced_weights(problem, mu, grams)
+    systems = priced_weights(problem.constraints, problem.constraint_supports, mu, grams)
     try:
         return np.linalg.solve(systems, rhs)
     except np.linalg.LinAlgError:
@@ -437,7 +423,7 @@ def _emmseia_multiplier_search(problem, equalizers, weights, mu, constraint_tol,
         slack_ok = bool(np.all(np.abs(mu * (budgets - usage)) <= SLACKNESS_TOL * budgets))
         if step == max_iters or (slack_ok and np.all(usage <= budgets * (1.0 + constraint_tol))):
             break
-        ratio = usage / np.maximum(budgets, 1e-300)
+        ratio = usage / budgets
         mu = mu * np.minimum(np.maximum(1.0 + 0.5 * (ratio - 1.0), 0.5), 2.0)
         top = float(np.max(mu, initial=0.0))
         seeded = (mu == 0.0) & (ratio > 1.0)
@@ -625,7 +611,7 @@ def _pwf_forward(problem, covariances, dual_covariances, lam, omegas=None):
     if omegas is None:
         omegas = _cov_interferences(problem, covariances)
     target = float(np.dot(lam, problem.budgets))
-    priced = _priced_weights(problem, lam)
+    priced = priced_weights(problem.constraints, problem.constraint_supports, lam)
     # omega_hat[k] = priced[k] + sum_{j != k} H_{j,k}^H Sigma_hat_j H_{j,k}
     omega_hat = reverse_link_sums(priced, problem.cross, problem.cross_h, dual_covariances)
     omega_hat = set_padded_diagonal(hermitian_part(omega_hat), problem.tx_pad, 1.0)
@@ -655,23 +641,6 @@ def _pwf_forward(problem, covariances, dual_covariances, lam, omegas=None):
     return hermitian_part(factor @ adjoint(factor)), float(mu)
 
 
-def _cov_usage(problem, covariances) -> np.ndarray:
-    """Per-constraint usage sum_k tr{Phi_{k,m} Sigma_k} of the transmit
-    covariances, added in ascending k.  With
-    :attr:`InterferenceProblem.constraint_supports` the trace is
-    sum_i supports[k, m, i] Re Sigma_k[i, i] (:func:`constraint_usage`'s
-    kernel)."""
-    supports = problem.constraint_supports
-    if supports is None:
-        rows = np.trace(problem.constraints @ covariances[:, None], axis1=-2, axis2=-1).real
-    else:
-        rows = support_usage(supports, np.diagonal(covariances, axis1=-2, axis2=-1).real)
-    usage = np.zeros(problem.num_constraints)
-    for row in rows:
-        usage += row
-    return usage
-
-
 def pwf_fixed_point_residual(problem: InterferenceProblem, state: DualNetworkState) -> float:
     """Re-evaluate the coupled covariance equations at ``state`` and return
     the worst relative deviation of the reproduced transmit covariances."""
@@ -695,7 +664,7 @@ def _pwf_rule(lam, usage, budgets, since):
     strongly coupled instances; eta diminishes once the stall clock runs
     out, averaging any remaining cycle out."""
     eta = 0.5 if since is None else 0.5 / np.sqrt(1 + since / 10.0)
-    ratio = np.clip(usage / np.maximum(budgets, 1e-300), 0.25, 4.0)
+    ratio = np.clip(usage / budgets, 0.25, 4.0)
     return np.clip(lam * np.maximum(ratio, LAMBDA_FLOOR) ** eta, LAMBDA_FLOOR, LAMBDA_CAP)
 
 
@@ -748,7 +717,7 @@ def pwf_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = Non
         return step
 
     run = dual_loop(
-        run_pass, lambda: _cov_usage(problem, covariances), exit_test,
+        run_pass, lambda: weight_usage(problem.constraints, problem.constraint_supports, covariances, True), exit_test,
         np.full(problem.num_constraints, config.lambda_init), budgets, config.max_outer,
         rule=_pwf_rule, stall_window=PWF_STALL_WINDOW, polish=polish, max_inner=config.max_inner,
         constraint_tol=config.constraint_tol,

@@ -4,6 +4,11 @@ Everything operates on ``complex128`` numpy arrays.  Hermitian inputs are
 validated and symmetrized before factorization; the ``_batch`` kernels and
 :func:`cholesky_whiteners` take exactly Hermitian stacks (a
 :func:`hermitian_part`, say), so round-off asymmetry never reaches LAPACK.
+
+The weights Phi_m of the power constraints tr{Phi_m B B^H} <= P_m are read
+here only: :func:`priced_weights` and :func:`weight_usage` work on their
+:func:`disjoint_diagonals` (per-antenna or per-BS block masks) where those
+exist and densely otherwise; :func:`indefinite_members` checks their sum.
 """
 
 from __future__ import annotations
@@ -221,11 +226,53 @@ def disjoint_diagonals(weights):
     return diags.real.copy()
 
 
-def support_usage(supports, powers) -> np.ndarray:
-    """sum_i supports[..., m, i] powers[..., i]: the usage tr{Phi_m X} of
-    :func:`disjoint_diagonals` weights from the diagonal ``powers`` of X
-    (the squared row norms of B for X = B B^H)."""
-    return (supports @ powers[..., None])[..., 0]
+def priced_weights(weights, supports, lam, base=None) -> np.ndarray:
+    """base + sum_m lam_m Phi_m for (..., M, n, n) constraint ``weights``
+    and their :func:`disjoint_diagonals` ``supports`` (or None): the
+    (..., n, n) stack, ``base`` 0 when not given, with the nonzero terms
+    added in constraint order.  On supports each entry has at most one
+    nonzero term, so lam @ supports added to the diagonal gives the bits of
+    that sum (for a ``base`` that holds no -0)."""
+    priced = np.zeros(weights.shape[:-3] + weights.shape[-2:], dtype=complex) if base is None else base.copy()
+    if supports is None:
+        for m in np.flatnonzero(lam):
+            priced += lam[m] * weights[..., m, :, :]
+    else:
+        diag = np.arange(priced.shape[-1])
+        priced[..., diag, diag] += lam @ supports
+    return priced
+
+
+def weight_usage(weights, supports, x, covariance: bool = False) -> np.ndarray:
+    """usage_m = sum_k tr{Phi_{k,m} X_k} for (..., M, n, n) constraint
+    ``weights`` and their :func:`disjoint_diagonals` ``supports`` (or None),
+    added in ascending k; X_k = B_k B_k^H for the (..., n, d) precoders
+    ``x``, or the (..., n, n) covariances ``x`` themselves when
+    ``covariance``.  Without a leading k axis, the (M,) traces.  On supports
+    the trace is sum_i supports[m, i] X_ii, from the squared row norms of B
+    or Re Sigma_ii; otherwise it is the elementwise contraction
+    sum_ij Phi_ij X_ji."""
+    if supports is None:
+        x_t = (x if covariance else x @ adjoint(x)).swapaxes(-1, -2)
+        rows = (weights * x_t[..., None, :, :]).sum(axis=(-2, -1)).real
+    else:
+        powers = np.diagonal(x, axis1=-2, axis2=-1).real if covariance else (x.real ** 2 + x.imag ** 2).sum(axis=-1)
+        rows = (supports @ powers[..., None])[..., 0]
+    if rows.ndim == 1:
+        return rows
+    usage = np.zeros(rows.shape[-1])
+    for row in rows:
+        usage += row
+    return usage
+
+
+def indefinite_members(a) -> list:
+    """Indices of the matrices in a (K, n, n) stack, Hermitian and read by
+    its lower triangle only, that are not positive definite:
+    lambda_min <= SINGULARITY_RTOL max(1, lambda_max)."""
+    evals = np.linalg.eigvalsh(a)
+    return [k for k, (low, high) in enumerate(zip(evals[:, 0].tolist(), evals[:, -1].tolist()))
+            if low <= SINGULARITY_RTOL * max(1.0, high)]
 
 
 def hermitian_top_eigs_batch(a, d: int) -> tuple[np.ndarray, np.ndarray]:

@@ -22,7 +22,8 @@ per-user reference functions (:func:`interference_covariance`,
 :func:`mmse_equalizer`, :func:`mse_matrix`, :func:`mse_matrix_mmse`) give
 for that user from the blocks cut out of the arrays.  The problem caches
 what every solver pass reuses: the adjoints ``channels_h``, ``cross_h`` and
-``direct_h``, the identity ``rx_eye`` and the ``constraint_supports``.
+``direct_h``, the identity ``rx_eye`` and the ``constraint_supports`` that
+:func:`linalg.priced_weights` and :func:`linalg.weight_usage` read.
 
 Noise is identity by convention; colored noise must be whitened upstream
 (see :mod:`netmimo.scenario`).
@@ -37,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractViolationError, NumericalFailureError
-from .linalg import adjoint, disjoint_diagonals, hermitian_part, support_usage
+from .linalg import adjoint, disjoint_diagonals, hermitian_part, indefinite_members, weight_usage
 
 LOG2 = float(np.log(2.0))
 
@@ -175,9 +176,8 @@ class InterferenceProblem:
                 raise ContractViolationError(f"user {i}: streams d={dk} outside [1, min(m_t, m_r)]")
         # 1 on the padded diagonal leaves each user's block to decide
         total = set_padded_diagonal(hermitian_part(np.sum(self.constraints, axis=1)), self.tx_pad, 1.0)
-        evals = np.linalg.eigvalsh(total)
-        bad = np.flatnonzero(evals[:, 0] <= 1e-12 * np.maximum(1.0, evals[:, -1]))
-        if bad.size:
+        bad = indefinite_members(total)
+        if bad:
             raise ContractViolationError(f"summed constraint weights of user {bad[0]} must be positive definite")
         w = self.mse_weights
         skew = np.linalg.norm(w - adjoint(w), axis=(-2, -1))
@@ -508,19 +508,8 @@ def sum_rate(problem: InterferenceProblem, precoders, omegas=None) -> float:
 
 def constraint_usage(problem: InterferenceProblem, precoders) -> np.ndarray:
     """Per-constraint usage: usage_m = sum_k tr{Phi_{k,m} B_k B_k^H}, added
-    in ascending k.  With :attr:`InterferenceProblem.constraint_supports`
-    the trace is sum_i supports[k, m, i] ||row_i(B_k)||^2."""
-    b = problem.precoders(precoders)
-    supports = problem.constraint_supports
-    if supports is None:
-        bbh_t = (b @ adjoint(b)).swapaxes(-1, -2)  # tr{Phi X} as an elementwise contraction
-        rows = (problem.constraints * bbh_t[:, None]).sum(axis=(-2, -1)).real
-    else:
-        rows = support_usage(supports, (b.real ** 2 + b.imag ** 2).sum(axis=-1))
-    usage = np.zeros(problem.num_constraints)
-    for row in rows:
-        usage += row
-    return usage
+    in ascending k (:func:`linalg.weight_usage`)."""
+    return weight_usage(problem.constraints, problem.constraint_supports, problem.precoders(precoders))
 
 
 def srm_weight_update(problem: InterferenceProblem, precoders, omegas=None) -> np.ndarray:

@@ -9,13 +9,14 @@ multipliers lam: the Lagrangian minimizer is the closed form with
 aggregate weight sum_m lam_m Phi_m at unit water level, and lam ascends on
 the constraint residuals.  Its weighted MSE is sum_i w_i / (1 + p_i g_i)
 from the minimizer's own gains and powers, as in the single-constraint
-closed form.  The commonest weights, one budget per antenna or per BS
-block, are real diagonals with disjoint supports
+closed form.  The usage tr{Phi_m B B^H} is :func:`linalg.weight_usage`
+and the dense aggregate weight :func:`linalg.priced_weights`, the kernels
+that read the constraint format.  The commonest weights, one budget per
+antenna or per BS block, are real diagonals with disjoint supports
 (:attr:`SingleUserProblem.constraint_supports`); on them the aggregate
-weight is the vector lam @ supports, whitening is the row scaling
-diag((lam @ supports)^{-1/2}) and the usage is supports times the squared
-precoder row norms, so a pass factors nothing but one thin SVD.  General
-weights keep the dense sum, its Cholesky whitening and the trace usage.
+weight is the vector lam @ supports, whitened by the row scaling
+diag((lam @ supports)^{-1/2}), so a pass factors nothing but one thin SVD.
+General weights keep the dense sum and its Cholesky whitening.
 
 Shared with ``algorithms``: :func:`priced_minimizer` is that minimizer
 batched over users (``dmmse`` calls it with its interference-pricing
@@ -36,7 +37,8 @@ import numpy as np
 
 from .errors import ContractViolationError, NumericalFailureError
 from .linalg import (adjoint, diagonal_whiteners, disjoint_diagonals, hermitian_part, hermitian_top_eigs,
-                     psd_inv_sqrt, require_hermitian, support_usage, waterfill_budget, whitening_factors)
+                     indefinite_members, priced_weights, psd_inv_sqrt, require_hermitian, waterfill_budget,
+                     weight_usage, whitening_factors)
 
 # Bounds of the power-price multipliers of every dual loop in netmimo.
 LAMBDA_FLOOR = 1e-9
@@ -64,15 +66,16 @@ class SingleUserProblem:
 
     channel    -- H, (m_r, m_t)
     noise_cov  -- Omega, (m_r, m_r) Hermitian PD (noise plus fixed interference)
-    constraints-- PSD weights Phi_m, each (m_t, m_t); their sum must be PD
-    budgets    -- (M,)
+    constraints-- (M, m_t, m_t) PSD weights Phi_m (a sequence of the M
+                  matrices is stacked); their sum must be PD
+    budgets    -- (M,) positive
     weights    -- per-stream non-negative MSE weights, length d
     streams    -- d
     """
 
     channel: np.ndarray
     noise_cov: np.ndarray
-    constraints: tuple
+    constraints: np.ndarray
     budgets: np.ndarray
     weights: np.ndarray
     streams: int
@@ -80,17 +83,20 @@ class SingleUserProblem:
     def __post_init__(self):
         object.__setattr__(self, "channel", np.asarray(self.channel, dtype=complex))
         object.__setattr__(self, "noise_cov", np.asarray(self.noise_cov, dtype=complex))
-        object.__setattr__(self, "constraints", tuple(np.asarray(p, dtype=complex) for p in self.constraints))
         object.__setattr__(self, "budgets", np.asarray(self.budgets, dtype=float))
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         mr, mt = self.channel.shape
         if self.noise_cov.shape != (mr, mr):
             raise ContractViolationError("noise covariance must match the receive dimension")
-        if len(self.constraints) != self.budgets.size or not self.constraints:
+        if len(self.constraints) != self.budgets.size or not self.budgets.size:
             raise ContractViolationError("one budget per constraint matrix is required")
-        for phi in self.constraints:
-            if phi.shape != (mt, mt):
-                raise ContractViolationError("constraint weights must be square with the transmit dimension")
+        if any(np.shape(phi) != (mt, mt) for phi in self.constraints):
+            raise ContractViolationError("constraint weights must be square with the transmit dimension")
+        object.__setattr__(self, "constraints", np.asarray(self.constraints, dtype=complex))
+        if not self.budgets.min() > 0:
+            raise ContractViolationError("constraint budgets must be positive")
+        if indefinite_members(np.add.reduce(self.constraints, keepdims=True)):
+            raise ContractViolationError("summed constraint weights must be positive definite")
         if self.weights.shape != (self.streams,):
             raise ContractViolationError("one weight per stream is required")
         if np.any(self.weights < 0):
@@ -108,7 +114,7 @@ class SingleUserProblem:
         diagonals with disjoint supports (one budget per antenna or per
         antenna block), else None (:func:`disjoint_diagonals`); found on
         first use, so building a problem does not pay for it."""
-        return disjoint_diagonals(np.stack(self.constraints))
+        return disjoint_diagonals(self.constraints)
 
     def quadratic_form(self) -> np.ndarray:
         """R = H^H Omega^{-1} H."""
@@ -153,14 +159,14 @@ def budget_residuals(usage: np.ndarray, budgets: np.ndarray, lam: np.ndarray) ->
     constraints that are violated or carry a meaningfully positive
     multiplier.  Slack constraints whose multiplier sits at the floor are
     complementary and contribute nothing."""
-    excess = (usage - budgets) / np.maximum(budgets, 1e-300)
+    excess = (usage - budgets) / budgets
     active = (lam > 10 * LAMBDA_FLOOR) | (usage > budgets)
     return float(excess.max()), float(np.abs(excess).max(where=active, initial=0.0))
 
 
 def max_violation(usage: np.ndarray, budgets: np.ndarray) -> float:
     """Largest relative budget excess max_m (usage_m - P_m) / P_m."""
-    return float(((usage - budgets) / np.maximum(budgets, 1e-300)).max())
+    return float(((usage - budgets) / budgets).max())
 
 
 def objective_stable(trace, tol: float, window: int = 5) -> bool:
@@ -311,8 +317,6 @@ def solve_single_constraint(problem: SingleUserProblem) -> SingleUserSolution:
     if problem.num_constraints != 1:
         raise ContractViolationError("solve_single_constraint requires exactly one constraint")
     budget = float(problem.budgets[0])
-    if budget <= 0:
-        raise ContractViolationError("the budget must be positive")
     s = psd_inv_sqrt(problem.constraints[0])
     spec = hermitian_top_eigs(hermitian_part(s @ problem.quadratic_form() @ s), problem.streams)
     gains = spec.values
@@ -351,13 +355,9 @@ def precoder_wsmse(problem: SingleUserProblem, precoder: np.ndarray) -> float:
     return float(np.trace(np.diag(problem.weights) @ np.linalg.inv(np.eye(problem.streams) + g)).real)
 
 
-def _usage(phis: np.ndarray, precoder: np.ndarray) -> np.ndarray:
-    """tr{Phi_m B B^H} for the (M, n, n) constraint stack ``phis``."""
-    return np.trace(phis @ (precoder @ precoder.conj().T), axis1=1, axis2=2).real
-
-
 def constraint_usage_single(problem: SingleUserProblem, precoder: np.ndarray) -> np.ndarray:
-    return _usage(np.stack(problem.constraints), precoder)
+    """tr{Phi_m B B^H} per constraint (:func:`linalg.weight_usage`)."""
+    return weight_usage(problem.constraints, problem.constraint_supports, precoder)
 
 
 def lagrangian_value(problem: SingleUserProblem, precoder: np.ndarray, multipliers) -> float:
@@ -377,29 +377,13 @@ def solve_multi_constraint(problem: SingleUserProblem) -> DualIterationResult:
     diminishing the step once the active residual stalls for
     ``STALL_WINDOW`` passes.  On
     :attr:`SingleUserProblem.constraint_supports` F is the diagonal
-    lam @ supports, whitened as a row scaling, and tr{Phi_m B B^H} is
-    supports times the squared row norms of B; other weights are summed,
-    Cholesky-whitened and traced densely.  Exits when all constraints hold
-    within ``MULTI_CONSTRAINT_TOL`` (relative) and the objective is stable
-    over five passes.
+    lam @ supports, whitened as a row scaling; other weights are summed by
+    :func:`linalg.priced_weights` and Cholesky-whitened.  Exits when all
+    constraints hold within ``MULTI_CONSTRAINT_TOL`` (relative) and the
+    objective is stable over five passes.
     """
-    budgets, supports = problem.budgets, problem.constraint_supports
+    budgets, phis, supports = problem.budgets, problem.constraints, problem.constraint_supports
     c, weights = problem.quadratic_factor()[None], problem.weights[None]
-    if supports is None:
-        phis = np.stack(problem.constraints)
-
-        def priced(lam):  # sum_m lam_m Phi_m, added from 0 in constraint order
-            return hermitian_part(np.add.reduce(lam[:, None, None] * phis, axis=0, keepdims=True, initial=0))
-
-        def usage_of(precoder):
-            return _usage(phis, precoder)
-    else:
-        def priced(lam):
-            return (lam @ supports)[None]
-
-        def usage_of(precoder):
-            return support_usage(supports, (precoder.real ** 2 + precoder.imag ** 2).sum(axis=-1))
-
     result = DualIterationResult(
         precoder=np.zeros((problem.channel.shape[1], problem.streams), dtype=complex),
         multipliers=np.full(problem.num_constraints, MULTI_LAMBDA_INIT),
@@ -408,9 +392,10 @@ def solve_multi_constraint(problem: SingleUserProblem) -> DualIterationResult:
     )
 
     def run_pass(lam):
-        precoders, values = priced_minimizer(priced(lam), c, weights, values=True)
+        f = hermitian_part(priced_weights(phis, None, lam)) if supports is None else lam @ supports
+        precoders, values = priced_minimizer(f[None], c, weights, values=True)
         precoder, wsmse = precoders[0], float(values[0])
-        usage = usage_of(precoder)
+        usage = weight_usage(phis, supports, precoder)
         excess = usage - budgets
         result.residuals.append(excess)
         result.dual_values.append(wsmse + float(np.dot(lam, excess)))
@@ -428,7 +413,7 @@ def solve_multi_constraint(problem: SingleUserProblem) -> DualIterationResult:
 
     # Zero duality gap needs every constraint active with a meaningfully
     # positive multiplier; report whether the returned point satisfies that.
-    rel_slack = np.abs(result.usage - budgets) / np.maximum(budgets, 1e-300)
+    rel_slack = np.abs(result.usage - budgets) / budgets
     result.binding = bool(np.all(rel_slack <= MULTI_CONSTRAINT_TOL)
                           and np.all(result.multipliers > 10 * LAMBDA_FLOOR))
     return result
@@ -448,7 +433,7 @@ def kkt_residual(problem: SingleUserProblem, precoder: np.ndarray, multipliers) 
     g = precoder.conj().T @ r @ precoder
     e = np.linalg.inv(np.eye(problem.streams) + 0.5 * (g + g.conj().T))
     w = np.diag(problem.weights)
-    grad = -r @ precoder @ e @ w @ e + sum(l * p for l, p in zip(lam, problem.constraints)) @ precoder
+    grad = -r @ precoder @ e @ w @ e + priced_weights(problem.constraints, problem.constraint_supports, lam) @ precoder
     stationarity = float(np.linalg.norm(grad)) / max(1.0, float(np.linalg.norm(precoder)))
     usage = constraint_usage_single(problem, precoder)
     slackness = float(

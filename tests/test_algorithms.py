@@ -36,6 +36,7 @@ from netmimo.algorithms import (
     initialize_precoders,
     offdiag_mass,
 )
+from netmimo.linalg import adjoint, priced_weights, weight_usage
 from netmimo.single_user import LAMBDA_FLOOR, SingleUserProblem
 
 from conftest import antenna_link, count_decompositions, dense_link
@@ -730,7 +731,7 @@ def random_multipliers(rng, m):
 
 
 def test_block_mask_pricing_matches_the_dense_sums(mixed_problems):
-    from netmimo.algorithms import _emmseia_factors, _emmseia_solve_at, _priced_weights
+    from netmimo.algorithms import _emmseia_factors, _emmseia_solve_at
     from netmimo.model import interference_covariances, mmse_equalizers, reverse_link_sums
 
     rng = np.random.default_rng(41)
@@ -744,7 +745,8 @@ def test_block_mask_pricing_matches_the_dense_sums(mixed_problems):
         grams, rhs = _emmseia_factors(problem, equalizers, problem.mse_weights)
         for _ in range(20):
             lam = random_multipliers(rng, problem.num_constraints)
-            assert np.array_equal(_priced_weights(problem, lam), dense_priced_weights(problem, lam))
+            assert np.array_equal(priced_weights(problem.constraints, supports, lam),
+                                  dense_priced_weights(problem, lam))
             assert np.array_equal(_emmseia_solve_at(problem, grams, rhs, lam),
                                   dense_emmseia_solve_at(problem, grams, rhs, lam))
         k, mr = problem.num_users, problem.channels.shape[-2]
@@ -760,8 +762,6 @@ def test_block_mask_usage_matches_the_dense_contraction(mixed_problems):
     # supports times the precoder row norms, or times the covariance
     # diagonals for pwf: the dense contraction up to the rounding of the
     # reordered sums
-    from netmimo.algorithms import _cov_usage
-
     rng = np.random.default_rng(43)
     for problem in pricing_problems(mixed_problems):
         assert problem.constraint_supports is not None
@@ -772,11 +772,12 @@ def test_block_mask_usage_matches_the_dense_contraction(mixed_problems):
             want = dense_constraint_usage(problem, precoders)
             assert np.allclose(constraint_usage(problem, precoders), want, rtol=1e-14, atol=0.0)
             covariances = precoders @ precoders.conj().swapaxes(-1, -2)
-            assert np.allclose(_cov_usage(problem, covariances), want, rtol=1e-14, atol=0.0)
+            assert np.allclose(weight_usage(problem.constraints, problem.constraint_supports, covariances, True),
+                               want, rtol=1e-14, atol=0.0)
 
 
 def test_general_constraint_weights_take_the_dense_path():
-    from netmimo.algorithms import _cov_usage, _emmseia_solve_at, _priced_weights
+    from netmimo.algorithms import _emmseia_solve_at
 
     rng = np.random.default_rng(42)
     h = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
@@ -796,14 +797,57 @@ def test_general_constraint_weights_take_the_dense_path():
         rhs = rng.standard_normal((1, 3, 2)) + 1j * rng.standard_normal((1, 3, 2))
         for lam in ([0.3, 2.0], [0.0, 1.5]):
             lam = np.asarray(lam)
-            assert np.array_equal(_priced_weights(problem, lam), dense_priced_weights(problem, lam))
+            assert np.array_equal(priced_weights(problem.constraints, None, lam), dense_priced_weights(problem, lam))
             assert np.array_equal(_emmseia_solve_at(problem, grams, rhs, lam),
                                   dense_emmseia_solve_at(problem, grams, rhs, lam))
         precoders = rng.standard_normal((1, 3, 2)) + 1j * rng.standard_normal((1, 3, 2))
         assert np.array_equal(constraint_usage(problem, precoders), dense_constraint_usage(problem, precoders))
         covariances = precoders @ precoders.conj().swapaxes(-1, -2)
-        assert np.array_equal(_cov_usage(problem, covariances),
-                              np.trace(problem.constraints @ covariances[:, None], axis1=-2, axis2=-1).real[0])
+        assert np.array_equal(weight_usage(problem.constraints, None, covariances, True),
+                              dense_constraint_usage(problem, precoders))
+
+
+def rotate_transmit_spaces(problem, q):
+    """The problem with user k's transmit space turned by the unitary q[k]:
+    H_{l,k} -> H_{l,k} Q_k and Phi_{k,m} -> Q_k^H Phi_{k,m} Q_k."""
+    qh = adjoint(q)
+    return replace(problem, channels=problem.channels @ q[None],
+                   constraints=qh[:, None] @ problem.constraints @ q[:, None])
+
+
+def random_unitaries(rng, k, n):
+    return np.linalg.qr(rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n)))[0]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rotated_transmit_spaces_solve_alike_on_general_weights(seed):
+    # turning each transmit space by a unitary Q_k makes the block masks
+    # general weights (no supports) of an equivalent problem: from the
+    # turned start Q_k^H B_k^0, each dual-loop solver on the dense path
+    # reaches the rates, usage and stop flag of the supports path
+    _, problem = cellular_problem(seed)
+    rng = np.random.default_rng(50 + seed)
+    q = random_unitaries(rng, problem.num_users, problem.channels.shape[-1])
+    rotated = rotate_transmit_spaces(problem, q)
+    assert problem.constraint_supports is not None and rotated.constraint_supports is None
+    for algorithm, objective, solver in (("dmmse", "wsmmse", dmmse_solve), ("dmmse", "srm", dmmse_solve),
+                                         ("emmseia", "srm", emmseia_solve), ("pwf", "srm", pwf_solve)):
+        config = AlgorithmConfig(algorithm=algorithm, objective=objective)
+        initial = problem.precoders(initialize_precoders(problem, config))
+        sol = solver(problem, config, list(initial))
+        turned = solver(rotated, config, list(adjoint(q) @ initial))
+        assert turned.converged == sol.converged
+        assert sum_rate(rotated, turned.precoders) == pytest.approx(sum_rate(problem, sol.precoders), rel=1e-8)
+        assert np.allclose(constraint_usage(rotated, turned.precoders), constraint_usage(problem, sol.precoders),
+                           rtol=0, atol=1e-12)
+    link = antenna_link(rng)
+    q = random_unitaries(rng, 1, 4)[0]
+    turned_link = replace(link, channel=link.channel @ q, constraints=adjoint(q) @ link.constraints @ q)
+    assert turned_link.constraint_supports is None
+    result, turned = solve_multi_constraint(link), solve_multi_constraint(turned_link)
+    assert turned.converged == result.converged
+    assert turned.wsmse == pytest.approx(result.wsmse, rel=1e-8)
+    assert np.allclose(turned.usage, result.usage, rtol=0, atol=1e-12)
 
 
 def test_dmmse_pass_makes_one_decomposition(monkeypatch):
@@ -1096,21 +1140,21 @@ GOLDEN_DIGESTS = {
     "link_w3":
         "c46e8d29744b0bc13e69618bd0357899cac7e387f8f30bad426c117303cc0633",
     "dense0":
-        "9a339385959f47b5adc70b34aa4ddeff9aa9a5bf60276b37cd3fa226c1f436cb",
+        "fbb1f830b996e172727142c8d5b54082fcb1df76e58422fe28f59eb8d6821507",
     "dense1":
-        "b608dbc1c50599fed59da3cc8ecc468483beca5355b16fec36c09fe7795f5da8",
+        "8b5c6ab6efaac79d58b138c249f7c253ee373c7249160ba36c2d525d754855f2",
     "dense2":
-        "8e24fcf4c6d5f06fbb5e4ea0f98aaf6d83406a4b767749bb583047b026c8660c",
+        "2449a7501aaec844f5f03135b6c22181ac695df58c39bbc472c21ab2236b5295",
     "dense3":
-        "5ab35dc127125a9b66f39affcf4b36924425129746e28e29b25537ab32483432",
+        "13967d3a8a74eb57f1f68b6bc43d056ad0f1779a64fa281b92bcc7d2fe14bce5",
     "dense_w0":
-        "f3afb53bed4ad9905763a64ff29d4a8fc2f5aab7ad5729d1d33391b69972aa47",
+        "33a9c59bf11e600ba8e17b9f46e0199b14e26ac42413d3df27c8fd4ad3e77df8",
     "dense_w1":
-        "976b90276432abb78522c4156890f8bddbc7ca1facb28d4bcb0794399f68dcd0",
+        "98cf6e83a8a3002b63e8e1e741c2db9e955fb263269807d5f1a84ec4b48b85ba",
     "dense_w2":
-        "6506bae04829e58f0894e72702dd6c9eef1b6a90105c13139f6c52620af2263c",
+        "23b158b591434cf272ff2b2014c069a50f8ae3cd070ec5514b41a9b549a7a11f",
     "dense_w3":
-        "bf4a865864aa71e2af65bca3b2dc8921544deee5b9d61aafb057cdb01a2433ff",
+        "499525ed065aac94ac6e3c3930d5246eec5604a48b5b73a190a83fb87a151dae",
 }
 
 

@@ -13,7 +13,7 @@ from netmimo import (
     waterfill_eval,
 )
 from netmimo.linalg import (SINGULARITY_RTOL, adjoint, cholesky_whiteners, diagonal_whiteners, disjoint_diagonals,
-                            hermitian_part, hermitian_top_eigs_batch, psd_inv_sqrt_batch, support_usage,
+                            hermitian_part, hermitian_top_eigs_batch, psd_inv_sqrt_batch, weight_usage,
                             whitening_factors)
 
 
@@ -289,9 +289,26 @@ def test_disjoint_diagonals_find_block_masks_only():
                     np.stack([np.diag([1.0, 1j, 0.0]), masks[1]]),          # complex
                     np.stack([factor @ factor.conj().T, masks[1]])):        # off-diagonal
         assert disjoint_diagonals(weights.astype(complex)) is None
-    b = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    usage = support_usage(disjoint_diagonals(masks), (b.real ** 2 + b.imag ** 2).sum(axis=-1))
-    assert np.allclose(usage, [np.trace(p @ b @ b.conj().T).real for p in masks], rtol=1e-15, atol=0)
+
+
+def test_weight_usage_traces_precoders_and_covariances_in_both_formats():
+    # tr{Phi_m X} for X = B B^H and for a covariance stack, from the
+    # supports of block masks and densely, for one user and summed over two
+    rng = np.random.default_rng(37)
+    masks = np.stack([np.diag(m).astype(complex) for m in ([1.0, 1.0, 0.0], [0.0, 0.0, 0.5])])
+    factor = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    b = rng.standard_normal((2, 3, 2)) + 1j * rng.standard_normal((2, 3, 2))
+    covariances = b @ adjoint(b)
+    for weights in (masks, np.stack([factor @ factor.conj().T, masks[1]])):
+        supports = disjoint_diagonals(weights)
+        per_user = np.array([[np.trace(p @ x).real for p in weights] for x in covariances])
+        stacked, stacked_supports = np.stack([weights, weights]), None if supports is None else np.stack([supports] * 2)
+        for x, covariance in ((b, False), (covariances, True)):
+            assert np.allclose(weight_usage(weights, supports, x[0], covariance), per_user[0], rtol=1e-14, atol=0)
+            assert np.allclose(weight_usage(stacked, stacked_supports, x, covariance), per_user[0] + per_user[1],
+                               rtol=1e-14, atol=0)
+    assert np.allclose(weight_usage(masks, None, b[0]), weight_usage(masks, disjoint_diagonals(masks), b[0]),
+                       rtol=1e-14, atol=0)
 
 
 def test_thin_svd_identity():

@@ -17,7 +17,7 @@ from netmimo import (
     solve_multi_constraint,
     solve_single_constraint,
 )
-from netmimo.linalg import cholesky_whiteners
+from netmimo.linalg import cholesky_whiteners, disjoint_diagonals
 from netmimo.single_user import (
     GAIN_RTOL,
     LAMBDA_FLOOR,
@@ -224,8 +224,10 @@ def test_priced_minimizer_diagonal_prices_match_their_dense_matrices():
 
 
 def test_singular_prices_raise_on_both_paths():
-    # a coordinate without a constraint or with a zero price: the diagonal
-    # and the dense path both raise
+    # a coordinate with a zero, negative or negligible price: the diagonal
+    # and the dense path of the priced minimizer both raise; a link whose
+    # weights leave a coordinate uncovered, in either format, or whose
+    # budget is not positive (NaN included) is rejected when it is built
     rng = np.random.default_rng(39)
     c = rng.standard_normal((1, 4, 2)) + 1j * rng.standard_normal((1, 4, 2))
     for prices in ([1.0, 2.0, 0.0, 1.0], [1.0, 2.0, -0.5, 1.0], [1.0, 1e-13, 1.0, 1.0]):
@@ -234,15 +236,17 @@ def test_singular_prices_raise_on_both_paths():
             with pytest.raises(SingularMatrixError):
                 priced_minimizer(f, c, np.ones((1, 2)))
     link = antenna_link(rng)
-    uncovered = replace(link, constraints=link.constraints[:3], budgets=link.budgets[:3])
-    assert uncovered.constraint_supports is not None
+    uncovered = link.constraints[:3]
+    assert disjoint_diagonals(uncovered) is not None
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    rotated = replace(uncovered, channel=uncovered.channel @ q,
-                      constraints=tuple(q.conj().T @ p @ q for p in uncovered.constraints))
-    assert rotated.constraint_supports is None
-    for problem in (uncovered, rotated):
-        with pytest.raises(SingularMatrixError):
-            solve_multi_constraint(problem)
+    rotated = q.conj().T @ uncovered @ q
+    assert disjoint_diagonals(rotated) is None
+    for constraints in (uncovered, rotated):
+        with pytest.raises(ContractViolationError, match="positive definite"):
+            replace(link, constraints=constraints, budgets=link.budgets[:3])
+    for budget in (0.0, -0.25, np.nan):
+        with pytest.raises(ContractViolationError, match="budgets must be positive"):
+            replace(link, budgets=np.array([0.25, budget, 0.25, 0.25]))
 
 
 def test_constraint_supports_are_found_on_first_use():
@@ -335,7 +339,7 @@ def reference_multi_constraint(problem, step=0.1, max_outer=2000, constraint_tol
     weights by stable argsort and gives the weighted MSE
     sum_i w_i / (1 + p_i g_i) of its powers and gains; the usage is the
     squared precoder row norms weighted by each diagonal for per-antenna
-    budgets, else one trace per constraint.
+    budgets, else the contraction sum_ij Phi_ij (B B^H)_ji per constraint.
     Returns (precoder, multipliers, usage, trace, iterations, converged)."""
     def herm(a):
         return 0.5 * (a + a.conj().T)
@@ -380,8 +384,8 @@ def reference_multi_constraint(problem, step=0.1, max_outer=2000, constraint_tol
             row_powers = (precoder.real ** 2 + precoder.imag ** 2).sum(axis=1)
             usage = np.array([float(q.real @ row_powers) for q in diagonals])
         else:
-            bbh = precoder @ precoder.conj().T
-            usage = np.array([float(np.trace(p @ bbh).real) for p in problem.constraints])
+            bbh_t = (precoder @ precoder.conj().T).T  # tr{Phi X} as an elementwise contraction
+            usage = (np.asarray(problem.constraints) * bbh_t).sum(axis=(-2, -1)).real
         trace.append(value)
         multipliers = lam
         if float(np.max((usage - budgets) / scale)) <= constraint_tol and stable(trace):
