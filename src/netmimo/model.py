@@ -169,7 +169,7 @@ class InterferenceProblem:
                             ("mse_weights", (k, d, d))):
             if getattr(self, name).shape != shape:
                 raise ContractViolationError(f"{name} has shape {getattr(self, name).shape}, expected {shape}")
-        if np.any(self.budgets <= 0):
+        if not np.all(self.budgets > 0):
             raise ContractViolationError("constraint budgets must be positive")
         for i, (tx, rx, dk) in enumerate(zip(self.tx_dims, self.rx_dims, self.streams)):
             if not 1 <= dk <= min(tx, rx):

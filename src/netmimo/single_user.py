@@ -93,7 +93,7 @@ class SingleUserProblem:
         if any(np.shape(phi) != (mt, mt) for phi in self.constraints):
             raise ContractViolationError("constraint weights must be square with the transmit dimension")
         object.__setattr__(self, "constraints", np.asarray(self.constraints, dtype=complex))
-        if not self.budgets.min() > 0:
+        if not np.all(self.budgets > 0):
             raise ContractViolationError("constraint budgets must be positive")
         if indefinite_members(np.add.reduce(self.constraints, keepdims=True)):
             raise ContractViolationError("summed constraint weights must be positive definite")

@@ -289,6 +289,9 @@ def test_disjoint_diagonals_find_block_masks_only():
                     np.stack([np.diag([1.0, 1j, 0.0]), masks[1]]),          # complex
                     np.stack([factor @ factor.conj().T, masks[1]])):        # off-diagonal
         assert disjoint_diagonals(weights.astype(complex)) is None
+    b = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    usage = weight_usage(masks, disjoint_diagonals(masks), b)
+    assert np.allclose(usage, [np.trace(p @ b @ b.conj().T).real for p in masks], rtol=1e-15, atol=0)
 
 
 def test_weight_usage_traces_precoders_and_covariances_in_both_formats():
@@ -304,11 +307,11 @@ def test_weight_usage_traces_precoders_and_covariances_in_both_formats():
         per_user = np.array([[np.trace(p @ x).real for p in weights] for x in covariances])
         stacked, stacked_supports = np.stack([weights, weights]), None if supports is None else np.stack([supports] * 2)
         for x, covariance in ((b, False), (covariances, True)):
-            assert np.allclose(weight_usage(weights, supports, x[0], covariance), per_user[0], rtol=1e-14, atol=0)
+            assert np.allclose(weight_usage(weights, supports, x[0], covariance), per_user[0], rtol=1e-15, atol=0)
             assert np.allclose(weight_usage(stacked, stacked_supports, x, covariance), per_user[0] + per_user[1],
-                               rtol=1e-14, atol=0)
+                               rtol=1e-15, atol=0)
     assert np.allclose(weight_usage(masks, None, b[0]), weight_usage(masks, disjoint_diagonals(masks), b[0]),
-                       rtol=1e-14, atol=0)
+                       rtol=1e-15, atol=0)
 
 
 def test_thin_svd_identity():

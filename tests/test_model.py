@@ -143,8 +143,8 @@ def test_invalid_system_rejected():
 
 
 def test_non_positive_budget_rejected():
-    for budget in (0.0, -1.0):
-        with pytest.raises(ContractViolationError):
+    for budget in (0.0, -1.0, np.nan):
+        with pytest.raises(ContractViolationError, match="budgets must be positive"):
             InterferenceProblem.from_blocks(
                 channels=((np.eye(2, dtype=complex),),),
                 constraints=((np.eye(2, dtype=complex),),),
