@@ -12,7 +12,6 @@ from .algorithms import (
     pwf_fixed_point_residual,
     pwf_solve,
     solve_system,
-    srm_outer_loop,
 )
 from .errors import (
     ConfigurationError,

@@ -37,9 +37,9 @@ runs inside each pass.  ``dmmse`` polishes after every pricing phase, until
 its error covariances are diagonal; ``pwf`` polishes to the covariance fixed
 point only from a pricing phase that met its exit test; ``emmseia`` does
 not polish.  The ``dmmse``/``emmseia`` solvers run either on a fixed
-weighted-MSE objective or inside the rate-maximizing reweighting loop
-(:func:`srm_outer_loop`, weights refreshed to E_k^{-1} every pass).  All
-solvers are deterministic given problem, config and seed.
+weighted-MSE objective or, with ``objective="srm"``, inside the
+rate-maximizing reweighting loop (weights refreshed to E_k^{-1} every pass).
+All solvers are deterministic given problem, config and seed.
 
 The dual-loop solvers run batched over users on the zero-padded arrays
 of :class:`InterferenceProblem`, whatever the users' serving sets and
@@ -81,6 +81,7 @@ from .model import (
     mmse_equalizers,
     mse_matrices_mmse,
     pad_stack,
+    receive_gains,
     reverse_link_sums,
     set_padded_diagonal,
     srm_weight_update,
@@ -206,13 +207,12 @@ def _max_offdiag_mass(mats) -> float:
     return float(np.max(_norms(off) / np.maximum(_norms(mats), 1e-300)))
 
 
-def _mse_offdiag(problem: InterferenceProblem, precoders, omegas=None) -> float:
+def _mse_offdiag(problem: InterferenceProblem, mses) -> float:
     """The largest :func:`offdiag_mass` of the users' MMSE error covariances
-    E_k, each over its own d_k x d_k block: the padded diagonal (identity in
-    :func:`mse_matrices_mmse`) is cleared, which leaves exactly the block's
-    entries nonzero."""
-    mses = mse_matrices_mmse(problem, precoders, omegas)
-    return _max_offdiag_mass(set_padded_diagonal(mses, problem.stream_pad, 0.0))
+    E_k (:func:`mse_matrices_mmse`), each over its own d_k x d_k block: the
+    padded diagonal (identity in ``mses``) is cleared in a copy, which
+    leaves exactly the block's entries nonzero."""
+    return _max_offdiag_mass(set_padded_diagonal(np.array(mses), problem.stream_pad, 0.0))
 
 
 def initialize_precoders(problem: InterferenceProblem, config: AlgorithmConfig) -> list:
@@ -376,19 +376,23 @@ def _emmseia_factors(problem, equalizers, weights):
 
 def _emmseia_solve_at(problem, grams, rhs, mu):
     """Solve (grams_k + sum_m mu_m Phi_{k,m}) B_k = rhs_k for every user."""
-    systems = priced_weights(problem.constraints, problem.constraint_supports, mu, grams)
+    return _solve_systems(priced_weights(problem.constraints, problem.constraint_supports, mu, grams), rhs)
+
+
+def _solve_systems(systems, rhs):
+    """B_k = systems_k^{-1} rhs_k for a (K, n, n) stack; a singular system
+    (zero multipliers on a rank-deficient gram) is solved user by user,
+    least squares where singular."""
     try:
         return np.linalg.solve(systems, rhs)
     except np.linalg.LinAlgError:
         pass
-    # a singular system (zero multipliers on a rank-deficient gram): solve
-    # user by user, least squares where singular
     precoders = np.empty_like(rhs)
-    for k in range(problem.num_users):
+    for k, (system, right) in enumerate(zip(systems, rhs)):
         try:
-            precoders[k] = np.linalg.solve(systems[k], rhs[k])
+            precoders[k] = np.linalg.solve(system, right)
         except np.linalg.LinAlgError:
-            precoders[k] = np.linalg.pinv(systems[k], hermitian=True) @ rhs[k]
+            precoders[k] = np.linalg.pinv(system, hermitian=True) @ right
     return precoders
 
 
@@ -402,30 +406,49 @@ def emmseia_precoder_update(problem, equalizers, weights, mu):
 
 
 def _emmseia_multiplier_search(problem, equalizers, weights, mu, constraint_tol, max_iters=300):
-    """Drive the multipliers to the complementary-slackness conditions:
-    usage_m <= P_m (1 + tol) and |mu_m (P_m - usage_m)| <= 1e-3 P_m, with
-    active constraints (mu_m meaningfully positive) pinned to the budget
-    boundary within 1e-6 so the precoders vary smoothly across outer rounds.
+    """Drive the multipliers to the complementary-slackness conditions
+    |mu_m (P_m - usage_m)| <= SLACKNESS_TOL P_m with usage_m <= P_m (1 + tol),
+    stopping after ``max_iters`` steps if they do not hold by then.
 
     Projected subgradient in scaled coordinates: each step multiplies mu_m by
     a factor clip(1 + (usage_m/P_m - 1)/2, 1/2, 2), which matches the local
     usage ~ mu^-2 curvature, decays geometrically on slack constraints, and
     keeps exact zeros; zero multipliers restart from a small seed when their
-    constraint becomes violated.  Returns (mu, precoders, usage, whether
-    the slackness conditions hold there).
+    constraint becomes violated.  The linear systems are built once per
+    search: on constraint supports each step rewrites only their diagonal,
+    the grams' diagonal plus mu @ supports, the bits of
+    :func:`linalg.priced_weights`; dense weights are priced afresh.  Returns
+    (mu, precoders, usage, whether the slackness conditions hold there).
     """
     budgets = problem.budgets
+    slack_bound = SLACKNESS_TOL * budgets
+    usage_bound = budgets * (1.0 + constraint_tol)
+    supports = problem.constraint_supports
     mu = np.asarray(mu, dtype=float).copy()
     grams, rhs = _emmseia_factors(problem, equalizers, weights)
-    precoders = _emmseia_solve_at(problem, grams, rhs, mu)
-    usage = constraint_usage(problem, precoders)
+    if supports is None:
+        def systems_at(mu):
+            return priced_weights(problem.constraints, None, mu, grams)
+    else:
+        diagonal = np.einsum("...ii->...i", grams)  # a view: the grams are this search's own
+        base = diagonal.copy()
+
+        def systems_at(mu):
+            np.add(base, mu @ supports, out=diagonal)
+            return grams
+
+    def solve_at(mu):
+        precoders = _solve_systems(systems_at(mu), rhs)
+        return precoders, weight_usage(problem.constraints, supports, precoders)
+
+    precoders, usage = solve_at(mu)
     for step in range(max_iters + 1):
-        slack_ok = bool(np.all(np.abs(mu * (budgets - usage)) <= SLACKNESS_TOL * budgets))
-        if step == max_iters or (slack_ok and np.all(usage <= budgets * (1.0 + constraint_tol))):
+        slack_ok = bool((np.abs(mu * (budgets - usage)) <= slack_bound).all())
+        if step == max_iters or (slack_ok and (usage <= usage_bound).all()):
             break
         ratio = usage / budgets
         mu = mu * np.minimum(np.maximum(1.0 + 0.5 * (ratio - 1.0), 0.5), 2.0)
-        top = float(np.max(mu, initial=0.0))
+        top = float(mu.max(initial=0.0))
         seeded = (mu == 0.0) & (ratio > 1.0)
         if seeded.any():
             mu[seeded] = seed = 1e-6 * max(1.0, top)
@@ -433,8 +456,7 @@ def _emmseia_multiplier_search(problem, equalizers, weights, mu, constraint_tol,
         mu[mu < 1e-14 * max(1.0, top)] = 0.0  # lowers the maximum only below 1e-14
         if top > LAMBDA_CAP:
             raise NumericalFailureError("multiplier search diverged")
-        precoders = _emmseia_solve_at(problem, grams, rhs, mu)
-        usage = constraint_usage(problem, precoders)
+        precoders, usage = solve_at(mu)
     return mu, precoders, usage, slack_ok
 
 
@@ -442,19 +464,28 @@ def _emmseia_multiplier_search(problem, equalizers, weights, mu, constraint_tol,
 # dmmse / emmseia in both objectives
 # ---------------------------------------------------------------------------
 
-def _iterate_mse_family(problem, config, inner: str, objective: str, initial=None) -> BeamformerSolution:
+def _iterate_mse_family(problem, config, inner: str, initial=None) -> BeamformerSolution:
     """``dmmse`` or ``emmseia`` on :func:`dual_loop`.  ``dmmse`` steps its
     multipliers with the :func:`additive_rule` (frozen at
     ``subgradient_step=0``) and polishes at fixed multipliers until the error
     covariances are diagonal; ``emmseia`` carries the KKT multipliers of its
-    per-pass search across passes and does not polish."""
+    per-pass search across passes and does not polish.
+
+    The receive side of the current precoders (Omega_k, the signals
+    H_kk B_k, and when needed the gains G_k and error covariances E_k) is
+    evaluated once per precoder stack and shared by the pass value, the
+    next pass's weights and equalizers, and the polish test."""
     budgets = problem.budgets
+    objective = config.objective
     precoders = problem.precoders(initialize_precoders(problem, config) if initial is None else initial)
     omegas = interference_covariances(problem, precoders)
-    equalizers = mmse_equalizers(problem, precoders, omegas)
+    signals = problem.direct @ precoders
+    gains = mses = None
+    dmmse = inner == "dmmse"
+    # emmseia's passes form the equalizers of the stack they start from
+    equalizers = mmse_equalizers(problem, precoders, omegas, signals) if dmmse else None
     usage = None
     mu = np.full(problem.num_constraints, config.lambda_init)  # emmseia's KKT multipliers
-    dmmse = inner == "dmmse"
     fixed_weights = _diagonal_weights(problem) if dmmse else problem.mse_weights
     slack_ok = True
     # The inner subproblem at fixed multipliers minimizes the priced
@@ -462,31 +493,40 @@ def _iterate_mse_family(problem, config, inner: str, objective: str, initial=Non
     # provably non-increasing descent quantity, recorded for diagnostics.
     priced_trace: list = []
 
+    def current_mses():
+        nonlocal gains, mses
+        if mses is None:
+            if gains is None:
+                gains = receive_gains(problem, precoders, omegas, signals)
+            mses = mse_matrices_mmse(problem, precoders, gains=gains)
+        return mses
+
     def current_weights():
         if objective != "srm":
             return fixed_weights
-        mats = srm_weight_update(problem, precoders, omegas)
+        mats = srm_weight_update(problem, precoders, mses=current_mses())
         return _stream_weights(problem, mats) if dmmse else mats
 
     def run_pass(lam):
-        nonlocal precoders, equalizers, usage, slack_ok, omegas, mu
+        nonlocal precoders, equalizers, usage, slack_ok, omegas, signals, gains, mses, mu
         weights = current_weights()
-        signals = None  # H_kk B_k of the new precoders, where the pass forms it
         if dmmse:
             precoders = _dmmse_precoder_step(problem, precoders, equalizers, weights, lam, omegas=omegas)
-            omegas = interference_covariances(problem, precoders)
-            signals = problem.direct @ precoders
-            equalizers = mmse_equalizers(problem, precoders, omegas, signals)
-            usage = constraint_usage(problem, precoders)
         else:
-            equalizers = mmse_equalizers(problem, precoders, omegas)
+            equalizers = mmse_equalizers(problem, precoders, omegas, signals)
             # search to half the tolerance so the returned point clears it with margin
             mu, precoders, usage, slack_ok = _emmseia_multiplier_search(
                 problem, equalizers, weights, mu, 0.5 * config.constraint_tol
             )
-            omegas = interference_covariances(problem, precoders)
+        omegas = interference_covariances(problem, precoders)
+        signals = problem.direct @ precoders
+        gains = mses = None
+        if dmmse:
+            equalizers = mmse_equalizers(problem, precoders, omegas, signals)
+            usage = constraint_usage(problem, precoders)
         if objective == "srm":
-            return sum_rate(problem, precoders, omegas=omegas)
+            gains = receive_gains(problem, precoders, omegas, signals)
+            return sum_rate(problem, precoders, gains=gains)
         value = wsmse_objective(problem, precoders, equalizers, omegas=omegas, signals=signals)
         if dmmse:
             priced_trace.append(value + float(np.dot(lam, usage - budgets)))
@@ -504,7 +544,7 @@ def _iterate_mse_family(problem, config, inner: str, objective: str, initial=Non
         # error covariances are diagonal to tolerance
         previous = precoders  # run_pass binds a new stack
         value = run_pass(lam)
-        offdiag = _mse_offdiag(problem, precoders, omegas)
+        offdiag = _mse_offdiag(problem, current_mses())
         drift = float(np.max(_norms(precoders - previous) / np.maximum(_norms(precoders), 1e-300)))
         return value, offdiag <= OFFDIAG_TOL and drift <= 1e-9
 
@@ -522,7 +562,8 @@ def _iterate_mse_family(problem, config, inner: str, objective: str, initial=Non
     if objective == "srm":
         diagnostics["unscaled_max_violation"] = max(violation, 0.0)
     if dmmse:
-        offdiag = _mse_offdiag(problem, returned, omegas if returned is precoders else None)
+        offdiag = _mse_offdiag(problem, current_mses() if returned is precoders
+                               else mse_matrices_mmse(problem, returned))
         converged = converged and offdiag <= OFFDIAG_TOL
         diagnostics.update(offdiag=offdiag, polish_start=run.polish_start)
         if objective == "wsmmse":
@@ -538,7 +579,7 @@ def dmmse_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = N
     reweighting loop supplies them as diag(E_k^{-1}).
     """
     config = (config or AlgorithmConfig(algorithm="dmmse")).validate()
-    return _iterate_mse_family(problem, config, "dmmse", config.objective, initial)
+    return _iterate_mse_family(problem, config, "dmmse", initial)
 
 
 def emmseia_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = None,
@@ -546,21 +587,7 @@ def emmseia_solve(problem: InterferenceProblem, config: AlgorithmConfig | None =
     """Interference-aligning MMSE design with joint precoder updates and a
     KKT multiplier search per round (see module docstring)."""
     config = (config or AlgorithmConfig(algorithm="emmseia")).validate()
-    return _iterate_mse_family(problem, config, "emmseia", config.objective, initial)
-
-
-def srm_outer_loop(problem: InterferenceProblem, config: AlgorithmConfig,
-                   inner: str = "dmmse", initial=None) -> BeamformerSolution:
-    """Sum-rate maximization by alternating inverse-MSE weight refreshes
-    with one pass of the chosen weighted-MSE solver; terminates when the
-    rate is stable over five rounds and the constraints hold.  The returned
-    precoders meet every budget by construction: an over-budget last
-    iterate is scaled back with :func:`fit_to_budgets` and reported as
-    unconverged."""
-    if inner not in ("dmmse", "emmseia"):
-        raise ConfigurationError("the reweighting loop supports inner solvers 'dmmse' and 'emmseia'")
-    config = config.validate()
-    return _iterate_mse_family(problem, config, inner, "srm", initial=initial)
+    return _iterate_mse_family(problem, config, "emmseia", initial)
 
 
 # ---------------------------------------------------------------------------

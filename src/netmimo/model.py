@@ -14,15 +14,20 @@ zero-padded to the largest sizes, with the per-user sizes alongside, which
 :func:`build_interference_problem` fills in one gather and
 :meth:`InterferenceProblem.from_blocks` from per-user blocks.  The batched
 kernels below (:func:`interference_covariances`, :func:`reverse_link_sums`,
-:func:`mmse_equalizers`, :func:`mse_matrices_mmse`, :func:`wsmse_objective`,
-:func:`sum_rate`, :func:`constraint_usage`, :func:`srm_weight_update`) work
-on all users at once.  They accept per-user matrices or their padded stack
-and return padded stacks; each user's block of a result is what the
-per-user reference functions (:func:`interference_covariance`,
-:func:`mmse_equalizer`, :func:`mse_matrix`, :func:`mse_matrix_mmse`) give
-for that user from the blocks cut out of the arrays.  The problem caches
-what every solver pass reuses: the adjoints ``channels_h``, ``cross_h`` and
-``direct_h``, the identity ``rx_eye`` and the ``constraint_supports`` that
+:func:`mmse_equalizers`, :func:`receive_gains`, :func:`mse_matrices_mmse`,
+:func:`wsmse_objective`, :func:`sum_rate`, :func:`constraint_usage`,
+:func:`srm_weight_update`) work on all users at once.  They accept per-user
+matrices or their padded stack and return padded stacks; each user's block
+of a result is what the per-user reference functions
+(:func:`interference_covariance`, :func:`mmse_equalizer`, :func:`mse_matrix`,
+:func:`mse_matrix_mmse`) give for that user from the blocks cut out of the
+arrays.  The receive side needs one solve per precoder stack:
+:func:`receive_gains` gives G_k, :func:`sum_rate` takes log det(I + G_k)
+and :func:`mse_matrices_mmse` E_k = (I + G_k)^{-1} from it, and
+:func:`srm_weight_update` inverts E_k; each takes what its caller already
+has instead of solving again.  The problem caches what every solver pass
+reuses: the adjoints ``channels_h``, ``cross_h`` and ``direct_h``, the
+identity ``rx_eye`` and the ``constraint_supports`` that
 :func:`linalg.priced_weights` and :func:`linalg.weight_usage` read.
 
 Noise is identity by convention; colored noise must be whitened upstream
@@ -458,16 +463,25 @@ def mse_matrix_mmse(problem: InterferenceProblem, precoders, k: int, omega=None)
     return 0.5 * (e + e.conj().T)
 
 
-def mse_matrices_mmse(problem: InterferenceProblem, precoders, omegas=None) -> np.ndarray:
-    """:func:`mse_matrix_mmse` for every user, as the padded (K, d, d) stack
-    (identity on the padded streams)."""
+def receive_gains(problem: InterferenceProblem, precoders, omegas=None, signals=None) -> np.ndarray:
+    """Receive gains G_k = S_k^H Omega_k^{-1} S_k of the signals S_k =
+    H_{k,k} B_k, made exactly Hermitian, as the padded (K, d, d) stack (zero
+    on the padded streams): E_k = (I + G_k)^{-1} with MMSE receivers.
+    ``omegas`` and ``signals`` as in :func:`mmse_equalizers`."""
     b = problem.precoders(precoders)
     if omegas is None:
         omegas = interference_covariances(problem, b)
-    hb = problem.direct @ b
-    g = adjoint(hb) @ np.linalg.solve(np.asarray(omegas), hb)
-    e = np.linalg.inv(np.eye(hb.shape[-1]) + 0.5 * (g + adjoint(g)))
-    return hermitian_part(e)
+    hb = problem.direct @ b if signals is None else signals
+    return hermitian_part(adjoint(hb) @ np.linalg.solve(np.asarray(omegas), hb))
+
+
+def mse_matrices_mmse(problem: InterferenceProblem, precoders, omegas=None, gains=None) -> np.ndarray:
+    """:func:`mse_matrix_mmse` for every user, as the padded (K, d, d) stack
+    (identity on the padded streams); ``gains`` (:func:`receive_gains`) when
+    the caller has them."""
+    if gains is None:
+        gains = receive_gains(problem, precoders, omegas)
+    return hermitian_part(np.linalg.inv(np.eye(gains.shape[-1]) + gains))
 
 
 def wsmse_objective(problem: InterferenceProblem, precoders, equalizers, omegas=None, signals=None) -> float:
@@ -488,15 +502,14 @@ def wsmse_objective(problem: InterferenceProblem, precoders, equalizers, omegas=
     return total
 
 
-def sum_rate(problem: InterferenceProblem, precoders, omegas=None) -> float:
+def sum_rate(problem: InterferenceProblem, precoders, omegas=None, gains=None) -> float:
     """Achievable sum rate in bits per channel use with MMSE receivers,
-    treating other users' signals as noise: sum_k log2 det(E_k^{-1})."""
-    b = problem.precoders(precoders)
-    if omegas is None:
-        omegas = interference_covariances(problem, b)
-    hb = problem.direct @ b
-    g = hermitian_part(adjoint(hb) @ np.linalg.solve(np.asarray(omegas), hb))
-    sign, logdet = np.linalg.slogdet(np.eye(hb.shape[-1]) + g)
+    treating other users' signals as noise: sum_k log2 det(E_k^{-1}) =
+    sum_k log2 det(I + G_k); ``gains`` (:func:`receive_gains`) when the
+    caller has them."""
+    if gains is None:
+        gains = receive_gains(problem, precoders, omegas)
+    sign, logdet = np.linalg.slogdet(np.eye(gains.shape[-1]) + gains)
     bad = np.flatnonzero(sign.real <= 0)
     if bad.size:
         raise NumericalFailureError(f"error covariance of user {bad[0]} is not positive definite")
@@ -512,11 +525,14 @@ def constraint_usage(problem: InterferenceProblem, precoders) -> np.ndarray:
     return weight_usage(problem.constraints, problem.constraint_supports, problem.precoders(precoders))
 
 
-def srm_weight_update(problem: InterferenceProblem, precoders, omegas=None) -> np.ndarray:
+def srm_weight_update(problem: InterferenceProblem, precoders, omegas=None, mses=None) -> np.ndarray:
     """Inverse-MSE weights W_k = E_k^{-1} used by the rate-maximizing
     reweighting loop (E_k evaluated with MMSE receivers), as the padded
-    (K, d, d) stack (identity on the padded streams)."""
-    return hermitian_part(np.linalg.inv(mse_matrices_mmse(problem, precoders, omegas)))
+    (K, d, d) stack (identity on the padded streams); ``mses``
+    (:func:`mse_matrices_mmse`) when the caller has them."""
+    if mses is None:
+        mses = mse_matrices_mmse(problem, precoders, omegas)
+    return hermitian_part(np.linalg.inv(mses))
 
 
 # ---------------------------------------------------------------------------

@@ -78,11 +78,12 @@ def dense_link(rng, weights=(1.0, 1.0)):
     )
 
 
-def count_decompositions(monkeypatch) -> list:
-    """Record (name, shape) of every np.linalg eigh, svd and cholesky call
-    made after this, in call order."""
+def count_decompositions(monkeypatch, names=("eigh", "svd", "cholesky")) -> list:
+    """Record (name, shape) of every call of the np.linalg functions
+    ``names`` (by default eigh, svd and cholesky) made after this, in call
+    order."""
     calls = []
-    for name in ("eigh", "svd", "cholesky"):
+    for name in names:
         def counting(a, *args, _name=name, _wrapped=getattr(np.linalg, name), **kwargs):
             calls.append((_name, np.shape(a)))
             return _wrapped(a, *args, **kwargs)

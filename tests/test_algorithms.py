@@ -26,7 +26,6 @@ from netmimo import (
     pwf_solve,
     realize,
     solve_multi_constraint,
-    srm_outer_loop,
     sum_rate,
     wsmse_objective,
 )
@@ -223,6 +222,102 @@ def test_emmseia_joint_descent_at_fixed_multipliers():
             + float(np.dot(mu, usage - problem.budgets))
         )
     assert all(b <= a + 1e-9 for a, b in zip(priced, priced[1:]))
+
+
+def reference_emmseia_search(problem, equalizers, weights, mu, constraint_tol, max_iters=300):
+    """The KKT multiplier search that _emmseia_multiplier_search replaced,
+    kept as its oracle: the priced systems rebuilt from the grams at every
+    step (here by the dense multiplier sum, the bits of the program's
+    pricing on supports) and the usage recomputed through constraint_usage."""
+    from netmimo.algorithms import LAMBDA_CAP, SLACKNESS_TOL, _emmseia_factors
+
+    budgets = problem.budgets
+    mu = np.asarray(mu, dtype=float).copy()
+    grams, rhs = _emmseia_factors(problem, equalizers, weights)
+    precoders = dense_emmseia_solve_at(problem, grams, rhs, mu)
+    usage = constraint_usage(problem, precoders)
+    for step in range(max_iters + 1):
+        slack_ok = bool(np.all(np.abs(mu * (budgets - usage)) <= SLACKNESS_TOL * budgets))
+        if step == max_iters or (slack_ok and np.all(usage <= budgets * (1.0 + constraint_tol))):
+            break
+        ratio = usage / budgets
+        mu = mu * np.minimum(np.maximum(1.0 + 0.5 * (ratio - 1.0), 0.5), 2.0)
+        top = float(np.max(mu, initial=0.0))
+        seeded = (mu == 0.0) & (ratio > 1.0)
+        if seeded.any():
+            mu[seeded] = seed = 1e-6 * max(1.0, top)
+            top = max(top, seed)
+        mu[mu < 1e-14 * max(1.0, top)] = 0.0
+        if top > LAMBDA_CAP:
+            raise NumericalFailureError("multiplier search diverged")
+        precoders = dense_emmseia_solve_at(problem, grams, rhs, mu)
+        usage = constraint_usage(problem, precoders)
+    return mu, precoders, usage, slack_ok
+
+
+def assert_search_matches_reference(problem, mu, passes=4, max_iters=300):
+    """Run ``passes`` emmseia srm passes from the scaled-identity start with
+    the search and with its oracle, each stopped after ``max_iters`` steps,
+    and require the same bits of (mu, precoders, usage, slack_ok) at every
+    pass."""
+    from netmimo.algorithms import _emmseia_multiplier_search
+    from netmimo.model import interference_covariances, mmse_equalizers, srm_weight_update
+
+    precoders = problem.precoders(initialize_precoders(problem, AlgorithmConfig()))
+    for _ in range(passes):
+        omegas = interference_covariances(problem, precoders)
+        equalizers = mmse_equalizers(problem, precoders, omegas)
+        weights = srm_weight_update(problem, precoders, omegas)
+        got = _emmseia_multiplier_search(problem, equalizers, weights, mu, 0.005, max_iters)
+        want = reference_emmseia_search(problem, equalizers, weights, mu, 0.005, max_iters)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        mu, precoders = got[0], got[1]
+
+
+@pytest.mark.parametrize("kappa", [1, 2, 3, 5])
+def test_multiplier_search_matches_its_reference_on_cellular_problems(kappa):
+    # K = 10 users of the cooperation sweep: on constraint supports the
+    # search rewrites only the systems' diagonal, with the reference's bits
+    rng = np.random.default_rng(60 + kappa)
+    for seed in range(2):
+        _, problem = cellular_problem(seed, cluster_size=5, users_per_cell=2, cooperation_factor=kappa)
+        assert problem.constraint_supports is not None
+        assert_search_matches_reference(problem, np.ones(problem.num_constraints))
+        assert_search_matches_reference(problem, random_multipliers(rng, problem.num_constraints))
+
+
+def test_multiplier_search_matches_its_reference_on_dense_weights():
+    _, problem = cellular_problem(0)
+    q = random_unitaries(np.random.default_rng(61), problem.num_users, problem.channels.shape[-1])
+    rotated = rotate_transmit_spaces(problem, q)
+    assert rotated.constraint_supports is None
+    assert_search_matches_reference(rotated, np.ones(rotated.num_constraints))
+
+
+def test_multiplier_search_matches_its_reference_through_the_singular_fallback(monkeypatch):
+    # user 0's last transmit coordinate reaches no receiver, so its gram has
+    # a zero row and column; at a zero multiplier on the BS that drives it
+    # the batched solve fails and that user is solved by least squares
+    _, problem = cellular_problem(0)
+    channels = problem.channels.copy()
+    channels[:, 0, :, -1] = 0.0
+    problem = replace(problem, channels=channels)
+    mu = np.ones(problem.num_constraints)
+    mu[problem.constraint_supports[0, :, -1] != 0] = 0.0
+    pinv_calls = []
+    pinv = np.linalg.pinv
+
+    def counting_pinv(a, *args, **kwargs):
+        pinv_calls.append(np.shape(a))
+        return pinv(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
+    # stopped at the first solve, whose least-squares precoders it returns,
+    # and run to the slackness conditions
+    assert_search_matches_reference(problem, mu, passes=1, max_iters=0)
+    assert_search_matches_reference(problem, mu, passes=1)
+    assert len(pinv_calls) == 4  # once per run, in the search and in its reference
 
 
 # ---------------------------------------------------------------------------
@@ -535,15 +630,14 @@ def test_min_leakage_rejects_more_streams_than_antennas(mixed_systems):
 
 
 # ---------------------------------------------------------------------------
-# rate-maximizing outer loop
+# sum-rate objective (the rate-maximizing reweighting loop)
 # ---------------------------------------------------------------------------
 
 def test_srm_single_user_matches_grid_oracle():
     rng = np.random.default_rng(8)
     h = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     problem = single_pair_problem(h, budget=2.0)
-    sol = srm_outer_loop(problem, AlgorithmConfig(algorithm="dmmse", objective="srm"),
-                         inner="dmmse")
+    sol = dmmse_solve(problem, AlgorithmConfig(algorithm="dmmse", objective="srm"))
     rate = sum_rate(problem, sol.precoders)
     gains = np.sort(np.linalg.eigvalsh(h.conj().T @ h).real)[::-1][:2]
     best = 0.0
@@ -555,8 +649,7 @@ def test_srm_single_user_matches_grid_oracle():
 
 def test_srm_zero_channels():
     problem = zero_problem()
-    sol = srm_outer_loop(problem, AlgorithmConfig(algorithm="dmmse", objective="srm",
-                                                  max_outer=60), inner="dmmse")
+    sol = dmmse_solve(problem, AlgorithmConfig(algorithm="dmmse", objective="srm", max_outer=60))
     assert sum_rate(problem, sol.precoders) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -570,7 +663,7 @@ def test_srm_initial_rotation_invariance():
     for trial in range(4):
         q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
         rotated = [b @ q for b in init]
-        sol = srm_outer_loop(problem, cfg, inner="dmmse", initial=rotated)
+        sol = dmmse_solve(problem, cfg, initial=rotated)
         rates.append(sum_rate(problem, sol.precoders))
     assert max(rates) - min(rates) <= 1e-6 * max(1.0, max(rates))
 
@@ -579,8 +672,8 @@ def test_solver_determinism():
     _, problem = cellular_problem(5)
     cfg = AlgorithmConfig(algorithm="dmmse", objective="srm",
                           initialization="random_orthonormal", init_seed=7)
-    a = srm_outer_loop(problem, cfg, inner="dmmse")
-    b = srm_outer_loop(problem, cfg, inner="dmmse")
+    a = dmmse_solve(problem, cfg)
+    b = dmmse_solve(problem, cfg)
     assert a.trace == b.trace
     assert all(np.array_equal(x, y) for x, y in zip(a.precoders, b.precoders))
 
@@ -862,6 +955,38 @@ def test_dmmse_pass_makes_one_decomposition(monkeypatch):
     assert calls == [("cholesky", (k, mr, mr)), ("cholesky", (k, mt, mt)), ("svd", (k, mt, mr))] * sol.iterations
 
 
+@pytest.mark.parametrize("algorithm", ["dmmse", "emmseia"])
+def test_srm_pass_evaluates_the_receive_side_once(algorithm, monkeypatch):
+    # per srm pass: one solve for the MMSE equalizers, one for the gains
+    # G_k that give the pass's rate and E_k = (I + G_k)^{-1}, one inverse for
+    # E_k and one for the weights E_k^{-1}; dmmse adds the inverses of the
+    # Cholesky factors of Omega_k and of the pricing matrices, emmseia the
+    # (K, m_t, m_t) solves of its multiplier search.  Before the first pass
+    # come the starting gains (and dmmse's starting equalizers), after the
+    # last the returned equalizers, and dmmse's diagonality test reads E_k
+    # of the last stack.
+    _, problem = cellular_problem(0, nr=3)
+    k, mr, mt = problem.num_users, problem.channels.shape[-2], problem.channels.shape[-1]
+    d = problem.mse_weights.shape[-1]
+    assert len({mr, mt, d}) == 3
+    calls = count_decompositions(monkeypatch, names=("solve", "inv"))
+    solver = dmmse_solve if algorithm == "dmmse" else emmseia_solve
+    sol = solver(problem, AlgorithmConfig(algorithm=algorithm, objective="srm"))
+    n = sol.iterations
+    assert n > 10
+    counts = {}
+    for call in calls:
+        counts[call] = counts.get(call, 0) + 1
+    search = counts.pop(("solve", (k, mt, mt)), 0)
+    if algorithm == "dmmse":
+        assert search == 0
+        assert counts == {("solve", (k, mr, mr)): 2 * n + 3, ("inv", (k, d, d)): 2 * n + 1,
+                          ("inv", (k, mr, mr)): n, ("inv", (k, mt, mt)): n}
+    else:
+        assert search >= n
+        assert counts == {("solve", (k, mr, mr)): 2 * n + 2, ("inv", (k, d, d)): 2 * n}
+
+
 def test_dmmse_step_lifts_a_singular_pricing_floor():
     # at zero multipliers F_k = Upsilon_k has rank at most (K-1) m_r < m_t:
     # psd_inv_sqrt rejects every F_k, and each user is priced at the lifted
@@ -960,7 +1085,8 @@ def test_array_and_per_user_paths_give_identical_solutions(algorithm, objective,
 def test_solver_steps_leave_the_padding_alone(mixed_problems):
     from netmimo.algorithms import (_dmmse_precoder_step, _dual_covariances, _mse_offdiag,
                                     _pwf_forward, _stream_weights)
-    from netmimo.model import cut_padding, interference_covariances, mmse_equalizers, srm_weight_update
+    from netmimo.model import (cut_padding, interference_covariances, mmse_equalizers, mse_matrices_mmse,
+                               srm_weight_update)
 
     def padding(stack, rows, cols):
         """The entries of ``stack`` outside each user's leading block."""
@@ -991,7 +1117,7 @@ def test_solver_steps_leave_the_padding_alone(mixed_problems):
         padded_only = [b if streams < max(d) else 0 * b for b, streams in zip(cut, d)]
         worst = max(offdiag_mass(mse_matrix_mmse(problem, padded_only, k))
                     for k in range(problem.num_users))
-        offdiag = _mse_offdiag(problem, problem.precoders(padded_only), None)
+        offdiag = _mse_offdiag(problem, mse_matrices_mmse(problem, padded_only))
         assert offdiag == pytest.approx(worst, rel=1e-12, abs=1e-300)
 
         mu = np.zeros(problem.num_constraints)

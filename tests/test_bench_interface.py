@@ -9,7 +9,7 @@ import pytest
 from netmimo import AlgorithmConfig, ScenarioConfig, experiment
 from netmimo.experiment import SweepSpec
 from perfbench.tracing import LAYERS, PACKAGE
-from perfbench.workloads import WORKLOADS, Checks, TrialChecker, load_reference
+from perfbench.workloads import RECOMPUTE_RTOL, WORKLOADS, Checks, TrialChecker, judge_record, load_reference
 
 
 def test_every_traced_name_resolves():
@@ -56,3 +56,20 @@ def test_canary_matches_the_benchmark_reference(name, tmp_path):
     with TrialChecker().installed():
         workload.warm_up(state, load_reference()[name], checks)
     assert checks.ok, checks.problems
+
+
+def test_kappa_srm_item_recomputes_its_rate_under_the_checker(tmp_path):
+    # the checker recomputes the rate and the usage of a cooperation-sweep
+    # solve through sum_rate(problem, precoders) and
+    # constraint_usage(problem, precoders), called positionally; the rate
+    # must be the recorded one
+    workload, checks = WORKLOADS["kappa_srm"], Checks()
+    state = workload.setup(1, tmp_path)
+    key = (3, 0, "dmmse")
+    with TrialChecker().installed():
+        record = experiment.run_trial(state.spec, *key)
+    assert not record.failed and record.usage_ratio <= 1.0 + state.spec.algorithm_config.constraint_tol
+    assert record.recomputed_rate == pytest.approx(record.per_cell_sum_rate, rel=RECOMPUTE_RTOL, abs=0.0)
+    outcome = judge_record(key, record, state.spec.algorithm_config.constraint_tol, checks)
+    assert checks.ok, checks.problems
+    assert not outcome.failed and outcome.converged

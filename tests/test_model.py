@@ -21,7 +21,9 @@ from netmimo import (
     sum_rate,
     wsmse_objective,
 )
-from netmimo.model import interference_covariances, mmse_equalizers, mse_matrices_mmse
+from netmimo.linalg import adjoint, hermitian_part
+from netmimo.model import (LOG2, interference_covariances, mmse_equalizers, mse_matrices_mmse,
+                           receive_gains)
 
 
 def scalar_problem(h=1.0, g=1.0, k_users=2):
@@ -497,6 +499,45 @@ def test_srm_weight_update_values():
     )
     w2 = srm_weight_update(diag, [np.eye(2, dtype=complex)])
     assert np.allclose(w2[0], np.diag([2.0, 4.0]))
+
+
+def reference_receive_side(problem, precoders):
+    """sum_rate, mse_matrices_mmse and srm_weight_update as each solved for
+    the receive gains on its own, before they shared one evaluation."""
+    b = problem.precoders(precoders)
+    omegas = interference_covariances(problem, b)
+    hb = problem.direct @ b
+    g = hermitian_part(adjoint(hb) @ np.linalg.solve(omegas, hb))
+    rate = 0.0
+    for value in np.linalg.slogdet(np.eye(hb.shape[-1]) + g)[1]:
+        rate += value / LOG2
+    g = adjoint(hb) @ np.linalg.solve(omegas, hb)
+    mses = hermitian_part(np.linalg.inv(np.eye(hb.shape[-1]) + 0.5 * (g + adjoint(g))))
+    return float(rate), mses, hermitian_part(np.linalg.inv(mses))
+
+
+def test_shared_receive_gains_give_the_bits_of_separate_evaluations(mixed_problems):
+    # users of mixed sizes (padded transmit coordinates and streams) and the
+    # K = 10 cooperation-sweep problems: the rate, the error covariances and
+    # the inverse-MSE weights from one receive_gains evaluation, and from
+    # each kernel called on its own, are the bits of separate solves
+    rng = np.random.default_rng(31)
+    cellular = [build_interference_problem(realize(ScenarioConfig(
+        cluster_size=5, users_per_cell=2, nt=4, nr=2, streams=2, cooperation_factor=kappa,
+        boundary_snr_db=20.0, seed=kappa))) for kappa in (1, 2, 5)]
+    for problem in list(mixed_problems.values()) + cellular:
+        for scale in (0.05, 0.6, 3.0):
+            precoders = problem.precoders(random_precoders(rng, problem, scale))
+            rate, mses, weights = reference_receive_side(problem, precoders)
+            omegas = interference_covariances(problem, precoders)
+            gains = receive_gains(problem, precoders, omegas, problem.direct @ precoders)
+            assert np.array_equal(gains, receive_gains(problem, precoders))
+            assert sum_rate(problem, precoders, gains=gains) == sum_rate(problem, precoders) == rate
+            shared = mse_matrices_mmse(problem, precoders, gains=gains)
+            assert np.array_equal(shared, mses)
+            assert np.array_equal(mse_matrices_mmse(problem, precoders, omegas), mses)
+            assert np.array_equal(srm_weight_update(problem, precoders, mses=shared), weights)
+            assert np.array_equal(srm_weight_update(problem, precoders), weights)
 
 
 def test_problem_serialization_round_trip():
