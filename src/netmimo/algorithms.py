@@ -6,9 +6,9 @@ Four families are implemented:
     Per-user eigenbasis precoders that diagonalize every user's error
     covariance: :func:`single_user.priced_minimizer` with the
     interference-pricing matrices F_k = Upsilon_k + sum_m lam_m Phi_{k,m}
-    (whiten F_k with the adjoint inverse of its Cholesky factor, keep the
-    leading left singular vectors of the whitened direct-channel factor
-    T_k^H H_kk^H Omega_k^{-1/2}, waterfill at unit level).
+    (the whitened-channel step :func:`single_user.whitened_directions` on
+    F_k and the receive factors H_kk^H L_k^{-H} of Omega_k, waterfilled at
+    unit level).
 ``emmseia``
     Joint linear-system precoder update from fixed MMSE equalizers,
     B_k = (sum_l H_{l,k}^H A_l W_l A_l^H H_{l,k} + sum_m mu_m Phi_{k,m})^{-1}
@@ -16,9 +16,9 @@ Four families are implemented:
     complementary-slackness conditions hold.
 ``pwf``
     Transmit-covariance fixed point coupling the forward network with its
-    reversed-link counterpart through pre/post-whitened channels (the
-    forward covariance whitened by its inverse root, the reversed-link one
-    by the adjoint inverse of its Cholesky factor); a single water level is
+    reversed-link counterpart through the same whitened-channel step (the
+    forward covariance Omega_k and the reversed-link one each whitened by
+    the adjoint inverse of its Cholesky factor); a single water level is
     bisected against the multiplier-weighted power budget.  Sum-rate
     objective only.
 ``min_leakage``
@@ -68,8 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, NumericalFailureError, SingularMatrixError
-from .linalg import (adjoint, bisect_level, hermitian_part, hermitian_top_eigs, priced_weights, psd_inv_sqrt,
-                     psd_inv_sqrt_batch, weight_usage, whitening_factors)
+from .linalg import adjoint, bisect_level, hermitian_part, priced_weights, psd_inv_sqrt, weight_usage
 from .model import (
     BeamformerSolution,
     InterferenceProblem,
@@ -90,7 +89,7 @@ from .model import (
     wsmse_objective,
 )
 from .single_user import (GAIN_RTOL, LAMBDA_CAP, LAMBDA_FLOOR, MAX_POLISH_ROUNDS, additive_rule, dual_loop,
-                          max_violation, objective_stable, priced_minimizer)
+                          max_violation, objective_stable, priced_minimizer, receive_factors, whitened_directions)
 
 ALGORITHMS = ("dmmse", "emmseia", "pwf", "min_leakage")
 OBJECTIVES = ("wsmmse", "srm")
@@ -323,29 +322,17 @@ def _pricing_matrices(problem, ups, lam):
 def _dmmse_precoder_step(problem, precoders, equalizers, weight_diags, lam, omegas=None):
     """Simultaneous per-user precoder update at multipliers ``lam``:
     :func:`priced_minimizer` with the interference-pricing matrices F_k and
-    the factors C_k = H_kk^H L_k^{-H} of R_k = H_kk^H Omega_k^{-1} H_kk
-    (Omega_k = L_k L_k^H), as the padded (K, m_t, d) stack; padded streams
-    carry zero weight and so get zero columns.  Omega_k = I + sum (HB)(HB)^H
-    is at least I, so its Cholesky factor needs no regularity certificate;
-    one that fails anyway (non-finite input) raises
-    :class:`NumericalFailureError`.  A singular F_k is retried once with
-    the price floor lifted to the interference scale."""
+    the :func:`receive_factors` C_k = H_kk^H L_k^{-H} of
+    Omega_k = I + sum (HB)(HB)^H, as the padded (K, m_t, d) stack; padded
+    streams carry zero weight and so get zero columns.  A singular F_k is
+    retried once with the price floor lifted to the interference scale."""
     if omegas is None:
         omegas = interference_covariances(problem, precoders)
     a = np.asarray(equalizers)
     w = np.asarray(weight_diags)
     # ups[k] = sum_{l != k} H_{l,k}^H A_l W_l A_l^H H_{l,k}
     ups = reverse_link_sums(0.0, problem.cross, problem.cross_h, (a * w[:, None, :]) @ adjoint(a))
-    try:
-        low = np.linalg.cholesky(omegas)
-        # a non-finite entry in the lower triangle of Omega_k, all that is
-        # read, leaves a non-finite diagonal in L_k
-        finite = np.isfinite(np.diagonal(low, axis1=-2, axis2=-1)).all()
-    except np.linalg.LinAlgError:
-        finite = False
-    if not finite:
-        raise NumericalFailureError("interference-plus-noise covariance has no Cholesky factor")
-    c = problem.direct_h @ adjoint(np.linalg.inv(low))  # C_k C_k^H = H_kk^H Omega_k^{-1} H_kk
+    c = receive_factors(omegas, problem.direct_h)
 
     def lift(k):
         guard = max(LAMBDA_FLOOR, 1e-9 * max(1.0, float(np.linalg.norm(ups[k]))))
@@ -625,16 +612,16 @@ def _dual_covariances(problem, covariances, water_level, totals=None):
 
 
 def _pwf_forward(problem, covariances, dual_covariances, lam, omegas=None):
-    """One forward waterfilling pass: whiten each direct channel as
-    Omega_k^{-1/2} H_kk T_k, with T_k T_k^H = Omega_hat_k^{-1} for the
-    reversed-link covariance (:func:`whitening_factors`), allocate
-    p_i = [1/mu - 1/g_i]^+ on the leading right singular directions V
-    (usage coefficients from V^H T_k^H priced_k T_k V, covariances
-    T_k V diag(p) V^H T_k^H), and bisect the shared water level so the
+    """One forward waterfilling pass: on :func:`whitened_directions` of the
+    reversed-link covariances Omega_hat_k and the :func:`receive_factors`
+    of the forward ones Omega_k (``omegas``, when the caller has them),
+    allocate p_i = [1/mu - 1/g_i]^+ on the directions V (usage coefficients
+    from V^H T_k^H priced_k T_k V), bisecting the shared water level so the
     multiplier-weighted usage meets the multiplier-weighted budget.
-    ``omegas`` are the forward interference covariances of ``covariances``
-    when the caller has them.  Returns the new covariances as the padded
-    (K, m_t, m_t) stack and the water level; padded streams get no power."""
+    Returns the covariances T_k V diag(p) V^H T_k^H as the padded
+    (K, m_t, m_t) stack, the water level, and their factors
+    T_k V diag(sqrt p) as the padded (K, m_t, d) precoder stack; padded
+    streams get no power."""
     if omegas is None:
         omegas = _cov_interferences(problem, covariances)
     target = float(np.dot(lam, problem.budgets))
@@ -642,16 +629,9 @@ def _pwf_forward(problem, covariances, dual_covariances, lam, omegas=None):
     # omega_hat[k] = priced[k] + sum_{j != k} H_{j,k}^H Sigma_hat_j H_{j,k}
     omega_hat = reverse_link_sums(priced, problem.cross, problem.cross_h, dual_covariances)
     omega_hat = set_padded_diagonal(hermitian_part(omega_hat), problem.tx_pad, 1.0)
-    s_fwd, ok_fwd = psd_inv_sqrt_batch(omegas)
-    for k in np.flatnonzero(~ok_fwd):
-        psd_inv_sqrt(omegas[k])  # raises the per-user error
-    t_hat = whitening_factors(omega_hat)
-    whitened = s_fwd @ problem.direct @ t_hat
-    d = problem.mse_weights.shape[-1]
-    _, sing, right = np.linalg.svd(whitened, full_matrices=False)
-    right = adjoint(right)[..., :d]
-    gains = sing[:, :d] ** 2
-    cmat = adjoint(right) @ adjoint(t_hat) @ priced @ t_hat @ right
+    t_hat, basis, gains = whitened_directions(omega_hat, receive_factors(omegas, problem.direct_h),
+                                              problem.mse_weights.shape[-1])
+    cmat = adjoint(basis) @ adjoint(t_hat) @ priced @ t_hat @ basis
     coefs = np.maximum(np.diagonal(cmat, axis1=-2, axis2=-1).real, 0.0)
     keep = gains > GAIN_RTOL * np.maximum(1.0, np.max(gains, axis=-1, initial=0.0))[:, None]
     keep[problem.stream_pad] = False
@@ -664,8 +644,8 @@ def _pwf_forward(problem, covariances, dual_covariances, lam, omegas=None):
                       target, "water-level")
     powers = np.zeros_like(gains)
     powers[keep] = np.maximum(1.0 / mu - 1.0 / gains[keep], 0.0)
-    factor = t_hat @ (right * np.sqrt(powers)[:, None, :])
-    return hermitian_part(factor @ adjoint(factor)), float(mu)
+    factor = t_hat @ (basis * np.sqrt(powers)[:, None, :])
+    return hermitian_part(factor @ adjoint(factor)), float(mu), factor
 
 
 def pwf_fixed_point_residual(problem: InterferenceProblem, state: DualNetworkState) -> float:
@@ -673,7 +653,7 @@ def pwf_fixed_point_residual(problem: InterferenceProblem, state: DualNetworkSta
     the worst relative deviation of the reproduced transmit covariances."""
     covariances = pad_stack(state.covariances, problem.constraints.shape[-2:])
     duals = _dual_covariances(problem, covariances, state.water_level)
-    reproduced, _ = _pwf_forward(problem, covariances, duals, state.multipliers)
+    reproduced = _pwf_forward(problem, covariances, duals, state.multipliers)[0]
     return _relative_change(reproduced, covariances)
 
 
@@ -701,10 +681,11 @@ def pwf_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = Non
     docstring), on :func:`dual_loop` with :func:`_pwf_rule`.  The polish
     iterates the covariance map at fixed multipliers, and only from a
     pricing state that met its exit test: the map can diverge at far-off
-    multipliers.  The returned precoders meet every budget by construction:
-    an over-budget last iterate is scaled back with :func:`fit_to_budgets`
-    and reported as unconverged.  The diagnostics carry the last iterate's
-    :class:`DualNetworkState` for structural verification."""
+    multipliers.  The precoders are the last pass's covariance factors and
+    meet every budget by construction: an over-budget last iterate is
+    scaled back with :func:`fit_to_budgets` and reported as unconverged.
+    The diagnostics carry the last iterate's :class:`DualNetworkState` for
+    structural verification."""
     config = (config or AlgorithmConfig(algorithm="pwf", objective="srm")).validate()
     budgets = problem.budgets
     precoders = problem.precoders(initialize_precoders(problem, config) if initial is None else initial)
@@ -714,8 +695,8 @@ def pwf_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = Non
     duals = _dual_covariances(problem, covariances, mu, totals)
 
     def run_pass(lam):
-        nonlocal covariances, mu, totals, duals
-        covariances, mu = _pwf_forward(problem, covariances, duals, lam, totals[0])
+        nonlocal covariances, mu, totals, duals, precoders
+        covariances, mu, precoders = _pwf_forward(problem, covariances, duals, lam, totals[0])
         totals = _cov_totals(problem, covariances)
         duals = _dual_covariances(problem, covariances, mu, totals)
         return _cov_rate(problem, covariances, totals)
@@ -757,12 +738,8 @@ def pwf_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = Non
         multipliers=run.lam.copy(),
         water_level=mu,
     )
-    precoders = []
-    for cov, d in zip(state.covariances, problem.streams):
-        spec = hermitian_top_eigs(cov, d)
-        precoders.append(spec.basis * np.sqrt(np.maximum(spec.values, 0.0)))
     converged = violation <= config.constraint_tol and objective_stable(run.trace, config.inner_tol)
-    precoders, usage = _budget_guard(problem, config, problem.precoders(precoders), usage)
+    precoders, usage = _budget_guard(problem, config, precoders, usage)
     return _solution(problem, precoders, usage, run.lam.copy(), run, converged,
                      {"unscaled_max_violation": max(violation, 0.0), "state": state, "objective": "srm",
                       "polish_start": run.polish_start})

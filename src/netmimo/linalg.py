@@ -78,10 +78,12 @@ def require_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
     a = _as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ContractViolationError(f"matrix must be square, got shape {a.shape}")
-    scale = max(1.0, float(np.linalg.norm(a)))
-    if np.linalg.norm(a - a.conj().T) > tol * scale:
+    a_h = a.conj().T
+    diff = a - a_h
+    # the test on squared Frobenius norms, which np.vdot sums
+    if np.vdot(diff, diff).real > tol * tol * max(1.0, np.vdot(a, a).real):
         raise ContractViolationError(f"matrix is not Hermitian within {tol:g} (relative)")
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a_h)
 
 
 def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
@@ -246,24 +248,25 @@ def priced_weights(weights, supports, lam, base=None) -> np.ndarray:
 def weight_usage(weights, supports, x, covariance: bool = False) -> np.ndarray:
     """usage_m = sum_k tr{Phi_{k,m} X_k} for (..., M, n, n) constraint
     ``weights`` and their :func:`disjoint_diagonals` ``supports`` (or None),
-    added in ascending k; X_k = B_k B_k^H for the (..., n, d) precoders
-    ``x``, or the (..., n, n) covariances ``x`` themselves when
-    ``covariance``.  Without a leading k axis, the (M,) traces.  On supports
-    the trace is sum_i supports[m, i] X_ii, from the squared row norms of B
-    or Re Sigma_ii; otherwise it is the elementwise contraction
-    sum_ij Phi_ij X_ji."""
+    added in ascending k (:func:`_add_rows`); X_k = B_k B_k^H for the
+    (..., n, d) precoders ``x``, or the (..., n, n) covariances ``x``
+    themselves when ``covariance``.  Without a leading k axis, the (M,)
+    traces.  On supports the trace is sum_i supports[m, i] X_ii, from the
+    squared row norms of B or Re Sigma_ii; otherwise it is the elementwise
+    contraction sum_ij Phi_ij X_ji."""
     if supports is None:
         x_t = (x if covariance else x @ adjoint(x)).swapaxes(-1, -2)
         rows = (weights * x_t[..., None, :, :]).sum(axis=(-2, -1)).real
     else:
         powers = np.diagonal(x, axis1=-2, axis2=-1).real if covariance else (x.real ** 2 + x.imag ** 2).sum(axis=-1)
         rows = (supports @ powers[..., None])[..., 0]
-    if rows.ndim == 1:
-        return rows
-    usage = np.zeros(rows.shape[-1])
-    for row in rows:
-        usage += row
-    return usage
+    return rows if rows.ndim == 1 else _add_rows(rows)
+
+
+def _add_rows(rows) -> np.ndarray:
+    """The bits of ``usage = 0; usage += row`` over the rows, in one
+    accumulation: + 0.0 turns its only difference, a -0, into +0."""
+    return np.add.accumulate(rows)[-1] + 0.0
 
 
 def indefinite_members(a) -> list:

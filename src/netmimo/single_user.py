@@ -1,31 +1,28 @@
 """Single-user weighted-MMSE precoder design under trace constraints, and
-the dual loop and priced minimizer that every netmimo dual method runs on.
+the whitened-channel step, dual loop and priced minimizer that every
+netmimo dual method runs on.
 
-With one constraint the optimum is closed form: whiten the constraint,
-keep the leading eigendirections of the whitened channel quadratic form
-R = H^H Omega^{-1} H, and waterfill the per-stream powers against the
-budget.  With several, :func:`solve_multi_constraint` prices them with
-multipliers lam: the Lagrangian minimizer is the closed form with
-aggregate weight sum_m lam_m Phi_m at unit water level, and lam ascends on
-the constraint residuals.  Its weighted MSE is sum_i w_i / (1 + p_i g_i)
-from the minimizer's own gains and powers, as in the single-constraint
-closed form.  The usage tr{Phi_m B B^H} is :func:`linalg.weight_usage`
-and the dense aggregate weight :func:`linalg.priced_weights`, the kernels
-that read the constraint format.  The commonest weights, one budget per
-antenna or per BS block, are real diagonals with disjoint supports
-(:attr:`SingleUserProblem.constraint_supports`); on them the aggregate
-weight is the vector lam @ supports, whitened by the row scaling
-diag((lam @ supports)^{-1/2}), so a pass factors nothing but one thin SVD.
-General weights keep the dense sum and its Cholesky whitening.
+Every closed-form step is :func:`whitened_directions`: with the receive
+factor C = H^H L^{-H} of Omega = L L^H (:func:`receive_factors`, so
+R = H^H Omega^{-1} H = C C^H) and a whitener T T^H = F^{-1} of the
+transmit-side price F, keep the top left singular vectors U of T^H C, the
+squared singular values as gains, and waterfill the stream powers onto
+T U.  With one constraint F = Phi and the powers meet the budget.  With
+several, :func:`solve_multi_constraint` prices them with multipliers lam:
+the Lagrangian minimizer is the closed form with F = sum_m lam_m Phi_m at
+unit water level, and lam ascends on the constraint residuals.  The usage
+tr{Phi_m B B^H} is :func:`linalg.weight_usage` and the dense F
+:func:`linalg.priced_weights`, the kernels that read the constraint
+format.  On the commonest weights, one budget per antenna or per BS block
+(:attr:`SingleUserProblem.constraint_supports`), F is the vector
+lam @ supports, whitened as a row scaling, so a pass factors nothing but
+one thin SVD; general weights are Cholesky-whitened.
 
-Shared with ``algorithms``: :func:`priced_minimizer` is that minimizer
-batched over users (``dmmse`` calls it with its interference-pricing
-matrices; :func:`lagrangian_minimizer` is its K=1 case), and
-:func:`dual_loop` is the pricing/polish loop of ``dmmse``, ``emmseia``,
-``pwf`` and :func:`solve_multi_constraint`.  Each passes in its own pass,
-exit test and multiplier rule: :func:`additive_rule` for ``dmmse`` and
-:func:`solve_multi_constraint`, a damped ratio rule for ``pwf``, and none
-for ``emmseia``, whose KKT search runs inside its pass.
+Shared with ``algorithms``: ``dmmse`` and ``pwf`` run on the same two
+steps, ``dmmse`` through :func:`priced_minimizer` (the batched form of
+:func:`lagrangian_minimizer`), and :func:`dual_loop` is the pricing/polish
+loop of ``dmmse``, ``emmseia``, ``pwf`` and :func:`solve_multi_constraint`,
+each with its own pass, exit test and multiplier rule.
 """
 
 from __future__ import annotations
@@ -36,9 +33,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractViolationError, NumericalFailureError
-from .linalg import (adjoint, diagonal_whiteners, disjoint_diagonals, hermitian_part, hermitian_top_eigs,
-                     indefinite_members, priced_weights, psd_inv_sqrt, require_hermitian, waterfill_budget,
-                     weight_usage, whitening_factors)
+from .linalg import (adjoint, diagonal_whiteners, disjoint_diagonals, hermitian_part, indefinite_members,
+                     priced_weights, require_hermitian, waterfill_budget, weight_usage, whitening_factors)
 
 # Bounds of the power-price multipliers of every dual loop in netmimo.
 LAMBDA_FLOOR = 1e-9
@@ -65,7 +61,8 @@ class SingleUserProblem:
     """One transmitter/receiver pair with M trace constraints.
 
     channel    -- H, (m_r, m_t)
-    noise_cov  -- Omega, (m_r, m_r) Hermitian PD (noise plus fixed interference)
+    noise_cov  -- Omega, (m_r, m_r) Hermitian PD (noise plus fixed interference);
+                  its symmetrized copy is stored
     constraints-- (M, m_t, m_t) PSD weights Phi_m (a sequence of the M
                   matrices is stacked); their sum must be PD
     budgets    -- (M,) positive
@@ -82,12 +79,14 @@ class SingleUserProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "channel", np.asarray(self.channel, dtype=complex))
-        object.__setattr__(self, "noise_cov", np.asarray(self.noise_cov, dtype=complex))
         object.__setattr__(self, "budgets", np.asarray(self.budgets, dtype=float))
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         mr, mt = self.channel.shape
-        if self.noise_cov.shape != (mr, mr):
+        if np.shape(self.noise_cov) != (mr, mr):
             raise ContractViolationError("noise covariance must match the receive dimension")
+        object.__setattr__(self, "noise_cov", require_hermitian(self.noise_cov))
+        if indefinite_members(self.noise_cov[None]):
+            raise ContractViolationError("noise covariance must be positive definite")
         if len(self.constraints) != self.budgets.size or not self.budgets.size:
             raise ContractViolationError("one budget per constraint matrix is required")
         if any(np.shape(phi) != (mt, mt) for phi in self.constraints):
@@ -121,8 +120,8 @@ class SingleUserProblem:
         return hermitian_part(self.channel.conj().T @ np.linalg.solve(self.noise_cov, self.channel))
 
     def quadratic_factor(self) -> np.ndarray:
-        """C = H^H Omega^{-1/2}, (m_t, m_r), so that R = C C^H."""
-        return self.channel.conj().T @ psd_inv_sqrt(self.noise_cov)
+        """C = H^H L^{-H}, (m_t, m_r), so that R = C C^H (:func:`receive_factors`)."""
+        return receive_factors(self.noise_cov[None], self.channel.conj().T[None])[0]
 
 
 @dataclass(frozen=True)
@@ -179,33 +178,57 @@ def objective_stable(trace, tol: float, window: int = 5) -> bool:
     return all(abs(b - a) <= tol * ref for a, b in zip(tail, tail[1:]))
 
 
+def receive_factors(omegas, channels_h) -> np.ndarray:
+    """C_k = H_k^H L_k^{-H} for an exactly Hermitian (K, m_r, m_r) stack
+    Omega_k = L_k L_k^H and the (K, n, m_r) adjoint channels H_k^H, so that
+    C_k C_k^H = H_k^H Omega_k^{-1} H_k.  Every caller's Omega_k is PD (at
+    least I, or validated), so no certificate is taken; a factorization that
+    fails anyway (non-finite input) raises :class:`NumericalFailureError`."""
+    try:
+        low = np.linalg.cholesky(omegas)
+        # a non-finite entry in the lower triangle of Omega_k, all that is
+        # read, leaves a non-finite diagonal in L_k
+        finite = np.isfinite(np.diagonal(low, axis1=-2, axis2=-1)).all()
+    except np.linalg.LinAlgError:
+        finite = False
+    if not finite:
+        raise NumericalFailureError("interference-plus-noise covariance has no Cholesky factor")
+    return channels_h @ adjoint(np.linalg.inv(low))
+
+
+def whitened_directions(f, c, d: int, lift=None) -> tuple:
+    """(T, U, g): whiteners T_k T_k^H = F_k^{-1}, U_k the top-``d`` left
+    singular vectors of T_k^H C_k for (K, n, m) factors ``c``, and g_k their
+    squared singular values, descending.  ``f`` is an exactly Hermitian
+    (K, n, n) stack (:func:`whitening_factors`: L_k^{-H}, or F_k^{-1/2}) or
+    the (K, n) diagonals of real diagonal F_k (:func:`diagonal_whiteners`:
+    T is the (K, n) row scalings f_k^{-1/2}).  An F_k that
+    :func:`psd_inv_sqrt` rejects raises :class:`SingularMatrixError` unless
+    ``lift(k)`` supplies a replacement factor."""
+    t = whitening_factors(f, lift) if f.ndim == 3 else diagonal_whiteners(f, lift)
+    try:
+        left, sing, _ = np.linalg.svd(t[..., None] * c if t.ndim == 2 else adjoint(t) @ c, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError("SVD of the whitened channel factors did not converge") from exc
+    return t, left[..., :d], sing[:, :d] ** 2
+
+
+def _unwhiten(t, x) -> np.ndarray:
+    """T_k X_k for the whitening factors T of :func:`whitened_directions`."""
+    return t[..., None] * x if t.ndim == 2 else t @ x
+
+
 def priced_minimizer(f, c, weights, lift=None, values: bool = False):
     """Minimizers B_k of tr{W_k (I + B^H R_k B)^{-1}} + tr{F_k B B^H} for
     pricing matrices F_k, (K, n, m) factors ``c`` of the quadratic forms,
     R_k = C_k C_k^H, and (K, d) stream ``weights`` (d <= min(n, m)), as the
-    (K, n, d) stack: B_k = T_k U_k diag(sqrt p) with a whitening factor
-    T_k T_k^H = F_k^{-1}, U_k the top-d left singular vectors of T_k^H C_k
-    (the top-d eigenvectors of T_k^H R_k T_k, with the squared singular
-    values as gains), and the unit-level waterfill
-    p_i = [sqrt(w_i / g_i) - 1/g_i]^+ on the gains above ``GAIN_RTOL``.
-
-    ``f`` is either the (K, n, n) Hermitian stack of the F_k, whitened by
-    :func:`whitening_factors` (L_k^{-H} from the Cholesky factor, or
-    F_k^{-1/2}), or, for real diagonal F_k, their (K, n) diagonals, whitened
-    by the row scaling T_k = diag(f_k^{-1/2}) (:func:`diagonal_whiteners`).
-    On both, an F_k that :func:`psd_inv_sqrt` rejects raises
-    :class:`SingularMatrixError` unless ``lift(k)`` supplies a replacement
-    factor.  With ``values`` the (K,) objective values
+    (K, n, d) stack: B_k = T_k U_k diag(sqrt p) on
+    :func:`whitened_directions` (``f`` and ``lift`` as there) with the
+    unit-level waterfill p_i = [sqrt(w_i / g_i) - 1/g_i]^+ on the gains
+    above ``GAIN_RTOL``.  With ``values`` the (K,) objective values
     tr{W_k (I + B_k^H R_k B_k)^{-1}} = sum_i w_i / (1 + p_i g_i) come
     along, as ``(columns, values)``: B_k^H R_k B_k = diag(p_i g_i)."""
-    t = whitening_factors(f, lift) if f.ndim == 3 else diagonal_whiteners(f, lift)
-    scaling = t.ndim == 2  # T_k = diag(t_k), real
-    d = weights.shape[-1]
-    try:
-        left, sing, _ = np.linalg.svd(t[..., None] * c if scaling else adjoint(t) @ c, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError("SVD of the whitened channel factors did not converge") from exc
-    basis, gains = left[..., :d], sing[:, :d] ** 2
+    t, basis, gains = whitened_directions(f, c, weights.shape[-1], lift)
     # largest weight rides the strongest whitened direction (rearrangement: the
     # active-stream cost sums sqrt(w_i / g_i)); non-increasing weights stay put
     order = None if (weights[:, :-1] >= weights[:, 1:]).all() else np.argsort(-weights, axis=-1, kind="stable")
@@ -213,8 +236,7 @@ def priced_minimizer(f, c, weights, lift=None, values: bool = False):
     active = gains > GAIN_RTOL * np.maximum(1.0, gains[:, :1])  # gains descend
     g = np.where(active, gains, 1.0)  # waterfill_eval at mu = 1 on the active gains
     powers = np.where(active, np.maximum(np.sqrt(paired_w / g) - 1.0 / g, 0.0), 0.0)
-    scaled = basis * np.sqrt(powers)[:, None, :]
-    columns = t[..., None] * scaled if scaling else t @ scaled
+    columns = _unwhiten(t, basis * np.sqrt(powers)[:, None, :])
     if order is not None:
         columns = np.take_along_axis(columns, np.argsort(order, axis=-1)[:, None, :], -1)
     return (columns, np.sum(paired_w / (1.0 + powers * gains), axis=-1)) if values else columns
@@ -309,17 +331,18 @@ def dual_loop(run_pass, usage_of, exit_test, lam, budgets, max_outer: int, *, ru
 def solve_single_constraint(problem: SingleUserProblem) -> SingleUserSolution:
     """Globally optimal precoder under a single trace constraint.
 
-    B = Phi^{-1/2} U diag(sqrt p), U the top-d eigenvectors of
-    Phi^{-1/2} R Phi^{-1/2} with gains g_1 >= ... >= g_d, and p waterfilled
-    so that tr{Phi B B^H} = sum_i p_i equals the budget.  A zero channel
-    yields B = 0 with objective sum_i w_i.
+    B = T U diag(sqrt p) on :func:`whitened_directions` with F = Phi (its
+    diagonal when Phi is a real diagonal), gains g_1 >= ... >= g_d, and p
+    waterfilled so that tr{Phi B B^H} = sum_i p_i equals the budget.  A
+    zero channel yields B = 0 with objective sum_i w_i.
     """
     if problem.num_constraints != 1:
         raise ContractViolationError("solve_single_constraint requires exactly one constraint")
     budget = float(problem.budgets[0])
-    s = psd_inv_sqrt(problem.constraints[0])
-    spec = hermitian_top_eigs(hermitian_part(s @ problem.quadratic_form() @ s), problem.streams)
-    gains = spec.values
+    supports = problem.constraint_supports
+    t, basis, gains = whitened_directions(hermitian_part(problem.constraints) if supports is None else supports,
+                                          problem.quadratic_factor()[None], problem.streams)
+    gains = gains[0]
     # largest weight rides the strongest whitened direction
     order = np.argsort(-problem.weights, kind="stable")
     paired_w = problem.weights[order]         # descending, aligned with gains
@@ -330,12 +353,9 @@ def solve_single_constraint(problem: SingleUserProblem) -> SingleUserSolution:
         alloc = waterfill_budget(paired_w[active], gains[active], budget)
         ranked_powers[active] = alloc.levels
         level = alloc.multiplier
-    precoder = np.zeros((problem.channel.shape[1], problem.streams), dtype=complex)
-    precoder[:, order] = s @ (spec.basis * np.sqrt(np.maximum(ranked_powers, 0.0)))
-    stream_gains = np.zeros_like(gains)
-    stream_powers = np.zeros_like(gains)
-    stream_gains[order] = gains
-    stream_powers[order] = ranked_powers
+    back = np.argsort(order)  # ranked -> stream order
+    precoder = _unwhiten(t, basis * np.sqrt(np.maximum(ranked_powers, 0.0)))[0][:, back]
+    stream_gains, stream_powers = gains[back], ranked_powers[back]
     wsmse = float(np.sum(problem.weights / (1.0 + stream_powers * stream_gains)))
     return SingleUserSolution(precoder=precoder, wsmse=wsmse, gains=stream_gains,
                               powers=stream_powers, water_level=level)

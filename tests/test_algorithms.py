@@ -326,12 +326,14 @@ def test_multiplier_search_matches_its_reference_through_the_singular_fallback(m
 
 def test_pwf_scalar_closed_form():
     # lam=1, Phi=1, H=2, Omega=1, P=1: gain 4, water level 0.8, Sigma = 1
+    # with the precoder factor B B^H = Sigma
     problem = single_pair_problem(np.array([[2.0]]))
     from netmimo.algorithms import _pwf_forward, _dual_covariances
     zero = [np.zeros((1, 1), dtype=complex)]
-    cov, mu = _pwf_forward(problem, zero, zero, np.array([1.0]))
+    cov, mu, factor = _pwf_forward(problem, zero, zero, np.array([1.0]))
     assert mu == pytest.approx(0.8, abs=1e-6)
     assert cov[0][0, 0].real == pytest.approx(1.0, abs=1e-6)
+    assert abs(factor[0][0, 0]) ** 2 == pytest.approx(1.0, abs=1e-6)
     duals = _dual_covariances(problem, cov, mu)
     assert duals[0][0, 0].real == pytest.approx(1.0, abs=1e-6)
 
@@ -943,14 +945,18 @@ def test_rotated_transmit_spaces_solve_alike_on_general_weights(seed):
     assert np.allclose(turned.usage, result.usage, rtol=0, atol=1e-12)
 
 
-def test_dmmse_pass_makes_one_decomposition(monkeypatch):
-    # per pass the pricing matrices F_k and the interference covariances are
+@pytest.mark.parametrize("algorithm", ["dmmse", "pwf"])
+def test_pass_makes_one_decomposition(algorithm, monkeypatch):
+    # per pass the interference covariances and the transmit-side matrices
+    # (dmmse's pricing matrices F_k, pwf's reversed-link covariances) are
     # Cholesky-factored and the whitened (m_t x m_r) channel factors
-    # decomposed by one SVD; nothing in a dmmse solve runs eigh
+    # decomposed by one SVD; nothing in either solve runs eigh, and pwf
+    # returns its last pass's factors as the precoders
     _, problem = cellular_problem(0)
     k, mr, mt = problem.num_users, problem.channels.shape[-2], problem.channels.shape[-1]
     calls = count_decompositions(monkeypatch)
-    sol = dmmse_solve(problem, AlgorithmConfig(algorithm="dmmse"))
+    solver = dmmse_solve if algorithm == "dmmse" else pwf_solve
+    sol = solver(problem, AlgorithmConfig(algorithm=algorithm, objective="srm" if algorithm == "pwf" else "wsmmse"))
     assert sol.iterations > 10
     assert calls == [("cholesky", (k, mr, mr)), ("cholesky", (k, mt, mt)), ("svd", (k, mt, mr))] * sol.iterations
 
@@ -1014,8 +1020,9 @@ def test_dmmse_step_lifts_a_singular_pricing_floor():
 
 def test_dmmse_step_rejects_a_non_finite_covariance():
     # Omega_k >= I always has a Cholesky factor; a NaN in it is a clear
-    # numerical failure, not a silent NaN precoder
-    from netmimo.algorithms import _dmmse_precoder_step
+    # numerical failure, not a silent NaN precoder, in dmmse's step and in
+    # pwf's forward pass alike
+    from netmimo.algorithms import _dmmse_precoder_step, _dual_covariances, _pwf_forward
     from netmimo.model import interference_covariances, mmse_equalizers
 
     _, problem = cellular_problem(0)
@@ -1024,26 +1031,15 @@ def test_dmmse_step_rejects_a_non_finite_covariance():
     equalizers = mmse_equalizers(problem, precoders, omegas)
     weights = np.ones(problem.mse_weights.shape[:2])
     lam = np.ones(problem.num_constraints)
+    covariances = precoders @ precoders.conj().swapaxes(-1, -2)
+    duals = _dual_covariances(problem, covariances, 1.0)
     for where in ((1, 0, 0), (2, 1, 0)):
         bad = omegas.copy()
         bad[where] = np.nan
         with pytest.raises(NumericalFailureError, match="Cholesky"):
             _dmmse_precoder_step(problem, precoders, equalizers, weights, lam, bad)
-
-
-def test_pwf_pass_makes_no_transmit_eigendecomposition(monkeypatch):
-    # per pass one eigh whitens the (m_r x m_r) forward covariances, a
-    # Cholesky factorization the reversed-link ones and one SVD decomposes
-    # the whitened channels; only the K precoders cut from the returned
-    # covariances meet an (m_t x m_t) eigh
-    _, problem = cellular_problem(0)
-    k, mr, mt = problem.num_users, problem.channels.shape[-2], problem.channels.shape[-1]
-    calls = count_decompositions(monkeypatch)
-    sol = pwf_solve(problem, AlgorithmConfig(algorithm="pwf", objective="srm"))
-    assert sol.iterations > 10
-    per_pass = [("eigh", (k, mr, mr)), ("cholesky", (k, mt, mt)), ("svd", (k, mr, mt))]
-    assert calls[:3 * sol.iterations] == per_pass * sol.iterations
-    assert calls[3 * sol.iterations:] == [("eigh", (1, mt, mt))] * k
+        with pytest.raises(NumericalFailureError, match="Cholesky"):
+            _pwf_forward(problem, covariances, duals, lam, bad)
 
 
 # Sum rate and converged flag of each solve on the mixed-dimension problems
@@ -1128,8 +1124,9 @@ def test_solver_steps_leave_the_padding_alone(mixed_problems):
         # pwf: no power on padded transmit coordinates or padded streams
         covariances = precoders @ precoders.conj().swapaxes(-1, -2)
         duals = _dual_covariances(problem, covariances, 1.0)
-        forward, _ = _pwf_forward(problem, covariances, duals, lam)
+        forward, _, factors = _pwf_forward(problem, covariances, duals, lam)
         assert not np.any(padding(forward, tx, tx))
+        assert not np.any(padding(factors, tx, d))
         for c, streams in zip(cut_padding(forward, tx, tx), d):
             assert np.linalg.matrix_rank(c, tol=1e-9 * np.linalg.norm(c)) <= streams
 
@@ -1186,7 +1183,7 @@ GOLDEN_DIGESTS = {
     "cell0/emmseia/srm":
         "76b09b8cc527d5ba97da907c6f189631310066d40d39da145f5ff057a49be6d1",
     "cell0/pwf/srm":
-        "5d83218a17bf616e21c791a7fbe8ec8bec1ecba91509fa1416d1c775d8b881f6",
+        "ca73d060ec50d34221ea606226021e8e1458dfdb2bc1e6aa8114595b86f419bd",
     "cell1/dmmse/wsmmse":
         "ab58ab21a64765fd973e8267d61d3433c6f3f56defbcaf75eed254f6ea890518",
     "cell1/dmmse/srm":
@@ -1196,7 +1193,7 @@ GOLDEN_DIGESTS = {
     "cell1/emmseia/srm":
         "b283b7cca23d241037e941d2d898cc8bf903bb5a602a56a1c3f5ca5bcb861478",
     "cell1/pwf/srm":
-        "9fc359262a0d376e1cbe3012a47b10fff520f8d7e126dbc676decadae7b61b79",
+        "8845f9c8cb88775eaebe49d1c97922a15462b3721ff9415f31d8a35bf6323100",
     "serving_sets/dmmse/wsmmse":
         "e34ce2153e6853bbc174823d1cf0b0adca4c49fce8628ba9fbe96dd976e5781f",
     "serving_sets/dmmse/srm":
@@ -1206,7 +1203,7 @@ GOLDEN_DIGESTS = {
     "serving_sets/emmseia/srm":
         "badfc1422ca9020bbb2ea1a7196c90ac78c35508e5532a05d2b59c14aea23e2d",
     "serving_sets/pwf/srm":
-        "71a983d83e0483c1d293158833c1d461beae00c0c47edcca3cf9964b7962c352",
+        "c5406797c6ef8c88ed008ff2be3d3f685f58461f56eb9bc3bec9febc240c315e",
     "sizes/dmmse/wsmmse":
         "81d528d413bf1baecc7afb298cb5e65f02a167692b4f10ba1ddac17299309a76",
     "sizes/dmmse/srm":
@@ -1216,7 +1213,7 @@ GOLDEN_DIGESTS = {
     "sizes/emmseia/srm":
         "0971810f43b3f8ec0d581ef9d08722b7d592e235b3722bea1020795b4fcbdeb9",
     "sizes/pwf/srm":
-        "29c96a04cdacfd4e1089bb188b7dd9b17eab2bc2ee968d1fd31f125913374822",
+        "26b0921511c4cc8c513582ef56f7afc973e8c3986543ecb442cdd06367c80e3a",
     "link0":
         "b15edb391935312c3bc8c59fb2da1915acaccc6d6409bcb92d219ee16dd68065",
     "link1":

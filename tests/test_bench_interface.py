@@ -1,6 +1,7 @@
 """The benchmark's interface to netmimo: the functions ``perfbench`` traces
 by name, the module global it replaces inside ``run_trial``, its exact
-canary gate, and one whole ``snr_wsmmse`` panel against its reference."""
+canary gate, and the whole ``kappa_srm`` and ``snr_wsmmse`` panels against
+their reference."""
 
 import importlib
 
@@ -35,15 +36,17 @@ def test_run_trial_calls_solve_system_through_the_module_global(monkeypatch):
 
 
 @pytest.mark.slow
-def test_snr_wsmmse_panel_matches_the_benchmark_reference(tmp_path):
+@pytest.mark.parametrize("name, items", [("kappa_srm", 24), ("snr_wsmmse", 64)], ids=["kappa_srm", "snr_wsmmse"])
+def test_panel_matches_the_benchmark_reference(name, items, tmp_path):
     # every item fails and converges as recorded, and every group mean rate
     # matches: the benchmark's own panel checks, outside the benchmark
-    workload, checks = WORKLOADS["snr_wsmmse"], Checks()
+    # (kappa_srm is the only panel that runs pwf)
+    workload, checks, reference = WORKLOADS[name], Checks(), load_reference()[name]
     state = workload.setup(1, tmp_path)
     with TrialChecker().installed():
         outcomes = [o for key in state.order for o in workload.run_step(state, key, 1, checks, None)]
-    workload.finish(state, outcomes, load_reference()["snr_wsmmse"], checks)
-    assert len(outcomes) == 64 and len(workload.group_means(state, outcomes)) == 8
+    workload.finish(state, outcomes, reference, checks)
+    assert len(outcomes) == items and workload.group_means(state, outcomes).keys() == reference["group_mean_rate"].keys()
     assert checks.ok, checks.problems
 
 

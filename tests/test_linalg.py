@@ -12,9 +12,9 @@ from netmimo import (
     waterfill_budget,
     waterfill_eval,
 )
-from netmimo.linalg import (SINGULARITY_RTOL, adjoint, cholesky_whiteners, diagonal_whiteners, disjoint_diagonals,
-                            hermitian_part, hermitian_top_eigs_batch, psd_inv_sqrt_batch, weight_usage,
-                            whitening_factors)
+from netmimo.linalg import (SINGULARITY_RTOL, _add_rows, adjoint, cholesky_whiteners, diagonal_whiteners,
+                            disjoint_diagonals, hermitian_part, hermitian_top_eigs_batch, psd_inv_sqrt_batch,
+                            weight_usage, whitening_factors)
 
 
 def random_hermitian(rng, n):
@@ -312,6 +312,23 @@ def test_weight_usage_traces_precoders_and_covariances_in_both_formats():
                                rtol=1e-15, atol=0)
     assert np.allclose(weight_usage(masks, None, b[0]), weight_usage(masks, disjoint_diagonals(masks), b[0]),
                        rtol=1e-15, atol=0)
+
+
+def test_weight_usage_adds_its_rows_as_a_loop_from_zeros_would():
+    # one accumulation gives the bits of usage = 0; usage += row, signed
+    # zeros included: a column of -0 sums to the loop's +0
+    rng = np.random.default_rng(41)
+    for trial in range(300):
+        rows = rng.standard_normal((int(rng.integers(1, 6)), 4))
+        zeros = rng.random(rows.shape) < 0.5
+        rows[zeros] = rng.choice([-0.0, 0.0], size=int(zeros.sum()))
+        if trial == 0:
+            rows[:] = -0.0
+        want = np.zeros(4)
+        for row in rows:
+            want += row
+        got = _add_rows(rows)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_thin_svd_identity():

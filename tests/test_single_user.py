@@ -131,6 +131,37 @@ def test_single_constraint_requires_one_constraint():
         solve_single_constraint(problem)
 
 
+def test_single_constraint_makes_one_whitened_svd(monkeypatch):
+    # the noise covariance is Cholesky-factored, a diagonal constraint
+    # whitened as a row scaling and a general one Cholesky-factored, and the
+    # whitened channel factor decomposed by one SVD; nothing meets eigh
+    rng = np.random.default_rng(4)
+    problem = random_instance(rng)
+    factor = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    dense = replace(problem, constraints=(factor @ factor.conj().T + np.eye(4),))
+    calls = count_decompositions(monkeypatch)
+    solve_single_constraint(problem)
+    assert calls == [("cholesky", (1, 2, 2)), ("svd", (1, 4, 2))]
+    del calls[:]
+    solve_single_constraint(dense)
+    assert calls == [("cholesky", (1, 2, 2)), ("cholesky", (1, 4, 4)), ("svd", (1, 4, 2))]
+
+
+def test_noise_covariance_is_validated_when_the_link_is_built():
+    # the noise whitening reads only the lower triangle, so a covariance
+    # that is not Hermitian, or not positive definite, is rejected when the
+    # link is built; one Hermitian within the tolerance is stored symmetrized
+    link = antenna_link(np.random.default_rng(42))
+    with pytest.raises(ContractViolationError, match="not Hermitian"):
+        replace(link, noise_cov=np.array([[1.0, 0.5], [0.0, 1.0]]))
+    for indefinite in (np.diag([1.0, 0.0]), np.diag([1.0, -1.0]), np.array([[1.0, 2.0], [2.0, 1.0]])):
+        with pytest.raises(ContractViolationError, match="positive definite"):
+            replace(link, noise_cov=indefinite)
+    nearly = np.array([[2.0, 1e-12j], [0.0, 1.0]])
+    stored = replace(link, noise_cov=nearly).noise_cov
+    assert np.array_equal(stored, stored.conj().T) and stored[1, 0] == -0.5e-12j
+
+
 def test_lagrangian_minimizer_unit_example():
     problem = make_problem(np.eye(1), weights=[4.0], d=1)
     b = lagrangian_minimizer(problem, np.eye(1, dtype=complex))
@@ -423,21 +454,21 @@ def test_multi_constraint_matches_reference_pass():
 def test_multi_constraint_pass_makes_one_decomposition(monkeypatch):
     # per pass the per-antenna price is whitened by a row scaling, with no
     # factorization, and the whitened 4x2 channel factor decomposed by one
-    # SVD; the noise covariance is whitened once per solve, and no 4x4
-    # matrix meets eigh
+    # SVD; the noise covariance is Cholesky-whitened once per solve, and
+    # nothing meets eigh
     calls = count_decompositions(monkeypatch)
     result = solve_multi_constraint(antenna_link(np.random.default_rng(3)))
     assert result.iterations > 10
-    assert calls[0] == ("eigh", (1, 2, 2))
+    assert calls[0] == ("cholesky", (1, 2, 2))
     assert calls[1:] == [("svd", (1, 4, 2))] * result.iterations
 
 
 def test_dense_multi_constraint_pass_factors_its_price(monkeypatch):
     # constraints with off-diagonal entries: per pass the priced constraint
     # is Cholesky-factored and the whitened channel factor decomposed by one
-    # SVD
+    # SVD, after the one Cholesky factorization of the noise covariance
     calls = count_decompositions(monkeypatch)
     result = solve_multi_constraint(dense_link(np.random.default_rng(3)))
     assert result.iterations > 10
-    assert calls[0] == ("eigh", (1, 2, 2))
+    assert calls[0] == ("cholesky", (1, 2, 2))
     assert calls[1:] == [("cholesky", (1, 4, 4)), ("svd", (1, 4, 2))] * result.iterations
