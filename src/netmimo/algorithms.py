@@ -89,7 +89,8 @@ from .model import (
     wsmse_objective,
 )
 from .single_user import (GAIN_RTOL, LAMBDA_CAP, LAMBDA_FLOOR, MAX_POLISH_ROUNDS, additive_rule, dual_loop,
-                          max_violation, objective_stable, priced_minimizer, receive_factors, whitened_directions)
+                          max_violation, objective_stable, priced_minimizer, receive_factors, stream_order,
+                          whitened_directions)
 
 ALGORITHMS = ("dmmse", "emmseia", "pwf", "min_leakage")
 OBJECTIVES = ("wsmmse", "srm")
@@ -285,7 +286,7 @@ def _solution(problem: InterferenceProblem, precoders, usage, multipliers, run, 
         iterations=run.iterations,
         converged=bool(converged),
         diagnostics={"usage": usage, "max_violation": max(max_violation(usage, problem.budgets), 0.0),
-                     **diagnostics},
+                     "stop": run.stop, **diagnostics},
     )
 
 
@@ -319,8 +320,9 @@ def _pricing_matrices(problem, ups, lam):
     return set_padded_diagonal(f, problem.tx_pad, 1.0)
 
 
-def _dmmse_precoder_step(problem, precoders, equalizers, weight_diags, lam, omegas=None):
-    """Simultaneous per-user precoder update at multipliers ``lam``:
+def _dmmse_precoder_step(problem, precoders, a, w, order, lam, omegas=None):
+    """Simultaneous per-user precoder update at multipliers ``lam`` from
+    padded equalizers ``a`` and (K, d) weights ``w`` in ``order``:
     :func:`priced_minimizer` with the interference-pricing matrices F_k and
     the :func:`receive_factors` C_k = H_kk^H L_k^{-H} of
     Omega_k = I + sum (HB)(HB)^H, as the padded (K, m_t, d) stack; padded
@@ -328,8 +330,6 @@ def _dmmse_precoder_step(problem, precoders, equalizers, weight_diags, lam, omeg
     retried once with the price floor lifted to the interference scale."""
     if omegas is None:
         omegas = interference_covariances(problem, precoders)
-    a = np.asarray(equalizers)
-    w = np.asarray(weight_diags)
     # ups[k] = sum_{l != k} H_{l,k}^H A_l W_l A_l^H H_{l,k}
     ups = reverse_link_sums(0.0, problem.cross, problem.cross_h, (a * w[:, None, :]) @ adjoint(a))
     c = receive_factors(omegas, problem.direct_h)
@@ -343,7 +343,7 @@ def _dmmse_precoder_step(problem, precoders, equalizers, weight_diags, lam, omeg
                 f"user {k}: interference-pricing matrix stayed singular after the floor retry"
             ) from exc
 
-    return priced_minimizer(_pricing_matrices(problem, ups, lam), c, w, lift)
+    return priced_minimizer(_pricing_matrices(problem, ups, lam), c, w, order, lift)
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +474,7 @@ def _iterate_mse_family(problem, config, inner: str, initial=None) -> Beamformer
     usage = None
     mu = np.full(problem.num_constraints, config.lambda_init)  # emmseia's KKT multipliers
     fixed_weights = _diagonal_weights(problem) if dmmse else problem.mse_weights
+    fixed_order = stream_order(fixed_weights) if dmmse and objective != "srm" else None  # once per solve
     slack_ok = True
     # The inner subproblem at fixed multipliers minimizes the priced
     # objective wsmse + lam.(usage - P); its per-pass values are the
@@ -498,7 +499,8 @@ def _iterate_mse_family(problem, config, inner: str, initial=None) -> Beamformer
         nonlocal precoders, equalizers, usage, slack_ok, omegas, signals, gains, mses, mu
         weights = current_weights()
         if dmmse:
-            precoders = _dmmse_precoder_step(problem, precoders, equalizers, weights, lam, omegas=omegas)
+            order = fixed_order if objective != "srm" else stream_order(weights)
+            precoders = _dmmse_precoder_step(problem, precoders, equalizers, weights, order, lam, omegas)
         else:
             equalizers = mmse_equalizers(problem, precoders, omegas, signals)
             # search to half the tolerance so the returned point clears it with margin
@@ -510,7 +512,7 @@ def _iterate_mse_family(problem, config, inner: str, initial=None) -> Beamformer
         gains = mses = None
         if dmmse:
             equalizers = mmse_equalizers(problem, precoders, omegas, signals)
-            usage = constraint_usage(problem, precoders)
+            usage = weight_usage(problem.constraints, problem.constraint_supports, precoders)
         if objective == "srm":
             gains = receive_gains(problem, precoders, omegas, signals)
             return sum_rate(problem, precoders, gains=gains)
@@ -665,7 +667,7 @@ def _relative_change(new, old) -> float:
     return float(np.max(_norms(new - old) / np.maximum(old_norms, 1e-12 * scale)))
 
 
-def _pwf_rule(lam, usage, budgets, since):
+def _pwf_rule(lam, usage, budgets, excess, since):
     """Damped multiplicative multiplier step lam <- lam * ratio^eta on the
     clipped usage ratios.  The undamped ratio update limit-cycles on
     strongly coupled instances; eta diminishes once the stall clock runs

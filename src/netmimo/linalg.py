@@ -201,10 +201,10 @@ def diagonal_whiteners(f, lift=None) -> np.ndarray:
     :func:`psd_inv_sqrt`'s eigenvalue test, min f_k > SINGULARITY_RTOL
     max f_k > 0, exactly.  One that fails it raises
     :class:`SingularMatrixError` unless ``lift(k)`` supplies a replacement
-    factor; the factors are then returned as the (K, n, n) matrices."""
+    factor; the factors are then returned as the (K, n, n) matrices.  Rows
+    are tested one by one only if the whole stack fails the test."""
     # false for a NaN, and for max f_k <= 0, where min f_k <= SINGULARITY_RTOL max f_k
-    ok = f.min(axis=-1) > SINGULARITY_RTOL * f.max(axis=-1)
-    if ok.all():
+    if f.min() > SINGULARITY_RTOL * f.max() or (ok := f.min(axis=-1) > SINGULARITY_RTOL * f.max(axis=-1)).all():
         return 1.0 / np.sqrt(f)
     if lift is None:
         raise SingularMatrixError(SINGULAR_MESSAGE)

@@ -27,7 +27,7 @@ and :func:`mse_matrices_mmse` E_k = (I + G_k)^{-1} from it, and
 :func:`srm_weight_update` inverts E_k; each takes what its caller already
 has instead of solving again.  The problem caches what every solver pass
 reuses: the adjoints ``channels_h``, ``cross_h`` and ``direct_h``, the
-identity ``rx_eye`` and the ``constraint_supports`` that
+identities ``rx_eye`` and ``stream_eye`` and the ``constraint_supports`` that
 :func:`linalg.priced_weights` and :func:`linalg.weight_usage` read.
 
 Noise is identity by convention; colored noise must be whitened upstream
@@ -268,6 +268,11 @@ class InterferenceProblem:
         return np.eye(self.channels.shape[-2], dtype=complex)
 
     @cached_property
+    def stream_eye(self) -> np.ndarray:
+        """The (d, d) real identity added to every stream-space stack."""
+        return np.eye(self.mse_weights.shape[-1])
+
+    @cached_property
     def constraint_supports(self):
         """(K, M, m_t) diagonals of the constraint weights when all are real
         diagonals with disjoint supports per user (the 0/1 block masks of
@@ -422,11 +427,11 @@ def mmse_equalizers(problem: InterferenceProblem, precoders, omegas=None, signal
     """:func:`mmse_equalizer` for every user, as the padded (K, m_r, d)
     stack; ``omegas`` (:func:`interference_covariances`) and ``signals``
     (H_{k,k} B_k) when the caller has them."""
-    b = problem.precoders(precoders)
+    b = problem.precoders(precoders) if omegas is None or signals is None else None  # padded only if used
     if omegas is None:
         omegas = interference_covariances(problem, b)
     hb = problem.direct @ b if signals is None else signals
-    total = np.asarray(omegas) + hb @ adjoint(hb)
+    total = omegas + hb @ adjoint(hb)
     try:
         return np.linalg.solve(total, hb)
     except np.linalg.LinAlgError:
@@ -468,11 +473,11 @@ def receive_gains(problem: InterferenceProblem, precoders, omegas=None, signals=
     H_{k,k} B_k, made exactly Hermitian, as the padded (K, d, d) stack (zero
     on the padded streams): E_k = (I + G_k)^{-1} with MMSE receivers.
     ``omegas`` and ``signals`` as in :func:`mmse_equalizers`."""
-    b = problem.precoders(precoders)
+    b = problem.precoders(precoders) if omegas is None or signals is None else None  # padded only if used
     if omegas is None:
         omegas = interference_covariances(problem, b)
     hb = problem.direct @ b if signals is None else signals
-    return hermitian_part(adjoint(hb) @ np.linalg.solve(np.asarray(omegas), hb))
+    return hermitian_part(adjoint(hb) @ np.linalg.solve(omegas, hb))
 
 
 def mse_matrices_mmse(problem: InterferenceProblem, precoders, omegas=None, gains=None) -> np.ndarray:
@@ -481,20 +486,20 @@ def mse_matrices_mmse(problem: InterferenceProblem, precoders, omegas=None, gain
     the caller has them."""
     if gains is None:
         gains = receive_gains(problem, precoders, omegas)
-    return hermitian_part(np.linalg.inv(np.eye(gains.shape[-1]) + gains))
+    return hermitian_part(np.linalg.inv(problem.stream_eye + gains))
 
 
 def wsmse_objective(problem: InterferenceProblem, precoders, equalizers, omegas=None, signals=None) -> float:
     """Weighted sum of stream error covariances sum_k tr{W_k E_k};
     ``omegas`` and ``signals`` as in :func:`mmse_equalizers`."""
-    b = problem.precoders(precoders)
+    b = problem.precoders(precoders) if omegas is None or signals is None else None  # padded only if used
     if omegas is None:
         omegas = interference_covariances(problem, b)
     a = problem.equalizers(equalizers)
     a_h = adjoint(a)
     ahb = a_h @ (problem.direct @ b if signals is None else signals)
     ahb_h = adjoint(ahb)
-    e = ahb @ ahb_h - ahb - ahb_h + a_h @ np.asarray(omegas) @ a + np.eye(b.shape[-1])
+    e = ahb @ ahb_h - ahb - ahb_h + a_h @ omegas @ a + problem.stream_eye
     weighted = problem.mse_weights @ hermitian_part(e)
     total = 0.0
     for value in np.trace(weighted, axis1=-2, axis2=-1).real:
@@ -509,7 +514,7 @@ def sum_rate(problem: InterferenceProblem, precoders, omegas=None, gains=None) -
     caller has them."""
     if gains is None:
         gains = receive_gains(problem, precoders, omegas)
-    sign, logdet = np.linalg.slogdet(np.eye(gains.shape[-1]) + gains)
+    sign, logdet = np.linalg.slogdet(problem.stream_eye + gains)
     bad = np.flatnonzero(sign.real <= 0)
     if bad.size:
         raise NumericalFailureError(f"error covariance of user {bad[0]} is not positive definite")

@@ -151,16 +151,23 @@ class DualIterationResult:
     iterations: int = 0
     converged: bool = False
     binding: bool = False
+    stop: str = ""  # DualRun.stop
 
 
-def budget_residuals(usage: np.ndarray, budgets: np.ndarray, lam: np.ndarray) -> tuple:
-    """(:func:`max_violation`, dual residual over active coordinates):
-    constraints that are violated or carry a meaningfully positive
-    multiplier.  Slack constraints whose multiplier sits at the floor are
-    complementary and contribute nothing."""
-    excess = (usage - budgets) / budgets
-    active = (lam > 10 * LAMBDA_FLOOR) | (usage > budgets)
-    return float(excess.max()), float(np.abs(excess).max(where=active, initial=0.0))
+def budget_residuals(excess, budgets, lam) -> tuple:
+    """(:func:`max_violation`, dual residual over active coordinates:
+    violated, or with a meaningfully positive multiplier) from lists of the
+    excesses usage_m - P_m, the budgets and lam, in numpy's IEEE operations
+    on floats.  A NaN makes the violation NaN, so no exit test passes."""
+    rel = [e / p for e, p in zip(excess, budgets)]
+    return _max(rel), _max([abs(r) for r, e, m in zip(rel, excess, lam) if m > 10 * LAMBDA_FLOOR or e > 0], 0.0)
+
+
+def _max(values, top: float = -np.inf) -> float:
+    """max(top, *values) of floats as numpy takes it: NaN if any is NaN."""
+    for v in values:
+        top = v if v > top or v != v else top
+    return top
 
 
 def max_violation(usage: np.ndarray, budgets: np.ndarray) -> float:
@@ -218,28 +225,37 @@ def _unwhiten(t, x) -> np.ndarray:
     return t[..., None] * x if t.ndim == 2 else t @ x
 
 
-def priced_minimizer(f, c, weights, lift=None, values: bool = False):
+def stream_order(weights):
+    """The ``order`` of (K, d) stream weights in :func:`priced_minimizer`:
+    None if no row increases, else the stable descending argsort."""
+    return None if (weights[:, :-1] >= weights[:, 1:]).all() else np.argsort(-weights, axis=-1, kind="stable")
+
+
+def priced_minimizer(f, c, weights, order, lift=None, values: bool = False):
     """Minimizers B_k of tr{W_k (I + B^H R_k B)^{-1}} + tr{F_k B B^H} for
     pricing matrices F_k, (K, n, m) factors ``c`` of the quadratic forms,
-    R_k = C_k C_k^H, and (K, d) stream ``weights`` (d <= min(n, m)), as the
-    (K, n, d) stack: B_k = T_k U_k diag(sqrt p) on
+    R_k = C_k C_k^H, and (K, d) stream ``weights`` (d <= min(n, m)) ranked
+    by ``order``, as the (K, n, d) stack: B_k = T_k U_k diag(sqrt p) on
     :func:`whitened_directions` (``f`` and ``lift`` as there) with the
     unit-level waterfill p_i = [sqrt(w_i / g_i) - 1/g_i]^+ on the gains
     above ``GAIN_RTOL``.  With ``values`` the (K,) objective values
     tr{W_k (I + B_k^H R_k B_k)^{-1}} = sum_i w_i / (1 + p_i g_i) come
-    along, as ``(columns, values)``: B_k^H R_k B_k = diag(p_i g_i)."""
+    along, as ``(columns, values)``: B_k^H R_k B_k = diag(p_i g_i).  Once
+    per pass; ``order`` (:func:`stream_order`) the caller finds once per
+    weight set.  The largest weight rides the strongest whitened direction
+    (rearrangement: the active-stream cost sums sqrt(w_i / g_i))."""
     t, basis, gains = whitened_directions(f, c, weights.shape[-1], lift)
-    # largest weight rides the strongest whitened direction (rearrangement: the
-    # active-stream cost sums sqrt(w_i / g_i)); non-increasing weights stay put
-    order = None if (weights[:, :-1] >= weights[:, 1:]).all() else np.argsort(-weights, axis=-1, kind="stable")
     paired_w = weights if order is None else np.take_along_axis(weights, order, -1)
     active = gains > GAIN_RTOL * np.maximum(1.0, gains[:, :1])  # gains descend
-    g = np.where(active, gains, 1.0)  # waterfill_eval at mu = 1 on the active gains
-    powers = np.where(active, np.maximum(np.sqrt(paired_w / g) - 1.0 / g, 0.0), 0.0)
+    if active.all():  # the masked waterfill below, without its masks
+        powers = np.maximum(np.sqrt(paired_w / gains) - 1.0 / gains, 0.0)
+    else:
+        g = np.where(active, gains, 1.0)  # waterfill_eval at mu = 1 on the active gains
+        powers = np.where(active, np.maximum(np.sqrt(paired_w / g) - 1.0 / g, 0.0), 0.0)
     columns = _unwhiten(t, basis * np.sqrt(powers)[:, None, :])
     if order is not None:
         columns = np.take_along_axis(columns, np.argsort(order, axis=-1)[:, None, :], -1)
-    return (columns, np.sum(paired_w / (1.0 + powers * gains), axis=-1)) if values else columns
+    return (columns, np.add.reduce(paired_w / (1.0 + powers * gains), axis=-1)) if values else columns
 
 
 def additive_rule(step: float):
@@ -247,24 +263,26 @@ def additive_rule(step: float):
     with t = ``step``, or step / sqrt(1 + n) n passes after the stall clock
     ran out."""
 
-    def update(lam, usage, budgets, since):
+    def update(lam, usage, budgets, excess, since):
         t = step if since is None else step / np.sqrt(1 + since)
-        return np.maximum(LAMBDA_FLOOR, lam + t * (usage - budgets))
+        return np.maximum(LAMBDA_FLOOR, lam + t * excess)
 
     return update
 
 
 @dataclass
 class DualRun:
-    """Where a :func:`dual_loop` stopped; ``priced_exit``: the last pricing
-    phase met its exit test."""
+    """Where a :func:`dual_loop` stopped; ``stop``: the bound that ended it,
+    "exit_test" (the last pricing phase met its exit test, and the polish
+    after it stayed within the budgets), "pass_cap" (``max_outer``) or
+    "polish_rounds" (``MAX_POLISH_ROUNDS``)."""
 
     lam: np.ndarray
     usage: np.ndarray
     trace: list
     iterations: int
     polish_start: int | None
-    priced_exit: bool
+    stop: str
 
 
 def dual_loop(run_pass, usage_of, exit_test, lam, budgets, max_outer: int, *, rule=None,
@@ -274,27 +292,30 @@ def dual_loop(run_pass, usage_of, exit_test, lam, budgets, max_outer: int, *, ru
 
     A pricing pass ``run_pass(lam)`` returns the objective value;
     ``usage_of()`` gives the usage after it.  Unless ``exit_test(trace,
-    *budget_residuals(usage, budgets, lam))`` holds, ``rule(lam, usage,
-    budgets, since)`` steps lam (``rule=None``: fixed); ``since`` is None
+    *budget_residuals(excess, ...))`` holds, ``rule(lam, usage, budgets,
+    excess, since)`` steps lam (``rule=None``: fixed); ``since`` is None
     until ``stall_window`` passes in a row bring no new best active
     residual, then the passes since.  ``max_outer`` pricing passes serve
     all rounds.  Then ``polish()`` (pricing that ran out of passes only
     with ``polish_unconverged``) returns a pass ``step(lam) -> (value,
     done)``, run at most ``max_inner`` times; a polish run ending more than
     ``constraint_tol`` over a budget re-enters pricing, for at most
-    ``MAX_POLISH_ROUNDS`` rounds."""
+    ``MAX_POLISH_ROUNDS`` rounds.  Per pass the loop forms the excess
+    usage - budgets once, for the residuals, the step and the cap check."""
     trace: list = []  # one value per pass, so its length counts the passes
     polish_start = None
     best_residual, stall, diminish_from = np.inf, 0, None
     usage = None
-    pricing_budget = max_outer
+    pricing_budget, settled = max_outer, True  # settled: the last polish run ended within the budgets
+    budget_list, lam_list = budgets.tolist(), lam.tolist()
     for _ in range(MAX_POLISH_ROUNDS):
         exited = False
         while pricing_budget > 0:
             pricing_budget -= 1
             trace.append(run_pass(lam))
             usage = usage_of()
-            violation, residual = budget_residuals(usage, budgets, lam)
+            excess = usage - budgets
+            violation, residual = budget_residuals(excess.tolist(), budget_list, lam_list)
             if exit_test(trace, violation, residual):
                 exited = True
                 break
@@ -306,8 +327,9 @@ def dual_loop(run_pass, usage_of, exit_test, lam, budgets, max_outer: int, *, ru
                 stall += 1
                 if stall >= stall_window and diminish_from is None:
                     diminish_from = len(trace)
-            lam = rule(lam, usage, budgets, None if diminish_from is None else len(trace) - diminish_from)
-            top = lam.max()
+            lam = rule(lam, usage, budgets, excess, None if diminish_from is None else len(trace) - diminish_from)
+            lam_list = lam.tolist()
+            top = _max(lam_list)
             if top > LAMBDA_CAP:
                 raise NumericalFailureError(
                     f"power-price multipliers diverged (max {top:.3e} after {len(trace)} "
@@ -323,9 +345,11 @@ def dual_loop(run_pass, usage_of, exit_test, lam, budgets, max_outer: int, *, ru
             if done:
                 break
         usage = usage_of()
-        if max_violation(usage, budgets) <= constraint_tol or pricing_budget <= 0:
+        settled = max_violation(usage, budgets) <= constraint_tol
+        if settled or pricing_budget <= 0:
             break
-    return DualRun(lam, usage, trace, len(trace), polish_start, exited)
+    stop = "exit_test" if exited and settled else "pass_cap" if pricing_budget <= 0 else "polish_rounds"
+    return DualRun(lam, usage, trace, len(trace), polish_start, stop)
 
 
 def solve_single_constraint(problem: SingleUserProblem) -> SingleUserSolution:
@@ -365,8 +389,8 @@ def lagrangian_minimizer(problem: SingleUserProblem, phi_agg: np.ndarray) -> np.
     """Minimizer of the power-priced objective
     tr{W (I + B^H R B)^{-1}} + tr{phi_agg B B^H}: :func:`priced_minimizer`
     for the one user with F = ``phi_agg``."""
-    f = require_hermitian(phi_agg)[None]
-    return priced_minimizer(f, problem.quadratic_factor()[None], problem.weights[None])[0]
+    f, weights = require_hermitian(phi_agg)[None], problem.weights[None]
+    return priced_minimizer(f, problem.quadratic_factor()[None], weights, stream_order(weights))[0]
 
 
 def precoder_wsmse(problem: SingleUserProblem, precoder: np.ndarray) -> float:
@@ -404,6 +428,7 @@ def solve_multi_constraint(problem: SingleUserProblem) -> DualIterationResult:
     """
     budgets, phis, supports = problem.budgets, problem.constraints, problem.constraint_supports
     c, weights = problem.quadratic_factor()[None], problem.weights[None]
+    order = stream_order(weights)
     result = DualIterationResult(
         precoder=np.zeros((problem.channel.shape[1], problem.streams), dtype=complex),
         multipliers=np.full(problem.num_constraints, MULTI_LAMBDA_INIT),
@@ -413,7 +438,7 @@ def solve_multi_constraint(problem: SingleUserProblem) -> DualIterationResult:
 
     def run_pass(lam):
         f = hermitian_part(priced_weights(phis, None, lam)) if supports is None else lam @ supports
-        precoders, values = priced_minimizer(f[None], c, weights, values=True)
+        precoders, values = priced_minimizer(f[None], c, weights, order, values=True)
         precoder, wsmse = precoders[0], float(values[0])
         usage = weight_usage(phis, supports, precoder)
         excess = usage - budgets
@@ -429,7 +454,8 @@ def solve_multi_constraint(problem: SingleUserProblem) -> DualIterationResult:
 
     run = dual_loop(run_pass, lambda: result.usage, exit_test, result.multipliers, budgets, MULTI_MAX_OUTER,
                     rule=additive_rule(MULTI_STEP))
-    result.wsmse_trace, result.iterations, result.converged = run.trace, run.iterations, run.priced_exit
+    result.wsmse_trace, result.iterations, result.stop = run.trace, run.iterations, run.stop
+    result.converged = run.stop == "exit_test"
 
     # Zero duality gap needs every constraint active with a meaningfully
     # positive multiplier; report whether the returned point satisfies that.

@@ -36,7 +36,7 @@ from netmimo.algorithms import (
     offdiag_mass,
 )
 from netmimo.linalg import adjoint, priced_weights, weight_usage
-from netmimo.single_user import LAMBDA_FLOOR, SingleUserProblem
+from netmimo.single_user import LAMBDA_FLOOR, SingleUserProblem, stream_order
 
 from conftest import antenna_link, count_decompositions, dense_link
 
@@ -109,7 +109,9 @@ def test_dmmse_single_user_step_matches_power_priced_minimizer():
     from netmimo.algorithms import _dmmse_precoder_step
     b0 = initialize_precoders(problem, AlgorithmConfig())
     a0 = [mmse_equalizer(problem, b0, 0)]
-    stepped = _dmmse_precoder_step(problem, b0, a0, [np.ones(2)], np.array([lam]))
+    weights = np.ones((1, 2))
+    stepped = _dmmse_precoder_step(problem, problem.precoders(b0), problem.equalizers(a0), weights,
+                                   stream_order(weights), np.array([lam]))
     su = SingleUserProblem(channel=h, noise_cov=np.eye(2),
                            constraints=(np.eye(3, dtype=complex),), budgets=[1.0],
                            weights=np.ones(2), streams=2)
@@ -371,6 +373,45 @@ def test_pwf_reports_where_its_polish_started():
     # pricing that never meets its exit test starts no polish
     capped = pwf_solve(problem, replace(config, max_outer=3))
     assert capped.iterations == 3 and capped.diagnostics["polish_start"] is None
+
+
+
+def test_dual_loop_solvers_report_their_stop():
+    # three pricing passes cannot meet an exit test that needs six stable
+    # passes, so they end on the cap (dmmse's flag does not read the stop:
+    # its polish can settle the capped iterate and report it converged);
+    # the default solves stop on their exit test
+    _, problem = cellular_problem(0)
+    for solver, algorithm, objective in ((dmmse_solve, "dmmse", "wsmmse"), (emmseia_solve, "emmseia", "wsmmse"),
+                                         (pwf_solve, "pwf", "srm")):
+        config = AlgorithmConfig(algorithm=algorithm, objective=objective)
+        capped = solver(problem, replace(config, max_outer=3))
+        assert capped.diagnostics["stop"] == "pass_cap", algorithm
+        assert capped.iterations > 3 if algorithm == "dmmse" else capped.iterations == 3 and not capped.converged
+        sol = solver(problem, config)
+        assert sol.converged and sol.diagnostics["stop"] == "exit_test", algorithm
+
+
+def test_stream_order_is_found_once_per_fixed_weight_solve(monkeypatch):
+    # fixed weights are ranked once per solve; srm's move every pass
+    from netmimo import algorithms, single_user
+    calls = []
+
+    def spy(weights):
+        calls.append(weights.shape)
+        return stream_order(weights)
+
+    monkeypatch.setattr(single_user, "stream_order", spy)
+    monkeypatch.setattr(algorithms, "stream_order", spy)
+    result = solve_multi_constraint(antenna_link(np.random.default_rng(44)))
+    assert result.iterations > 1 and calls == [(1, 2)]
+    _, problem = cellular_problem(0)
+    for objective in ("wsmmse", "srm"):
+        calls.clear()
+        sol = dmmse_solve(problem, AlgorithmConfig(objective=objective))
+        assert sol.iterations > 1
+        assert len(calls) == (sol.iterations if objective == "srm" else 1), objective
+        assert set(calls) == {problem.mse_weights.shape[:2]}
 
 
 def test_pwf_stream_truncation():
@@ -1009,10 +1050,10 @@ def test_dmmse_step_lifts_a_singular_pricing_floor():
     ups = reverse_link_sums(0.0, problem.cross, problem.cross_h, equalizers @ equalizers.conj().swapaxes(-1, -2))
     zero = np.zeros(problem.num_constraints)
     assert not psd_inv_sqrt_batch(_pricing_matrices(problem, ups, zero))[1].any()
-    step = _dmmse_precoder_step(problem, precoders, equalizers, weights, zero, omegas)
+    step = _dmmse_precoder_step(problem, precoders, equalizers, weights, stream_order(weights), zero, omegas)
     for k in range(problem.num_users):
         guard = max(LAMBDA_FLOOR, 1e-9 * max(1.0, float(np.linalg.norm(ups[k]))))
-        lifted = _dmmse_precoder_step(problem, precoders, equalizers, weights,
+        lifted = _dmmse_precoder_step(problem, precoders, equalizers, weights, stream_order(weights),
                                       np.full(problem.num_constraints, guard), omegas)[k]
         want = lifted @ lifted.conj().T
         assert np.allclose(step[k] @ step[k].conj().T, want, rtol=0, atol=1e-8 * np.linalg.norm(want))
@@ -1037,7 +1078,7 @@ def test_dmmse_step_rejects_a_non_finite_covariance():
         bad = omegas.copy()
         bad[where] = np.nan
         with pytest.raises(NumericalFailureError, match="Cholesky"):
-            _dmmse_precoder_step(problem, precoders, equalizers, weights, lam, bad)
+            _dmmse_precoder_step(problem, precoders, equalizers, weights, stream_order(weights), lam, bad)
         with pytest.raises(NumericalFailureError, match="Cholesky"):
             _pwf_forward(problem, covariances, duals, lam, bad)
 
@@ -1106,7 +1147,7 @@ def test_solver_steps_leave_the_padding_alone(mixed_problems):
             inverse = np.linalg.inv(mse_matrix_mmse(problem, cut, k))
             assert np.allclose(w[:d[k]], np.diag(inverse).real, rtol=1e-12, atol=0.0)
             assert not np.any(w[d[k]:])
-        step = _dmmse_precoder_step(problem, precoders, equalizers, weights, lam, omegas)
+        step = _dmmse_precoder_step(problem, precoders, equalizers, weights, stream_order(weights), lam, omegas)
         assert not np.any(padding(step, tx, d))
         # the diagonality test measures each user's own block; users without
         # padded streams are switched off, so a padded one sets the maximum

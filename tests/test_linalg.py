@@ -279,6 +279,30 @@ def test_diagonal_whiteners_take_the_exact_eigenvalue_test():
     assert np.array_equal(t[3:], np.broadcast_to(2.0 * np.eye(4), (4, 4, 4)))
 
 
+
+def test_diagonal_whiteners_test_rows_when_the_whole_stack_fails():
+    # rows about 1e-14 and about 1 in scale: min f <= SINGULARITY_RTOL max f
+    # over the stack, while each row clears the test on its own, so the row
+    # scalings come back; a row that fails its own test still raises or is
+    # lifted
+    f = np.array([[1e-14, 3e-14, 2e-14, 1.5e-14], [1.0, 2.0, 0.5, 1.0]])
+    assert not f.min() > SINGULARITY_RTOL * f.max()
+    assert np.array_equal(diagonal_whiteners(f), 1.0 / np.sqrt(f))
+    bad = np.vstack([f, [1.0, 1e-13, 1.0, 1.0]])
+    with pytest.raises(SingularMatrixError):
+        diagonal_whiteners(bad)
+    lifted = []
+
+    def lift(k):
+        lifted.append(k)
+        return 3.0 * np.eye(4)
+
+    t = diagonal_whiteners(bad, lift)
+    assert lifted == [2] and t.shape == (3, 4, 4)
+    assert np.array_equal(t[:2], (1.0 / np.sqrt(f))[:, :, None] * np.eye(4))
+    assert np.array_equal(t[2], 3.0 * np.eye(4))
+
+
 def test_disjoint_diagonals_find_block_masks_only():
     masks = np.stack([np.diag(m).astype(complex) for m in ([1.0, 1.0, 0.0], [0.0, 0.0, 0.5])])
     assert np.array_equal(disjoint_diagonals(masks), [[1.0, 1.0, 0.0], [0.0, 0.0, 0.5]])

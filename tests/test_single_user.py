@@ -21,11 +21,15 @@ from netmimo.linalg import cholesky_whiteners, disjoint_diagonals
 from netmimo.single_user import (
     GAIN_RTOL,
     LAMBDA_FLOOR,
+    MAX_POLISH_ROUNDS,
     STALL_WINDOW,
+    budget_residuals,
     constraint_usage_single,
+    dual_loop,
     lagrangian_value,
     precoder_wsmse,
     priced_minimizer,
+    stream_order,
 )
 
 from conftest import antenna_link, count_decompositions, dense_link
@@ -212,14 +216,14 @@ def test_priced_minimizer_sends_doubtful_pricing_to_the_exact_path():
     weights = np.ones((5, 2))
     assert cholesky_whiteners(f[:3])[1].tolist() == [True, False, False]
     with pytest.raises(SingularMatrixError):
-        priced_minimizer(f, c, weights)
+        priced_minimizer(f, c, weights, None)
     lifted = []
 
     def lift(k):
         lifted.append(k)
         return 2.0 * np.eye(8)
 
-    b = priced_minimizer(f, c, weights, lift)
+    b = priced_minimizer(f, c, weights, None, lift)
     assert lifted == [2, 3, 4]
     for k in range(5):
         t = psd_inv_sqrt(f[k]) if k < 2 else 2.0 * np.eye(8)
@@ -229,7 +233,7 @@ def test_priced_minimizer_sends_doubtful_pricing_to_the_exact_path():
                            atol=1e-6 * np.linalg.norm(want) ** 2), k
     # a factor that does not decompose fails as a numerical failure
     with pytest.raises(NumericalFailureError):
-        priced_minimizer(f[:1], np.full((1, 8, 2), np.nan), weights[:1])
+        priced_minimizer(f[:1], np.full((1, 8, 2), np.nan), weights[:1], None)
 
 
 def test_priced_minimizer_diagonal_prices_match_their_dense_matrices():
@@ -242,8 +246,9 @@ def test_priced_minimizer_diagonal_prices_match_their_dense_matrices():
     prices = 10.0 ** rng.uniform(-3, 3, (5, 4))
     for weights in ([1.0, 1.0], [2.0, 0.5], [0.5, 2.0], [0.0, 1.0]):
         weights = np.tile(weights, (5, 1))
-        b, values = priced_minimizer(prices, c, weights, values=True)
-        want = priced_minimizer(prices[:, :, None] * np.eye(4, dtype=complex), c, weights)
+        order = stream_order(weights)
+        b, values = priced_minimizer(prices, c, weights, order, values=True)
+        want = priced_minimizer(prices[:, :, None] * np.eye(4, dtype=complex), c, weights, order)
         for k in range(5):
             bbh = b[k] @ b[k].conj().T
             assert np.allclose(bbh, want[k] @ want[k].conj().T, rtol=0, atol=1e-12 * max(1.0, np.linalg.norm(bbh)))
@@ -265,7 +270,7 @@ def test_singular_prices_raise_on_both_paths():
         prices = np.array([prices])
         for f in (prices, prices[:, :, None] * np.eye(4, dtype=complex)):
             with pytest.raises(SingularMatrixError):
-                priced_minimizer(f, c, np.ones((1, 2)))
+                priced_minimizer(f, c, np.ones((1, 2)), None)
     link = antenna_link(rng)
     uncovered = link.constraints[:3]
     assert disjoint_diagonals(uncovered) is not None
@@ -331,7 +336,7 @@ def test_multi_constraint_reports_binding():
     rng = np.random.default_rng(7)
     problem = random_instance(rng)
     result = solve_multi_constraint(problem)
-    assert result.converged
+    assert result.converged and result.stop == "exit_test"
     assert result.binding  # a single trace constraint binds at the optimum
 
 
@@ -472,3 +477,85 @@ def test_dense_multi_constraint_pass_factors_its_price(monkeypatch):
     assert result.iterations > 10
     assert calls[0] == ("cholesky", (1, 2, 2))
     assert calls[1:] == [("cholesky", (1, 4, 4)), ("svd", (1, 4, 2))] * result.iterations
+
+
+def array_residuals(usage, budgets, lam):
+    """The array formula of the budget residuals: max relative excess, and
+    the max |relative excess| over violated or meaningfully priced budgets."""
+    excess = (usage - budgets) / budgets
+    active = (lam > 10 * LAMBDA_FLOOR) | (usage > budgets)
+    return float(excess.max()), float(np.abs(excess).max(where=active, initial=0.0))
+
+
+def test_budget_residuals_match_the_array_formula_bit_for_bit():
+    # multipliers on, and one ulp either side of, the 10 * LAMBDA_FLOOR
+    # activity threshold, usage exactly on its budget, and NaN usage: the
+    # floats give the array formula's bits, and a NaN usage a NaN violation
+    rng = np.random.default_rng(41)
+    threshold = 10 * LAMBDA_FLOOR
+    lams = np.array([LAMBDA_FLOOR, threshold, np.nextafter(threshold, 0.0), np.nextafter(threshold, 1.0),
+                     0.3, 2.0])
+    seen = {"tie": 0, "on_budget": 0, "nan_active": 0, "nan_inactive": 0}
+    for _ in range(4000):
+        m = int(rng.integers(1, 6))
+        budgets = 10.0 ** rng.uniform(-3.0, 1.0, m)
+        usage = budgets * rng.uniform(0.0, 2.0, m)
+        on_budget = rng.random(m) < 0.3
+        usage[on_budget] = budgets[on_budget]
+        lam = rng.choice(lams, m)
+        nan = int(rng.integers(m)) if rng.random() < 0.15 else None
+        if nan is not None:
+            usage[nan] = np.nan
+            seen["nan_active" if lam[nan] > threshold else "nan_inactive"] += 1
+        seen["tie"] += int(np.any(lam == threshold))
+        seen["on_budget"] += int(np.any(on_budget))
+        got = budget_residuals((usage - budgets).tolist(), budgets.tolist(), lam.tolist())
+        want = array_residuals(usage, budgets, lam)
+        for g, w in zip(got, want):
+            assert type(g) is float
+            assert np.isnan(g) if np.isnan(w) else np.float64(g).tobytes() == np.float64(w).tobytes()
+        if nan is not None:
+            assert np.isnan(got[0]) and not got[0] <= 1e-2
+    assert min(seen.values()) > 50, seen
+
+
+def test_dual_loop_does_not_exit_on_a_nan_usage():
+    run = dual_loop(lambda lam: 1.0, lambda: np.array([0.5, np.nan]), lambda trace, violation, residual:
+                    violation <= 1e-2, np.ones(2), np.ones(2), 7)
+    assert run.iterations == 7 and run.stop == "pass_cap"
+
+
+def test_dual_loop_names_the_bound_that_stopped_it():
+    budgets, lam = np.ones(1), np.ones(1)
+    usage = [np.array([0.5])]
+
+    def run_pass(lam):  # pricing lands within the budget
+        usage[0] = np.array([0.5])
+        return 1.0
+
+    def polish(drift):
+        def step(lam):
+            usage[0] = np.array([2.0 if drift else 0.5])
+            return 1.0, True
+        return lambda: step
+
+    def loop(max_outer, **kwargs):
+        return dual_loop(run_pass, lambda: usage[0], lambda trace, violation, residual: violation <= 1e-2,
+                         lam, budgets, max_outer, max_inner=3, constraint_tol=1e-2, **kwargs)
+
+    first = loop(10)
+    assert (first.stop, first.iterations) == ("exit_test", 1)
+    polished = loop(10, polish=polish(False))
+    assert (polished.stop, polished.iterations, polished.polish_start) == ("exit_test", 2, 1)
+    # every polish run drifts over the budget and pricing brings it back
+    rounds = loop(100, polish=polish(True))
+    assert rounds.stop == "polish_rounds" and rounds.iterations == 2 * MAX_POLISH_ROUNDS
+    # a drifting polish with no pricing passes left ends on the cap
+    capped = loop(1, polish=polish(True))
+    assert (capped.stop, capped.iterations) == ("pass_cap", 2)
+    # pricing over budget runs out; a polish that lands within the budget
+    # does not turn the cap into an exit
+    over = dual_loop(lambda lam: 1.0, lambda: usage[0], lambda trace, violation, residual: False, lam, budgets, 4,
+                     polish=polish(False), max_inner=3, polish_unconverged=True, constraint_tol=1e-2)
+    assert (over.stop, over.iterations) == ("pass_cap", 5)
+
