@@ -15,12 +15,16 @@ Four families are implemented:
     H_{k,k}^H A_k W_k, with the multipliers searched each pass until the
     complementary-slackness conditions hold.
 ``pwf``
-    Transmit-covariance fixed point coupling the forward network with its
-    reversed-link counterpart through the same whitened-channel step (the
-    forward covariance Omega_k and the reversed-link one each whitened by
-    the adjoint inverse of its Cholesky factor); a single water level is
-    bisected against the multiplier-weighted power budget.  Sum-rate
-    objective only.
+    Polite water-filling: a fixed point on the precoder stack coupling the
+    forward network with its reversed-link counterpart through the same
+    whitened-channel step (the forward covariance Omega_k and the
+    reversed-link one each whitened by the adjoint inverse of its Cholesky
+    factor); a single water level mu is bisected against the
+    multiplier-weighted power budget.  The reversed-link covariance
+    (1/mu) (Omega_k^{-1} - (Omega_k + S_k S_k^H)^{-1}) of the signals
+    S_k = H_kk B_k is formed as (1/mu) Omega_k^{-1} S_k E_k S_k^H
+    Omega_k^{-1} from the MMSE error covariance E_k, the receive side the
+    other solvers evaluate.  Sum-rate objective only.
 ``min_leakage``
     Alternating smallest-eigenvector updates of orthonormal transmit factors
     and receive filters minimizing the total interference power leaked into
@@ -34,11 +38,12 @@ multiplier step, then fixed-multiplier polish runs.  The multiplier rules:
 (:func:`single_user.additive_rule`), ``pwf`` takes damped multiplicative
 steps (:func:`_pwf_rule`), and ``emmseia`` has no outer rule, its KKT search
 runs inside each pass.  ``dmmse`` polishes after every pricing phase, until
-its error covariances are diagonal; ``pwf`` polishes to the covariance fixed
-point only from a pricing phase that met its exit test; ``emmseia`` does
-not polish.  The ``dmmse``/``emmseia`` solvers run either on a fixed
-weighted-MSE objective or, with ``objective="srm"``, inside the
-rate-maximizing reweighting loop (weights refreshed to E_k^{-1} every pass).
+its error covariances are diagonal; ``pwf`` polishes until its transmit
+covariances B_k B_k^H settle, only from a pricing phase that met its exit
+test; ``emmseia`` does not polish.  The ``dmmse``/``emmseia`` solvers run
+either on a fixed weighted-MSE objective or, with ``objective="srm"``,
+inside the rate-maximizing reweighting loop (weights refreshed to E_k^{-1}
+every pass).
 All solvers are deterministic given problem, config and seed.
 
 The dual-loop solvers run batched over users on the zero-padded arrays
@@ -79,7 +84,6 @@ from .model import (
     interference_covariances,
     mmse_equalizers,
     mse_matrices_mmse,
-    pad_stack,
     receive_gains,
     reverse_link_sums,
     set_padded_diagonal,
@@ -160,16 +164,16 @@ class AlgorithmConfig:
 
 @dataclass(frozen=True)
 class DualNetworkState:
-    """Last pwf iterate: forward transmit covariances, reversed-link
-    covariances, multipliers, and the shared water level.
+    """Last pwf iterate: each user's (m_t,k, d_k) precoder factor, whose
+    B_k B_k^H is its forward transmit covariance, the multipliers, and the
+    shared water level; the reversed-link covariances follow from these.
 
     When the solve ends over a budget, the returned precoders are scaled
     into the budgets but this state still describes the unscaled last
     iterate; :func:`pwf_fixed_point_residual` is meaningful only on
     converged solves."""
 
-    covariances: tuple
-    dual_covariances: tuple
+    precoders: tuple
     multipliers: np.ndarray
     water_level: float
 
@@ -583,49 +587,31 @@ def emmseia_solve(problem: InterferenceProblem, config: AlgorithmConfig | None =
 # pwf
 # ---------------------------------------------------------------------------
 
-def _cov_interferences(problem, covariances):
-    """Omega_k = I + sum_{l != k} H_{k,l} Sigma_l H_{k,l}^H for every
-    receiver k, as the padded (K, m_r, m_r) stack."""
-    # received[k, l] = H_{k,l} Sigma_l H_{k,l}^H, l != k
-    received = problem.cross @ np.asarray(covariances) @ problem.cross_h
-    return hermitian_part(sum_over_sources(problem.rx_eye, received))
+def _pwf_receive(problem, precoders, water_level):
+    """The receive side of a pwf iterate, from one solve Z_k = Omega_k^{-1} S_k
+    with the signals S_k = H_kk B_k: (Omega_k, the reversed-link
+    covariances, the sum rate).  With the gains G_k = S_k^H Z_k and the error
+    covariances E_k = (I + G_k)^{-1}, the reversed-link covariance
+    (1/mu) (Omega_k^{-1} - (Omega_k + S_k S_k^H)^{-1}) is (1/mu) Z_k E_k Z_k^H
+    (Woodbury) and the rate is :func:`sum_rate` of the gains."""
+    omegas = interference_covariances(problem, precoders)
+    signals = problem.direct @ precoders
+    z = np.linalg.solve(omegas, signals)
+    gains = hermitian_part(adjoint(signals) @ z)
+    mses = mse_matrices_mmse(problem, precoders, gains=gains)
+    duals = hermitian_part(z @ mses @ adjoint(z)) / water_level
+    return omegas, duals, sum_rate(problem, precoders, gains=gains)
 
 
-def _cov_totals(problem, covariances):
-    """Per user, Omega_k and Omega_k + H_kk Sigma_k H_kk^H."""
-    omegas = _cov_interferences(problem, covariances)
-    return omegas, omegas + problem.direct @ np.asarray(covariances) @ problem.direct_h
-
-
-def _cov_rate(problem, covariances, totals=None) -> float:
-    omegas, totals = _cov_totals(problem, covariances) if totals is None else totals
-    ld1, ld0 = np.linalg.slogdet(totals)[1], np.linalg.slogdet(omegas)[1]
-    rate = 0.0
-    for a, b in zip(ld1, ld0):
-        rate += (a - b) / np.log(2.0)
-    return float(rate)
-
-
-def _dual_covariances(problem, covariances, water_level, totals=None):
-    """Reversed-link transmit covariances from their defining identity:
-    (1/mu) (Omega_k^{-1} - (Omega_k + H_kk Sigma_k H_kk^H)^{-1})."""
-    omegas, totals = _cov_totals(problem, covariances) if totals is None else totals
-    return hermitian_part((np.linalg.inv(omegas) - np.linalg.inv(totals)) / water_level)
-
-
-def _pwf_forward(problem, covariances, dual_covariances, lam, omegas=None):
+def _pwf_forward(problem, omegas, dual_covariances, lam):
     """One forward waterfilling pass: on :func:`whitened_directions` of the
     reversed-link covariances Omega_hat_k and the :func:`receive_factors`
-    of the forward ones Omega_k (``omegas``, when the caller has them),
-    allocate p_i = [1/mu - 1/g_i]^+ on the directions V (usage coefficients
-    from V^H T_k^H priced_k T_k V), bisecting the shared water level so the
-    multiplier-weighted usage meets the multiplier-weighted budget.
-    Returns the covariances T_k V diag(p) V^H T_k^H as the padded
-    (K, m_t, m_t) stack, the water level, and their factors
-    T_k V diag(sqrt p) as the padded (K, m_t, d) precoder stack; padded
+    of the forward ones Omega_k, allocate p_i = [1/mu - 1/g_i]^+ on the
+    directions V (usage coefficients from V^H T_k^H priced_k T_k V),
+    bisecting the shared water level so the multiplier-weighted usage meets
+    the multiplier-weighted budget.  Returns the factors T_k V diag(sqrt p)
+    as the padded (K, m_t, d) precoder stack and the water level; padded
     streams get no power."""
-    if omegas is None:
-        omegas = _cov_interferences(problem, covariances)
     target = float(np.dot(lam, problem.budgets))
     priced = priced_weights(problem.constraints, problem.constraint_supports, lam)
     # omega_hat[k] = priced[k] + sum_{j != k} H_{j,k}^H Sigma_hat_j H_{j,k}
@@ -646,17 +632,16 @@ def _pwf_forward(problem, covariances, dual_covariances, lam, omegas=None):
                       target, "water-level")
     powers = np.zeros_like(gains)
     powers[keep] = np.maximum(1.0 / mu - 1.0 / gains[keep], 0.0)
-    factor = t_hat @ (basis * np.sqrt(powers)[:, None, :])
-    return hermitian_part(factor @ adjoint(factor)), float(mu), factor
+    return t_hat @ (basis * np.sqrt(powers)[:, None, :]), float(mu)
 
 
 def pwf_fixed_point_residual(problem: InterferenceProblem, state: DualNetworkState) -> float:
     """Re-evaluate the coupled covariance equations at ``state`` and return
     the worst relative deviation of the reproduced transmit covariances."""
-    covariances = pad_stack(state.covariances, problem.constraints.shape[-2:])
-    duals = _dual_covariances(problem, covariances, state.water_level)
-    reproduced = _pwf_forward(problem, covariances, duals, state.multipliers)[0]
-    return _relative_change(reproduced, covariances)
+    precoders = problem.precoders(state.precoders)
+    omegas, duals, _ = _pwf_receive(problem, precoders, state.water_level)
+    reproduced = _pwf_forward(problem, omegas, duals, state.multipliers)[0]
+    return _relative_change(*(hermitian_part(b @ adjoint(b)) for b in (reproduced, precoders)))
 
 
 def _relative_change(new, old) -> float:
@@ -679,29 +664,28 @@ def _pwf_rule(lam, usage, budgets, excess, since):
 
 def pwf_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = None,
               initial=None) -> BeamformerSolution:
-    """Covariance fixed-point solver for the sum-rate objective (see module
-    docstring), on :func:`dual_loop` with :func:`_pwf_rule`.  The polish
-    iterates the covariance map at fixed multipliers, and only from a
-    pricing state that met its exit test: the map can diverge at far-off
-    multipliers.  The precoders are the last pass's covariance factors and
-    meet every budget by construction: an over-budget last iterate is
-    scaled back with :func:`fit_to_budgets` and reported as unconverged.
-    The diagnostics carry the last iterate's :class:`DualNetworkState` for
-    structural verification."""
+    """Polite water-filling fixed point for the sum-rate objective (see
+    module docstring), on :func:`dual_loop` with :func:`_pwf_rule`.  Each
+    pass is one :func:`_pwf_forward` from the receive side
+    (:func:`_pwf_receive`) of the last precoder stack.  The polish iterates
+    this map at fixed multipliers, and only from a pricing state that met
+    its exit test: the map can diverge at far-off multipliers.  The
+    precoders are the last pass's factors and meet every budget by
+    construction: an over-budget last iterate is scaled back with
+    :func:`fit_to_budgets` and reported as unconverged.  The diagnostics
+    carry the last iterate's :class:`DualNetworkState` for structural
+    verification."""
     config = (config or AlgorithmConfig(algorithm="pwf", objective="srm")).validate()
     budgets = problem.budgets
     precoders = problem.precoders(initialize_precoders(problem, config) if initial is None else initial)
-    covariances = precoders @ adjoint(precoders)
     mu = 1.0
-    totals = _cov_totals(problem, covariances)
-    duals = _dual_covariances(problem, covariances, mu, totals)
+    omegas, duals, _ = _pwf_receive(problem, precoders, mu)
 
     def run_pass(lam):
-        nonlocal covariances, mu, totals, duals, precoders
-        covariances, mu, precoders = _pwf_forward(problem, covariances, duals, lam, totals[0])
-        totals = _cov_totals(problem, covariances)
-        duals = _dual_covariances(problem, covariances, mu, totals)
-        return _cov_rate(problem, covariances, totals)
+        nonlocal precoders, mu, omegas, duals
+        precoders, mu = _pwf_forward(problem, omegas, duals, lam)
+        omegas, duals, rate = _pwf_receive(problem, precoders, mu)
+        return rate
 
     def exit_test(trace, violation, residual):
         return violation <= config.constraint_tol \
@@ -710,13 +694,14 @@ def pwf_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = Non
 
     def polish():
         prev_delta, growth = np.inf, 0
+        covariances = hermitian_part(precoders @ adjoint(precoders))
 
         def step(lam):
             # stops at the fixed point, or when the change grew more than
             # twofold in two passes running
-            nonlocal prev_delta, growth
-            previous = covariances  # run_pass binds a new stack
+            nonlocal prev_delta, growth, covariances
             value = run_pass(lam)
+            previous, covariances = covariances, hermitian_part(precoders @ adjoint(precoders))
             delta = _relative_change(covariances, previous)
             if delta <= PWF_POLISH_TOL:
                 return value, True
@@ -727,19 +712,15 @@ def pwf_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = Non
         return step
 
     run = dual_loop(
-        run_pass, lambda: weight_usage(problem.constraints, problem.constraint_supports, covariances, True), exit_test,
+        run_pass, lambda: weight_usage(problem.constraints, problem.constraint_supports, precoders), exit_test,
         np.full(problem.num_constraints, config.lambda_init), budgets, config.max_outer,
         rule=_pwf_rule, stall_window=PWF_STALL_WINDOW, polish=polish, max_inner=config.max_inner,
         constraint_tol=config.constraint_tol,
     )
     usage = run.usage
     violation = max_violation(usage, budgets)
-    state = DualNetworkState(
-        covariances=tuple(cut_padding(covariances, problem.tx_dims, problem.tx_dims)),
-        dual_covariances=tuple(cut_padding(duals, problem.rx_dims, problem.rx_dims)),
-        multipliers=run.lam.copy(),
-        water_level=mu,
-    )
+    state = DualNetworkState(precoders=tuple(cut_padding(precoders, problem.tx_dims, problem.streams)),
+                             multipliers=run.lam.copy(), water_level=mu)
     converged = violation <= config.constraint_tol and objective_stable(run.trace, config.inner_tol)
     precoders, usage = _budget_guard(problem, config, precoders, usage)
     return _solution(problem, precoders, usage, run.lam.copy(), run, converged,

@@ -245,20 +245,18 @@ def priced_weights(weights, supports, lam, base=None) -> np.ndarray:
     return priced
 
 
-def weight_usage(weights, supports, x, covariance: bool = False) -> np.ndarray:
-    """usage_m = sum_k tr{Phi_{k,m} X_k} for (..., M, n, n) constraint
-    ``weights`` and their :func:`disjoint_diagonals` ``supports`` (or None),
-    added in ascending k (:func:`_add_rows`); X_k = B_k B_k^H for the
-    (..., n, d) precoders ``x``, or the (..., n, n) covariances ``x``
-    themselves when ``covariance``.  Without a leading k axis, the (M,)
-    traces.  On supports the trace is sum_i supports[m, i] X_ii, from the
-    squared row norms of B or Re Sigma_ii; otherwise it is the elementwise
-    contraction sum_ij Phi_ij X_ji."""
+def weight_usage(weights, supports, x) -> np.ndarray:
+    """usage_m = sum_k tr{Phi_{k,m} B_k B_k^H} for (..., M, n, n) constraint
+    ``weights``, their :func:`disjoint_diagonals` ``supports`` (or None) and
+    the (..., n, d) precoders ``x``, added in ascending k
+    (:func:`_add_rows`).  Without a leading k axis, the (M,) traces.  On
+    supports the trace is sum_i supports[m, i] ||row_i B||^2; otherwise it
+    is the elementwise contraction sum_ij Phi_ij (B B^H)_ji."""
     if supports is None:
-        x_t = (x if covariance else x @ adjoint(x)).swapaxes(-1, -2)
+        x_t = (x @ adjoint(x)).swapaxes(-1, -2)
         rows = (weights * x_t[..., None, :, :]).sum(axis=(-2, -1)).real
     else:
-        powers = np.diagonal(x, axis1=-2, axis2=-1).real if covariance else (x.real ** 2 + x.imag ** 2).sum(axis=-1)
+        powers = (x.real ** 2 + x.imag ** 2).sum(axis=-1)
         rows = (supports @ powers[..., None])[..., 0]
     return rows if rows.ndim == 1 else _add_rows(rows)
 

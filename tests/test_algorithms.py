@@ -35,7 +35,7 @@ from netmimo.algorithms import (
     initialize_precoders,
     offdiag_mass,
 )
-from netmimo.linalg import adjoint, priced_weights, weight_usage
+from netmimo.linalg import adjoint, priced_weights
 from netmimo.single_user import LAMBDA_FLOOR, SingleUserProblem, stream_order
 
 from conftest import antenna_link, count_decompositions, dense_link
@@ -330,14 +330,59 @@ def test_pwf_scalar_closed_form():
     # lam=1, Phi=1, H=2, Omega=1, P=1: gain 4, water level 0.8, Sigma = 1
     # with the precoder factor B B^H = Sigma
     problem = single_pair_problem(np.array([[2.0]]))
-    from netmimo.algorithms import _pwf_forward, _dual_covariances
-    zero = [np.zeros((1, 1), dtype=complex)]
-    cov, mu, factor = _pwf_forward(problem, zero, zero, np.array([1.0]))
+    from netmimo.algorithms import _pwf_forward, _pwf_receive
+    zero = np.zeros((1, 1, 1), dtype=complex)
+    omegas = _pwf_receive(problem, zero, 1.0)[0]
+    factor, mu = _pwf_forward(problem, omegas, zero, np.array([1.0]))
     assert mu == pytest.approx(0.8, abs=1e-6)
-    assert cov[0][0, 0].real == pytest.approx(1.0, abs=1e-6)
     assert abs(factor[0][0, 0]) ** 2 == pytest.approx(1.0, abs=1e-6)
-    duals = _dual_covariances(problem, cov, mu)
+    duals = _pwf_receive(problem, factor, mu)[1]
     assert duals[0][0, 0].real == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("scale", [0.1, 1.0, 10.0])
+def test_pwf_receive_side_matches_the_covariance_formulas(scale, mixed_problems):
+    # the reversed-link covariances (1/mu) Z E Z^H equal the defining
+    # (1/mu) (Omega^{-1} - (Omega + S S^H)^{-1}), and the rate from the
+    # gains equals sum_k log2 det(Omega_k + S_k S_k^H) - log2 det Omega_k,
+    # on each user's own block; the padding carries nothing
+    from netmimo.algorithms import _pwf_receive
+    from netmimo.model import interference_covariance
+
+    mu = 0.7
+    for problem in mixed_problems.values():
+        cut = initialize_precoders(problem, AlgorithmConfig(initialization="random_orthonormal", init_seed=5))
+        cut = [scale * b for b in cut]
+        omegas, duals, rate = _pwf_receive(problem, problem.precoders(cut), mu)
+        want_rate = 0.0
+        for k, (dual, rx) in enumerate(zip(duals, problem.rx_dims)):
+            omega = interference_covariance(problem, cut, k)
+            s = problem.direct_channel(k) @ cut[k]
+            total = omega + s @ s.conj().T
+            want = (np.linalg.inv(omega) - np.linalg.inv(total)) / mu
+            bound = 1e-10 * np.linalg.norm(np.linalg.inv(omega)) / mu
+            assert np.linalg.norm(dual[:rx, :rx] - want) <= bound, (k, scale)
+            assert not np.any(dual[rx:]) and not np.any(dual[:, rx:])
+            assert np.allclose(omegas[k][:rx, :rx], omega, rtol=0, atol=1e-12 * np.linalg.norm(omega))
+            want_rate += (np.linalg.slogdet(total)[1] - np.linalg.slogdet(omega)[1]) / np.log(2.0)
+        assert rate == pytest.approx(want_rate, rel=1e-10, abs=0.0)
+
+
+def test_pwf_evaluates_one_receive_side_per_pass(monkeypatch):
+    # one interference-covariance stack per pass, plus the initial one
+    from netmimo import algorithms
+    calls, covariances = [], algorithms.interference_covariances
+
+    def spy(problem, precoders):
+        calls.append(np.shape(precoders))
+        return covariances(problem, precoders)
+
+    monkeypatch.setattr(algorithms, "interference_covariances", spy)
+    for seed in range(2):
+        calls.clear()
+        _, problem = cellular_problem(seed)
+        sol = pwf_solve(problem, AlgorithmConfig(algorithm="pwf", objective="srm"))
+        assert sol.iterations > 1 and len(calls) == sol.iterations + 1
 
 
 def test_pwf_multiplicative_update_direction():
@@ -895,9 +940,8 @@ def test_block_mask_pricing_matches_the_dense_sums(mixed_problems):
 
 
 def test_block_mask_usage_matches_the_dense_contraction(mixed_problems):
-    # supports times the precoder row norms, or times the covariance
-    # diagonals for pwf: the dense contraction up to the rounding of the
-    # reordered sums
+    # supports times the precoder row norms: the dense contraction up to
+    # the rounding of the reordered sums
     rng = np.random.default_rng(43)
     for problem in pricing_problems(mixed_problems):
         assert problem.constraint_supports is not None
@@ -907,9 +951,6 @@ def test_block_mask_usage_matches_the_dense_contraction(mixed_problems):
             precoders = scale * precoders * rng.uniform(0.1, 2.0, precoders.shape[:-1])[..., None]
             want = dense_constraint_usage(problem, precoders)
             assert np.allclose(constraint_usage(problem, precoders), want, rtol=1e-14, atol=0.0)
-            covariances = precoders @ precoders.conj().swapaxes(-1, -2)
-            assert np.allclose(weight_usage(problem.constraints, problem.constraint_supports, covariances, True),
-                               want, rtol=1e-14, atol=0.0)
 
 
 def test_general_constraint_weights_take_the_dense_path():
@@ -938,9 +979,6 @@ def test_general_constraint_weights_take_the_dense_path():
                                   dense_emmseia_solve_at(problem, grams, rhs, lam))
         precoders = rng.standard_normal((1, 3, 2)) + 1j * rng.standard_normal((1, 3, 2))
         assert np.array_equal(constraint_usage(problem, precoders), dense_constraint_usage(problem, precoders))
-        covariances = precoders @ precoders.conj().swapaxes(-1, -2)
-        assert np.array_equal(weight_usage(problem.constraints, None, covariances, True),
-                              dense_constraint_usage(problem, precoders))
 
 
 def rotate_transmit_spaces(problem, q):
@@ -1063,24 +1101,22 @@ def test_dmmse_step_rejects_a_non_finite_covariance():
     # Omega_k >= I always has a Cholesky factor; a NaN in it is a clear
     # numerical failure, not a silent NaN precoder, in dmmse's step and in
     # pwf's forward pass alike
-    from netmimo.algorithms import _dmmse_precoder_step, _dual_covariances, _pwf_forward
-    from netmimo.model import interference_covariances, mmse_equalizers
+    from netmimo.algorithms import _dmmse_precoder_step, _pwf_forward, _pwf_receive
+    from netmimo.model import mmse_equalizers
 
     _, problem = cellular_problem(0)
     precoders = problem.precoders(initialize_precoders(problem, AlgorithmConfig()))
-    omegas = interference_covariances(problem, precoders)
+    omegas, duals, _ = _pwf_receive(problem, precoders, 1.0)
     equalizers = mmse_equalizers(problem, precoders, omegas)
     weights = np.ones(problem.mse_weights.shape[:2])
     lam = np.ones(problem.num_constraints)
-    covariances = precoders @ precoders.conj().swapaxes(-1, -2)
-    duals = _dual_covariances(problem, covariances, 1.0)
     for where in ((1, 0, 0), (2, 1, 0)):
         bad = omegas.copy()
         bad[where] = np.nan
         with pytest.raises(NumericalFailureError, match="Cholesky"):
             _dmmse_precoder_step(problem, precoders, equalizers, weights, stream_order(weights), lam, bad)
         with pytest.raises(NumericalFailureError, match="Cholesky"):
-            _pwf_forward(problem, covariances, duals, lam, bad)
+            _pwf_forward(problem, bad, duals, lam)
 
 
 # Sum rate and converged flag of each solve on the mixed-dimension problems
@@ -1120,8 +1156,7 @@ def test_array_and_per_user_paths_give_identical_solutions(algorithm, objective,
 
 
 def test_solver_steps_leave_the_padding_alone(mixed_problems):
-    from netmimo.algorithms import (_dmmse_precoder_step, _dual_covariances, _mse_offdiag,
-                                    _pwf_forward, _stream_weights)
+    from netmimo.algorithms import _dmmse_precoder_step, _mse_offdiag, _pwf_forward, _pwf_receive, _stream_weights
     from netmimo.model import (cut_padding, interference_covariances, mmse_equalizers, mse_matrices_mmse,
                                srm_weight_update)
 
@@ -1163,11 +1198,10 @@ def test_solver_steps_leave_the_padding_alone(mixed_problems):
         assert not np.any(padding(update, tx, d))
 
         # pwf: no power on padded transmit coordinates or padded streams
-        covariances = precoders @ precoders.conj().swapaxes(-1, -2)
-        duals = _dual_covariances(problem, covariances, 1.0)
-        forward, _, factors = _pwf_forward(problem, covariances, duals, lam)
-        assert not np.any(padding(forward, tx, tx))
+        factors = _pwf_forward(problem, omegas, _pwf_receive(problem, precoders, 1.0)[1], lam)[0]
         assert not np.any(padding(factors, tx, d))
+        forward = factors @ factors.conj().swapaxes(-1, -2)
+        assert not np.any(padding(forward, tx, tx))
         for c, streams in zip(cut_padding(forward, tx, tx), d):
             assert np.linalg.matrix_rank(c, tol=1e-9 * np.linalg.norm(c)) <= streams
 
@@ -1224,7 +1258,7 @@ GOLDEN_DIGESTS = {
     "cell0/emmseia/srm":
         "76b09b8cc527d5ba97da907c6f189631310066d40d39da145f5ff057a49be6d1",
     "cell0/pwf/srm":
-        "ca73d060ec50d34221ea606226021e8e1458dfdb2bc1e6aa8114595b86f419bd",
+        "9306526180fb1db253744e7377ba0e040bcf487cb270f6ee4ba292c278c5b56b",
     "cell1/dmmse/wsmmse":
         "ab58ab21a64765fd973e8267d61d3433c6f3f56defbcaf75eed254f6ea890518",
     "cell1/dmmse/srm":
@@ -1234,7 +1268,7 @@ GOLDEN_DIGESTS = {
     "cell1/emmseia/srm":
         "b283b7cca23d241037e941d2d898cc8bf903bb5a602a56a1c3f5ca5bcb861478",
     "cell1/pwf/srm":
-        "8845f9c8cb88775eaebe49d1c97922a15462b3721ff9415f31d8a35bf6323100",
+        "6433a2b5418b88ac940fdd4d263cbf91086fc25c047a239ee6a3762bc35cfc3c",
     "serving_sets/dmmse/wsmmse":
         "e34ce2153e6853bbc174823d1cf0b0adca4c49fce8628ba9fbe96dd976e5781f",
     "serving_sets/dmmse/srm":
@@ -1244,7 +1278,7 @@ GOLDEN_DIGESTS = {
     "serving_sets/emmseia/srm":
         "badfc1422ca9020bbb2ea1a7196c90ac78c35508e5532a05d2b59c14aea23e2d",
     "serving_sets/pwf/srm":
-        "c5406797c6ef8c88ed008ff2be3d3f685f58461f56eb9bc3bec9febc240c315e",
+        "1dce136f52bd3dd67ae28b2c6981c6fbb3634bfc2f87398de26712e1ba02e5ca",
     "sizes/dmmse/wsmmse":
         "81d528d413bf1baecc7afb298cb5e65f02a167692b4f10ba1ddac17299309a76",
     "sizes/dmmse/srm":
@@ -1254,7 +1288,7 @@ GOLDEN_DIGESTS = {
     "sizes/emmseia/srm":
         "0971810f43b3f8ec0d581ef9d08722b7d592e235b3722bea1020795b4fcbdeb9",
     "sizes/pwf/srm":
-        "26b0921511c4cc8c513582ef56f7afc973e8c3986543ecb442cdd06367c80e3a",
+        "c36fda125ea43ed776b6afcccf51fbba96e47701f19bf9e21df0057d76eaf9b3",
     "link0":
         "b15edb391935312c3bc8c59fb2da1915acaccc6d6409bcb92d219ee16dd68065",
     "link1":

@@ -61,14 +61,14 @@ def test_canary_matches_the_benchmark_reference(name, tmp_path):
     assert checks.ok, checks.problems
 
 
-def test_kappa_srm_item_recomputes_its_rate_under_the_checker(tmp_path):
+@pytest.mark.parametrize("key", [(3, 0, "dmmse"), (3, 0, "pwf")], ids=lambda key: "-".join(map(str, key)))
+def test_kappa_srm_item_recomputes_its_rate_under_the_checker(tmp_path, key):
     # the checker recomputes the rate and the usage of a cooperation-sweep
     # solve through sum_rate(problem, precoders) and
     # constraint_usage(problem, precoders), called positionally; the rate
     # must be the recorded one
     workload, checks = WORKLOADS["kappa_srm"], Checks()
     state = workload.setup(1, tmp_path)
-    key = (3, 0, "dmmse")
     with TrialChecker().installed():
         record = experiment.run_trial(state.spec, *key)
     assert not record.failed and record.usage_ratio <= 1.0 + state.spec.algorithm_config.constraint_tol
