@@ -6,8 +6,6 @@ collect the empirical CDF of the per-cell sum rate over independent draws
 and compare the sectorization gain for an uncoordinated single cell.
 """
 
-import numpy as np
-
 from netmimo import AlgorithmConfig, ScenarioConfig
 from netmimo.experiment import SweepSpec, compute_cdf, emit_cdf_csv, run_sweep
 

@@ -33,7 +33,11 @@ Four families are implemented:
 
 ``dmmse``, ``emmseia`` and ``pwf`` run on :func:`single_user.dual_loop`:
 pricing passes at fixed multipliers, each followed by an exit test and a
-multiplier step, then fixed-multiplier polish runs.  The multiplier rules:
+multiplier step, then fixed-multiplier polish runs.  Each pass makes one
+:class:`model.ReceiveSide` for the precoder stack it produces and reads
+from it only what it needs (the pass value, the next pass's weights and
+equalizers, ``pwf``'s reversed-link covariances, the polish test), and
+every solve ends in one finisher (:func:`_finish`).  The multiplier rules:
 ``dmmse`` ascends additively on the power residuals
 (:func:`single_user.additive_rule`), ``pwf`` takes damped multiplicative
 steps (:func:`_pwf_rule`), and ``emmseia`` has no outer rule, its KKT search
@@ -47,7 +51,7 @@ every pass).
 All solvers are deterministic given problem, config and seed.
 
 The dual-loop solvers run batched over users on the zero-padded arrays
-of :class:`InterferenceProblem`, whatever the users' serving sets and
+of :class:`model.InterferenceProblem`, whatever the users' serving sets and
 stream counts.  Padding adds nothing on the real coordinates: the matrices
 inverted over the transmit space (``dmmse``'s F_k, ``pwf``'s reversed-link
 covariance, ``emmseia``'s linear system) get 1 on their padded diagonal,
@@ -58,10 +62,10 @@ The priced constraint weights and their usage come from
 :func:`fit_to_budgets` reads the supports only to choose its scaling.
 ``min_leakage`` works on the physical per-BS form.
 
-Every sum-rate (``srm``) solution meets each budget by construction: a last
-iterate more than ``constraint_tol`` over a budget (possible only on an
-unconverged stop) is scaled back with :func:`fit_to_budgets`, ``converged``
-stays False, and the diagnostics keep the miss as
+Every sum-rate (``srm``) solution meets each budget by construction: the
+finisher scales a last iterate more than ``constraint_tol`` over a budget
+(possible only on an unconverged stop) back with :func:`fit_to_budgets`,
+``converged`` stays False, and the diagnostics keep the miss as
 ``unscaled_max_violation``.  The fixed-weight ``wsmmse`` path returns its
 last iterate unscaled.
 """
@@ -78,23 +82,15 @@ from .model import (
     BeamformerSolution,
     InterferenceProblem,
     PartialCooperationSystem,
+    ReceiveSide,
     build_interference_problem,
-    constraint_usage,
     cut_padding,
-    interference_covariances,
-    mmse_equalizers,
-    mse_matrices_mmse,
-    receive_gains,
     reverse_link_sums,
     set_padded_diagonal,
-    srm_weight_update,
     sum_over_sources,
-    sum_rate,
-    wsmse_objective,
 )
-from .single_user import (GAIN_RTOL, LAMBDA_CAP, LAMBDA_FLOOR, MAX_POLISH_ROUNDS, additive_rule, dual_loop,
-                          max_violation, objective_stable, priced_minimizer, receive_factors, stream_order,
-                          whitened_directions)
+from .single_user import (GAIN_RTOL, LAMBDA_CAP, LAMBDA_FLOOR, additive_rule, dual_loop, max_violation,
+                          objective_stable, priced_minimizer, receive_factors, stream_order, whitened_directions)
 
 ALGORITHMS = ("dmmse", "emmseia", "pwf", "min_leakage")
 OBJECTIVES = ("wsmmse", "srm")
@@ -190,9 +186,7 @@ class LeakageState:
 
 def offdiag_mass(mat: np.ndarray) -> float:
     """Relative Frobenius mass of the off-diagonal part of ``mat``."""
-    mat = np.asarray(mat)
-    off = mat - np.diag(np.diag(mat))
-    return float(np.linalg.norm(off)) / max(float(np.linalg.norm(mat)), 1e-300)
+    return float(_offdiag_masses(np.asarray(mat)[None])[0])
 
 
 def _norms(mats) -> np.ndarray:
@@ -203,20 +197,20 @@ def _norms(mats) -> np.ndarray:
     return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[:, 0, 0])
 
 
-def _max_offdiag_mass(mats) -> float:
-    """The largest :func:`offdiag_mass` over a (K, n, n) stack."""
+def _offdiag_masses(mats) -> np.ndarray:
+    """:func:`offdiag_mass` of each matrix in a (K, n, n) stack."""
     off = np.array(mats)
     idx = np.arange(off.shape[-1])
     off[:, idx, idx] = 0.0
-    return float(np.max(_norms(off) / np.maximum(_norms(mats), 1e-300)))
+    return _norms(off) / np.maximum(_norms(mats), 1e-300)
 
 
 def _mse_offdiag(problem: InterferenceProblem, mses) -> float:
     """The largest :func:`offdiag_mass` of the users' MMSE error covariances
-    E_k (:func:`mse_matrices_mmse`), each over its own d_k x d_k block: the
+    E_k (:attr:`ReceiveSide.mses`), each over its own d_k x d_k block: the
     padded diagonal (identity in ``mses``) is cleared in a copy, which
     leaves exactly the block's entries nonzero."""
-    return _max_offdiag_mass(set_padded_diagonal(np.array(mses), problem.stream_pad, 0.0))
+    return float(np.max(_offdiag_masses(set_padded_diagonal(np.array(mses), problem.stream_pad, 0.0))))
 
 
 def initialize_precoders(problem: InterferenceProblem, config: AlgorithmConfig) -> list:
@@ -239,9 +233,9 @@ def initialize_precoders(problem: InterferenceProblem, config: AlgorithmConfig) 
     return precoders
 
 
-def fit_to_budgets(problem: InterferenceProblem, precoders) -> tuple:
+def fit_to_budgets(problem: InterferenceProblem, precoders) -> ReceiveSide:
     """Scale ``precoders`` so that every constraint meets its budget; returns
-    (scaled precoders as the padded stack, their usage).
+    the :class:`ReceiveSide` of the scaled padded stack.
 
     When the constraint weights are diagonal with disjoint supports
     (:attr:`InterferenceProblem.constraint_supports`), the rows weighed by
@@ -253,43 +247,46 @@ def fit_to_budgets(problem: InterferenceProblem, precoders) -> tuple:
     then meets its budget.
     """
     budgets = problem.budgets
-    precoders = problem.precoders(precoders)
-    usage = constraint_usage(problem, precoders)
+    rx = ReceiveSide(problem, precoders)
+    usage = rx.usage
     over = usage > budgets
     if not np.any(over):
-        return precoders, usage
+        return rx
     factors = np.ones(problem.num_constraints)
     factors[over] = np.sqrt(budgets[over] / usage[over])
     supports = problem.constraint_supports
     if supports is None:
-        scaled = float(np.min(factors)) * precoders
+        scaled = float(np.min(factors)) * rx.precoders
     else:
-        scaled = (factors @ (supports != 0))[..., None] * precoders
-    return scaled, constraint_usage(problem, scaled)
+        scaled = (factors @ (supports != 0))[..., None] * rx.precoders
+    return ReceiveSide(problem, scaled)
 
 
-def _budget_guard(problem: InterferenceProblem, config: AlgorithmConfig, precoders, usage) -> tuple:
-    """The returned form of a sum-rate iterate: (precoders, usage) as they
-    are, or scaled with :func:`fit_to_budgets` when more than
-    ``constraint_tol`` over a budget (possible only on an unconverged stop,
-    since the weights move every pass)."""
-    if max_violation(usage, problem.budgets) > config.constraint_tol:
-        return fit_to_budgets(problem, precoders)
-    return precoders, usage
-
-
-def _solution(problem: InterferenceProblem, precoders, usage, multipliers, run, converged,
-              diagnostics: dict) -> BeamformerSolution:
-    """The :class:`BeamformerSolution` of a dual-loop solve from the padded
-    precoder stack it returns, their usage, and the :class:`DualRun`."""
+def _finish(problem: InterferenceProblem, config: AlgorithmConfig, run, rx: ReceiveSide, multipliers,
+            diagnostics: dict, holds=None) -> BeamformerSolution:
+    """The :class:`BeamformerSolution` of a dual-loop solve from its
+    :class:`DualRun` and the :class:`ReceiveSide` of its last stack.  An
+    ``srm`` stack more than ``constraint_tol`` over a budget (possible only
+    on an unconverged stop, since the weights move every pass) is scaled
+    with :func:`fit_to_budgets`.  ``converged`` needs the last violation
+    within ``constraint_tol``, a stable objective and ``holds(rx)``, a
+    solver's own test on the returned receive side."""
+    violation = max_violation(run.usage, problem.budgets)
+    diagnostics["objective"] = config.objective
+    if config.objective == "srm":
+        diagnostics["unscaled_max_violation"] = max(violation, 0.0)
+        if violation > config.constraint_tol:
+            rx = fit_to_budgets(problem, rx.precoders)
+    own = True if holds is None else holds(rx)
+    converged = violation <= config.constraint_tol and own and objective_stable(run.trace, config.inner_tol)
     return BeamformerSolution(
-        precoders=cut_padding(precoders, problem.tx_dims, problem.streams),
-        equalizers=cut_padding(mmse_equalizers(problem, precoders), problem.rx_dims, problem.streams),
-        multipliers=np.asarray(multipliers, dtype=float),
+        precoders=cut_padding(rx.precoders, problem.tx_dims, problem.streams),
+        equalizers=cut_padding(rx.equalizers, problem.rx_dims, problem.streams),
+        multipliers=np.array(multipliers, dtype=float),
         trace=run.trace,
         iterations=run.iterations,
         converged=bool(converged),
-        diagnostics={"usage": usage, "max_violation": max(max_violation(usage, problem.budgets), 0.0),
+        diagnostics={"usage": rx.usage, "max_violation": max(max_violation(rx.usage, problem.budgets), 0.0),
                      "stop": run.stop, **diagnostics},
     )
 
@@ -304,12 +301,13 @@ def _stream_weights(problem: InterferenceProblem, mats) -> np.ndarray:
 
 def _diagonal_weights(problem: InterferenceProblem) -> np.ndarray:
     """:func:`_stream_weights` of the problem's MSE weights, which the
-    diagonalizing solver requires to be diagonal."""
-    for k, w in enumerate(cut_padding(problem.mse_weights, problem.streams, problem.streams)):
-        if offdiag_mass(w) > 1e-10:
-            raise ContractViolationError(
-                f"user {k}: the diagonalizing solver requires diagonal MSE weights"
-            )
+    diagonalizing solver requires to be diagonal (the zero padding adds no
+    off-diagonal mass)."""
+    bad = np.flatnonzero(_offdiag_masses(problem.mse_weights) > 1e-10)
+    if bad.size:
+        raise ContractViolationError(
+            f"user {bad[0]}: the diagonalizing solver requires diagonal MSE weights"
+        )
     return _stream_weights(problem, problem.mse_weights)
 
 
@@ -324,19 +322,18 @@ def _pricing_matrices(problem, ups, lam):
     return set_padded_diagonal(f, problem.tx_pad, 1.0)
 
 
-def _dmmse_precoder_step(problem, precoders, a, w, order, lam, omegas=None):
-    """Simultaneous per-user precoder update at multipliers ``lam`` from
-    padded equalizers ``a`` and (K, d) weights ``w`` in ``order``:
-    :func:`priced_minimizer` with the interference-pricing matrices F_k and
-    the :func:`receive_factors` C_k = H_kk^H L_k^{-H} of
-    Omega_k = I + sum (HB)(HB)^H, as the padded (K, m_t, d) stack; padded
+def _dmmse_precoder_step(problem, rx, w, order, lam):
+    """Simultaneous per-user precoder update at multipliers ``lam`` from the
+    :class:`ReceiveSide` ``rx`` of the current stack and (K, d) weights
+    ``w`` in ``order``: :func:`priced_minimizer` with the interference-pricing
+    matrices F_k of the MMSE equalizers A_k and the :func:`receive_factors`
+    C_k = H_kk^H L_k^{-H} of Omega_k, as the padded (K, m_t, d) stack; padded
     streams carry zero weight and so get zero columns.  A singular F_k is
     retried once with the price floor lifted to the interference scale."""
-    if omegas is None:
-        omegas = interference_covariances(problem, precoders)
+    a = rx.equalizers
     # ups[k] = sum_{l != k} H_{l,k}^H A_l W_l A_l^H H_{l,k}
     ups = reverse_link_sums(0.0, problem.cross, problem.cross_h, (a * w[:, None, :]) @ adjoint(a))
-    c = receive_factors(omegas, problem.direct_h)
+    c = receive_factors(rx.omegas, problem.direct_h)
 
     def lift(k):
         guard = max(LAMBDA_FLOOR, 1e-9 * max(1.0, float(np.linalg.norm(ups[k]))))
@@ -452,155 +449,116 @@ def _emmseia_multiplier_search(problem, equalizers, weights, mu, constraint_tol,
 
 
 # ---------------------------------------------------------------------------
-# dmmse / emmseia in both objectives
+# dmmse and emmseia solves
 # ---------------------------------------------------------------------------
 
-def _iterate_mse_family(problem, config, inner: str, initial=None) -> BeamformerSolution:
-    """``dmmse`` or ``emmseia`` on :func:`dual_loop`.  ``dmmse`` steps its
-    multipliers with the :func:`additive_rule` (frozen at
-    ``subgradient_step=0``) and polishes at fixed multipliers until the error
-    covariances are diagonal; ``emmseia`` carries the KKT multipliers of its
-    per-pass search across passes and does not polish.
+def dmmse_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = None,
+                initial=None) -> BeamformerSolution:
+    """Diagonalizing weighted-MMSE design (see module docstring) on
+    :func:`dual_loop`: the multipliers step with the :func:`additive_rule`
+    (frozen at ``subgradient_step=0``), and polish passes at fixed
+    multipliers run until the error covariances are diagonal.
 
-    The receive side of the current precoders (Omega_k, the signals
-    H_kk B_k, and when needed the gains G_k and error covariances E_k) is
-    evaluated once per precoder stack and shared by the pass value, the
-    next pass's weights and equalizers, and the polish test."""
-    budgets = problem.budgets
-    objective = config.objective
-    precoders = problem.precoders(initialize_precoders(problem, config) if initial is None else initial)
-    omegas = interference_covariances(problem, precoders)
-    signals = problem.direct @ precoders
-    gains = mses = None
-    dmmse = inner == "dmmse"
-    # emmseia's passes form the equalizers of the stack they start from
-    equalizers = mmse_equalizers(problem, precoders, omegas, signals) if dmmse else None
-    usage = None
-    mu = np.full(problem.num_constraints, config.lambda_init)  # emmseia's KKT multipliers
-    fixed_weights = _diagonal_weights(problem) if dmmse else problem.mse_weights
-    fixed_order = stream_order(fixed_weights) if dmmse and objective != "srm" else None  # once per solve
-    slack_ok = True
+    The weighted-MSE objective requires diagonal weights; in 'srm' mode the
+    reweighting loop supplies them as diag(E_k^{-1}).
+    """
+    config = (config or AlgorithmConfig(algorithm="dmmse")).validate()
+    srm = config.objective == "srm"
+    rx = ReceiveSide(problem, initialize_precoders(problem, config) if initial is None else initial)
+    fixed_weights = _diagonal_weights(problem)
+    fixed_order = None if srm else stream_order(fixed_weights)  # once per solve
     # The inner subproblem at fixed multipliers minimizes the priced
     # objective wsmse + lam.(usage - P); its per-pass values are the
     # provably non-increasing descent quantity, recorded for diagnostics.
     priced_trace: list = []
 
-    def current_mses():
-        nonlocal gains, mses
-        if mses is None:
-            if gains is None:
-                gains = receive_gains(problem, precoders, omegas, signals)
-            mses = mse_matrices_mmse(problem, precoders, gains=gains)
-        return mses
-
-    def current_weights():
-        if objective != "srm":
-            return fixed_weights
-        mats = srm_weight_update(problem, precoders, mses=current_mses())
-        return _stream_weights(problem, mats) if dmmse else mats
-
     def run_pass(lam):
-        nonlocal precoders, equalizers, usage, slack_ok, omegas, signals, gains, mses, mu
-        weights = current_weights()
-        if dmmse:
-            order = fixed_order if objective != "srm" else stream_order(weights)
-            precoders = _dmmse_precoder_step(problem, precoders, equalizers, weights, order, lam, omegas)
-        else:
-            equalizers = mmse_equalizers(problem, precoders, omegas, signals)
-            # search to half the tolerance so the returned point clears it with margin
-            mu, precoders, usage, slack_ok = _emmseia_multiplier_search(
-                problem, equalizers, weights, mu, 0.5 * config.constraint_tol
-            )
-        omegas = interference_covariances(problem, precoders)
-        signals = problem.direct @ precoders
-        gains = mses = None
-        if dmmse:
-            equalizers = mmse_equalizers(problem, precoders, omegas, signals)
-            usage = weight_usage(problem.constraints, problem.constraint_supports, precoders)
-        if objective == "srm":
-            gains = receive_gains(problem, precoders, omegas, signals)
-            return sum_rate(problem, precoders, gains=gains)
-        value = wsmse_objective(problem, precoders, equalizers, omegas=omegas, signals=signals)
-        if dmmse:
-            priced_trace.append(value + float(np.dot(lam, usage - budgets)))
+        nonlocal rx
+        weights = _stream_weights(problem, rx.weights) if srm else fixed_weights
+        order = stream_order(weights) if srm else fixed_order
+        rx = ReceiveSide(problem, _dmmse_precoder_step(problem, rx, weights, order, lam))
+        if srm:
+            return rx.rate
+        value = rx.wsmse(rx.equalizers)
+        priced_trace.append(value + float(np.dot(lam, rx.usage - problem.budgets)))
         return value
 
     def exit_test(trace, violation, residual):
-        if violation > config.constraint_tol or not slack_ok:
+        if violation > config.constraint_tol:
             return False
-        if dmmse and residual > config.constraint_tol:
+        if residual > config.constraint_tol:
             return False
         return objective_stable(trace, config.inner_tol)
 
     def polish_step(lam):
         # fixed-multiplier pass toward the inner fixed point, where the
         # error covariances are diagonal to tolerance
-        previous = precoders  # run_pass binds a new stack
+        previous = rx.precoders  # run_pass makes a new receive side
         value = run_pass(lam)
-        offdiag = _mse_offdiag(problem, current_mses())
-        drift = float(np.max(_norms(precoders - previous) / np.maximum(_norms(precoders), 1e-300)))
+        offdiag = _mse_offdiag(problem, rx.mses)
+        drift = float(np.max(_norms(rx.precoders - previous) / np.maximum(_norms(rx.precoders), 1e-300)))
         return value, offdiag <= OFFDIAG_TOL and drift <= 1e-9
 
-    rule = additive_rule(config.subgradient_step) if dmmse and config.subgradient_step > 0 else None
-    run = dual_loop(run_pass, lambda: usage, exit_test, np.full(problem.num_constraints, config.lambda_init),
-                    budgets, config.max_outer, rule=rule, polish=(lambda: polish_step) if dmmse else None,
+    rule = additive_rule(config.subgradient_step) if config.subgradient_step > 0 else None
+    run = dual_loop(run_pass, lambda: rx.usage, exit_test, np.full(problem.num_constraints, config.lambda_init),
+                    problem.budgets, config.max_outer, rule=rule, polish=lambda: polish_step,
                     max_inner=config.max_inner, polish_unconverged=True, constraint_tol=config.constraint_tol)
+    diagnostics = {"polish_start": run.polish_start}
+    if not srm:
+        diagnostics["priced_trace"] = priced_trace
 
-    violation = max_violation(run.usage, budgets)
-    returned, usage = precoders, run.usage
-    if objective == "srm":
-        returned, usage = _budget_guard(problem, config, precoders, usage)
-    converged = violation <= config.constraint_tol and slack_ok and objective_stable(run.trace, config.inner_tol)
-    diagnostics = {"objective": objective}
-    if objective == "srm":
-        diagnostics["unscaled_max_violation"] = max(violation, 0.0)
-    if dmmse:
-        offdiag = _mse_offdiag(problem, current_mses() if returned is precoders
-                               else mse_matrices_mmse(problem, returned))
-        converged = converged and offdiag <= OFFDIAG_TOL
-        diagnostics.update(offdiag=offdiag, polish_start=run.polish_start)
-        if objective == "wsmmse":
-            diagnostics["priced_trace"] = priced_trace
-    return _solution(problem, returned, usage, run.lam if dmmse else mu, run, converged, diagnostics)
+    def diagonal(returned):
+        diagnostics["offdiag"] = offdiag = _mse_offdiag(problem, returned.mses)
+        return offdiag <= OFFDIAG_TOL
 
-
-def dmmse_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = None,
-                initial=None) -> BeamformerSolution:
-    """Diagonalizing weighted-MMSE design (see module docstring).
-
-    The weighted-MSE objective requires diagonal weights; in 'srm' mode the
-    reweighting loop supplies them as diag(E_k^{-1}).
-    """
-    config = (config or AlgorithmConfig(algorithm="dmmse")).validate()
-    return _iterate_mse_family(problem, config, "dmmse", initial)
+    return _finish(problem, config, run, rx, run.lam, diagnostics, diagonal)
 
 
 def emmseia_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = None,
                   initial=None) -> BeamformerSolution:
-    """Interference-aligning MMSE design with joint precoder updates and a
-    KKT multiplier search per round (see module docstring)."""
+    """Interference-aligning MMSE design with joint precoder updates (see
+    module docstring) on :func:`dual_loop` without an outer rule: each pass
+    forms the MMSE equalizers of the stack it starts from and runs the KKT
+    multiplier search, whose multipliers it carries to the next pass; no
+    polish."""
     config = (config or AlgorithmConfig(algorithm="emmseia")).validate()
-    return _iterate_mse_family(problem, config, "emmseia", initial)
+    srm = config.objective == "srm"
+    rx = ReceiveSide(problem, initialize_precoders(problem, config) if initial is None else initial)
+    mu = np.full(problem.num_constraints, config.lambda_init)
+    usage, slack_ok = None, True
+
+    def run_pass(lam):
+        nonlocal rx, mu, usage, slack_ok
+        equalizers = rx.equalizers
+        # search to half the tolerance so the returned point clears it with margin
+        mu, precoders, usage, slack_ok = _emmseia_multiplier_search(
+            problem, equalizers, rx.weights if srm else problem.mse_weights, mu, 0.5 * config.constraint_tol
+        )
+        rx = ReceiveSide(problem, precoders)
+        # the fixed-weight value pairs the new stack with the equalizers it was solved for
+        return rx.rate if srm else rx.wsmse(equalizers)
+
+    def exit_test(trace, violation, residual):
+        if violation > config.constraint_tol or not slack_ok:
+            return False
+        return objective_stable(trace, config.inner_tol)
+
+    run = dual_loop(run_pass, lambda: usage, exit_test, np.full(problem.num_constraints, config.lambda_init),
+                    problem.budgets, config.max_outer, constraint_tol=config.constraint_tol)
+    return _finish(problem, config, run, rx, mu, {}, lambda returned: slack_ok)
 
 
 # ---------------------------------------------------------------------------
 # pwf
 # ---------------------------------------------------------------------------
 
-def _pwf_receive(problem, precoders, water_level):
-    """The receive side of a pwf iterate, from one solve Z_k = Omega_k^{-1} S_k
-    with the signals S_k = H_kk B_k: (Omega_k, the reversed-link
-    covariances, the sum rate).  With the gains G_k = S_k^H Z_k and the error
-    covariances E_k = (I + G_k)^{-1}, the reversed-link covariance
-    (1/mu) (Omega_k^{-1} - (Omega_k + S_k S_k^H)^{-1}) is (1/mu) Z_k E_k Z_k^H
-    (Woodbury) and the rate is :func:`sum_rate` of the gains."""
-    omegas = interference_covariances(problem, precoders)
-    signals = problem.direct @ precoders
-    z = np.linalg.solve(omegas, signals)
-    gains = hermitian_part(adjoint(signals) @ z)
-    mses = mse_matrices_mmse(problem, precoders, gains=gains)
-    duals = hermitian_part(z @ mses @ adjoint(z)) / water_level
-    return omegas, duals, sum_rate(problem, precoders, gains=gains)
+def _pwf_duals(rx: ReceiveSide, water_level: float) -> np.ndarray:
+    """The reversed-link covariances (1/mu) (Omega_k^{-1} - (Omega_k +
+    S_k S_k^H)^{-1}) of a pwf iterate at water level mu, formed (Woodbury)
+    as (1/mu) Z_k E_k Z_k^H from the receive side's Z_k = Omega_k^{-1} S_k
+    and error covariances E_k."""
+    z = rx.whitened
+    return hermitian_part(z @ rx.mses @ adjoint(z)) / water_level
 
 
 def _pwf_forward(problem, omegas, dual_covariances, lam):
@@ -638,10 +596,9 @@ def _pwf_forward(problem, omegas, dual_covariances, lam):
 def pwf_fixed_point_residual(problem: InterferenceProblem, state: DualNetworkState) -> float:
     """Re-evaluate the coupled covariance equations at ``state`` and return
     the worst relative deviation of the reproduced transmit covariances."""
-    precoders = problem.precoders(state.precoders)
-    omegas, duals, _ = _pwf_receive(problem, precoders, state.water_level)
-    reproduced = _pwf_forward(problem, omegas, duals, state.multipliers)[0]
-    return _relative_change(*(hermitian_part(b @ adjoint(b)) for b in (reproduced, precoders)))
+    rx = ReceiveSide(problem, state.precoders)
+    reproduced = _pwf_forward(problem, rx.omegas, _pwf_duals(rx, state.water_level), state.multipliers)[0]
+    return _relative_change(*(hermitian_part(b @ adjoint(b)) for b in (reproduced, rx.precoders)))
 
 
 def _relative_change(new, old) -> float:
@@ -666,26 +623,24 @@ def pwf_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = Non
               initial=None) -> BeamformerSolution:
     """Polite water-filling fixed point for the sum-rate objective (see
     module docstring), on :func:`dual_loop` with :func:`_pwf_rule`.  Each
-    pass is one :func:`_pwf_forward` from the receive side
-    (:func:`_pwf_receive`) of the last precoder stack.  The polish iterates
-    this map at fixed multipliers, and only from a pricing state that met
-    its exit test: the map can diverge at far-off multipliers.  The
+    pass is one :func:`_pwf_forward` from the :class:`ReceiveSide` of the
+    last precoder stack (its Omega_k and :func:`_pwf_duals`).  The polish
+    iterates this map at fixed multipliers, and only from a pricing state
+    that met its exit test: the map can diverge at far-off multipliers.  The
     precoders are the last pass's factors and meet every budget by
     construction: an over-budget last iterate is scaled back with
     :func:`fit_to_budgets` and reported as unconverged.  The diagnostics
     carry the last iterate's :class:`DualNetworkState` for structural
     verification."""
     config = (config or AlgorithmConfig(algorithm="pwf", objective="srm")).validate()
-    budgets = problem.budgets
-    precoders = problem.precoders(initialize_precoders(problem, config) if initial is None else initial)
+    rx = ReceiveSide(problem, initialize_precoders(problem, config) if initial is None else initial)
     mu = 1.0
-    omegas, duals, _ = _pwf_receive(problem, precoders, mu)
 
     def run_pass(lam):
-        nonlocal precoders, mu, omegas, duals
-        precoders, mu = _pwf_forward(problem, omegas, duals, lam)
-        omegas, duals, rate = _pwf_receive(problem, precoders, mu)
-        return rate
+        nonlocal rx, mu
+        precoders, mu = _pwf_forward(problem, rx.omegas, _pwf_duals(rx, mu), lam)
+        rx = ReceiveSide(problem, precoders)
+        return rx.rate
 
     def exit_test(trace, violation, residual):
         return violation <= config.constraint_tol \
@@ -694,14 +649,14 @@ def pwf_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = Non
 
     def polish():
         prev_delta, growth = np.inf, 0
-        covariances = hermitian_part(precoders @ adjoint(precoders))
+        covariances = hermitian_part(rx.precoders @ adjoint(rx.precoders))
 
         def step(lam):
             # stops at the fixed point, or when the change grew more than
             # twofold in two passes running
             nonlocal prev_delta, growth, covariances
             value = run_pass(lam)
-            previous, covariances = covariances, hermitian_part(precoders @ adjoint(precoders))
+            previous, covariances = covariances, hermitian_part(rx.precoders @ adjoint(rx.precoders))
             delta = _relative_change(covariances, previous)
             if delta <= PWF_POLISH_TOL:
                 return value, True
@@ -712,20 +667,13 @@ def pwf_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = Non
         return step
 
     run = dual_loop(
-        run_pass, lambda: weight_usage(problem.constraints, problem.constraint_supports, precoders), exit_test,
-        np.full(problem.num_constraints, config.lambda_init), budgets, config.max_outer,
-        rule=_pwf_rule, stall_window=PWF_STALL_WINDOW, polish=polish, max_inner=config.max_inner,
-        constraint_tol=config.constraint_tol,
+        run_pass, lambda: rx.usage, exit_test, np.full(problem.num_constraints, config.lambda_init),
+        problem.budgets, config.max_outer, rule=_pwf_rule, stall_window=PWF_STALL_WINDOW, polish=polish,
+        max_inner=config.max_inner, constraint_tol=config.constraint_tol,
     )
-    usage = run.usage
-    violation = max_violation(usage, budgets)
-    state = DualNetworkState(precoders=tuple(cut_padding(precoders, problem.tx_dims, problem.streams)),
+    state = DualNetworkState(precoders=tuple(cut_padding(rx.precoders, problem.tx_dims, problem.streams)),
                              multipliers=run.lam.copy(), water_level=mu)
-    converged = violation <= config.constraint_tol and objective_stable(run.trace, config.inner_tol)
-    precoders, usage = _budget_guard(problem, config, precoders, usage)
-    return _solution(problem, precoders, usage, run.lam.copy(), run, converged,
-                     {"unscaled_max_violation": max(violation, 0.0), "state": state, "objective": "srm",
-                      "polish_start": run.polish_start})
+    return _finish(problem, config, run, rx, run.lam, {"state": state, "polish_start": run.polish_start})
 
 
 # ---------------------------------------------------------------------------

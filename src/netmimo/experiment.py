@@ -42,7 +42,7 @@ import numpy as np
 
 from .algorithms import ALGORITHMS, AlgorithmConfig, solve_system
 from .errors import ConfigurationError, NumericalFailureError
-from .model import mse_matrices_mmse, receive_gains, sum_rate
+from .model import ReceiveSide
 from .scenario import ScenarioConfig, realize
 
 SWEEP_VARIABLES = ("snr_db", "kappa", "cluster_size", "sectors")
@@ -252,11 +252,10 @@ def run_trial(spec: SweepSpec, value_index: int, trial_index: int, algorithm: st
     failed = False
     try:
         problem, solution = solve_system(system, config)
-        gains = receive_gains(problem, solution.precoders)
-        rate = sum_rate(problem, solution.precoders, gains=gains) / scenario_cfg.cluster_size
+        rx = ReceiveSide(problem, solution.precoders)
+        rate = rx.rate / scenario_cfg.cluster_size
         # each user's own d_k streams: the padded ones are identity in the stack
-        mses = mse_matrices_mmse(problem, solution.precoders, gains=gains)
-        wsmse = sum(float(np.trace(e[:d, :d]).real) for e, d in zip(mses, problem.streams))
+        wsmse = sum(float(np.trace(e[:d, :d]).real) for e, d in zip(rx.mses, problem.streams))
         violation = float(solution.diagnostics.get("max_violation", 0.0))
         iterations, converged = solution.iterations, bool(solution.converged)
     except NumericalFailureError:

@@ -12,22 +12,23 @@ Users may differ in transmit size (serving-set size), receive size and
 stream count d_k.  An :class:`InterferenceProblem` stores one form: arrays
 zero-padded to the largest sizes, with the per-user sizes alongside, which
 :func:`build_interference_problem` fills in one gather and
-:meth:`InterferenceProblem.from_blocks` from per-user blocks.  The batched
-kernels below (:func:`interference_covariances`, :func:`reverse_link_sums`,
-:func:`mmse_equalizers`, :func:`receive_gains`, :func:`mse_matrices_mmse`,
-:func:`wsmse_objective`, :func:`sum_rate`, :func:`constraint_usage`,
-:func:`srm_weight_update`) work on all users at once.  They accept per-user
-matrices or their padded stack and return padded stacks; each user's block
-of a result is what the per-user reference functions
+:meth:`InterferenceProblem.from_blocks` from per-user blocks.
+
+Every design reads the same MMSE receive side of a precoder stack B: the
+interference covariances Omega_k, the signals S_k = H_kk B_k, the gains
+G_k = S_k^H Omega_k^{-1} S_k and the error covariances E_k = (I + G_k)^{-1},
+whose inverses are the WMMSE weights and whose log determinants give the
+rate.  A :class:`ReceiveSide` holds one padded stack and works out each of
+these parts, batched over all users, the first time it is read; a solver
+makes one per new stack and reads only what it needs.  :func:`sum_rate`,
+:func:`constraint_usage`, :func:`wsmse_objective` and
+:func:`srm_weight_update` are its one-call forms.  Each user's block of a
+part is what the per-user reference functions
 (:func:`interference_covariance`, :func:`mmse_equalizer`, :func:`mse_matrix`,
 :func:`mse_matrix_mmse`) give for that user from the blocks cut out of the
-arrays.  The receive side needs one solve per precoder stack:
-:func:`receive_gains` gives G_k, :func:`sum_rate` takes log det(I + G_k)
-and :func:`mse_matrices_mmse` E_k = (I + G_k)^{-1} from it, and
-:func:`srm_weight_update` inverts E_k; each takes what its caller already
-has instead of solving again.  The problem caches what every solver pass
-reuses: the adjoints ``channels_h``, ``cross_h`` and ``direct_h``, the
-identities ``rx_eye`` and ``stream_eye`` and the ``constraint_supports`` that
+arrays.  The problem caches what every solver pass reuses: the adjoints
+``channels_h``, ``cross_h`` and ``direct_h``, the identities ``rx_eye`` and
+``stream_eye`` and the ``constraint_supports`` that
 :func:`linalg.priced_weights` and :func:`linalg.weight_usage` read.
 
 Noise is identity by convention; colored noise must be whitened upstream
@@ -146,10 +147,11 @@ class InterferenceProblem:
                    in the basic problem; full in rate-driven reweighting)
     tx_dims, rx_dims, streams -- per-user sizes m_t,k, m_r,k and d_k
 
-    The padding carries no signal, interference or budget use.  Each batched
-    kernel does its per-user counterpart's arithmetic, in the same order, on
-    each user's leading block: bit for bit when the users share their sizes
-    (every drawn scenario), to rounding otherwise (the extra terms are 0).
+    The padding carries no signal, interference or budget use.  Each part
+    of a :class:`ReceiveSide` does its per-user counterpart's arithmetic, in
+    the same order, on each user's leading block: bit for bit when the users
+    share their sizes (every drawn scenario), to rounding otherwise (the
+    extra terms are 0).
     """
 
     channels: np.ndarray
@@ -295,21 +297,31 @@ class InterferenceProblem:
 
     def precoders(self, mats) -> np.ndarray:
         """Per-user precoders (m_t,k x d_k) as the padded (K, m_t, d) stack."""
-        return pad_stack(mats, (self.channels.shape[-1], self.mse_weights.shape[-1]))
+        return self._user_stack(mats, self.channels.shape[-1])
 
     def equalizers(self, mats) -> np.ndarray:
         """Per-user equalizers (m_r,k x d_k) as the padded (K, m_r, d) stack."""
-        return pad_stack(mats, (self.channels.shape[-2], self.mse_weights.shape[-1]))
+        return self._user_stack(mats, self.channels.shape[-2])
+
+    def _user_stack(self, mats, rows: int) -> np.ndarray:
+        """:func:`pad_stack` of one (rows, d) block per user; any other
+        number of blocks raises :class:`ContractViolationError`."""
+        if len(mats) != self.num_users:
+            raise ContractViolationError(f"{len(mats)} blocks given for {self.num_users} users")
+        return pad_stack(mats, (rows, self.mse_weights.shape[-1]))
 
 
 def pad_stack(mats, shape: tuple) -> np.ndarray:
     """Per-user matrices as one (K, *shape) stack, each zero-padded at the
-    bottom and right; a stack already of that shape is returned as is."""
+    bottom and right; a stack already of that shape is returned as is.  A
+    matrix larger than ``shape`` raises :class:`ContractViolationError`."""
     if isinstance(mats, np.ndarray) and mats.shape[1:] == shape:
         return mats
     out = np.zeros((len(mats),) + shape, dtype=complex)
     for k, mat in enumerate(mats):
         mat = np.asarray(mat)
+        if mat.shape[0] > shape[0] or mat.shape[1] > shape[1]:
+            raise ContractViolationError(f"block {k} has shape {mat.shape}, larger than {shape}")
         out[k, :mat.shape[0], :mat.shape[1]] = mat
     return out
 
@@ -423,28 +435,6 @@ def mmse_equalizer(problem: InterferenceProblem, precoders, k: int, omega=None) 
         ) from exc
 
 
-def mmse_equalizers(problem: InterferenceProblem, precoders, omegas=None, signals=None) -> np.ndarray:
-    """:func:`mmse_equalizer` for every user, as the padded (K, m_r, d)
-    stack; ``omegas`` (:func:`interference_covariances`) and ``signals``
-    (H_{k,k} B_k) when the caller has them."""
-    b = problem.precoders(precoders) if omegas is None or signals is None else None  # padded only if used
-    if omegas is None:
-        omegas = interference_covariances(problem, b)
-    hb = problem.direct @ b if signals is None else signals
-    total = omegas + hb @ adjoint(hb)
-    try:
-        return np.linalg.solve(total, hb)
-    except np.linalg.LinAlgError:
-        for k in range(problem.num_users):
-            try:
-                np.linalg.solve(total[k], hb[k])
-            except np.linalg.LinAlgError as exc:
-                raise NumericalFailureError(
-                    f"total receive covariance of user {k} is singular"
-                ) from exc
-        raise
-
-
 def mse_matrix(problem: InterferenceProblem, precoders, equalizers, k: int, omega=None) -> np.ndarray:
     """Error covariance of the stream estimates u_hat = A^H y for user k:
     E_k = A^H H B B^H H^H A - A^H H B - B^H H^H A + A^H Omega_k A + I."""
@@ -468,76 +458,125 @@ def mse_matrix_mmse(problem: InterferenceProblem, precoders, k: int, omega=None)
     return 0.5 * (e + e.conj().T)
 
 
-def receive_gains(problem: InterferenceProblem, precoders, omegas=None, signals=None) -> np.ndarray:
-    """Receive gains G_k = S_k^H Omega_k^{-1} S_k of the signals S_k =
-    H_{k,k} B_k, made exactly Hermitian, as the padded (K, d, d) stack (zero
-    on the padded streams): E_k = (I + G_k)^{-1} with MMSE receivers.
-    ``omegas`` and ``signals`` as in :func:`mmse_equalizers`."""
-    b = problem.precoders(precoders) if omegas is None or signals is None else None  # padded only if used
-    if omegas is None:
-        omegas = interference_covariances(problem, b)
-    hb = problem.direct @ b if signals is None else signals
-    return hermitian_part(adjoint(hb) @ np.linalg.solve(omegas, hb))
+class ReceiveSide:
+    """The MMSE receive side of one precoder stack B (per-user or padded),
+    each part worked out for all users the first time it is read and kept:
+
+    omegas     -- (K, m_r, m_r) Omega_k (:func:`interference_covariances`)
+    signals    -- (K, m_r, d) S_k = H_kk B_k
+    whitened   -- (K, m_r, d) Omega_k^{-1} S_k
+    gains      -- (K, d, d) G_k = S_k^H Omega_k^{-1} S_k, exactly Hermitian
+    mses       -- (K, d, d) E_k = (I + G_k)^{-1} (:func:`mse_matrix_mmse`)
+    weights    -- (K, d, d) the WMMSE weights E_k^{-1}
+    equalizers -- (K, m_r, d) A_k = (Omega_k + S_k S_k^H)^{-1} S_k
+                  (:func:`mmse_equalizer`)
+    rate       -- sum_k log2 det(I + G_k), bits per channel use
+    usage      -- (M,) usage_m = sum_k tr{Phi_{k,m} B_k B_k^H}
+
+    The padding is the identity in omegas, mses and weights and zero in the
+    others; :meth:`wsmse` evaluates given receive filters."""
+
+    def __init__(self, problem: InterferenceProblem, precoders):
+        self.problem = problem
+        self.precoders = problem.precoders(precoders)
+
+    @cached_property
+    def omegas(self) -> np.ndarray:
+        return interference_covariances(self.problem, self.precoders)
+
+    @cached_property
+    def signals(self) -> np.ndarray:
+        return self.problem.direct @ self.precoders
+
+    @cached_property
+    def whitened(self) -> np.ndarray:
+        return np.linalg.solve(self.omegas, self.signals)
+
+    @cached_property
+    def gains(self) -> np.ndarray:
+        return hermitian_part(adjoint(self.signals) @ self.whitened)
+
+    @cached_property
+    def mses(self) -> np.ndarray:
+        return hermitian_part(np.linalg.inv(self.problem.stream_eye + self.gains))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return hermitian_part(np.linalg.inv(self.mses))
+
+    @cached_property
+    def equalizers(self) -> np.ndarray:
+        hb = self.signals
+        total = self.omegas + hb @ adjoint(hb)
+        try:
+            return np.linalg.solve(total, hb)
+        except np.linalg.LinAlgError:
+            for k in range(self.problem.num_users):
+                try:
+                    np.linalg.solve(total[k], hb[k])
+                except np.linalg.LinAlgError as exc:
+                    raise NumericalFailureError(
+                        f"total receive covariance of user {k} is singular"
+                    ) from exc
+            raise
+
+    @cached_property
+    def rate(self) -> float:
+        sign, logdet = np.linalg.slogdet(self.problem.stream_eye + self.gains)
+        bad = np.flatnonzero(sign.real <= 0)
+        if bad.size:
+            raise NumericalFailureError(f"error covariance of user {bad[0]} is not positive definite")
+        rate = 0.0
+        for value in logdet:
+            rate += value / LOG2
+        return float(rate)
+
+    @cached_property
+    def usage(self) -> np.ndarray:
+        """Added in ascending k (:func:`linalg.weight_usage`)."""
+        return weight_usage(self.problem.constraints, self.problem.constraint_supports, self.precoders)
+
+    def wsmse(self, equalizers) -> float:
+        """Weighted sum of the stream error covariances sum_k tr{W_k E_k}
+        with the receive filters ``equalizers`` (per-user or padded), E_k
+        as in :func:`mse_matrix`."""
+        a = self.problem.equalizers(equalizers)
+        a_h = adjoint(a)
+        ahb = a_h @ self.signals
+        ahb_h = adjoint(ahb)
+        e = ahb @ ahb_h - ahb - ahb_h + a_h @ self.omegas @ a + self.problem.stream_eye
+        weighted = self.problem.mse_weights @ hermitian_part(e)
+        total = 0.0
+        for value in np.trace(weighted, axis1=-2, axis2=-1).real:
+            total += float(value)
+        return total
 
 
-def mse_matrices_mmse(problem: InterferenceProblem, precoders, omegas=None, gains=None) -> np.ndarray:
-    """:func:`mse_matrix_mmse` for every user, as the padded (K, d, d) stack
-    (identity on the padded streams); ``gains`` (:func:`receive_gains`) when
-    the caller has them."""
-    if gains is None:
-        gains = receive_gains(problem, precoders, omegas)
-    return hermitian_part(np.linalg.inv(problem.stream_eye + gains))
+def wsmse_objective(problem: InterferenceProblem, precoders, equalizers) -> float:
+    """Weighted sum of stream error covariances sum_k tr{W_k E_k}
+    (:meth:`ReceiveSide.wsmse`)."""
+    return ReceiveSide(problem, precoders).wsmse(equalizers)
 
 
-def wsmse_objective(problem: InterferenceProblem, precoders, equalizers, omegas=None, signals=None) -> float:
-    """Weighted sum of stream error covariances sum_k tr{W_k E_k};
-    ``omegas`` and ``signals`` as in :func:`mmse_equalizers`."""
-    b = problem.precoders(precoders) if omegas is None or signals is None else None  # padded only if used
-    if omegas is None:
-        omegas = interference_covariances(problem, b)
-    a = problem.equalizers(equalizers)
-    a_h = adjoint(a)
-    ahb = a_h @ (problem.direct @ b if signals is None else signals)
-    ahb_h = adjoint(ahb)
-    e = ahb @ ahb_h - ahb - ahb_h + a_h @ omegas @ a + problem.stream_eye
-    weighted = problem.mse_weights @ hermitian_part(e)
-    total = 0.0
-    for value in np.trace(weighted, axis1=-2, axis2=-1).real:
-        total += float(value)
-    return total
-
-
-def sum_rate(problem: InterferenceProblem, precoders, omegas=None, gains=None) -> float:
+def sum_rate(problem: InterferenceProblem, precoders) -> float:
     """Achievable sum rate in bits per channel use with MMSE receivers,
-    treating other users' signals as noise: sum_k log2 det(E_k^{-1}) =
-    sum_k log2 det(I + G_k); ``gains`` (:func:`receive_gains`) when the
-    caller has them."""
-    if gains is None:
-        gains = receive_gains(problem, precoders, omegas)
-    sign, logdet = np.linalg.slogdet(problem.stream_eye + gains)
-    bad = np.flatnonzero(sign.real <= 0)
-    if bad.size:
-        raise NumericalFailureError(f"error covariance of user {bad[0]} is not positive definite")
-    rate = 0.0
-    for value in logdet:
-        rate += value / LOG2
-    return float(rate)
+    treating other users' signals as noise: sum_k log2 det(E_k^{-1})
+    (:attr:`ReceiveSide.rate`)."""
+    return ReceiveSide(problem, precoders).rate
 
 
 def constraint_usage(problem: InterferenceProblem, precoders) -> np.ndarray:
-    """Per-constraint usage: usage_m = sum_k tr{Phi_{k,m} B_k B_k^H}, added
-    in ascending k (:func:`linalg.weight_usage`)."""
-    return weight_usage(problem.constraints, problem.constraint_supports, problem.precoders(precoders))
+    """Per-constraint usage: usage_m = sum_k tr{Phi_{k,m} B_k B_k^H}
+    (:attr:`ReceiveSide.usage`)."""
+    return ReceiveSide(problem, precoders).usage
 
 
-def srm_weight_update(problem: InterferenceProblem, precoders, omegas=None, mses=None) -> np.ndarray:
+def srm_weight_update(problem: InterferenceProblem, precoders) -> np.ndarray:
     """Inverse-MSE weights W_k = E_k^{-1} used by the rate-maximizing
     reweighting loop (E_k evaluated with MMSE receivers), as the padded
-    (K, d, d) stack (identity on the padded streams); ``mses``
-    (:func:`mse_matrices_mmse`) when the caller has them."""
-    if mses is None:
-        mses = mse_matrices_mmse(problem, precoders, omegas)
-    return hermitian_part(np.linalg.inv(mses))
+    (K, d, d) stack (identity on the padded streams;
+    :attr:`ReceiveSide.weights`)."""
+    return ReceiveSide(problem, precoders).weights
 
 
 # ---------------------------------------------------------------------------

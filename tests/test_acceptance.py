@@ -40,7 +40,7 @@ from netmimo.experiment import (
     run_sweep,
     trial_rng,
 )
-from netmimo.single_user import SingleUserProblem, precoder_wsmse
+from netmimo.single_user import SingleUserProblem
 
 RNG_ROOT = 20260809
 

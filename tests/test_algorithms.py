@@ -36,6 +36,7 @@ from netmimo.algorithms import (
     offdiag_mass,
 )
 from netmimo.linalg import adjoint, priced_weights
+from netmimo.model import ReceiveSide
 from netmimo.single_user import LAMBDA_FLOOR, SingleUserProblem, stream_order
 
 from conftest import antenna_link, count_decompositions, dense_link
@@ -108,10 +109,9 @@ def test_dmmse_single_user_step_matches_power_priced_minimizer():
     lam = 0.7
     from netmimo.algorithms import _dmmse_precoder_step
     b0 = initialize_precoders(problem, AlgorithmConfig())
-    a0 = [mmse_equalizer(problem, b0, 0)]
     weights = np.ones((1, 2))
-    stepped = _dmmse_precoder_step(problem, problem.precoders(b0), problem.equalizers(a0), weights,
-                                   stream_order(weights), np.array([lam]))
+    stepped = _dmmse_precoder_step(problem, ReceiveSide(problem, b0), weights, stream_order(weights),
+                                   np.array([lam]))
     su = SingleUserProblem(channel=h, noise_cov=np.eye(2),
                            constraints=(np.eye(3, dtype=complex),), budgets=[1.0],
                            weights=np.ones(2), streams=2)
@@ -263,13 +263,11 @@ def assert_search_matches_reference(problem, mu, passes=4, max_iters=300):
     and require the same bits of (mu, precoders, usage, slack_ok) at every
     pass."""
     from netmimo.algorithms import _emmseia_multiplier_search
-    from netmimo.model import interference_covariances, mmse_equalizers, srm_weight_update
 
     precoders = problem.precoders(initialize_precoders(problem, AlgorithmConfig()))
     for _ in range(passes):
-        omegas = interference_covariances(problem, precoders)
-        equalizers = mmse_equalizers(problem, precoders, omegas)
-        weights = srm_weight_update(problem, precoders, omegas)
+        rx = ReceiveSide(problem, precoders)
+        equalizers, weights = rx.equalizers, rx.weights
         got = _emmseia_multiplier_search(problem, equalizers, weights, mu, 0.005, max_iters)
         want = reference_emmseia_search(problem, equalizers, weights, mu, 0.005, max_iters)
         for a, b in zip(got, want):
@@ -330,13 +328,13 @@ def test_pwf_scalar_closed_form():
     # lam=1, Phi=1, H=2, Omega=1, P=1: gain 4, water level 0.8, Sigma = 1
     # with the precoder factor B B^H = Sigma
     problem = single_pair_problem(np.array([[2.0]]))
-    from netmimo.algorithms import _pwf_forward, _pwf_receive
+    from netmimo.algorithms import _pwf_duals, _pwf_forward
     zero = np.zeros((1, 1, 1), dtype=complex)
-    omegas = _pwf_receive(problem, zero, 1.0)[0]
+    omegas = ReceiveSide(problem, zero).omegas
     factor, mu = _pwf_forward(problem, omegas, zero, np.array([1.0]))
     assert mu == pytest.approx(0.8, abs=1e-6)
     assert abs(factor[0][0, 0]) ** 2 == pytest.approx(1.0, abs=1e-6)
-    duals = _pwf_receive(problem, factor, mu)[1]
+    duals = _pwf_duals(ReceiveSide(problem, factor), mu)
     assert duals[0][0, 0].real == pytest.approx(1.0, abs=1e-6)
 
 
@@ -346,14 +344,15 @@ def test_pwf_receive_side_matches_the_covariance_formulas(scale, mixed_problems)
     # (1/mu) (Omega^{-1} - (Omega + S S^H)^{-1}), and the rate from the
     # gains equals sum_k log2 det(Omega_k + S_k S_k^H) - log2 det Omega_k,
     # on each user's own block; the padding carries nothing
-    from netmimo.algorithms import _pwf_receive
+    from netmimo.algorithms import _pwf_duals
     from netmimo.model import interference_covariance
 
     mu = 0.7
     for problem in mixed_problems.values():
         cut = initialize_precoders(problem, AlgorithmConfig(initialization="random_orthonormal", init_seed=5))
         cut = [scale * b for b in cut]
-        omegas, duals, rate = _pwf_receive(problem, problem.precoders(cut), mu)
+        side = ReceiveSide(problem, cut)
+        omegas, duals, rate = side.omegas, _pwf_duals(side, mu), side.rate
         want_rate = 0.0
         for k, (dual, rx) in enumerate(zip(duals, problem.rx_dims)):
             omega = interference_covariance(problem, cut, k)
@@ -370,14 +369,14 @@ def test_pwf_receive_side_matches_the_covariance_formulas(scale, mixed_problems)
 
 def test_pwf_evaluates_one_receive_side_per_pass(monkeypatch):
     # one interference-covariance stack per pass, plus the initial one
-    from netmimo import algorithms
-    calls, covariances = [], algorithms.interference_covariances
+    from netmimo import model
+    calls, covariances = [], model.interference_covariances
 
     def spy(problem, precoders):
         calls.append(np.shape(precoders))
         return covariances(problem, precoders)
 
-    monkeypatch.setattr(algorithms, "interference_covariances", spy)
+    monkeypatch.setattr(model, "interference_covariances", spy)
     for seed in range(2):
         calls.clear()
         _, problem = cellular_problem(seed)
@@ -785,9 +784,9 @@ def test_srm_unconverged_stop_is_scaled_into_every_budget(algorithm, monkeypatch
     calls = []
 
     def spy(problem, precoders):
-        scaled, usage = fit_to_budgets(problem, precoders)
-        calls.append(([b.copy() for b in precoders], scaled))
-        return scaled, usage
+        rx = fit_to_budgets(problem, precoders)
+        calls.append(([b.copy() for b in precoders], rx.precoders))
+        return rx
 
     monkeypatch.setattr(algorithms, "fit_to_budgets", spy)
     problem = criterion_8_over_budget_problem()
@@ -830,7 +829,8 @@ def test_fit_to_budgets_common_factor_for_overlapping_constraints():
     b = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     b *= 2.0 / np.linalg.norm(b)
     before = constraint_usage(problem, [b])
-    scaled, usage = fit_to_budgets(problem, [b])
+    rx = fit_to_budgets(problem, [b])
+    scaled, usage = rx.precoders, rx.usage
     factor = np.sqrt(np.min(problem.budgets / before))
     assert np.allclose(scaled[0], factor * b)
     assert np.allclose(usage, constraint_usage(problem, scaled))
@@ -841,7 +841,8 @@ def test_fit_to_budgets_common_factor_for_overlapping_constraints():
 def test_fit_to_budgets_leaves_feasible_precoders_alone():
     _, problem = cellular_problem(6)
     precoders = initialize_precoders(problem, AlgorithmConfig())
-    scaled, usage = fit_to_budgets(problem, precoders)
+    rx = fit_to_budgets(problem, precoders)
+    scaled, usage = rx.precoders, rx.usage
     assert all(np.array_equal(b, s) for b, s in zip(precoders, scaled))
     assert np.array_equal(usage, constraint_usage(problem, precoders))
 
@@ -913,7 +914,7 @@ def random_multipliers(rng, m):
 
 def test_block_mask_pricing_matches_the_dense_sums(mixed_problems):
     from netmimo.algorithms import _emmseia_factors, _emmseia_solve_at
-    from netmimo.model import interference_covariances, mmse_equalizers, reverse_link_sums
+    from netmimo.model import reverse_link_sums
 
     rng = np.random.default_rng(41)
     for problem in pricing_problems(mixed_problems):
@@ -922,7 +923,7 @@ def test_block_mask_pricing_matches_the_dense_sums(mixed_problems):
         assert np.array_equal(supports != 0, np.diagonal(problem.constraints, axis1=-2, axis2=-1) != 0)
         precoders = problem.precoders(initialize_precoders(
             problem, AlgorithmConfig(initialization="random_orthonormal", init_seed=3)))
-        equalizers = mmse_equalizers(problem, precoders, interference_covariances(problem, precoders))
+        equalizers = ReceiveSide(problem, precoders).equalizers
         grams, rhs = _emmseia_factors(problem, equalizers, problem.mse_weights)
         for _ in range(20):
             lam = random_multipliers(rng, problem.num_constraints)
@@ -1046,10 +1047,10 @@ def test_srm_pass_evaluates_the_receive_side_once(algorithm, monkeypatch):
     # G_k that give the pass's rate and E_k = (I + G_k)^{-1}, one inverse for
     # E_k and one for the weights E_k^{-1}; dmmse adds the inverses of the
     # Cholesky factors of Omega_k and of the pricing matrices, emmseia the
-    # (K, m_t, m_t) solves of its multiplier search.  Before the first pass
-    # come the starting gains (and dmmse's starting equalizers), after the
-    # last the returned equalizers, and dmmse's diagonality test reads E_k
-    # of the last stack.
+    # (K, m_t, m_t) solves of its multiplier search.  Each stack's
+    # equalizers are solved once, when the next pass or the returned
+    # solution reads them; before the first pass come the starting gains,
+    # and dmmse's diagonality test reads E_k of the last stack.
     _, problem = cellular_problem(0, nr=3)
     k, mr, mt = problem.num_users, problem.channels.shape[-2], problem.channels.shape[-1]
     d = problem.mse_weights.shape[-1]
@@ -1065,7 +1066,7 @@ def test_srm_pass_evaluates_the_receive_side_once(algorithm, monkeypatch):
     search = counts.pop(("solve", (k, mt, mt)), 0)
     if algorithm == "dmmse":
         assert search == 0
-        assert counts == {("solve", (k, mr, mr)): 2 * n + 3, ("inv", (k, d, d)): 2 * n + 1,
+        assert counts == {("solve", (k, mr, mr)): 2 * n + 2, ("inv", (k, d, d)): 2 * n + 1,
                           ("inv", (k, mr, mr)): n, ("inv", (k, mt, mt)): n}
     else:
         assert search >= n
@@ -1078,21 +1079,20 @@ def test_dmmse_step_lifts_a_singular_pricing_floor():
     # floor max(LAMBDA_FLOOR, 1e-9 max(1, ||Upsilon_k||)) instead
     from netmimo.algorithms import _dmmse_precoder_step, _pricing_matrices
     from netmimo.linalg import psd_inv_sqrt_batch
-    from netmimo.model import interference_covariances, mmse_equalizers, reverse_link_sums
+    from netmimo.model import reverse_link_sums
 
     _, problem = cellular_problem(0)
-    precoders = problem.precoders(initialize_precoders(problem, AlgorithmConfig()))
-    omegas = interference_covariances(problem, precoders)
-    equalizers = mmse_equalizers(problem, precoders, omegas)
+    rx = ReceiveSide(problem, initialize_precoders(problem, AlgorithmConfig()))
+    equalizers = rx.equalizers
     weights = np.ones(problem.mse_weights.shape[:2])
     ups = reverse_link_sums(0.0, problem.cross, problem.cross_h, equalizers @ equalizers.conj().swapaxes(-1, -2))
     zero = np.zeros(problem.num_constraints)
     assert not psd_inv_sqrt_batch(_pricing_matrices(problem, ups, zero))[1].any()
-    step = _dmmse_precoder_step(problem, precoders, equalizers, weights, stream_order(weights), zero, omegas)
+    step = _dmmse_precoder_step(problem, rx, weights, stream_order(weights), zero)
     for k in range(problem.num_users):
         guard = max(LAMBDA_FLOOR, 1e-9 * max(1.0, float(np.linalg.norm(ups[k]))))
-        lifted = _dmmse_precoder_step(problem, precoders, equalizers, weights, stream_order(weights),
-                                      np.full(problem.num_constraints, guard), omegas)[k]
+        lifted = _dmmse_precoder_step(problem, rx, weights, stream_order(weights),
+                                      np.full(problem.num_constraints, guard))[k]
         want = lifted @ lifted.conj().T
         assert np.allclose(step[k] @ step[k].conj().T, want, rtol=0, atol=1e-8 * np.linalg.norm(want))
 
@@ -1101,20 +1101,22 @@ def test_dmmse_step_rejects_a_non_finite_covariance():
     # Omega_k >= I always has a Cholesky factor; a NaN in it is a clear
     # numerical failure, not a silent NaN precoder, in dmmse's step and in
     # pwf's forward pass alike
-    from netmimo.algorithms import _dmmse_precoder_step, _pwf_forward, _pwf_receive
-    from netmimo.model import mmse_equalizers
+    from netmimo.algorithms import _dmmse_precoder_step, _pwf_duals, _pwf_forward
 
     _, problem = cellular_problem(0)
-    precoders = problem.precoders(initialize_precoders(problem, AlgorithmConfig()))
-    omegas, duals, _ = _pwf_receive(problem, precoders, 1.0)
-    equalizers = mmse_equalizers(problem, precoders, omegas)
+    precoders = initialize_precoders(problem, AlgorithmConfig())
+    rx = ReceiveSide(problem, precoders)
+    duals = _pwf_duals(rx, 1.0)
     weights = np.ones(problem.mse_weights.shape[:2])
     lam = np.ones(problem.num_constraints)
     for where in ((1, 0, 0), (2, 1, 0)):
-        bad = omegas.copy()
+        bad = rx.omegas.copy()
         bad[where] = np.nan
+        # the step reads the equalizers of the finite receive side and the bad Omega
+        tampered = ReceiveSide(problem, precoders)
+        tampered.equalizers, tampered.omegas = rx.equalizers, bad
         with pytest.raises(NumericalFailureError, match="Cholesky"):
-            _dmmse_precoder_step(problem, precoders, equalizers, weights, stream_order(weights), lam, bad)
+            _dmmse_precoder_step(problem, tampered, weights, stream_order(weights), lam)
         with pytest.raises(NumericalFailureError, match="Cholesky"):
             _pwf_forward(problem, bad, duals, lam)
 
@@ -1156,9 +1158,8 @@ def test_array_and_per_user_paths_give_identical_solutions(algorithm, objective,
 
 
 def test_solver_steps_leave_the_padding_alone(mixed_problems):
-    from netmimo.algorithms import _dmmse_precoder_step, _mse_offdiag, _pwf_forward, _pwf_receive, _stream_weights
-    from netmimo.model import (cut_padding, interference_covariances, mmse_equalizers, mse_matrices_mmse,
-                               srm_weight_update)
+    from netmimo.algorithms import _dmmse_precoder_step, _mse_offdiag, _pwf_duals, _pwf_forward, _stream_weights
+    from netmimo.model import cut_padding
 
     def padding(stack, rows, cols):
         """The entries of ``stack`` outside each user's leading block."""
@@ -1171,25 +1172,24 @@ def test_solver_steps_leave_the_padding_alone(mixed_problems):
         tx, d = problem.tx_dims, problem.streams
         cut = initialize_precoders(problem, AlgorithmConfig(initialization="random_orthonormal",
                                                             init_seed=2))
-        precoders = problem.precoders(cut)
-        omegas = interference_covariances(problem, precoders)
-        equalizers = mmse_equalizers(problem, precoders, omegas)
+        rx = ReceiveSide(problem, cut)
+        equalizers = rx.equalizers
         lam = np.ones(problem.num_constraints)
 
         # dmmse: srm's E^{-1} is 1 on the padded streams, their weight is 0
-        weights = _stream_weights(problem, srm_weight_update(problem, precoders, omegas))
+        weights = _stream_weights(problem, rx.weights)
         for k, w in enumerate(weights):
             inverse = np.linalg.inv(mse_matrix_mmse(problem, cut, k))
             assert np.allclose(w[:d[k]], np.diag(inverse).real, rtol=1e-12, atol=0.0)
             assert not np.any(w[d[k]:])
-        step = _dmmse_precoder_step(problem, precoders, equalizers, weights, stream_order(weights), lam, omegas)
+        step = _dmmse_precoder_step(problem, rx, weights, stream_order(weights), lam)
         assert not np.any(padding(step, tx, d))
         # the diagonality test measures each user's own block; users without
         # padded streams are switched off, so a padded one sets the maximum
         padded_only = [b if streams < max(d) else 0 * b for b, streams in zip(cut, d)]
         worst = max(offdiag_mass(mse_matrix_mmse(problem, padded_only, k))
                     for k in range(problem.num_users))
-        offdiag = _mse_offdiag(problem, mse_matrices_mmse(problem, padded_only))
+        offdiag = _mse_offdiag(problem, ReceiveSide(problem, padded_only).mses)
         assert offdiag == pytest.approx(worst, rel=1e-12, abs=1e-300)
 
         mu = np.zeros(problem.num_constraints)
@@ -1198,7 +1198,7 @@ def test_solver_steps_leave_the_padding_alone(mixed_problems):
         assert not np.any(padding(update, tx, d))
 
         # pwf: no power on padded transmit coordinates or padded streams
-        factors = _pwf_forward(problem, omegas, _pwf_receive(problem, precoders, 1.0)[1], lam)[0]
+        factors = _pwf_forward(problem, rx.omegas, _pwf_duals(rx, 1.0), lam)[0]
         assert not np.any(padding(factors, tx, d))
         forward = factors @ factors.conj().swapaxes(-1, -2)
         assert not np.any(padding(forward, tx, tx))
@@ -1210,7 +1210,7 @@ def test_solver_steps_leave_the_padding_alone(mixed_problems):
 def test_iterations_obey_the_documented_bound(algorithm, max_outer, max_inner):
     # max_outer caps the pricing passes; each of at most MAX_POLISH_ROUNDS
     # polish runs adds up to max_inner more
-    from netmimo.algorithms import MAX_POLISH_ROUNDS
+    from netmimo.single_user import MAX_POLISH_ROUNDS
 
     _, problem = cellular_problem(0)
     solver = dmmse_solve if algorithm == "dmmse" else pwf_solve

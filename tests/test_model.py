@@ -21,9 +21,8 @@ from netmimo import (
     sum_rate,
     wsmse_objective,
 )
-from netmimo.linalg import adjoint, hermitian_part
-from netmimo.model import (LOG2, interference_covariances, mmse_equalizers, mse_matrices_mmse,
-                           receive_gains)
+from netmimo.linalg import adjoint, hermitian_part, weight_usage
+from netmimo.model import LOG2, ReceiveSide, interference_covariances
 
 
 def scalar_problem(h=1.0, g=1.0, k_users=2):
@@ -288,57 +287,66 @@ def test_build_matches_block_oracle(mixed_systems):
 
 
 def test_batched_kernels_match_per_user_kernels_bit_for_bit():
-    # on users of one size the batched kernels do the per-user arithmetic
+    # on users of one size the receive side does the per-user arithmetic
     rng = np.random.default_rng(7)
     problem = build_interference_problem(random_system(rng, m=3, k=4, kappa=2, d=2))
     precoders = random_precoders(rng, problem, scale=0.6)
-    omegas = interference_covariances(problem, precoders)
+    rx = ReceiveSide(problem, precoders)
     for k in range(problem.num_users):
-        assert np.array_equal(omegas[k], interference_covariance(problem, precoders, k))
-    for batched, single in ((mmse_equalizers, mmse_equalizer), (mse_matrices_mmse, mse_matrix_mmse)):
-        for k, x in enumerate(batched(problem, precoders, omegas)):
-            assert np.array_equal(x, single(problem, precoders, k, omega=omegas[k]))
+        assert np.array_equal(rx.omegas[k], interference_covariance(problem, precoders, k))
+    for batched, single in ((rx.equalizers, mmse_equalizer), (rx.mses, mse_matrix_mmse)):
+        for k, x in enumerate(batched):
+            assert np.array_equal(x, single(problem, precoders, k, omega=rx.omegas[k]))
 
 
+RECEIVE_PARTS = ("omegas", "signals", "whitened", "gains", "mses", "weights", "equalizers", "rate", "usage",
+                 "wsmse")
+
+
+@pytest.mark.parametrize("part", RECEIVE_PARTS)
 @pytest.mark.parametrize("name", ["uniform", "serving_sets", "sizes"])
-def test_padded_kernels_match_per_user_references(name, mixed_problems):
+def test_padded_kernels_match_per_user_references(name, part, mixed_problems):
     rng = np.random.default_rng(8)
     problem = mixed_problems.get(name) or build_interference_problem(random_system(rng, m=3, k=4, d=2))
-    tx, rx, d = problem.tx_dims, problem.rx_dims, problem.streams
+    tx, rx_dims, d = problem.tx_dims, problem.rx_dims, problem.streams
     precoders = random_precoders(rng, problem, scale=0.6)
-    equalizers = [rng.standard_normal((r, s)) + 1j * rng.standard_normal((r, s)) for r, s in zip(rx, d)]
+    equalizers = [rng.standard_normal((r, s)) + 1j * rng.standard_normal((r, s)) for r, s in zip(rx_dims, d)]
+    rx = ReceiveSide(problem, precoders)
 
     def close(got, want):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
-    # each user's block matches the per-user function; the padding is the
-    # identity where the kernel inverts and zero elsewhere
-    omegas = interference_covariances(problem, precoders)
-    equalizers_mmse = mmse_equalizers(problem, precoders, omegas)
-    mses = mse_matrices_mmse(problem, precoders, omegas)
-    weights = srm_weight_update(problem, precoders, omegas)
-    for k in range(problem.num_users):
+    def user_block(k):
+        """User k's block of the part from the per-user functions, and the
+        padding's diagonal: the identity where the part inverts, else 0."""
         omega = interference_covariance(problem, precoders, k)
-        close(omegas[k][:rx[k], :rx[k]], omega)
-        assert np.array_equal(omegas[k], padded(omegas[k][:rx[k], :rx[k]], omegas[k].shape, 1.0))
-        close(equalizers_mmse[k][:rx[k], :d[k]], mmse_equalizer(problem, precoders, k))
-        a = equalizers_mmse[k]
-        assert np.array_equal(a, padded(a[:rx[k], :d[k]], a.shape))
+        s = problem.direct_channel(k) @ precoders[k]
         e = mse_matrix_mmse(problem, precoders, k)
-        close(mses[k][:d[k], :d[k]], e)
-        assert np.array_equal(mses[k], padded(mses[k][:d[k], :d[k]], mses[k].shape, 1.0))
-        close(weights[k][:d[k], :d[k]], np.linalg.inv(e))
-        assert np.array_equal(weights[k], padded(weights[k][:d[k], :d[k]], weights[k].shape, 1.0))
+        return {"omegas": (omega, 1.0), "signals": (s, 0.0), "whitened": (np.linalg.solve(omega, s), 0.0),
+                "gains": (s.conj().T @ np.linalg.solve(omega, s), 0.0), "mses": (e, 1.0),
+                "weights": (np.linalg.inv(e), 1.0),
+                "equalizers": (mmse_equalizer(problem, precoders, k), 0.0)}[part]
 
-    rate = -sum(np.linalg.slogdet(mse_matrix_mmse(problem, precoders, k))[1]
-                for k in range(problem.num_users)) / np.log(2.0)
-    assert sum_rate(problem, precoders) == pytest.approx(rate, rel=1e-12)
-    wsmse = sum(np.trace(problem.mse_weights[k, :d[k], :d[k]] @ mse_matrix(problem, precoders, equalizers, k)).real
-                for k in range(problem.num_users))
-    assert wsmse_objective(problem, precoders, equalizers) == pytest.approx(wsmse, rel=1e-12)
-    usage = [sum(np.trace(problem.constraints[k, m, :tx[k], :tx[k]] @ b @ b.conj().T).real
-                 for k, b in enumerate(precoders)) for m in range(problem.num_constraints)]
-    close(constraint_usage(problem, precoders), np.array(usage))
+    if part == "rate":
+        rate = -sum(np.linalg.slogdet(mse_matrix_mmse(problem, precoders, k))[1]
+                    for k in range(problem.num_users)) / np.log(2.0)
+        assert rx.rate == sum_rate(problem, precoders) == pytest.approx(rate, rel=1e-12)
+    elif part == "wsmse":
+        wsmse = sum(np.trace(problem.mse_weights[k, :d[k], :d[k]] @ mse_matrix(problem, precoders, equalizers, k)).real
+                    for k in range(problem.num_users))
+        assert rx.wsmse(equalizers) == wsmse_objective(problem, precoders, equalizers)
+        assert rx.wsmse(equalizers) == pytest.approx(wsmse, rel=1e-12)
+    elif part == "usage":
+        usage = [sum(np.trace(problem.constraints[k, m, :tx[k], :tx[k]] @ b @ b.conj().T).real
+                     for k, b in enumerate(precoders)) for m in range(problem.num_constraints)]
+        close(rx.usage, np.array(usage))
+        assert np.array_equal(constraint_usage(problem, precoders), rx.usage)
+    else:
+        for k, got in enumerate(getattr(rx, part)):
+            want, diagonal = user_block(k)
+            rows, cols = want.shape
+            close(got[:rows, :cols], want)
+            assert np.array_equal(got, padded(got[:rows, :cols], got.shape, diagonal))
 
 
 def test_mmse_equalizer_scalar_values():
@@ -502,42 +510,82 @@ def test_srm_weight_update_values():
 
 
 def reference_receive_side(problem, precoders):
-    """sum_rate, mse_matrices_mmse and srm_weight_update as each solved for
-    the receive gains on its own, before they shared one evaluation."""
+    """Every :class:`ReceiveSide` part as the separate kernels evaluated it
+    before they shared one evaluation: the gains solved afresh for the rate,
+    again for the error covariances (made Hermitian there), and the MMSE
+    equalizers from their own solve."""
     b = problem.precoders(precoders)
     omegas = interference_covariances(problem, b)
     hb = problem.direct @ b
-    g = hermitian_part(adjoint(hb) @ np.linalg.solve(omegas, hb))
+    eye = np.eye(hb.shape[-1])
+    whitened = np.linalg.solve(omegas, hb)
+    gains = hermitian_part(adjoint(hb) @ whitened)
     rate = 0.0
-    for value in np.linalg.slogdet(np.eye(hb.shape[-1]) + g)[1]:
+    for value in np.linalg.slogdet(eye + gains)[1]:
         rate += value / LOG2
     g = adjoint(hb) @ np.linalg.solve(omegas, hb)
-    mses = hermitian_part(np.linalg.inv(np.eye(hb.shape[-1]) + 0.5 * (g + adjoint(g))))
-    return float(rate), mses, hermitian_part(np.linalg.inv(mses))
+    mses = hermitian_part(np.linalg.inv(eye + 0.5 * (g + adjoint(g))))
+    return {"omegas": omegas, "signals": hb, "whitened": whitened, "gains": gains, "mses": mses,
+            "weights": hermitian_part(np.linalg.inv(mses)),
+            "equalizers": np.linalg.solve(omegas + hb @ adjoint(hb), hb), "rate": float(rate),
+            "usage": weight_usage(problem.constraints, problem.constraint_supports, b)}
 
 
 def test_shared_receive_gains_give_the_bits_of_separate_evaluations(mixed_problems):
     # users of mixed sizes (padded transmit coordinates and streams) and the
-    # K = 10 cooperation-sweep problems: the rate, the error covariances and
-    # the inverse-MSE weights from one receive_gains evaluation, and from
-    # each kernel called on its own, are the bits of separate solves
+    # K = 10 cooperation-sweep problems: every part of one receive side, read
+    # in any order, and the one-call functions are the bits of separate
+    # evaluations; each user's block of Omega_k, A_k and E_k is the per-user
+    # reference's, bit for bit where the users share their sizes
     rng = np.random.default_rng(31)
     cellular = [build_interference_problem(realize(ScenarioConfig(
         cluster_size=5, users_per_cell=2, nt=4, nr=2, streams=2, cooperation_factor=kappa,
         boundary_snr_db=20.0, seed=kappa))) for kappa in (1, 2, 5)]
     for problem in list(mixed_problems.values()) + cellular:
+        tx, rx_dims, d = problem.tx_dims, problem.rx_dims, problem.streams
         for scale in (0.05, 0.6, 3.0):
             precoders = problem.precoders(random_precoders(rng, problem, scale))
-            rate, mses, weights = reference_receive_side(problem, precoders)
-            omegas = interference_covariances(problem, precoders)
-            gains = receive_gains(problem, precoders, omegas, problem.direct @ precoders)
-            assert np.array_equal(gains, receive_gains(problem, precoders))
-            assert sum_rate(problem, precoders, gains=gains) == sum_rate(problem, precoders) == rate
-            shared = mse_matrices_mmse(problem, precoders, gains=gains)
-            assert np.array_equal(shared, mses)
-            assert np.array_equal(mse_matrices_mmse(problem, precoders, omegas), mses)
-            assert np.array_equal(srm_weight_update(problem, precoders, mses=shared), weights)
-            assert np.array_equal(srm_weight_update(problem, precoders), weights)
+            want = reference_receive_side(problem, precoders)
+            for order in (list(want), list(want)[::-1]):
+                rx = ReceiveSide(problem, precoders)
+                for part in order:
+                    assert np.array_equal(getattr(rx, part), want[part]), part
+            assert sum_rate(problem, precoders) == want["rate"]
+            assert np.array_equal(srm_weight_update(problem, precoders), want["weights"])
+            assert np.array_equal(constraint_usage(problem, precoders), want["usage"])
+            cut = [b[:t, :s] for b, t, s in zip(precoders, tx, d)]
+            uniform = len({*tx}) == len({*rx_dims}) == len({*d}) == 1
+            for k in range(problem.num_users):
+                r = rx_dims[k]
+                omega = interference_covariance(problem, cut, k)
+                for got, single in ((rx.omegas[k][:r, :r], omega),
+                                    (rx.equalizers[k][:r, :d[k]], mmse_equalizer(problem, cut, k, omega)),
+                                    (rx.mses[k][:d[k], :d[k]], mse_matrix_mmse(problem, cut, k, omega))):
+                    if uniform:
+                        assert np.array_equal(got, single)
+                    else:
+                        assert np.linalg.norm(got - single) <= 1e-12 * np.linalg.norm(single)
+
+
+def test_stacks_with_the_wrong_user_count_or_oversized_blocks_are_rejected():
+    # a one-user stack on a three-user problem used to be broadcast to every
+    # user, and K - 1 users failed inside numpy with a bare ValueError
+    problem = build_interference_problem(random_system(np.random.default_rng(12), m=2, k=3, d=1))
+    b = np.full((problem.tx_dims[0], 1), 0.1, dtype=complex)
+    a = np.ones((problem.rx_dims[0], 1), dtype=complex)
+    for precoders in ([b], [b, b], [b] * 4, np.array([b] * 2)):
+        for evaluate in (sum_rate, constraint_usage, srm_weight_update, ReceiveSide):
+            with pytest.raises(ContractViolationError, match="blocks given for 3 users"):
+                evaluate(problem, precoders)
+        with pytest.raises(ContractViolationError, match="blocks given for 3 users"):
+            wsmse_objective(problem, [b] * 3, [a] * len(precoders))
+    wide = np.ones((problem.tx_dims[0], 2), dtype=complex)
+    tall = np.ones((problem.channels.shape[-2] + 1, 1), dtype=complex)
+    with pytest.raises(ContractViolationError, match="larger than"):
+        sum_rate(problem, [b, b, wide])
+    with pytest.raises(ContractViolationError, match="larger than"):
+        wsmse_objective(problem, [b] * 3, [a, a, tall])
+    assert sum_rate(problem, [b] * 3) > 0.0
 
 
 def test_problem_serialization_round_trip():
