@@ -38,8 +38,6 @@ from .model import (
     mmse_equalizer,
     mse_matrix,
     mse_matrix_mmse,
-    problem_from_json,
-    problem_to_json,
     srm_weight_update,
     sum_rate,
     wsmse_objective,

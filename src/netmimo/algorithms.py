@@ -6,9 +6,11 @@ Four families are implemented:
     Per-user eigenbasis precoders that diagonalize every user's error
     covariance: :func:`single_user.priced_minimizer` with the
     interference-pricing matrices F_k = Upsilon_k + sum_m lam_m Phi_{k,m}
-    (the whitened-channel step :func:`single_user.whitened_directions` on
-    F_k and the receive factors H_kk^H L_k^{-H} of Omega_k, waterfilled at
-    unit level).
+    and the receive factors C_k = H_kk^H L_k^{-H} of Omega_k, waterfilled
+    at unit level.  The step runs in the receive dimension
+    (:func:`single_user.priced_directions`: one LU solve F_k^{-1} C_k and
+    an m_r x m_r ``eigh``) wherever the priced diagonal certifies F_k, and
+    whitens F_k (:func:`single_user.whitened_directions`) elsewhere.
 ``emmseia``
     Joint linear-system precoder update from fixed MMSE equalizers,
     B_k = (sum_l H_{l,k}^H A_l W_l A_l^H H_{l,k} + sum_m mu_m Phi_{k,m})^{-1}
@@ -17,10 +19,10 @@ Four families are implemented:
 ``pwf``
     Polite water-filling: a fixed point on the precoder stack coupling the
     forward network with its reversed-link counterpart through the same
-    whitened-channel step (the forward covariance Omega_k and the
-    reversed-link one each whitened by the adjoint inverse of its Cholesky
-    factor); a single water level mu is bisected against the
-    multiplier-weighted power budget.  The reversed-link covariance
+    step as ``dmmse``, with the reversed-link covariance in the place of
+    F_k and the receive factors of the forward covariance Omega_k; a single
+    water level mu is bisected against the multiplier-weighted power
+    budget.  The reversed-link covariance
     (1/mu) (Omega_k^{-1} - (Omega_k + S_k S_k^H)^{-1}) of the signals
     S_k = H_kk B_k is formed as (1/mu) Omega_k^{-1} S_k E_k S_k^H
     Omega_k^{-1} from the MMSE error covariance E_k, the receive side the
@@ -37,7 +39,10 @@ multiplier step, then fixed-multiplier polish runs.  Each pass makes one
 :class:`model.ReceiveSide` for the precoder stack it produces and reads
 from it only what it needs (the pass value, the next pass's weights and
 equalizers, ``pwf``'s reversed-link covariances, the polish test), and
-every solve ends in one finisher (:func:`_finish`).  The multiplier rules:
+every solve ends in one finisher (:func:`_finish`); the diagnostics of
+``dmmse`` and ``pwf`` count the ``whitened_passes``, those in which some
+user's transmit-side matrix was whitened rather than solved with.  The
+multiplier rules:
 ``dmmse`` ascends additively on the power residuals
 (:func:`single_user.additive_rule`), ``pwf`` takes damped multiplicative
 steps (:func:`_pwf_rule`), and ``emmseia`` has no outer rule, its KKT search
@@ -89,8 +94,9 @@ from .model import (
     set_padded_diagonal,
     sum_over_sources,
 )
-from .single_user import (GAIN_RTOL, LAMBDA_CAP, LAMBDA_FLOOR, additive_rule, dual_loop, max_violation,
-                          objective_stable, priced_minimizer, receive_factors, stream_order, whitened_directions)
+from .single_user import (GAIN_RTOL, LAMBDA_CAP, LAMBDA_FLOOR, additive_rule, dual_loop, floor_certified,
+                          max_violation, objective_stable, priced_directions, priced_minimizer, receive_factors,
+                          stream_order)
 
 ALGORITHMS = ("dmmse", "emmseia", "pwf", "min_leakage")
 OBJECTIVES = ("wsmmse", "srm")
@@ -322,18 +328,37 @@ def _pricing_matrices(problem, ups, lam):
     return set_padded_diagonal(f, problem.tx_pad, 1.0)
 
 
+def _solvable(problem, f, lam) -> np.ndarray:
+    """:func:`single_user.floor_certified` of transmit-side matrices F_k,
+    each a PSD sum plus sum_m lam_m Phi_{k,m} with 1 on its padded
+    diagonal: on constraint supports that price is the diagonal
+    lam @ supports_k, a floor of F_k.  Without supports no F_k is
+    certified."""
+    supports = problem.constraint_supports
+    if supports is None:
+        return np.zeros(problem.num_users, dtype=bool)
+    floor = lam @ supports
+    floor[problem.tx_pad] = 1.0
+    return floor_certified(f, floor)
+
+
 def _dmmse_precoder_step(problem, rx, w, order, lam):
     """Simultaneous per-user precoder update at multipliers ``lam`` from the
     :class:`ReceiveSide` ``rx`` of the current stack and (K, d) weights
     ``w`` in ``order``: :func:`priced_minimizer` with the interference-pricing
     matrices F_k of the MMSE equalizers A_k and the :func:`receive_factors`
     C_k = H_kk^H L_k^{-H} of Omega_k, as the padded (K, m_t, d) stack; padded
-    streams carry zero weight and so get zero columns.  A singular F_k is
-    retried once with the price floor lifted to the interference scale."""
+    streams carry zero weight and so get zero columns.  The F_k that
+    :func:`_solvable` certifies take the receive-dimension step; the others
+    are whitened, and a singular one is retried once with the price floor
+    lifted to the interference scale.  Returns the stack and whether any
+    F_k was whitened."""
     a = rx.equalizers
     # ups[k] = sum_{l != k} H_{l,k}^H A_l W_l A_l^H H_{l,k}
-    ups = reverse_link_sums(0.0, problem.cross, problem.cross_h, (a * w[:, None, :]) @ adjoint(a))
+    ups = reverse_link_sums(problem.reverse_cross, (a * w[:, None, :]) @ adjoint(a))
     c = receive_factors(rx.omegas, problem.direct_h)
+    f = _pricing_matrices(problem, ups, lam)
+    solved = _solvable(problem, f, lam)
 
     def lift(k):
         guard = max(LAMBDA_FLOOR, 1e-9 * max(1.0, float(np.linalg.norm(ups[k]))))
@@ -344,7 +369,7 @@ def _dmmse_precoder_step(problem, rx, w, order, lam):
                 f"user {k}: interference-pricing matrix stayed singular after the floor retry"
             ) from exc
 
-    return priced_minimizer(_pricing_matrices(problem, ups, lam), c, w, order, lift)
+    return priced_minimizer(f, c, w, order, lift, solved=solved), not solved.all()
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +382,7 @@ def _emmseia_factors(problem, equalizers, weights):
     the padded diagonal, and the right-hand sides H_{k,k}^H A_k W_k."""
     a = problem.equalizers(equalizers)
     w = np.asarray(weights)
-    gram = reverse_link_sums(0.0, problem.channels, problem.channels_h, a @ w @ adjoint(a))
+    gram = reverse_link_sums(problem.reverse_channels, a @ w @ adjoint(a))
     rhs = problem.direct_h @ a @ w
     return set_padded_diagonal(hermitian_part(gram), problem.tx_pad, 1.0), rhs
 
@@ -471,15 +496,20 @@ def dmmse_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = N
     # objective wsmse + lam.(usage - P); its per-pass values are the
     # provably non-increasing descent quantity, recorded for diagnostics.
     priced_trace: list = []
+    whitened_passes = 0
 
     def run_pass(lam):
-        nonlocal rx
+        nonlocal rx, whitened_passes
         weights = _stream_weights(problem, rx.weights) if srm else fixed_weights
         order = stream_order(weights) if srm else fixed_order
-        rx = ReceiveSide(problem, _dmmse_precoder_step(problem, rx, weights, order, lam))
+        precoders, whitened = _dmmse_precoder_step(problem, rx, weights, order, lam)
+        whitened_passes += whitened
+        rx = ReceiveSide(problem, precoders)
         if srm:
             return rx.rate
-        value = rx.wsmse(rx.equalizers)
+        # sum_k tr{W_k E_k} at the MMSE equalizers, where E_k = I - A_k^H S_k
+        ahs = (rx.equalizers.conj() * rx.signals).sum(axis=-2).real
+        value = float((weights * (1.0 - ahs)).sum())
         priced_trace.append(value + float(np.dot(lam, rx.usage - problem.budgets)))
         return value
 
@@ -503,7 +533,7 @@ def dmmse_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = N
     run = dual_loop(run_pass, lambda: rx.usage, exit_test, np.full(problem.num_constraints, config.lambda_init),
                     problem.budgets, config.max_outer, rule=rule, polish=lambda: polish_step,
                     max_inner=config.max_inner, polish_unconverged=True, constraint_tol=config.constraint_tol)
-    diagnostics = {"polish_start": run.polish_start}
+    diagnostics = {"polish_start": run.polish_start, "whitened_passes": whitened_passes}
     if not srm:
         diagnostics["priced_trace"] = priced_trace
 
@@ -562,23 +592,24 @@ def _pwf_duals(rx: ReceiveSide, water_level: float) -> np.ndarray:
 
 
 def _pwf_forward(problem, omegas, dual_covariances, lam):
-    """One forward waterfilling pass: on :func:`whitened_directions` of the
-    reversed-link covariances Omega_hat_k and the :func:`receive_factors`
-    of the forward ones Omega_k, allocate p_i = [1/mu - 1/g_i]^+ on the
-    directions V (usage coefficients from V^H T_k^H priced_k T_k V),
-    bisecting the shared water level so the multiplier-weighted usage meets
-    the multiplier-weighted budget.  Returns the factors T_k V diag(sqrt p)
-    as the padded (K, m_t, d) precoder stack and the water level; padded
-    streams get no power."""
+    """One forward waterfilling pass: on :func:`priced_directions` of the
+    reversed-link covariances Omega_hat_k (in place of F_k, certified by
+    :func:`_solvable`) and the :func:`receive_factors` of the forward ones
+    Omega_k, allocate p_i = [1/mu - 1/g_i]^+ on the unit-power directions
+    D_k (usage coefficients diag(D_k^H priced_k D_k)), bisecting the shared
+    water level so the multiplier-weighted usage meets the
+    multiplier-weighted budget.  Returns the factors D_k diag(sqrt p) as
+    the padded (K, m_t, d) precoder stack, the water level and whether any
+    Omega_hat_k was whitened; padded streams get no power."""
     target = float(np.dot(lam, problem.budgets))
     priced = priced_weights(problem.constraints, problem.constraint_supports, lam)
     # omega_hat[k] = priced[k] + sum_{j != k} H_{j,k}^H Sigma_hat_j H_{j,k}
-    omega_hat = reverse_link_sums(priced, problem.cross, problem.cross_h, dual_covariances)
+    omega_hat = reverse_link_sums(problem.reverse_cross, dual_covariances, priced)
     omega_hat = set_padded_diagonal(hermitian_part(omega_hat), problem.tx_pad, 1.0)
-    t_hat, basis, gains = whitened_directions(omega_hat, receive_factors(omegas, problem.direct_h),
-                                              problem.mse_weights.shape[-1])
-    cmat = adjoint(basis) @ adjoint(t_hat) @ priced @ t_hat @ basis
-    coefs = np.maximum(np.diagonal(cmat, axis1=-2, axis2=-1).real, 0.0)
+    solved = _solvable(problem, omega_hat, lam)
+    directions, gains = priced_directions(omega_hat, receive_factors(omegas, problem.direct_h),
+                                          problem.mse_weights.shape[-1], solved)
+    coefs = np.maximum(((priced @ directions) * directions.conj()).sum(axis=-2).real, 0.0)
     keep = gains > GAIN_RTOL * np.maximum(1.0, np.max(gains, axis=-1, initial=0.0))[:, None]
     keep[problem.stream_pad] = False
     gains_flat, coefs_flat = gains[keep], coefs[keep]
@@ -590,7 +621,7 @@ def _pwf_forward(problem, omegas, dual_covariances, lam):
                       target, "water-level")
     powers = np.zeros_like(gains)
     powers[keep] = np.maximum(1.0 / mu - 1.0 / gains[keep], 0.0)
-    return t_hat @ (basis * np.sqrt(powers)[:, None, :]), float(mu)
+    return directions * np.sqrt(powers)[:, None, :], float(mu), not solved.all()
 
 
 def pwf_fixed_point_residual(problem: InterferenceProblem, state: DualNetworkState) -> float:
@@ -635,10 +666,12 @@ def pwf_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = Non
     config = (config or AlgorithmConfig(algorithm="pwf", objective="srm")).validate()
     rx = ReceiveSide(problem, initialize_precoders(problem, config) if initial is None else initial)
     mu = 1.0
+    whitened_passes = 0
 
     def run_pass(lam):
-        nonlocal rx, mu
-        precoders, mu = _pwf_forward(problem, rx.omegas, _pwf_duals(rx, mu), lam)
+        nonlocal rx, mu, whitened_passes
+        precoders, mu, whitened = _pwf_forward(problem, rx.omegas, _pwf_duals(rx, mu), lam)
+        whitened_passes += whitened
         rx = ReceiveSide(problem, precoders)
         return rx.rate
 
@@ -673,7 +706,8 @@ def pwf_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = Non
     )
     state = DualNetworkState(precoders=tuple(cut_padding(rx.precoders, problem.tx_dims, problem.streams)),
                              multipliers=run.lam.copy(), water_level=mu)
-    return _finish(problem, config, run, rx, run.lam, {"state": state, "polish_start": run.polish_start})
+    return _finish(problem, config, run, rx, run.lam, {"state": state, "polish_start": run.polish_start,
+                                                       "whitened_passes": whitened_passes})
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,11 @@ makes one per new stack and reads only what it needs.  :func:`sum_rate`,
 part is what the per-user reference functions
 (:func:`interference_covariance`, :func:`mmse_equalizer`, :func:`mse_matrix`,
 :func:`mse_matrix_mmse`) give for that user from the blocks cut out of the
-arrays.  The problem caches what every solver pass reuses: the adjoints
-``channels_h``, ``cross_h`` and ``direct_h``, the identities ``rx_eye`` and
+arrays, to rounding: the batched sums over the other users are single
+matrix products, whose additions BLAS orders as it likes.  The problem
+caches what every solver pass reuses: the adjoint ``direct_h``, the
+stacked reverse-link channels ``reverse_channels`` and ``reverse_cross``
+of :func:`reverse_link_sums`, the identities ``rx_eye`` and
 ``stream_eye`` and the ``constraint_supports`` that
 :func:`linalg.priced_weights` and :func:`linalg.weight_usage` read.
 
@@ -37,7 +40,6 @@ Noise is identity by convention; colored noise must be whitened upstream
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -148,10 +150,9 @@ class InterferenceProblem:
     tx_dims, rx_dims, streams -- per-user sizes m_t,k, m_r,k and d_k
 
     The padding carries no signal, interference or budget use.  Each part
-    of a :class:`ReceiveSide` does its per-user counterpart's arithmetic, in
-    the same order, on each user's leading block: bit for bit when the users
-    share their sizes (every drawn scenario), to rounding otherwise (the
-    extra terms are 0).
+    of a :class:`ReceiveSide` gives its per-user counterpart's result on
+    each user's leading block, to rounding: the sums over the other users
+    are one matrix product each, and the padded terms are 0.
     """
 
     channels: np.ndarray
@@ -250,14 +251,14 @@ class InterferenceProblem:
         return self.channels[np.arange(self.num_users), np.arange(self.num_users)]
 
     @cached_property
-    def channels_h(self) -> np.ndarray:
-        """adjoint(channels): channels_h[l, k] = H_{l,k}^H."""
-        return adjoint(self.channels)
+    def reverse_channels(self) -> tuple:
+        """:func:`reverse_links` of ``channels``."""
+        return reverse_links(self.channels)
 
     @cached_property
-    def cross_h(self) -> np.ndarray:
-        """adjoint(cross)."""
-        return adjoint(self.cross)
+    def reverse_cross(self) -> tuple:
+        """:func:`reverse_links` of ``cross``."""
+        return reverse_links(self.cross)
 
     @cached_property
     def direct_h(self) -> np.ndarray:
@@ -297,31 +298,33 @@ class InterferenceProblem:
 
     def precoders(self, mats) -> np.ndarray:
         """Per-user precoders (m_t,k x d_k) as the padded (K, m_t, d) stack."""
-        return self._user_stack(mats, self.channels.shape[-1])
+        return self._user_stack(mats, self.channels.shape[-1], self.tx_dims)
 
     def equalizers(self, mats) -> np.ndarray:
         """Per-user equalizers (m_r,k x d_k) as the padded (K, m_r, d) stack."""
-        return self._user_stack(mats, self.channels.shape[-2])
+        return self._user_stack(mats, self.channels.shape[-2], self.rx_dims)
 
-    def _user_stack(self, mats, rows: int) -> np.ndarray:
-        """:func:`pad_stack` of one (rows, d) block per user; any other
-        number of blocks raises :class:`ContractViolationError`."""
+    def _user_stack(self, mats, rows: int, dims: tuple) -> np.ndarray:
+        """:func:`pad_stack` of one block per user, at most (dims[k], d_k);
+        any other number of blocks raises :class:`ContractViolationError`."""
         if len(mats) != self.num_users:
             raise ContractViolationError(f"{len(mats)} blocks given for {self.num_users} users")
-        return pad_stack(mats, (rows, self.mse_weights.shape[-1]))
+        return pad_stack(mats, (rows, self.mse_weights.shape[-1]), tuple(zip(dims, self.streams)))
 
 
-def pad_stack(mats, shape: tuple) -> np.ndarray:
+def pad_stack(mats, shape: tuple, limits=None) -> np.ndarray:
     """Per-user matrices as one (K, *shape) stack, each zero-padded at the
     bottom and right; a stack already of that shape is returned as is.  A
-    matrix larger than ``shape`` raises :class:`ContractViolationError`."""
+    matrix larger than ``shape``, or than its user's own ``limits[k]``
+    when given, raises :class:`ContractViolationError`."""
     if isinstance(mats, np.ndarray) and mats.shape[1:] == shape:
         return mats
     out = np.zeros((len(mats),) + shape, dtype=complex)
     for k, mat in enumerate(mats):
         mat = np.asarray(mat)
-        if mat.shape[0] > shape[0] or mat.shape[1] > shape[1]:
-            raise ContractViolationError(f"block {k} has shape {mat.shape}, larger than {shape}")
+        limit = shape if limits is None else limits[k]
+        if mat.shape[0] > limit[0] or mat.shape[1] > limit[1]:
+            raise ContractViolationError(f"block {k} has shape {mat.shape}, larger than {tuple(limit)}")
         out[k, :mat.shape[0], :mat.shape[1]] = mat
     return out
 
@@ -394,9 +397,11 @@ def interference_covariance(problem: InterferenceProblem, precoders, k: int) -> 
 def sum_over_sources(base: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """out[k] = base[k] + sum_l terms[k, l], accumulated in ascending l (the
     order of the per-user loops); ``base`` is one matrix for every k or a
-    stack of K.  Terms built from :attr:`InterferenceProblem.cross` are
-    exact zeros at l = k, and adding a zero leaves every sum unchanged, so
-    the result is bit for bit the per-user sum over l != k."""
+    stack of K.  Terms that are exact zeros at l = k leave every sum
+    unchanged, so the result is bit for bit the per-user sum over l != k.
+    The scenario's out-of-cluster covariances and ``min_leakage``'s forms
+    add this way; the solvers' sums are one product each
+    (:func:`interference_covariances`, :func:`reverse_link_sums`)."""
     out = np.empty(terms.shape[:1] + terms.shape[2:], dtype=terms.dtype)
     out[...] = base
     for l in range(terms.shape[1]):
@@ -406,18 +411,35 @@ def sum_over_sources(base: np.ndarray, terms: np.ndarray) -> np.ndarray:
 
 def interference_covariances(problem: InterferenceProblem, precoders) -> np.ndarray:
     """Omega_k of :func:`interference_covariance` for every receiver k, as
-    the padded (K, m_r, m_r) stack (identity on the padded coordinates)."""
+    the padded (K, m_r, m_r) stack (identity on the padded coordinates):
+    I + R_k R_k^H for R_k = [H_{k,0} B_0, ..., H_{k,K-1} B_{K-1}] (zero at
+    l = k), one batched product."""
     hb = problem.cross @ problem.precoders(precoders)  # hb[k, l] = H_{k,l} B_l, l != k
-    return hermitian_part(sum_over_sources(problem.rx_eye, hb @ adjoint(hb)))
+    k, _, mr, d = hb.shape
+    r = hb.swapaxes(1, 2).reshape(k, mr, k * d)
+    return hermitian_part(problem.rx_eye + r @ adjoint(r))
 
 
-def reverse_link_sums(base, channels: np.ndarray, adjoints: np.ndarray, mats) -> np.ndarray:
-    """out[k] = base[k] + sum_l H_{l,k}^H X_l H_{l,k} for a (K, K, m_r, m_t)
-    channel stack (channels[l, k] = H_{l,k}), its cached ``adjoints`` and a
-    (K, m_r, m_r) stack X, accumulated in ascending l from one batched
-    product; ``base`` is one matrix for every k or a stack of K."""
-    terms = adjoints @ np.asarray(mats)[:, None] @ channels  # terms[l, k]
-    return sum_over_sources(base, terms.swapaxes(0, 1))
+def reverse_links(channels: np.ndarray) -> tuple:
+    """(sources, stacked_h) of a (K, K, m_r, m_t) channel stack
+    (channels[l, k] = H_{l,k}): sources[k, l] = H_{l,k}, and the adjoint of
+    P_k = [H_{0,k}; ...; H_{K-1,k}], (K, m_t, K m_r), as read by
+    :func:`reverse_link_sums`."""
+    sources = np.ascontiguousarray(channels.swapaxes(0, 1))
+    k, _, mr, mt = sources.shape
+    return sources, np.ascontiguousarray(adjoint(sources.reshape(k, k * mr, mt)))
+
+
+def reverse_link_sums(links: tuple, mats, base=None) -> np.ndarray:
+    """out[k] = base[k] + sum_l H_{l,k}^H X_l H_{l,k} for the
+    :func:`reverse_links` of a channel stack and a (K, m_r, m_r) stack X:
+    base + P_k^H Q_k with Q_k = [X_0 H_{0,k}; ...; X_{K-1} H_{K-1,k}], one
+    batched product for the K sums; ``base`` (None for 0) is one matrix
+    for every k or a stack of K."""
+    sources, stacked_h = links
+    k, _, mr, mt = sources.shape
+    out = stacked_h @ (np.asarray(mats) @ sources).reshape(k, k * mr, mt)
+    return out if base is None else base + out
 
 
 def mmse_equalizer(problem: InterferenceProblem, precoders, k: int, omega=None) -> np.ndarray:
@@ -577,52 +599,3 @@ def srm_weight_update(problem: InterferenceProblem, precoders) -> np.ndarray:
     (K, d, d) stack (identity on the padded streams;
     :attr:`ReceiveSide.weights`)."""
     return ReceiveSide(problem, precoders).weights
-
-
-# ---------------------------------------------------------------------------
-# serialization (regression fixtures)
-# ---------------------------------------------------------------------------
-#
-# JSON schema: {"budgets": [..], "streams": [..],
-#               "channels": [[M_kl]..], "constraints": [[M_km]..],
-#               "mse_weights": [M_k..]}
-# where every complex matrix M is a nested list of rows of [re, im] pairs.
-
-
-def _matrix_to_pairs(a: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(a, dtype=complex)]
-
-
-def _pairs_to_matrix(rows) -> np.ndarray:
-    return np.asarray([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
-
-
-def problem_to_json(problem: InterferenceProblem) -> str:
-    users = range(problem.num_users)
-    payload = {
-        "budgets": [float(p) for p in problem.budgets],
-        "streams": list(problem.streams),
-        "channels": [[_matrix_to_pairs(problem.channel(k, l)) for l in users] for k in users],
-        "constraints": [[_matrix_to_pairs(p[:t, :t]) for p in row]
-                        for row, t in zip(problem.constraints, problem.tx_dims)],
-        "mse_weights": [_matrix_to_pairs(w) for w in cut_padding(problem.mse_weights, problem.streams,
-                                                                 problem.streams)],
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def problem_from_json(text: str) -> InterferenceProblem:
-    """The problem of a :func:`problem_to_json` text; malformed input raises
-    :class:`ContractViolationError`."""
-    try:
-        payload = json.loads(text)
-        blocks = dict(
-            channels=[[_pairs_to_matrix(h) for h in row] for row in payload["channels"]],
-            constraints=[[_pairs_to_matrix(p) for p in row] for row in payload["constraints"]],
-            budgets=np.asarray(payload["budgets"], dtype=float),
-            streams=tuple(payload["streams"]),
-            mse_weights=[_pairs_to_matrix(w) for w in payload["mse_weights"]],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ContractViolationError(f"malformed interference problem JSON: {exc!r}") from exc
-    return InterferenceProblem.from_blocks(**blocks)

@@ -18,6 +18,14 @@ format.  On the commonest weights, one budget per antenna or per BS block
 lam @ supports, whitened as a row scaling, so a pass factors nothing but
 one thin SVD; general weights are Cholesky-whitened.
 
+Where a cheap eigenvalue floor certifies a dense F (:func:`floor_certified`),
+:func:`priced_directions` takes the same step in the receive dimension
+m = m_r instead: X = F^{-1} C by one LU solve, and the m x m ``eigh`` of
+C^H X, whose eigenpairs are the right singular pairs of T^H C, so
+T U = X V diag(g^{-1/2}).  ``dmmse``, ``pwf`` and
+:func:`lagrangian_minimizer` take it; the single-user dual loop keeps its
+row scaling.
+
 Shared with ``algorithms``: ``dmmse`` and ``pwf`` run on the same two
 steps, ``dmmse`` through :func:`priced_minimizer` (the batched form of
 :func:`lagrangian_minimizer`), and :func:`dual_loop` is the pricing/polish
@@ -33,12 +41,16 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractViolationError, NumericalFailureError
-from .linalg import (adjoint, diagonal_whiteners, disjoint_diagonals, hermitian_part, indefinite_members,
-                     priced_weights, require_hermitian, waterfill_budget, weight_usage, whitening_factors)
+from .linalg import (adjoint, diagonal_whiteners, disjoint_diagonals, hermitian_part, hermitian_top_eigs_batch,
+                     indefinite_members, priced_weights, require_hermitian, waterfill_budget, weight_usage,
+                     whitening_factors)
 
 # Bounds of the power-price multipliers of every dual loop in netmimo.
 LAMBDA_FLOOR = 1e-9
 LAMBDA_CAP = 1e12
+# A dense pricing matrix F_k whose certified eigenvalue floor exceeds
+# SOLVE_RTOL tr F_k is solved with (LU) rather than whitened.
+SOLVE_RTOL = 1e-8
 # Gains below GAIN_RTOL * max(1, gain_max) carry no usable signal; their
 # streams keep zero precoder columns so d is preserved.
 GAIN_RTOL = 1e-12
@@ -225,26 +237,84 @@ def _unwhiten(t, x) -> np.ndarray:
     return t[..., None] * x if t.ndim == 2 else t @ x
 
 
+def floor_certified(f, floor) -> np.ndarray:
+    """(K,) mask of the exactly Hermitian (K, n, n) pricing matrices F_k
+    that :func:`priced_directions` may solve with: ``floor`` (K, n) bounds
+    each smallest eigenvalue by min floor_k (F_k - diag(floor_k) is PSD, or
+    ``floor`` is a :func:`gershgorin_floor`), and the mask holds where
+    min floor_k > SOLVE_RTOL tr F_k.  As tr F_k >= lambda_max, such an F_k
+    has condition number below 1 / SOLVE_RTOL, well inside the test of
+    :func:`psd_inv_sqrt`; a NaN fails the mask."""
+    return floor.min(axis=-1) > SOLVE_RTOL * np.einsum("kii->k", f).real
+
+
+def gershgorin_floor(f) -> np.ndarray:
+    """(K, n) Gershgorin bounds F_ii - sum_{j != i} |F_ij| of an exactly
+    Hermitian (K, n, n) stack; each row's minimum is at most its matrix's
+    smallest eigenvalue."""
+    diag = np.diagonal(f, axis1=-2, axis2=-1).real
+    return diag + np.abs(diag) - np.abs(f).sum(axis=-1)
+
+
+def _solved_directions(f, c, d: int) -> tuple:
+    """:func:`priced_directions` of pricing matrices it may solve with."""
+    x = np.linalg.solve(f, c)
+    gains, basis = hermitian_top_eigs_batch(hermitian_part(adjoint(c) @ x), d)
+    return (x @ basis) / np.sqrt(np.where(gains > 0.0, gains, 1.0))[:, None, :], gains
+
+
+def priced_directions(f, c, d: int, solved, lift=None) -> tuple:
+    """(D, g): the (K, n, d) unit-power directions D_k = T_k U_k and the
+    (K, d) gains g_k, descending, of :func:`whitened_directions` for an
+    exactly Hermitian (K, n, n) stack F and (K, n, m) factors ``c``, so that
+    B_k = D_k diag(sqrt p_k) spends the powers p_k.  Where the (K,) mask
+    ``solved`` (:func:`floor_certified`) holds, the step runs in the
+    receive dimension: X_k = F_k^{-1} C_k by one batched LU solve, V_k and
+    g_k the top-``d`` eigenpairs of the m x m Hermitian C_k^H X_k, and
+    D_k = X_k V_k diag(g_k^{-1/2}), which is T_k U_k in exact arithmetic (a
+    column of gain <= 0 is left unscaled); F_k is not factored and nothing
+    is SVD-decomposed.  The other users are whitened
+    (:func:`whitened_directions`, ``lift(k)`` indexing the whole stack)."""
+    if solved.all():
+        return _solved_directions(f, c, d)
+    directions = np.empty(c.shape[:-1] + (d,), dtype=complex)
+    gains = np.empty((len(c), d))
+    if solved.any():
+        directions[solved], gains[solved] = _solved_directions(f[solved], c[solved], d)
+    rest = np.flatnonzero(~solved)
+    t, basis, gains[rest] = whitened_directions(f[rest], c[rest], d,
+                                                None if lift is None else lambda j: lift(rest[j]))
+    directions[rest] = t @ basis
+    return directions, gains
+
+
 def stream_order(weights):
     """The ``order`` of (K, d) stream weights in :func:`priced_minimizer`:
     None if no row increases, else the stable descending argsort."""
     return None if (weights[:, :-1] >= weights[:, 1:]).all() else np.argsort(-weights, axis=-1, kind="stable")
 
 
-def priced_minimizer(f, c, weights, order, lift=None, values: bool = False):
+def priced_minimizer(f, c, weights, order, lift=None, values: bool = False, solved=None):
     """Minimizers B_k of tr{W_k (I + B^H R_k B)^{-1}} + tr{F_k B B^H} for
     pricing matrices F_k, (K, n, m) factors ``c`` of the quadratic forms,
     R_k = C_k C_k^H, and (K, d) stream ``weights`` (d <= min(n, m)) ranked
     by ``order``, as the (K, n, d) stack: B_k = T_k U_k diag(sqrt p) on
     :func:`whitened_directions` (``f`` and ``lift`` as there) with the
     unit-level waterfill p_i = [sqrt(w_i / g_i) - 1/g_i]^+ on the gains
-    above ``GAIN_RTOL``.  With ``values`` the (K,) objective values
+    above ``GAIN_RTOL``.  A (K,) mask ``solved`` with any user set (dense
+    ``f`` only) takes B_k = D_k diag(sqrt p) on :func:`priced_directions`
+    instead: X_k V_k diag(sqrt(p / g)) for the users it marks.  With
+    ``values`` the (K,) objective values
     tr{W_k (I + B_k^H R_k B_k)^{-1}} = sum_i w_i / (1 + p_i g_i) come
     along, as ``(columns, values)``: B_k^H R_k B_k = diag(p_i g_i).  Once
     per pass; ``order`` (:func:`stream_order`) the caller finds once per
     weight set.  The largest weight rides the strongest whitened direction
     (rearrangement: the active-stream cost sums sqrt(w_i / g_i))."""
-    t, basis, gains = whitened_directions(f, c, weights.shape[-1], lift)
+    d = weights.shape[-1]
+    if solved is None or not solved.any():
+        t, basis, gains = whitened_directions(f, c, d, lift)
+    else:
+        t, (basis, gains) = None, priced_directions(f, c, d, solved, lift)
     paired_w = weights if order is None else np.take_along_axis(weights, order, -1)
     active = gains > GAIN_RTOL * np.maximum(1.0, gains[:, :1])  # gains descend
     if active.all():  # the masked waterfill below, without its masks
@@ -252,7 +322,9 @@ def priced_minimizer(f, c, weights, order, lift=None, values: bool = False):
     else:
         g = np.where(active, gains, 1.0)  # waterfill_eval at mu = 1 on the active gains
         powers = np.where(active, np.maximum(np.sqrt(paired_w / g) - 1.0 / g, 0.0), 0.0)
-    columns = _unwhiten(t, basis * np.sqrt(powers)[:, None, :])
+    columns = basis * np.sqrt(powers)[:, None, :]
+    if t is not None:
+        columns = _unwhiten(t, columns)
     if order is not None:
         columns = np.take_along_axis(columns, np.argsort(order, axis=-1)[:, None, :], -1)
     return (columns, np.add.reduce(paired_w / (1.0 + powers * gains), axis=-1)) if values else columns
@@ -388,9 +460,11 @@ def solve_single_constraint(problem: SingleUserProblem) -> SingleUserSolution:
 def lagrangian_minimizer(problem: SingleUserProblem, phi_agg: np.ndarray) -> np.ndarray:
     """Minimizer of the power-priced objective
     tr{W (I + B^H R B)^{-1}} + tr{phi_agg B B^H}: :func:`priced_minimizer`
-    for the one user with F = ``phi_agg``."""
+    for the one user with F = ``phi_agg``, in the receive dimension where
+    its :func:`gershgorin_floor` certifies F (a priced identity, say)."""
     f, weights = require_hermitian(phi_agg)[None], problem.weights[None]
-    return priced_minimizer(f, problem.quadratic_factor()[None], weights, stream_order(weights))[0]
+    return priced_minimizer(f, problem.quadratic_factor()[None], weights, stream_order(weights),
+                            solved=floor_certified(f, gershgorin_floor(f)))[0]
 
 
 def precoder_wsmse(problem: SingleUserProblem, precoder: np.ndarray) -> float:
@@ -402,12 +476,6 @@ def precoder_wsmse(problem: SingleUserProblem, precoder: np.ndarray) -> float:
 def constraint_usage_single(problem: SingleUserProblem, precoder: np.ndarray) -> np.ndarray:
     """tr{Phi_m B B^H} per constraint (:func:`linalg.weight_usage`)."""
     return weight_usage(problem.constraints, problem.constraint_supports, precoder)
-
-
-def lagrangian_value(problem: SingleUserProblem, precoder: np.ndarray, multipliers) -> float:
-    """L(B; lam) = tr{W (I + B^H R B)^{-1}} + sum_m lam_m (tr{Phi_m B B^H} - P_m)."""
-    usage = constraint_usage_single(problem, precoder)
-    return precoder_wsmse(problem, precoder) + float(np.dot(multipliers, usage - problem.budgets))
 
 
 def solve_multi_constraint(problem: SingleUserProblem) -> DualIterationResult:

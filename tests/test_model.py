@@ -14,8 +14,6 @@ from netmimo import (
     mmse_equalizer,
     mse_matrix,
     mse_matrix_mmse,
-    problem_from_json,
-    problem_to_json,
     realize,
     srm_weight_update,
     sum_rate,
@@ -283,17 +281,22 @@ def test_build_matches_block_oracle(mixed_systems):
         assert problem.channels.dtype == problem.constraints.dtype == problem.mse_weights.dtype == complex
         # the block input, padded once, is the same problem
         blocks = InterferenceProblem.from_blocks(channels, constraints, system.bs_power, system.streams, weights)
-        assert problem_to_json(blocks) == problem_to_json(problem)
+        for name in ("channels", "constraints", "budgets", "mse_weights", "tx_dims", "rx_dims", "streams"):
+            assert np.array_equal(getattr(blocks, name), getattr(problem, name)), name
 
 
 def test_batched_kernels_match_per_user_kernels_bit_for_bit():
     # on users of one size the receive side does the per-user arithmetic
+    # from the same Omega_k; Omega_k itself sums the other users in one
+    # matrix product, within a few K eps of the ascending-l loop
     rng = np.random.default_rng(7)
     problem = build_interference_problem(random_system(rng, m=3, k=4, kappa=2, d=2))
     precoders = random_precoders(rng, problem, scale=0.6)
     rx = ReceiveSide(problem, precoders)
+    bound = 4 * problem.num_users * np.finfo(float).eps
     for k in range(problem.num_users):
-        assert np.array_equal(rx.omegas[k], interference_covariance(problem, precoders, k))
+        omega = interference_covariance(problem, precoders, k)
+        assert np.linalg.norm(rx.omegas[k] - omega) <= bound * np.linalg.norm(omega)
     for batched, single in ((rx.equalizers, mmse_equalizer), (rx.mses, mse_matrix_mmse)):
         for k, x in enumerate(batched):
             assert np.array_equal(x, single(problem, precoders, k, omega=rx.omegas[k]))
@@ -536,7 +539,9 @@ def test_shared_receive_gains_give_the_bits_of_separate_evaluations(mixed_proble
     # K = 10 cooperation-sweep problems: every part of one receive side, read
     # in any order, and the one-call functions are the bits of separate
     # evaluations; each user's block of Omega_k, A_k and E_k is the per-user
-    # reference's, bit for bit where the users share their sizes
+    # reference's, within a few K eps where the users share their sizes (the
+    # one-product sum of Omega_k against the ascending-l loop) and 1e-12
+    # where the padded solves round differently
     rng = np.random.default_rng(31)
     cellular = [build_interference_problem(realize(ScenarioConfig(
         cluster_size=5, users_per_cell=2, nt=4, nr=2, streams=2, cooperation_factor=kappa,
@@ -562,7 +567,8 @@ def test_shared_receive_gains_give_the_bits_of_separate_evaluations(mixed_proble
                                     (rx.equalizers[k][:r, :d[k]], mmse_equalizer(problem, cut, k, omega)),
                                     (rx.mses[k][:d[k], :d[k]], mse_matrix_mmse(problem, cut, k, omega))):
                     if uniform:
-                        assert np.array_equal(got, single)
+                        bound = 4 * problem.num_users * np.finfo(float).eps
+                        assert np.linalg.norm(got - single) <= bound * np.linalg.norm(single)
                     else:
                         assert np.linalg.norm(got - single) <= 1e-12 * np.linalg.norm(single)
 
@@ -588,23 +594,18 @@ def test_stacks_with_the_wrong_user_count_or_oversized_blocks_are_rejected():
     assert sum_rate(problem, [b] * 3) > 0.0
 
 
-def test_problem_serialization_round_trip():
-    rng = np.random.default_rng(11)
-    system = random_system(rng, m=2, k=2, nt=2, nr=2, kappa=2, d=2)
-    problem = build_interference_problem(system)
-    text = problem_to_json(problem)
-    again = problem_from_json(text)
-    assert problem_to_json(again) == text
-    for k in range(2):
-        for l in range(2):
-            assert np.array_equal(problem.channels[k][l], again.channels[k][l])
-        for m in range(2):
-            assert np.array_equal(problem.constraints[k][m], again.constraints[k][m])
-    assert np.array_equal(problem.budgets, again.budgets)
-
-
-@pytest.mark.parametrize("text", ["{}", "[1]", '{"budgets": [1.0], "streams": [1], "channels": [[[[[1.0, 0.0]]]]], '
-                                  '"constraints": [[[[[1.0, 0.0]]]]]}'])
-def test_malformed_problem_json_is_a_contract_violation(text):
-    with pytest.raises(ContractViolationError, match="interference problem JSON"):
-        problem_from_json(text)
+def test_blocks_larger_than_their_users_own_sizes_are_rejected(mixed_problems):
+    # user 0 of the sizes problem has m_t = 2, m_r = 3 and d = 1; a 4 x 2
+    # block fits the padded (4, 2) shape, and its extra rows and column used
+    # to ride user 0's padding (sum_rate 5.330 instead of 4.946)
+    problem = mixed_problems["sizes"]
+    blocks = [0.3 * np.ones((t, d), dtype=complex) for t, d in zip(problem.tx_dims, problem.streams)]
+    assert sum_rate(problem, blocks) > 0.0
+    for shape in ((4, 2), (2, 2), (3, 1)):
+        oversized = [np.ones(shape, dtype=complex)] + blocks[1:]
+        for evaluate in (sum_rate, constraint_usage, ReceiveSide):
+            with pytest.raises(ContractViolationError, match="block 0 has shape"):
+                evaluate(problem, oversized)
+    equalizers = [np.ones((r, d), dtype=complex) for r, d in zip(problem.rx_dims, problem.streams)]
+    with pytest.raises(ContractViolationError, match=r"block 1 has shape \(3, 2\), larger than \(2, 2\)"):
+        wsmse_objective(problem, blocks, [equalizers[0], np.ones((3, 2), dtype=complex), equalizers[2]])
