@@ -41,7 +41,9 @@ from it only what it needs (the pass value, the next pass's weights and
 equalizers, ``pwf``'s reversed-link covariances, the polish test), and
 every solve ends in one finisher (:func:`_finish`); the diagnostics of
 ``dmmse`` and ``pwf`` count the ``whitened_passes``, those in which some
-user's transmit-side matrix was whitened rather than solved with.  The
+user's transmit-side matrix was whitened rather than solved with, and
+those of ``emmseia`` the ``search_steps``, the batched linear solves its
+multiplier searches made over the whole solve.  The
 multiplier rules:
 ``dmmse`` ascends additively on the power residuals
 (:func:`single_user.additive_rule`), ``pwf`` takes damped multiplicative
@@ -94,7 +96,7 @@ from .model import (
     set_padded_diagonal,
     sum_over_sources,
 )
-from .single_user import (GAIN_RTOL, LAMBDA_CAP, LAMBDA_FLOOR, additive_rule, dual_loop, floor_certified,
+from .single_user import (GAIN_RTOL, LAMBDA_CAP, LAMBDA_FLOOR, _max, additive_rule, dual_loop, floor_certified,
                           max_violation, objective_stable, priced_directions, priced_minimizer, receive_factors,
                           stream_order)
 
@@ -423,21 +425,21 @@ def _emmseia_multiplier_search(problem, equalizers, weights, mu, constraint_tol,
     |mu_m (P_m - usage_m)| <= SLACKNESS_TOL P_m with usage_m <= P_m (1 + tol),
     stopping after ``max_iters`` steps if they do not hold by then.
 
-    Projected subgradient in scaled coordinates: each step multiplies mu_m by
-    a factor clip(1 + (usage_m/P_m - 1)/2, 1/2, 2), which matches the local
-    usage ~ mu^-2 curvature, decays geometrically on slack constraints, and
-    keeps exact zeros; zero multipliers restart from a small seed when their
-    constraint becomes violated.  The linear systems are built once per
-    search: on constraint supports each step rewrites only their diagonal,
-    the grams' diagonal plus mu @ supports, the bits of
-    :func:`linalg.priced_weights`; dense weights are priced afresh.  Returns
-    (mu, precoders, usage, whether the slackness conditions hold there).
+    Projected subgradient in scaled coordinates (:func:`_multiplier_step`).
+    The linear systems are built once per search: on constraint supports
+    each step rewrites only their diagonal, the grams' diagonal plus
+    mu @ supports, the bits of :func:`linalg.priced_weights`; dense weights
+    are priced afresh.  The slackness test and the multiplier step work on
+    Python floats of the M budgets, the same IEEE operations as their
+    elementwise array forms, so the multipliers carry the same bits.
+    Returns (mu, precoders, usage, whether the slackness conditions hold
+    there, the number of linear solves made).
     """
-    budgets = problem.budgets
-    slack_bound = SLACKNESS_TOL * budgets
-    usage_bound = budgets * (1.0 + constraint_tol)
+    budgets = problem.budgets.tolist()
+    slack_bound = [SLACKNESS_TOL * b for b in budgets]
+    usage_bound = [b * (1.0 + constraint_tol) for b in budgets]
     supports = problem.constraint_supports
-    mu = np.asarray(mu, dtype=float).copy()
+    mu = np.asarray(mu, dtype=float).tolist()
     grams, rhs = _emmseia_factors(problem, equalizers, weights)
     if supports is None:
         def systems_at(mu):
@@ -451,26 +453,47 @@ def _emmseia_multiplier_search(problem, equalizers, weights, mu, constraint_tol,
             return grams
 
     def solve_at(mu):
-        precoders = _solve_systems(systems_at(mu), rhs)
+        precoders = _solve_systems(systems_at(np.array(mu)), rhs)
         return precoders, weight_usage(problem.constraints, supports, precoders)
 
     precoders, usage = solve_at(mu)
     for step in range(max_iters + 1):
-        slack_ok = bool((np.abs(mu * (budgets - usage)) <= slack_bound).all())
-        if step == max_iters or (slack_ok and (usage <= usage_bound).all()):
+        used = usage.tolist()
+        slack_ok = all(abs(m * (b - u)) <= s for m, b, u, s in zip(mu, budgets, used, slack_bound))
+        if step == max_iters or (slack_ok and all(u <= v for u, v in zip(used, usage_bound))):
             break
-        ratio = usage / budgets
-        mu = mu * np.minimum(np.maximum(1.0 + 0.5 * (ratio - 1.0), 0.5), 2.0)
-        top = float(mu.max(initial=0.0))
-        seeded = (mu == 0.0) & (ratio > 1.0)
-        if seeded.any():
-            mu[seeded] = seed = 1e-6 * max(1.0, top)
-            top = max(top, seed)
-        mu[mu < 1e-14 * max(1.0, top)] = 0.0  # lowers the maximum only below 1e-14
-        if top > LAMBDA_CAP:
-            raise NumericalFailureError("multiplier search diverged")
+        mu = _multiplier_step(mu, used, budgets)
         precoders, usage = solve_at(mu)
-    return mu, precoders, usage, slack_ok
+    return np.array(mu), precoders, usage, slack_ok, step + 1
+
+
+def _multiplier_step(mu: list, usage: list, budgets: list) -> list:
+    """One step of the multiplier search on float lists: each mu_m times
+    clip(1 + (usage_m/P_m - 1)/2, 1/2, 2), which matches the local
+    usage ~ mu^-2 curvature, decays geometrically on slack constraints, and
+    keeps exact zeros; zero multipliers restart from a small seed when
+    their constraint is violated, and multipliers below 1e-14 of the
+    largest become 0.  A NaN usage gives a NaN multiplier and a NaN
+    largest one, as np.minimum, np.maximum and np.max give them
+    (:func:`single_user._max`).  A largest multiplier over ``LAMBDA_CAP``
+    raises :class:`NumericalFailureError`."""
+    ratio = [u / b for u, b in zip(usage, budgets)]
+    stepped = []
+    for m, r in zip(mu, ratio):
+        factor = 1.0 + 0.5 * (r - 1.0)
+        stepped.append(m * (0.5 if factor < 0.5 else 2.0 if factor > 2.0 else factor))  # NaN stays NaN
+    top = _max(stepped, 0.0)
+    seeded = [i for i, (m, r) in enumerate(zip(stepped, ratio)) if m == 0.0 and r > 1.0]
+    if seeded:
+        seed = 1e-6 * max(1.0, top)
+        for i in seeded:
+            stepped[i] = seed
+        top = max(top, seed)
+    floor = 1e-14 * max(1.0, top)  # lowers the maximum only below 1e-14
+    stepped = [0.0 if m < floor else m for m in stepped]
+    if top > LAMBDA_CAP:
+        raise NumericalFailureError("multiplier search diverged")
+    return stepped
 
 
 # ---------------------------------------------------------------------------
@@ -550,20 +573,22 @@ def emmseia_solve(problem: InterferenceProblem, config: AlgorithmConfig | None =
     module docstring) on :func:`dual_loop` without an outer rule: each pass
     forms the MMSE equalizers of the stack it starts from and runs the KKT
     multiplier search, whose multipliers it carries to the next pass; no
-    polish."""
+    polish.  The diagnostics count the search's linear solves over all
+    passes as ``search_steps``."""
     config = (config or AlgorithmConfig(algorithm="emmseia")).validate()
     srm = config.objective == "srm"
     rx = ReceiveSide(problem, initialize_precoders(problem, config) if initial is None else initial)
     mu = np.full(problem.num_constraints, config.lambda_init)
-    usage, slack_ok = None, True
+    usage, slack_ok, search_steps = None, True, 0
 
     def run_pass(lam):
-        nonlocal rx, mu, usage, slack_ok
+        nonlocal rx, mu, usage, slack_ok, search_steps
         equalizers = rx.equalizers
         # search to half the tolerance so the returned point clears it with margin
-        mu, precoders, usage, slack_ok = _emmseia_multiplier_search(
+        mu, precoders, usage, slack_ok, solves = _emmseia_multiplier_search(
             problem, equalizers, rx.weights if srm else problem.mse_weights, mu, 0.5 * config.constraint_tol
         )
+        search_steps += solves
         rx = ReceiveSide(problem, precoders)
         # the fixed-weight value pairs the new stack with the equalizers it was solved for
         return rx.rate if srm else rx.wsmse(equalizers)
@@ -575,7 +600,7 @@ def emmseia_solve(problem: InterferenceProblem, config: AlgorithmConfig | None =
 
     run = dual_loop(run_pass, lambda: usage, exit_test, np.full(problem.num_constraints, config.lambda_init),
                     problem.budgets, config.max_outer, constraint_tol=config.constraint_tol)
-    return _finish(problem, config, run, rx, mu, {}, lambda returned: slack_ok)
+    return _finish(problem, config, run, rx, mu, {"search_steps": search_steps}, lambda returned: slack_ok)
 
 
 # ---------------------------------------------------------------------------

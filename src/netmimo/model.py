@@ -27,12 +27,21 @@ part is what the per-user reference functions
 (:func:`interference_covariance`, :func:`mmse_equalizer`, :func:`mse_matrix`,
 :func:`mse_matrix_mmse`) give for that user from the blocks cut out of the
 arrays, to rounding: the batched sums over the other users are single
-matrix products, whose additions BLAS orders as it likes.  The problem
-caches what every solver pass reuses: the adjoint ``direct_h``, the
-stacked reverse-link channels ``reverse_channels`` and ``reverse_cross``
-of :func:`reverse_link_sums`, the identities ``rx_eye`` and
-``stream_eye`` and the ``constraint_supports`` that
-:func:`linalg.priced_weights` and :func:`linalg.weight_usage` read.
+matrix products, whose additions BLAS orders as it likes.
+
+The sums over (user, source) pairs take one product per user, not one per
+pair: the channels are cached with every victim of a source stacked
+(``cross_victims``, K m_r x m_t per source) or with every source of a
+receiver side by side (the rows of :func:`reverse_links`, m_r x K m_t), so
+a K = 10 pass makes K small matrix products where a broadcast product over
+the (K, K) pairs makes K^2.  Each entry is still the same dot product over
+one block, so the results carry the bits of the per-pair products.  The
+problem caches what every solver pass reuses: the adjoint ``direct_h``,
+``cross_victims`` of :func:`interference_covariances`, the reverse-link
+layouts ``reverse_channels`` and ``reverse_cross`` of
+:func:`reverse_link_sums`, the identities ``rx_eye`` and ``stream_eye``
+and the ``constraint_supports`` that :func:`linalg.priced_weights` and
+:func:`linalg.weight_usage` read.
 
 Noise is identity by convention; colored noise must be whitened upstream
 (see :mod:`netmimo.scenario`).
@@ -246,6 +255,14 @@ class InterferenceProblem:
         return np.where(np.eye(self.num_users, dtype=bool)[:, :, None, None], 0.0, self.channels)
 
     @cached_property
+    def cross_victims(self) -> np.ndarray:
+        """(K, K m_r, m_t): cross_victims[l] = [H_{0,l}; ...; H_{K-1,l}], the
+        cross channels of transmitter l stacked over every victim receiver
+        (zero block at l), read by :func:`interference_covariances`."""
+        k, _, mr, mt = self.channels.shape
+        return np.ascontiguousarray(self.cross.swapaxes(0, 1)).reshape(k, k * mr, mt)
+
+    @cached_property
     def direct(self) -> np.ndarray:
         """(K, m_r, m_t): H_{k,k}."""
         return self.channels[np.arange(self.num_users), np.arange(self.num_users)]
@@ -304,20 +321,35 @@ class InterferenceProblem:
         """Per-user equalizers (m_r,k x d_k) as the padded (K, m_r, d) stack."""
         return self._user_stack(mats, self.channels.shape[-2], self.rx_dims)
 
+    @cached_property
+    def padded(self) -> bool:
+        """Whether some user's sizes fall short of the padded ones."""
+        return any(len(set(dims)) > 1 for dims in (self.tx_dims, self.rx_dims, self.streams))
+
     def _user_stack(self, mats, rows: int, dims: tuple) -> np.ndarray:
         """:func:`pad_stack` of one block per user, at most (dims[k], d_k);
-        any other number of blocks raises :class:`ContractViolationError`."""
+        any other number of blocks raises :class:`ContractViolationError`.
+        Without padding every user's limit is the stack shape itself."""
         if len(mats) != self.num_users:
             raise ContractViolationError(f"{len(mats)} blocks given for {self.num_users} users")
-        return pad_stack(mats, (rows, self.mse_weights.shape[-1]), tuple(zip(dims, self.streams)))
+        limits = tuple(zip(dims, self.streams)) if self.padded else None
+        return pad_stack(mats, (rows, self.mse_weights.shape[-1]), limits)
 
 
 def pad_stack(mats, shape: tuple, limits=None) -> np.ndarray:
     """Per-user matrices as one (K, *shape) stack, each zero-padded at the
     bottom and right; a stack already of that shape is returned as is.  A
     matrix larger than ``shape``, or than its user's own ``limits[k]``
-    when given, raises :class:`ContractViolationError`."""
+    when given, raises :class:`ContractViolationError`, and so does a
+    stack with a nonzero entry outside its users' ``limits``."""
     if isinstance(mats, np.ndarray) and mats.shape[1:] == shape:
+        if limits is not None:
+            rows, cols = np.array(limits).T
+            outside = (np.arange(shape[0]) >= rows[:, None])[:, :, None] \
+                | (np.arange(shape[1]) >= cols[:, None])[:, None, :]
+            bad = np.flatnonzero(np.any(np.where(outside, mats, 0.0), axis=(-2, -1)))
+            if bad.size:
+                raise ContractViolationError(f"block {bad[0]} has nonzero entries outside its {limits[bad[0]]} block")
         return mats
     out = np.zeros((len(mats),) + shape, dtype=complex)
     for k, mat in enumerate(mats):
@@ -400,8 +432,9 @@ def sum_over_sources(base: np.ndarray, terms: np.ndarray) -> np.ndarray:
     stack of K.  Terms that are exact zeros at l = k leave every sum
     unchanged, so the result is bit for bit the per-user sum over l != k.
     The scenario's out-of-cluster covariances and ``min_leakage``'s forms
-    add this way; the solvers' sums are one product each
-    (:func:`interference_covariances`, :func:`reverse_link_sums`)."""
+    add this way; the solvers' sums are one product per source instead
+    (:func:`interference_covariances`, :func:`reverse_link_sums`), whose
+    additions BLAS orders as it likes."""
     out = np.empty(terms.shape[:1] + terms.shape[2:], dtype=terms.dtype)
     out[...] = base
     for l in range(terms.shape[1]):
@@ -413,32 +446,41 @@ def interference_covariances(problem: InterferenceProblem, precoders) -> np.ndar
     """Omega_k of :func:`interference_covariance` for every receiver k, as
     the padded (K, m_r, m_r) stack (identity on the padded coordinates):
     I + R_k R_k^H for R_k = [H_{k,0} B_0, ..., H_{k,K-1} B_{K-1}] (zero at
-    l = k), one batched product."""
-    hb = problem.cross @ problem.precoders(precoders)  # hb[k, l] = H_{k,l} B_l, l != k
-    k, _, mr, d = hb.shape
-    r = hb.swapaxes(1, 2).reshape(k, mr, k * d)
+    l = k).  The blocks H_{k,l} B_l come from one product per source l,
+    :attr:`InterferenceProblem.cross_victims` [l] B_l; each entry is the
+    same length-m_t dot product as in the per-block product H_{k,l} B_l."""
+    hb = problem.cross_victims @ problem.precoders(precoders)  # hb[l] = [H_{0,l} B_l; ...; H_{K-1,l} B_l]
+    k, kmr, d = hb.shape
+    mr = kmr // k
+    r = hb.reshape(k, k, mr, d).transpose(1, 2, 0, 3).reshape(k, mr, k * d)
     return hermitian_part(problem.rx_eye + r @ adjoint(r))
 
 
 def reverse_links(channels: np.ndarray) -> tuple:
-    """(sources, stacked_h) of a (K, K, m_r, m_t) channel stack
-    (channels[l, k] = H_{l,k}): sources[k, l] = H_{l,k}, and the adjoint of
-    P_k = [H_{0,k}; ...; H_{K-1,k}], (K, m_t, K m_r), as read by
-    :func:`reverse_link_sums`."""
-    sources = np.ascontiguousarray(channels.swapaxes(0, 1))
-    k, _, mr, mt = sources.shape
-    return sources, np.ascontiguousarray(adjoint(sources.reshape(k, k * mr, mt)))
+    """(rows, stacked_h) of a (K, K, m_r, m_t) channel stack
+    (channels[l, k] = H_{l,k}), as read by :func:`reverse_link_sums`:
+    rows[l] = [H_{l,0}, ..., H_{l,K-1}], (K, m_r, K m_t), each receiver's
+    row of channels from every source, and stacked_h[k] the adjoint of
+    P_k = [H_{0,k}; ...; H_{K-1,k}], (K, m_t, K m_r)."""
+    k, _, mr, mt = channels.shape
+    rows = np.ascontiguousarray(channels.transpose(0, 2, 1, 3)).reshape(k, mr, k * mt)
+    stacked = np.ascontiguousarray(channels.swapaxes(0, 1)).reshape(k, k * mr, mt)
+    return rows, np.ascontiguousarray(adjoint(stacked))
 
 
 def reverse_link_sums(links: tuple, mats, base=None) -> np.ndarray:
     """out[k] = base[k] + sum_l H_{l,k}^H X_l H_{l,k} for the
     :func:`reverse_links` of a channel stack and a (K, m_r, m_r) stack X:
-    base + P_k^H Q_k with Q_k = [X_0 H_{0,k}; ...; X_{K-1} H_{K-1,k}], one
-    batched product for the K sums; ``base`` (None for 0) is one matrix
-    for every k or a stack of K."""
-    sources, stacked_h = links
-    k, _, mr, mt = sources.shape
-    out = stacked_h @ (np.asarray(mats) @ sources).reshape(k, k * mr, mt)
+    base + P_k^H Q_k with Q_k = [X_0 H_{0,k}; ...; X_{K-1} H_{K-1,k}].
+    Both are one product per user: X_l rows[l] gives the blocks X_l H_{l,k}
+    of every k at once (each entry the same length-m_r dot product as
+    X_l H_{l,k} alone), and stacked_h[k] Q_k the K sums; ``base`` (None
+    for 0) is one matrix for every k or a stack of K."""
+    rows, stacked_h = links
+    k, mr, kmt = rows.shape
+    mt = kmt // k
+    q = (np.asarray(mats) @ rows).reshape(k, mr, k, mt).transpose(2, 0, 1, 3).reshape(k, k * mr, mt)
+    out = stacked_h @ q
     return out if base is None else base + out
 
 

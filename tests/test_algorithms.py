@@ -323,6 +323,73 @@ def test_multiplier_search_matches_its_reference_through_the_singular_fallback(m
     assert len(pinv_calls) == 4  # once per run, in the search and in its reference
 
 
+def array_multiplier_step(mu, usage, budgets):
+    """The multiplier step of reference_emmseia_search on arrays."""
+    from netmimo.algorithms import LAMBDA_CAP
+
+    ratio = usage / budgets
+    mu = mu * np.minimum(np.maximum(1.0 + 0.5 * (ratio - 1.0), 0.5), 2.0)
+    top = float(np.max(mu, initial=0.0))
+    seeded = (mu == 0.0) & (ratio > 1.0)
+    if seeded.any():
+        mu[seeded] = seed = 1e-6 * max(1.0, top)
+        top = max(top, seed)
+    mu[mu < 1e-14 * max(1.0, top)] = 0.0
+    if top > LAMBDA_CAP:
+        raise NumericalFailureError("multiplier search diverged")
+    return mu
+
+
+def test_float_multiplier_step_gives_the_bits_or_the_error_of_the_array_step():
+    from netmimo.algorithms import LAMBDA_CAP, _multiplier_step
+
+    def outcome(step, mu, usage, budgets):
+        try:
+            return np.array(step(mu, usage, budgets), dtype=float).tobytes()
+        except NumericalFailureError as exc:
+            return str(exc)
+
+    def same(mu, usage, budgets):
+        mu, usage, budgets = (np.array(v, dtype=float) for v in (mu, usage, budgets))
+        got = outcome(_multiplier_step, mu.tolist(), usage.tolist(), budgets.tolist())
+        assert got == outcome(array_multiplier_step, mu, usage, budgets)
+        return got
+
+    rng = np.random.default_rng(62)
+    for _ in range(300):
+        budgets = 10.0 ** rng.uniform(-2, 2, 5)
+        same(random_multipliers(rng, 5), budgets * 10.0 ** rng.uniform(-3, 3, 5), budgets)
+    budgets = [1.0, 2.0, 0.5, 4.0, 1.0]
+    # a NaN usage: NaN multiplier and NaN maximum, so the cut stays at 1e-14
+    # where a maximum of 1e3 would zero the 1e-12
+    stepped = np.frombuffer(same([1.0, 0.3, 0.0, 1e3, 1e-12], [1.0, np.nan, 0.25, 4.0, 1.0], budgets))
+    assert np.isnan(stepped[1]) and stepped[[0, 2, 3, 4]].tolist() == [1.0, 0.0, 1e3, 1e-12]
+    # the zero-multiplier reseed, on violated constraints only
+    stepped = np.frombuffer(same([0.0, 0.0, 3.0, 0.0, 0.0], [2.0, 1.0, 0.1, 4.1, 0.2], budgets))
+    assert stepped[2] == 3.0 * 0.6 and stepped.tolist() == [1e-6 * stepped[2], 0.0, stepped[2], 1e-6 * stepped[2], 0.0]
+    # a multiplier past the cap, and one just below it
+    assert same([0.0, LAMBDA_CAP, 1.0, 1.0, 1.0], [2.0, 3.0, 1.0, 1.0, 1.0], budgets) == "multiplier search diverged"
+    assert same([0.0, LAMBDA_CAP / 2, 1.0, 1.0, 1.0], [2.0, 4.0, 1.0, 1.0, 1.0], budgets) != \
+        "multiplier search diverged"
+
+
+@pytest.mark.parametrize("objective", ["wsmmse", "srm"])
+def test_emmseia_reports_its_search_solves(objective, monkeypatch):
+    from netmimo import algorithms
+
+    calls = []
+    solve = algorithms._solve_systems
+
+    def spy(systems, rhs):
+        calls.append(len(systems))
+        return solve(systems, rhs)
+
+    monkeypatch.setattr(algorithms, "_solve_systems", spy)
+    _, problem = cellular_problem(1)
+    solution = emmseia_solve(problem, AlgorithmConfig(algorithm="emmseia", objective=objective))
+    assert solution.diagnostics["search_steps"] == len(calls) > solution.iterations
+
+
 # ---------------------------------------------------------------------------
 # pwf
 # ---------------------------------------------------------------------------

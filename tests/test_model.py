@@ -609,3 +609,70 @@ def test_blocks_larger_than_their_users_own_sizes_are_rejected(mixed_problems):
     equalizers = [np.ones((r, d), dtype=complex) for r, d in zip(problem.rx_dims, problem.streams)]
     with pytest.raises(ContractViolationError, match=r"block 1 has shape \(3, 2\), larger than \(2, 2\)"):
         wsmse_objective(problem, blocks, [equalizers[0], np.ones((3, 2), dtype=complex), equalizers[2]])
+
+
+def test_padded_stacks_with_nonzero_padding_are_rejected(mixed_problems):
+    # user 0 of the sizes problem has m_t = 2, m_r = 3 and d = 1, user 1
+    # m_r = 2: an entry in their padding used to be taken as is
+    problem = mixed_problems["sizes"]
+    assert problem.padded and not build_interference_problem(random_system(np.random.default_rng(13))).padded
+    rng = np.random.default_rng(14)
+    precoders = problem.precoders(random_precoders(rng, problem))
+    equalizers = problem.equalizers(
+        [np.ones((r, d), dtype=complex) for r, d in zip(problem.rx_dims, problem.streams)])
+    assert problem.precoders(precoders) is precoders and sum_rate(problem, precoders) > 0.0
+    assert np.isfinite(wsmse_objective(problem, precoders, equalizers))
+    for row, col in ((3, 0), (0, 1), (2, 1)):
+        stained = precoders.copy()
+        stained[0, row, col] = 1e-300
+        for evaluate in (sum_rate, constraint_usage, ReceiveSide):
+            with pytest.raises(ContractViolationError, match=r"block 0 has nonzero entries outside its \(2, 1\)"):
+                evaluate(problem, stained)
+    stained = equalizers.copy()
+    stained[1, 2, 0] = 1.0
+    with pytest.raises(ContractViolationError, match=r"block 1 has nonzero entries outside its \(2, 2\)"):
+        wsmse_objective(problem, precoders, stained)
+    # a NaN inside a user's own block is not padding
+    inside = precoders.copy()
+    inside[0, 1, 0] = np.nan
+    assert problem.precoders(inside) is inside
+
+
+def broadcast_interference_covariances(problem, precoders):
+    """Omega_k from the broadcast product over the (K, K) (victim, source)
+    pairs, cross[k, l] @ B_l: one small product per pair."""
+    hb = problem.cross @ problem.precoders(precoders)
+    k, _, mr, d = hb.shape
+    r = hb.swapaxes(1, 2).reshape(k, mr, k * d)
+    return hermitian_part(problem.rx_eye + r @ adjoint(r))
+
+
+def broadcast_reverse_link_sums(channels, mats, base=None):
+    """base + P_k^H Q_k with Q_k = [X_0 H_{0,k}; ...; X_{K-1} H_{K-1,k}],
+    the blocks X_l H_{l,k} from the broadcast product over the (K, K)
+    pairs."""
+    sources = np.ascontiguousarray(channels.swapaxes(0, 1))
+    k, _, mr, mt = sources.shape
+    stacked_h = np.ascontiguousarray(adjoint(sources.reshape(k, k * mr, mt)))
+    out = stacked_h @ (np.asarray(mats) @ sources).reshape(k, k * mr, mt)
+    return out if base is None else base + out
+
+
+def test_per_source_layouts_give_the_bits_of_the_pairwise_products(mixed_problems):
+    from netmimo.model import reverse_link_sums
+
+    problems = [build_interference_problem(realize(ScenarioConfig(
+        cluster_size=5, users_per_cell=2, nt=4, nr=2, streams=2, cooperation_factor=kappa, seed=70 + kappa)))
+        for kappa in (1, 2, 3, 5)] + list(mixed_problems.values())
+    rng = np.random.default_rng(15)
+    for problem in problems:
+        k, mr, mt = problem.num_users, problem.channels.shape[-2], problem.channels.shape[-1]
+        for scale in (1e-3, 1.0, 30.0):
+            precoders = random_precoders(rng, problem, scale)
+            assert np.array_equal(interference_covariances(problem, precoders),
+                                  broadcast_interference_covariances(problem, precoders))
+        x = rng.standard_normal((k, mr, mr)) + 1j * rng.standard_normal((k, mr, mr))
+        base = rng.standard_normal((k, mt, mt)) + 1j * rng.standard_normal((k, mt, mt))
+        for channels, links in ((problem.channels, problem.reverse_channels), (problem.cross, problem.reverse_cross)):
+            for b in (None, base, base[0]):
+                assert np.array_equal(reverse_link_sums(links, x, b), broadcast_reverse_link_sums(channels, x, b))
