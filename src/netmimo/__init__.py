@@ -38,7 +38,6 @@ from .model import (
     mmse_equalizer,
     mse_matrix,
     mse_matrix_mmse,
-    srm_weight_update,
     sum_rate,
     wsmse_objective,
 )

@@ -7,10 +7,10 @@ Four families are implemented:
     covariance: :func:`single_user.priced_minimizer` with the
     interference-pricing matrices F_k = Upsilon_k + sum_m lam_m Phi_{k,m}
     and the receive factors C_k = H_kk^H L_k^{-H} of Omega_k, waterfilled
-    at unit level.  The step runs in the receive dimension
-    (:func:`single_user.priced_directions`: one LU solve F_k^{-1} C_k and
-    an m_r x m_r ``eigh``) wherever the priced diagonal certifies F_k, and
-    whitens F_k (:func:`single_user.whitened_directions`) elsewhere.
+    at unit level.  Each F_k is positive definite (Upsilon_k is PSD and
+    every multiplier at least ``LAMBDA_FLOOR``), so the step runs in the
+    receive dimension (:func:`single_user.priced_directions`: one LU solve
+    F_k^{-1} C_k and an m_r x m_r ``eigh``) for every user.
 ``emmseia``
     Joint linear-system precoder update from fixed MMSE equalizers,
     B_k = (sum_l H_{l,k}^H A_l W_l A_l^H H_{l,k} + sum_m mu_m Phi_{k,m})^{-1}
@@ -40,11 +40,8 @@ multiplier step, then fixed-multiplier polish runs.  Each pass makes one
 from it only what it needs (the pass value, the next pass's weights and
 equalizers, ``pwf``'s reversed-link covariances, the polish test), and
 every solve ends in one finisher (:func:`_finish`); the diagnostics of
-``dmmse`` and ``pwf`` count the ``whitened_passes``, those in which some
-user's transmit-side matrix was whitened rather than solved with, and
-those of ``emmseia`` the ``search_steps``, the batched linear solves its
-multiplier searches made over the whole solve.  The
-multiplier rules:
+``emmseia`` count the ``search_steps``, the batched linear solves its
+multiplier searches made over the whole solve.  The multiplier rules:
 ``dmmse`` ascends additively on the power residuals
 (:func:`single_user.additive_rule`), ``pwf`` takes damped multiplicative
 steps (:func:`_pwf_rule`), and ``emmseia`` has no outer rule, its KKT search
@@ -83,8 +80,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolationError, NumericalFailureError, SingularMatrixError
-from .linalg import adjoint, bisect_level, hermitian_part, priced_weights, psd_inv_sqrt, weight_usage
+from .errors import ConfigurationError, ContractViolationError, NumericalFailureError
+from .linalg import adjoint, bisect_level, hermitian_part, priced_weights, weight_usage
 from .model import (
     BeamformerSolution,
     InterferenceProblem,
@@ -96,9 +93,8 @@ from .model import (
     set_padded_diagonal,
     sum_over_sources,
 )
-from .single_user import (GAIN_RTOL, LAMBDA_CAP, LAMBDA_FLOOR, _max, additive_rule, dual_loop, floor_certified,
-                          max_violation, objective_stable, priced_directions, priced_minimizer, receive_factors,
-                          stream_order)
+from .single_user import (GAIN_RTOL, LAMBDA_CAP, LAMBDA_FLOOR, _max, additive_rule, dual_loop, max_violation,
+                          objective_stable, priced_directions, priced_minimizer, receive_factors, stream_order)
 
 ALGORITHMS = ("dmmse", "emmseia", "pwf", "min_leakage")
 OBJECTIVES = ("wsmmse", "srm")
@@ -330,48 +326,18 @@ def _pricing_matrices(problem, ups, lam):
     return set_padded_diagonal(f, problem.tx_pad, 1.0)
 
 
-def _solvable(problem, f, lam) -> np.ndarray:
-    """:func:`single_user.floor_certified` of transmit-side matrices F_k,
-    each a PSD sum plus sum_m lam_m Phi_{k,m} with 1 on its padded
-    diagonal: on constraint supports that price is the diagonal
-    lam @ supports_k, a floor of F_k.  Without supports no F_k is
-    certified."""
-    supports = problem.constraint_supports
-    if supports is None:
-        return np.zeros(problem.num_users, dtype=bool)
-    floor = lam @ supports
-    floor[problem.tx_pad] = 1.0
-    return floor_certified(f, floor)
-
-
 def _dmmse_precoder_step(problem, rx, w, order, lam):
     """Simultaneous per-user precoder update at multipliers ``lam`` from the
     :class:`ReceiveSide` ``rx`` of the current stack and (K, d) weights
     ``w`` in ``order``: :func:`priced_minimizer` with the interference-pricing
     matrices F_k of the MMSE equalizers A_k and the :func:`receive_factors`
     C_k = H_kk^H L_k^{-H} of Omega_k, as the padded (K, m_t, d) stack; padded
-    streams carry zero weight and so get zero columns.  The F_k that
-    :func:`_solvable` certifies take the receive-dimension step; the others
-    are whitened, and a singular one is retried once with the price floor
-    lifted to the interference scale.  Returns the stack and whether any
-    F_k was whitened."""
+    streams carry zero weight and so get zero columns."""
     a = rx.equalizers
     # ups[k] = sum_{l != k} H_{l,k}^H A_l W_l A_l^H H_{l,k}
     ups = reverse_link_sums(problem.reverse_cross, (a * w[:, None, :]) @ adjoint(a))
-    c = receive_factors(rx.omegas, problem.direct_h)
-    f = _pricing_matrices(problem, ups, lam)
-    solved = _solvable(problem, f, lam)
-
-    def lift(k):
-        guard = max(LAMBDA_FLOOR, 1e-9 * max(1.0, float(np.linalg.norm(ups[k]))))
-        try:
-            return psd_inv_sqrt(_pricing_matrices(problem, ups, np.maximum(lam, guard))[k])
-        except SingularMatrixError as exc:
-            raise NumericalFailureError(
-                f"user {k}: interference-pricing matrix stayed singular after the floor retry"
-            ) from exc
-
-    return priced_minimizer(f, c, w, order, lift, solved=solved), not solved.all()
+    return priced_minimizer(_pricing_matrices(problem, ups, lam), receive_factors(rx.omegas, problem.direct_h),
+                            w, order)
 
 
 # ---------------------------------------------------------------------------
@@ -519,15 +485,12 @@ def dmmse_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = N
     # objective wsmse + lam.(usage - P); its per-pass values are the
     # provably non-increasing descent quantity, recorded for diagnostics.
     priced_trace: list = []
-    whitened_passes = 0
 
     def run_pass(lam):
-        nonlocal rx, whitened_passes
+        nonlocal rx
         weights = _stream_weights(problem, rx.weights) if srm else fixed_weights
         order = stream_order(weights) if srm else fixed_order
-        precoders, whitened = _dmmse_precoder_step(problem, rx, weights, order, lam)
-        whitened_passes += whitened
-        rx = ReceiveSide(problem, precoders)
+        rx = ReceiveSide(problem, _dmmse_precoder_step(problem, rx, weights, order, lam))
         if srm:
             return rx.rate
         # sum_k tr{W_k E_k} at the MMSE equalizers, where E_k = I - A_k^H S_k
@@ -556,7 +519,7 @@ def dmmse_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = N
     run = dual_loop(run_pass, lambda: rx.usage, exit_test, np.full(problem.num_constraints, config.lambda_init),
                     problem.budgets, config.max_outer, rule=rule, polish=lambda: polish_step,
                     max_inner=config.max_inner, polish_unconverged=True, constraint_tol=config.constraint_tol)
-    diagnostics = {"polish_start": run.polish_start, "whitened_passes": whitened_passes}
+    diagnostics = {"polish_start": run.polish_start}
     if not srm:
         diagnostics["priced_trace"] = priced_trace
 
@@ -618,22 +581,21 @@ def _pwf_duals(rx: ReceiveSide, water_level: float) -> np.ndarray:
 
 def _pwf_forward(problem, omegas, dual_covariances, lam):
     """One forward waterfilling pass: on :func:`priced_directions` of the
-    reversed-link covariances Omega_hat_k (in place of F_k, certified by
-    :func:`_solvable`) and the :func:`receive_factors` of the forward ones
+    reversed-link covariances Omega_hat_k (in place of F_k; PD, as their
+    priced part is) and the :func:`receive_factors` of the forward ones
     Omega_k, allocate p_i = [1/mu - 1/g_i]^+ on the unit-power directions
     D_k (usage coefficients diag(D_k^H priced_k D_k)), bisecting the shared
     water level so the multiplier-weighted usage meets the
     multiplier-weighted budget.  Returns the factors D_k diag(sqrt p) as
-    the padded (K, m_t, d) precoder stack, the water level and whether any
-    Omega_hat_k was whitened; padded streams get no power."""
+    the padded (K, m_t, d) precoder stack and the water level; padded
+    streams get no power."""
     target = float(np.dot(lam, problem.budgets))
     priced = priced_weights(problem.constraints, problem.constraint_supports, lam)
     # omega_hat[k] = priced[k] + sum_{j != k} H_{j,k}^H Sigma_hat_j H_{j,k}
     omega_hat = reverse_link_sums(problem.reverse_cross, dual_covariances, priced)
     omega_hat = set_padded_diagonal(hermitian_part(omega_hat), problem.tx_pad, 1.0)
-    solved = _solvable(problem, omega_hat, lam)
-    directions, gains = priced_directions(omega_hat, receive_factors(omegas, problem.direct_h),
-                                          problem.mse_weights.shape[-1], solved)
+    _, directions, gains = priced_directions(omega_hat, receive_factors(omegas, problem.direct_h),
+                                             problem.mse_weights.shape[-1])
     coefs = np.maximum(((priced @ directions) * directions.conj()).sum(axis=-2).real, 0.0)
     keep = gains > GAIN_RTOL * np.maximum(1.0, np.max(gains, axis=-1, initial=0.0))[:, None]
     keep[problem.stream_pad] = False
@@ -646,7 +608,7 @@ def _pwf_forward(problem, omegas, dual_covariances, lam):
                       target, "water-level")
     powers = np.zeros_like(gains)
     powers[keep] = np.maximum(1.0 / mu - 1.0 / gains[keep], 0.0)
-    return directions * np.sqrt(powers)[:, None, :], float(mu), not solved.all()
+    return directions * np.sqrt(powers)[:, None, :], float(mu)
 
 
 def pwf_fixed_point_residual(problem: InterferenceProblem, state: DualNetworkState) -> float:
@@ -691,12 +653,10 @@ def pwf_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = Non
     config = (config or AlgorithmConfig(algorithm="pwf", objective="srm")).validate()
     rx = ReceiveSide(problem, initialize_precoders(problem, config) if initial is None else initial)
     mu = 1.0
-    whitened_passes = 0
 
     def run_pass(lam):
-        nonlocal rx, mu, whitened_passes
-        precoders, mu, whitened = _pwf_forward(problem, rx.omegas, _pwf_duals(rx, mu), lam)
-        whitened_passes += whitened
+        nonlocal rx, mu
+        precoders, mu = _pwf_forward(problem, rx.omegas, _pwf_duals(rx, mu), lam)
         rx = ReceiveSide(problem, precoders)
         return rx.rate
 
@@ -731,8 +691,7 @@ def pwf_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = Non
     )
     state = DualNetworkState(precoders=tuple(cut_padding(rx.precoders, problem.tx_dims, problem.streams)),
                              multipliers=run.lam.copy(), water_level=mu)
-    return _finish(problem, config, run, rx, run.lam, {"state": state, "polish_start": run.polish_start,
-                                                       "whitened_passes": whitened_passes})
+    return _finish(problem, config, run, rx, run.lam, {"state": state, "polish_start": run.polish_start})
 
 
 # ---------------------------------------------------------------------------

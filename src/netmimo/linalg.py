@@ -1,9 +1,9 @@
 """Dense complex-matrix primitives shared by all beamforming solvers.
 
 Everything operates on ``complex128`` numpy arrays.  Hermitian inputs are
-validated and symmetrized before factorization; the ``_batch`` kernels and
-:func:`cholesky_whiteners` take exactly Hermitian stacks (a
-:func:`hermitian_part`, say), so round-off asymmetry never reaches LAPACK.
+validated and symmetrized before factorization; the ``_batch`` kernels
+take exactly Hermitian stacks (a :func:`hermitian_part`, say), so round-off
+asymmetry never reaches LAPACK.
 
 The weights Phi_m of the power constraints tr{Phi_m B B^H} <= P_m are read
 here only: :func:`priced_weights` and :func:`weight_usage` work on their
@@ -146,73 +146,18 @@ def psd_inv_sqrt_batch(a) -> tuple[np.ndarray, np.ndarray]:
     return hermitian_part(inv_sqrt), ok
 
 
-def cholesky_whiteners(a) -> tuple[np.ndarray, np.ndarray]:
-    """Whitening factors of every matrix in an exactly Hermitian (K, n, n)
-    stack F: T_k = L_k^{-H} from the Cholesky factor F_k = L_k L_k^H, so
-    T_k T_k^H = F_k^{-1} and T_k^H F_k T_k = I, and a (K,) mask of the
-    matrices certified regular.  Any such T whitens the generalized problem
-    R x = g F x as T^H R T, as the inverse root of :func:`psd_inv_sqrt` does,
-    at a fraction of an eigendecomposition's cost.
-
-    The certificate 1/||L^{-1}||_F^2 > 2 SINGULARITY_RTOL tr F implies
-    :func:`psd_inv_sqrt`'s eigenvalue test, since 1/||L^{-1}||_F^2 =
-    1/tr F^{-1} <= lambda_min and lambda_max <= tr F; the factor 2 covers
-    the rounding of the computed eigenvalues, whose absolute error near
-    the floor is a small multiple of eps lambda_max.  It is conservative: a
-    matrix it does not clear may still pass that test, so callers take
-    :func:`psd_inv_sqrt` for it.  When the Cholesky factorization of any
-    member fails, no member is certified.  The factors of uncertified
-    matrices are meaningless."""
-    try:
-        low = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        # one failure fails the whole stack; certify none of it
-        return np.array(a), np.zeros(a.shape[0], dtype=bool)
-    inv_low = np.linalg.inv(low)
-    parts = inv_low.view(np.float64)
-    threshold = 2.0 * SINGULARITY_RTOL * np.einsum("kii->k", a).real
-    with np.errstate(over="ignore", invalid="ignore"):
-        # ||L^{-1}||_F^2 * threshold < 1, false for an infinite or NaN norm
-        ok = np.einsum("kij,kij->k", parts, parts) * threshold < 1.0
-    return adjoint(inv_low), ok
-
-
-def whitening_factors(a, lift=None) -> np.ndarray:
-    """Factors T_k with T_k T_k^H = F_k^{-1} for an exactly Hermitian
-    (K, n, n) stack F: :func:`cholesky_whiteners` where it certifies the
-    matrix, :func:`psd_inv_sqrt` elsewhere.  A matrix that
-    :func:`psd_inv_sqrt` rejects raises :class:`SingularMatrixError`
-    unless ``lift(k)`` supplies a replacement factor."""
-    t, ok = cholesky_whiteners(a)
-    for k in () if ok.all() else np.flatnonzero(~ok):
-        try:
-            t[k] = psd_inv_sqrt(a[k])
-        except SingularMatrixError:
-            if lift is None:
-                raise
-            t[k] = lift(k)
-    return t
-
-
-def diagonal_whiteners(f, lift=None) -> np.ndarray:
-    """:func:`whitening_factors` of real diagonal matrices given by their
-    (K, n) diagonals ``f``: the row scalings f_k^{-1/2}, (K, n), so that
+def diagonal_whiteners(f) -> np.ndarray:
+    """Whitening factors of real diagonal matrices given by their (K, n)
+    diagonals ``f``: the row scalings f_k^{-1/2}, (K, n), so that
     diag(f_k^{-1/2}) whitens diag(f_k).  Each diagonal faces
     :func:`psd_inv_sqrt`'s eigenvalue test, min f_k > SINGULARITY_RTOL
-    max f_k > 0, exactly.  One that fails it raises
-    :class:`SingularMatrixError` unless ``lift(k)`` supplies a replacement
-    factor; the factors are then returned as the (K, n, n) matrices.  Rows
-    are tested one by one only if the whole stack fails the test."""
+    max f_k > 0, exactly; one that fails it raises
+    :class:`SingularMatrixError`.  Rows are tested one by one only if the
+    whole stack fails the test."""
     # false for a NaN, and for max f_k <= 0, where min f_k <= SINGULARITY_RTOL max f_k
-    if f.min() > SINGULARITY_RTOL * f.max() or (ok := f.min(axis=-1) > SINGULARITY_RTOL * f.max(axis=-1)).all():
+    if f.min() > SINGULARITY_RTOL * f.max() or (f.min(axis=-1) > SINGULARITY_RTOL * f.max(axis=-1)).all():
         return 1.0 / np.sqrt(f)
-    if lift is None:
-        raise SingularMatrixError(SINGULAR_MESSAGE)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (1.0 / np.sqrt(f))[..., None] * np.eye(f.shape[-1], dtype=complex)
-    for k in np.flatnonzero(~ok):
-        t[k] = lift(k)
-    return t
+    raise SingularMatrixError(SINGULAR_MESSAGE)
 
 
 def disjoint_diagonals(weights):
@@ -270,10 +215,10 @@ def _add_rows(rows) -> np.ndarray:
 def indefinite_members(a) -> list:
     """Indices of the matrices in a (K, n, n) stack, Hermitian and read by
     its lower triangle only, that are not positive definite:
-    lambda_min <= SINGULARITY_RTOL max(1, lambda_max)."""
+    lambda_min <= SINGULARITY_RTOL max(1, lambda_max), or a NaN spectrum."""
     evals = np.linalg.eigvalsh(a)
     return [k for k, (low, high) in enumerate(zip(evals[:, 0].tolist(), evals[:, -1].tolist()))
-            if low <= SINGULARITY_RTOL * max(1.0, high)]
+            if not low > SINGULARITY_RTOL * max(1.0, high)]
 
 
 def hermitian_top_eigs_batch(a, d: int) -> tuple[np.ndarray, np.ndarray]:

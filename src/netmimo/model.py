@@ -21,13 +21,12 @@ whose inverses are the WMMSE weights and whose log determinants give the
 rate.  A :class:`ReceiveSide` holds one padded stack and works out each of
 these parts, batched over all users, the first time it is read; a solver
 makes one per new stack and reads only what it needs.  :func:`sum_rate`,
-:func:`constraint_usage`, :func:`wsmse_objective` and
-:func:`srm_weight_update` are its one-call forms.  Each user's block of a
-part is what the per-user reference functions
-(:func:`interference_covariance`, :func:`mmse_equalizer`, :func:`mse_matrix`,
-:func:`mse_matrix_mmse`) give for that user from the blocks cut out of the
-arrays, to rounding: the batched sums over the other users are single
-matrix products, whose additions BLAS orders as it likes.
+:func:`constraint_usage` and :func:`wsmse_objective` are its one-call
+forms.  Each user's block of a part is what the per-user reference
+functions (:func:`interference_covariance`, :func:`mmse_equalizer`,
+:func:`mse_matrix`, :func:`mse_matrix_mmse`) give for that user from the
+blocks cut out of the arrays, to rounding: the batched sums over the other
+users are single matrix products, whose additions BLAS orders as it likes.
 
 The sums over (user, source) pairs take one product per user, not one per
 pair: the channels are cached with every victim of a source stacked
@@ -634,10 +633,3 @@ def constraint_usage(problem: InterferenceProblem, precoders) -> np.ndarray:
     (:attr:`ReceiveSide.usage`)."""
     return ReceiveSide(problem, precoders).usage
 
-
-def srm_weight_update(problem: InterferenceProblem, precoders) -> np.ndarray:
-    """Inverse-MSE weights W_k = E_k^{-1} used by the rate-maximizing
-    reweighting loop (E_k evaluated with MMSE receivers), as the padded
-    (K, d, d) stack (identity on the padded streams;
-    :attr:`ReceiveSide.weights`)."""
-    return ReceiveSide(problem, precoders).weights

@@ -1,33 +1,31 @@
 """Single-user weighted-MMSE precoder design under trace constraints, and
-the whitened-channel step, dual loop and priced minimizer that every
-netmimo dual method runs on.
+the priced step, dual loop and priced minimizer that every netmimo dual
+method runs on.
 
-Every closed-form step is :func:`whitened_directions`: with the receive
+Every closed-form step is :func:`priced_directions`: with the receive
 factor C = H^H L^{-H} of Omega = L L^H (:func:`receive_factors`, so
-R = H^H Omega^{-1} H = C C^H) and a whitener T T^H = F^{-1} of the
-transmit-side price F, keep the top left singular vectors U of T^H C, the
-squared singular values as gains, and waterfill the stream powers onto
-T U.  With one constraint F = Phi and the powers meet the budget.  With
-several, :func:`solve_multi_constraint` prices them with multipliers lam:
-the Lagrangian minimizer is the closed form with F = sum_m lam_m Phi_m at
-unit water level, and lam ascends on the constraint residuals.  The usage
+R = H^H Omega^{-1} H = C C^H) and the transmit-side price F, take the top
+eigendirections of the priced channel, F^{-1/2} C C^H F^{-1/2}, with their
+gains, and waterfill the stream powers onto them.  With one constraint
+F = Phi and the powers meet the budget.  With several,
+:func:`solve_multi_constraint` prices them with multipliers lam: the
+Lagrangian minimizer is the closed form with F = sum_m lam_m Phi_m at unit
+water level, and lam ascends on the constraint residuals.  The usage
 tr{Phi_m B B^H} is :func:`linalg.weight_usage` and the dense F
 :func:`linalg.priced_weights`, the kernels that read the constraint
-format.  On the commonest weights, one budget per antenna or per BS block
+format.
+
+The step takes one path per price format.  A dense F, which every caller
+forms positive definite, is solved with in the receive dimension m = m_r:
+X = F^{-1} C by one LU solve and the m x m ``eigh`` of C^H X, whose
+eigenpairs are the right singular pairs of F^{-1/2} C.  On the commonest
+weights, one budget per antenna or per BS block
 (:attr:`SingleUserProblem.constraint_supports`), F is the vector
 lam @ supports, whitened as a row scaling, so a pass factors nothing but
-one thin SVD; general weights are Cholesky-whitened.
+one thin SVD.
 
-Where a cheap eigenvalue floor certifies a dense F (:func:`floor_certified`),
-:func:`priced_directions` takes the same step in the receive dimension
-m = m_r instead: X = F^{-1} C by one LU solve, and the m x m ``eigh`` of
-C^H X, whose eigenpairs are the right singular pairs of T^H C, so
-T U = X V diag(g^{-1/2}).  ``dmmse``, ``pwf`` and
-:func:`lagrangian_minimizer` take it; the single-user dual loop keeps its
-row scaling.
-
-Shared with ``algorithms``: ``dmmse`` and ``pwf`` run on the same two
-steps, ``dmmse`` through :func:`priced_minimizer` (the batched form of
+Shared with ``algorithms``: ``dmmse`` and ``pwf`` run on the same step,
+``dmmse`` through :func:`priced_minimizer` (the batched form of
 :func:`lagrangian_minimizer`), and :func:`dual_loop` is the pricing/polish
 loop of ``dmmse``, ``emmseia``, ``pwf`` and :func:`solve_multi_constraint`,
 each with its own pass, exit test and multiplier rule.
@@ -40,17 +38,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractViolationError, NumericalFailureError
+from .errors import ContractViolationError, NumericalFailureError, SingularMatrixError
 from .linalg import (adjoint, diagonal_whiteners, disjoint_diagonals, hermitian_part, hermitian_top_eigs_batch,
-                     indefinite_members, priced_weights, require_hermitian, waterfill_budget, weight_usage,
-                     whitening_factors)
+                     indefinite_members, priced_weights, require_hermitian, waterfill_budget, weight_usage)
 
 # Bounds of the power-price multipliers of every dual loop in netmimo.
 LAMBDA_FLOOR = 1e-9
 LAMBDA_CAP = 1e12
-# A dense pricing matrix F_k whose certified eigenvalue floor exceeds
-# SOLVE_RTOL tr F_k is solved with (LU) rather than whitened.
-SOLVE_RTOL = 1e-8
 # Gains below GAIN_RTOL * max(1, gain_max) carry no usable signal; their
 # streams keep zero precoder columns so d is preserved.
 GAIN_RTOL = 1e-12
@@ -215,77 +209,44 @@ def receive_factors(omegas, channels_h) -> np.ndarray:
     return channels_h @ adjoint(np.linalg.inv(low))
 
 
-def whitened_directions(f, c, d: int, lift=None) -> tuple:
-    """(T, U, g): whiteners T_k T_k^H = F_k^{-1}, U_k the top-``d`` left
-    singular vectors of T_k^H C_k for (K, n, m) factors ``c``, and g_k their
-    squared singular values, descending.  ``f`` is an exactly Hermitian
-    (K, n, n) stack (:func:`whitening_factors`: L_k^{-H}, or F_k^{-1/2}) or
-    the (K, n) diagonals of real diagonal F_k (:func:`diagonal_whiteners`:
-    T is the (K, n) row scalings f_k^{-1/2}).  An F_k that
-    :func:`psd_inv_sqrt` rejects raises :class:`SingularMatrixError` unless
-    ``lift(k)`` supplies a replacement factor."""
-    t = whitening_factors(f, lift) if f.ndim == 3 else diagonal_whiteners(f, lift)
-    try:
-        left, sing, _ = np.linalg.svd(t[..., None] * c if t.ndim == 2 else adjoint(t) @ c, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError("SVD of the whitened channel factors did not converge") from exc
-    return t, left[..., :d], sing[:, :d] ** 2
+def priced_directions(f, c, d: int) -> tuple:
+    """(T, D, g): the closed-form step on pricing matrices F_k and (K, n, m)
+    receive factors ``c``, with g_k the top-``d`` gains, descending, so that
+    B_k = T_k (D_k diag(sqrt p_k)) spends the powers p_k (:func:`_unwhiten`).
+    One path per price format:
+
+    * an exactly Hermitian, positive definite (K, n, n) stack ``f``: the
+      step runs in the receive dimension.  X_k = F_k^{-1} C_k by one
+      batched LU solve, V_k and g_k the top-``d`` eigenpairs of the m x m
+      Hermitian C_k^H X_k, and D_k = X_k V_k diag(g_k^{-1/2}) (a column of
+      gain <= 0 is left unscaled), which is the whitened step F_k^{-1/2} U_k
+      in exact arithmetic, U_k the top left singular vectors of
+      F_k^{-1/2} C_k; T is None.  F_k is not factored and nothing is
+      SVD-decomposed.  LU with partial pivoting is backward stable on a PD
+      F_k, so no certificate is taken; gains that are not finite (a NaN in
+      either input) raise :class:`NumericalFailureError`.
+    * the (K, n) diagonals of real diagonal F_k (:func:`diagonal_whiteners`):
+      T the (K, n) row scalings f_k^{-1/2}, D the top-``d`` left singular
+      vectors of T_k C_k and g their squared singular values.
+    """
+    if f.ndim == 2:
+        t = diagonal_whiteners(f)
+        try:
+            left, sing, _ = np.linalg.svd(t[..., None] * c, full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailureError("SVD of the whitened channel factors did not converge") from exc
+        return t, left[..., :d], sing[:, :d] ** 2
+    x = np.linalg.solve(f, c)
+    gains, basis = hermitian_top_eigs_batch(hermitian_part(adjoint(c) @ x), d)
+    if not np.isfinite(gains).all():
+        raise NumericalFailureError("priced channel gains are not finite")
+    return None, (x @ basis) / np.sqrt(np.where(gains > 0.0, gains, 1.0))[:, None, :], gains
 
 
 def _unwhiten(t, x) -> np.ndarray:
-    """T_k X_k for the whitening factors T of :func:`whitened_directions`."""
-    return t[..., None] * x if t.ndim == 2 else t @ x
-
-
-def floor_certified(f, floor) -> np.ndarray:
-    """(K,) mask of the exactly Hermitian (K, n, n) pricing matrices F_k
-    that :func:`priced_directions` may solve with: ``floor`` (K, n) bounds
-    each smallest eigenvalue by min floor_k (F_k - diag(floor_k) is PSD, or
-    ``floor`` is a :func:`gershgorin_floor`), and the mask holds where
-    min floor_k > SOLVE_RTOL tr F_k.  As tr F_k >= lambda_max, such an F_k
-    has condition number below 1 / SOLVE_RTOL, well inside the test of
-    :func:`psd_inv_sqrt`; a NaN fails the mask."""
-    return floor.min(axis=-1) > SOLVE_RTOL * np.einsum("kii->k", f).real
-
-
-def gershgorin_floor(f) -> np.ndarray:
-    """(K, n) Gershgorin bounds F_ii - sum_{j != i} |F_ij| of an exactly
-    Hermitian (K, n, n) stack; each row's minimum is at most its matrix's
-    smallest eigenvalue."""
-    diag = np.diagonal(f, axis1=-2, axis2=-1).real
-    return diag + np.abs(diag) - np.abs(f).sum(axis=-1)
-
-
-def _solved_directions(f, c, d: int) -> tuple:
-    """:func:`priced_directions` of pricing matrices it may solve with."""
-    x = np.linalg.solve(f, c)
-    gains, basis = hermitian_top_eigs_batch(hermitian_part(adjoint(c) @ x), d)
-    return (x @ basis) / np.sqrt(np.where(gains > 0.0, gains, 1.0))[:, None, :], gains
-
-
-def priced_directions(f, c, d: int, solved, lift=None) -> tuple:
-    """(D, g): the (K, n, d) unit-power directions D_k = T_k U_k and the
-    (K, d) gains g_k, descending, of :func:`whitened_directions` for an
-    exactly Hermitian (K, n, n) stack F and (K, n, m) factors ``c``, so that
-    B_k = D_k diag(sqrt p_k) spends the powers p_k.  Where the (K,) mask
-    ``solved`` (:func:`floor_certified`) holds, the step runs in the
-    receive dimension: X_k = F_k^{-1} C_k by one batched LU solve, V_k and
-    g_k the top-``d`` eigenpairs of the m x m Hermitian C_k^H X_k, and
-    D_k = X_k V_k diag(g_k^{-1/2}), which is T_k U_k in exact arithmetic (a
-    column of gain <= 0 is left unscaled); F_k is not factored and nothing
-    is SVD-decomposed.  The other users are whitened
-    (:func:`whitened_directions`, ``lift(k)`` indexing the whole stack)."""
-    if solved.all():
-        return _solved_directions(f, c, d)
-    directions = np.empty(c.shape[:-1] + (d,), dtype=complex)
-    gains = np.empty((len(c), d))
-    if solved.any():
-        directions[solved], gains[solved] = _solved_directions(f[solved], c[solved], d)
-    rest = np.flatnonzero(~solved)
-    t, basis, gains[rest] = whitened_directions(f[rest], c[rest], d,
-                                                None if lift is None else lambda j: lift(rest[j]))
-    directions[rest] = t @ basis
-    return directions, gains
+    """T_k X_k for the row scalings T of :func:`priced_directions` (X itself
+    where T is None)."""
+    return x if t is None else t[..., None] * x
 
 
 def stream_order(weights):
@@ -294,27 +255,20 @@ def stream_order(weights):
     return None if (weights[:, :-1] >= weights[:, 1:]).all() else np.argsort(-weights, axis=-1, kind="stable")
 
 
-def priced_minimizer(f, c, weights, order, lift=None, values: bool = False, solved=None):
+def priced_minimizer(f, c, weights, order, values: bool = False):
     """Minimizers B_k of tr{W_k (I + B^H R_k B)^{-1}} + tr{F_k B B^H} for
     pricing matrices F_k, (K, n, m) factors ``c`` of the quadratic forms,
     R_k = C_k C_k^H, and (K, d) stream ``weights`` (d <= min(n, m)) ranked
-    by ``order``, as the (K, n, d) stack: B_k = T_k U_k diag(sqrt p) on
-    :func:`whitened_directions` (``f`` and ``lift`` as there) with the
+    by ``order``, as the (K, n, d) stack: B_k = T_k (D_k diag(sqrt p)) on
+    :func:`priced_directions` (``f`` in either format there) with the
     unit-level waterfill p_i = [sqrt(w_i / g_i) - 1/g_i]^+ on the gains
-    above ``GAIN_RTOL``.  A (K,) mask ``solved`` with any user set (dense
-    ``f`` only) takes B_k = D_k diag(sqrt p) on :func:`priced_directions`
-    instead: X_k V_k diag(sqrt(p / g)) for the users it marks.  With
-    ``values`` the (K,) objective values
+    above ``GAIN_RTOL``.  With ``values`` the (K,) objective values
     tr{W_k (I + B_k^H R_k B_k)^{-1}} = sum_i w_i / (1 + p_i g_i) come
     along, as ``(columns, values)``: B_k^H R_k B_k = diag(p_i g_i).  Once
     per pass; ``order`` (:func:`stream_order`) the caller finds once per
-    weight set.  The largest weight rides the strongest whitened direction
+    weight set.  The largest weight rides the strongest direction
     (rearrangement: the active-stream cost sums sqrt(w_i / g_i))."""
-    d = weights.shape[-1]
-    if solved is None or not solved.any():
-        t, basis, gains = whitened_directions(f, c, d, lift)
-    else:
-        t, (basis, gains) = None, priced_directions(f, c, d, solved, lift)
+    t, basis, gains = priced_directions(f, c, weights.shape[-1])
     paired_w = weights if order is None else np.take_along_axis(weights, order, -1)
     active = gains > GAIN_RTOL * np.maximum(1.0, gains[:, :1])  # gains descend
     if active.all():  # the masked waterfill below, without its masks
@@ -322,9 +276,7 @@ def priced_minimizer(f, c, weights, order, lift=None, values: bool = False, solv
     else:
         g = np.where(active, gains, 1.0)  # waterfill_eval at mu = 1 on the active gains
         powers = np.where(active, np.maximum(np.sqrt(paired_w / g) - 1.0 / g, 0.0), 0.0)
-    columns = basis * np.sqrt(powers)[:, None, :]
-    if t is not None:
-        columns = _unwhiten(t, columns)
+    columns = _unwhiten(t, basis * np.sqrt(powers)[:, None, :])
     if order is not None:
         columns = np.take_along_axis(columns, np.argsort(order, axis=-1)[:, None, :], -1)
     return (columns, np.add.reduce(paired_w / (1.0 + powers * gains), axis=-1)) if values else columns
@@ -427,19 +379,20 @@ def dual_loop(run_pass, usage_of, exit_test, lam, budgets, max_outer: int, *, ru
 def solve_single_constraint(problem: SingleUserProblem) -> SingleUserSolution:
     """Globally optimal precoder under a single trace constraint.
 
-    B = T U diag(sqrt p) on :func:`whitened_directions` with F = Phi (its
-    diagonal when Phi is a real diagonal), gains g_1 >= ... >= g_d, and p
-    waterfilled so that tr{Phi B B^H} = sum_i p_i equals the budget.  A
-    zero channel yields B = 0 with objective sum_i w_i.
+    B = T D diag(sqrt p) on :func:`priced_directions` with F = Phi (its
+    diagonal when Phi is a real diagonal; Phi is PD, as the summed weights
+    are validated PD), gains g_1 >= ... >= g_d, and p waterfilled so that
+    tr{Phi B B^H} = sum_i p_i equals the budget.  A zero channel yields
+    B = 0 with objective sum_i w_i.
     """
     if problem.num_constraints != 1:
         raise ContractViolationError("solve_single_constraint requires exactly one constraint")
     budget = float(problem.budgets[0])
     supports = problem.constraint_supports
-    t, basis, gains = whitened_directions(hermitian_part(problem.constraints) if supports is None else supports,
-                                          problem.quadratic_factor()[None], problem.streams)
+    t, basis, gains = priced_directions(hermitian_part(problem.constraints) if supports is None else supports,
+                                        problem.quadratic_factor()[None], problem.streams)
     gains = gains[0]
-    # largest weight rides the strongest whitened direction
+    # largest weight rides the strongest direction
     order = np.argsort(-problem.weights, kind="stable")
     paired_w = problem.weights[order]         # descending, aligned with gains
     active = gains > GAIN_RTOL * max(1.0, float(np.max(gains, initial=0.0)))
@@ -460,11 +413,13 @@ def solve_single_constraint(problem: SingleUserProblem) -> SingleUserSolution:
 def lagrangian_minimizer(problem: SingleUserProblem, phi_agg: np.ndarray) -> np.ndarray:
     """Minimizer of the power-priced objective
     tr{W (I + B^H R B)^{-1}} + tr{phi_agg B B^H}: :func:`priced_minimizer`
-    for the one user with F = ``phi_agg``, in the receive dimension where
-    its :func:`gershgorin_floor` certifies F (a priced identity, say)."""
+    for the one user with F = ``phi_agg``, which must be Hermitian and
+    positive definite (:func:`linalg.indefinite_members`; else
+    :class:`SingularMatrixError`)."""
     f, weights = require_hermitian(phi_agg)[None], problem.weights[None]
-    return priced_minimizer(f, problem.quadratic_factor()[None], weights, stream_order(weights),
-                            solved=floor_certified(f, gershgorin_floor(f)))[0]
+    if indefinite_members(f):
+        raise SingularMatrixError("aggregate price must be positive definite")
+    return priced_minimizer(f, problem.quadratic_factor()[None], weights, stream_order(weights))[0]
 
 
 def precoder_wsmse(problem: SingleUserProblem, precoder: np.ndarray) -> float:
@@ -490,7 +445,8 @@ def solve_multi_constraint(problem: SingleUserProblem) -> DualIterationResult:
     ``STALL_WINDOW`` passes.  On
     :attr:`SingleUserProblem.constraint_supports` F is the diagonal
     lam @ supports, whitened as a row scaling; other weights are summed by
-    :func:`linalg.priced_weights` and Cholesky-whitened.  Exits when all
+    :func:`linalg.priced_weights` and solved with (the multipliers stay at
+    least ``LAMBDA_FLOOR``, so the sum is PD).  Exits when all
     constraints hold within ``MULTI_CONSTRAINT_TOL`` (relative) and the
     objective is stable over five passes.
     """

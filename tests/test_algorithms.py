@@ -35,9 +35,10 @@ from netmimo.algorithms import (
     initialize_precoders,
     offdiag_mass,
 )
-from netmimo.linalg import adjoint, priced_weights
+from netmimo.linalg import adjoint, priced_weights, psd_inv_sqrt, psd_inv_sqrt_batch
 from netmimo.model import ReceiveSide
-from netmimo.single_user import LAMBDA_FLOOR, SingleUserProblem, stream_order
+from netmimo.single_user import (GAIN_RTOL, LAMBDA_FLOOR, SingleUserProblem, priced_minimizer, receive_factors,
+                                 stream_order)
 
 from conftest import antenna_link, count_decompositions, dense_link
 
@@ -103,8 +104,8 @@ def test_initialization_feasible_and_orthonormal():
 
 def test_dmmse_single_user_step_matches_power_priced_minimizer():
     # K=1 with fixed multipliers degenerates to the single-user minimizer:
-    # the priced diagonal certifies F = lam I for dmmse, a Gershgorin floor
-    # for lagrangian_minimizer, and both take the one receive-dimension step
+    # dmmse's F = lam I and lagrangian_minimizer's dense price both take the
+    # one receive-dimension step
     rng = np.random.default_rng(1)
     h = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     problem = single_pair_problem(h)
@@ -112,9 +113,8 @@ def test_dmmse_single_user_step_matches_power_priced_minimizer():
     from netmimo.algorithms import _dmmse_precoder_step
     b0 = initialize_precoders(problem, AlgorithmConfig())
     weights = np.ones((1, 2))
-    stepped, whitened = _dmmse_precoder_step(problem, ReceiveSide(problem, b0), weights, stream_order(weights),
-                                             np.array([lam]))
-    assert not whitened
+    stepped = _dmmse_precoder_step(problem, ReceiveSide(problem, b0), weights, stream_order(weights),
+                                   np.array([lam]))
     su = SingleUserProblem(channel=h, noise_cov=np.eye(2),
                            constraints=(np.eye(3, dtype=complex),), budgets=[1.0],
                            weights=np.ones(2), streams=2)
@@ -401,8 +401,7 @@ def test_pwf_scalar_closed_form():
     from netmimo.algorithms import _pwf_duals, _pwf_forward
     zero = np.zeros((1, 1, 1), dtype=complex)
     omegas = ReceiveSide(problem, zero).omegas
-    factor, mu, whitened = _pwf_forward(problem, omegas, zero, np.array([1.0]))
-    assert not whitened
+    factor, mu = _pwf_forward(problem, omegas, zero, np.array([1.0]))
     assert mu == pytest.approx(0.8, abs=1e-6)
     assert abs(factor[0][0, 0]) ** 2 == pytest.approx(1.0, abs=1e-6)
     duals = _pwf_duals(ReceiveSide(problem, factor), mu)
@@ -1108,16 +1107,16 @@ def test_rotated_transmit_spaces_solve_alike_on_general_weights(seed):
 def test_pass_makes_one_decomposition(algorithm, monkeypatch):
     # per pass the interference covariances are Cholesky-factored, and the
     # transmit-side matrices (dmmse's pricing matrices F_k, pwf's
-    # reversed-link covariances), which their priced diagonals certify on
-    # every pass here, are solved with rather than factored: the only other
-    # decomposition is the eigh of the m_r x m_r C_k^H F_k^{-1} C_k, and no
-    # SVD runs; pwf returns its last pass's factors as the precoders
+    # reversed-link covariances) are solved with rather than factored: the
+    # only other decomposition is the eigh of the m_r x m_r
+    # C_k^H F_k^{-1} C_k, and no SVD runs; pwf returns its last pass's
+    # factors as the precoders
     _, problem = cellular_problem(0)
     k, mr = problem.num_users, problem.channels.shape[-2]
     calls = count_decompositions(monkeypatch)
     solver = dmmse_solve if algorithm == "dmmse" else pwf_solve
     sol = solver(problem, AlgorithmConfig(algorithm=algorithm, objective="srm" if algorithm == "pwf" else "wsmmse"))
-    assert sol.iterations > 10 and sol.diagnostics["whitened_passes"] == 0
+    assert sol.iterations > 10
     assert calls == [("cholesky", (k, mr, mr)), ("eigh", (k, mr, mr))] * sol.iterations
 
 
@@ -1126,9 +1125,9 @@ def test_srm_pass_evaluates_the_receive_side_once(algorithm, monkeypatch):
     # per srm pass: one solve for the MMSE equalizers, one for the gains
     # G_k that give the pass's rate and E_k = (I + G_k)^{-1}, one inverse for
     # E_k and one for the weights E_k^{-1}; dmmse adds the inverse of the
-    # Cholesky factor of Omega_k and one (K, m_t, m_t) solve F_k^{-1} C_k
-    # (no pass whitens F_k here), emmseia the (K, m_t, m_t) solves of its
-    # multiplier search.  Each stack's
+    # Cholesky factor of Omega_k and one (K, m_t, m_t) solve F_k^{-1} C_k,
+    # emmseia the (K, m_t, m_t) solves of its multiplier search.  Each
+    # stack's
     # equalizers are solved once, when the next pass or the returned
     # solution reads them; before the first pass come the starting gains,
     # and dmmse's diagonality test reads E_k of the last stack.
@@ -1146,7 +1145,7 @@ def test_srm_pass_evaluates_the_receive_side_once(algorithm, monkeypatch):
         counts[call] = counts.get(call, 0) + 1
     search = counts.pop(("solve", (k, mt, mt)), 0)
     if algorithm == "dmmse":
-        assert search == n and sol.diagnostics["whitened_passes"] == 0
+        assert search == n
         assert counts == {("solve", (k, mr, mr)): 2 * n + 2, ("inv", (k, d, d)): 2 * n + 1,
                           ("inv", (k, mr, mr)): n}
     else:
@@ -1156,8 +1155,9 @@ def test_srm_pass_evaluates_the_receive_side_once(algorithm, monkeypatch):
 
 def random_pricing(rng, problem):
     """dmmse's pricing matrices F_k at a random stack: equalizers scaled by
-    1e-3..1e3, random stream weights, and random_multipliers with about a
-    third more at LAMBDA_FLOOR; returns (F, lam, receive side)."""
+    1e-3..1e3, random stream weights, and random_multipliers raised to
+    LAMBDA_FLOOR (where dmmse keeps them) with about a third more at the
+    floor; returns (F, lam, receive side)."""
     from netmimo.algorithms import _pricing_matrices
     from netmimo.model import reverse_link_sums
 
@@ -1166,141 +1166,60 @@ def random_pricing(rng, problem):
     a = rx.equalizers * 10.0 ** rng.uniform(-3, 3)
     w = rng.uniform(0.0, 2.0, problem.mse_weights.shape[:2])
     ups = reverse_link_sums(problem.reverse_cross, (a * w[:, None, :]) @ adjoint(a))
-    lam = random_multipliers(rng, problem.num_constraints)
+    lam = np.maximum(random_multipliers(rng, problem.num_constraints), LAMBDA_FLOOR)
     lam[rng.random(lam.size) < 0.3] = LAMBDA_FLOOR
     return _pricing_matrices(problem, ups, lam), lam, rx
 
 
-def test_solve_certificate_clears_only_matrices_psd_inv_sqrt_accepts(mixed_problems):
-    # a certified F_k has lambda_min >= its priced floor > SOLVE_RTOL tr F_k,
-    # so psd_inv_sqrt, which rejects lambda_min <= 1e-12 lambda_max, accepts
-    # it; on stacks with padded users and multipliers at the floor both
-    # outcomes occur, and every matrix psd_inv_sqrt rejects is whitened
-    from netmimo.algorithms import _solvable
-    from netmimo.linalg import psd_inv_sqrt_batch
-
-    rng = np.random.default_rng(44)
-    counts = np.zeros(3, dtype=int)
-    for problem in pricing_problems(mixed_problems):
-        for _ in range(30):
-            f, lam, _ = random_pricing(rng, problem)
-            solved, accepted = _solvable(problem, f, lam), psd_inv_sqrt_batch(f)[1]
-            assert not np.any(solved & ~accepted)
-            counts += [np.sum(solved), np.sum(accepted & ~solved), np.sum(~accepted)]
-    assert np.all(counts > 20), counts
+def whitened_oracle(f, c, weights):
+    """The priced minimizer of one user by whitening: T = F^{-1/2}
+    (psd_inv_sqrt), U and g the top-d left singular vectors of T C and
+    their squared singular values, B = T U diag(sqrt p) with the unit-level
+    waterfill on the gains above GAIN_RTOL, the largest weight on the
+    strongest direction; returns (g, B)."""
+    d = weights.size
+    t = psd_inv_sqrt(f)
+    left, sing, _ = np.linalg.svd(t @ c)
+    gains, rank = sing[:d] ** 2, np.argsort(-weights, kind="stable")
+    active = gains > GAIN_RTOL * max(1.0, gains[0])
+    g = np.where(active, gains, 1.0)
+    powers = np.where(active, np.maximum(np.sqrt(weights[rank] / g) - 1.0 / g, 0.0), 0.0)
+    return gains, (t @ (left[:, :d] * np.sqrt(powers)))[:, np.argsort(rank)]
 
 
 def test_solve_and_whitened_steps_agree_to_rounding(mixed_problems):
-    # on certified F_k (condition number below 1 / SOLVE_RTOL) the
-    # receive-dimension step and the whitening give the same gains and
-    # transmit covariances B B^H within eps / SOLVE_RTOL; a mixed mask runs
-    # each user on its own path: the solved ones bit for bit as alone, the
-    # whitened ones as T_k U_k, then the powers (alone: T_k (U_k sqrt p))
-    from netmimo.algorithms import _solvable
-    from netmimo.linalg import psd_inv_sqrt_batch
-    from netmimo.single_user import (SOLVE_RTOL, priced_directions, priced_minimizer, receive_factors,
-                                     whitened_directions)
+    # on positive definite F_k, users priced at LAMBDA_FLOOR among them,
+    # the receive-dimension step gives the whitening oracle's gains and
+    # transmit covariances B B^H within a multiple of kappa(F_k) eps, on
+    # every F_k whose inverse root psd_inv_sqrt can take
+    from netmimo.single_user import priced_directions
 
     rng = np.random.default_rng(45)
-    bound = np.finfo(float).eps / SOLVE_RTOL
-    mixed_masks = 0
+    eps = np.finfo(float).eps
+    compared, floor_priced = 0, 0
     for problem in pricing_problems(mixed_problems):
         d = problem.mse_weights.shape[-1]
         for _ in range(20):
             f, lam, rx = random_pricing(rng, problem)
-            if not psd_inv_sqrt_batch(f)[1].all():  # whitening would need a lift
-                continue
             c = receive_factors(rx.omegas, problem.direct_h)
-            solved = _solvable(problem, f, lam)
-            mixed_masks += solved.any() and not solved.all()
             weights = rng.uniform(0.0, 2.0, (problem.num_users, d))
             weights[problem.stream_pad] = 0.0
-            order = stream_order(weights)
-            both = priced_minimizer(f, c, weights, order, solved=solved)
-            for users in (np.flatnonzero(solved), np.flatnonzero(~solved)):
-                if not users.size:
-                    continue
-                alone = priced_minimizer(f[users], c[users], weights[users], None if order is None else order[users],
-                                         solved=solved[users])
-                if solved[users[0]] or solved.all() or not solved.any():
-                    assert np.array_equal(both[users], alone)
-                    continue
-                for x, y in zip(both[users], alone):
-                    want = y @ y.conj().T
-                    assert np.linalg.norm(x @ x.conj().T - want) <= bound * max(np.linalg.norm(want), 1e-300)
-            if not solved.any():
-                continue
-            fs, cs, ws = f[solved], c[solved], weights[solved]
-            directions, gains = priced_directions(fs, cs, d, np.ones(len(fs), dtype=bool))
-            want = whitened_directions(fs, cs, d)[2]
-            assert np.all(np.abs(gains - want) <= bound * want[:, :1])
-            os_ = None if order is None else order[solved]
-            got = priced_minimizer(fs, cs, ws, os_, solved=np.ones(len(fs), dtype=bool))
-            for x, y in zip(got, priced_minimizer(fs, cs, ws, os_)):
-                want = y @ y.conj().T
-                assert np.linalg.norm(x @ x.conj().T - want) <= bound * max(np.linalg.norm(want), 1e-300)
-    assert mixed_masks > 5
-
-
-def test_kappa_srm_first_draw_takes_no_whitened_pass(tmp_path, monkeypatch):
-    # every dmmse and pwf pass on trial 0 of the benchmark's cooperation
-    # sweep (K = 10, one draw per cooperation factor) solves with its
-    # certified transmit-side matrices; none is whitened
-    from netmimo import experiment
-    from perfbench.workloads import WORKLOADS
-
-    state = WORKLOADS["kappa_srm"].setup(1, tmp_path)
-    solutions, solve_system = [], experiment.solve_system
-
-    def spy(system, config):
-        problem, solution = solve_system(system, config)
-        solutions.append(solution)
-        return problem, solution
-
-    monkeypatch.setattr(experiment, "solve_system", spy)
-    for value_index in range(len(state.spec.values)):
-        for algorithm in ("dmmse", "pwf"):
-            assert not experiment.run_trial(state.spec, value_index, 0, algorithm).failed
-    assert len(solutions) == 8 and sum(s.iterations for s in solutions) > 100
-    assert [s.diagnostics["whitened_passes"] for s in solutions] == [0] * 8
-
-
-def test_dmmse_step_lifts_a_singular_pricing_floor(monkeypatch):
-    # at zero multipliers F_k = Upsilon_k has rank at most (K-1) m_r < m_t:
-    # no F_k is certified, psd_inv_sqrt rejects every one, and each user is
-    # whitened at the lifted floor max(LAMBDA_FLOOR, 1e-9 max(1,
-    # ||Upsilon_k||)) instead.  The lifted matrices have condition numbers
-    # near 1e9, so the step is compared with the same whitening of them,
-    # not with another factorization.
-    from netmimo import algorithms
-    from netmimo.algorithms import _dmmse_precoder_step, _pricing_matrices
-    from netmimo.linalg import psd_inv_sqrt, psd_inv_sqrt_batch
-    from netmimo.model import reverse_link_sums
-    from netmimo.single_user import priced_minimizer, receive_factors
-
-    _, problem = cellular_problem(0)
-    rx = ReceiveSide(problem, initialize_precoders(problem, AlgorithmConfig()))
-    equalizers = rx.equalizers
-    weights = np.ones(problem.mse_weights.shape[:2])
-    order = stream_order(weights)
-    ups = reverse_link_sums(problem.reverse_cross, equalizers @ equalizers.conj().swapaxes(-1, -2))
-    zero = np.zeros(problem.num_constraints)
-    assert not psd_inv_sqrt_batch(_pricing_matrices(problem, ups, zero))[1].any()
-    lifted = [_pricing_matrices(problem, ups, np.full(problem.num_constraints, max(
-        LAMBDA_FLOOR, 1e-9 * max(1.0, float(np.linalg.norm(ups[k]))))))[k] for k in range(problem.num_users)]
-    seen = []
-
-    def spy(a):
-        seen.append(np.array(a))
-        return psd_inv_sqrt(a)
-
-    monkeypatch.setattr(algorithms, "psd_inv_sqrt", spy)
-    step, whitened = _dmmse_precoder_step(problem, rx, weights, order, zero)
-    assert whitened
-    assert len(seen) == problem.num_users and all(map(np.array_equal, seen, lifted))
-    want = priced_minimizer(_pricing_matrices(problem, ups, zero), receive_factors(rx.omegas, problem.direct_h),
-                            weights, order, lambda k: psd_inv_sqrt(lifted[k]))
-    assert np.array_equal(step, want)
+            got = priced_minimizer(f, c, weights, stream_order(weights))
+            gains = priced_directions(f, c, d)[2]
+            # the smallest price on each user's own coordinates
+            floor = lam @ problem.constraint_supports
+            floor[problem.tx_pad] = np.inf
+            floor = floor.min(axis=-1)
+            evals = np.linalg.eigvalsh(f)
+            for k in np.flatnonzero(psd_inv_sqrt_batch(f)[1]):
+                bound = 20 * (evals[k, -1] / evals[k, 0]) * eps
+                want_gains, want = whitened_oracle(f[k], c[k], weights[k])
+                assert np.all(np.abs(gains[k] - want_gains) <= bound * want_gains[0]), k
+                bbh = want @ want.conj().T
+                assert np.linalg.norm(got[k] @ got[k].conj().T - bbh) <= bound * max(np.linalg.norm(bbh), 1e-300)
+                compared += 1
+                floor_priced += bool(floor[k] == LAMBDA_FLOOR)
+    assert compared > 300 and floor_priced > 100, (compared, floor_priced)
 
 
 def test_dmmse_step_rejects_a_non_finite_covariance():
@@ -1388,7 +1307,7 @@ def test_solver_steps_leave_the_padding_alone(mixed_problems):
             inverse = np.linalg.inv(mse_matrix_mmse(problem, cut, k))
             assert np.allclose(w[:d[k]], np.diag(inverse).real, rtol=1e-12, atol=0.0)
             assert not np.any(w[d[k]:])
-        step = _dmmse_precoder_step(problem, rx, weights, stream_order(weights), lam)[0]
+        step = _dmmse_precoder_step(problem, rx, weights, stream_order(weights), lam)
         assert not np.any(padding(step, tx, d))
         # the diagonality test measures each user's own block; users without
         # padded streams are switched off, so a padded one sets the maximum
@@ -1544,21 +1463,21 @@ GOLDEN_DIGESTS = {
     "link_w3":
         "c46e8d29744b0bc13e69618bd0357899cac7e387f8f30bad426c117303cc0633",
     "dense0":
-        "fbb1f830b996e172727142c8d5b54082fcb1df76e58422fe28f59eb8d6821507",
+        "2334825b9a9f68a638b78fe5f6a9ca5fe4744900b4136d7d8f133da0ddb17870",
     "dense1":
-        "8b5c6ab6efaac79d58b138c249f7c253ee373c7249160ba36c2d525d754855f2",
+        "d6674e57fe5c2e593d0450bbdd685f7ca1b862ce759eba7bfbcd11a514af7117",
     "dense2":
-        "2449a7501aaec844f5f03135b6c22181ac695df58c39bbc472c21ab2236b5295",
+        "89293893b786c24d8a0f7a60a7a616d723a95d50728953568f1e9c1a3fff8b10",
     "dense3":
-        "13967d3a8a74eb57f1f68b6bc43d056ad0f1779a64fa281b92bcc7d2fe14bce5",
+        "af9153eeb8fdb8258444a7b6c44a7edcf06f030f23ae98539216b82617f829b1",
     "dense_w0":
-        "33a9c59bf11e600ba8e17b9f46e0199b14e26ac42413d3df27c8fd4ad3e77df8",
+        "452bc512c90201e572bdc204725e4a389a980c7fce70a08db2ff8cea30dcf8ce",
     "dense_w1":
-        "98cf6e83a8a3002b63e8e1e741c2db9e955fb263269807d5f1a84ec4b48b85ba",
+        "a836a69d9715da293a9118ad284d4bc15de0e2b846483460591af439a91bebd3",
     "dense_w2":
-        "23b158b591434cf272ff2b2014c069a50f8ae3cd070ec5514b41a9b549a7a11f",
+        "1bb97f3cc03449addd97fffacce15aad729fbae01cbecd54ccc614d7c9996c6a",
     "dense_w3":
-        "499525ed065aac94ac6e3c3930d5246eec5604a48b5b73a190a83fb87a151dae",
+        "f4b771cab19bb52d93379102275c86ef322f386cc23f71ce02c7d5eb790bf55a",
 }
 
 

@@ -1,6 +1,8 @@
-"""Every import is read: a stdlib-``ast`` check over the package, the tests
-and the demos.  The package's ``__init__`` re-exports its names, so it is
-exempt."""
+"""Every import is read, and every private helper is called: stdlib-``ast``
+checks.  The import check covers the package, the tests and the demos; the
+package's ``__init__`` re-exports its names, so it is exempt.  The helper
+check covers the module-level private functions of the package, which only
+the package itself may read."""
 
 import ast
 from pathlib import Path
@@ -37,4 +39,37 @@ def test_every_import_is_read():
             relative = path.relative_to(ROOT)
             if relative not in EXEMPT:
                 found += [f"{relative}:{line} {name}" for line, name in unused_imports(path.read_text())]
+    assert not found, found
+
+
+def private_functions(source: str) -> list:
+    """(line, name) of each module-level function whose name starts with _."""
+    return [(node.lineno, node.name) for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")]
+
+
+def read_names(source: str) -> set:
+    """Every name a module reads: bare names, attributes and imported names."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_the_check_sees_an_orphaned_helper():
+    source = "def _used():\n    return 1\n\n\ndef _orphan():\n    return _used()\n"
+    assert private_functions(source) == [(1, "_used"), (5, "_orphan")]
+    assert {name for _, name in private_functions(source)} - read_names(source) == {"_orphan"}
+
+
+def test_every_private_helper_is_read():
+    sources = {path.relative_to(ROOT): path.read_text() for path in sorted((ROOT / "src").rglob("*.py"))}
+    read = set().union(*map(read_names, sources.values()))
+    found = [f"{relative}:{line} {name}" for relative, source in sources.items()
+             for line, name in private_functions(source) if name not in read]
     assert not found, found

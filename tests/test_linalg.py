@@ -12,9 +12,8 @@ from netmimo import (
     waterfill_budget,
     waterfill_eval,
 )
-from netmimo.linalg import (SINGULARITY_RTOL, _add_rows, adjoint, cholesky_whiteners, diagonal_whiteners,
-                            disjoint_diagonals, hermitian_part, hermitian_top_eigs_batch, psd_inv_sqrt_batch,
-                            weight_usage, whitening_factors)
+from netmimo.linalg import (SINGULARITY_RTOL, _add_rows, adjoint, diagonal_whiteners, disjoint_diagonals,
+                            hermitian_part, hermitian_top_eigs_batch, psd_inv_sqrt_batch, weight_usage)
 
 
 def random_hermitian(rng, n):
@@ -186,72 +185,6 @@ def test_psd_inv_sqrt_batch_flags_singular_member():
         psd_inv_sqrt(stack[1])
 
 
-def with_spectrum(rng, values):
-    """Exactly Hermitian matrix with the given eigenvalues in a random basis."""
-    n = len(values)
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return hermitian_part((q * np.asarray(values, dtype=float)) @ q.conj().T)
-
-
-def test_cholesky_whiteners_whiten():
-    rng = np.random.default_rng(33)
-    stack = hermitian_part(np.stack([random_pd(rng, 5) for _ in range(4)]))
-    t, ok = cholesky_whiteners(stack)
-    assert ok.all()
-    for k, a in enumerate(stack):
-        assert np.allclose(t[k] @ adjoint(t[k]) @ a, np.eye(5), atol=1e-12)
-        assert np.allclose(adjoint(t[k]) @ a @ t[k], np.eye(5), atol=1e-12)
-        # the adjoint inverse of the lower Cholesky factor
-        assert np.allclose(adjoint(np.linalg.inv(t[k])), np.linalg.cholesky(a), atol=1e-12)
-
-
-def test_cholesky_certificate_implies_the_eigenvalue_test():
-    # condition numbers from 1 to 1e15 over several sizes and spectrum
-    # shapes: every matrix the certificate clears passes psd_inv_sqrt, and
-    # every well-conditioned one is cleared
-    rng = np.random.default_rng(34)
-    for n in (2, 4, 8, 20):
-        for cond in np.logspace(0, 15, 61):
-            for values in (np.logspace(0, -np.log10(cond), n),
-                           np.r_[np.ones(n - 1), 1.0 / cond],
-                           np.r_[1.0, np.full(n - 1, 1.0 / cond)]):
-                stack = np.stack([with_spectrum(rng, values * scale) for scale in (1e-6, 1.0, 1e6)])
-                _, cleared = cholesky_whiteners(stack)
-                _, accepted = psd_inv_sqrt_batch(stack)
-                assert not np.any(cleared & ~accepted), (n, cond)
-                if cond * n <= 1e10:
-                    assert cleared.all(), (n, cond)
-
-
-def test_cholesky_whiteners_leave_doubtful_members_to_the_exact_path():
-    # condition 1e11 on 20 coordinates: the certificate cannot clear it
-    # (1/tr F^{-1} < 1e-12 tr F), psd_inv_sqrt accepts it; condition 1e13,
-    # rank one and zero: psd_inv_sqrt rejects them
-    rng = np.random.default_rng(35)
-    v = rng.standard_normal((20, 1)) + 1j * rng.standard_normal((20, 1))
-    stack = hermitian_part(np.stack([random_pd(rng, 20), with_spectrum(rng, np.r_[np.ones(19), 1e-11]),
-                                     with_spectrum(rng, np.r_[np.ones(19), 1e-13]), v @ v.conj().T,
-                                     np.zeros((20, 20))]))
-    assert psd_inv_sqrt_batch(stack)[1].tolist() == [True, True, False, False, False]
-    assert 1.0 / np.trace(np.linalg.inv(stack[1])).real < SINGULARITY_RTOL * np.trace(stack[1]).real
-    assert cholesky_whiteners(stack[:3])[1].tolist() == [True, False, False]
-    # the rank-one and zero members fail the factorization, so none is certified
-    assert not cholesky_whiteners(stack)[1].any()
-    with pytest.raises(SingularMatrixError):
-        whitening_factors(stack)
-    lifted = []
-
-    def lift(k):
-        lifted.append(k)
-        return np.eye(20)
-
-    t = whitening_factors(stack, lift)
-    assert lifted == [2, 3, 4]
-    for k in range(2):
-        assert np.allclose(adjoint(t[k]) @ stack[k] @ t[k], np.eye(20), atol=1e-4)
-    assert np.array_equal(t[2:], np.broadcast_to(np.eye(20), (3, 20, 20)))
-
-
 def test_diagonal_whiteners_take_the_exact_eigenvalue_test():
     # diagonals on either side of the SINGULARITY_RTOL floor, a zero, a
     # negative and a NaN entry: psd_inv_sqrt's verdict on diag(f), row by row
@@ -267,40 +200,18 @@ def test_diagonal_whiteners_take_the_exact_eigenvalue_test():
     for k in range(3, len(f)):
         with pytest.raises(SingularMatrixError):
             diagonal_whiteners(f[[0, k]])
-    lifted = []
-
-    def lift(k):
-        lifted.append(k)
-        return 2.0 * np.eye(4)
-
-    t = diagonal_whiteners(f, lift)
-    assert lifted == [3, 4, 5, 6]
-    assert np.array_equal(t[:3], (1.0 / np.sqrt(f[:3]))[:, :, None] * np.eye(4))
-    assert np.array_equal(t[3:], np.broadcast_to(2.0 * np.eye(4), (4, 4, 4)))
-
 
 
 def test_diagonal_whiteners_test_rows_when_the_whole_stack_fails():
     # rows about 1e-14 and about 1 in scale: min f <= SINGULARITY_RTOL max f
     # over the stack, while each row clears the test on its own, so the row
-    # scalings come back; a row that fails its own test still raises or is
-    # lifted
+    # scalings come back; a row that fails its own test still raises
     f = np.array([[1e-14, 3e-14, 2e-14, 1.5e-14], [1.0, 2.0, 0.5, 1.0]])
     assert not f.min() > SINGULARITY_RTOL * f.max()
     assert np.array_equal(diagonal_whiteners(f), 1.0 / np.sqrt(f))
     bad = np.vstack([f, [1.0, 1e-13, 1.0, 1.0]])
     with pytest.raises(SingularMatrixError):
         diagonal_whiteners(bad)
-    lifted = []
-
-    def lift(k):
-        lifted.append(k)
-        return 3.0 * np.eye(4)
-
-    t = diagonal_whiteners(bad, lift)
-    assert lifted == [2] and t.shape == (3, 4, 4)
-    assert np.array_equal(t[:2], (1.0 / np.sqrt(f))[:, :, None] * np.eye(4))
-    assert np.array_equal(t[2], 3.0 * np.eye(4))
 
 
 def test_disjoint_diagonals_find_block_masks_only():

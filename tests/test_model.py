@@ -15,7 +15,6 @@ from netmimo import (
     mse_matrix,
     mse_matrix_mmse,
     realize,
-    srm_weight_update,
     sum_rate,
     wsmse_objective,
 )
@@ -500,15 +499,16 @@ def test_constraint_usage_zero_and_unit_columns():
 
 
 def test_srm_weight_update_values():
+    # the rate-maximizing reweighting W_k = E_k^{-1} (ReceiveSide.weights)
     problem = scalar_problem(h=1.0, g=0.0)
-    w = srm_weight_update(problem, [np.zeros((1, 1), dtype=complex)] * 2)
+    w = ReceiveSide(problem, [np.zeros((1, 1), dtype=complex)] * 2).weights
     assert np.allclose(w[0], np.eye(1))
     diag = InterferenceProblem.from_blocks(
         channels=((np.diag([1.0, np.sqrt(3.0)]).astype(complex),),),
         constraints=((np.eye(2, dtype=complex),),),
         budgets=[2.0], streams=[2], mse_weights=(np.eye(2),),
     )
-    w2 = srm_weight_update(diag, [np.eye(2, dtype=complex)])
+    w2 = ReceiveSide(diag, [np.eye(2, dtype=complex)]).weights
     assert np.allclose(w2[0], np.diag([2.0, 4.0]))
 
 
@@ -556,7 +556,6 @@ def test_shared_receive_gains_give_the_bits_of_separate_evaluations(mixed_proble
                 for part in order:
                     assert np.array_equal(getattr(rx, part), want[part]), part
             assert sum_rate(problem, precoders) == want["rate"]
-            assert np.array_equal(srm_weight_update(problem, precoders), want["weights"])
             assert np.array_equal(constraint_usage(problem, precoders), want["usage"])
             cut = [b[:t, :s] for b, t, s in zip(precoders, tx, d)]
             uniform = len({*tx}) == len({*rx_dims}) == len({*d}) == 1
@@ -580,7 +579,7 @@ def test_stacks_with_the_wrong_user_count_or_oversized_blocks_are_rejected():
     b = np.full((problem.tx_dims[0], 1), 0.1, dtype=complex)
     a = np.ones((problem.rx_dims[0], 1), dtype=complex)
     for precoders in ([b], [b, b], [b] * 4, np.array([b] * 2)):
-        for evaluate in (sum_rate, constraint_usage, srm_weight_update, ReceiveSide):
+        for evaluate in (sum_rate, constraint_usage, ReceiveSide):
             with pytest.raises(ContractViolationError, match="blocks given for 3 users"):
                 evaluate(problem, precoders)
         with pytest.raises(ContractViolationError, match="blocks given for 3 users"):

@@ -17,7 +17,7 @@ from netmimo import (
     solve_multi_constraint,
     solve_single_constraint,
 )
-from netmimo.linalg import cholesky_whiteners, disjoint_diagonals
+from netmimo.linalg import disjoint_diagonals
 from netmimo.single_user import (
     GAIN_RTOL,
     LAMBDA_FLOOR,
@@ -135,29 +135,32 @@ def test_single_constraint_requires_one_constraint():
 
 
 def test_single_constraint_makes_one_whitened_svd(monkeypatch):
-    # the noise covariance is Cholesky-factored, a diagonal constraint
-    # whitened as a row scaling and a general one Cholesky-factored, and the
-    # whitened channel factor decomposed by one SVD; nothing meets eigh
+    # the noise covariance is Cholesky-factored; a diagonal constraint is
+    # whitened as a row scaling and the whitened channel factor decomposed
+    # by one SVD, while a general one is solved with (one LU solve) and the
+    # 2x2 C^H Phi^{-1} C meets eigh
     rng = np.random.default_rng(4)
     problem = random_instance(rng)
     factor = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     dense = replace(problem, constraints=(factor @ factor.conj().T + np.eye(4),))
-    calls = count_decompositions(monkeypatch)
+    calls = count_decompositions(monkeypatch, names=("eigh", "svd", "cholesky", "solve"))
     solve_single_constraint(problem)
     assert calls == [("cholesky", (1, 2, 2)), ("svd", (1, 4, 2))]
     del calls[:]
     solve_single_constraint(dense)
-    assert calls == [("cholesky", (1, 2, 2)), ("cholesky", (1, 4, 4)), ("svd", (1, 4, 2))]
+    assert calls == [("cholesky", (1, 2, 2)), ("solve", (1, 4, 4)), ("eigh", (1, 2, 2))]
 
 
 def test_noise_covariance_is_validated_when_the_link_is_built():
     # the noise whitening reads only the lower triangle, so a covariance
-    # that is not Hermitian, or not positive definite, is rejected when the
-    # link is built; one Hermitian within the tolerance is stored symmetrized
+    # that is not Hermitian, or not positive definite (a NaN spectrum
+    # included), is rejected when the link is built; one Hermitian within
+    # the tolerance is stored symmetrized
     link = antenna_link(np.random.default_rng(42))
     with pytest.raises(ContractViolationError, match="not Hermitian"):
         replace(link, noise_cov=np.array([[1.0, 0.5], [0.0, 1.0]]))
-    for indefinite in (np.diag([1.0, 0.0]), np.diag([1.0, -1.0]), np.array([[1.0, 2.0], [2.0, 1.0]])):
+    for indefinite in (np.diag([1.0, 0.0]), np.diag([1.0, -1.0]), np.array([[1.0, 2.0], [2.0, 1.0]]),
+                       np.array([[1.0, np.nan], [np.nan, 1.0]])):
         with pytest.raises(ContractViolationError, match="positive definite"):
             replace(link, noise_cov=indefinite)
     nearly = np.array([[2.0, 1e-12j], [0.0, 1.0]])
@@ -201,38 +204,28 @@ def whitened_minimizer(t, c, weights):
 
 
 def test_priced_minimizer_sends_doubtful_pricing_to_the_exact_path():
-    # pricing matrices the Cholesky certificate does not clear take
-    # psd_inv_sqrt: condition 1e11 is whitened by its inverse root; condition
-    # 1e13, rank one and zero raise, or take the factor lift(k) supplies
+    # doubtful, that is ill-conditioned, positive definite prices
+    # (condition 1 to 1e11) take the one LU step, which gives the
+    # psd_inv_sqrt whitening's B B^H within a condition-number multiple of
+    # eps; a factor that is not finite raises rather than returning NaN
+    # precoders
     rng = np.random.default_rng(37)
     q, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
-    v = rng.standard_normal((8, 1)) + 1j * rng.standard_normal((8, 1))
-    f = np.stack([np.eye(8) + 0.3 * (q * np.arange(8.0)) @ q.conj().T,
-                  (q * np.r_[np.ones(7), 1e-11]) @ q.conj().T, (q * np.r_[np.ones(7), 1e-13]) @ q.conj().T,
-                  v @ v.conj().T, np.zeros((8, 8))])
+    spectra = [1.0 + 0.3 * np.arange(8.0), np.r_[np.ones(7), 1e-6], np.r_[np.ones(7), 1e-11],
+               np.logspace(0, -11, 8)]
+    f = np.stack([(q * v) @ q.conj().T for v in spectra])
     f = 0.5 * (f + f.conj().swapaxes(-1, -2))
-    c = rng.standard_normal((5, 8, 2)) + 1j * rng.standard_normal((5, 8, 2))
-    weights = np.ones((5, 2))
-    assert cholesky_whiteners(f[:3])[1].tolist() == [True, False, False]
-    with pytest.raises(SingularMatrixError):
-        priced_minimizer(f, c, weights, None)
-    lifted = []
-
-    def lift(k):
-        lifted.append(k)
-        return 2.0 * np.eye(8)
-
-    b = priced_minimizer(f, c, weights, None, lift)
-    assert lifted == [2, 3, 4]
-    for k in range(5):
-        t = psd_inv_sqrt(f[k]) if k < 2 else 2.0 * np.eye(8)
-        want = whitened_minimizer(t, c[k], weights[k])
+    c = rng.standard_normal((4, 8, 2)) + 1j * rng.standard_normal((4, 8, 2))
+    weights = np.ones((4, 2))
+    b = priced_minimizer(f, c, weights, None)
+    for k, v in enumerate(spectra):
+        want = whitened_minimizer(psd_inv_sqrt(f[k]), c[k], weights[k])
         # the columns are unique up to phase: compare B B^H
-        assert np.allclose(b[k] @ b[k].conj().T, want @ want.conj().T, rtol=0,
-                           atol=1e-6 * np.linalg.norm(want) ** 2), k
-    # a factor that does not decompose fails as a numerical failure
-    with pytest.raises(NumericalFailureError):
-        priced_minimizer(f[:1], np.full((1, 8, 2), np.nan), weights[:1], None)
+        bound = 20 * (v.max() / v.min()) * np.finfo(float).eps
+        assert np.linalg.norm(b[k] @ b[k].conj().T - want @ want.conj().T) <= bound * np.linalg.norm(want) ** 2, k
+    for bad in (np.full((1, 8, 2), np.nan), np.where(np.arange(8)[:, None] == 3, np.inf, c[:1])):
+        with pytest.raises(NumericalFailureError, match="not finite"):
+            priced_minimizer(f[:1], bad, weights[:1], None)
 
 
 def test_priced_minimizer_diagonal_prices_match_their_dense_matrices():
@@ -260,17 +253,19 @@ def test_priced_minimizer_diagonal_prices_match_their_dense_matrices():
 
 def test_singular_prices_raise_on_both_paths():
     # a coordinate with a zero, negative or negligible price: the diagonal
-    # and the dense path of the priced minimizer both raise; a link whose
-    # weights leave a coordinate uncovered, in either format, or whose
-    # budget is not positive (NaN included) is rejected when it is built
+    # path of the priced minimizer raises, and so does lagrangian_minimizer,
+    # the one door of a dense price from outside, on the same matrices; a
+    # link whose weights leave a coordinate uncovered, in either format, or
+    # whose budget is not positive (NaN included) is rejected when it is
+    # built
     rng = np.random.default_rng(39)
     c = rng.standard_normal((1, 4, 2)) + 1j * rng.standard_normal((1, 4, 2))
-    for prices in ([1.0, 2.0, 0.0, 1.0], [1.0, 2.0, -0.5, 1.0], [1.0, 1e-13, 1.0, 1.0]):
-        prices = np.array([prices])
-        for f in (prices, prices[:, :, None] * np.eye(4, dtype=complex)):
-            with pytest.raises(SingularMatrixError):
-                priced_minimizer(f, c, np.ones((1, 2)), None)
     link = antenna_link(rng)
+    for prices in ([1.0, 2.0, 0.0, 1.0], [1.0, 2.0, -0.5, 1.0], [1.0, 1e-13, 1.0, 1.0]):
+        with pytest.raises(SingularMatrixError):
+            priced_minimizer(np.array([prices]), c, np.ones((1, 2)), None)
+        with pytest.raises(SingularMatrixError, match="positive definite"):
+            lagrangian_minimizer(link, np.diag(prices).astype(complex))
     uncovered = link.constraints[:3]
     assert disjoint_diagonals(uncovered) is not None
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
@@ -282,6 +277,20 @@ def test_singular_prices_raise_on_both_paths():
     for budget in (0.0, -0.25, np.nan):
         with pytest.raises(ContractViolationError, match="budgets must be positive"):
             replace(link, budgets=np.array([0.25, budget, 0.25, 0.25]))
+
+
+def test_non_finite_channel_raises_in_both_closed_forms():
+    # a NaN in the channel: the receive-dimension step of
+    # lagrangian_minimizer raises as solve_single_constraint's SVD does,
+    # instead of returning a NaN precoder
+    link = antenna_link(np.random.default_rng(43))
+    channel = link.channel.copy()
+    channel[1, 2] = np.nan
+    bad = replace(link, channel=channel)
+    with pytest.raises(NumericalFailureError, match="not finite"):
+        lagrangian_minimizer(bad, np.eye(4, dtype=complex))
+    with pytest.raises(NumericalFailureError):
+        solve_single_constraint(replace(bad, constraints=np.eye(4, dtype=complex)[None], budgets=np.ones(1)))
 
 
 def test_constraint_supports_are_found_on_first_use():
@@ -368,12 +377,14 @@ def reference_multi_constraint(problem, step=0.1, max_outer=2000, constraint_tol
                                objective_tol=1e-6):
     """The dual subgradient solve written out pass by pass, kept as the
     oracle of solve_multi_constraint: per pass, the priced constraints are
-    summed one by one; the priced minimizer whitens the sum by the row
-    scaling diag(phi)^{-1/2} when every constraint is a real diagonal and
-    no two share a coordinate (per-antenna budgets), else by the adjoint
-    inverse of its Cholesky factor; it takes the leading left singular
-    vectors of the whitened channel factor H^H Omega^{-1/2}, orders stream
-    weights by stable argsort and gives the weighted MSE
+    summed one by one; when every constraint is a real diagonal and no two
+    share a coordinate (per-antenna budgets) the priced minimizer whitens
+    the sum by the row scaling diag(phi)^{-1/2} and takes the leading left
+    singular vectors of the whitened channel factor, else it solves
+    X = phi^{-1} C for the channel factor C = H^H Omega^{-1/2} and takes
+    the directions X V g^{-1/2} from the leading eigenpairs (V, g) of
+    C^H X; it orders stream weights by stable argsort and gives the
+    weighted MSE
     sum_i w_i / (1 + p_i g_i) of its powers and gains; the usage is the
     squared precoder row norms weighted by each diagonal for per-antenna
     budgets, else the contraction sum_ij Phi_ij (B B^H)_ji per constraint.
@@ -392,19 +403,20 @@ def reference_multi_constraint(problem, step=0.1, max_outer=2000, constraint_tol
     def minimizer(phi):
         if per_antenna:
             rows = 1.0 / np.sqrt(np.diag(phi).real)[:, None]
-            whitened = rows * factor
+            left, sing, _ = np.linalg.svd(rows * factor, full_matrices=False)
+            gains, basis = sing[:d] ** 2, left[:, :d]
         else:
-            inv_low = np.linalg.inv(np.linalg.cholesky(herm(phi)))
-            whitened = inv_low @ factor
-        left, sing, _ = np.linalg.svd(whitened, full_matrices=False)
-        gains, basis = sing[:d] ** 2, left[:, :d]
+            x = np.linalg.solve(herm(phi), factor)
+            vals, vecs = np.linalg.eigh(herm(factor.conj().T @ x))
+            gains, basis = vals[::-1][:d], x @ vecs[:, ::-1][:, :d]
+            basis = basis / np.sqrt(np.where(gains > 0.0, gains, 1.0))
         rank = np.argsort(-w, kind="stable")
         active = gains > GAIN_RTOL * max(1.0, np.max(gains, initial=0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
             levels = np.maximum(np.sqrt(w[rank] / gains) - 1.0 / gains, 0.0)
         powers = np.where(active, levels, 0.0)
         scaled = basis * np.sqrt(powers)
-        columns = rows * scaled if per_antenna else inv_low.conj().T @ scaled
+        columns = rows * scaled if per_antenna else scaled
         return columns[:, np.argsort(rank)], float(np.sum(w[rank] / (1.0 + powers * gains)))
 
     def stable(trace, window=5):
@@ -471,13 +483,14 @@ def test_multi_constraint_pass_makes_one_decomposition(monkeypatch):
 
 def test_dense_multi_constraint_pass_factors_its_price(monkeypatch):
     # constraints with off-diagonal entries: per pass the priced constraint
-    # is Cholesky-factored and the whitened channel factor decomposed by one
-    # SVD, after the one Cholesky factorization of the noise covariance
-    calls = count_decompositions(monkeypatch)
+    # is solved with by one LU solve and the 2x2 C^H F^{-1} C meets one
+    # eigh, after the one Cholesky factorization of the noise covariance;
+    # nothing is SVD-decomposed
+    calls = count_decompositions(monkeypatch, names=("eigh", "svd", "cholesky", "solve"))
     result = solve_multi_constraint(dense_link(np.random.default_rng(3)))
     assert result.iterations > 10
     assert calls[0] == ("cholesky", (1, 2, 2))
-    assert calls[1:] == [("cholesky", (1, 4, 4)), ("svd", (1, 4, 2))] * result.iterations
+    assert calls[1:] == [("solve", (1, 4, 4)), ("eigh", (1, 2, 2))] * result.iterations
 
 
 def array_residuals(usage, budgets, lam):
