@@ -15,7 +15,13 @@ Four families are implemented:
     Joint linear-system precoder update from fixed MMSE equalizers,
     B_k = (sum_l H_{l,k}^H A_l W_l A_l^H H_{l,k} + sum_m mu_m Phi_{k,m})^{-1}
     H_{k,k}^H A_k W_k, with the multipliers searched each pass until the
-    complementary-slackness conditions hold.
+    complementary-slackness conditions hold.  The system matrix depends on
+    k only through user k's transmit side (its channels H_{l,k} to every
+    receiver and its constraint weights), which the users of one serving
+    set share: each search step factors one system per
+    :attr:`model.InterferenceProblem.transmit_sets` set and solves it for
+    all the set's users at once, which gives each user the bits of its own
+    solve.
 ``pwf``
     Polite water-filling: a fixed point on the precoder stack coupling the
     forward network with its reversed-link counterpart through the same
@@ -41,8 +47,9 @@ from it only what it needs (the pass value, the next pass's weights and
 equalizers, ``pwf``'s reversed-link covariances, the polish test), and
 every solve ends in one finisher (:func:`_finish`); the diagnostics of
 ``emmseia`` count the ``search_steps``, the batched linear solves its
-multiplier searches made over the whole solve.  The multiplier rules:
-``dmmse`` ascends additively on the power residuals
+multiplier searches made over the whole solve, and the ``search_systems``
+each of them factors, so the factorizations number their product.  The
+multiplier rules: ``dmmse`` ascends additively on the power residuals
 (:func:`single_user.additive_rule`), ``pwf`` takes damped multiplicative
 steps (:func:`_pwf_rule`), and ``emmseia`` has no outer rule, its KKT search
 runs inside each pass.  ``dmmse`` polishes after every pricing phase, until
@@ -347,7 +354,11 @@ def _dmmse_precoder_step(problem, rx, w, order, lam):
 def _emmseia_factors(problem, equalizers, weights):
     """Multiplier-independent parts of the precoder linear systems: the
     received-weight grams sum_l H_{l,k}^H A_l W_l A_l^H H_{l,k}, with 1 on
-    the padded diagonal, and the right-hand sides H_{k,k}^H A_k W_k."""
+    the padded diagonal, and the right-hand sides H_{k,k}^H A_k W_k.  The
+    users of one :attr:`InterferenceProblem.transmit_sets` set get grams
+    of the same dot products on equal data, equal bit for bit under
+    numpy's bundled OpenBLAS (the golden digests check it), so the solves
+    read each set's gram from its representative."""
     a = problem.equalizers(equalizers)
     w = np.asarray(weights)
     gram = reverse_link_sums(problem.reverse_channels, a @ w @ adjoint(a))
@@ -356,25 +367,33 @@ def _emmseia_factors(problem, equalizers, weights):
 
 
 def _emmseia_solve_at(problem, grams, rhs, mu):
-    """Solve (grams_k + sum_m mu_m Phi_{k,m}) B_k = rhs_k for every user."""
-    return _solve_systems(priced_weights(problem.constraints, problem.constraint_supports, mu, grams), rhs)
+    """Solve (grams_k + sum_m mu_m Phi_{k,m}) B_k = rhs_k for every user,
+    one system per transmit set (the grams of a set's users are equal)."""
+    sets = problem.transmit_sets
+    systems = priced_weights(sets.constraints, sets.supports, mu, grams[sets.representatives])
+    return sets.per_user(_solve_systems(systems, sets.side_by_side(rhs)))
 
 
 def _solve_systems(systems, rhs):
-    """B_k = systems_k^{-1} rhs_k for a (K, n, n) stack; a singular system
-    (zero multipliers on a rank-deficient gram) is solved user by user,
-    least squares where singular."""
+    """X_s = systems_s^{-1} rhs_s for an (S, n, n) stack of systems and the
+    (S, n, g, d) right-hand sides that put the g user blocks of each system
+    side by side (:attr:`model.TransmitSets.shape`): one LU per system,
+    and each column has the bits of its own solve.  When some system is
+    singular (zero multipliers on a rank-deficient gram), every user block
+    is solved alone, least squares where singular."""
+    s, n, g, d = rhs.shape
     try:
-        return np.linalg.solve(systems, rhs)
+        return np.linalg.solve(systems, rhs.reshape(s, n, g * d)).reshape(rhs.shape)
     except np.linalg.LinAlgError:
         pass
-    precoders = np.empty_like(rhs)
-    for k, (system, right) in enumerate(zip(systems, rhs)):
+    solved = np.empty_like(rhs)
+    for i, j in np.ndindex(s, g):
+        right = np.ascontiguousarray(rhs[i, :, j])
         try:
-            precoders[k] = np.linalg.solve(system, right)
+            solved[i, :, j] = np.linalg.solve(systems[i], right)
         except np.linalg.LinAlgError:
-            precoders[k] = np.linalg.pinv(system, hermitian=True) @ right
-    return precoders
+            solved[i, :, j] = np.linalg.pinv(systems[i], hermitian=True) @ right
+    return solved
 
 
 def emmseia_precoder_update(problem, equalizers, weights, mu):
@@ -392,35 +411,41 @@ def _emmseia_multiplier_search(problem, equalizers, weights, mu, constraint_tol,
     stopping after ``max_iters`` steps if they do not hold by then.
 
     Projected subgradient in scaled coordinates (:func:`_multiplier_step`).
-    The linear systems are built once per search: on constraint supports
-    each step rewrites only their diagonal, the grams' diagonal plus
-    mu @ supports, the bits of :func:`linalg.priced_weights`; dense weights
-    are priced afresh.  The slackness test and the multiplier step work on
-    Python floats of the M budgets, the same IEEE operations as their
-    elementwise array forms, so the multipliers carry the same bits.
-    Returns (mu, precoders, usage, whether the slackness conditions hold
-    there, the number of linear solves made).
+    The S linear systems of the transmit sets are built once per search,
+    and each step factors each once for all its users' right-hand sides
+    (:func:`_solve_systems`).  On constraint supports each step rewrites
+    only the systems' diagonal, the grams' diagonal plus mu_m s_i for the
+    one constraint m that weighs coordinate i, by s_i
+    (:attr:`model.TransmitSets.owners`), the bits of mu @ supports and so
+    of :func:`linalg.priced_weights`; dense weights are priced afresh.  The
+    usage and the returned stack are per user.  The slackness test and the
+    multiplier step work on Python floats of the M budgets, the same IEEE
+    operations as their elementwise array forms, so the multipliers carry
+    the same bits.  Returns (mu, precoders, usage, whether the slackness
+    conditions hold there, the number of linear solves made).
     """
     budgets = problem.budgets.tolist()
     slack_bound = [SLACKNESS_TOL * b for b in budgets]
     usage_bound = [b * (1.0 + constraint_tol) for b in budgets]
-    supports = problem.constraint_supports
+    sets = problem.transmit_sets
     mu = np.asarray(mu, dtype=float).tolist()
     grams, rhs = _emmseia_factors(problem, equalizers, weights)
-    if supports is None:
+    systems, rhs = grams[sets.representatives], sets.side_by_side(rhs)
+    if sets.supports is None:
         def systems_at(mu):
-            return priced_weights(problem.constraints, None, mu, grams)
+            return priced_weights(sets.constraints, None, mu, systems)
     else:
-        diagonal = np.einsum("...ii->...i", grams)  # a view: the grams are this search's own
+        owner, scale = sets.owners
+        diagonal = np.einsum("...ii->...i", systems)  # a view: the systems are this search's own
         base = diagonal.copy()
 
         def systems_at(mu):
-            np.add(base, mu @ supports, out=diagonal)
-            return grams
+            np.add(base, mu[owner] * scale, out=diagonal)
+            return systems
 
     def solve_at(mu):
-        precoders = _solve_systems(systems_at(np.array(mu)), rhs)
-        return precoders, weight_usage(problem.constraints, supports, precoders)
+        precoders = sets.per_user(_solve_systems(systems_at(np.array(mu)), rhs))
+        return precoders, weight_usage(problem.constraints, problem.constraint_supports, precoders)
 
     precoders, usage = solve_at(mu)
     for step in range(max_iters + 1):
@@ -537,7 +562,8 @@ def emmseia_solve(problem: InterferenceProblem, config: AlgorithmConfig | None =
     forms the MMSE equalizers of the stack it starts from and runs the KKT
     multiplier search, whose multipliers it carries to the next pass; no
     polish.  The diagnostics count the search's linear solves over all
-    passes as ``search_steps``."""
+    passes as ``search_steps`` and the systems each solve factors, one
+    per transmit set, as ``search_systems``."""
     config = (config or AlgorithmConfig(algorithm="emmseia")).validate()
     srm = config.objective == "srm"
     rx = ReceiveSide(problem, initialize_precoders(problem, config) if initial is None else initial)
@@ -563,7 +589,8 @@ def emmseia_solve(problem: InterferenceProblem, config: AlgorithmConfig | None =
 
     run = dual_loop(run_pass, lambda: usage, exit_test, np.full(problem.num_constraints, config.lambda_init),
                     problem.budgets, config.max_outer, constraint_tol=config.constraint_tol)
-    return _finish(problem, config, run, rx, mu, {"search_steps": search_steps}, lambda returned: slack_ok)
+    diagnostics = {"search_steps": search_steps, "search_systems": len(problem.transmit_sets.representatives)}
+    return _finish(problem, config, run, rx, mu, diagnostics, lambda returned: slack_ok)
 
 
 # ---------------------------------------------------------------------------

@@ -38,9 +38,11 @@ one block, so the results carry the bits of the per-pair products.  The
 problem caches what every solver pass reuses: the adjoint ``direct_h``,
 ``cross_victims`` of :func:`interference_covariances`, the reverse-link
 layouts ``reverse_channels`` and ``reverse_cross`` of
-:func:`reverse_link_sums`, the identities ``rx_eye`` and ``stream_eye``
-and the ``constraint_supports`` that :func:`linalg.priced_weights` and
-:func:`linalg.weight_usage` read.
+:func:`reverse_link_sums`, the identities ``rx_eye`` and ``stream_eye``,
+the ``constraint_supports`` that :func:`linalg.priced_weights` and
+:func:`linalg.weight_usage` read, and the ``transmit_sets``, the users
+that share one transmit side (a serving set), whose reverse-link sums
+are one matrix.
 
 Noise is identity by convention; colored noise must be whitened upstream
 (see :mod:`netmimo.scenario`).
@@ -187,6 +189,8 @@ class InterferenceProblem:
                 raise ContractViolationError(f"{name} has shape {getattr(self, name).shape}, expected {shape}")
         if not np.all(self.budgets > 0):
             raise ContractViolationError("constraint budgets must be positive")
+        if not np.all(np.isfinite(self.channels)):
+            raise ContractViolationError("channel entries must be finite")
         for i, (tx, rx, dk) in enumerate(zip(self.tx_dims, self.rx_dims, self.streams)):
             if not 1 <= dk <= min(tx, rx):
                 raise ContractViolationError(f"user {i}: streams d={dk} outside [1, min(m_t, m_r)]")
@@ -300,6 +304,29 @@ class InterferenceProblem:
         return disjoint_diagonals(self.constraints)
 
     @cached_property
+    def transmit_sets(self) -> "TransmitSets":
+        """The users grouped by their transmit side: users whose channels to
+        every receiver (``channels[:, k]``), constraint weights
+        (``constraints[k]``) and transmit size are bitwise identical form
+        one set, as the users of one serving set do in
+        :func:`build_interference_problem`.  Their reverse-link grams
+        sum_l H_{l,k}^H X_l H_{l,k} are one matrix, so ``emmseia`` factors
+        one linear system per set.  Found on first use by exact comparison;
+        sets are numbered in order of their first user."""
+        members: dict = {}
+        for k in range(self.num_users):
+            key = (self.tx_dims[k], self.channels[:, k].tobytes(), self.constraints[k].tobytes())
+            members.setdefault(key, []).append(k)
+        set_of, slot = np.zeros((2, self.num_users), dtype=int)
+        for s, users in enumerate(members.values()):
+            set_of[users], slot[users] = s, np.arange(len(users))
+        reps = np.array([users[0] for users in members.values()])
+        shape = (reps.size, self.channels.shape[-1], int(slot.max()) + 1, self.mse_weights.shape[-1])
+        supports = self.constraint_supports
+        return TransmitSets(reps, set_of, slot, shape, self.constraints[reps],
+                            None if supports is None else supports[reps])
+
+    @cached_property
     def tx_pad(self) -> tuple:
         """(users, coordinates) index arrays of the padded transmit
         coordinates; matrices that must be inverted over the transmit space
@@ -333,6 +360,58 @@ class InterferenceProblem:
             raise ContractViolationError(f"{len(mats)} blocks given for {self.num_users} users")
         limits = tuple(zip(dims, self.streams)) if self.padded else None
         return pad_stack(mats, (rows, self.mse_weights.shape[-1]), limits)
+
+
+@dataclass(frozen=True)
+class TransmitSets:
+    """Users grouped into S sets (:attr:`InterferenceProblem.transmit_sets`).
+
+    representatives -- (S,) the first user of each set, ascending
+    set_of, slot    -- (K,) each user's set and its place in that set
+    shape           -- (S, m_t, g, d): the layout that puts the (m_t, d)
+                       blocks of each set's users side by side, g the size
+                       of the largest set
+    constraints     -- (S, M, m_t, m_t) each set's constraint weights
+    supports        -- (S, M, m_t) their supports, or None
+                       (:attr:`InterferenceProblem.constraint_supports`)
+
+    :meth:`side_by_side` and :meth:`per_user` move a padded (K, m_t, d)
+    stack to that layout and back, each by one flat index."""
+
+    representatives: np.ndarray
+    set_of: np.ndarray
+    slot: np.ndarray
+    shape: tuple
+    constraints: np.ndarray
+    supports: np.ndarray | None
+
+    @cached_property
+    def owners(self) -> tuple:
+        """(owner, scale), (S, m_t) each, on supports: the one constraint
+        that weighs each transmit coordinate (0 where none does) and its
+        weight there, so that mu[owner] * scale has the bits of
+        mu @ supports (each of its sums has one nonzero term)."""
+        return (self.supports != 0).argmax(axis=-2), self.supports.sum(axis=-2)
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        """(K, m_t, d): where each entry of the per-user stack sits in the
+        flattened side-by-side layout."""
+        _, n, g, d = self.shape
+        rows = (self.set_of[:, None] * n + np.arange(n)) * g + self.slot[:, None]
+        return rows[..., None] * d + np.arange(d)
+
+    def side_by_side(self, stack: np.ndarray) -> np.ndarray:
+        """The side-by-side layout of a (K, m_t, d) stack, zero in the slots
+        a set lacks."""
+        out = np.zeros(self.shape, dtype=stack.dtype)
+        out.put(self.index, stack)
+        return out
+
+    def per_user(self, grouped: np.ndarray) -> np.ndarray:
+        """The (K, m_t, d) stack of a side-by-side layout, (S, m_t, g, d) or
+        its (S, m_t, g d) reshape."""
+        return grouped.take(self.index)
 
 
 def pad_stack(mats, shape: tuple, limits=None) -> np.ndarray:
@@ -586,7 +665,8 @@ class ReceiveSide:
     @cached_property
     def rate(self) -> float:
         sign, logdet = np.linalg.slogdet(self.problem.stream_eye + self.gains)
-        bad = np.flatnonzero(sign.real <= 0)
+        # NaN gains give a NaN sign, or a NaN log determinant with sign 1
+        bad = np.flatnonzero(~(sign.real > 0) | np.isnan(logdet))
         if bad.size:
             raise NumericalFailureError(f"error covariance of user {bad[0]} is not positive definite")
         rate = 0.0

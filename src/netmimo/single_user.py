@@ -88,6 +88,8 @@ class SingleUserProblem:
         object.__setattr__(self, "budgets", np.asarray(self.budgets, dtype=float))
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         mr, mt = self.channel.shape
+        if not np.all(np.isfinite(self.channel)):
+            raise ContractViolationError("channel entries must be finite")
         if np.shape(self.noise_cov) != (mr, mr):
             raise ContractViolationError("noise covariance must match the receive dimension")
         object.__setattr__(self, "noise_cov", require_hermitian(self.noise_cov))

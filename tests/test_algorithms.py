@@ -323,6 +323,64 @@ def test_multiplier_search_matches_its_reference_through_the_singular_fallback(m
     assert len(pinv_calls) == 4  # once per run, in the search and in its reference
 
 
+def permuted(system, order):
+    """``system`` with its users taken in ``order``."""
+    return replace(system, channels=system.channels[order],
+                   serving_sets=tuple(system.serving_sets[k] for k in order),
+                   streams=tuple(system.streams[k] for k in order))
+
+
+def test_multiplier_search_matches_its_reference_on_mixed_systems(mixed_systems):
+    # padded problems whose users differ in serving-set size or streams
+    rng = np.random.default_rng(64)
+    for system in mixed_systems.values():
+        problem = build_interference_problem(system)
+        assert_search_matches_reference(problem, np.ones(problem.num_constraints))
+        assert_search_matches_reference(problem, random_multipliers(rng, problem.num_constraints))
+
+
+def test_multiplier_search_matches_its_reference_in_any_user_order():
+    # the systems of the transmit sets solved for their users side by side,
+    # against the per-user oracle: users in set order with sets of equal
+    # size, the same users permuted, and a permuted draw with sets of
+    # unequal size
+    rng = np.random.default_rng(65)
+    home, _ = cellular_problem(2, cluster_size=5, users_per_cell=2, cooperation_factor=1)
+    home = replace(home, serving_sets=tuple((k // 2,) for k in range(home.num_users)))
+    draw, _ = cellular_problem(1, cluster_size=5, users_per_cell=2, cooperation_factor=3)
+    order = rng.permutation(home.num_users)
+    for system in (home, permuted(home, order), permuted(draw, order)):
+        problem = build_interference_problem(system)
+        assert 1 < len(problem.transmit_sets.representatives) < problem.num_users
+        assert_search_matches_reference(problem, np.ones(problem.num_constraints))
+        assert_search_matches_reference(problem, random_multipliers(rng, problem.num_constraints))
+
+
+def test_multiplier_search_matches_its_reference_through_a_shared_singular_system(monkeypatch):
+    # at kappa = 5 all ten users share one system; with their last transmit
+    # coordinate reaching no receiver and a zero multiplier on the BS that
+    # drives it, that system is singular and each user is solved alone by
+    # least squares, as the per-user oracle does
+    _, problem = cellular_problem(0, cluster_size=5, users_per_cell=2, cooperation_factor=5)
+    channels = problem.channels.copy()
+    channels[..., -1] = 0.0
+    problem = replace(problem, channels=channels)
+    assert len(problem.transmit_sets.representatives) == 1
+    mu = np.ones(problem.num_constraints)
+    mu[problem.constraint_supports[0, :, -1] != 0] = 0.0
+    pinv_calls = []
+    pinv = np.linalg.pinv
+
+    def counting_pinv(a, *args, **kwargs):
+        pinv_calls.append(np.shape(a))
+        return pinv(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
+    assert_search_matches_reference(problem, mu, passes=1, max_iters=0)
+    assert len(pinv_calls) == 2 * problem.num_users  # once per user, in the search and in its reference
+    assert_search_matches_reference(problem, mu, passes=1)
+
+
 def array_multiplier_step(mu, usage, budgets):
     """The multiplier step of reference_emmseia_search on arrays."""
     from netmimo.algorithms import LAMBDA_CAP
@@ -388,6 +446,69 @@ def test_emmseia_reports_its_search_solves(objective, monkeypatch):
     _, problem = cellular_problem(1)
     solution = emmseia_solve(problem, AlgorithmConfig(algorithm="emmseia", objective=objective))
     assert solution.diagnostics["search_steps"] == len(calls) > solution.iterations
+
+
+def rotated_problem():
+    """cellular_problem(0) with every transmit space turned by its own
+    unitary: general constraint weights, and no two users' transmit sides
+    alike."""
+    _, problem = cellular_problem(0)
+    return rotate_transmit_spaces(problem, random_unitaries(np.random.default_rng(61), problem.num_users,
+                                                             problem.channels.shape[-1]))
+
+
+@pytest.mark.parametrize("case, systems", [("kappa5", 1), ("kappa1", 5), ("rotated", 3)])
+def test_emmseia_factors_one_system_per_transmit_set(case, systems, monkeypatch):
+    # every search step makes one _solve_systems call on the S systems of
+    # the transmit sets, with the g users of a set side by side; the
+    # diagnostics report S as search_systems beside the search_steps
+    from netmimo import algorithms
+
+    if case == "rotated":
+        problem = rotated_problem()
+        assert problem.constraint_supports is None
+    else:
+        _, problem = cellular_problem(0, cluster_size=5, users_per_cell=2, cooperation_factor=int(case[-1]))
+    calls = []
+    solve = algorithms._solve_systems
+
+    def spy(systems, rhs):
+        calls.append((systems.shape, rhs.shape))
+        return solve(systems, rhs)
+
+    monkeypatch.setattr(algorithms, "_solve_systems", spy)
+    solution = emmseia_solve(problem, AlgorithmConfig(algorithm="emmseia", max_outer=100))
+    sets = problem.transmit_sets
+    n, d = problem.channels.shape[-1], problem.mse_weights.shape[-1]
+    assert solution.diagnostics["search_systems"] == len(sets.representatives) == systems
+    assert solution.diagnostics["search_steps"] == len(calls) > solution.iterations
+    assert set(calls) == {((systems, n, n), sets.shape)} and sets.shape[0::3] == (systems, d)
+
+
+def test_transmit_sets_group_users_with_one_transmit_side():
+    # at kappa = 1 the users one BS serves share a set, numbered by their
+    # first user; a channel column or constraint weights of its own split a
+    # user off
+    system, problem = cellular_problem(0, cluster_size=5, users_per_cell=2, cooperation_factor=1)
+    sets = problem.transmit_sets
+    serving = system.serving_sets
+    k_users = problem.num_users
+    for k in range(k_users):
+        for l in range(k_users):
+            assert (sets.set_of[k] == sets.set_of[l]) == (serving[k] == serving[l])
+    assert sets.set_of[0] == sets.set_of[8] and len(sets.representatives) == 5
+    assert sets.representatives.tolist() == [sets.set_of.tolist().index(s) for s in range(5)]
+    assert sorted(zip(sets.set_of.tolist(), sets.slot.tolist())) == \
+        [(s, j) for s in range(5) for j in range(int(np.sum(sets.set_of == s)))]
+    assert sets.shape == (5, problem.channels.shape[-1], 3, problem.mse_weights.shape[-1])
+    channels = problem.channels.copy()
+    channels[:, 0, :, -1] = 0.0
+    constraints = problem.constraints.copy()
+    constraints[0, [0, 1]] = constraints[0, [1, 0]]  # BSs 0 and 1 trade user 0's weights
+    for changed in (replace(problem, channels=channels), replace(problem, constraints=constraints)):
+        split = changed.transmit_sets
+        assert split.set_of[0] not in split.set_of[1:] and len(split.representatives) == 6
+    assert len(rotated_problem().transmit_sets.representatives) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -1414,6 +1535,14 @@ GOLDEN_DIGESTS = {
         "6003427380737b8a126f7f17666b4d4211433f6869a3585474e8fd6f94713bcf",
     "sizes/pwf/srm":
         "9382dec3b4284767fbf0a82e016f77a6fc5d92cb6a9b690bca4a3cd53cd4ad0c",
+    "k10_kappa3/emmseia/wsmmse":
+        "2a291ce68ff68a48ab5028e31b7d09296c0a046debf0fb7a0e71b14645c51143",
+    "k10_kappa3/emmseia/srm":
+        "c2edcc0c7ef1de290ffb37dec31e3e2b1120d7a3dc17a9ff255c779897a57d47",
+    "k10_kappa5/emmseia/wsmmse":
+        "a11fe38a03db0ba176950d921dcfec76024a301513f6d486e687d4b5efb47d68",
+    "k10_kappa5/emmseia/srm":
+        "197d9508ca55f0ffa498e29093375e4bf6434518e66d5970b711ceb1a11ee42d",
     "link0":
         "b15edb391935312c3bc8c59fb2da1915acaccc6d6409bcb92d219ee16dd68065",
     "link1":
@@ -1491,6 +1620,15 @@ def golden_cases(mixed_problems):
         for algorithm, objective, solver in runs:
             sol = solver(problem, AlgorithmConfig(algorithm=algorithm, objective=objective, max_outer=300))
             yield (f"{pname}/{algorithm}/{objective}",
+                   _digest(sol.precoders, np.asarray(sol.trace), sol.iterations, sol.converged,
+                           sol.multipliers))
+    # K = 10 cooperation draws whose users share transmit sets (8 sets at
+    # kappa = 3, one at kappa = 5)
+    for kappa in (3, 5):
+        _, problem = cellular_problem(0, cluster_size=5, users_per_cell=2, cooperation_factor=kappa)
+        for objective in ("wsmmse", "srm"):
+            sol = emmseia_solve(problem, AlgorithmConfig(algorithm="emmseia", objective=objective, max_outer=300))
+            yield (f"k10_kappa{kappa}/emmseia/{objective}",
                    _digest(sol.precoders, np.asarray(sol.trace), sol.iterations, sol.converged,
                            sol.multipliers))
     rng = np.random.default_rng(8)

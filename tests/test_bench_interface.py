@@ -1,7 +1,7 @@
 """The benchmark's interface to netmimo: the functions ``perfbench`` traces
 by name, the module global it replaces inside ``run_trial``, its exact
 canary gate, and the whole ``kappa_srm`` and ``snr_wsmmse`` panels against
-their reference."""
+their reference and their pass totals."""
 
 import importlib
 
@@ -35,6 +35,15 @@ def test_run_trial_calls_solve_system_through_the_module_global(monkeypatch):
     assert calls == ["min_leakage"] and not record.failed
 
 
+# The passes each algorithm makes over a whole panel, exact: a change that
+# moves solver results updates this table together with
+# perfbench/reference.json.
+PANEL_PASSES = {
+    "kappa_srm": {"dmmse": 1456, "emmseia": 1377, "pwf": 663},
+    "snr_wsmmse": {"dmmse": 13828, "emmseia": 3614},
+}
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("name, items", [("kappa_srm", 24), ("snr_wsmmse", 64)], ids=["kappa_srm", "snr_wsmmse"])
 def test_panel_matches_the_benchmark_reference(name, items, tmp_path):
@@ -48,6 +57,10 @@ def test_panel_matches_the_benchmark_reference(name, items, tmp_path):
     workload.finish(state, outcomes, reference, checks)
     assert len(outcomes) == items and workload.group_means(state, outcomes).keys() == reference["group_mean_rate"].keys()
     assert checks.ok, checks.problems
+    passes: dict = {}
+    for o in outcomes:
+        passes[o.key[2]] = passes.get(o.key[2], 0) + o.iterations
+    assert passes == PANEL_PASSES[name]
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))

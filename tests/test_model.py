@@ -1,11 +1,14 @@
 """Model tests: stacked-problem construction and the error-covariance algebra."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from netmimo import (
     ContractViolationError,
     InterferenceProblem,
+    NumericalFailureError,
     PartialCooperationSystem,
     ScenarioConfig,
     build_interference_problem,
@@ -148,6 +151,38 @@ def test_non_positive_budget_rejected():
                 constraints=((np.eye(2, dtype=complex),),),
                 budgets=[budget], streams=[2], mse_weights=(np.eye(2),),
             )
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "imag_inf"])
+def test_non_finite_channel_rejected(value):
+    # a non-finite entry in one cross channel of a cooperation-sweep draw,
+    # whether the problem is rebuilt from its arrays or from blocks
+    problem = build_interference_problem(realize(ScenarioConfig(
+        cluster_size=5, users_per_cell=2, nt=4, nr=2, streams=2, cooperation_factor=5, seed=3)))
+    channels = problem.channels.copy()
+    channels[2, 3, 0, 0] = value
+    with pytest.raises(ContractViolationError, match="channel entries must be finite"):
+        replace(problem, channels=channels)
+    blocks = [[problem.channel(k, l) for l in range(problem.num_users)] for k in range(problem.num_users)]
+    blocks[2][3] = channels[2, 3]
+    constraints = [list(problem.constraints[k]) for k in range(problem.num_users)]
+    with pytest.raises(ContractViolationError, match="channel entries must be finite"):
+        InterferenceProblem.from_blocks(blocks, constraints, problem.budgets, problem.streams,
+                                        list(problem.mse_weights))
+
+
+@pytest.mark.parametrize("where", ["entry", "user"])
+def test_rate_of_a_nan_precoder_stack_raises(where):
+    # a NaN precoder gives NaN gains: the rate raises instead of returning NaN
+    problem = build_interference_problem(realize(ScenarioConfig(seed=3)))
+    precoders = problem.precoders([np.eye(problem.tx_dims[k], problem.streams[k])
+                                   for k in range(problem.num_users)])
+    if where == "entry":
+        precoders[1, 0, 0] = np.nan
+    else:
+        precoders[:] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalFailureError, match="not positive definite"):
+        sum_rate(problem, precoders)
 
 
 # ---------------------------------------------------------------------------

@@ -282,15 +282,27 @@ def test_singular_prices_raise_on_both_paths():
 def test_non_finite_channel_raises_in_both_closed_forms():
     # a NaN in the channel: the receive-dimension step of
     # lagrangian_minimizer raises as solve_single_constraint's SVD does,
-    # instead of returning a NaN precoder
+    # instead of returning a NaN precoder.  SingleUserProblem rejects such
+    # a channel, so the NaN is written into links built without it.
     link = antenna_link(np.random.default_rng(43))
     channel = link.channel.copy()
     channel[1, 2] = np.nan
-    bad = replace(link, channel=channel)
+    bad, single = replace(link), replace(link, constraints=np.eye(4, dtype=complex)[None], budgets=np.ones(1))
+    for problem in (bad, single):
+        object.__setattr__(problem, "channel", channel)
     with pytest.raises(NumericalFailureError, match="not finite"):
         lagrangian_minimizer(bad, np.eye(4, dtype=complex))
     with pytest.raises(NumericalFailureError):
-        solve_single_constraint(replace(bad, constraints=np.eye(4, dtype=complex)[None], budgets=np.ones(1)))
+        solve_single_constraint(single)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "imag_inf"])
+def test_non_finite_channel_is_rejected(value):
+    link = antenna_link(np.random.default_rng(43))
+    channel = link.channel.copy()
+    channel[1, 2] = value
+    with pytest.raises(ContractViolationError, match="channel entries must be finite"):
+        replace(link, channel=channel)
 
 
 def test_constraint_supports_are_found_on_first_use():
