@@ -377,13 +377,14 @@ def _emmseia_solve_at(problem, grams, rhs, mu):
 def _solve_systems(systems, rhs):
     """X_s = systems_s^{-1} rhs_s for an (S, n, n) stack of systems and the
     (S, n, g, d) right-hand sides that put the g user blocks of each system
-    side by side (:attr:`model.TransmitSets.shape`): one LU per system,
-    and each column has the bits of its own solve.  When some system is
-    singular (zero multipliers on a rank-deficient gram), every user block
-    is solved alone, least squares where singular."""
+    side by side (:attr:`model.TransmitSets.shape`), as an (S, n, g d)
+    stack: one LU per system, and each column has the bits of its own
+    solve.  When some system is singular (zero multipliers on a
+    rank-deficient gram), every user block is solved alone, least squares
+    where singular."""
     s, n, g, d = rhs.shape
     try:
-        return np.linalg.solve(systems, rhs.reshape(s, n, g * d)).reshape(rhs.shape)
+        return np.linalg.solve(systems, rhs.reshape(s, n, g * d))
     except np.linalg.LinAlgError:
         pass
     solved = np.empty_like(rhs)
@@ -393,7 +394,7 @@ def _solve_systems(systems, rhs):
             solved[i, :, j] = np.linalg.solve(systems[i], right)
         except np.linalg.LinAlgError:
             solved[i, :, j] = np.linalg.pinv(systems[i], hermitian=True) @ right
-    return solved
+    return solved.reshape(s, n, g * d)
 
 
 def emmseia_precoder_update(problem, equalizers, weights, mu):

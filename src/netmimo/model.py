@@ -410,7 +410,7 @@ class TransmitSets:
 
     def per_user(self, grouped: np.ndarray) -> np.ndarray:
         """The (K, m_t, d) stack of a side-by-side layout, (S, m_t, g, d) or
-        its (S, m_t, g d) reshape."""
+        its (S, m_t, g d) reshape as solved."""
         return grouped.take(self.index)
 
 
