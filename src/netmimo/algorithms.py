@@ -21,7 +21,8 @@ Four families are implemented:
     set share: each search step factors one system per
     :attr:`model.InterferenceProblem.transmit_sets` set and solves it for
     all the set's users at once, which gives each user the bits of its own
-    solve.
+    solve.  The search and :func:`emmseia_precoder_update` build these
+    systems with one :func:`_emmseia_solver`.
 ``pwf``
     Polite water-filling: a fixed point on the precoder stack coupling the
     forward network with its reversed-link counterpart through the same
@@ -40,25 +41,27 @@ Four families are implemented:
     over served streams.
 
 ``dmmse``, ``emmseia`` and ``pwf`` run on :func:`single_user.dual_loop`:
-pricing passes at fixed multipliers, each followed by an exit test and a
-multiplier step, then fixed-multiplier polish runs.  Each pass makes one
-:class:`model.ReceiveSide` for the precoder stack it produces and reads
-from it only what it needs (the pass value, the next pass's weights and
-equalizers, ``pwf``'s reversed-link covariances, the polish test), and
-every solve ends in one finisher (:func:`_finish`); the diagnostics of
-``emmseia`` count the ``search_steps``, the batched linear solves its
-multiplier searches made over the whole solve, and the ``search_systems``
-each of them factors, so the factorizations number their product.  The
-multiplier rules: ``dmmse`` ascends additively on the power residuals
-(:func:`single_user.additive_rule`), ``pwf`` takes damped multiplicative
-steps (:func:`_pwf_rule`), and ``emmseia`` has no outer rule, its KKT search
-runs inside each pass.  ``dmmse`` polishes after every pricing phase, until
-its error covariances are diagonal; ``pwf`` polishes until its transmit
-covariances B_k B_k^H settle, only from a pricing phase that met its exit
-test; ``emmseia`` does not polish.  The ``dmmse``/``emmseia`` solvers run
-either on a fixed weighted-MSE objective or, with ``objective="srm"``,
-inside the rate-maximizing reweighting loop (weights refreshed to E_k^{-1}
-every pass).
+pricing passes at fixed multipliers, each followed by the one exit test
+(:func:`_exit_test`: violation and dual residual within ``constraint_tol``,
+``emmseia``'s slackness flag in the residual's place, and a stable
+objective) and a multiplier step, then fixed-multiplier polish runs.  Each
+pass makes one :class:`model.ReceiveSide` for the precoder stack it
+produces and reads from it only what it needs (the pass value, the next
+pass's weights and equalizers, ``pwf``'s reversed-link covariances, the
+polish test), and every solve ends in one finisher (:func:`_finish`); the
+diagnostics of ``emmseia`` count the ``search_steps``, the batched linear
+solves its multiplier searches made over the whole solve, and the
+``search_systems`` each of them factors, so the factorizations number their
+product.  The multiplier rules: ``dmmse`` ascends additively on the power
+residuals (:func:`single_user.additive_rule`), ``pwf`` takes damped
+multiplicative steps (:func:`_pwf_rule`), and ``emmseia`` has no outer
+rule, its KKT search runs inside each pass.  ``dmmse`` polishes after every
+pricing phase, until its error covariances are diagonal; ``pwf`` polishes
+until its transmit covariances B_k B_k^H settle, only from a pricing phase
+that met its exit test; ``emmseia`` does not polish.  The
+``dmmse``/``emmseia`` solvers run either on a fixed weighted-MSE objective
+or, with ``objective="srm"``, inside the rate-maximizing reweighting loop
+(weights refreshed to E_k^{-1} every pass).
 All solvers are deterministic given problem, config and seed.
 
 The dual-loop solvers run batched over users on the zero-padded arrays
@@ -88,7 +91,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, NumericalFailureError
-from .linalg import adjoint, bisect_level, hermitian_part, priced_weights, weight_usage
+from .linalg import adjoint, ascending_sum, bisect_level, hermitian_part, priced_weights, weight_usage
 from .model import (
     BeamformerSolution,
     InterferenceProblem,
@@ -302,6 +305,20 @@ def _finish(problem: InterferenceProblem, config: AlgorithmConfig, run, rx: Rece
     )
 
 
+def _exit_test(config: AlgorithmConfig, holds=None):
+    """The :func:`dual_loop` exit test of ``dmmse``, ``emmseia`` and
+    ``pwf``: the violation within ``constraint_tol``, then the dual
+    residual within it (or ``holds()``, a solver's own test, in its place),
+    and the objective stable at ``inner_tol``.  Each bound is a ``<=``, so
+    a NaN violation, or a NaN residual where it is read, fails it."""
+    def test(trace, violation, residual):
+        return violation <= config.constraint_tol \
+            and (residual <= config.constraint_tol if holds is None else holds()) \
+            and objective_stable(trace, config.inner_tol)
+
+    return test
+
+
 def _stream_weights(problem: InterferenceProblem, mats) -> np.ndarray:
     """The diagonals of a padded (K, d, d) weight stack as the per-stream
     weights of the diagonalizing solver, (K, d), zero on padded streams."""
@@ -366,12 +383,31 @@ def _emmseia_factors(problem, equalizers, weights):
     return set_padded_diagonal(hermitian_part(gram), problem.tx_pad, 1.0), rhs
 
 
-def _emmseia_solve_at(problem, grams, rhs, mu):
-    """Solve (grams_k + sum_m mu_m Phi_{k,m}) B_k = rhs_k for every user,
-    one system per transmit set (the grams of a set's users are equal)."""
+def _emmseia_solver(problem, grams, rhs):
+    """solve(mu): the padded (K, m_t, d) stack of the B_k that solve
+    (grams_k + sum_m mu_m Phi_{k,m}) B_k = rhs_k.  The S linear systems of
+    the transmit sets (the grams of a set's users are equal) are built
+    once, and each call factors each once for all its users' right-hand
+    sides (:func:`_solve_systems`).  On constraint supports a call rewrites
+    only the systems' diagonal, the grams' diagonal plus mu_m s_i for the
+    one constraint m that weighs coordinate i, by s_i
+    (:attr:`model.TransmitSets.owners`), the bits of mu @ supports and so
+    of :func:`linalg.priced_weights`; dense weights are priced afresh."""
     sets = problem.transmit_sets
-    systems = priced_weights(sets.constraints, sets.supports, mu, grams[sets.representatives])
-    return sets.per_user(_solve_systems(systems, sets.side_by_side(rhs)))
+    systems, rhs = grams[sets.representatives], sets.side_by_side(rhs)
+    if sets.supports is None:
+        def systems_at(mu):
+            return priced_weights(sets.constraints, None, mu, systems)
+    else:
+        owner, scale = sets.owners
+        diagonal = np.einsum("...ii->...i", systems)  # a view: the systems are this solver's own
+        base = diagonal.copy()
+
+        def systems_at(mu):
+            np.add(base, mu[owner] * scale, out=diagonal)
+            return systems
+
+    return lambda mu: sets.per_user(_solve_systems(systems_at(np.array(mu, dtype=float)), rhs))
 
 
 def _solve_systems(systems, rhs):
@@ -402,8 +438,7 @@ def emmseia_precoder_update(problem, equalizers, weights, mu):
     equalizers (joint, convex): solve
     (sum_l H_{l,k}^H A_l W_l A_l^H H_{l,k} + sum_m mu_m Phi_{k,m}) B_k
         = H_{k,k}^H A_k W_k."""
-    grams, rhs = _emmseia_factors(problem, equalizers, weights)
-    return _emmseia_solve_at(problem, grams, rhs, mu)
+    return _emmseia_solver(problem, *_emmseia_factors(problem, equalizers, weights))(mu)
 
 
 def _emmseia_multiplier_search(problem, equalizers, weights, mu, constraint_tol, max_iters=300):
@@ -411,14 +446,8 @@ def _emmseia_multiplier_search(problem, equalizers, weights, mu, constraint_tol,
     |mu_m (P_m - usage_m)| <= SLACKNESS_TOL P_m with usage_m <= P_m (1 + tol),
     stopping after ``max_iters`` steps if they do not hold by then.
 
-    Projected subgradient in scaled coordinates (:func:`_multiplier_step`).
-    The S linear systems of the transmit sets are built once per search,
-    and each step factors each once for all its users' right-hand sides
-    (:func:`_solve_systems`).  On constraint supports each step rewrites
-    only the systems' diagonal, the grams' diagonal plus mu_m s_i for the
-    one constraint m that weighs coordinate i, by s_i
-    (:attr:`model.TransmitSets.owners`), the bits of mu @ supports and so
-    of :func:`linalg.priced_weights`; dense weights are priced afresh.  The
+    Projected subgradient in scaled coordinates (:func:`_multiplier_step`),
+    each step one solve of the search's :func:`_emmseia_solver`.  The
     usage and the returned stack are per user.  The slackness test and the
     multiplier step work on Python floats of the M budgets, the same IEEE
     operations as their elementwise array forms, so the multipliers carry
@@ -428,34 +457,17 @@ def _emmseia_multiplier_search(problem, equalizers, weights, mu, constraint_tol,
     budgets = problem.budgets.tolist()
     slack_bound = [SLACKNESS_TOL * b for b in budgets]
     usage_bound = [b * (1.0 + constraint_tol) for b in budgets]
-    sets = problem.transmit_sets
     mu = np.asarray(mu, dtype=float).tolist()
-    grams, rhs = _emmseia_factors(problem, equalizers, weights)
-    systems, rhs = grams[sets.representatives], sets.side_by_side(rhs)
-    if sets.supports is None:
-        def systems_at(mu):
-            return priced_weights(sets.constraints, None, mu, systems)
-    else:
-        owner, scale = sets.owners
-        diagonal = np.einsum("...ii->...i", systems)  # a view: the systems are this search's own
-        base = diagonal.copy()
-
-        def systems_at(mu):
-            np.add(base, mu[owner] * scale, out=diagonal)
-            return systems
-
-    def solve_at(mu):
-        precoders = sets.per_user(_solve_systems(systems_at(np.array(mu)), rhs))
-        return precoders, weight_usage(problem.constraints, problem.constraint_supports, precoders)
-
-    precoders, usage = solve_at(mu)
+    solve = _emmseia_solver(problem, *_emmseia_factors(problem, equalizers, weights))
+    precoders = solve(mu)
     for step in range(max_iters + 1):
+        usage = weight_usage(problem.constraints, problem.constraint_supports, precoders)
         used = usage.tolist()
         slack_ok = all(abs(m * (b - u)) <= s for m, b, u, s in zip(mu, budgets, used, slack_bound))
         if step == max_iters or (slack_ok and all(u <= v for u, v in zip(used, usage_bound))):
             break
         mu = _multiplier_step(mu, used, budgets)
-        precoders, usage = solve_at(mu)
+        precoders = solve(mu)
     return np.array(mu), precoders, usage, slack_ok, step + 1
 
 
@@ -525,13 +537,6 @@ def dmmse_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = N
         priced_trace.append(value + float(np.dot(lam, rx.usage - problem.budgets)))
         return value
 
-    def exit_test(trace, violation, residual):
-        if violation > config.constraint_tol:
-            return False
-        if residual > config.constraint_tol:
-            return False
-        return objective_stable(trace, config.inner_tol)
-
     def polish_step(lam):
         # fixed-multiplier pass toward the inner fixed point, where the
         # error covariances are diagonal to tolerance
@@ -542,9 +547,10 @@ def dmmse_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = N
         return value, offdiag <= OFFDIAG_TOL and drift <= 1e-9
 
     rule = additive_rule(config.subgradient_step) if config.subgradient_step > 0 else None
-    run = dual_loop(run_pass, lambda: rx.usage, exit_test, np.full(problem.num_constraints, config.lambda_init),
-                    problem.budgets, config.max_outer, rule=rule, polish=lambda: polish_step,
-                    max_inner=config.max_inner, polish_unconverged=True, constraint_tol=config.constraint_tol)
+    run = dual_loop(run_pass, lambda: rx.usage, _exit_test(config),
+                    np.full(problem.num_constraints, config.lambda_init), problem.budgets, config.max_outer,
+                    rule=rule, polish=lambda: polish_step, max_inner=config.max_inner, polish_unconverged=True,
+                    constraint_tol=config.constraint_tol)
     diagnostics = {"polish_start": run.polish_start}
     if not srm:
         diagnostics["priced_trace"] = priced_trace
@@ -583,13 +589,9 @@ def emmseia_solve(problem: InterferenceProblem, config: AlgorithmConfig | None =
         # the fixed-weight value pairs the new stack with the equalizers it was solved for
         return rx.rate if srm else rx.wsmse(equalizers)
 
-    def exit_test(trace, violation, residual):
-        if violation > config.constraint_tol or not slack_ok:
-            return False
-        return objective_stable(trace, config.inner_tol)
-
-    run = dual_loop(run_pass, lambda: usage, exit_test, np.full(problem.num_constraints, config.lambda_init),
-                    problem.budgets, config.max_outer, constraint_tol=config.constraint_tol)
+    run = dual_loop(run_pass, lambda: usage, _exit_test(config, lambda: slack_ok),
+                    np.full(problem.num_constraints, config.lambda_init), problem.budgets, config.max_outer,
+                    constraint_tol=config.constraint_tol)
     diagnostics = {"search_steps": search_steps, "search_systems": len(problem.transmit_sets.representatives)}
     return _finish(problem, config, run, rx, mu, diagnostics, lambda returned: slack_ok)
 
@@ -688,11 +690,6 @@ def pwf_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = Non
         rx = ReceiveSide(problem, precoders)
         return rx.rate
 
-    def exit_test(trace, violation, residual):
-        return violation <= config.constraint_tol \
-            and residual <= config.constraint_tol \
-            and objective_stable(trace, config.inner_tol)
-
     def polish():
         prev_delta, growth = np.inf, 0
         covariances = hermitian_part(rx.precoders @ adjoint(rx.precoders))
@@ -713,7 +710,7 @@ def pwf_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = Non
         return step
 
     run = dual_loop(
-        run_pass, lambda: rx.usage, exit_test, np.full(problem.num_constraints, config.lambda_init),
+        run_pass, lambda: rx.usage, _exit_test(config), np.full(problem.num_constraints, config.lambda_init),
         problem.budgets, config.max_outer, rule=_pwf_rule, stall_window=PWF_STALL_WINDOW, polish=polish,
         max_inner=config.max_inner, constraint_tol=config.constraint_tol,
     )
@@ -800,10 +797,7 @@ def min_leakage_solve(system: PartialCooperationSystem, config: AlgorithmConfig 
         return hermitian_part(forms)
 
     def leakage(forms, equalizers):
-        total = 0.0
-        for value in np.trace(adjoint(equalizers) @ forms @ equalizers, axis1=-2, axis2=-1).real:
-            total += float(value)
-        return total
+        return ascending_sum(np.trace(adjoint(equalizers) @ forms @ equalizers, axis1=-2, axis2=-1).real)
 
     def smallest_eigvecs(forms, mask):
         vecs = np.linalg.eigh(hermitian_part(forms))[1][..., :d_max]

@@ -2,12 +2,15 @@
 aggregation, and deterministic CSV emission.
 
 A sweep varies one scenario parameter (boundary SNR in dB, cooperation
-factor, cluster size, or sector count) over a list of values, runs a fixed
-number of independent trials per value for each requested algorithm, and
-records the per-cell sum rate plus solver health per trial.  Trial RNG
-streams derive from (master_seed, value index, trial index), so results are
-reproducible under value reordering and parallel execution; the same
-(config, seed) pair yields byte-identical CSV files.
+factor, cluster size, or sector count) over a list of distinct values, runs
+a fixed number of independent trials per value for each requested
+algorithm, and records the per-cell sum rate plus solver health per trial.
+Each variable sets one ``ScenarioConfig`` field (``SWEEP_VARIABLES``), and
+its values are converted as that field's key in the scenario section is,
+so the integer fields take integers only.  Trial RNG streams derive from
+(master_seed, value index, trial index), so results are reproducible under
+value reordering and parallel execution; the same (config, seed) pair
+yields byte-identical CSV files.
 
 Each file format is declared once, by the dataclass that holds it: config
 sections are parsed from the fields of :class:`SweepSpec`,
@@ -32,7 +35,6 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -45,7 +47,10 @@ from .errors import ConfigurationError, NumericalFailureError
 from .model import ReceiveSide
 from .scenario import ScenarioConfig, realize
 
-SWEEP_VARIABLES = ("snr_db", "kappa", "cluster_size", "sectors")
+# each sweep variable and the ScenarioConfig field its values set
+SWEEP_VARIABLES = {"snr_db": "boundary_snr_db", "kappa": "cooperation_factor", "cluster_size": "cluster_size",
+                   "sectors": "sectors"}
+_SCENARIO_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
 
 SUMMARY_COLUMNS = (
     "variable", "sweep_value", "algorithm", "trials", "failures",
@@ -87,13 +92,11 @@ class SweepSpec:
 
     def validate(self) -> "SweepSpec":
         if self.variable not in SWEEP_VARIABLES:
-            raise ConfigurationError(f"sweep variable must be one of {SWEEP_VARIABLES}")
+            raise ConfigurationError(f"sweep variable must be one of {tuple(SWEEP_VARIABLES)}")
         if not self.values:
             raise ConfigurationError("sweep values must be non-empty")
-        # unlike math.isfinite, abs(v) <= max does not overflow on an int beyond a float
-        if any(isinstance(v, bool) or not isinstance(v, numbers.Real) or not abs(v) <= sys.float_info.max
-               for v in self.values):
-            raise ConfigurationError("sweep values must be finite numbers")
+        if self.master_seed < 0:
+            raise ConfigurationError("master_seed must be non-negative")
         if self.trials < 1:
             raise ConfigurationError("trials must be at least 1")
         if not self.algorithms:
@@ -105,20 +108,18 @@ class SweepSpec:
         self.algorithm_config.validate()
         for value in self.values:
             scenario_for_value(self.scenario, self.variable, value).validate()
+        # equal values would share a group in summary.csv
+        if len({float(v) for v in self.values}) < len(self.values):
+            raise ConfigurationError("sweep values must be distinct")
         return self
 
 
 def scenario_for_value(base: ScenarioConfig, variable: str, value) -> ScenarioConfig:
-    """Apply one sweep value to the base scenario."""
-    if variable == "snr_db":
-        return replace(base, boundary_snr_db=float(value))
-    if variable == "kappa":
-        return replace(base, cooperation_factor=int(value))
-    if variable == "cluster_size":
-        return replace(base, cluster_size=int(value))
-    if variable == "sectors":
-        return replace(base, sectors=int(value))
-    raise ConfigurationError(f"sweep variable must be one of {SWEEP_VARIABLES}")
+    """Apply one sweep value to the base scenario, converted by the type of
+    the field it sets as a scenario key is (:func:`_coerce`): a finite
+    number, or an integer."""
+    field = SWEEP_VARIABLES[variable]
+    return replace(base, **{field: _coerce(value, _SCENARIO_TYPES[field], "values")})
 
 
 def resolve_algorithm_config(base: AlgorithmConfig, algorithm: str) -> AlgorithmConfig:
@@ -202,7 +203,9 @@ def _build_dataclass(cls, data, section: str, **given):
 def parse_config(path) -> SweepSpec:
     """Read and fully validate a sweep configuration (JSON with sections
     'sweep', 'scenario', and optional 'algorithm'); unknown and duplicate
-    keys are rejected by name."""
+    keys are rejected by name, and so are the algorithm list and the seed
+    outside section 'sweep' (``realize`` reads ``ScenarioConfig.seed`` only
+    without a trial RNG, which a sweep always passes)."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle, object_pairs_hook=_reject_duplicates)
@@ -217,13 +220,14 @@ def parse_config(path) -> SweepSpec:
             raise ConfigurationError(f"unknown section '{key}' (expected sweep/scenario/algorithm)")
     if "sweep" not in raw or "scenario" not in raw:
         raise ConfigurationError("sections 'sweep' and 'scenario' are required")
-    algorithm = raw.get("algorithm", {})
-    if isinstance(algorithm, dict) and "algorithm" in algorithm:
-        raise ConfigurationError("set the algorithm list under sweep.algorithms, not section 'algorithm'")
+    for section, key, home in (("algorithm", "algorithm", "sweep.algorithms"),
+                               ("scenario", "seed", "sweep.master_seed")):
+        if isinstance(raw.get(section), dict) and key in raw[section]:
+            raise ConfigurationError(f"set '{key}' under {home}, not in section '{section}'")
     spec = _build_dataclass(
         SweepSpec, raw["sweep"], "sweep",
         scenario=_build_dataclass(ScenarioConfig, raw["scenario"], "scenario"),
-        algorithm_config=_build_dataclass(AlgorithmConfig, algorithm, "algorithm"),
+        algorithm_config=_build_dataclass(AlgorithmConfig, raw.get("algorithm", {}), "algorithm"),
     )
     return spec.validate()
 
@@ -281,8 +285,8 @@ def _run_trial_args(args) -> TrialRecord:
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
-    """Execute every (value, trial, algorithm) combination; results are
-    keyed, so worker count and scheduling never change the output order."""
+    """Execute every (value, trial, algorithm) combination; the records come
+    in that item order whatever the worker count (``pool.map`` keeps it)."""
     spec.validate()
     items = [
         (spec, vi, ti, alg)
@@ -291,14 +295,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
         for alg in spec.algorithms
     ]
     if workers <= 1:
-        records = [_run_trial_args(item) for item in items]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_trial_args, items, chunksize=1))
-    order = {alg: i for i, alg in enumerate(spec.algorithms)}
-    value_order = {float(v): i for i, v in enumerate(spec.values)}
-    records.sort(key=lambda r: (value_order[r.sweep_value], r.trial, order[r.algorithm]))
-    return records
+        return [_run_trial_args(item) for item in items]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_run_trial_args, items, chunksize=1))
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,12 @@ def _add_rows(rows) -> np.ndarray:
     return np.add.accumulate(rows)[-1] + 0.0
 
 
+def ascending_sum(values) -> float:
+    """The bits of ``total = 0.0; for v in values: total += v`` over a
+    non-empty 1-D float array (:func:`_add_rows`)."""
+    return float(_add_rows(values))
+
+
 def indefinite_members(a) -> list:
     """Indices of the matrices in a (K, n, n) stack, Hermitian and read by
     its lower triangle only, that are not positive definite:

@@ -56,7 +56,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractViolationError, NumericalFailureError
-from .linalg import adjoint, disjoint_diagonals, hermitian_part, indefinite_members, weight_usage
+from .linalg import adjoint, ascending_sum, disjoint_diagonals, hermitian_part, indefinite_members, weight_usage
 
 LOG2 = float(np.log(2.0))
 
@@ -669,10 +669,7 @@ class ReceiveSide:
         bad = np.flatnonzero(~(sign.real > 0) | np.isnan(logdet))
         if bad.size:
             raise NumericalFailureError(f"error covariance of user {bad[0]} is not positive definite")
-        rate = 0.0
-        for value in logdet:
-            rate += value / LOG2
-        return float(rate)
+        return ascending_sum(logdet / LOG2)
 
     @cached_property
     def usage(self) -> np.ndarray:
@@ -689,10 +686,7 @@ class ReceiveSide:
         ahb_h = adjoint(ahb)
         e = ahb @ ahb_h - ahb - ahb_h + a_h @ self.omegas @ a + self.problem.stream_eye
         weighted = self.problem.mse_weights @ hermitian_part(e)
-        total = 0.0
-        for value in np.trace(weighted, axis1=-2, axis2=-1).real:
-            total += float(value)
-        return total
+        return ascending_sum(np.trace(weighted, axis1=-2, axis2=-1).real)
 
 
 def wsmse_objective(problem: InterferenceProblem, precoders, equalizers) -> float:

@@ -430,11 +430,6 @@ def precoder_wsmse(problem: SingleUserProblem, precoder: np.ndarray) -> float:
     return float(np.trace(np.diag(problem.weights) @ np.linalg.inv(np.eye(problem.streams) + g)).real)
 
 
-def constraint_usage_single(problem: SingleUserProblem, precoder: np.ndarray) -> np.ndarray:
-    """tr{Phi_m B B^H} per constraint (:func:`linalg.weight_usage`)."""
-    return weight_usage(problem.constraints, problem.constraint_supports, precoder)
-
-
 def solve_multi_constraint(problem: SingleUserProblem) -> DualIterationResult:
     """Dual subgradient method for multiple constraints, on :func:`dual_loop`.
 
@@ -507,7 +502,7 @@ def kkt_residual(problem: SingleUserProblem, precoder: np.ndarray, multipliers) 
     w = np.diag(problem.weights)
     grad = -r @ precoder @ e @ w @ e + priced_weights(problem.constraints, problem.constraint_supports, lam) @ precoder
     stationarity = float(np.linalg.norm(grad)) / max(1.0, float(np.linalg.norm(precoder)))
-    usage = constraint_usage_single(problem, precoder)
+    usage = weight_usage(problem.constraints, problem.constraint_supports, precoder)
     slackness = float(
         np.sum(np.abs(lam * (problem.budgets - usage)) / np.maximum(1.0, problem.budgets))
     )

@@ -627,6 +627,21 @@ def test_dual_loop_solvers_report_their_stop():
         assert sol.converged and sol.diagnostics["stop"] == "exit_test", algorithm
 
 
+def test_exit_test_fails_on_a_nan_violation():
+    # the multi-user exit test holds on a stable trace within the bounds,
+    # and fails on a NaN violation or residual, with or without a solver's
+    # own test in place of the residual
+    from netmimo.algorithms import _exit_test
+
+    config, stable, nan = AlgorithmConfig(), [1.0] * 6, float("nan")
+    for holds in (None, lambda: True):
+        test = _exit_test(config, holds)
+        assert test(stable, 0.0, 0.0) and not test(stable[:5], 0.0, 0.0)
+        assert not test(stable, nan, 0.0) and not test(stable, 2 * config.constraint_tol, 0.0)
+    assert not _exit_test(config)(stable, 0.0, nan) and _exit_test(config, lambda: True)(stable, 0.0, nan)
+    assert not _exit_test(config, lambda: False)(stable, 0.0, 0.0)
+
+
 def test_stream_order_is_found_once_per_fixed_weight_solve(monkeypatch):
     # fixed weights are ranked once per solve; srm's move every pass
     from netmimo import algorithms, single_user
@@ -1111,7 +1126,7 @@ def test_block_mask_pricing_matches_the_dense_sums(mixed_problems):
     # the priced weights and emmseia's solves bit for bit; the one-product
     # reverse-link sums against the ascending-l loop to a few K eps of the
     # summed magnitudes, as BLAS orders the K m_r products of each entry
-    from netmimo.algorithms import _emmseia_factors, _emmseia_solve_at
+    from netmimo.algorithms import _emmseia_factors, _emmseia_solver
     from netmimo.model import reverse_link_sums
 
     rng = np.random.default_rng(41)
@@ -1123,12 +1138,12 @@ def test_block_mask_pricing_matches_the_dense_sums(mixed_problems):
             problem, AlgorithmConfig(initialization="random_orthonormal", init_seed=3)))
         equalizers = ReceiveSide(problem, precoders).equalizers
         grams, rhs = _emmseia_factors(problem, equalizers, problem.mse_weights)
+        solve = _emmseia_solver(problem, grams, rhs)
         for _ in range(20):
             lam = random_multipliers(rng, problem.num_constraints)
             assert np.array_equal(priced_weights(problem.constraints, supports, lam),
                                   dense_priced_weights(problem, lam))
-            assert np.array_equal(_emmseia_solve_at(problem, grams, rhs, lam),
-                                  dense_emmseia_solve_at(problem, grams, rhs, lam))
+            assert np.array_equal(solve(lam), dense_emmseia_solve_at(problem, grams, rhs, lam))
         k, mr = problem.num_users, problem.channels.shape[-2]
         x = rng.standard_normal((k, mr, mr)) + 1j * rng.standard_normal((k, mr, mr))
         base = dense_priced_weights(problem, random_multipliers(rng, problem.num_constraints))
@@ -1154,7 +1169,7 @@ def test_block_mask_usage_matches_the_dense_contraction(mixed_problems):
 
 
 def test_general_constraint_weights_take_the_dense_path():
-    from netmimo.algorithms import _emmseia_solve_at
+    from netmimo.algorithms import _emmseia_solver
 
     rng = np.random.default_rng(42)
     h = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
@@ -1175,7 +1190,7 @@ def test_general_constraint_weights_take_the_dense_path():
         for lam in ([0.3, 2.0], [0.0, 1.5]):
             lam = np.asarray(lam)
             assert np.array_equal(priced_weights(problem.constraints, None, lam), dense_priced_weights(problem, lam))
-            assert np.array_equal(_emmseia_solve_at(problem, grams, rhs, lam),
+            assert np.array_equal(_emmseia_solver(problem, grams, rhs)(lam),
                                   dense_emmseia_solve_at(problem, grams, rhs, lam))
         precoders = rng.standard_normal((1, 3, 2)) + 1j * rng.standard_normal((1, 3, 2))
         assert np.array_equal(constraint_usage(problem, precoders), dense_constraint_usage(problem, precoders))

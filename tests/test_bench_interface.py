@@ -7,7 +7,7 @@ import importlib
 
 import pytest
 
-from netmimo import AlgorithmConfig, ScenarioConfig, experiment
+from netmimo import AlgorithmConfig, ScenarioConfig, algorithms, experiment
 from netmimo.experiment import SweepSpec
 from perfbench.tracing import LAYERS, PACKAGE
 from perfbench.workloads import RECOMPUTE_RTOL, WORKLOADS, Checks, TrialChecker, judge_record, load_reference
@@ -42,14 +42,21 @@ PANEL_PASSES = {
     "kappa_srm": {"dmmse": 1456, "emmseia": 1377, "pwf": 663},
     "snr_wsmmse": {"dmmse": 13828, "emmseia": 3614},
 }
+# The linear solves of emmseia's multiplier searches over a whole panel
+# (the search_steps diagnostics summed), exact.
+PANEL_SEARCH_STEPS = {"kappa_srm": 13108, "snr_wsmmse": 11010}
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name, items", [("kappa_srm", 24), ("snr_wsmmse", 64)], ids=["kappa_srm", "snr_wsmmse"])
-def test_panel_matches_the_benchmark_reference(name, items, tmp_path):
+def test_panel_matches_the_benchmark_reference(name, items, tmp_path, monkeypatch):
     # every item fails and converges as recorded, and every group mean rate
     # matches: the benchmark's own panel checks, outside the benchmark
-    # (kappa_srm is the only panel that runs pwf)
+    # (kappa_srm is the only panel that runs pwf); the passes and search
+    # steps are counted too, each search step one _solve_systems call
+    steps = []
+    solve = algorithms._solve_systems
+    monkeypatch.setattr(algorithms, "_solve_systems", lambda *args: steps.append(1) or solve(*args))
     workload, checks, reference = WORKLOADS[name], Checks(), load_reference()[name]
     state = workload.setup(1, tmp_path)
     with TrialChecker().installed():
@@ -61,6 +68,7 @@ def test_panel_matches_the_benchmark_reference(name, items, tmp_path):
     for o in outcomes:
         passes[o.key[2]] = passes.get(o.key[2], 0) + o.iterations
     assert passes == PANEL_PASSES[name]
+    assert len(steps) == PANEL_SEARCH_STEPS[name]
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))

@@ -107,6 +107,13 @@ def test_scenario_for_value_variables():
     assert scenario_for_value(spec.scenario, "kappa", 1).cooperation_factor == 1
     assert scenario_for_value(spec.scenario, "cluster_size", 1).cluster_size == 1
     assert scenario_for_value(spec.scenario, "sectors", 1).sectors == 1
+    # the integer fields take integers only, as their scenario keys do
+    for variable, field in (("kappa", "cooperation_factor"), ("cluster_size", "cluster_size"),
+                            ("sectors", "sectors")):
+        assert getattr(scenario_for_value(spec.scenario, variable, 2), field) == 2
+        with pytest.raises(ConfigurationError):
+            scenario_for_value(spec.scenario, variable, 1.5)
+    assert scenario_for_value(spec.scenario, "snr_db", 7).boundary_snr_db == 7.0
 
 
 def test_resolve_algorithm_config():
@@ -239,9 +246,9 @@ def test_cli_run_and_cdf(tmp_path):
     assert (out / "cdf.csv").exists()
 
 
-def test_cli_seed_and_algorithm_overrides(tmp_path):
+def test_cli_seed_and_algorithm_overrides(tmp_path, capsys):
     config = write_config(tmp_path, BASE_CONFIG)
-    out1, out2 = tmp_path / "o1", tmp_path / "o2"
+    out1, out2, out3 = tmp_path / "o1", tmp_path / "o2", tmp_path / "o3"
     assert main(["run", str(config), "--out-dir", str(out1), "--seed", "5",
                  "--algorithms", "dmmse"]) == 0
     records = read_records_csv(out1 / "records.csv")
@@ -249,6 +256,9 @@ def test_cli_seed_and_algorithm_overrides(tmp_path):
     assert main(["run", str(config), "--out-dir", str(out2), "--seed", "5",
                  "--algorithms", "dmmse"]) == 0
     assert (out1 / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
+    # a negative seed is a configuration error, raised before the output directory is made
+    assert main(["run", str(config), "--out-dir", str(out3), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("configuration error:") and not out3.exists()
 
 
 def test_cli_configuration_error_exit_code(tmp_path):
@@ -289,9 +299,12 @@ def test_cli_cdf_rejects_malformed_records(tmp_path, capsys, row):
     ("scenario", "sector_offset", "nan deg"),
     ("sweep", "values", [10**400]),
     ("scenario", "boundary_snr_db", 10**400),
+    ("sweep", "master_seed", -3),
+    ("sweep", "values", [10, 10.0]),
+    ("scenario", "seed", 1),
 ], ids=["sweep_not_object", "scenario_not_object", "sweep_value_not_number", "sweep_value_bool",
         "sweep_value_infinite", "scenario_value_nan", "angle_nan", "sweep_value_beyond_float",
-        "scenario_value_beyond_float"])
+        "scenario_value_beyond_float", "negative_master_seed", "repeated_sweep_value", "scenario_seed"])
 def test_cli_run_rejects_malformed_config(tmp_path, capsys, section, key, value):
     bad = json.loads(json.dumps(BASE_CONFIG))
     (bad if section is None else bad[section])[key] = value

@@ -12,8 +12,9 @@ from netmimo import (
     waterfill_budget,
     waterfill_eval,
 )
-from netmimo.linalg import (SINGULARITY_RTOL, _add_rows, adjoint, diagonal_whiteners, disjoint_diagonals,
-                            hermitian_part, hermitian_top_eigs_batch, psd_inv_sqrt_batch, weight_usage)
+from netmimo.linalg import (SINGULARITY_RTOL, _add_rows, adjoint, ascending_sum, diagonal_whiteners,
+                            disjoint_diagonals, hermitian_part, hermitian_top_eigs_batch, psd_inv_sqrt_batch,
+                            weight_usage)
 
 
 def random_hermitian(rng, n):
@@ -263,6 +264,26 @@ def test_weight_usage_adds_its_rows_as_a_loop_from_zeros_would():
             want += row
         got = _add_rows(rows)
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_ascending_sum_has_the_bits_of_the_python_loop():
+    # total = 0.0; total += v over values spread over decades, signed zeros
+    # included (all -0 sums to the loop's +0), and a NaN
+    rng = np.random.default_rng(45)
+    for trial in range(300):
+        values = rng.standard_normal(int(rng.integers(1, 51))) * 10.0 ** rng.integers(-8, 9)
+        zeros = rng.random(values.size) < 0.3
+        values[zeros] = rng.choice([-0.0, 0.0], size=int(zeros.sum()))
+        if trial == 0:
+            values[:] = -0.0
+        if trial % 10 == 1:
+            values[rng.integers(values.size)] = np.nan
+        want = 0.0
+        for v in values.tolist():
+            want += v
+        got = ascending_sum(values)
+        assert type(got) is float
+        assert np.array_equal(got, want, equal_nan=True) and np.signbit(got) == np.signbit(want)
 
 
 def test_thin_svd_identity():

@@ -17,14 +17,13 @@ from netmimo import (
     solve_multi_constraint,
     solve_single_constraint,
 )
-from netmimo.linalg import disjoint_diagonals
+from netmimo.linalg import disjoint_diagonals, weight_usage
 from netmimo.single_user import (
     GAIN_RTOL,
     LAMBDA_FLOOR,
     MAX_POLISH_ROUNDS,
     STALL_WINDOW,
     budget_residuals,
-    constraint_usage_single,
     dual_loop,
     precoder_wsmse,
     priced_minimizer,
@@ -92,7 +91,7 @@ def test_single_constraint_budget_met():
     for _ in range(10):
         problem = random_instance(rng)
         sol = solve_single_constraint(problem)
-        usage = constraint_usage_single(problem, sol.precoder)
+        usage = weight_usage(problem.constraints, problem.constraint_supports, sol.precoder)
         assert abs(usage[0] - problem.budgets[0]) <= 1e-8
 
 
@@ -331,7 +330,7 @@ def test_multi_constraint_symmetric_blocks():
     result = solve_multi_constraint(problem)
     assert result.converged
     assert abs(result.multipliers[0] - result.multipliers[1]) <= 1e-6
-    usage = constraint_usage_single(problem, result.precoder)
+    usage = weight_usage(problem.constraints, problem.constraint_supports, result.precoder)
     assert abs(usage[0] - usage[1]) <= 1e-6
 
 
@@ -344,7 +343,7 @@ def test_multi_constraint_weak_duality():
         problem = make_problem(h, phis=phis, budgets=(1.0, 1.5), d=2)
         result = solve_multi_constraint(problem)
         # any feasible primal value upper-bounds every dual value visited
-        usage = constraint_usage_single(problem, result.precoder)
+        usage = weight_usage(problem.constraints, problem.constraint_supports, result.precoder)
         scale = min(1.0, float(np.min(problem.budgets / np.maximum(usage, 1e-300))))
         feasible = result.precoder * np.sqrt(scale)
         primal = precoder_wsmse(problem, feasible)
