@@ -741,11 +741,10 @@ def min_leakage_solve(system: PartialCooperationSystem, config: AlgorithmConfig 
     The solve runs batched over the (user, serving-BS) pairs: the factors
     are one (K, c, nt, d) stack for the largest serving-set size c and
     stream count d, zero on the padded streams, with power share 0 on the
-    padded slots, and each half-step is one stacked ``eigh``.  The quadratic forms are summed over the other
-    users (and their serving BSs) in ascending order, with exact zeros in
-    place of the skipped terms, so a problem without padding gets the
-    per-pair loop's numbers bit for bit.  The receive-side forms built for a
-    round's leakage value serve the next round's receive update.
+    padded slots, and each half-step is one stacked ``eigh``.  The forms add
+    the other users' pairs in ascending order (:func:`sum_over_sources`),
+    exact zeros in place of the skipped terms.  The receive-side forms built
+    for a round's leakage value serve the next round's receive update.
     ``initial`` gives per user the list of its (nt, d_k) factors.
     """
     config = (config or AlgorithmConfig(algorithm="min_leakage")).validate()
@@ -770,7 +769,8 @@ def min_leakage_solve(system: PartialCooperationSystem, config: AlgorithmConfig 
     # (K, 1, d): 1 on each user's own streams
     stream_mask = (np.arange(d_max) < np.array(streams)[:, None])[:, None, :]
 
-    rng = np.random.default_rng(config.init_seed)
+    rng = None if initial is not None or config.initialization == "scaled_identity" \
+        else np.random.default_rng(config.init_seed)
     factors = np.zeros((k_users, width, nt, d_max), dtype=complex)
     for k, pos in pairs:
         d = streams[k]

@@ -286,7 +286,8 @@ def _run_trial_args(args) -> TrialRecord:
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
     """Execute every (value, trial, algorithm) combination; the records come
-    in that item order whatever the worker count (``pool.map`` keeps it)."""
+    in that item order whatever the worker count (``pool.map`` keeps it).
+    A pool of w workers takes the n items in chunks of ceil(n / (4 w))."""
     spec.validate()
     items = [
         (spec, vi, ti, alg)
@@ -297,7 +298,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
     if workers <= 1:
         return [_run_trial_args(item) for item in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_trial_args, items, chunksize=1))
+        return list(pool.map(_run_trial_args, items, chunksize=-(-len(items) // (4 * workers))))
 
 
 # ---------------------------------------------------------------------------

@@ -505,19 +505,19 @@ def interference_covariance(problem: InterferenceProblem, precoders, k: int) -> 
 
 
 def sum_over_sources(base: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """out[k] = base[k] + sum_l terms[k, l], accumulated in ascending l (the
-    order of the per-user loops); ``base`` is one matrix for every k or a
-    stack of K.  Terms that are exact zeros at l = k leave every sum
-    unchanged, so the result is bit for bit the per-user sum over l != k.
-    The scenario's out-of-cluster covariances and ``min_leakage``'s forms
-    add this way; the solvers' sums are one product per source instead
-    (:func:`interference_covariances`, :func:`reverse_link_sums`), whose
-    additions BLAS orders as it likes."""
-    out = np.empty(terms.shape[:1] + terms.shape[2:], dtype=terms.dtype)
-    out[...] = base
-    for l in range(terms.shape[1]):
-        out += terms[:, l]
-    return out
+    """out[k] = base[k] + terms[k, 0] + terms[k, 1] + ..., complex, added in
+    ascending l as ``out = base; out += terms[:, l]`` adds them
+    (``test_sum_over_sources_adds_in_ascending_order``); ``base`` is one
+    matrix for every k or a stack of K.  One reduction over the source axis
+    of [base, terms...] viewed as real pairs: the pair axis stays innermost,
+    so numpy never sums the sources pairwise.  The scenario's out-of-cluster
+    covariances and ``min_leakage``'s forms add this way; the solvers' sums
+    are one product per source (:func:`interference_covariances`,
+    :func:`reverse_link_sums`), whose additions BLAS orders as it likes."""
+    stacked = np.empty(terms.shape[:1] + (terms.shape[1] + 1,) + terms.shape[2:], dtype=complex)
+    stacked[:, 0] = base
+    stacked[:, 1:] = terms
+    return np.add.reduce(stacked.view(float), axis=1).view(complex)
 
 
 def interference_covariances(problem: InterferenceProblem, precoders) -> np.ndarray:

@@ -142,19 +142,23 @@ def _hex_distance(a: tuple[int, int], b: tuple[int, int]) -> int:
     return int((abs(dq) + abs(dr) + abs(dq + dr)) // 2)
 
 
-@lru_cache(maxsize=None)
-def _tier_axial(cluster_size: int) -> tuple:
-    """Axial coordinates of the cells within INTERFERENCE_TIERS hops of the
-    cluster ``CLUSTER_SHAPES[cluster_size]``, outside it, in scan order."""
+@lru_cache(maxsize=64)  # bounded: the radius is any positive float
+def _lattice(cluster_size: int, radius: float) -> tuple:
+    """BS centres of the cluster ``CLUSTER_SHAPES[cluster_size]`` of cells
+    of ``radius``, of the cells within INTERFERENCE_TIERS hops of it and
+    outside it (in scan order), and of both: read-only (M, 2), (T, 2) and
+    (M + T, 2) arrays that every drop shares."""
     cluster_axial = CLUSTER_SHAPES[cluster_size]
     span = INTERFERENCE_TIERS + 1  # cluster cells are within distance 1 of the center
-    return tuple(
-        (q, r)
-        for q in range(-span - 1, span + 2)
-        for r in range(-span - 1, span + 2)
-        if (q, r) not in cluster_axial
-        and min(_hex_distance((q, r), c) for c in cluster_axial) <= INTERFERENCE_TIERS
-    )
+    tier_axial = [(q, r) for q in range(-span - 1, span + 2) for r in range(-span - 1, span + 2)
+                  if (q, r) not in cluster_axial
+                  and min(_hex_distance((q, r), c) for c in cluster_axial) <= INTERFERENCE_TIERS]
+    cluster_xy = np.array([_axial_to_xy(q, r, radius) for q, r in cluster_axial])
+    tier_xy = np.array([_axial_to_xy(q, r, radius) for q, r in tier_axial])
+    centers = (cluster_xy, tier_xy, np.vstack([cluster_xy, tier_xy]))
+    for xy in centers:
+        xy.flags.writeable = False
+    return centers
 
 
 def build_geometry(config: ScenarioConfig, rng: np.random.Generator) -> GeometryRealization:
@@ -167,9 +171,7 @@ def build_geometry(config: ScenarioConfig, rng: np.random.Generator) -> Geometry
     """
     config.validate()
     radius = config.cell_radius_km
-    cluster_xy = np.array([_axial_to_xy(q, r, radius) for q, r in CLUSTER_SHAPES[config.cluster_size]])
-    tier_xy = np.array([_axial_to_xy(q, r, radius) for q, r in _tier_axial(config.cluster_size)])
-    all_centers = np.vstack([cluster_xy, tier_xy])
+    cluster_xy, tier_xy, all_centers = _lattice(config.cluster_size, radius)
 
     user_positions = []
     user_cells = []
@@ -308,12 +310,9 @@ def assign_cooperation(config: ScenarioConfig, channels: ChannelRealization) -> 
     kappa = config.cooperation_factor
     if kappa > channels.num_cluster_bs:
         raise ConfigurationError("cooperation_factor exceeds the cluster size")
-    serving = []
-    for k in range(channels.whitened.shape[0]):
-        norms = np.linalg.norm(channels.whitened[k], axis=(1, 2))
-        ranked = np.argsort(-norms, kind="stable")
-        serving.append(tuple(sorted(int(m) for m in ranked[:kappa])))
-    return tuple(serving)
+    norms = np.linalg.norm(channels.whitened, axis=(2, 3))
+    ranked = np.argsort(-norms, axis=1, kind="stable")[:, :kappa]
+    return tuple(map(tuple, np.sort(ranked, axis=1).tolist()))
 
 
 def realize(config: ScenarioConfig, rng: np.random.Generator | None = None) -> PartialCooperationSystem:

@@ -1,7 +1,10 @@
 """Sweep harness tests: config parsing, trial determinism, aggregation,
 CSV emission, and the command-line entry point."""
 
+import copy
+import hashlib
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -180,13 +183,41 @@ def test_run_sweep_cardinality_and_order():
                                                spec.algorithms.index(t[2])))
 
 
+def _record_text(record) -> str:
+    """Every field but wall_time, as exact text (a NaN equals itself)."""
+    return repr(tuple(getattr(record, f.name) for f in fields(TrialRecord) if f.name != "wall_time"))
+
+
 def test_run_sweep_parallel_matches_serial():
-    spec = _spec()
-    serial = run_sweep(spec, workers=1)
-    parallel = run_sweep(spec, workers=2)
-    for a, b in zip(serial, parallel):
-        assert a.per_cell_sum_rate == b.per_cell_sum_rate
-        assert a.algorithm == b.algorithm and a.trial == b.trial
+    # 45 items: the chunks of 6 (2 workers) and 4 (3 workers) leave a short last chunk
+    spec = replace(_spec(), values=(0.0, 5.0, 10.0), trials=5, algorithms=("dmmse", "min_leakage", "pwf"))
+    serial = [_record_text(r) for r in run_sweep(spec, workers=1)]
+    assert len(serial) == 45
+    for workers in (2, 3):
+        assert 45 % -(-45 // (4 * workers)) != 0
+        assert [_record_text(r) for r in run_sweep(spec, workers=workers)] == serial
+
+
+# SHA-256 over the records of one whole sector_drops batch (every field but
+# wall_time, in record order) from master seed 2026, run through the pool:
+# the scenario draw, the cooperation assignment, min_leakage, run_trial's
+# rate and the chunked dispatch must keep every bit.  Recorded with numpy
+# 2.4's bundled OpenBLAS on x86-64, like the solver digests.
+SECTOR_BATCH_DIGEST = "36f0449ec3f5dc60ed93cdbfcf23d1d5cad44b4df728bd7927afd561f006b175"
+
+
+def test_sector_drops_batch_matches_golden_digest(tmp_path):
+    from perfbench.workloads import SectorDrops
+
+    config = copy.deepcopy(SectorDrops.config)
+    config["sweep"]["master_seed"] = 2026
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    records = run_sweep(parse_config(path), workers=2)
+    sha = hashlib.sha256()
+    for record in records:
+        sha.update(_record_text(record).encode())
+    assert len(records) == 60 and sha.hexdigest() == SECTOR_BATCH_DIGEST
 
 
 def test_compute_cdf_points():

@@ -22,7 +22,7 @@ from netmimo import (
     wsmse_objective,
 )
 from netmimo.linalg import adjoint, hermitian_part, weight_usage
-from netmimo.model import LOG2, ReceiveSide, interference_covariances
+from netmimo.model import LOG2, ReceiveSide, interference_covariances, sum_over_sources
 
 
 def scalar_problem(h=1.0, g=1.0, k_users=2):
@@ -215,6 +215,34 @@ def test_interference_covariance_matches_naive_sum():
                 b = precoders[l]
                 naive = naive + h @ b @ b.conj().T @ h.conj().T
         assert np.linalg.norm(omega - naive) <= 1e-12 * np.linalg.norm(naive)
+
+
+# the call shapes: (K, tiers, nr, nr) whitening sums, (K, K c, nr, nr) and
+# (K c, K, nt, nt) min_leakage forms; then nr = 1, where a plain reduction
+# over the sources sums them pairwise, and a single source
+SOURCE_SUM_SHAPES = [(7, 30, 2, 2), (7, 14, 2, 2), (14, 7, 6, 6), (7, 30, 1, 1), (1, 9, 1, 1), (3, 1, 2, 2)]
+
+
+@pytest.mark.parametrize("shape", SOURCE_SUM_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
+def test_sum_over_sources_adds_in_ascending_order(shape):
+    # magnitudes 1e16, 1 and -1e16 make the bits depend on the order of the
+    # additions, so only the loop's own order reproduces them
+    rng = np.random.default_rng(17)
+    terms = rng.choice([1e16, 1.0, -1e16], size=shape) * (rng.standard_normal(shape)
+                                                           + 1j * rng.standard_normal(shape))
+
+    def loop(base, terms):
+        out = np.array(np.broadcast_to(base, shape[:1] + shape[2:]))
+        for l in range(shape[1]):
+            out += terms[:, l]
+        return out
+
+    for base in (np.eye(shape[-1], dtype=complex), rng.standard_normal(shape[:1] + shape[2:]) + 0j):
+        want = loop(base, terms)
+        got = sum_over_sources(base, terms)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if shape[1] > 1:
+            assert loop(base, terms[:, ::-1]).tobytes() != want.tobytes()
 
 
 def padded(mat, shape, diagonal=0.0):

@@ -50,6 +50,20 @@ def test_supported_cluster_sizes(m):
         assert dists.min() <= 2.01 * spacing
 
 
+def test_drops_share_a_lattice_that_rejects_writes():
+    # the centres are built once per (cluster size, radius); one drop must
+    # not be able to move them under the next
+    cfg = base_config(cluster_size=7, nt=6, sectors=3)
+    first, second = (build_geometry(cfg, np.random.default_rng(seed)) for seed in (0, 1))
+    for name in ("cluster_positions", "tier_positions"):
+        shared = getattr(first, name)
+        assert shared is getattr(second, name) and not shared.flags.writeable
+        with pytest.raises(ValueError):
+            shared[0, 0] = 0.0
+    wider = build_geometry(replace(cfg, cell_radius_km=2.0), np.random.default_rng(0))
+    assert np.array_equal(wider.tier_positions, 2.0 * first.tier_positions)
+
+
 def test_unsupported_cluster_size_rejected():
     with pytest.raises(ConfigurationError) as err:
         build_geometry(base_config(cluster_size=2, cooperation_factor=1, streams=2),
