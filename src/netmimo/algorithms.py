@@ -108,6 +108,9 @@ from .single_user import (GAIN_RTOL, LAMBDA_CAP, LAMBDA_FLOOR, _max, additive_ru
 
 ALGORITHMS = ("dmmse", "emmseia", "pwf", "min_leakage")
 OBJECTIVES = ("wsmmse", "srm")
+# the one objective each of these designs supports (pwf maximizes the sum
+# rate; min_leakage minimizes leakage); a sweep sets it for them
+FIXED_OBJECTIVES = {"pwf": "srm", "min_leakage": "wsmmse"}
 
 # Relative off-diagonal mass below which an error covariance counts as diagonal.
 OFFDIAG_TOL = 1e-8
@@ -121,7 +124,10 @@ PWF_STALL_WINDOW = 30
 
 @dataclass(frozen=True)
 class AlgorithmConfig:
-    """Solver options shared by all algorithm families.
+    """Solver options shared by all algorithm families.  A config checks
+    itself when built, and so on ``dataclasses.replace``: an invalid value
+    or an algorithm/objective pair outside ``FIXED_OBJECTIVES`` raises
+    :class:`ConfigurationError`.
 
     ``initialization`` is "scaled_identity" (first d_k identity columns,
     scaled to spend a 0.9/K budget fraction per user) or
@@ -148,17 +154,14 @@ class AlgorithmConfig:
     initialization: str = "scaled_identity"
     init_seed: int = 0
 
-    def validate(self) -> "AlgorithmConfig":
+    def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ConfigurationError(f"algorithm must be one of {ALGORITHMS}")
         if self.objective not in OBJECTIVES:
             raise ConfigurationError(f"objective must be one of {OBJECTIVES}")
-        if self.algorithm == "min_leakage" and self.objective == "srm":
+        if FIXED_OBJECTIVES.get(self.algorithm, self.objective) != self.objective:
             raise ConfigurationError(
-                "min_leakage optimizes interference leakage directly; objective 'srm' is not supported"
-            )
-        if self.algorithm == "pwf" and self.objective != "srm":
-            raise ConfigurationError("pwf optimizes the sum-rate objective; set objective='srm'")
+                f"{self.algorithm} supports objective '{FIXED_OBJECTIVES[self.algorithm]}' only")
         if self.max_inner < 1 or self.max_outer < 1:
             raise ConfigurationError("iteration limits must be positive")
         if self.inner_tol <= 0 or self.constraint_tol <= 0:
@@ -169,7 +172,6 @@ class AlgorithmConfig:
             raise ConfigurationError("lambda_init must be positive")
         if self.initialization not in ("scaled_identity", "random_orthonormal"):
             raise ConfigurationError("initialization must be scaled_identity or random_orthonormal")
-        return self
 
 
 @dataclass(frozen=True)
@@ -514,7 +516,7 @@ def dmmse_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = N
     The weighted-MSE objective requires diagonal weights; in 'srm' mode the
     reweighting loop supplies them as diag(E_k^{-1}).
     """
-    config = (config or AlgorithmConfig(algorithm="dmmse")).validate()
+    config = config or AlgorithmConfig(algorithm="dmmse")
     srm = config.objective == "srm"
     rx = ReceiveSide(problem, initialize_precoders(problem, config) if initial is None else initial)
     fixed_weights = _diagonal_weights(problem)
@@ -571,7 +573,7 @@ def emmseia_solve(problem: InterferenceProblem, config: AlgorithmConfig | None =
     polish.  The diagnostics count the search's linear solves over all
     passes as ``search_steps`` and the systems each solve factors, one
     per transmit set, as ``search_systems``."""
-    config = (config or AlgorithmConfig(algorithm="emmseia")).validate()
+    config = config or AlgorithmConfig(algorithm="emmseia")
     srm = config.objective == "srm"
     rx = ReceiveSide(problem, initialize_precoders(problem, config) if initial is None else initial)
     mu = np.full(problem.num_constraints, config.lambda_init)
@@ -680,7 +682,7 @@ def pwf_solve(problem: InterferenceProblem, config: AlgorithmConfig | None = Non
     :func:`fit_to_budgets` and reported as unconverged.  The diagnostics
     carry the last iterate's :class:`DualNetworkState` for structural
     verification."""
-    config = (config or AlgorithmConfig(algorithm="pwf", objective="srm")).validate()
+    config = config or AlgorithmConfig(algorithm="pwf", objective="srm")
     rx = ReceiveSide(problem, initialize_precoders(problem, config) if initial is None else initial)
     mu = 1.0
 
@@ -747,7 +749,7 @@ def min_leakage_solve(system: PartialCooperationSystem, config: AlgorithmConfig 
     for a round's leakage value serve the next round's receive update.
     ``initial`` gives per user the list of its (nt, d_k) factors.
     """
-    config = (config or AlgorithmConfig(algorithm="min_leakage")).validate()
+    config = config or AlgorithmConfig(algorithm="min_leakage")
     k_users = system.num_users
     nt, nr = system.nt, system.nr
     streams = system.streams
@@ -876,6 +878,5 @@ _SOLVERS = {
 def solve_system(system: PartialCooperationSystem, config: AlgorithmConfig) -> tuple:
     """Build the stacked interference problem for ``system`` and run the
     configured algorithm; returns (problem, solution)."""
-    config = config.validate()
     problem = build_interference_problem(system)
     return problem, _SOLVERS[config.algorithm](system, problem, config)

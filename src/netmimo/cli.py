@@ -59,7 +59,6 @@ def main(argv=None) -> int:
             if args.algorithms is not None:
                 names = tuple(name.strip() for name in args.algorithms.split(",") if name.strip())
                 spec = replace(spec, algorithms=names)
-            spec = spec.validate()
             out_dir = Path(args.out_dir)
             out_dir.mkdir(parents=True, exist_ok=True)
             records = run_sweep(spec, workers=max(1, args.workers))

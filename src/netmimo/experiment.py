@@ -3,8 +3,8 @@ aggregation, and deterministic CSV emission.
 
 A sweep varies one scenario parameter (boundary SNR in dB, cooperation
 factor, cluster size, or sector count) over a list of distinct values, runs
-a fixed number of independent trials per value for each requested
-algorithm, and records the per-cell sum rate plus solver health per trial.
+a fixed number of independent trials per value for each of its distinct
+algorithms, and records the per-cell sum rate plus solver health per trial.
 Each variable sets one ``ScenarioConfig`` field (``SWEEP_VARIABLES``), and
 its values are converted as that field's key in the scenario section is,
 so the integer fields take integers only.  Trial RNG streams derive from
@@ -42,7 +42,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from .algorithms import ALGORITHMS, AlgorithmConfig, solve_system
+from .algorithms import ALGORITHMS, FIXED_OBJECTIVES, AlgorithmConfig, solve_system
 from .errors import ConfigurationError, NumericalFailureError
 from .model import ReceiveSide
 from .scenario import ScenarioConfig, realize
@@ -82,6 +82,9 @@ RECORD_COLUMNS = tuple(f.name for f in fields(TrialRecord) if f.name != "wall_ti
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """One sweep.  It checks itself when built, and so on ``dataclasses.replace``,
+    each swept scenario included: an invalid value raises ConfigurationError."""
+
     variable: str
     values: tuple
     trials: int
@@ -90,7 +93,7 @@ class SweepSpec:
     algorithm_config: AlgorithmConfig
     master_seed: int = 0
 
-    def validate(self) -> "SweepSpec":
+    def __post_init__(self):
         if self.variable not in SWEEP_VARIABLES:
             raise ConfigurationError(f"sweep variable must be one of {tuple(SWEEP_VARIABLES)}")
         if not self.values:
@@ -104,14 +107,13 @@ class SweepSpec:
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ConfigurationError(f"unknown algorithm '{alg}'; choose from {ALGORITHMS}")
-        self.scenario.validate()
-        self.algorithm_config.validate()
         for value in self.values:
-            scenario_for_value(self.scenario, self.variable, value).validate()
-        # equal values would share a group in summary.csv
+            scenario_for_value(self.scenario, self.variable, value)
+        # equal values, or a repeated algorithm, would merge groups in summary.csv
         if len({float(v) for v in self.values}) < len(self.values):
             raise ConfigurationError("sweep values must be distinct")
-        return self
+        if len(set(self.algorithms)) < len(self.algorithms):
+            raise ConfigurationError("sweep algorithms must be distinct")
 
 
 def scenario_for_value(base: ScenarioConfig, variable: str, value) -> ScenarioConfig:
@@ -123,15 +125,9 @@ def scenario_for_value(base: ScenarioConfig, variable: str, value) -> ScenarioCo
 
 
 def resolve_algorithm_config(base: AlgorithmConfig, algorithm: str) -> AlgorithmConfig:
-    """Per-algorithm objective resolution: the covariance fixed-point solver
-    only supports the rate objective, and the leakage minimizer has its own
-    objective regardless of the configured one."""
-    objective = base.objective
-    if algorithm == "pwf":
-        objective = "srm"
-    elif algorithm == "min_leakage":
-        objective = "wsmmse"
-    return replace(base, algorithm=algorithm, objective=objective).validate()
+    """``base`` for ``algorithm``, with the objective that algorithm fixes
+    (``FIXED_OBJECTIVES``) in place of the configured one."""
+    return replace(base, algorithm=algorithm, objective=FIXED_OBJECTIVES.get(algorithm, base.objective))
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +197,12 @@ def _build_dataclass(cls, data, section: str, **given):
 
 
 def parse_config(path) -> SweepSpec:
-    """Read and fully validate a sweep configuration (JSON with sections
-    'sweep', 'scenario', and optional 'algorithm'); unknown and duplicate
-    keys are rejected by name, and so are the algorithm list and the seed
-    outside section 'sweep' (``realize`` reads ``ScenarioConfig.seed`` only
-    without a trial RNG, which a sweep always passes)."""
+    """Read a sweep configuration (JSON with sections 'sweep', 'scenario',
+    and optional 'algorithm') into a :class:`SweepSpec`, which checks itself
+    and its configs as they are built; unknown and duplicate keys are
+    rejected by name, and so are the algorithm list and the seed outside
+    section 'sweep' (``realize`` reads ``ScenarioConfig.seed`` only without
+    a trial RNG, which a sweep always passes)."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle, object_pairs_hook=_reject_duplicates)
@@ -224,12 +221,11 @@ def parse_config(path) -> SweepSpec:
                                ("scenario", "seed", "sweep.master_seed")):
         if isinstance(raw.get(section), dict) and key in raw[section]:
             raise ConfigurationError(f"set '{key}' under {home}, not in section '{section}'")
-    spec = _build_dataclass(
+    return _build_dataclass(
         SweepSpec, raw["sweep"], "sweep",
         scenario=_build_dataclass(ScenarioConfig, raw["scenario"], "scenario"),
         algorithm_config=_build_dataclass(AlgorithmConfig, raw.get("algorithm", {}), "algorithm"),
     )
-    return spec.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +284,6 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
     """Execute every (value, trial, algorithm) combination; the records come
     in that item order whatever the worker count (``pool.map`` keeps it).
     A pool of w workers takes the n items in chunks of ceil(n / (4 w))."""
-    spec.validate()
     items = [
         (spec, vi, ti, alg)
         for vi in range(len(spec.values))
@@ -341,13 +336,11 @@ def emit_records_csv(records, path):
 
 
 def _groups(records):
-    seen = []
+    """Records grouped by (variable, sweep value, algorithm), in first-seen order."""
+    groups = {}
     for r in records:
-        key = (r.variable, r.sweep_value, r.algorithm)
-        if key not in seen:
-            seen.append(key)
-    for key in seen:
-        yield key, [r for r in records if (r.variable, r.sweep_value, r.algorithm) == key]
+        groups.setdefault((r.variable, r.sweep_value, r.algorithm), []).append(r)
+    return groups.items()
 
 
 def emit_summary_csv(records, path):

@@ -50,7 +50,9 @@ PLACEMENT_POLICIES = ("uniform", "fixed_radius")
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Cellular experiment parameters (see module docstring for units)."""
+    """Cellular experiment parameters (see module docstring for units).  A
+    config checks itself when built, and so on ``dataclasses.replace``: an
+    invalid value raises :class:`ConfigurationError`."""
 
     cluster_size: int = 3
     users_per_cell: int = 1
@@ -69,7 +71,7 @@ class ScenarioConfig:
     sector_offset: float = 0.0
     seed: int = 0
 
-    def validate(self) -> "ScenarioConfig":
+    def __post_init__(self):
         if self.cluster_size not in CLUSTER_SHAPES:
             raise ConfigurationError(
                 f"cluster_size {self.cluster_size} unsupported; choose one of "
@@ -99,7 +101,6 @@ class ScenarioConfig:
             raise ConfigurationError(
                 "streams must lie in [1, min(cooperation_factor*nt, nr)]"
             )
-        return self
 
     @property
     def num_users(self) -> int:
@@ -169,7 +170,6 @@ def build_geometry(config: ScenarioConfig, rng: np.random.Generator) -> Geometry
     against the lattice Voronoi cell) or on a fixed-radius circle around
     their BS, per ``config.user_placement``.
     """
-    config.validate()
     radius = config.cell_radius_km
     cluster_xy, tier_xy, all_centers = _lattice(config.cluster_size, radius)
 
@@ -240,7 +240,6 @@ def draw_channels(config: ScenarioConfig, geometry: GeometryRealization,
     path-loss factors are Python float powers per pair: numpy's array power
     may differ from them in the last bit.
     """
-    config.validate()
     centers = np.vstack([geometry.cluster_positions, geometry.tier_positions])
     n_bs = centers.shape[0]
     n_users = geometry.user_positions.shape[0]
@@ -318,7 +317,6 @@ def assign_cooperation(config: ScenarioConfig, channels: ChannelRealization) -> 
 def realize(config: ScenarioConfig, rng: np.random.Generator | None = None) -> PartialCooperationSystem:
     """Generate a complete partially cooperating downlink: geometry, channel
     draws, out-of-cluster whitening and cooperation assignment."""
-    config.validate()
     if rng is None:
         rng = np.random.default_rng(config.seed)
     geometry = build_geometry(config, rng)

@@ -226,7 +226,7 @@ def fig2_spec(trials, seed=RNG_ROOT + 7):
                                 cooperation_factor=2),
         algorithm_config=AlgorithmConfig(objective="srm", max_outer=800, inner_tol=1e-5),
         master_seed=seed,
-    ).validate()
+    )
 
 
 def test_criterion_7_snr_trend():

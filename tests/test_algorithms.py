@@ -30,6 +30,7 @@ from netmimo import (
     wsmse_objective,
 )
 from netmimo.algorithms import (
+    FIXED_OBJECTIVES,
     emmseia_precoder_update,
     fit_to_budgets,
     initialize_precoders,
@@ -75,15 +76,17 @@ def zero_problem():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigurationError):
-        AlgorithmConfig(algorithm="nope").validate()
-    with pytest.raises(ConfigurationError):
-        AlgorithmConfig(algorithm="min_leakage", objective="srm").validate()
-    with pytest.raises(ConfigurationError):
-        AlgorithmConfig(algorithm="pwf", objective="wsmmse").validate()
-    with pytest.raises(ConfigurationError):
-        AlgorithmConfig(inner_tol=0.0).validate()
-    AlgorithmConfig(algorithm="pwf", objective="srm").validate()
+    # a config checks itself when built, and dataclasses.replace builds one
+    base = AlgorithmConfig()
+    for invalid in (dict(algorithm="nope"), dict(algorithm="min_leakage", objective="srm"),
+                    dict(algorithm="pwf", objective="wsmmse"), dict(algorithm="pwf"),
+                    dict(inner_tol=0.0), dict(max_outer=0), dict(initialization="zeros")):
+        with pytest.raises(ConfigurationError):
+            AlgorithmConfig(**invalid)
+        with pytest.raises(ConfigurationError):
+            replace(base, **invalid)
+    for algorithm, objective in FIXED_OBJECTIVES.items():
+        assert replace(base, algorithm=algorithm, objective=objective).objective == objective
 
 
 def test_initialization_feasible_and_orthonormal():

@@ -31,7 +31,7 @@ def test_run_trial_calls_solve_system_through_the_module_global(monkeypatch):
     monkeypatch.setattr(experiment, "solve_system", spy)
     spec = SweepSpec(variable="snr_db", values=(20.0,), trials=1, algorithms=("min_leakage",),
                      scenario=ScenarioConfig(), algorithm_config=AlgorithmConfig(), master_seed=0)
-    record = experiment.run_trial(spec.validate(), 0, 0, "min_leakage")
+    record = experiment.run_trial(spec, 0, 0, "min_leakage")
     assert calls == ["min_leakage"] and not record.failed
 
 

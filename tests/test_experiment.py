@@ -108,12 +108,16 @@ def test_scenario_for_value_variables():
     spec = _spec()
     assert scenario_for_value(spec.scenario, "snr_db", 13.0).boundary_snr_db == 13.0
     assert scenario_for_value(spec.scenario, "kappa", 1).cooperation_factor == 1
-    assert scenario_for_value(spec.scenario, "cluster_size", 1).cluster_size == 1
     assert scenario_for_value(spec.scenario, "sectors", 1).sectors == 1
+    # the swept scenario checks itself: one cell cannot hold the base's two cooperating BSs
+    with pytest.raises(ConfigurationError):
+        scenario_for_value(spec.scenario, "cluster_size", 1)
+    single = replace(spec.scenario, cooperation_factor=1)
+    assert scenario_for_value(single, "cluster_size", 1).cluster_size == 1
     # the integer fields take integers only, as their scenario keys do
-    for variable, field in (("kappa", "cooperation_factor"), ("cluster_size", "cluster_size"),
-                            ("sectors", "sectors")):
-        assert getattr(scenario_for_value(spec.scenario, variable, 2), field) == 2
+    for variable, field, value in (("kappa", "cooperation_factor", 2), ("cluster_size", "cluster_size", 5),
+                                   ("sectors", "sectors", 1)):
+        assert getattr(scenario_for_value(spec.scenario, variable, value), field) == value
         with pytest.raises(ConfigurationError):
             scenario_for_value(spec.scenario, variable, 1.5)
     assert scenario_for_value(spec.scenario, "snr_db", 7).boundary_snr_db == 7.0
@@ -138,7 +142,20 @@ def _spec():
                                 cooperation_factor=2, boundary_snr_db=10.0),
         algorithm_config=AlgorithmConfig(objective="srm", max_outer=150, inner_tol=1e-5),
         master_seed=99,
-    ).validate()
+    )
+
+
+def test_sweep_spec_checks_itself():
+    # a spec checks itself, and each swept scenario, when built and on dataclasses.replace
+    spec = _spec()
+    for invalid in (dict(values=(1.0, 1)), dict(values=()), dict(algorithms=("dmmse", "dmmse")),
+                    dict(algorithms=("nope",)), dict(trials=0), dict(master_seed=-1),
+                    dict(variable="frequency"), dict(variable="kappa", values=(1, 4))):
+        with pytest.raises(ConfigurationError):
+            replace(spec, **invalid)
+        with pytest.raises(ConfigurationError):
+            SweepSpec(**{**{f.name: getattr(spec, f.name) for f in fields(SweepSpec)}, **invalid})
+    assert replace(spec, variable="kappa", values=(1, 3)).values == (1, 3)
 
 
 def test_run_trial_deterministic():
@@ -287,9 +304,11 @@ def test_cli_seed_and_algorithm_overrides(tmp_path, capsys):
     assert main(["run", str(config), "--out-dir", str(out2), "--seed", "5",
                  "--algorithms", "dmmse"]) == 0
     assert (out1 / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
-    # a negative seed is a configuration error, raised before the output directory is made
-    assert main(["run", str(config), "--out-dir", str(out3), "--seed", "-1"]) == 1
-    assert capsys.readouterr().err.startswith("configuration error:") and not out3.exists()
+    # a negative seed and a repeated algorithm are configuration errors, raised before
+    # the output directory is made
+    for override in (["--seed", "-1"], ["--algorithms", "dmmse,dmmse"]):
+        assert main(["run", str(config), "--out-dir", str(out3), *override]) == 1
+        assert capsys.readouterr().err.startswith("configuration error:") and not out3.exists()
 
 
 def test_cli_configuration_error_exit_code(tmp_path):
@@ -333,9 +352,11 @@ def test_cli_cdf_rejects_malformed_records(tmp_path, capsys, row):
     ("sweep", "master_seed", -3),
     ("sweep", "values", [10, 10.0]),
     ("scenario", "seed", 1),
+    ("sweep", "algorithms", ["min_leakage", "min_leakage"]),
 ], ids=["sweep_not_object", "scenario_not_object", "sweep_value_not_number", "sweep_value_bool",
         "sweep_value_infinite", "scenario_value_nan", "angle_nan", "sweep_value_beyond_float",
-        "scenario_value_beyond_float", "negative_master_seed", "repeated_sweep_value", "scenario_seed"])
+        "scenario_value_beyond_float", "negative_master_seed", "repeated_sweep_value", "scenario_seed",
+        "repeated_algorithm"])
 def test_cli_run_rejects_malformed_config(tmp_path, capsys, section, key, value):
     bad = json.loads(json.dumps(BASE_CONFIG))
     (bad if section is None else bad[section])[key] = value

@@ -246,16 +246,16 @@ def test_realize_deterministic():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigurationError):
-        base_config(cooperation_factor=4).validate()
-    with pytest.raises(ConfigurationError):
-        base_config(sectors=5).validate()
-    with pytest.raises(ConfigurationError):
-        base_config(nt=4, sectors=3).validate()
-    with pytest.raises(ConfigurationError):
-        base_config(pathloss_exponent=1.5).validate()
-    with pytest.raises(ConfigurationError):
-        base_config(streams=3).validate()
+    # a config checks itself when built, and dataclasses.replace builds one
+    base = base_config()
+    for invalid in (dict(cooperation_factor=4), dict(cooperation_factor=9), dict(sectors=5),
+                    dict(nt=4, sectors=3), dict(pathloss_exponent=1.5), dict(streams=3),
+                    dict(cluster_size=2), dict(user_placement="grid")):
+        with pytest.raises(ConfigurationError):
+            base_config(**invalid)
+        with pytest.raises(ConfigurationError):
+            replace(base, **invalid)
+    assert replace(base, nt=6, sectors=3).sectors == 3
 
 
 def test_sectorized_realize_runs():

@@ -15,8 +15,9 @@ thread, both at once, and solves:
 
 It prints every item whose passes, stop, ``converged``, ``failed`` flag or
 rate moved (old -> new; a rate moves when any bit does), then the mean rate
-of every group and the pass and search-step totals of both trees.  The
-exit code is 0 when no item moved and 1 when some did.  The panel
+of every group, the pass and search-step totals of both trees, and the
+line count of their ``src/netmimo/*.py`` (as ``wc -l`` counts).  The exit
+code is 0 when no item moved and 1 when some did.  The panel
 definitions come from each tree's own ``perfbench``; the script writes
 only to a temporary directory.
 """
@@ -30,6 +31,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 # test_acceptance.RNG_ROOT: criterion 8 draws trial t from trial_rng(RNG_ROOT + 8, 0, t)
 CRITERION_8_ROOT = 20260809 + 8
@@ -206,6 +208,11 @@ def compare(old: list, new: list) -> int:
     return moved
 
 
+def source_lines(tree: str) -> int:
+    """Newlines in the tree's ``src/netmimo/*.py``, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in Path(tree, "src", "netmimo").glob("*.py"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--collect", metavar="TREE", help=argparse.SUPPRESS)
@@ -220,7 +227,9 @@ def main(argv=None) -> int:
         if not os.path.isfile(os.path.join(tree, "src", "netmimo", "__init__.py")):
             parser.error(f"no netmimo sources under {os.path.join(tree, 'src')}")
     old, new = _run_trees([os.path.abspath(t) for t in args.trees])
-    return 1 if compare(old, new) else 0
+    moved = compare(old, new)
+    print(f"{'lines src/netmimo/*.py':40s} " + " -> ".join(str(source_lines(t)) for t in args.trees))
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":
