@@ -26,8 +26,8 @@ from netmimo import (
 from netmimo.algorithms import offdiag_mass
 
 scenario = ScenarioConfig(cluster_size=3, users_per_cell=1, nt=4, nr=2, streams=2,
-                          cooperation_factor=2, boundary_snr_db=20.0, seed=42)
-system = realize(scenario)
+                          cooperation_factor=2, boundary_snr_db=20.0)
+system = realize(scenario, np.random.default_rng(42))
 problem = build_interference_problem(system)
 print(f"serving sets: {system.serving_sets}")
 print(f"stacked transmit dims: {problem.tx_dims}\n")

@@ -15,14 +15,9 @@ Four families are implemented:
     Joint linear-system precoder update from fixed MMSE equalizers,
     B_k = (sum_l H_{l,k}^H A_l W_l A_l^H H_{l,k} + sum_m mu_m Phi_{k,m})^{-1}
     H_{k,k}^H A_k W_k, with the multipliers searched each pass until the
-    complementary-slackness conditions hold.  The system matrix depends on
-    k only through user k's transmit side (its channels H_{l,k} to every
-    receiver and its constraint weights), which the users of one serving
-    set share: each search step factors one system per
-    :attr:`model.InterferenceProblem.transmit_sets` set and solves it for
-    all the set's users at once, which gives each user the bits of its own
-    solve.  The search and :func:`emmseia_precoder_update` build these
-    systems with one :func:`_emmseia_solver`.
+    complementary-slackness conditions hold.  The users of one
+    :attr:`model.InterferenceProblem.transmit_sets` set share this system,
+    so each search step factors it once for them (:func:`_emmseia_solver`).
 ``pwf``
     Polite water-filling: a fixed point on the precoder stack coupling the
     forward network with its reversed-link counterpart through the same
@@ -45,23 +40,19 @@ pricing passes at fixed multipliers, each followed by the one exit test
 (:func:`_exit_test`: violation and dual residual within ``constraint_tol``,
 ``emmseia``'s slackness flag in the residual's place, and a stable
 objective) and a multiplier step, then fixed-multiplier polish runs.  Each
-pass makes one :class:`model.ReceiveSide` for the precoder stack it
-produces and reads from it only what it needs (the pass value, the next
-pass's weights and equalizers, ``pwf``'s reversed-link covariances, the
-polish test), and every solve ends in one finisher (:func:`_finish`); the
-diagnostics of ``emmseia`` count the ``search_steps``, the batched linear
-solves its multiplier searches made over the whole solve, and the
-``search_systems`` each of them factors, so the factorizations number their
-product.  The multiplier rules: ``dmmse`` ascends additively on the power
-residuals (:func:`single_user.additive_rule`), ``pwf`` takes damped
-multiplicative steps (:func:`_pwf_rule`), and ``emmseia`` has no outer
-rule, its KKT search runs inside each pass.  ``dmmse`` polishes after every
-pricing phase, until its error covariances are diagonal; ``pwf`` polishes
-until its transmit covariances B_k B_k^H settle, only from a pricing phase
-that met its exit test; ``emmseia`` does not polish.  The
-``dmmse``/``emmseia`` solvers run either on a fixed weighted-MSE objective
-or, with ``objective="srm"``, inside the rate-maximizing reweighting loop
-(weights refreshed to E_k^{-1} every pass).
+pass makes one :class:`model.ReceiveSide` for its precoder stack, and every
+solve ends in one finisher (:func:`_finish`); ``emmseia``'s diagnostics
+count its batched linear solves (``search_steps``) and the systems each
+one factors (``search_systems``).  The multiplier rules: ``dmmse`` ascends
+additively on the power residuals (:func:`single_user.additive_rule`),
+``pwf`` takes damped multiplicative steps (:func:`_pwf_rule`), and
+``emmseia`` has no outer rule, its KKT search runs inside each pass.
+``dmmse`` polishes after every pricing phase, until its error covariances
+are diagonal; ``pwf`` polishes until its transmit covariances B_k B_k^H
+settle, only from a pricing phase that met its exit test; ``emmseia`` does
+not polish.  The ``dmmse``/``emmseia`` solvers run either on a fixed
+weighted-MSE objective or, with ``objective="srm"``, inside the
+rate-maximizing reweighting loop (weights refreshed to E_k^{-1} every pass).
 All solvers are deterministic given problem, config and seed.
 
 The dual-loop solvers run batched over users on the zero-padded arrays
@@ -90,7 +81,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolationError, NumericalFailureError
+from .errors import ConfigurationError, ContractViolationError, NumericalFailureError, check_field_types
 from .linalg import adjoint, ascending_sum, bisect_level, hermitian_part, priced_weights, weight_usage
 from .model import (
     BeamformerSolution,
@@ -103,8 +94,8 @@ from .model import (
     set_padded_diagonal,
     sum_over_sources,
 )
-from .single_user import (GAIN_RTOL, LAMBDA_CAP, LAMBDA_FLOOR, _max, additive_rule, dual_loop, max_violation,
-                          objective_stable, priced_directions, priced_minimizer, receive_factors, stream_order)
+from .single_user import (LAMBDA_CAP, LAMBDA_FLOOR, _max, additive_rule, dual_loop, max_violation, objective_stable,
+                          priced_directions, priced_minimizer, receive_factors, stream_order, usable_gains)
 
 ALGORITHMS = ("dmmse", "emmseia", "pwf", "min_leakage")
 OBJECTIVES = ("wsmmse", "srm")
@@ -125,9 +116,9 @@ PWF_STALL_WINDOW = 30
 @dataclass(frozen=True)
 class AlgorithmConfig:
     """Solver options shared by all algorithm families.  A config checks
-    itself when built, and so on ``dataclasses.replace``: an invalid value
-    or an algorithm/objective pair outside ``FIXED_OBJECTIVES`` raises
-    :class:`ConfigurationError`.
+    itself when built, and so on ``dataclasses.replace``: a wrong type, an
+    invalid value or an algorithm/objective pair outside ``FIXED_OBJECTIVES``
+    raises :class:`ConfigurationError`.
 
     ``initialization`` is "scaled_identity" (first d_k identity columns,
     scaled to spend a 0.9/K budget fraction per user) or
@@ -155,6 +146,7 @@ class AlgorithmConfig:
     init_seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.algorithm not in ALGORITHMS:
             raise ConfigurationError(f"algorithm must be one of {ALGORITHMS}")
         if self.objective not in OBJECTIVES:
@@ -229,24 +221,22 @@ def _mse_offdiag(problem: InterferenceProblem, mses) -> float:
     return float(np.max(_offdiag_masses(set_padded_diagonal(np.array(mses), problem.stream_pad, 0.0))))
 
 
+def _orthonormal_starts(config: AlgorithmConfig, shapes) -> list:
+    """One (n, d) start with orthonormal columns per shape, in order: the
+    first d identity columns, or with ``random_orthonormal`` the Q factor of
+    a complex Gaussian draw from one ``init_seed`` stream."""
+    if config.initialization == "scaled_identity":
+        return [np.eye(n, d, dtype=complex) for n, d in shapes]
+    rng = np.random.default_rng(config.init_seed)
+    return [np.linalg.qr(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))[0] for n, d in shapes]
+
+
 def initialize_precoders(problem: InterferenceProblem, config: AlgorithmConfig) -> list:
     """Feasible starting precoders spending a 0.9/K fraction of the smallest
     budget per user (usage_m <= 0.9 min(P) under unit-partition constraints)."""
-    k_users = problem.num_users
     min_budget = float(np.min(problem.budgets))
-    rng = np.random.default_rng(config.init_seed)
-    precoders = []
-    for k in range(k_users):
-        mt, d = problem.tx_dims[k], problem.streams[k]
-        scale = np.sqrt(0.9 * min_budget / (k_users * d))
-        if config.initialization == "scaled_identity":
-            b = np.zeros((mt, d), dtype=complex)
-            b[:d, :d] = np.eye(d)
-        else:
-            z = rng.standard_normal((mt, d)) + 1j * rng.standard_normal((mt, d))
-            b, _ = np.linalg.qr(z)
-        precoders.append(scale * b)
-    return precoders
+    starts = _orthonormal_starts(config, zip(problem.tx_dims, problem.streams))
+    return [np.sqrt(0.9 * min_budget / (problem.num_users * d)) * b for b, d in zip(starts, problem.streams)]
 
 
 def fit_to_budgets(problem: InterferenceProblem, precoders) -> ReceiveSide:
@@ -451,10 +441,9 @@ def _emmseia_multiplier_search(problem, equalizers, weights, mu, constraint_tol,
     Projected subgradient in scaled coordinates (:func:`_multiplier_step`),
     each step one solve of the search's :func:`_emmseia_solver`.  The
     usage and the returned stack are per user.  The slackness test and the
-    multiplier step work on Python floats of the M budgets, the same IEEE
-    operations as their elementwise array forms, so the multipliers carry
-    the same bits.  Returns (mu, precoders, usage, whether the slackness
-    conditions hold there, the number of linear solves made).
+    multiplier step work on Python floats of the M budgets.  Returns (mu,
+    precoders, usage, whether the slackness conditions hold there, the
+    number of linear solves made).
     """
     budgets = problem.budgets.tolist()
     slack_bound = [SLACKNESS_TOL * b for b in budgets]
@@ -629,7 +618,7 @@ def _pwf_forward(problem, omegas, dual_covariances, lam):
     _, directions, gains = priced_directions(omega_hat, receive_factors(omegas, problem.direct_h),
                                              problem.mse_weights.shape[-1])
     coefs = np.maximum(((priced @ directions) * directions.conj()).sum(axis=-2).real, 0.0)
-    keep = gains > GAIN_RTOL * np.maximum(1.0, np.max(gains, axis=-1, initial=0.0))[:, None]
+    keep = usable_gains(gains)
     keep[problem.stream_pad] = False
     gains_flat, coefs_flat = gains[keep], coefs[keep]
     inv_gains = 1.0 / gains_flat
@@ -771,18 +760,11 @@ def min_leakage_solve(system: PartialCooperationSystem, config: AlgorithmConfig 
     # (K, 1, d): 1 on each user's own streams
     stream_mask = (np.arange(d_max) < np.array(streams)[:, None])[:, None, :]
 
-    rng = None if initial is not None or config.initialization == "scaled_identity" \
-        else np.random.default_rng(config.init_seed)
+    starts = _orthonormal_starts(config, [(nt, streams[k]) for k, _ in pairs]) if initial is None \
+        else [np.asarray(initial[k][pos], dtype=complex) for k, pos in pairs]
     factors = np.zeros((k_users, width, nt, d_max), dtype=complex)
-    for k, pos in pairs:
-        d = streams[k]
-        if initial is not None:
-            factors[k, pos, :, :d] = np.asarray(initial[k][pos], dtype=complex)
-        elif config.initialization == "scaled_identity":
-            factors[k, pos, :d, :d] = np.eye(d)
-        else:
-            z = rng.standard_normal((nt, d)) + 1j * rng.standard_normal((nt, d))
-            factors[k, pos, :, :d], _ = np.linalg.qr(z)
+    for (k, pos), start in zip(pairs, starts):
+        factors[k, pos, :, :streams[k]] = start
 
     users = np.arange(k_users)
     serving_channels = system.channels[:, bs_of]  # (K, K, c, nr, nt): H_{k, m(j, pos)}

@@ -6,8 +6,8 @@ factor, cluster size, or sector count) over a list of distinct values, runs
 a fixed number of independent trials per value for each of its distinct
 algorithms, and records the per-cell sum rate plus solver health per trial.
 Each variable sets one ``ScenarioConfig`` field (``SWEEP_VARIABLES``), and
-its values are converted as that field's key in the scenario section is,
-so the integer fields take integers only.  Trial RNG streams derive from
+the scenario checks each value as it checks that field, so the integer
+fields take integers only.  Trial RNG streams derive from
 (master_seed, value index, trial index), so results are reproducible under
 value reordering and parallel execution; the same (config, seed) pair
 yields byte-identical CSV files.
@@ -15,7 +15,8 @@ yields byte-identical CSV files.
 Each file format is declared once, by the dataclass that holds it: config
 sections are parsed from the fields of :class:`SweepSpec`,
 ``ScenarioConfig`` and ``AlgorithmConfig``, and the records.csv columns are
-the fields of :class:`TrialRecord`.
+the fields of :class:`TrialRecord`.  The configs check their own field
+types (:func:`errors.check_field_types`), from a file or from Python alike.
 
 CSV schemas (floats rendered with 12 significant digits, flags as 1/0):
 
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import csv
 import json
-import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
@@ -43,14 +43,13 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from .algorithms import ALGORITHMS, FIXED_OBJECTIVES, AlgorithmConfig, solve_system
-from .errors import ConfigurationError, NumericalFailureError
+from .errors import ConfigurationError, NumericalFailureError, check_field_types
 from .model import ReceiveSide
 from .scenario import ScenarioConfig, realize
 
 # each sweep variable and the ScenarioConfig field its values set
 SWEEP_VARIABLES = {"snr_db": "boundary_snr_db", "kappa": "cooperation_factor", "cluster_size": "cluster_size",
                    "sectors": "sectors"}
-_SCENARIO_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
 
 SUMMARY_COLUMNS = (
     "variable", "sweep_value", "algorithm", "trials", "failures",
@@ -83,7 +82,8 @@ RECORD_COLUMNS = tuple(f.name for f in fields(TrialRecord) if f.name != "wall_ti
 @dataclass(frozen=True)
 class SweepSpec:
     """One sweep.  It checks itself when built, and so on ``dataclasses.replace``,
-    each swept scenario included: an invalid value raises ConfigurationError."""
+    each swept scenario included: a wrong type or an invalid value raises
+    ConfigurationError."""
 
     variable: str
     values: tuple
@@ -94,6 +94,7 @@ class SweepSpec:
     master_seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.variable not in SWEEP_VARIABLES:
             raise ConfigurationError(f"sweep variable must be one of {tuple(SWEEP_VARIABLES)}")
         if not self.values:
@@ -117,11 +118,9 @@ class SweepSpec:
 
 
 def scenario_for_value(base: ScenarioConfig, variable: str, value) -> ScenarioConfig:
-    """Apply one sweep value to the base scenario, converted by the type of
-    the field it sets as a scenario key is (:func:`_coerce`): a finite
-    number, or an integer."""
-    field = SWEEP_VARIABLES[variable]
-    return replace(base, **{field: _coerce(value, _SCENARIO_TYPES[field], "values")})
+    """The base scenario with ``value`` in the field ``variable`` sets,
+    which checks it as it checks that field: a finite number, or an integer."""
+    return replace(base, **{SWEEP_VARIABLES[variable]: value})
 
 
 def resolve_algorithm_config(base: AlgorithmConfig, algorithm: str) -> AlgorithmConfig:
@@ -143,56 +142,37 @@ def _reject_duplicates(pairs):
     return out
 
 
-def _parse_angle(value, key: str) -> float:
-    """Angles are radians; strings may carry an explicit 'deg' or 'rad' suffix."""
-    if isinstance(value, str):
-        text = value.strip().lower()
-        for suffix, factor in (("deg", np.pi / 180.0), ("rad", 1.0)):
-            if text.endswith(suffix):
-                try:
-                    return _coerce(float(text[: -len(suffix)]), "float", key) * factor
-                except ValueError:
-                    break
-        raise ConfigurationError(f"key '{key}' must be a number in radians or a string like '30deg'")
-    return _coerce(value, "float", key)
-
-
-# per field annotation: the JSON types a config value may have (never a
-# bool, NaN or infinity), its conversion, and what the error message asks for
-_CONFIG_TYPES = {
-    "float": ((int, float), float, "a finite number"),
-    "int": (int, int, "an integer"),
-    "str": (str, str, "a string"),
-    "tuple": (list, tuple, "a non-empty list"),
-}
-
-
-def _coerce(value, type_name: str, key: str):
-    accepted, convert, what = _CONFIG_TYPES[type_name]
-    if isinstance(value, bool) or not isinstance(value, accepted) or value == [] \
-            or (type_name == "float" and not abs(value) <= sys.float_info.max):
-        raise ConfigurationError(f"key '{key}' must be {what}")
-    return convert(value)
+def _parse_angle(value):
+    """Angles are radians; strings may carry an explicit 'deg' or 'rad'
+    suffix.  Any other value goes on as it is, to the field-type check."""
+    if not isinstance(value, str):
+        return value
+    text = value.strip().lower()
+    for suffix, factor in (("deg", np.pi / 180.0), ("rad", 1.0)):
+        if text.endswith(suffix):
+            try:
+                return float(text[: -len(suffix)]) * factor
+            except ValueError:
+                break
+    raise ConfigurationError("key 'sector_offset' must be a number in radians or a string like '30deg'")
 
 
 def _build_dataclass(cls, data, section: str, **given):
-    """Config section ``section`` as a ``cls``, with the fields in ``given``
-    set by the caller: every key must name another field, and a field
-    without a default is a required key."""
+    """Config section ``section`` as a ``cls`` (which checks the values),
+    with the fields in ``given`` set by the caller: every key must name
+    another field, and a field without a default is a required key."""
     if not isinstance(data, dict):
         raise ConfigurationError(f"section '{section}' must be a JSON object")
     spec_fields = {f.name: f for f in fields(cls) if f.name not in given}
-    kwargs = dict(given)
-    for key, raw in data.items():
+    for key in data:
         if key not in spec_fields:
             raise ConfigurationError(f"unknown key '{key}' in section '{section}'")
-        if cls is ScenarioConfig and key == "sector_offset":
-            kwargs[key] = _parse_angle(raw, key)
-        else:
-            kwargs[key] = _coerce(raw, spec_fields[key].type, key)
     for name, f in spec_fields.items():
-        if name not in kwargs and f.default is MISSING:
+        if name not in data and f.default is MISSING:
             raise ConfigurationError(f"missing required key '{name}' in section '{section}'")
+    kwargs = {**data, **given}
+    if "sector_offset" in data:
+        kwargs["sector_offset"] = _parse_angle(data["sector_offset"])
     return cls(**kwargs)
 
 
@@ -200,9 +180,8 @@ def parse_config(path) -> SweepSpec:
     """Read a sweep configuration (JSON with sections 'sweep', 'scenario',
     and optional 'algorithm') into a :class:`SweepSpec`, which checks itself
     and its configs as they are built; unknown and duplicate keys are
-    rejected by name, and so are the algorithm list and the seed outside
-    section 'sweep' (``realize`` reads ``ScenarioConfig.seed`` only without
-    a trial RNG, which a sweep always passes)."""
+    rejected by name, and so is the algorithm list outside section 'sweep'.
+    The one seed is ``sweep.master_seed`` (:func:`trial_rng`)."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle, object_pairs_hook=_reject_duplicates)
@@ -217,10 +196,8 @@ def parse_config(path) -> SweepSpec:
             raise ConfigurationError(f"unknown section '{key}' (expected sweep/scenario/algorithm)")
     if "sweep" not in raw or "scenario" not in raw:
         raise ConfigurationError("sections 'sweep' and 'scenario' are required")
-    for section, key, home in (("algorithm", "algorithm", "sweep.algorithms"),
-                               ("scenario", "seed", "sweep.master_seed")):
-        if isinstance(raw.get(section), dict) and key in raw[section]:
-            raise ConfigurationError(f"set '{key}' under {home}, not in section '{section}'")
+    if isinstance(raw.get("algorithm"), dict) and "algorithm" in raw["algorithm"]:
+        raise ConfigurationError("set 'algorithm' under sweep.algorithms, not in section 'algorithm'")
     return _build_dataclass(
         SweepSpec, raw["sweep"], "sweep",
         scenario=_build_dataclass(ScenarioConfig, raw["scenario"], "scenario"),

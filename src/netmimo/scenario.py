@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolationError, SingularMatrixError
+from .errors import ConfigurationError, ContractViolationError, SingularMatrixError, check_field_types
 from .linalg import adjoint, hermitian_part, psd_inv_sqrt_batch
 from .model import PartialCooperationSystem, sum_over_sources
 
@@ -51,8 +51,9 @@ PLACEMENT_POLICIES = ("uniform", "fixed_radius")
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Cellular experiment parameters (see module docstring for units).  A
-    config checks itself when built, and so on ``dataclasses.replace``: an
-    invalid value raises :class:`ConfigurationError`."""
+    config checks itself when built, and so on ``dataclasses.replace``: a
+    wrong type (:func:`errors.check_field_types`) or an invalid value raises
+    :class:`ConfigurationError`.  :func:`realize` takes the draws' generator."""
 
     cluster_size: int = 3
     users_per_cell: int = 1
@@ -69,9 +70,9 @@ class ScenarioConfig:
     user_placement: str = "uniform"
     placement_fraction: float = 2.0 / 3.0
     sector_offset: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.cluster_size not in CLUSTER_SHAPES:
             raise ConfigurationError(
                 f"cluster_size {self.cluster_size} unsupported; choose one of "
@@ -199,7 +200,7 @@ def build_geometry(config: ScenarioConfig, rng: np.random.Generator) -> Geometry
         tier_positions=tier_xy,
         user_positions=np.array(user_positions),
         user_cells=np.array(user_cells, dtype=int),
-        sector_orientations=np.mod(orientations + np.pi, 2.0 * np.pi) - np.pi,
+        sector_orientations=_wrap_angle(orientations),
     )
 
 
@@ -314,11 +315,10 @@ def assign_cooperation(config: ScenarioConfig, channels: ChannelRealization) -> 
     return tuple(map(tuple, np.sort(ranked, axis=1).tolist()))
 
 
-def realize(config: ScenarioConfig, rng: np.random.Generator | None = None) -> PartialCooperationSystem:
-    """Generate a complete partially cooperating downlink: geometry, channel
-    draws, out-of-cluster whitening and cooperation assignment."""
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+def realize(config: ScenarioConfig, rng: np.random.Generator) -> PartialCooperationSystem:
+    """Generate a complete partially cooperating downlink from ``rng``'s
+    draws: geometry, channel draws, out-of-cluster whitening and
+    cooperation assignment."""
     geometry = build_geometry(config, rng)
     channels = whiten_out_of_cluster(config, geometry, draw_channels(config, geometry, rng))
     serving = assign_cooperation(config, channels)

@@ -257,6 +257,12 @@ def stream_order(weights):
     return None if (weights[:, :-1] >= weights[:, 1:]).all() else np.argsort(-weights, axis=-1, kind="stable")
 
 
+def usable_gains(gains):
+    """Mask of the (..., d) descending ``gains`` that carry usable signal:
+    those above GAIN_RTOL * max(1, largest gain)."""
+    return gains > GAIN_RTOL * np.maximum(1.0, gains[..., :1])
+
+
 def priced_minimizer(f, c, weights, order, values: bool = False):
     """Minimizers B_k of tr{W_k (I + B^H R_k B)^{-1}} + tr{F_k B B^H} for
     pricing matrices F_k, (K, n, m) factors ``c`` of the quadratic forms,
@@ -264,7 +270,7 @@ def priced_minimizer(f, c, weights, order, values: bool = False):
     by ``order``, as the (K, n, d) stack: B_k = T_k (D_k diag(sqrt p)) on
     :func:`priced_directions` (``f`` in either format there) with the
     unit-level waterfill p_i = [sqrt(w_i / g_i) - 1/g_i]^+ on the gains
-    above ``GAIN_RTOL``.  With ``values`` the (K,) objective values
+    :func:`usable_gains`.  With ``values`` the (K,) objective values
     tr{W_k (I + B_k^H R_k B_k)^{-1}} = sum_i w_i / (1 + p_i g_i) come
     along, as ``(columns, values)``: B_k^H R_k B_k = diag(p_i g_i).  Once
     per pass; ``order`` (:func:`stream_order`) the caller finds once per
@@ -272,7 +278,7 @@ def priced_minimizer(f, c, weights, order, values: bool = False):
     (rearrangement: the active-stream cost sums sqrt(w_i / g_i))."""
     t, basis, gains = priced_directions(f, c, weights.shape[-1])
     paired_w = weights if order is None else np.take_along_axis(weights, order, -1)
-    active = gains > GAIN_RTOL * np.maximum(1.0, gains[:, :1])  # gains descend
+    active = usable_gains(gains)
     if active.all():  # the masked waterfill below, without its masks
         powers = np.maximum(np.sqrt(paired_w / gains) - 1.0 / gains, 0.0)
     else:
@@ -397,7 +403,7 @@ def solve_single_constraint(problem: SingleUserProblem) -> SingleUserSolution:
     # largest weight rides the strongest direction
     order = np.argsort(-problem.weights, kind="stable")
     paired_w = problem.weights[order]         # descending, aligned with gains
-    active = gains > GAIN_RTOL * max(1.0, float(np.max(gains, initial=0.0)))
+    active = usable_gains(gains)
     ranked_powers = np.zeros_like(gains)
     level = float("inf")
     if np.any(active):

@@ -51,9 +51,9 @@ def report(criterion, detail):
 
 def cellular_instance(seed, **kwargs):
     defaults = dict(cluster_size=3, users_per_cell=1, nt=4, nr=2, streams=2,
-                    cooperation_factor=2, boundary_snr_db=20.0, seed=seed)
+                    cooperation_factor=2, boundary_snr_db=20.0)
     defaults.update(kwargs)
-    system = realize(ScenarioConfig(**defaults))
+    system = realize(ScenarioConfig(**defaults), np.random.default_rng(seed))
     return system, build_interference_problem(system)
 
 

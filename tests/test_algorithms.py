@@ -46,9 +46,9 @@ from conftest import antenna_link, count_decompositions, dense_link
 
 def cellular_problem(seed, **kwargs):
     defaults = dict(cluster_size=3, users_per_cell=1, nt=4, nr=2, streams=2,
-                    cooperation_factor=2, boundary_snr_db=20.0, seed=seed)
+                    cooperation_factor=2, boundary_snr_db=20.0)
     defaults.update(kwargs)
-    system = realize(ScenarioConfig(**defaults))
+    system = realize(ScenarioConfig(**defaults), np.random.default_rng(seed))
     return system, build_interference_problem(system)
 
 
@@ -80,11 +80,17 @@ def test_config_validation():
     base = AlgorithmConfig()
     for invalid in (dict(algorithm="nope"), dict(algorithm="min_leakage", objective="srm"),
                     dict(algorithm="pwf", objective="wsmmse"), dict(algorithm="pwf"),
-                    dict(inner_tol=0.0), dict(max_outer=0), dict(initialization="zeros")):
+                    dict(inner_tol=0.0), dict(max_outer=0), dict(initialization="zeros"),
+                    # and the field types: no float or bool for an integer, no NaN, infinity or text for a float
+                    dict(max_outer=2.0), dict(max_inner=True), dict(init_seed=1.5), dict(inner_tol=float("nan")),
+                    dict(lambda_init=float("inf")), dict(subgradient_step="0.1"), dict(algorithm=None)):
         with pytest.raises(ConfigurationError):
             AlgorithmConfig(**invalid)
         with pytest.raises(ConfigurationError):
             replace(base, **invalid)
+    # an integer in a float field comes back as a float
+    for config in (AlgorithmConfig(lambda_init=2), replace(base, lambda_init=2)):
+        assert type(config.lambda_init) is float and config.lambda_init == 2.0
     for algorithm, objective in FIXED_OBJECTIVES.items():
         assert replace(base, algorithm=algorithm, objective=objective).objective == objective
 
@@ -236,7 +242,10 @@ def reference_emmseia_search(problem, equalizers, weights, mu, constraint_tol, m
     """The KKT multiplier search that _emmseia_multiplier_search replaced,
     kept as its oracle: the priced systems rebuilt from the grams at every
     step (here by the dense multiplier sum, the bits of the program's
-    pricing on supports) and the usage recomputed through constraint_usage."""
+    pricing on supports) and the usage recomputed through constraint_usage.
+    Its slackness test and multiplier step work on arrays; the program's on
+    Python floats of the M budgets make the same IEEE operations, so the
+    multipliers carry the same bits."""
     from netmimo.algorithms import LAMBDA_CAP, SLACKNESS_TOL, _emmseia_factors
 
     budgets = problem.budgets
@@ -880,7 +889,7 @@ def test_min_leakage_matches_per_pair_reference_bit_for_bit(name, sectors):
     config = LEAKAGE_CONFIGS[name]
     for seed in range(3):
         system = realize(ScenarioConfig(cluster_size=7, nt=6, nr=2, streams=2, cooperation_factor=2,
-                                        sectors=sectors, seed=seed))
+                                        sectors=sectors), np.random.default_rng(seed))
         sol = min_leakage_solve(system, config)
         _assert_identical(_leakage_outputs(sol), reference_min_leakage(system, config))
         assert all(b <= a + 1e-12 * max(1.0, a) for a, b in zip(sol.trace, sol.trace[1:]))

@@ -2,6 +2,7 @@
 CSV emission, and the command-line entry point."""
 
 import copy
+import csv
 import hashlib
 import json
 from dataclasses import fields, replace
@@ -63,6 +64,12 @@ def test_parse_config_round_trip(tmp_path):
     assert spec.scenario.cluster_size == 3
     assert spec.algorithm_config.objective == "srm"
     assert spec.master_seed == 99
+    # an integer in a float key comes back as a float
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["scenario"]["boundary_snr_db"], cfg["algorithm"]["lambda_init"] = 10, 2
+    spec = parse_config(write_config(tmp_path, cfg))
+    assert type(spec.scenario.boundary_snr_db) is float and spec.scenario.boundary_snr_db == 10.0
+    assert type(spec.algorithm_config.lambda_init) is float and spec.algorithm_config.lambda_init == 2.0
 
 
 def test_parse_config_rejects_unknown_key(tmp_path):
@@ -150,12 +157,20 @@ def test_sweep_spec_checks_itself():
     spec = _spec()
     for invalid in (dict(values=(1.0, 1)), dict(values=()), dict(algorithms=("dmmse", "dmmse")),
                     dict(algorithms=("nope",)), dict(trials=0), dict(master_seed=-1),
-                    dict(variable="frequency"), dict(variable="kappa", values=(1, 4))):
+                    dict(variable="frequency"), dict(variable="kappa", values=(1, 4)),
+                    # and the field types, the swept values' included
+                    dict(trials=1.5), dict(trials=True), dict(master_seed=1.5), dict(variable=None),
+                    dict(algorithms="dmmse"), dict(values=5.0), dict(values=(0.0, "5")),
+                    dict(variable="kappa", values=(1, 2.5)), dict(scenario={}),
+                    dict(algorithm_config=replace(spec, trials=3))):
         with pytest.raises(ConfigurationError):
             replace(spec, **invalid)
         with pytest.raises(ConfigurationError):
             SweepSpec(**{**{f.name: getattr(spec, f.name) for f in fields(SweepSpec)}, **invalid})
     assert replace(spec, variable="kappa", values=(1, 3)).values == (1, 3)
+    # a list becomes a tuple
+    assert replace(spec, values=[0.0, 5.0], algorithms=["pwf"]).algorithms == ("pwf",)
+    assert replace(spec, values=[0.0, 5.0]).values == (0.0, 5.0)
 
 
 def test_run_trial_deterministic():
@@ -292,6 +307,53 @@ def test_cli_run_and_cdf(tmp_path):
     code = main(["cdf", str(out / "records.csv"), "--out-dir", str(out)])
     assert code == 0
     assert (out / "cdf.csv").exists()
+
+
+def test_failed_trial_is_flagged_counted_and_left_out(tmp_path, monkeypatch, capsys):
+    # the first min_leakage solve (value 0, trial 0) fails numerically; the
+    # sweep goes on, and every output keeps the failure apart
+    from netmimo import NumericalFailureError, experiment
+
+    config = write_config(tmp_path, BASE_CONFIG)
+    assert main(["run", str(config), "--out-dir", str(tmp_path / "clean")]) == 0
+    clean = read_records_csv(tmp_path / "clean" / "records.csv")
+    failed = []
+
+    def solve_or_fail(system, algorithm_config):
+        if algorithm_config.algorithm == "min_leakage" and not failed:
+            failed.append(algorithm_config)
+            raise NumericalFailureError("injected failure")
+        return solve_system(system, algorithm_config)
+
+    monkeypatch.setattr(experiment, "solve_system", solve_or_fail)
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out-dir", str(out)]) == 2
+    assert "1 of 8 trials failed" in capsys.readouterr().err
+    records = read_records_csv(out / "records.csv")
+    bad = [i for i, r in enumerate(records) if r.failed]
+    assert bad == [1] and (records[1].sweep_value, records[1].trial, records[1].algorithm) == (0.0, 0, "min_leakage")
+    assert np.isnan(records[1].per_cell_sum_rate) and records[1].iterations == 0 and not records[1].converged
+    assert [_record_text(r) for i, r in enumerate(records) if i != 1] == \
+        [_record_text(r) for i, r in enumerate(clean) if i != 1]
+    # the group's one good trial (value 0, trial 1) makes its mean and its CDF
+    survivor = clean[3]
+    assert (survivor.sweep_value, survivor.trial, survivor.algorithm) == (0.0, 1, "min_leakage")
+    with open(out / "summary.csv", encoding="utf-8") as handle:
+        summary = {(row["sweep_value"], row["algorithm"]): row for row in csv.DictReader(handle)}
+    assert [(key, row["trials"], row["failures"]) for key, row in summary.items()] == [
+        (("0", "dmmse"), "2", "0"), (("0", "min_leakage"), "2", "1"),
+        (("5", "dmmse"), "2", "0"), (("5", "min_leakage"), "2", "0")]
+    group = summary[("0", "min_leakage")]
+    assert float(group["mean_per_cell_rate"]) == pytest.approx(survivor.per_cell_sum_rate, rel=1e-11)
+    assert float(group["std_per_cell_rate"]) == 0.0
+    assert float(group["mean_iterations"]) == survivor.iterations
+    assert main(["cdf", str(out / "records.csv"), "--out-dir", str(out)]) == 0
+    with open(out / "cdf.csv", encoding="utf-8") as handle:
+        cdf = list(csv.DictReader(handle))
+    assert len(cdf) == 7
+    points = [row for row in cdf if (row["sweep_value"], row["algorithm"]) == ("0", "min_leakage")]
+    assert [row["cum_fraction"] for row in points] == ["1"]
+    assert float(points[0]["rate"]) == pytest.approx(survivor.per_cell_sum_rate, rel=1e-11)
 
 
 def test_cli_seed_and_algorithm_overrides(tmp_path, capsys):

@@ -1,8 +1,9 @@
-"""Every import is read, and every private helper is called: stdlib-``ast``
-checks.  The import check covers the package, the tests and the demos; the
-package's ``__init__`` re-exports its names, so it is exempt.  The helper
-check covers the module-level private functions of the package, which only
-the package itself may read."""
+"""Every import is read, and every private helper and every constant is
+used: stdlib-``ast`` checks.  The import check covers the package, the
+tests and the demos; the package's ``__init__`` re-exports its names, so it
+is exempt.  The helper and constant checks cover the module-level private
+functions and UPPER_CASE names of the package, which the package itself
+must read."""
 
 import ast
 from pathlib import Path
@@ -67,9 +68,36 @@ def test_the_check_sees_an_orphaned_helper():
     assert {name for _, name in private_functions(source)} - read_names(source) == {"_orphan"}
 
 
-def test_every_private_helper_is_read():
+def unread_in_package(definitions) -> list:
+    """"path:line name" of each name ``definitions`` finds in a package
+    module that no package module reads."""
     sources = {path.relative_to(ROOT): path.read_text() for path in sorted((ROOT / "src").rglob("*.py"))}
     read = set().union(*map(read_names, sources.values()))
-    found = [f"{relative}:{line} {name}" for relative, source in sources.items()
-             for line, name in private_functions(source) if name not in read]
+    return [f"{relative}:{line} {name}" for relative, source in sources.items()
+            for line, name in definitions(source) if name not in read]
+
+
+def test_every_private_helper_is_read():
+    found = unread_in_package(private_functions)
+    assert not found, found
+
+
+def module_constants(source: str) -> list:
+    """(line, name) of each UPPER_CASE name a module assigns at module level."""
+    found = []
+    for node in ast.parse(source).body:
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        found += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name) and t.id.isupper()]
+    return found
+
+
+def test_the_check_sees_an_unread_constant():
+    source = "LIMIT = 3\nSTEP: float = 0.1\nname = 'x'\n\n\ndef f():\n    return LIMIT, name\n"
+    assert module_constants(source) == [(1, "LIMIT"), (2, "STEP")]
+    assert {name for _, name in module_constants(source)} - read_names(source) == {"STEP"}
+
+
+def test_every_module_constant_is_read():
+    found = unread_in_package(module_constants)
     assert not found, found

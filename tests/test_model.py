@@ -158,7 +158,7 @@ def test_non_finite_channel_rejected(value):
     # a non-finite entry in one cross channel of a cooperation-sweep draw,
     # whether the problem is rebuilt from its arrays or from blocks
     problem = build_interference_problem(realize(ScenarioConfig(
-        cluster_size=5, users_per_cell=2, nt=4, nr=2, streams=2, cooperation_factor=5, seed=3)))
+        cluster_size=5, users_per_cell=2, nt=4, nr=2, streams=2, cooperation_factor=5), np.random.default_rng(3)))
     channels = problem.channels.copy()
     channels[2, 3, 0, 0] = value
     with pytest.raises(ContractViolationError, match="channel entries must be finite"):
@@ -174,7 +174,7 @@ def test_non_finite_channel_rejected(value):
 @pytest.mark.parametrize("where", ["entry", "user"])
 def test_rate_of_a_nan_precoder_stack_raises(where):
     # a NaN precoder gives NaN gains: the rate raises instead of returning NaN
-    problem = build_interference_problem(realize(ScenarioConfig(seed=3)))
+    problem = build_interference_problem(realize(ScenarioConfig(), np.random.default_rng(3)))
     precoders = problem.precoders([np.eye(problem.tx_dims[k], problem.streams[k])
                                    for k in range(problem.num_users)])
     if where == "entry":
@@ -322,8 +322,8 @@ def oracle_systems():
         for cluster, users in ((3, 1), (7, 1), (5, 2)):
             for kappa in range(1, min(cluster, 5) + 1):
                 yield realize(ScenarioConfig(cluster_size=cluster, users_per_cell=users, nt=6, nr=2,
-                                             streams=2, cooperation_factor=kappa, sectors=sectors,
-                                             seed=100 * sectors + 10 * cluster + kappa))
+                                             streams=2, cooperation_factor=kappa, sectors=sectors),
+                              np.random.default_rng(100 * sectors + 10 * cluster + kappa))
 
 
 def test_build_matches_block_oracle(mixed_systems):
@@ -608,7 +608,7 @@ def test_shared_receive_gains_give_the_bits_of_separate_evaluations(mixed_proble
     rng = np.random.default_rng(31)
     cellular = [build_interference_problem(realize(ScenarioConfig(
         cluster_size=5, users_per_cell=2, nt=4, nr=2, streams=2, cooperation_factor=kappa,
-        boundary_snr_db=20.0, seed=kappa))) for kappa in (1, 2, 5)]
+        boundary_snr_db=20.0), np.random.default_rng(kappa))) for kappa in (1, 2, 5)]
     for problem in list(mixed_problems.values()) + cellular:
         tx, rx_dims, d = problem.tx_dims, problem.rx_dims, problem.streams
         for scale in (0.05, 0.6, 3.0):
@@ -724,7 +724,8 @@ def test_per_source_layouts_give_the_bits_of_the_pairwise_products(mixed_problem
     from netmimo.model import reverse_link_sums
 
     problems = [build_interference_problem(realize(ScenarioConfig(
-        cluster_size=5, users_per_cell=2, nt=4, nr=2, streams=2, cooperation_factor=kappa, seed=70 + kappa)))
+        cluster_size=5, users_per_cell=2, nt=4, nr=2, streams=2, cooperation_factor=kappa),
+        np.random.default_rng(70 + kappa)))
         for kappa in (1, 2, 3, 5)] + list(mixed_problems.values())
     rng = np.random.default_rng(15)
     for problem in problems:

@@ -25,7 +25,7 @@ from netmimo.scenario import MIN_DISTANCE_KM
 
 def base_config(**kwargs):
     defaults = dict(cluster_size=3, users_per_cell=1, nt=4, nr=2, streams=2,
-                    cooperation_factor=2, boundary_snr_db=20.0, seed=0)
+                    cooperation_factor=2, boundary_snr_db=20.0)
     defaults.update(kwargs)
     return ScenarioConfig(**defaults)
 
@@ -239,8 +239,8 @@ def test_realize_shapes():
 
 
 def test_realize_deterministic():
-    a = realize(base_config(seed=21))
-    b = realize(base_config(seed=21))
+    a = realize(base_config(), np.random.default_rng(21))
+    b = realize(base_config(), np.random.default_rng(21))
     assert np.array_equal(a.channels, b.channels)
     assert a.serving_sets == b.serving_sets
 
@@ -250,12 +250,18 @@ def test_config_validation():
     base = base_config()
     for invalid in (dict(cooperation_factor=4), dict(cooperation_factor=9), dict(sectors=5),
                     dict(nt=4, sectors=3), dict(pathloss_exponent=1.5), dict(streams=3),
-                    dict(cluster_size=2), dict(user_placement="grid")):
+                    dict(cluster_size=2), dict(user_placement="grid"),
+                    # and the field types: no float or bool for an integer, no NaN, infinity or text for a float
+                    dict(users_per_cell=1.5), dict(streams=True), dict(nt=4.0), dict(boundary_snr_db=float("inf")),
+                    dict(shadowing_sigma_db=float("nan")), dict(sector_offset="30deg"), dict(user_placement=1)):
         with pytest.raises(ConfigurationError):
             base_config(**invalid)
         with pytest.raises(ConfigurationError):
             replace(base, **invalid)
     assert replace(base, nt=6, sectors=3).sectors == 3
+    # an integer in a float field comes back as a float
+    for config in (base_config(boundary_snr_db=7), replace(base, boundary_snr_db=7)):
+        assert type(config.boundary_snr_db) is float and config.boundary_snr_db == 7.0
 
 
 def test_sectorized_realize_runs():
