@@ -62,10 +62,8 @@ inverted over the transmit space (``dmmse``'s F_k, ``pwf``'s reversed-link
 covariance, ``emmseia``'s linear system) get 1 on their padded diagonal,
 padded streams get zero weight in ``dmmse`` and no power in ``pwf``, and
 each user's block is cut out only where a result leaves the solver.
-The priced constraint weights and their usage come from
-:func:`linalg.priced_weights` and :func:`linalg.weight_usage`;
-:func:`fit_to_budgets` reads the supports only to choose its scaling.
-``min_leakage`` works on the physical per-BS form.
+Pricing, usage and budget scaling of the constraint weights are
+:mod:`linalg`'s.  ``min_leakage`` works on the physical per-BS form.
 
 Every sum-rate (``srm``) solution meets each budget by construction: the
 finisher scales a last iterate more than ``constraint_tol`` over a budget
@@ -82,7 +80,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, NumericalFailureError, check_field_types
-from .linalg import adjoint, ascending_sum, bisect_level, hermitian_part, priced_weights, weight_usage
+from .linalg import (adjoint, ascending_sum, bisect_level, budget_scaling, hermitian_part, priced_weights, repricer,
+                     weight_usage)
 from .model import (
     BeamformerSolution,
     InterferenceProblem,
@@ -240,18 +239,10 @@ def initialize_precoders(problem: InterferenceProblem, config: AlgorithmConfig) 
 
 
 def fit_to_budgets(problem: InterferenceProblem, precoders) -> ReceiveSide:
-    """Scale ``precoders`` so that every constraint meets its budget; returns
-    the :class:`ReceiveSide` of the scaled padded stack.
-
-    When the constraint weights are diagonal with disjoint supports
-    (:attr:`InterferenceProblem.constraint_supports`), the rows weighed by
-    each over-budget constraint m are scaled by sqrt(P_m / usage_m) in every
-    precoder, which sets usage_m to P_m and leaves every other constraint
-    and every other row unchanged.  For any other constraint weights all
-    precoders share the one factor sqrt(min_m P_m / usage_m) over the
-    over-budget m; usage is quadratic in the precoders, so every constraint
-    then meets its budget.
-    """
+    """Scale ``precoders`` so that every constraint meets its budget, by the
+    :func:`linalg.budget_scaling` of the factors sqrt(P_m / usage_m) of the
+    over-budget constraints m (1 for the others); returns the
+    :class:`ReceiveSide` of the scaled padded stack."""
     budgets = problem.budgets
     rx = ReceiveSide(problem, precoders)
     usage = rx.usage
@@ -260,12 +251,7 @@ def fit_to_budgets(problem: InterferenceProblem, precoders) -> ReceiveSide:
         return rx
     factors = np.ones(problem.num_constraints)
     factors[over] = np.sqrt(budgets[over] / usage[over])
-    supports = problem.constraint_supports
-    if supports is None:
-        scaled = float(np.min(factors)) * rx.precoders
-    else:
-        scaled = (factors @ (supports != 0))[..., None] * rx.precoders
-    return ReceiveSide(problem, scaled)
+    return ReceiveSide(problem, budget_scaling(problem.constraint_supports, factors) * rx.precoders)
 
 
 def _finish(problem: InterferenceProblem, config: AlgorithmConfig, run, rx: ReceiveSide, multipliers,
@@ -379,27 +365,12 @@ def _emmseia_solver(problem, grams, rhs):
     """solve(mu): the padded (K, m_t, d) stack of the B_k that solve
     (grams_k + sum_m mu_m Phi_{k,m}) B_k = rhs_k.  The S linear systems of
     the transmit sets (the grams of a set's users are equal) are built
-    once, and each call factors each once for all its users' right-hand
-    sides (:func:`_solve_systems`).  On constraint supports a call rewrites
-    only the systems' diagonal, the grams' diagonal plus mu_m s_i for the
-    one constraint m that weighs coordinate i, by s_i
-    (:attr:`model.TransmitSets.owners`), the bits of mu @ supports and so
-    of :func:`linalg.priced_weights`; dense weights are priced afresh."""
+    once, priced by one :func:`linalg.repricer`, and each call factors each
+    once for all its users' right-hand sides (:func:`_solve_systems`)."""
     sets = problem.transmit_sets
-    systems, rhs = grams[sets.representatives], sets.side_by_side(rhs)
-    if sets.supports is None:
-        def systems_at(mu):
-            return priced_weights(sets.constraints, None, mu, systems)
-    else:
-        owner, scale = sets.owners
-        diagonal = np.einsum("...ii->...i", systems)  # a view: the systems are this solver's own
-        base = diagonal.copy()
-
-        def systems_at(mu):
-            np.add(base, mu[owner] * scale, out=diagonal)
-            return systems
-
-    return lambda mu: sets.per_user(_solve_systems(systems_at(np.array(mu, dtype=float)), rhs))
+    price = repricer(sets.constraints, sets.supports, grams[sets.representatives])
+    rhs = sets.side_by_side(rhs)
+    return lambda mu: sets.per_user(_solve_systems(price(np.array(mu, dtype=float)), rhs))
 
 
 def _solve_systems(systems, rhs):

@@ -7,10 +7,11 @@ a fixed number of independent trials per value for each of its distinct
 algorithms, and records the per-cell sum rate plus solver health per trial.
 Each variable sets one ``ScenarioConfig`` field (``SWEEP_VARIABLES``), and
 the scenario checks each value as it checks that field, so the integer
-fields take integers only.  Trial RNG streams derive from
-(master_seed, value index, trial index), so results are reproducible under
-value reordering and parallel execution; the same (config, seed) pair
-yields byte-identical CSV files.
+fields take integers only.  A :class:`SweepSpec` builds each swept scenario
+and each algorithm's config once, and its trials read them.  Trial RNG
+streams derive from (master_seed, value index, trial index), so results
+are reproducible under value reordering and parallel execution; the same
+(config, seed) pair yields byte-identical CSV files.
 
 Each file format is declared once, by the dataclass that holds it: config
 sections are parsed from the fields of :class:`SweepSpec`,
@@ -83,7 +84,9 @@ RECORD_COLUMNS = tuple(f.name for f in fields(TrialRecord) if f.name != "wall_ti
 class SweepSpec:
     """One sweep.  It checks itself when built, and so on ``dataclasses.replace``,
     each swept scenario included: a wrong type or an invalid value raises
-    ConfigurationError."""
+    ConfigurationError.  It keeps what its trials read, built once: the
+    swept ``scenarios``, one per value, and the ``configs`` of its
+    algorithms (:func:`resolve_algorithm_config`), by name."""
 
     variable: str
     values: tuple
@@ -108,8 +111,11 @@ class SweepSpec:
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ConfigurationError(f"unknown algorithm '{alg}'; choose from {ALGORITHMS}")
-        for value in self.values:
-            scenario_for_value(self.scenario, self.variable, value)
+        # attributes, not fields: they are no config keys, and replace() rebuilds them
+        object.__setattr__(self, "scenarios",
+                           tuple(scenario_for_value(self.scenario, self.variable, v) for v in self.values))
+        object.__setattr__(self, "configs",
+                           {alg: resolve_algorithm_config(self.algorithm_config, alg) for alg in self.algorithms})
         # equal values, or a repeated algorithm, would merge groups in summary.csv
         if len({float(v) for v in self.values}) < len(self.values):
             raise ConfigurationError("sweep values must be distinct")
@@ -216,13 +222,12 @@ def trial_rng(master_seed: int, value_index: int, trial_index: int) -> np.random
 
 
 def run_trial(spec: SweepSpec, value_index: int, trial_index: int, algorithm: str) -> TrialRecord:
-    """Realize one scenario draw, run one algorithm, and record the per-cell
-    sum rate (total rate divided by the cluster size), the unweighted sum
-    MSE, and solver health.  Numerical failures flag the record instead of
-    aborting the sweep."""
+    """Realize one scenario draw, run one of the sweep's algorithms, and
+    record the per-cell sum rate (total rate divided by the cluster size),
+    the unweighted sum MSE, and solver health.  Numerical failures flag the
+    record instead of aborting the sweep."""
     value = spec.values[value_index]
-    scenario_cfg = scenario_for_value(spec.scenario, spec.variable, value)
-    config = resolve_algorithm_config(spec.algorithm_config, algorithm)
+    scenario_cfg, config = spec.scenarios[value_index], spec.configs[algorithm]
     rng = trial_rng(spec.master_seed, value_index, trial_index)
     system = realize(scenario_cfg, rng)
     started = time.perf_counter()

@@ -6,9 +6,11 @@ take exactly Hermitian stacks (a :func:`hermitian_part`, say), so round-off
 asymmetry never reaches LAPACK.
 
 The weights Phi_m of the power constraints tr{Phi_m B B^H} <= P_m are read
-here only: :func:`priced_weights` and :func:`weight_usage` work on their
-:func:`disjoint_diagonals` (per-antenna or per-BS block masks) where those
-exist and densely otherwise; :func:`indefinite_members` checks their sum.
+here only, and so is their format: their :func:`disjoint_diagonals`
+(per-antenna or per-BS block masks) where those exist, else dense.
+:func:`priced_weights`, :func:`repricer`, :func:`priced_form`,
+:func:`weight_usage` and :func:`budget_scaling` take either, so no caller
+branches on it; :func:`indefinite_members` checks their sum.
 """
 
 from __future__ import annotations
@@ -188,6 +190,43 @@ def priced_weights(weights, supports, lam, base=None) -> np.ndarray:
         diag = np.arange(priced.shape[-1])
         priced[..., diag, diag] += lam @ supports
     return priced
+
+
+def repricer(weights, supports, base):
+    """price(lam): the bits of ``priced_weights(weights, supports, lam,
+    base)`` for a (..., n, n) ``base`` that ``price`` owns.  On supports a
+    call rewrites only the diagonal of ``base`` itself, to its starting
+    diagonal plus lam[owner_i] s_i for the one constraint weighing
+    coordinate i and its weight s_i there (0 where none does), the one
+    nonzero term of (lam @ supports)_i; dense weights are priced afresh."""
+    if supports is None:
+        return lambda lam: priced_weights(weights, None, lam, base)
+    owner, scale = (supports != 0).argmax(axis=-2), supports.sum(axis=-2)
+    diagonal = np.einsum("...ii->...i", base)  # a view: price writes through it into base
+    start = diagonal.copy()
+
+    def price(lam):
+        np.add(start, lam[owner] * scale, out=diagonal)
+        return base
+
+    return price
+
+
+def priced_form(weights, supports, lam) -> np.ndarray:
+    """sum_m lam_m Phi_m in the form :func:`single_user.priced_directions`
+    takes: the (..., n) diagonals lam @ supports on supports, else the
+    Hermitian part of the dense (..., n, n) sum (:func:`priced_weights`)."""
+    return hermitian_part(priced_weights(weights, None, lam)) if supports is None else lam @ supports
+
+
+def budget_scaling(supports, factors):
+    """What a precoder stack is multiplied by to scale each usage_m by at
+    most factors_m^2, factors in (0, 1]: on supports the (..., n, 1) factor
+    of the one constraint weighing each row (0 where none does), exactly
+    factors_m^2; for dense weights min_m factors_m (usage is quadratic)."""
+    if supports is None:
+        return float(np.min(factors))
+    return (factors @ (supports != 0))[..., None]
 
 
 def weight_usage(weights, supports, x) -> np.ndarray:

@@ -39,10 +39,9 @@ problem caches what every solver pass reuses: the adjoint ``direct_h``,
 ``cross_victims`` of :func:`interference_covariances`, the reverse-link
 layouts ``reverse_channels`` and ``reverse_cross`` of
 :func:`reverse_link_sums`, the identities ``rx_eye`` and ``stream_eye``,
-the ``constraint_supports`` that :func:`linalg.priced_weights` and
-:func:`linalg.weight_usage` read, and the ``transmit_sets``, the users
-that share one transmit side (a serving set), whose reverse-link sums
-are one matrix.
+the ``constraint_supports`` (:func:`linalg.disjoint_diagonals`), and the
+``transmit_sets``, the users that share one transmit side (a serving set),
+whose reverse-link sums are one matrix.
 
 Noise is identity by convention; colored noise must be whitened upstream
 (see :mod:`netmimo.scenario`).
@@ -322,9 +321,8 @@ class InterferenceProblem:
             set_of[users], slot[users] = s, np.arange(len(users))
         reps = np.array([users[0] for users in members.values()])
         shape = (reps.size, self.channels.shape[-1], int(slot.max()) + 1, self.mse_weights.shape[-1])
-        supports = self.constraint_supports
-        return TransmitSets(reps, set_of, slot, shape, self.constraints[reps],
-                            None if supports is None else supports[reps])
+        weights = self.constraints[reps]
+        return TransmitSets(reps, set_of, slot, shape, weights, disjoint_diagonals(weights))
 
     @cached_property
     def tx_pad(self) -> tuple:
@@ -372,8 +370,7 @@ class TransmitSets:
                        blocks of each set's users side by side, g the size
                        of the largest set
     constraints     -- (S, M, m_t, m_t) each set's constraint weights
-    supports        -- (S, M, m_t) their supports, or None
-                       (:attr:`InterferenceProblem.constraint_supports`)
+    supports        -- their :func:`linalg.disjoint_diagonals`
 
     :meth:`side_by_side` and :meth:`per_user` move a padded (K, m_t, d)
     stack to that layout and back, each by one flat index."""
@@ -384,14 +381,6 @@ class TransmitSets:
     shape: tuple
     constraints: np.ndarray
     supports: np.ndarray | None
-
-    @cached_property
-    def owners(self) -> tuple:
-        """(owner, scale), (S, m_t) each, on supports: the one constraint
-        that weighs each transmit coordinate (0 where none does) and its
-        weight there, so that mu[owner] * scale has the bits of
-        mu @ supports (each of its sums has one nonzero term)."""
-        return (self.supports != 0).argmax(axis=-2), self.supports.sum(axis=-2)
 
     @cached_property
     def index(self) -> np.ndarray:

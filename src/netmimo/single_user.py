@@ -11,18 +11,15 @@ F = Phi and the powers meet the budget.  With several,
 :func:`solve_multi_constraint` prices them with multipliers lam: the
 Lagrangian minimizer is the closed form with F = sum_m lam_m Phi_m at unit
 water level, and lam ascends on the constraint residuals.  The usage
-tr{Phi_m B B^H} is :func:`linalg.weight_usage` and the dense F
-:func:`linalg.priced_weights`, the kernels that read the constraint
-format.
+tr{Phi_m B B^H} is :func:`linalg.weight_usage` and F
+:func:`linalg.priced_form`, the kernels that read the constraint format.
 
 The step takes one path per price format.  A dense F, which every caller
 forms positive definite, is solved with in the receive dimension m = m_r:
 X = F^{-1} C by one LU solve and the m x m ``eigh`` of C^H X, whose
 eigenpairs are the right singular pairs of F^{-1/2} C.  On the commonest
-weights, one budget per antenna or per BS block
-(:attr:`SingleUserProblem.constraint_supports`), F is the vector
-lam @ supports, whitened as a row scaling, so a pass factors nothing but
-one thin SVD.
+weights, one budget per antenna or per BS block, F comes as its diagonal,
+whitened as a row scaling, so a pass factors nothing but one thin SVD.
 
 Shared with ``algorithms``: ``dmmse`` and ``pwf`` run on the same step,
 ``dmmse`` through :func:`priced_minimizer` (the batched form of
@@ -40,7 +37,8 @@ import numpy as np
 
 from .errors import ContractViolationError, NumericalFailureError, SingularMatrixError
 from .linalg import (adjoint, diagonal_whiteners, disjoint_diagonals, hermitian_part, hermitian_top_eigs_batch,
-                     indefinite_members, priced_weights, require_hermitian, waterfill_budget, weight_usage)
+                     indefinite_members, priced_form, priced_weights, require_hermitian, waterfill_budget,
+                     weight_usage)
 
 # Bounds of the power-price multipliers of every dual loop in netmimo.
 LAMBDA_FLOOR = 1e-9
@@ -387,18 +385,17 @@ def dual_loop(run_pass, usage_of, exit_test, lam, budgets, max_outer: int, *, ru
 def solve_single_constraint(problem: SingleUserProblem) -> SingleUserSolution:
     """Globally optimal precoder under a single trace constraint.
 
-    B = T D diag(sqrt p) on :func:`priced_directions` with F = Phi (its
-    diagonal when Phi is a real diagonal; Phi is PD, as the summed weights
-    are validated PD), gains g_1 >= ... >= g_d, and p waterfilled so that
-    tr{Phi B B^H} = sum_i p_i equals the budget.  A zero channel yields
-    B = 0 with objective sum_i w_i.
+    B = T D diag(sqrt p) on :func:`priced_directions` with F = Phi (the
+    :func:`linalg.priced_form` at lam = [1]; Phi is PD, as the summed
+    weights are validated PD), gains g_1 >= ... >= g_d, and p waterfilled
+    so that tr{Phi B B^H} = sum_i p_i equals the budget.  A zero channel
+    yields B = 0 with objective sum_i w_i.
     """
     if problem.num_constraints != 1:
         raise ContractViolationError("solve_single_constraint requires exactly one constraint")
     budget = float(problem.budgets[0])
-    supports = problem.constraint_supports
-    t, basis, gains = priced_directions(hermitian_part(problem.constraints) if supports is None else supports,
-                                        problem.quadratic_factor()[None], problem.streams)
+    f = priced_form(problem.constraints, problem.constraint_supports, np.ones(1))
+    t, basis, gains = priced_directions(f[None], problem.quadratic_factor()[None], problem.streams)
     gains = gains[0]
     # largest weight rides the strongest direction
     order = np.argsort(-problem.weights, kind="stable")
@@ -445,13 +442,10 @@ def solve_multi_constraint(problem: SingleUserProblem) -> DualIterationResult:
     :func:`additive_rule` ascends lam on the constraint residuals,
     lam_m <- max(floor, lam_m + step * (tr{Phi_m B B^H} - P_m)),
     diminishing the step once the active residual stalls for
-    ``STALL_WINDOW`` passes.  On
-    :attr:`SingleUserProblem.constraint_supports` F is the diagonal
-    lam @ supports, whitened as a row scaling; other weights are summed by
-    :func:`linalg.priced_weights` and solved with (the multipliers stay at
-    least ``LAMBDA_FLOOR``, so the sum is PD).  Exits when all
-    constraints hold within ``MULTI_CONSTRAINT_TOL`` (relative) and the
-    objective is stable over five passes.
+    ``STALL_WINDOW`` passes.  F is :func:`linalg.priced_form` (the
+    multipliers stay at least ``LAMBDA_FLOOR``, so a dense F is PD).
+    Exits when all constraints hold within ``MULTI_CONSTRAINT_TOL``
+    (relative) and the objective is stable over five passes.
     """
     budgets, phis, supports = problem.budgets, problem.constraints, problem.constraint_supports
     c, weights = problem.quadratic_factor()[None], problem.weights[None]
@@ -464,7 +458,7 @@ def solve_multi_constraint(problem: SingleUserProblem) -> DualIterationResult:
     )
 
     def run_pass(lam):
-        f = hermitian_part(priced_weights(phis, None, lam)) if supports is None else lam @ supports
+        f = priced_form(phis, supports, lam)
         precoders, values = priced_minimizer(f[None], c, weights, order, values=True)
         precoder, wsmse = precoders[0], float(values[0])
         usage = weight_usage(phis, supports, precoder)

@@ -623,6 +623,16 @@ def test_pwf_reports_where_its_polish_started():
 
 
 
+def test_pwf_without_direct_signal_raises():
+    # zero direct channels give no usable gain, so no water level can spend
+    # the multiplier-weighted budget
+    zero, eye = np.zeros((2, 2)), np.eye(2)
+    problem = InterferenceProblem.from_blocks([[zero, eye], [eye, zero]], [[eye], [eye]], [1.0], [1, 1],
+                                              [np.eye(1)] * 2)
+    with pytest.raises(NumericalFailureError, match="waterfilling cannot meet the multiplier-weighted budget"):
+        pwf_solve(problem, AlgorithmConfig(algorithm="pwf", objective="srm"))
+
+
 def test_dual_loop_solvers_report_their_stop():
     # three pricing passes cannot meet an exit test that needs six stable
     # passes, so they end on the cap (dmmse's flag does not read the stop:

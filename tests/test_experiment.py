@@ -5,6 +5,7 @@ import copy
 import csv
 import hashlib
 import json
+import pickle
 from dataclasses import fields, replace
 
 import numpy as np
@@ -171,6 +172,30 @@ def test_sweep_spec_checks_itself():
     # a list becomes a tuple
     assert replace(spec, values=[0.0, 5.0], algorithms=["pwf"]).algorithms == ("pwf",)
     assert replace(spec, values=[0.0, 5.0]).values == (0.0, 5.0)
+
+
+def test_a_spec_builds_its_trials_inputs_once(monkeypatch):
+    # the swept scenarios and the per-algorithm configs are attributes, not
+    # config fields; replace rebuilds them, pickling to pool workers keeps
+    # them, and run_trial reads them instead of building them again
+    from netmimo import experiment
+
+    spec = _spec()
+    assert not {"scenarios", "configs"} & {f.name for f in fields(SweepSpec)}
+    assert spec.scenarios == tuple(scenario_for_value(spec.scenario, "snr_db", v) for v in spec.values)
+    assert spec.configs == {alg: resolve_algorithm_config(spec.algorithm_config, alg) for alg in spec.algorithms}
+    moved = replace(spec, variable="kappa", values=(1, 3), algorithms=("pwf",))
+    assert [s.cooperation_factor for s in moved.scenarios] == [1, 3] and list(moved.configs) == ["pwf"]
+    shipped = pickle.loads(pickle.dumps(spec))
+    assert shipped.scenarios == spec.scenarios and shipped.configs == spec.configs
+    want = run_trial(spec, 1, 0, "min_leakage")
+
+    def rebuilt(*args):
+        raise AssertionError("run_trial built a config again")
+
+    monkeypatch.setattr(experiment, "scenario_for_value", rebuilt)
+    monkeypatch.setattr(experiment, "resolve_algorithm_config", rebuilt)
+    assert replace(run_trial(shipped, 1, 0, "min_leakage"), wall_time=0.0) == replace(want, wall_time=0.0)
 
 
 def test_run_trial_deterministic():

@@ -1,9 +1,9 @@
-"""Every import is read, and every private helper and every constant is
-used: stdlib-``ast`` checks.  The import check covers the package, the
-tests and the demos; the package's ``__init__`` re-exports its names, so it
-is exempt.  The helper and constant checks cover the module-level private
-functions and UPPER_CASE names of the package, which the package itself
-must read."""
+"""Every import is read, every private helper and every constant is used,
+and only ``linalg`` knows the constraint-weight format: stdlib-``ast``
+checks.  The import check covers the package, the tests and the demos; the
+package's ``__init__`` re-exports its names, so it is exempt.  The helper
+and constant checks cover the module-level private functions and
+UPPER_CASE names of the package, which the package itself must read."""
 
 import ast
 from pathlib import Path
@@ -100,4 +100,30 @@ def test_the_check_sees_an_unread_constant():
 
 def test_every_module_constant_is_read():
     found = unread_in_package(module_constants)
+    assert not found, found
+
+
+def format_branches(source: str) -> list:
+    """(line, name) of each comparison of a name or attribute ending in
+    ``supports`` with None: a choice by constraint-weight format."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(o, ast.Constant) and o.value is None for o in operands):
+                names = [o.id if isinstance(o, ast.Name) else o.attr if isinstance(o, ast.Attribute) else ""
+                         for o in operands]
+                found += [(node.lineno, name) for name in names if name.endswith("supports")]
+    return sorted(found)
+
+
+def test_the_check_sees_a_format_branch():
+    source = ("a = 1 if supports is None else 2\nif sets.supports is not None:\n    pass\n"
+              "b = supports == 0\nc = weights is None\n")
+    assert format_branches(source) == [(1, "supports"), (2, "supports")]
+
+
+def test_only_linalg_branches_on_the_constraint_format():
+    found = [f"{path.relative_to(ROOT)}:{line} {name}" for path in sorted((ROOT / "src").rglob("*.py"))
+             if path.name != "linalg.py" for line, name in format_branches(path.read_text())]
     assert not found, found

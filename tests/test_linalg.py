@@ -5,6 +5,7 @@ import pytest
 
 from netmimo import (
     ContractViolationError,
+    NumericalFailureError,
     SingularMatrixError,
     hermitian_top_eigs,
     psd_inv_sqrt,
@@ -12,8 +13,9 @@ from netmimo import (
     waterfill_budget,
     waterfill_eval,
 )
-from netmimo.linalg import (SINGULARITY_RTOL, _add_rows, adjoint, ascending_sum, diagonal_whiteners,
-                            disjoint_diagonals, hermitian_part, hermitian_top_eigs_batch, psd_inv_sqrt_batch,
+from netmimo.linalg import (SINGULARITY_RTOL, _add_rows, adjoint, ascending_sum, bisect_level, budget_scaling,
+                            diagonal_whiteners, disjoint_diagonals, hermitian_eig, hermitian_part,
+                            hermitian_top_eigs_batch, priced_form, priced_weights, psd_inv_sqrt_batch, repricer,
                             weight_usage)
 
 
@@ -76,6 +78,19 @@ def test_top_eigs_sorted_and_orthonormal():
         assert np.all(np.diff(spec.values) <= 1e-12)
         gram = spec.basis.conj().T @ spec.basis
         assert np.linalg.norm(gram - np.eye(3)) <= 1e-10
+
+
+def test_hermitian_eig_returns_the_ascending_spectrum_of_the_symmetrized_input():
+    rng = np.random.default_rng(4)
+    a = random_hermitian(rng, 4)
+    tilted = a + 1e-13 * rng.standard_normal((4, 4))  # within HERMITIAN_TOL
+    values, vectors = hermitian_eig(tilted)
+    assert np.all(np.diff(values) > 0)
+    assert np.array_equal(values, np.linalg.eigh(hermitian_part(tilted))[0])
+    assert np.allclose(a @ vectors, vectors * values, rtol=0, atol=1e-12)
+    assert np.allclose(adjoint(vectors) @ vectors, np.eye(4), rtol=0, atol=1e-12)
+    with pytest.raises(ContractViolationError):
+        hermitian_eig(a + 1e-6 * np.triu(np.ones((4, 4)), 1))
 
 
 def test_top_eigs_rejects_non_hermitian():
@@ -249,6 +264,52 @@ def test_weight_usage_traces_precoders_in_both_formats():
                        rtol=1e-15, atol=0)
 
 
+def format_cases(rng):
+    """(weights, supports) of two users' constraints in both formats: block
+    masks that leave the last coordinate unweighted, and a dense weight."""
+    masks = np.stack([np.diag(m).astype(complex) for m in ([1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.0])])
+    factor = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    dense = np.stack([factor @ factor.conj().T, masks[1]])
+    return [(w, disjoint_diagonals(w)) for w in (np.stack([masks, masks[::-1]]), np.stack([dense, dense]))]
+
+
+def test_repricer_gives_the_bits_of_priced_weights_in_both_formats():
+    rng = np.random.default_rng(43)
+    for (weights, supports), dense in zip(format_cases(rng), (False, True)):
+        assert (supports is None) == dense
+        base = np.stack([random_hermitian(rng, 4) for _ in range(2)])
+        price = repricer(weights, supports, base.copy())
+        for lam in (rng.random(2), np.array([0.0, 2.5]), rng.random(2)):
+            assert np.array_equal(price(lam), priced_weights(weights, supports, lam, base))
+
+
+def test_priced_form_is_the_priced_sum_in_the_form_of_its_format():
+    rng = np.random.default_rng(44)
+    for weights, supports in format_cases(rng):
+        lam = rng.random(2)
+        form = priced_form(weights[0], None if supports is None else supports[0], lam)
+        total = lam[0] * weights[0, 0] + lam[1] * weights[0, 1]
+        if supports is None:
+            assert np.allclose(form, total, rtol=1e-15, atol=0) and np.array_equal(form, adjoint(form))
+        else:
+            assert np.array_equal(form, np.diagonal(total).real)
+
+
+def test_budget_scaling_brings_each_usage_within_its_factor():
+    # usage_m scales by factors_m^2 exactly on supports, and by at most
+    # that for dense weights
+    rng = np.random.default_rng(45)
+    b = rng.standard_normal((2, 4, 2)) + 1j * rng.standard_normal((2, 4, 2))
+    factors = np.array([0.5, 1.0])
+    for weights, supports in format_cases(rng):
+        usage = weight_usage(weights, supports, b)
+        scaled = weight_usage(weights, supports, budget_scaling(supports, factors) * b)
+        if supports is None:
+            assert np.allclose(scaled, usage * 0.25, rtol=1e-14, atol=0)
+        else:
+            assert np.allclose(scaled, usage * factors ** 2, rtol=1e-14, atol=0)
+
+
 def test_weight_usage_adds_its_rows_as_a_loop_from_zeros_would():
     # one accumulation gives the bits of usage = 0; usage += row, signed
     # zeros included: a column of -0 sums to the loop's +0
@@ -351,6 +412,15 @@ def test_waterfill_budget_two_stream_analytic():
     alloc = waterfill_budget(w, g, budget)
     assert abs(alloc.multiplier - 4.0 / 9.0) <= 1e-6
     assert np.allclose(alloc.levels, [0.5, 0.5], atol=1e-9)
+
+
+def test_bisect_level_failures_raise_numerical_failure():
+    # a map that never reaches the target from below or from above, and a
+    # step that jumps over it, so that no level meets the tolerance
+    for total, what in ((lambda mu: 0.0, "from below"), (lambda mu: 2.0, "from above"),
+                        (lambda mu: 2.0 if mu < 0.5 else 0.0, "did not reach the budget tolerance")):
+        with pytest.raises(NumericalFailureError, match=f"level bisection .*{what}"):
+            bisect_level(total, 1.0, "level")
 
 
 def test_waterfill_budget_zero():

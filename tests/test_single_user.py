@@ -27,6 +27,7 @@ from netmimo.single_user import (
     dual_loop,
     precoder_wsmse,
     priced_minimizer,
+    receive_factors,
     stream_order,
 )
 
@@ -548,6 +549,18 @@ def test_dual_loop_does_not_exit_on_a_nan_usage():
     run = dual_loop(lambda lam: 1.0, lambda: np.array([0.5, np.nan]), lambda trace, violation, residual:
                     violation <= 1e-2, np.ones(2), np.ones(2), 7)
     assert run.iterations == 7 and run.stop == "pass_cap"
+
+
+def test_dual_loop_raises_when_the_multipliers_diverge():
+    # a rule that multiplies lam by 1e6 passes LAMBDA_CAP on the third pass
+    with pytest.raises(NumericalFailureError, match="multipliers diverged .* after 3 passes"):
+        dual_loop(lambda lam: 1.0, lambda: np.array([2.0]), lambda trace, violation, residual: False,
+                  np.ones(1), np.ones(1), 10, rule=lambda lam, usage, budgets, excess, since: lam * 1e6)
+
+
+def test_receive_factors_of_an_indefinite_covariance_raise():
+    with pytest.raises(NumericalFailureError, match="no Cholesky factor"):
+        receive_factors(-np.eye(2, dtype=complex)[None], np.ones((1, 3, 2), dtype=complex))
 
 
 def test_dual_loop_names_the_bound_that_stopped_it():
