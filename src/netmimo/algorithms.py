@@ -80,8 +80,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, NumericalFailureError, check_field_types
-from .linalg import (adjoint, ascending_sum, bisect_level, budget_scaling, hermitian_part, priced_weights, repricer,
-                     weight_usage)
+from .linalg import (LinAlgError, adjoint, ascending_sum, bisect_level, budget_scaling, eigh, hermitian_lstsq,
+                     hermitian_part, orthonormal_columns, priced_weights, solve, weight_usage)
 from .model import (
     BeamformerSolution,
     InterferenceProblem,
@@ -227,7 +227,7 @@ def _orthonormal_starts(config: AlgorithmConfig, shapes) -> list:
     if config.initialization == "scaled_identity":
         return [np.eye(n, d, dtype=complex) for n, d in shapes]
     rng = np.random.default_rng(config.init_seed)
-    return [np.linalg.qr(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))[0] for n, d in shapes]
+    return [orthonormal_columns(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))) for n, d in shapes]
 
 
 def initialize_precoders(problem: InterferenceProblem, config: AlgorithmConfig) -> list:
@@ -365,10 +365,11 @@ def _emmseia_solver(problem, grams, rhs):
     """solve(mu): the padded (K, m_t, d) stack of the B_k that solve
     (grams_k + sum_m mu_m Phi_{k,m}) B_k = rhs_k.  The S linear systems of
     the transmit sets (the grams of a set's users are equal) are built
-    once, priced by one :func:`linalg.repricer`, and each call factors each
-    once for all its users' right-hand sides (:func:`_solve_systems`)."""
+    once, priced by the sets' :func:`linalg.repricer`, and each call
+    factors each once for all its users' right-hand sides
+    (:func:`_solve_systems`)."""
     sets = problem.transmit_sets
-    price = repricer(sets.constraints, sets.supports, grams[sets.representatives])
+    price = sets.reprice(grams[sets.representatives])
     rhs = sets.side_by_side(rhs)
     return lambda mu: sets.per_user(_solve_systems(price(np.array(mu, dtype=float)), rhs))
 
@@ -383,16 +384,16 @@ def _solve_systems(systems, rhs):
     where singular."""
     s, n, g, d = rhs.shape
     try:
-        return np.linalg.solve(systems, rhs.reshape(s, n, g * d))
-    except np.linalg.LinAlgError:
+        return solve(systems, rhs.reshape(s, n, g * d))
+    except LinAlgError:
         pass
     solved = np.empty_like(rhs)
     for i, j in np.ndindex(s, g):
         right = np.ascontiguousarray(rhs[i, :, j])
         try:
-            solved[i, :, j] = np.linalg.solve(systems[i], right)
-        except np.linalg.LinAlgError:
-            solved[i, :, j] = np.linalg.pinv(systems[i], hermitian=True) @ right
+            solved[i, :, j] = solve(systems[i], right)
+        except LinAlgError:
+            solved[i, :, j] = hermitian_lstsq(systems[i], right)
     return solved.reshape(s, n, g * d)
 
 
@@ -420,8 +421,8 @@ def _emmseia_multiplier_search(problem, equalizers, weights, mu, constraint_tol,
     slack_bound = [SLACKNESS_TOL * b for b in budgets]
     usage_bound = [b * (1.0 + constraint_tol) for b in budgets]
     mu = np.asarray(mu, dtype=float).tolist()
-    solve = _emmseia_solver(problem, *_emmseia_factors(problem, equalizers, weights))
-    precoders = solve(mu)
+    precoders_at = _emmseia_solver(problem, *_emmseia_factors(problem, equalizers, weights))
+    precoders = precoders_at(mu)
     for step in range(max_iters + 1):
         usage = weight_usage(problem.constraints, problem.constraint_supports, precoders)
         used = usage.tolist()
@@ -429,7 +430,7 @@ def _emmseia_multiplier_search(problem, equalizers, weights, mu, constraint_tol,
         if step == max_iters or (slack_ok and all(u <= v for u, v in zip(used, usage_bound))):
             break
         mu = _multiplier_step(mu, used, budgets)
-        precoders = solve(mu)
+        precoders = precoders_at(mu)
     return np.array(mu), precoders, usage, slack_ok, step + 1
 
 
@@ -755,7 +756,7 @@ def min_leakage_solve(system: PartialCooperationSystem, config: AlgorithmConfig 
         return ascending_sum(np.trace(adjoint(equalizers) @ forms @ equalizers, axis1=-2, axis2=-1).real)
 
     def smallest_eigvecs(forms, mask):
-        vecs = np.linalg.eigh(hermitian_part(forms))[1][..., :d_max]
+        vecs = eigh(hermitian_part(forms))[1][..., :d_max]
         vecs *= mask
         return vecs
 

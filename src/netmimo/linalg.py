@@ -11,6 +11,14 @@ here only, and so is their format: their :func:`disjoint_diagonals`
 :func:`priced_weights`, :func:`repricer`, :func:`priced_form`,
 :func:`weight_usage` and :func:`budget_scaling` take either, so no caller
 branches on it; :func:`indefinite_members` checks their sum.
+
+The LAPACK layer, the one way to numpy.linalg (``norm`` aside): each of
+:func:`solve`, :func:`inv`, :func:`cholesky`, :func:`eigh`,
+:func:`eigvalsh`, :func:`svd` and :func:`slogdet` is its np.linalg twin
+(lower triangle, reduced SVD, plain tuples) on float64 or complex128
+stacks without the per-call wrapper: numpy.linalg's gufunc, signature and
+error state, so the same bits and a LinAlgError on a LAPACK failure.  The
+gufuncs come from ``numpy.linalg._umath_linalg`` by name (numpy >= 2.0).
 """
 
 from __future__ import annotations
@@ -18,6 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from numpy.linalg._umath_linalg import cholesky_lo, eigh_lo, eigvalsh_lo, inv as _inv, slogdet as _slogdet, \
+    solve as _solve, svd_s
 
 from .errors import ContractViolationError, NumericalFailureError, SingularMatrixError
 
@@ -29,6 +40,48 @@ SINGULARITY_RTOL = 1e-12
 SINGULAR_MESSAGE = f"matrix is singular or indefinite (eigenvalue ratio below {SINGULARITY_RTOL:g})"
 # Budget matching tolerance of the waterfilling bisection: 1e-9 * max(1, budget).
 BUDGET_RTOL = 1e-9
+
+
+def _failing_with(message: str) -> np.errstate:
+    """numpy.linalg's error state, as a decorator: the invalid flag that a
+    LAPACK failure sets raises LinAlgError(message); no other flag warns."""
+    def fail(err, flag):
+        raise LinAlgError(message)
+
+    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+@_failing_with("Singular matrix")
+def solve(a, b):
+    """np.linalg.solve(a, b) for matrix right-hand sides b."""
+    return _solve(a, b, signature="DD->D" if a.dtype.kind == "c" or b.dtype.kind == "c" else "dd->d")
+
+
+def _unary(gufunc, real: str, cplx: str, failure: str | None):
+    """The kernel of a one-matrix gufunc: its ``real`` or ``cplx`` signature
+    by the dtype, inside :func:`_failing_with` ``failure`` when given."""
+    def kernel(a):
+        return gufunc(a, signature=cplx if a.dtype.kind == "c" else real)
+
+    return kernel if failure is None else _failing_with(failure)(kernel)
+
+
+inv = _unary(_inv, "d->d", "D->D", "Singular matrix")
+cholesky = _unary(cholesky_lo, "d->d", "D->D", "Matrix is not positive definite")
+eigh = _unary(eigh_lo, "d->dd", "D->dD", "Eigenvalues did not converge")
+eigvalsh = _unary(eigvalsh_lo, "d->d", "D->d", "Eigenvalues did not converge")
+svd = _unary(svd_s, "d->ddd", "D->DdD", "SVD did not converge")
+slogdet = _unary(_slogdet, "d->dd", "D->Dd", None)  # numpy.linalg sets no error state for it either
+
+
+def hermitian_lstsq(a, b) -> np.ndarray:
+    """np.linalg.pinv(a, hermitian=True) @ b through numpy.linalg's wrapper; only singular systems take it."""
+    return np.linalg.pinv(a, hermitian=True) @ b
+
+
+def orthonormal_columns(a) -> np.ndarray:
+    """The Q factor of np.linalg.qr(a)."""
+    return np.linalg.qr(a)[0]
 
 
 @dataclass(frozen=True)
@@ -92,8 +145,8 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
     a = require_hermitian(a)
     try:
-        return np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
+        return eigh(a)
+    except LinAlgError as exc:
         n = a.shape[0]
         raise NumericalFailureError(
             f"eigendecomposition of a {n}x{n} matrix did not converge"
@@ -138,8 +191,8 @@ def psd_inv_sqrt_batch(a) -> tuple[np.ndarray, np.ndarray]:
     symmetrized again): the inverse roots and a (K,) mask of the matrices
     :func:`psd_inv_sqrt` accepts; the roots of the others are meaningless."""
     try:
-        vals, vecs = np.linalg.eigh(a)
-    except np.linalg.LinAlgError:
+        vals, vecs = eigh(a)
+    except LinAlgError:
         return np.array(a), np.zeros(a.shape[0], dtype=bool)
     vmax = vals[:, -1]
     ok = (vmax > 0.0) & (vals[:, 0] > SINGULARITY_RTOL * vmax)
@@ -192,24 +245,29 @@ def priced_weights(weights, supports, lam, base=None) -> np.ndarray:
     return priced
 
 
-def repricer(weights, supports, base):
-    """price(lam): the bits of ``priced_weights(weights, supports, lam,
-    base)`` for a (..., n, n) ``base`` that ``price`` owns.  On supports a
-    call rewrites only the diagonal of ``base`` itself, to its starting
-    diagonal plus lam[owner_i] s_i for the one constraint weighing
-    coordinate i and its weight s_i there (0 where none does), the one
-    nonzero term of (lam @ supports)_i; dense weights are priced afresh."""
+def repricer(weights, supports):
+    """reprice(base) -> price(lam): ``price`` gives the bits of
+    ``priced_weights(weights, supports, lam, base)`` for a (..., n, n)
+    ``base`` that it owns.  On supports, the one constraint weighing each
+    coordinate i and its weight s_i there (0 where none does) are found
+    here, once; a call of ``price`` rewrites only the diagonal of ``base``
+    itself, to its starting diagonal plus lam[owner_i] s_i, the one nonzero
+    term of (lam @ supports)_i.  Dense weights are priced afresh."""
     if supports is None:
-        return lambda lam: priced_weights(weights, None, lam, base)
+        return lambda base: lambda lam: priced_weights(weights, None, lam, base)
     owner, scale = (supports != 0).argmax(axis=-2), supports.sum(axis=-2)
-    diagonal = np.einsum("...ii->...i", base)  # a view: price writes through it into base
-    start = diagonal.copy()
 
-    def price(lam):
-        np.add(start, lam[owner] * scale, out=diagonal)
-        return base
+    def reprice(base):
+        diagonal = np.einsum("...ii->...i", base)  # a view: price writes through it into base
+        start = diagonal.copy()
 
-    return price
+        def price(lam):
+            np.add(start, lam[owner] * scale, out=diagonal)
+            return base
+
+        return price
+
+    return reprice
 
 
 def priced_form(weights, supports, lam) -> np.ndarray:
@@ -261,7 +319,7 @@ def indefinite_members(a) -> list:
     """Indices of the matrices in a (K, n, n) stack, Hermitian and read by
     its lower triangle only, that are not positive definite:
     lambda_min <= SINGULARITY_RTOL max(1, lambda_max), or a NaN spectrum."""
-    evals = np.linalg.eigvalsh(a)
+    evals = eigvalsh(a)
     return [k for k, (low, high) in enumerate(zip(evals[:, 0].tolist(), evals[:, -1].tolist()))
             if not low > SINGULARITY_RTOL * max(1.0, high)]
 
@@ -272,8 +330,8 @@ def hermitian_top_eigs_batch(a, d: int) -> tuple[np.ndarray, np.ndarray]:
     symmetrized again): (K, d) values, descending, and (K, n, d) bases, the
     top ``d`` of ``eigh``'s ascending output reversed."""
     try:
-        vals, vecs = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
+        vals, vecs = eigh(a)
+    except LinAlgError as exc:
         raise NumericalFailureError(
             f"eigendecomposition of a {a.shape[-1]}x{a.shape[-1]} matrix did not converge"
         ) from exc
@@ -289,8 +347,8 @@ def thin_svd(a, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not 1 <= d <= kmax:
         raise ContractViolationError(f"d={d} outside [1, {kmax}]")
     try:
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
+        u, s, vh = svd(a)
+    except LinAlgError as exc:
         raise NumericalFailureError(
             f"SVD of a {a.shape[0]}x{a.shape[1]} matrix did not converge"
         ) from exc

@@ -50,14 +50,29 @@ Noise is identity by convention; colored noise must be whitened upstream
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ContractViolationError, NumericalFailureError
-from .linalg import adjoint, ascending_sum, disjoint_diagonals, hermitian_part, indefinite_members, weight_usage
+from .linalg import (LinAlgError, adjoint, ascending_sum, disjoint_diagonals, hermitian_part, indefinite_members, inv,
+                     repricer, slogdet, solve, weight_usage)
 
 LOG2 = float(np.log(2.0))
+
+
+class cached_attribute:
+    """functools.cached_property without the lock that Python 3.10 and 3.11
+    take on every first read (3.12 dropped it): the first read stores the
+    value in the instance ``__dict__``, where later reads find it."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 @dataclass(frozen=True)
@@ -117,7 +132,7 @@ class PartialCooperationSystem:
         """Users whose serving set contains BS ``m``."""
         return tuple(k for k, sset in enumerate(self.serving_sets) if m in sset)
 
-    @cached_property
+    @cached_attribute
     def serving_table(self) -> tuple:
         """(bs_of, valid): (K, c) table of each user's serving BSs, padded with
         BS 0 to the largest serving-set size c, and the mask of its real slots."""
@@ -251,12 +266,12 @@ class InterferenceProblem:
     def direct_channel(self, k: int) -> np.ndarray:
         return self.channel(k, k)
 
-    @cached_property
+    @cached_attribute
     def cross(self) -> np.ndarray:
         """channels with the direct blocks H_{k,k} set to zero."""
         return np.where(np.eye(self.num_users, dtype=bool)[:, :, None, None], 0.0, self.channels)
 
-    @cached_property
+    @cached_attribute
     def cross_victims(self) -> np.ndarray:
         """(K, K m_r, m_t): cross_victims[l] = [H_{0,l}; ...; H_{K-1,l}], the
         cross channels of transmitter l stacked over every victim receiver
@@ -264,37 +279,37 @@ class InterferenceProblem:
         k, _, mr, mt = self.channels.shape
         return np.ascontiguousarray(self.cross.swapaxes(0, 1)).reshape(k, k * mr, mt)
 
-    @cached_property
+    @cached_attribute
     def direct(self) -> np.ndarray:
         """(K, m_r, m_t): H_{k,k}."""
         return self.channels[np.arange(self.num_users), np.arange(self.num_users)]
 
-    @cached_property
+    @cached_attribute
     def reverse_channels(self) -> tuple:
         """:func:`reverse_links` of ``channels``."""
         return reverse_links(self.channels)
 
-    @cached_property
+    @cached_attribute
     def reverse_cross(self) -> tuple:
         """:func:`reverse_links` of ``cross``."""
         return reverse_links(self.cross)
 
-    @cached_property
+    @cached_attribute
     def direct_h(self) -> np.ndarray:
         """adjoint(direct): H_{k,k}^H."""
         return adjoint(self.direct)
 
-    @cached_property
+    @cached_attribute
     def rx_eye(self) -> np.ndarray:
         """The (m_r, m_r) identity, the noise covariance of every receiver."""
         return np.eye(self.channels.shape[-2], dtype=complex)
 
-    @cached_property
+    @cached_attribute
     def stream_eye(self) -> np.ndarray:
         """The (d, d) real identity added to every stream-space stack."""
         return np.eye(self.mse_weights.shape[-1])
 
-    @cached_property
+    @cached_attribute
     def constraint_supports(self):
         """(K, M, m_t) diagonals of the constraint weights when all are real
         diagonals with disjoint supports per user (the 0/1 block masks of
@@ -302,7 +317,7 @@ class InterferenceProblem:
         (:func:`disjoint_diagonals`)."""
         return disjoint_diagonals(self.constraints)
 
-    @cached_property
+    @cached_attribute
     def transmit_sets(self) -> "TransmitSets":
         """The users grouped by their transmit side: users whose channels to
         every receiver (``channels[:, k]``), constraint weights
@@ -322,16 +337,16 @@ class InterferenceProblem:
         reps = np.array([users[0] for users in members.values()])
         shape = (reps.size, self.channels.shape[-1], int(slot.max()) + 1, self.mse_weights.shape[-1])
         weights = self.constraints[reps]
-        return TransmitSets(reps, set_of, slot, shape, weights, disjoint_diagonals(weights))
+        return TransmitSets(reps, set_of, slot, shape, repricer(weights, disjoint_diagonals(weights)))
 
-    @cached_property
+    @cached_attribute
     def tx_pad(self) -> tuple:
         """(users, coordinates) index arrays of the padded transmit
         coordinates; matrices that must be inverted over the transmit space
         get 1 on these diagonal entries."""
         return np.nonzero(np.arange(self.channels.shape[-1]) >= np.array(self.tx_dims)[:, None])
 
-    @cached_property
+    @cached_attribute
     def stream_pad(self) -> tuple:
         """(users, streams) index arrays of the padded streams; solvers give
         them zero weight and zero power."""
@@ -345,7 +360,7 @@ class InterferenceProblem:
         """Per-user equalizers (m_r,k x d_k) as the padded (K, m_r, d) stack."""
         return self._user_stack(mats, self.channels.shape[-2], self.rx_dims)
 
-    @cached_property
+    @cached_attribute
     def padded(self) -> bool:
         """Whether some user's sizes fall short of the padded ones."""
         return any(len(set(dims)) > 1 for dims in (self.tx_dims, self.rx_dims, self.streams))
@@ -369,8 +384,8 @@ class TransmitSets:
     shape           -- (S, m_t, g, d): the layout that puts the (m_t, d)
                        blocks of each set's users side by side, g the size
                        of the largest set
-    constraints     -- (S, M, m_t, m_t) each set's constraint weights
-    supports        -- their :func:`linalg.disjoint_diagonals`
+    reprice         -- the :func:`linalg.repricer` of the sets' (S, M,
+                       m_t, m_t) constraint weights
 
     :meth:`side_by_side` and :meth:`per_user` move a padded (K, m_t, d)
     stack to that layout and back, each by one flat index."""
@@ -379,10 +394,9 @@ class TransmitSets:
     set_of: np.ndarray
     slot: np.ndarray
     shape: tuple
-    constraints: np.ndarray
-    supports: np.ndarray | None
+    reprice: object
 
-    @cached_property
+    @cached_attribute
     def index(self) -> np.ndarray:
         """(K, m_t, d): where each entry of the per-user stack sits in the
         flattened side-by-side layout."""
@@ -559,8 +573,8 @@ def mmse_equalizer(problem: InterferenceProblem, precoders, k: int, omega=None) 
     hb = problem.direct_channel(k) @ precoders[k]
     total = omega + hb @ hb.conj().T
     try:
-        return np.linalg.solve(total, hb)
-    except np.linalg.LinAlgError as exc:
+        return solve(total, hb)
+    except LinAlgError as exc:
         raise NumericalFailureError(
             f"total receive covariance of user {k} is singular"
         ) from exc
@@ -584,8 +598,8 @@ def mse_matrix_mmse(problem: InterferenceProblem, precoders, k: int, omega=None)
     if omega is None:
         omega = interference_covariance(problem, precoders, k)
     hb = problem.direct_channel(k) @ precoders[k]
-    g = hb.conj().T @ np.linalg.solve(omega, hb)
-    e = np.linalg.inv(np.eye(problem.streams[k]) + 0.5 * (g + g.conj().T))
+    g = hb.conj().T @ solve(omega, hb)
+    e = inv(np.eye(problem.streams[k]) + 0.5 * (g + g.conj().T))
     return 0.5 * (e + e.conj().T)
 
 
@@ -611,56 +625,56 @@ class ReceiveSide:
         self.problem = problem
         self.precoders = problem.precoders(precoders)
 
-    @cached_property
+    @cached_attribute
     def omegas(self) -> np.ndarray:
         return interference_covariances(self.problem, self.precoders)
 
-    @cached_property
+    @cached_attribute
     def signals(self) -> np.ndarray:
         return self.problem.direct @ self.precoders
 
-    @cached_property
+    @cached_attribute
     def whitened(self) -> np.ndarray:
-        return np.linalg.solve(self.omegas, self.signals)
+        return solve(self.omegas, self.signals)
 
-    @cached_property
+    @cached_attribute
     def gains(self) -> np.ndarray:
         return hermitian_part(adjoint(self.signals) @ self.whitened)
 
-    @cached_property
+    @cached_attribute
     def mses(self) -> np.ndarray:
-        return hermitian_part(np.linalg.inv(self.problem.stream_eye + self.gains))
+        return hermitian_part(inv(self.problem.stream_eye + self.gains))
 
-    @cached_property
+    @cached_attribute
     def weights(self) -> np.ndarray:
-        return hermitian_part(np.linalg.inv(self.mses))
+        return hermitian_part(inv(self.mses))
 
-    @cached_property
+    @cached_attribute
     def equalizers(self) -> np.ndarray:
         hb = self.signals
         total = self.omegas + hb @ adjoint(hb)
         try:
-            return np.linalg.solve(total, hb)
-        except np.linalg.LinAlgError:
+            return solve(total, hb)
+        except LinAlgError:
             for k in range(self.problem.num_users):
                 try:
-                    np.linalg.solve(total[k], hb[k])
-                except np.linalg.LinAlgError as exc:
+                    solve(total[k], hb[k])
+                except LinAlgError as exc:
                     raise NumericalFailureError(
                         f"total receive covariance of user {k} is singular"
                     ) from exc
             raise
 
-    @cached_property
+    @cached_attribute
     def rate(self) -> float:
-        sign, logdet = np.linalg.slogdet(self.problem.stream_eye + self.gains)
+        sign, logdet = slogdet(self.problem.stream_eye + self.gains)
         # NaN gains give a NaN sign, or a NaN log determinant with sign 1
         bad = np.flatnonzero(~(sign.real > 0) | np.isnan(logdet))
         if bad.size:
             raise NumericalFailureError(f"error covariance of user {bad[0]} is not positive definite")
         return ascending_sum(logdet / LOG2)
 
-    @cached_property
+    @cached_attribute
     def usage(self) -> np.ndarray:
         """Added in ascending k (:func:`linalg.weight_usage`)."""
         return weight_usage(self.problem.constraints, self.problem.constraint_supports, self.precoders)

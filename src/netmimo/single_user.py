@@ -36,9 +36,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractViolationError, NumericalFailureError, SingularMatrixError
-from .linalg import (adjoint, diagonal_whiteners, disjoint_diagonals, hermitian_part, hermitian_top_eigs_batch,
-                     indefinite_members, priced_form, priced_weights, require_hermitian, waterfill_budget,
-                     weight_usage)
+from .linalg import (LinAlgError, adjoint, cholesky, diagonal_whiteners, disjoint_diagonals, hermitian_part,
+                     hermitian_top_eigs_batch, indefinite_members, inv, priced_form, priced_weights, require_hermitian,
+                     solve, svd, waterfill_budget, weight_usage)
 
 # Bounds of the power-price multipliers of every dual loop in netmimo.
 LAMBDA_FLOOR = 1e-9
@@ -123,7 +123,7 @@ class SingleUserProblem:
 
     def quadratic_form(self) -> np.ndarray:
         """R = H^H Omega^{-1} H."""
-        return hermitian_part(self.channel.conj().T @ np.linalg.solve(self.noise_cov, self.channel))
+        return hermitian_part(self.channel.conj().T @ solve(self.noise_cov, self.channel))
 
     def quadratic_factor(self) -> np.ndarray:
         """C = H^H L^{-H}, (m_t, m_r), so that R = C C^H (:func:`receive_factors`)."""
@@ -198,15 +198,15 @@ def receive_factors(omegas, channels_h) -> np.ndarray:
     least I, or validated), so no certificate is taken; a factorization that
     fails anyway (non-finite input) raises :class:`NumericalFailureError`."""
     try:
-        low = np.linalg.cholesky(omegas)
+        low = cholesky(omegas)
         # a non-finite entry in the lower triangle of Omega_k, all that is
         # read, leaves a non-finite diagonal in L_k
         finite = np.isfinite(np.diagonal(low, axis1=-2, axis2=-1)).all()
-    except np.linalg.LinAlgError:
+    except LinAlgError:
         finite = False
     if not finite:
         raise NumericalFailureError("interference-plus-noise covariance has no Cholesky factor")
-    return channels_h @ adjoint(np.linalg.inv(low))
+    return channels_h @ adjoint(inv(low))
 
 
 def priced_directions(f, c, d: int) -> tuple:
@@ -232,11 +232,11 @@ def priced_directions(f, c, d: int) -> tuple:
     if f.ndim == 2:
         t = diagonal_whiteners(f)
         try:
-            left, sing, _ = np.linalg.svd(t[..., None] * c, full_matrices=False)
-        except np.linalg.LinAlgError as exc:
+            left, sing, _ = svd(t[..., None] * c)
+        except LinAlgError as exc:
             raise NumericalFailureError("SVD of the whitened channel factors did not converge") from exc
         return t, left[..., :d], sing[:, :d] ** 2
-    x = np.linalg.solve(f, c)
+    x = solve(f, c)
     gains, basis = hermitian_top_eigs_batch(hermitian_part(adjoint(c) @ x), d)
     if not np.isfinite(gains).all():
         raise NumericalFailureError("priced channel gains are not finite")
@@ -430,7 +430,7 @@ def lagrangian_minimizer(problem: SingleUserProblem, phi_agg: np.ndarray) -> np.
 def precoder_wsmse(problem: SingleUserProblem, precoder: np.ndarray) -> float:
     """tr{W (I + B^H R B)^{-1}}: the objective with the MMSE receiver substituted."""
     g = hermitian_part(precoder.conj().T @ problem.quadratic_form() @ precoder)
-    return float(np.trace(np.diag(problem.weights) @ np.linalg.inv(np.eye(problem.streams) + g)).real)
+    return float(np.trace(np.diag(problem.weights) @ inv(np.eye(problem.streams) + g)).real)
 
 
 def solve_multi_constraint(problem: SingleUserProblem) -> DualIterationResult:
@@ -498,7 +498,7 @@ def kkt_residual(problem: SingleUserProblem, precoder: np.ndarray, multipliers) 
         raise ContractViolationError("one multiplier per constraint is required")
     r = problem.quadratic_form()
     g = precoder.conj().T @ r @ precoder
-    e = np.linalg.inv(np.eye(problem.streams) + 0.5 * (g + g.conj().T))
+    e = inv(np.eye(problem.streams) + 0.5 * (g + g.conj().T))
     w = np.diag(problem.weights)
     grad = -r @ precoder @ e @ w @ e + priced_weights(problem.constraints, problem.constraint_supports, lam) @ precoder
     stationarity = float(np.linalg.norm(grad)) / max(1.0, float(np.linalg.norm(precoder)))

@@ -1,11 +1,12 @@
 """Problems shared by the model and solver tests."""
 
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from netmimo import InterferenceProblem, PartialCooperationSystem, build_interference_problem
+from netmimo import InterferenceProblem, PartialCooperationSystem, build_interference_problem, linalg
 from netmimo.single_user import SingleUserProblem
 
 
@@ -79,16 +80,23 @@ def dense_link(rng, weights=(1.0, 1.0)):
 
 
 def count_decompositions(monkeypatch, names=("eigh", "svd", "cholesky")) -> list:
-    """Record (name, shape) of every call of the np.linalg functions
-    ``names`` (by default eigh, svd and cholesky) made after this, in call
-    order."""
+    """Record (name, shape) of every call of the :mod:`netmimo.linalg`
+    kernels ``names`` (by default eigh, svd and cholesky) made after this,
+    in call order: every netmimo module-level name bound to a kernel is
+    rebound to a counting wrapper."""
     calls = []
+    modules = [module for name, module in sys.modules.items() if name.startswith("netmimo")]
     for name in names:
-        def counting(a, *args, _name=name, _wrapped=getattr(np.linalg, name), **kwargs):
-            calls.append((_name, np.shape(a)))
-            return _wrapped(a, *args, **kwargs)
+        kernel = getattr(linalg, name)
 
-        monkeypatch.setattr(np.linalg, name, counting)
+        def counting(a, *args, _name=name, _wrapped=kernel):
+            calls.append((_name, np.shape(a)))
+            return _wrapped(a, *args)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is kernel:
+                    monkeypatch.setattr(module, attr, counting)
     return calls
 
 

@@ -1,11 +1,15 @@
 """Every import is read, every private helper and every constant is used,
-and only ``linalg`` knows the constraint-weight format: stdlib-``ast``
-checks.  The import check covers the package, the tests and the demos; the
-package's ``__init__`` re-exports its names, so it is exempt.  The helper
-and constant checks cover the module-level private functions and
-UPPER_CASE names of the package, which the package itself must read."""
+and only ``linalg`` knows the constraint-weight format and calls
+numpy.linalg: stdlib-``ast`` checks.  The import check covers the package,
+the tests and the demos; the package's ``__init__`` re-exports its names,
+so it is exempt.  The helper and constant checks cover the module-level
+private functions and UPPER_CASE names of the package, which the package
+itself must read.  Importing the package leaves numpy.linalg as it is."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -127,3 +131,45 @@ def test_only_linalg_branches_on_the_constraint_format():
     found = [f"{path.relative_to(ROOT)}:{line} {name}" for path in sorted((ROOT / "src").rglob("*.py"))
              if path.name != "linalg.py" for line, name in format_branches(path.read_text())]
     assert not found, found
+
+
+def numpy_linalg_uses(source: str) -> list:
+    """(line, name) of each use of numpy.linalg other than ``norm``: an
+    attribute ``np.linalg.X`` or ``numpy.linalg.X``, or an import of or from
+    ``numpy.linalg``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr != "norm" and isinstance(node.value, ast.Attribute) \
+                and node.value.attr == "linalg" and isinstance(node.value.value, ast.Name) \
+                and node.value.value.id in ("np", "numpy"):
+            found.append((node.lineno, f"{node.value.value.id}.linalg.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.linalg"):
+            found.append((node.lineno, node.module))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name.startswith("numpy.linalg")]
+    return sorted(found)
+
+
+def test_the_check_sees_a_numpy_linalg_call():
+    source = ("import numpy as np\nimport numpy.linalg\nfrom numpy.linalg import solve\n"
+              "x = np.linalg.solve(a, b)\ny = np.linalg.norm(x)\nerror = numpy.linalg.LinAlgError\n"
+              "z = linalg.inv(a)\n")
+    assert numpy_linalg_uses(source) == [(2, "numpy.linalg"), (3, "numpy.linalg"), (4, "np.linalg.solve"),
+                                         (6, "numpy.linalg.LinAlgError")]
+
+
+def test_only_linalg_calls_numpy_linalg():
+    # every factorization goes through the one LAPACK layer in linalg.py
+    found = [f"{path.relative_to(ROOT)}:{line} {name}" for path in sorted((ROOT / "src").rglob("*.py"))
+             if path.name != "linalg.py" for line, name in numpy_linalg_uses(path.read_text())]
+    assert not found, found
+
+
+def test_importing_netmimo_leaves_numpy_linalg_as_it_is():
+    # the layer calls numpy's gufuncs itself; it patches nothing in numpy.linalg
+    check = ("import numpy.linalg as la\nbefore = dict(vars(la))\nimport netmimo\nafter = vars(la)\n"
+             "assert after.keys() == before.keys(), after.keys() ^ before.keys()\n"
+             "assert all(after[name] is value for name, value in before.items())\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

@@ -1,22 +1,29 @@
 """Kernel tests: eigen/SVD contracts and waterfilling."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from netmimo import (
     ContractViolationError,
     NumericalFailureError,
+    PartialCooperationSystem,
     SingularMatrixError,
+    build_interference_problem,
     hermitian_top_eigs,
     psd_inv_sqrt,
     thin_svd,
     waterfill_budget,
     waterfill_eval,
 )
+from netmimo.algorithms import _solve_systems
 from netmimo.linalg import (SINGULARITY_RTOL, _add_rows, adjoint, ascending_sum, bisect_level, budget_scaling,
-                            diagonal_whiteners, disjoint_diagonals, hermitian_eig, hermitian_part,
-                            hermitian_top_eigs_batch, priced_form, priced_weights, psd_inv_sqrt_batch, repricer,
-                            weight_usage)
+                            cholesky, diagonal_whiteners, disjoint_diagonals, eigh, eigvalsh, hermitian_eig,
+                            hermitian_part, hermitian_top_eigs_batch, inv, priced_form, priced_weights,
+                            psd_inv_sqrt_batch, repricer, slogdet, solve, svd, weight_usage)
+from netmimo.model import ReceiveSide
+from netmimo.single_user import receive_factors
 
 
 def random_hermitian(rng, n):
@@ -274,13 +281,16 @@ def format_cases(rng):
 
 
 def test_repricer_gives_the_bits_of_priced_weights_in_both_formats():
+    # one repricer serves every base it is given, each priced on its own
     rng = np.random.default_rng(43)
     for (weights, supports), dense in zip(format_cases(rng), (False, True)):
         assert (supports is None) == dense
-        base = np.stack([random_hermitian(rng, 4) for _ in range(2)])
-        price = repricer(weights, supports, base.copy())
-        for lam in (rng.random(2), np.array([0.0, 2.5]), rng.random(2)):
-            assert np.array_equal(price(lam), priced_weights(weights, supports, lam, base))
+        reprice = repricer(weights, supports)
+        for _ in range(2):
+            base = np.stack([random_hermitian(rng, 4) for _ in range(2)])
+            price = reprice(base.copy())
+            for lam in (rng.random(2), np.array([0.0, 2.5]), rng.random(2)):
+                assert np.array_equal(price(lam), priced_weights(weights, supports, lam, base))
 
 
 def test_priced_form_is_the_priced_sum_in_the_form_of_its_format():
@@ -450,3 +460,69 @@ def test_waterfill_budget_matches_eval_at_returned_level():
     alloc = waterfill_budget([1.0, 2.0, 0.5], [3.0, 1.0, 2.0], 1.7)
     again = waterfill_eval([1.0, 2.0, 0.5], [3.0, 1.0, 2.0], alloc.multiplier)
     assert np.allclose(alloc.levels, again.levels)
+
+
+def assert_same_bits(got, want):
+    """Each array of a kernel's result has the dtype, shape and bytes of its
+    np.linalg twin's."""
+    got, want = (got, want) if isinstance(want, tuple) else ((got,), (want,))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape) and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 20])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_kernels_give_the_bits_of_numpy_linalg(n, dtype):
+    # batched stacks, matrix right-hand sides, tall and wide SVDs, a real
+    # system with a complex right-hand side, and one unbatched matrix
+    rng = np.random.default_rng(200 + n)
+
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if dtype is complex else x
+
+    a, b, thin = draw(4, n, n), draw(4, n, 3), draw(4, n, max(1, n // 2))
+    pd = a @ adjoint(a) + np.eye(n)
+    assert_same_bits(solve(a, b), np.linalg.solve(a, b))
+    assert_same_bits(solve(a.real, b), np.linalg.solve(a.real, b))
+    assert_same_bits(solve(a[0], b[0]), np.linalg.solve(a[0], b[0]))
+    assert_same_bits(inv(a), np.linalg.inv(a))
+    assert_same_bits(cholesky(pd), np.linalg.cholesky(pd))
+    assert_same_bits(eigh(pd), tuple(np.linalg.eigh(pd)))
+    assert_same_bits(eigh(a), tuple(np.linalg.eigh(a)))  # both read the lower triangle
+    assert_same_bits(eigvalsh(pd), np.linalg.eigvalsh(pd))
+    for m in (thin, adjoint(thin), a):
+        assert_same_bits(svd(m), tuple(np.linalg.svd(m, full_matrices=False)))
+    assert_same_bits(slogdet(a), tuple(np.linalg.slogdet(a)))
+
+
+def test_kernel_failures_raise_as_numpy_linalg_does_and_do_not_warn():
+    # a LAPACK failure still raises LinAlgError, so the callers that catch it
+    # still run: _solve_systems' per-block fallback, ReceiveSide.equalizers
+    # naming the singular user, and receive_factors' NumericalFailureError
+    # on an Omega that is not positive definite or holds a NaN
+    rng = np.random.default_rng(45)
+    singular = np.stack([np.eye(3), np.diag([1.0, 1.0, 0.0])]).astype(complex)
+    rhs = rng.standard_normal((2, 3, 2, 2)) + 1j * rng.standard_normal((2, 3, 2, 2))
+    problem = build_interference_problem(PartialCooperationSystem(
+        nt=2, nr=2, bs_power=[1.0, 1.0], channels=rng.standard_normal((2, 2, 2, 2)) + 0j,
+        serving_sets=((0,), (1,)), streams=(1, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kernel, message in ((lambda x: solve(x, rhs[:, :, 0]), "Singular matrix"),
+                                (inv, "Singular matrix"), (cholesky, "not positive definite")):
+            with pytest.raises(np.linalg.LinAlgError, match=message):
+                kernel(singular)
+        solved = _solve_systems(singular, rhs).reshape(rhs.shape)
+        for j in range(2):
+            assert np.array_equal(solved[0, :, j], np.linalg.solve(singular[0], rhs[0, :, j]))
+            assert np.array_equal(solved[1, :, j], np.linalg.pinv(singular[1], hermitian=True) @ rhs[1, :, j])
+        rx = ReceiveSide(problem, [np.ones((2, 1), dtype=complex)] * 2)
+        rx.omegas = rx.omegas.copy()
+        rx.omegas[1] = -rx.signals[1] @ adjoint(rx.signals[1])  # user 1's total covariance is 0
+        with pytest.raises(NumericalFailureError, match="covariance of user 1 is singular"):
+            rx.equalizers
+        for omega in (-np.eye(2), np.array([[1.0, 0.0], [np.nan, 1.0]]), np.full((2, 2), np.nan)):
+            with pytest.raises(NumericalFailureError, match="no Cholesky factor"):
+                receive_factors(omega.astype(complex)[None], np.ones((1, 3, 2), dtype=complex))
