@@ -31,14 +31,28 @@ cdf.csv      variable, sweep_value, algorithm, rate, cum_fraction,
 Wall-clock time is kept on the in-memory records only; emitting it would
 break byte-identical reruns.  Failed trials (solver numerical failures) are
 flagged, excluded from means and CDFs, and counted in summary.csv.
+
+A sweep with more than one worker runs in one process pool that this module
+keeps across :func:`run_sweep` calls, so a series of small sweeps forks its
+workers once.  The workers are forked, so they run the code bound to the
+netmimo names at their fork: the pool is forked again when the worker count
+changes, when it is broken, or when any global of a loaded netmimo module
+is no longer the object it was at the fork (a patched function, say).
+:func:`close_pool` stops it, and it runs at interpreter exit.
 """
 
 from __future__ import annotations
 
+import atexit
 import csv
 import json
+import multiprocessing
+import operator
+import sys
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
@@ -262,10 +276,59 @@ def _run_trial_args(args) -> TrialRecord:
     return run_trial(*args)
 
 
+# The pool run_sweep keeps, its worker count, and the netmimo globals its
+# workers forked with, held by one object under one lock, so that keeping a
+# pool binds no module global anew.
+_kept = {"pool": None, "workers": 0, "globals": ()}
+_kept_lock = threading.RLock()
+
+
+def _netmimo_globals() -> tuple:
+    """The value of every global of every loaded netmimo module, in order."""
+    return tuple(value for name, module in list(sys.modules.items()) if name.startswith("netmimo")
+                 for value in vars(module).values())
+
+
+def _same_objects(a: tuple, b: tuple) -> bool:
+    return len(a) == len(b) and all(map(operator.is_, a, b))
+
+
+def _kept_pool(workers: int) -> ProcessPoolExecutor:
+    """The kept pool, or a new one in its place if it has another worker
+    count, is broken, or forked with other netmimo globals than now.  A
+    fork pool starts its workers at its first map, so they see the globals
+    kept here (kept alive, so that no other object can take their ids)."""
+    now = _netmimo_globals()
+    with _kept_lock:
+        pool = _kept["pool"]
+        # _broken: the executor sets it when a worker dies, also between calls
+        if pool is None or _kept["workers"] != workers or pool._broken or not _same_objects(now, _kept["globals"]):
+            close_pool()
+            pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
+            _kept.update(pool=pool, workers=workers, globals=now)
+        return pool
+
+
+def close_pool() -> None:
+    """Shut down the pool that :func:`run_sweep` keeps, if any, and wait for
+    its workers to exit.  It also runs at interpreter exit."""
+    with _kept_lock:
+        pool = _kept["pool"]
+        _kept.update(pool=None, workers=0, globals=())
+        if pool is not None:
+            pool.shutdown()
+
+
+atexit.register(close_pool)
+
+
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
     """Execute every (value, trial, algorithm) combination; the records come
     in that item order whatever the worker count (``pool.map`` keeps it).
-    A pool of w workers takes the n items in chunks of ceil(n / (4 w))."""
+    A pool of w workers takes the n items in chunks of ceil(n / (4 w)).
+    The pool is kept for the next call (see the module docstring) and
+    dropped when it breaks: a worker that dies raises ``BrokenProcessPool``,
+    and the next call forks a new pool."""
     items = [
         (spec, vi, ti, alg)
         for vi in range(len(spec.values))
@@ -274,8 +337,11 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
     ]
     if workers <= 1:
         return [_run_trial_args(item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_trial_args, items, chunksize=-(-len(items) // (4 * workers))))
+    try:
+        return list(_kept_pool(workers).map(_run_trial_args, items, chunksize=-(-len(items) // (4 * workers))))
+    except BrokenProcessPool:
+        close_pool()
+        raise
 
 
 # ---------------------------------------------------------------------------

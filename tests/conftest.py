@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from netmimo import InterferenceProblem, PartialCooperationSystem, build_interference_problem, linalg
+from netmimo import InterferenceProblem, PartialCooperationSystem, build_interference_problem, experiment, linalg
 from netmimo.single_user import SingleUserProblem
 
 
@@ -98,6 +98,15 @@ def count_decompositions(monkeypatch, names=("eigh", "svd", "cholesky")) -> list
                 if value is kernel:
                     monkeypatch.setattr(module, attr, counting)
     return calls
+
+
+@pytest.fixture(autouse=True)
+def no_pool_left_running():
+    """Stops the process pool that ``run_sweep`` keeps after every test: its
+    workers are children of the test process, so a later test's
+    ``os.wait()`` would wait for them."""
+    yield
+    experiment.close_pool()
 
 
 @pytest.fixture(scope="session")

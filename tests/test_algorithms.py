@@ -622,6 +622,57 @@ def test_pwf_reports_where_its_polish_started():
     assert capped.iterations == 3 and capped.diagnostics["polish_start"] is None
 
 
+def _user_rates(problem, precoders) -> np.ndarray:
+    """Each user's rate log2 det(I + G_k), in bits per channel use."""
+    rx = ReceiveSide(problem, precoders)
+    return np.linalg.slogdet(problem.stream_eye + rx.gains)[1] / np.log(2.0)
+
+
+# pwf carries no unit of power.  Scaling every budget by c and every
+# channel by 1/sqrt(c) leaves the feasible received signals H B as they
+# are, so the sum rate must hold to UNIT_FREE_RATE_RTOL and each usage / P
+# to UNIT_FREE_USAGE_ATOL (measured on draws 0-2: sum rates within 1e-8
+# relative, usage / P within 3e-4; single users' rates move up to 2e-4,
+# along the flat top of the sum rate).  Relabelling the users reorders the
+# same arithmetic, so each user's rate holds to rounding.
+UNIT_FREE_RATE_RTOL = 1e-6
+UNIT_FREE_USAGE_ATOL = 1e-3
+RELABEL_RATE_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pwf_does_not_depend_on_the_unit_of_power(seed):
+    system, _ = cellular_problem(seed)
+    config = AlgorithmConfig(algorithm="pwf", objective="srm")
+    results = {}
+    for c in (1.0, 0.01, 100.0):
+        scaled = replace(system, bs_power=c * system.bs_power, channels=system.channels / np.sqrt(c))
+        problem = build_interference_problem(scaled)
+        sol = pwf_solve(problem, config)
+        results[c] = (sum_rate(problem, sol.precoders), sol.converged,
+                      constraint_usage(problem, sol.precoders) / problem.budgets)
+    rate, converged, usage = results[1.0]
+    assert converged
+    for c in (0.01, 100.0):
+        assert results[c][0] == pytest.approx(rate, rel=UNIT_FREE_RATE_RTOL, abs=0.0)
+        assert results[c][1] == converged
+        np.testing.assert_allclose(results[c][2], usage, rtol=0.0, atol=UNIT_FREE_USAGE_ATOL)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pwf_gives_each_user_its_rate_whatever_the_user_order(seed):
+    system, problem = cellular_problem(seed)
+    config = AlgorithmConfig(algorithm="pwf", objective="srm")
+    rates = _user_rates(problem, pwf_solve(problem, config).precoders)
+    order = np.arange(system.num_users)[::-1]
+    relabelled = build_interference_problem(replace(
+        system, channels=system.channels[order], serving_sets=tuple(system.serving_sets[k] for k in order),
+        streams=tuple(system.streams[k] for k in order)))
+    sol = pwf_solve(relabelled, config)
+    assert sol.converged
+    np.testing.assert_allclose(_user_rates(relabelled, sol.precoders), rates[order], rtol=RELABEL_RATE_RTOL, atol=0.0)
+
+
 
 def test_pwf_without_direct_signal_raises():
     # zero direct channels give no usable gain, so no water level can spend

@@ -5,13 +5,17 @@ import copy
 import csv
 import hashlib
 import json
+import math
+import multiprocessing
+import os
 import pickle
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from netmimo import ConfigurationError, solve_system
+from netmimo import ConfigurationError, NumericalFailureError, experiment, solve_system
 from netmimo.cli import main
 from netmimo.experiment import (
     RECORD_COLUMNS,
@@ -275,6 +279,66 @@ def test_sector_drops_batch_matches_golden_digest(tmp_path):
     for record in records:
         sha.update(_record_text(record).encode())
     assert len(records) == 60 and sha.hexdigest() == SECTOR_BATCH_DIGEST
+
+
+def test_run_sweep_keeps_one_pool_until_the_worker_count_changes():
+    spec = _spec()
+    first = [_record_text(r) for r in run_sweep(spec, workers=2)]
+    pool = experiment._kept["pool"]
+    assert [_record_text(r) for r in run_sweep(spec, workers=2)] == first
+    assert experiment._kept["pool"] is pool
+    assert [_record_text(r) for r in run_sweep(spec, workers=3)] == first
+    assert experiment._kept["pool"] is not pool
+    experiment.close_pool()
+    assert experiment._kept["pool"] is None and multiprocessing.active_children() == []
+
+
+def test_a_pooled_sweep_runs_the_solver_bound_now(monkeypatch):
+    # the first sweep forks the pool with the real solve_system
+    spec = _spec()
+    first = [_record_text(r) for r in run_sweep(spec, workers=2)]
+
+    def fails(*args, **kwargs):
+        raise NumericalFailureError("patched")
+
+    monkeypatch.setattr(experiment, "solve_system", fails)
+    assert all(r.failed for r in run_sweep(spec, workers=2))
+    monkeypatch.undo()
+    assert [_record_text(r) for r in run_sweep(spec, workers=2)] == first
+
+
+def test_a_broken_pool_is_dropped(monkeypatch, tmp_path):
+    spec = _spec()
+    serial = [_record_text(r) for r in run_sweep(spec, workers=1)]
+    marker = tmp_path / "exit"
+    marker.touch()
+
+    def exits_while_marked(*args, _solve=experiment.solve_system, **kwargs):
+        if marker.exists():
+            os._exit(3)
+        return _solve(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "solve_system", exits_while_marked)
+    with pytest.raises(BrokenProcessPool):
+        run_sweep(spec, workers=2)
+    marker.unlink()
+    # the same patch, so only the broken flag tells the pool apart
+    assert [_record_text(r) for r in run_sweep(spec, workers=2)] == serial
+
+
+def test_pooled_sector_drops_carry_the_trial_checkers_records(tmp_path):
+    from perfbench.workloads import SectorDrops, TrialChecker
+
+    workload = SectorDrops()
+    state = workload.setup(1, str(tmp_path))
+    run_sweep(state.spec, workers=workload.workers)  # forks the pool without the checker
+    with TrialChecker().installed():
+        for batch in (0, 1):
+            config = copy.deepcopy(workload.config)
+            config["sweep"]["master_seed"] = workload.batch_seed(1, batch)
+            records = run_sweep(parse_config(write_config(tmp_path, config)), workers=workload.workers)
+            assert len(records) == 60
+            assert all(math.isfinite(getattr(r, "usage_ratio", math.nan)) for r in records)
 
 
 def test_compute_cdf_points():
