@@ -33,17 +33,19 @@ break byte-identical reruns.  Failed trials (solver numerical failures) are
 flagged, excluded from means and CDFs, and counted in summary.csv.
 
 A sweep with more than one worker runs in one process pool that this module
-keeps across :func:`run_sweep` calls, so a series of small sweeps forks its
-workers once.  The workers are forked, so they run the code bound to the
-netmimo names at their fork: the pool is forked again when the worker count
-changes, when it is broken, or when any global of a loaded netmimo module
-is no longer the object it was at the fork (a patched function, say).
-:func:`close_pool` stops it, and it runs at interpreter exit.
+keeps across :func:`run_sweep` calls, so a series of pooled sweeps in one
+process forks its workers once.  The workers are forked, so they run the
+code the process had at their fork.  The pool is forked again when the
+worker count changes, when it is broken, or when a top-level name of a
+loaded netmimo module is bound to another object than at the fork (a
+function patched in with ``setattr``, say).  Nothing else is seen: a
+changed class attribute, a module-level dict changed in place or a patch
+outside netmimo reaches the workers only after :func:`close_pool`, which
+stops the pool.  The executor stops its workers at interpreter exit.
 """
 
 from __future__ import annotations
 
-import atexit
 import csv
 import json
 import multiprocessing
@@ -52,7 +54,6 @@ import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
@@ -295,23 +296,25 @@ def _same_objects(a: tuple, b: tuple) -> bool:
 
 def _kept_pool(workers: int) -> ProcessPoolExecutor:
     """The kept pool, or a new one in its place if it has another worker
-    count, is broken, or forked with other netmimo globals than now.  A
-    fork pool starts its workers at its first map, so they see the globals
-    kept here (kept alive, so that no other object can take their ids)."""
+    count, is broken, or forked with other netmimo globals than now; call
+    it with ``_kept_lock`` held.  A fork pool starts its workers at its
+    first map, so they see the globals kept here (kept alive, so that no
+    other object can take their ids)."""
     now = _netmimo_globals()
-    with _kept_lock:
-        pool = _kept["pool"]
-        # _broken: the executor sets it when a worker dies, also between calls
-        if pool is None or _kept["workers"] != workers or pool._broken or not _same_objects(now, _kept["globals"]):
-            close_pool()
-            pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
-            _kept.update(pool=pool, workers=workers, globals=now)
-        return pool
+    pool = _kept["pool"]
+    # the executor sets _broken before it fails a future, and also when a
+    # worker dies between calls
+    if pool is None or _kept["workers"] != workers or pool._broken or not _same_objects(now, _kept["globals"]):
+        close_pool()
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
+        _kept.update(pool=pool, workers=workers, globals=now)
+    return pool
 
 
 def close_pool() -> None:
     """Shut down the pool that :func:`run_sweep` keeps, if any, and wait for
-    its workers to exit.  It also runs at interpreter exit."""
+    its workers to exit.  Call it after a change that the pool does not see
+    (see the module docstring), or to free the workers."""
     with _kept_lock:
         pool = _kept["pool"]
         _kept.update(pool=None, workers=0, globals=())
@@ -319,16 +322,13 @@ def close_pool() -> None:
             pool.shutdown()
 
 
-atexit.register(close_pool)
-
-
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
     """Execute every (value, trial, algorithm) combination; the records come
     in that item order whatever the worker count (``pool.map`` keeps it).
     A pool of w workers takes the n items in chunks of ceil(n / (4 w)).
-    The pool is kept for the next call (see the module docstring) and
-    dropped when it breaks: a worker that dies raises ``BrokenProcessPool``,
-    and the next call forks a new pool."""
+    The pool is kept for the next call (see the module docstring), and
+    pooled calls from several threads take turns in it.  A worker that
+    dies raises ``BrokenProcessPool``, and the next call forks a new pool."""
     items = [
         (spec, vi, ti, alg)
         for vi in range(len(spec.values))
@@ -337,11 +337,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
     ]
     if workers <= 1:
         return [_run_trial_args(item) for item in items]
-    try:
+    with _kept_lock:
         return list(_kept_pool(workers).map(_run_trial_args, items, chunksize=-(-len(items) // (4 * workers))))
-    except BrokenProcessPool:
-        close_pool()
-        raise
 
 
 # ---------------------------------------------------------------------------

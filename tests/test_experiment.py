@@ -9,6 +9,8 @@ import math
 import multiprocessing
 import os
 import pickle
+import signal
+import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields, replace
 
@@ -324,6 +326,29 @@ def test_a_broken_pool_is_dropped(monkeypatch, tmp_path):
     marker.unlink()
     # the same patch, so only the broken flag tells the pool apart
     assert [_record_text(r) for r in run_sweep(spec, workers=2)] == serial
+
+
+def test_a_worker_that_dies_between_sweeps_is_replaced():
+    spec = _spec()
+    first = [_record_text(r) for r in run_sweep(spec, workers=2)]
+    pool = experiment._kept["pool"]
+    os.kill(next(iter(pool._processes)), signal.SIGKILL)
+    deadline = time.monotonic() + 30.0
+    while not pool._broken and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert pool._broken
+    assert [_record_text(r) for r in run_sweep(spec, workers=2)] == first
+    assert experiment._kept["pool"] is not pool
+
+
+def test_a_class_attribute_patch_reaches_the_workers_after_close_pool(monkeypatch):
+    # the pool sees only rebound module globals; ReceiveSide stays the same object
+    spec = _spec()
+    first = [_record_text(r) for r in run_sweep(spec, workers=2)]
+    monkeypatch.setattr(experiment.ReceiveSide, "rate", 0.0)
+    assert [_record_text(r) for r in run_sweep(spec, workers=2)] == first
+    experiment.close_pool()
+    assert all(r.per_cell_sum_rate == 0.0 for r in run_sweep(spec, workers=2))
 
 
 def test_pooled_sector_drops_carry_the_trial_checkers_records(tmp_path):
